@@ -5,9 +5,9 @@ state tomography, CHSH tests and Fisher-information sensitivity."""
 
 __version__ = "0.1.0"
 
-from .channels import (NoiseSpec, RotationChannel, SolutionSpec, apply_local,
-                       apply_noise, hwp_matrix, offset_correct, qwp_matrix,
-                       rotation_unitary, solution_rotation)
+from .channels import (NoiseSpec, SolutionSpec, apply_local, apply_noise,
+                       hwp_matrix, offset_correct, qwp_matrix, rotation_unitary,
+                       solution_rotation)
 from .config import ExperimentConfig, config_hash, load_config, loads_config
 from .measure import (AnalyzerSetting, CoincidenceTable, JointObservables,
                       chsh_from_counts, chsh_s, estimate_observables,
@@ -20,8 +20,8 @@ from .states import (BELL_KINDS, bell_ket, bell_state, concurrence,
                      cosine_similarity, fidelity, ket, load_state,
                      maximally_mixed, purity, save_state, separable_state,
                      validate_state, werner_state)
-from .sweeps import (SweepResult, fit_line, read_xy_csv, run_molarity_sweep,
-                     run_theta_sweep, write_sweep, zero_crossing)
+from .sweeps import (SweepResult, fit_line, run_molarity_sweep, run_theta_sweep,
+                     write_sweep, zero_crossing)
 from .tomography import (MleResult, linear_inversion, mle_reconstruct,
                          predicted_counts, read_tomo_counts,
                          reconstruction_report, bootstrap_sigmas,

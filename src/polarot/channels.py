@@ -17,7 +17,7 @@ from .states import maximally_mixed, validate_state
 
 __all__ = [
     "rotation_unitary", "hwp_matrix", "qwp_matrix", "apply_local",
-    "RotationChannel", "SolutionSpec", "NoiseSpec",
+    "SolutionSpec", "NoiseSpec",
     "solution_rotation", "offset_correct", "apply_noise",
 ]
 
@@ -65,42 +65,21 @@ def apply_local(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
 
 
 @dataclass(frozen=True)
-class RotationChannel:
-    """A local optical rotation by `theta` radians (levorotation > 0)."""
-
-    theta: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return rotation_unitary(self.theta)
-
-    def compose(self, other: "RotationChannel") -> "RotationChannel":
-        return RotationChannel(self.theta + other.theta)
-
-
-@dataclass(frozen=True)
 class SolutionSpec:
     """A chiral solution characterized by a linear molarity-to-rotation
     calibration.
 
-    slope_deg_per_molar and pbs_offset_deg are in degrees (I/O units);
-    the physical rotation angle is returned in radians by
-    solution_rotation. The PBS offset is an analyzer artifact and is never
-    part of the physical rotation; it is corrected separately by
-    offset_correct. Transmission is polarization-independent and scales
-    detection rates only.
+    slope_deg_per_molar is in degrees (I/O units); the physical rotation
+    angle is returned in radians by solution_rotation. Analyzer offsets
+    are never part of the physical rotation; offset_correct removes them.
     """
 
     molarity: float
     slope_deg_per_molar: float
-    pbs_offset_deg: float = 0.0
-    transmission: float = 1.0
 
     def __post_init__(self):
         if self.molarity < 0.0:
             raise ValueError(f"molarity must be nonnegative, got {self.molarity}")
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError(f"transmission must be in [0, 1], got {self.transmission}")
 
 
 def solution_rotation(spec: SolutionSpec) -> float:

@@ -9,6 +9,7 @@ sets the directory against which relative output paths are resolved.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -19,17 +20,20 @@ import numpy as np
 from . import __version__
 from .channels import apply_noise, rotation_unitary
 from .config import load_config
-from .measure import (AnalyzerSetting, JointObservables, chsh_from_counts,
-                      estimate_observables, exact_table, extract_thetas,
-                      read_table, scan_theta_a, simulate_counts, write_table)
+from .csvfile import read_csv, write_csv
+from .measure import (JointObservables, chsh_from_counts, estimate_observables,
+                      extract_thetas, read_table, scan_theta_a,
+                      settings_from_ids, write_table)
 from .metrology import qfi, variance_scaling
 from .states import bell_state, save_state
-from .sweeps import (configured_state, run_molarity_sweep, run_theta_sweep,
-                     write_sweep)
+from .sweeps import (configured_state, configured_table, observables_at,
+                     run_molarity_sweep, run_theta_sweep, write_sweep)
 from .tomography import (bootstrap_sigmas, mle_reconstruct, read_tomo_counts,
                          reconstruction_report)
 
 OUT_ENV = "POLAROT_OUT"
+_OBSERVABLES = ("m_zz", "m_xz", "m_zx")
+_OBSERVABLES_HEADER = "observable,value,sigma"
 
 
 def _resolve_out(path_str: str) -> Path:
@@ -49,23 +53,11 @@ def _load_config_with_override(args):
     return cfg
 
 
-def _settings_from_config(cfg):
-    return [(AnalyzerSetting.from_id(a), AnalyzerSetting.from_id(b))
-            for a, b in cfg.setting_pairs]
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_config_with_override(args)
-    rho = configured_state(cfg)
-    settings = _settings_from_config(cfg)
-    if args.exact:
-        table = exact_table(rho, settings, cfg.pair_flux, cfg.duration,
-                            cfg.arm_a.transmission, cfg.arm_b.transmission,
-                            cfg.noise.accidental_fraction)
-    else:
-        table = simulate_counts(rho, settings, cfg.pair_flux, cfg.duration,
-                                cfg.arm_a.transmission, cfg.arm_b.transmission,
-                                cfg.noise.accidental_fraction, seed=cfg.seed)
+    settings = settings_from_ids(cfg.setting_pairs)
+    table = configured_table(cfg, configured_state(cfg), settings, args.exact,
+                             cfg.seed)
     out = _resolve_out(args.out)
     write_table(table, out)
     print(f"wrote {len(settings)} settings to {out}")
@@ -73,36 +65,26 @@ def _cmd_simulate(args) -> int:
 
 
 def _write_observables(path: Path, obs: JointObservables) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("observable,value,sigma\n")
-        for name in ("m_zz", "m_xz", "m_zx"):
-            value = getattr(obs, name)
-            sigma = getattr(obs, "sigma_" + name[2:])
-            fh.write(f"{name},{value:.17g},{sigma:.17g}\n")
+    write_csv(path, (), _OBSERVABLES_HEADER,
+              ([name, f"{getattr(obs, name):.17g}",
+                f"{getattr(obs, 'sigma_' + name[2:]):.17g}"]
+               for name in _OBSERVABLES))
 
 
 def _read_observables(path) -> JointObservables:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("observable,"):
-                continue
-            name, value, sigma = line.split(",")
-            values[name] = (float(value), float(sigma))
-    missing = sorted({"m_zz", "m_xz", "m_zx"} - set(values))
+    _, rows = read_csv(path, _OBSERVABLES_HEADER)
+    values = {name: (float(value), float(sigma)) for name, value, sigma in rows}
+    missing = sorted(set(_OBSERVABLES) - set(values))
     if missing:
         raise ValueError(f"observables file {path} is missing rows: {missing}")
-    return JointObservables(
-        m_zz=values["m_zz"][0], m_xz=values["m_xz"][0], m_zx=values["m_zx"][0],
-        sigma_zz=values["m_zz"][1], sigma_xz=values["m_xz"][1],
-        sigma_zx=values["m_zx"][1])
+    return JointObservables(*(values[name][0] for name in _OBSERVABLES),
+                            *(values[name][1] for name in _OBSERVABLES))
 
 
 def _cmd_observables(args) -> int:
     table = read_table(args.table)
     obs = estimate_observables(table)
-    for name in ("m_zz", "m_xz", "m_zx"):
+    for name in _OBSERVABLES:
         sigma = getattr(obs, "sigma_" + name[2:])
         print(f"{name} = {getattr(obs, name):+.9f} +- {sigma:.9f}")
     if args.out:
@@ -115,39 +97,23 @@ def _cmd_extract(args) -> int:
     obs_minus = _read_observables(args.minus)
     theta_a, theta_b = extract_thetas(obs_plus, obs_minus,
                                       modulus_floor=args.modulus_floor)
-    print(f"{math.degrees(theta_a):.6f}, {math.degrees(theta_b):.6f}")
+    cells = [f"{math.degrees(theta_a):.6f}", f"{math.degrees(theta_b):.6f}"]
+    print(", ".join(cells))
     if args.out:
-        with open(_resolve_out(args.out), "w", encoding="utf-8") as fh:
-            fh.write("theta_a_deg,theta_b_deg\n")
-            fh.write(f"{math.degrees(theta_a):.6f},{math.degrees(theta_b):.6f}\n")
+        write_csv(_resolve_out(args.out), (), "theta_a_deg,theta_b_deg", [cells])
     return 0
 
 
 def _cmd_scan(args) -> int:
     cfg = _load_config_with_override(args)
     lo, hi = (math.radians(v) for v in args.range_deg)
-    resolution = math.radians(args.resolution_deg)
-    settings = [(AnalyzerSetting.from_basis("Z"), AnalyzerSetting.from_basis("Z")),
-                (AnalyzerSetting.from_basis("X"), AnalyzerSetting.from_basis("Z")),
-                (AnalyzerSetting.from_basis("Z"), AnalyzerSetting.from_basis("X"))]
-    calls = [0]
+    probe_number = itertools.count(1)  # sampled probe k draws stream (seed, k)
 
     def probe(theta_b: float):
-        rho = configured_state(cfg, kind="psi_minus", theta_b=theta_b)
-        if args.exact:
-            table = exact_table(rho, settings, cfg.pair_flux, cfg.duration,
-                                cfg.arm_a.transmission, cfg.arm_b.transmission,
-                                cfg.noise.accidental_fraction)
-        else:
-            calls[0] += 1
-            seed = int(np.random.SeedSequence(
-                entropy=cfg.seed, spawn_key=(calls[0],)).generate_state(1)[0])
-            table = simulate_counts(rho, settings, cfg.pair_flux, cfg.duration,
-                                    cfg.arm_a.transmission, cfg.arm_b.transmission,
-                                    cfg.noise.accidental_fraction, seed=seed)
-        return estimate_observables(table)
+        return observables_at(cfg, "psi_minus", None, theta_b, args.exact,
+                              (next(probe_number),))
 
-    theta_a = scan_theta_a(probe, (lo, hi), resolution,
+    theta_a = scan_theta_a(probe, (lo, hi), math.radians(args.resolution_deg),
                            noise_floor=args.noise_floor)
     print(f"{math.degrees(theta_a):.6f}")
     return 0
@@ -220,11 +186,10 @@ def _cmd_fisher(args) -> int:
         for n in n_values:
             rows.append((n, qfi(n), 1.0 / (4.0 * n * n)))
         header = "n,qfi,var_entangled_bound"
-    lines = [header] + [",".join(f"{v:.10g}" for v in row) for row in rows]
-    print("\n".join(lines))
+    cells = [[f"{v:.10g}" for v in row] for row in rows]
+    print("\n".join([header] + [",".join(row) for row in cells]))
     if args.out:
-        with open(_resolve_out(args.out), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(_resolve_out(args.out), (), header, cells)
     return 0
 
 
@@ -383,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         if out is not None:
             p.add_argument("--out", default=out[0], required=out[1],
                            help="output file path")
-        p.add_argument("--format", choices=["csv"], default="csv",
-                       help="output format (csv only)")
 
     p = sub.add_parser("simulate", help="simulate a coincidence table from a config")
     add_common(p, config=True, seed=True, exact=True, out=("counts.csv", False))
@@ -426,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chsh", help="CHSH statistic from a coincidence table")
     p.add_argument("--table", required=True)
-    add_common(p)
     p.set_defaults(func=_cmd_chsh)
 
     p = sub.add_parser("sweep", help="run the molarity or theta sweep from a config")
@@ -445,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fisher)
 
     p = sub.add_parser("verify", help="run the analytic invariant suite")
-    add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channels import NoiseSpec, SolutionSpec, solution_rotation
+from .measure import NAMED_PAIRS
 from .states import BELL_KINDS
 
 __all__ = [
@@ -69,7 +70,7 @@ class ExperimentConfig:
     pair_flux: float = 1e5
     duration: float = 1.0
     seed: int = 0
-    setting_pairs: tuple = (("Z", "Z"), ("X", "Z"), ("Z", "X"))
+    setting_pairs: tuple = NAMED_PAIRS
     sweep_variable: str | None = None
     sweep_values: tuple = ()
     output_dir: str | None = None
@@ -136,7 +137,6 @@ def _parse_arm(section) -> ArmConfig:
             molarity=section.getfloat("molarity"),
             slope_deg_per_molar=section.getfloat(
                 "slope_deg_per_molar", fallback=DEFAULT_SLOPE_DEG_PER_MOLAR),
-            transmission=transmission,
         )
         return ArmConfig(solution=spec, transmission=transmission)
     raise ValueError(f"section [{section.name}] needs angle_deg or molarity")

@@ -1,0 +1,55 @@
+"""The one comma-separated file format of polarot: '#'-prefixed key=value
+metadata lines, a mandatory header row, then data rows of the header's
+width. Blank lines are skipped; '#' lines may appear anywhere and those
+without '=' are plain comments. Cells are strings; callers format them
+and parse them."""
+
+from __future__ import annotations
+
+__all__ = ["read_csv", "write_csv"]
+
+
+def read_csv(path, header: str) -> tuple[dict[str, str], list[list[str]]]:
+    """Read a file of the format above. The first non-comment line must
+    equal `header` (spaces ignored) and every data row must have as many
+    cells; returns the metadata and the stripped cells of each row."""
+    metadata, rows = {}, []
+    width = len(header.split(","))
+    header_seen = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    metadata[key.strip()] = value.strip()
+                continue
+            if not header_seen:
+                if line.replace(" ", "") != header:
+                    raise ValueError(f"{path}: bad header {line!r}, "
+                                     f"expected {header!r}")
+                header_seen = True
+                continue
+            cells = [cell.strip() for cell in line.split(",")]
+            if len(cells) != width:
+                raise ValueError(f"{path}: row {line!r} has {len(cells)} "
+                                 f"cells, expected {width}")
+            rows.append(cells)
+    if not header_seen:
+        raise ValueError(f"{path}: no header row {header!r}")
+    return metadata, rows
+
+
+def write_csv(path, metadata_items, header: str, rows) -> None:
+    """Write `# key=value` lines in the given order, the header, then one
+    line per row of already formatted cells."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in metadata_items:
+            fh.write(f"# {key}={value}\n")
+        fh.write(header + "\n")
+        for cells in rows:
+            fh.write(",".join(cells) + "\n")
+

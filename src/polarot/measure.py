@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import hwp_matrix, qwp_matrix, rotation_unitary
+from .csvfile import read_csv, write_csv
 from .states import ID2, PAULI_X, PAULI_Z, ket_to_dm, validate_state
 
 __all__ = [
-    "AnalyzerSetting", "JointObservables", "CoincidenceTable",
+    "AnalyzerSetting", "NAMED_PAIRS", "NAMED_SETTINGS", "settings_from_ids",
+    "JointObservables", "CoincidenceTable",
     "outcome_probabilities", "joint_expectation", "exact_observables",
     "separable_expectations", "simulate_counts", "exact_table",
     "estimate_correlation", "estimate_observables",
@@ -92,6 +94,17 @@ class AnalyzerSetting:
 
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         return ket_to_dm(self.plus_ket), ket_to_dm(self.minus_ket)
+
+
+def settings_from_ids(pairs) -> list[tuple[AnalyzerSetting, AnalyzerSetting]]:
+    """Joint analyzer settings from (id_a, id_b) setting-id pairs."""
+    return [(AnalyzerSetting.from_id(a), AnalyzerSetting.from_id(b))
+            for a, b in pairs]
+
+
+# the (Z,Z), (X,Z), (Z,X) analyzer pairs behind M_zz, M_xz and M_zx
+NAMED_PAIRS = (("Z", "Z"), ("X", "Z"), ("Z", "X"))
+NAMED_SETTINGS = tuple(settings_from_ids(NAMED_PAIRS))
 
 
 @dataclass(frozen=True)
@@ -279,9 +292,8 @@ def _rows_for_pair(table: CoincidenceTable, id_a: str, id_b: str) -> np.ndarray:
 def estimate_observables(table: CoincidenceTable) -> JointObservables:
     """Estimate the (z,z), (x,z), (z,x) correlations from a coincidence
     table containing the named basis pairs (Z,Z), (X,Z) and (Z,X)."""
-    m_zz, s_zz = estimate_correlation(_rows_for_pair(table, "Z", "Z"))
-    m_xz, s_xz = estimate_correlation(_rows_for_pair(table, "X", "Z"))
-    m_zx, s_zx = estimate_correlation(_rows_for_pair(table, "Z", "X"))
+    (m_zz, s_zz), (m_xz, s_xz), (m_zx, s_zx) = (
+        estimate_correlation(_rows_for_pair(table, a, b)) for a, b in NAMED_PAIRS)
     return JointObservables(m_zz, m_xz, m_zx, s_zz, s_xz, s_zx)
 
 
@@ -455,16 +467,16 @@ def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
     return s, sigma
 
 
+_TABLE_HEADER = "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm"
+
+
 def write_table(table: CoincidenceTable, path) -> None:
     """Write a coincidence table as comma-separated text with '#'-prefixed
     key=value metadata lines and a mandatory header row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(table.metadata):
-            fh.write(f"# {key}={table.metadata[key]}\n")
-        fh.write("setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm\n")
-        for (a, b), row in zip(table.settings, table.counts):
-            vals = ",".join(f"{v:.17g}" for v in row)
-            fh.write(f"{a.setting_id},{b.setting_id},{vals}\n")
+    write_csv(path, [(key, table.metadata[key]) for key in sorted(table.metadata)],
+              _TABLE_HEADER,
+              ([a.setting_id, b.setting_id, *(f"{v:.17g}" for v in row)]
+               for (a, b), row in zip(table.settings, table.counts)))
 
 
 def _parse_metadata_value(text: str):
@@ -477,30 +489,8 @@ def _parse_metadata_value(text: str):
 
 def read_table(path) -> CoincidenceTable:
     """Read a coincidence table written by write_table."""
-    metadata, settings, counts = {}, [], []
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = _parse_metadata_value(value.strip())
-                continue
-            if not header_seen:
-                if line.replace(" ", "") != "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm":
-                    raise ValueError(f"bad coincidence-table header: {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"bad coincidence-table row: {line!r}")
-            settings.append((AnalyzerSetting.from_id(parts[0]),
-                             AnalyzerSetting.from_id(parts[1])))
-            counts.append([float(v) for v in parts[2:]])
-    if not header_seen:
-        raise ValueError("coincidence table has no header row")
-    return CoincidenceTable(settings, np.array(counts), metadata)
+    metadata, rows = read_csv(path, _TABLE_HEADER)
+    return CoincidenceTable(
+        settings_from_ids(row[:2] for row in rows),
+        np.array([[float(v) for v in row[2:]] for row in rows]),
+        {key: _parse_metadata_value(value) for key, value in metadata.items()})

@@ -1,10 +1,11 @@
 """Scripted experiment sweeps and the calibration line fit.
 
-Both sweep runners share the same per-point pipeline: build the source
-state, fold analyzer offsets into the local rotations, simulate (or emit
-exact expectations for) the named-basis coincidence settings, estimate
-the joint observables, and convert them back to rotation angles with the
-offsets removed.
+Both sweep runners and the CLI scan share one per-point pipeline,
+observables_at: build the source state, fold analyzer offsets into the
+local rotations, simulate (or emit exact expectations for) the
+named-basis coincidence settings and estimate the joint observables. The
+sweeps then convert them back to rotation angles with the offsets
+removed.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import numpy as np
 from . import __version__
 from .channels import apply_local, apply_noise, offset_correct, rotation_unitary
 from .config import ExperimentConfig, config_hash
-from .measure import (AnalyzerSetting, estimate_observables, exact_table,
-                      extract_thetas, rotation_from_observables, simulate_counts)
+from .csvfile import write_csv
+from .measure import (NAMED_SETTINGS, JointObservables, estimate_observables,
+                      exact_table, extract_thetas, rotation_from_observables,
+                      simulate_counts)
 from .states import bell_state, ket, separable_state
 
-__all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
-           "run_molarity_sweep", "run_theta_sweep", "write_sweep", "read_xy_csv"]
-
-_NAMED_PAIRS = (("Z", "Z"), ("X", "Z"), ("Z", "X"))
+__all__ = ["SweepResult", "configured_state", "configured_table",
+           "observables_at", "fit_line", "zero_crossing",
+           "run_molarity_sweep", "run_theta_sweep", "write_sweep"]
 
 
 @dataclass
@@ -101,11 +103,6 @@ def zero_crossing(x, y, sigma) -> tuple[float, float]:
     return float(x0), math.sqrt(max(var, 0.0))
 
 
-def _named_settings():
-    return [(AnalyzerSetting.from_basis(a), AnalyzerSetting.from_basis(b))
-            for a, b in _NAMED_PAIRS]
-
-
 def _point_seed(seed: int, *key) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
 
@@ -130,19 +127,27 @@ def configured_state(cfg: ExperimentConfig, kind: str | None = None,
     return apply_local(rho, rotation_unitary(theta_a_eff), rotation_unitary(theta_b_eff))
 
 
-def _observables_at(cfg, kind, theta_a, theta_b, exact, seed_key):
-    rho = configured_state(cfg, kind, theta_a, theta_b)
-    settings = _named_settings()
+def configured_table(cfg: ExperimentConfig, rho, settings, exact: bool,
+                     seed: int | None):
+    """Coincidence table of `settings` on `rho` under the configured pair
+    flux, duration, arm transmissions and accidental fraction: exact
+    expectations, or counts sampled from `seed`."""
+    detection = (cfg.pair_flux, cfg.duration, cfg.arm_a.transmission,
+                 cfg.arm_b.transmission, cfg.noise.accidental_fraction)
     if exact:
-        table = exact_table(rho, settings, cfg.pair_flux, cfg.duration,
-                            cfg.arm_a.transmission, cfg.arm_b.transmission,
-                            cfg.noise.accidental_fraction)
-    else:
-        table = simulate_counts(rho, settings, cfg.pair_flux, cfg.duration,
-                                cfg.arm_a.transmission, cfg.arm_b.transmission,
-                                cfg.noise.accidental_fraction,
-                                seed=_point_seed(cfg.seed, *seed_key))
-    return estimate_observables(table)
+        return exact_table(rho, settings, *detection)
+    return simulate_counts(rho, settings, *detection, seed=seed)
+
+
+def observables_at(cfg: ExperimentConfig, kind: str | None,
+                   theta_a: float | None, theta_b: float | None, exact: bool,
+                   seed_key: tuple) -> JointObservables:
+    """Joint observables of the configured state (overrides as in
+    configured_state) measured in the named (Z,Z), (X,Z), (Z,X) settings.
+    A sampled table draws from the stream (cfg.seed, *seed_key)."""
+    rho = configured_state(cfg, kind, theta_a, theta_b)
+    seed = None if exact else _point_seed(cfg.seed, *seed_key)
+    return estimate_observables(configured_table(cfg, rho, NAMED_SETTINGS, exact, seed))
 
 
 def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
@@ -174,7 +179,7 @@ def run_molarity_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResul
         if molarity < 0:
             raise ValueError(f"negative molarity {molarity}")
         theta_b = math.radians(slope * molarity)
-        obs = _observables_at(cfg, cfg.state_kind, theta_a, theta_b, exact, (i,))
+        obs = observables_at(cfg, cfg.state_kind, theta_a, theta_b, exact, (i,))
         theta_exp, sig = rotation_from_observables(obs.m_zz, obs.m_xz,
                                                    obs.sigma_zz, obs.sigma_xz)
         theta = offset_correct(theta_exp, which, cfg.pbs_a, cfg.pbs_b, cfg.hwp)
@@ -201,8 +206,8 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
     rows = []
     for i, theta_b_deg in enumerate(sorted(cfg.sweep_values)):
         theta_b = math.radians(theta_b_deg)
-        obs_p = _observables_at(cfg, "psi_plus", theta_a, theta_b, exact, (i, 0))
-        obs_m = _observables_at(cfg, "psi_minus", theta_a, theta_b, exact, (i, 1))
+        obs_p = observables_at(cfg, "psi_plus", theta_a, theta_b, exact, (i, 0))
+        obs_m = observables_at(cfg, "psi_minus", theta_a, theta_b, exact, (i, 1))
         th_p_exp, sig_p = rotation_from_observables(obs_p.m_zz, obs_p.m_xz,
                                                     obs_p.sigma_zz, obs_p.sigma_xz)
         th_m_exp, sig_m = rotation_from_observables(obs_m.m_zz, obs_m.m_xz,
@@ -232,37 +237,10 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
 def write_sweep(result: SweepResult, path) -> None:
     """Write a sweep result as CSV with '#'-prefixed provenance lines.
     Angle columns (named *_deg) carry six decimal places."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(result.provenance):
-            fh.write(f"# {key}={result.provenance[key]}\n")
-        fh.write("# variable=" + result.variable + "\n")
-        fh.write(",".join(result.columns) + "\n")
-        for row in result.rows:
-            cells = []
-            for name, value in zip(result.columns, row):
-                fmt = "{:.6f}" if name.endswith("_deg") else "{:.10g}"
-                cells.append(fmt.format(value))
-            fh.write(",".join(cells) + "\n")
-
-
-def read_xy_csv(path):
-    """Read generic (x, y[, sigma]) rows from comma-separated text,
-    skipping blank, '#'-comment and non-numeric header lines. Intended for
-    ingesting externally published sweep data for comparison plots."""
-    xs, ys, sigmas = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                values = [float(p) for p in parts[:3] if p != ""]
-            except ValueError:
-                continue
-            if len(values) < 2:
-                continue
-            xs.append(values[0])
-            ys.append(values[1])
-            sigmas.append(values[2] if len(values) > 2 else math.nan)
-    return np.array(xs), np.array(ys), np.array(sigmas)
+    metadata = [(key, result.provenance[key]) for key in sorted(result.provenance)]
+    metadata.append(("variable", result.variable))
+    formats = ["{:.6f}" if name.endswith("_deg") else "{:.10g}"
+               for name in result.columns]
+    write_csv(path, metadata, ",".join(result.columns),
+              ([fmt.format(value) for fmt, value in zip(formats, row)]
+               for row in result.rows))

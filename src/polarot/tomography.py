@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from .csvfile import read_csv, write_csv
 from .states import (concurrence, cosine_similarity, fidelity, ket, purity,
                      validate_state)
 
@@ -250,47 +251,31 @@ def bootstrap_sigmas(rho_hat: np.ndarray, counts: np.ndarray,
     return {key: float(np.std(vals, ddof=1)) for key, vals in samples.items()}
 
 
+_COUNTS_HEADER = "basis_label_a,basis_label_b,count"
+
+
 def write_tomo_counts(path, counts: np.ndarray, metadata: dict | None = None) -> None:
     """Write 16 basis counts as 'label_a,label_b,count' rows in the frozen
     basis order, '#'-prefixed key=value metadata first."""
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (16,):
         raise ValueError(f"expected 16 counts, got shape {counts.shape}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(metadata or {}):
-            fh.write(f"# {key}={metadata[key]}\n")
-        fh.write("basis_label_a,basis_label_b,count\n")
-        for (a, b), n in zip(BASIS_LABELS, counts):
-            fh.write(f"{a},{b},{n:.17g}\n")
+    metadata = metadata or {}
+    write_csv(path, [(key, metadata[key]) for key in sorted(metadata)],
+              _COUNTS_HEADER,
+              ([a, b, f"{n:.17g}"] for (a, b), n in zip(BASIS_LABELS, counts)))
 
 
 def read_tomo_counts(path) -> tuple[np.ndarray, dict]:
     """Read a tomography counts file; rows may appear in any order but
     every canonical basis pair must occur exactly once."""
-    metadata = {}
+    metadata, rows = read_csv(path, _COUNTS_HEADER)
     seen = {}
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            if not header_seen:
-                if line.replace(" ", "") != "basis_label_a,basis_label_b,count":
-                    raise ValueError(f"bad tomography header: {line!r}")
-                header_seen = True
-                continue
-            a, b, n = line.split(",")
-            pair = (a.strip().upper(), b.strip().upper())
-            if pair in seen:
-                raise ValueError(f"duplicate basis row {pair}")
-            seen[pair] = float(n)
+    for a, b, n in rows:
+        pair = (a.upper(), b.upper())
+        if pair in seen:
+            raise ValueError(f"duplicate basis row {pair}")
+        seen[pair] = float(n)
     missing = [pair for pair in BASIS_LABELS if pair not in seen]
     if missing:
         raise ValueError(f"tomography file is missing basis rows: {missing}")

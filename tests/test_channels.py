@@ -83,12 +83,6 @@ def test_apply_local_rejects_nonunitary():
                              np.array([[1.0, 0.0], [0.0, 0.5]]), np.eye(2))
 
 
-def test_rotation_channel_compose():
-    ch = channels.RotationChannel(0.2).compose(channels.RotationChannel(0.3))
-    assert abs(ch.theta - 0.5) < 1e-15
-    assert np.abs(ch.matrix - channels.rotation_unitary(0.5)).max() < 1e-12
-
-
 def test_solution_rotation_examples():
     spec = channels.SolutionSpec(molarity=0.0, slope_deg_per_molar=7.01)
     assert channels.solution_rotation(spec) == 0.0

@@ -284,12 +284,3 @@ def test_write_sweep_deterministic(tmp_path):
     sweeps.write_sweep(sweeps.run_molarity_sweep(cfg), path_2)
     assert path_1.read_bytes() == path_2.read_bytes()
 
-
-def test_read_xy_csv(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("# comment\nx,y,sigma\n0.0,4.09,0.04\n1.0,11.1,0.04\n2.0,18.1\n")
-    xs, ys, sigmas = sweeps.read_xy_csv(path)
-    assert np.allclose(xs, [0.0, 1.0, 2.0])
-    assert np.allclose(ys, [4.09, 11.1, 18.1])
-    assert np.allclose(sigmas[:2], [0.04, 0.04])
-    assert math.isnan(sigmas[2])
