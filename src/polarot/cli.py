@@ -77,6 +77,8 @@ def _read_observables(path) -> JointObservables:
     missing = sorted(set(_OBSERVABLES) - set(values))
     if missing:
         raise ValueError(f"observables file {path} is missing rows: {missing}")
+    if not np.isfinite(list(values.values())).all():
+        raise ValueError(f"observables file {path} has non-finite values")
     return JointObservables(*(values[name][0] for name in _OBSERVABLES),
                             *(values[name][1] for name in _OBSERVABLES))
 

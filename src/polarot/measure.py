@@ -139,6 +139,8 @@ class CoincidenceTable:
         if self.counts.shape != (len(self.settings), 4):
             raise ValueError(f"counts must have shape ({len(self.settings)}, 4), "
                              f"got {self.counts.shape}")
+        if not np.isfinite(self.counts).all():
+            raise ValueError("counts must be finite")
         if (self.counts < 0).any():
             raise ValueError("counts must be nonnegative")
 

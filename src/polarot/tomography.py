@@ -279,4 +279,7 @@ def read_tomo_counts(path) -> tuple[np.ndarray, dict]:
     missing = [pair for pair in BASIS_LABELS if pair not in seen]
     if missing:
         raise ValueError(f"tomography file is missing basis rows: {missing}")
-    return np.array([seen[pair] for pair in BASIS_LABELS]), metadata
+    counts = np.array([seen[pair] for pair in BASIS_LABELS])
+    if not np.isfinite(counts).all():
+        raise ValueError(f"tomography file {path} has non-finite counts")
+    return counts, metadata

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from polarot import states, tomography
 from polarot.cli import main
@@ -271,3 +272,25 @@ def test_out_env_var(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, EXACT_TEMPLATE.format(kind="psi_plus"))
     assert main(["simulate", "--config", cfg, "--exact", "--out", "run/c.csv"]) == 0
     assert (tmp_path / "outputs" / "run" / "c.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_input_exits_2(tmp_path, capsys, bad):
+    header = "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm\n"
+    table = tmp_path / "table.csv"
+    table.write_text(header + f"Z,Z,{bad},10,10,10\nX,Z,10,10,10,10\n"
+                     "Z,X,10,10,10,10\n")
+    assert main(["observables", "--table", str(table)]) == 2
+    chsh = tmp_path / "chsh.csv"
+    chsh.write_text(header + f"lin:0,lin:22.5,{bad},1,1,1\n"
+                    "lin:0,lin:67.5,1,1,1,1\nlin:45,lin:22.5,1,1,1,1\n"
+                    "lin:45,lin:67.5,1,1,1,1\n")
+    assert main(["chsh", "--table", str(chsh)]) == 2
+    good = tmp_path / "good.csv"
+    good.write_text("observable,value,sigma\nm_zz,-1,0\nm_xz,0,0\nm_zx,0,0\n")
+    for row in (f"m_zz,{bad},0", f"m_zz,-1,{bad}"):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"observable,value,sigma\n{row}\nm_xz,0,0\nm_zx,0,0\n")
+        assert main(["extract", "--plus", str(obs), "--minus", str(good)]) == 2
+        assert main(["extract", "--plus", str(good), "--minus", str(obs)]) == 2
+    assert "nan" not in capsys.readouterr().out
