@@ -18,7 +18,7 @@ from .states import maximally_mixed, validate_state
 __all__ = [
     "rotation_unitary", "hwp_matrix", "qwp_matrix", "apply_local",
     "SolutionSpec", "NoiseSpec",
-    "solution_rotation", "offset_correct", "apply_noise",
+    "solution_rotation", "offset_correct", "wrap_angle", "apply_noise",
 ]
 
 
@@ -106,6 +106,14 @@ def offset_correct(theta_exp: float, which: str, pbs_a: float, pbs_b: float,
     if which == "minus":
         return theta_exp - pbs_a + pbs_b - hwp
     raise ValueError(f"branch must be 'plus' or 'minus', got {which!r}")
+
+
+def wrap_angle(theta: float) -> float:
+    """The representative of theta (mod 2 pi) in (-pi, pi]."""
+    theta = math.remainder(theta, 2.0 * math.pi)
+    if theta <= -math.pi:
+        theta += 2.0 * math.pi
+    return theta
 
 
 @dataclass(frozen=True)

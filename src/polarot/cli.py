@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import apply_noise, rotation_unitary
+from .channels import apply_noise, offset_correct, rotation_unitary, wrap_angle
 from .config import load_config
 from .csvfile import read_csv, write_csv
 from .measure import (JointObservables, chsh_from_counts, estimate_observables,
@@ -115,8 +115,11 @@ def _cmd_scan(args) -> int:
         return observables_at(cfg, "psi_minus", None, theta_b, args.exact,
                               (next(probe_number),))
 
-    theta_a = scan_theta_a(probe, (lo, hi), math.radians(args.resolution_deg),
+    theta_b = scan_theta_a(probe, (lo, hi), math.radians(args.resolution_deg),
                            noise_floor=args.noise_floor)
+    # the optimum matches arm B to arm A's effective (offset-carrying) angle
+    theta_a = wrap_angle(offset_correct(theta_b, "minus", cfg.pbs_a, cfg.pbs_b,
+                                        cfg.hwp))
     print(f"{math.degrees(theta_a):.6f}")
     return 0
 

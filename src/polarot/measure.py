@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import hwp_matrix, qwp_matrix, rotation_unitary
+from .channels import hwp_matrix, qwp_matrix, rotation_unitary, wrap_angle
 from .csvfile import read_csv, write_csv
 from .states import ID2, PAULI_X, PAULI_Z, ket_to_dm, validate_state
 
@@ -410,10 +410,7 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
     if slope < 0.0:
         raise ValueError("scan optimum is inconsistent: m_zz < 0 but the local "
                          "m_xz slope is negative")
-    theta = math.remainder(theta, 2.0 * math.pi)
-    if theta <= -math.pi:
-        theta += 2.0 * math.pi
-    return theta
+    return wrap_angle(theta)
 
 
 def _correlation_function(rho, x: float, y: float) -> float:

@@ -198,7 +198,7 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
     """Sweep the arm-B rotation angle with both Bell branches at a fixed
     arm-A rotation; reports per point the joint observables of both
     branches, the offset-corrected effective rotations, and the
-    jointly extracted local angles."""
+    jointly extracted, offset-corrected local angles."""
     if cfg.sweep_variable != "theta_b":
         raise ValueError(f"theta sweep needs sweep variable 'theta_b', "
                          f"got {cfg.sweep_variable!r}")
@@ -215,6 +215,10 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
         th_p = offset_correct(th_p_exp, "plus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
         th_m = offset_correct(th_m_exp, "minus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
         th_a_hat, th_b_hat = extract_thetas(obs_p, obs_m)
+        # the wave plate rotates arm A in the minus branch only, so the
+        # extracted angles carry pbs_a + hwp/2 (arm A) and pbs_b - hwp/2 (arm B)
+        th_a_hat -= cfg.pbs_a + cfg.hwp / 2.0
+        th_b_hat -= cfg.pbs_b - cfg.hwp / 2.0
         rows.append((theta_b_deg,
                      obs_p.m_zz, obs_p.m_xz, obs_m.m_zz, obs_m.m_xz,
                      obs_p.sigma_zz, obs_p.sigma_xz, obs_m.sigma_zz, obs_m.sigma_xz,

@@ -154,6 +154,15 @@ def test_scan_exact(tmp_path, capsys):
     assert abs(float(stdout) - 20.0) < 0.01
 
 
+@pytest.mark.parametrize("theta_a", ["20.0", "-70.0", "3.37"])
+def test_scan_exact_removes_shipped_offsets(tmp_path, capsys, theta_a):
+    text = SWEEP_TEMPLATE.split("[statistics]")[0].replace(
+        "angle_deg = 20.08", f"angle_deg = {theta_a}")
+    cfg = write_config(tmp_path, text + "[statistics]\nseed = 1\n")
+    assert main(["scan", "--config", cfg, "--exact"]) == 0
+    assert abs(float(capsys.readouterr().out) - float(theta_a)) < 1e-3
+
+
 def test_scan_sampled(tmp_path, capsys):
     cfg = write_config(tmp_path, EXACT_TEMPLATE.format(kind="psi_minus"))
     assert main(["scan", "--config", cfg, "--range-deg", "-45", "45",

@@ -46,9 +46,7 @@ angle_deg = 0.0
 transmission = 1.0
 
 [offsets]
-pbs_a_deg = 0
-pbs_b_deg = 0
-hwp_deg = 0
+{offsets}
 
 [statistics]
 pair_flux = 100000
@@ -133,8 +131,12 @@ def molarity_config(kind="psi_minus", seed=77):
     return config.loads_config(BASE_MOLARITY_CONFIG.format(kind=kind, seed=seed))
 
 
-def theta_config(seed=78):
-    cfg = config.loads_config(THETA_CONFIG.format(seed=seed))
+ZERO_OFFSETS = "pbs_a_deg = 0\npbs_b_deg = 0\nhwp_deg = 0"
+SHIPPED_OFFSETS = "pbs_a_deg = -4.75\npbs_b_deg = 4.09\nhwp_deg = 5.47"
+
+
+def theta_config(seed=78, offsets=ZERO_OFFSETS):
+    cfg = config.loads_config(THETA_CONFIG.format(seed=seed, offsets=offsets))
     return cfg
 
 
@@ -234,10 +236,13 @@ def test_theta_sweep_phase_separation():
     assert abs(separation - 2.0 * 20.0) < 1e-9
 
 
-def test_theta_sweep_extracted_angles_exact():
-    result = sweeps.run_theta_sweep(theta_config(), exact=True)
+@pytest.mark.parametrize("offsets", [ZERO_OFFSETS, SHIPPED_OFFSETS])
+def test_theta_sweep_extracted_angles_exact(offsets):
+    result = sweeps.run_theta_sweep(theta_config(offsets=offsets), exact=True)
     tb = result.rows[:, 0]
-    inside = np.abs(tb) < 44.0
+    # the raw arm-B angle carries pbs_b - hwp/2 = +1.355 deg with the
+    # shipped offsets, which moves the +-45 deg extraction window
+    inside = np.abs(tb) < 43.0
     assert np.abs(result.rows[inside, 13] - 20.0).max() < 1e-9
     assert np.abs(result.rows[inside, 14] - tb[inside]).max() < 1e-9
 
