@@ -341,26 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=False, seed=False, exact=False, out=None):
-        if config:
-            p.add_argument("--config", required=True, help="experiment config file")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
-        if exact:
-            p.add_argument("--exact", action="store_true",
-                           help="emit exact Born-rule expectations instead of sampling")
-        if out is not None:
-            p.add_argument("--out", default=out[0], required=out[1],
-                           help="output file path")
+    def add_run(p):
+        """The options of the commands that run an experiment config."""
+        p.add_argument("--config", required=True, help="experiment config file")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config seed")
+        p.add_argument("--exact", action="store_true",
+                       help="emit exact Born-rule expectations instead of sampling")
 
     p = sub.add_parser("simulate", help="simulate a coincidence table from a config")
-    add_common(p, config=True, seed=True, exact=True, out=("counts.csv", False))
+    add_run(p)
+    p.add_argument("--out", default="counts.csv", help="output file path")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("observables", help="estimate joint observables from a table")
     p.add_argument("--table", required=True, help="coincidence table file")
-    add_common(p, out=(None, False))
+    p.add_argument("--out", help="output file path")
     p.set_defaults(func=_cmd_observables)
 
     p = sub.add_parser("extract", help="extract both rotation angles from "
@@ -368,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plus", required=True, help="observables file, addition branch")
     p.add_argument("--minus", required=True, help="observables file, cancellation branch")
     p.add_argument("--modulus-floor", type=float, default=1e-6)
-    add_common(p, out=(None, False))
+    p.add_argument("--out", help="output file path")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("scan", help="wide-range search for the arm-A rotation")
-    add_common(p, config=True, seed=True, exact=True)
+    add_run(p)
     p.add_argument("--range-deg", nargs=2, type=float, default=[-90.0, 90.0],
                    metavar=("LO", "HI"), help="search window in degrees")
     p.add_argument("--resolution-deg", type=float, default=5.0)
@@ -389,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--grad-tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=None)
-    add_common(p, out=(None, False))
+    p.add_argument("--out", help="output file path")
     p.set_defaults(func=_cmd_tomo)
 
     p = sub.add_parser("chsh", help="CHSH statistic from a coincidence table")
@@ -397,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chsh)
 
     p = sub.add_parser("sweep", help="run the molarity or theta sweep from a config")
-    add_common(p, config=True, seed=True, exact=True, out=("sweep.csv", False))
+    add_run(p)
+    p.add_argument("--out", default="sweep.csv", help="output file path")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fisher", help="Fisher-information scaling table")
@@ -408,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts-per-trial", type=int, default=1)
     p.add_argument("--theta-deg", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=None)
-    add_common(p, out=(None, False))
+    p.add_argument("--out", help="output file path")
     p.set_defaults(func=_cmd_fisher)
 
     p = sub.add_parser("verify", help="run the analytic invariant suite")

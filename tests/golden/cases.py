@@ -3,9 +3,11 @@
 Each case is an argv for `polarot.cli.main` and the output files it
 writes. A case runs in a scratch directory holding a copy of `inputs/`,
 with relative paths and `POLAROT_OUT` unset, so stdout names outputs by
-their relative path. The files under `inputs/` are fixed data; the files
-under `expected/<case>/` are the goldens (`stdout.txt` plus each output
-file), rewritten only by `python tests/golden/regen.py`.
+their relative path. The files under `inputs/` are fixed data (configs,
+and tables, observables and tomography counts written once by the CLI
+and `write_tomo_counts` at fixed seeds); nothing regenerates them. The
+files under `expected/<case>/` are the goldens (`stdout.txt` plus each
+output file), rewritten only by `python tests/golden/regen.py`.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ import contextlib
 import io
 import os
 import shutil
-import sys
 from pathlib import Path
+
+from polarot.cli import OUT_ENV, main
 
 HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
 EXPECTED = HERE / "expected"
-
-sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 CASES = {
     "simulate": (["simulate", "--config", "sim.ini", "--out", "counts.csv"],
@@ -50,8 +51,6 @@ CASES = {
 def run_case(name: str, workdir: Path) -> tuple[int, dict[str, bytes]]:
     """Run one case in `workdir`; returns the exit code and
     {"stdout.txt": ..., <output file>: ...} as bytes."""
-    from polarot.cli import OUT_ENV, main
-
     argv, outputs = CASES[name]
     shutil.copytree(INPUTS, workdir, dirs_exist_ok=True)
     saved_out_env = os.environ.pop(OUT_ENV, None)

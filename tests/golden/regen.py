@@ -13,7 +13,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from cases import CASES, EXPECTED, run_case
+# the checkout's own sources, as in the tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
+from cases import CASES, EXPECTED, run_case  # noqa: E402
 
 
 def main() -> int:

@@ -236,15 +236,15 @@ def test_theta_sweep_phase_separation():
     assert abs(separation - 2.0 * 20.0) < 1e-9
 
 
-@pytest.mark.parametrize("offsets", [ZERO_OFFSETS, SHIPPED_OFFSETS])
-def test_theta_sweep_extracted_angles_exact(offsets):
-    result = sweeps.run_theta_sweep(theta_config(offsets=offsets), exact=True)
-    tb = result.rows[:, 0]
-    # the raw arm-B angle carries pbs_b - hwp/2 = +1.355 deg with the
-    # shipped offsets, which moves the +-45 deg extraction window
-    inside = np.abs(tb) < 43.0
-    assert np.abs(result.rows[inside, 13] - 20.0).max() < 1e-9
-    assert np.abs(result.rows[inside, 14] - tb[inside]).max() < 1e-9
+def test_theta_sweep_extracted_angles_exact():
+    for offsets in (ZERO_OFFSETS, SHIPPED_OFFSETS):
+        result = sweeps.run_theta_sweep(theta_config(offsets=offsets), exact=True)
+        tb = result.rows[:, 0]
+        # the raw arm-B angle carries pbs_b - hwp/2 = +1.355 deg with the
+        # shipped offsets, which moves the +-45 deg extraction window
+        inside = np.abs(tb) < 43.0
+        assert np.abs(result.rows[inside, 13] - 20.0).max() < 1e-9
+        assert np.abs(result.rows[inside, 14] - tb[inside]).max() < 1e-9
 
 
 def test_theta_sweep_cancellation_of_addition_branch():
