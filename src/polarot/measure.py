@@ -199,21 +199,10 @@ def _effective_probabilities(rho, settings, accidental_fraction):
     return np.array(rows)
 
 
-def _table_metadata(pair_flux, duration, transmission_a, transmission_b,
-                    accidental_fraction, **extra):
-    md = {
-        "pair_flux": pair_flux,
-        "duration": duration,
-        "transmission_a": transmission_a,
-        "transmission_b": transmission_b,
-        "accidental_fraction": accidental_fraction,
-    }
-    md.update(extra)
-    return md
-
-
-def _check_simulation_args(settings, pair_flux, duration, transmission_a,
-                           transmission_b, accidental_fraction):
+def _detection_metadata(settings, pair_flux, duration, transmission_a,
+                        transmission_b, accidental_fraction, **extra):
+    """Validate the detection arguments of a table; return them, plus
+    `extra`, as its metadata."""
     if not settings:
         raise ValueError("settings list must not be empty")
     if pair_flux <= 0 or duration <= 0:
@@ -226,6 +215,9 @@ def _check_simulation_args(settings, pair_flux, duration, transmission_a,
     if not 0.0 <= accidental_fraction < 1.0:
         raise ValueError(f"accidental_fraction must be in [0, 1), "
                          f"got {accidental_fraction}")
+    return dict(pair_flux=pair_flux, duration=duration,
+                transmission_a=transmission_a, transmission_b=transmission_b,
+                accidental_fraction=accidental_fraction, **extra)
 
 
 def simulate_counts(rho: np.ndarray, settings, pair_flux: float, duration: float,
@@ -241,8 +233,9 @@ def simulate_counts(rho: np.ndarray, settings, pair_flux: float, duration: float
     stream derived from (seed, setting index), so tables are reproducible
     and independent of evaluation order.
     """
-    _check_simulation_args(settings, pair_flux, duration, transmission_a,
-                           transmission_b, accidental_fraction)
+    md = _detection_metadata(settings, pair_flux, duration, transmission_a,
+                             transmission_b, accidental_fraction,
+                             rng_seed=seed, exact=0)
     lam = pair_flux * duration * transmission_a * transmission_b
     probs = _effective_probabilities(rho, settings, 0.0)
     counts = np.zeros((len(settings), 4))
@@ -251,8 +244,6 @@ def simulate_counts(rho: np.ndarray, settings, pair_flux: float, duration: float
         n_true = rng.poisson(lam * (1.0 - accidental_fraction))
         n_acc = rng.poisson(lam * accidental_fraction)
         counts[k] = rng.multinomial(n_true, probs[k]) + rng.multinomial(n_acc, [0.25] * 4)
-    md = _table_metadata(pair_flux, duration, transmission_a, transmission_b,
-                         accidental_fraction, rng_seed=seed, exact=0)
     return CoincidenceTable([tuple(s) for s in settings], counts, md)
 
 
@@ -261,12 +252,10 @@ def exact_table(rho: np.ndarray, settings, pair_flux: float, duration: float,
                 accidental_fraction: float = 0.0) -> CoincidenceTable:
     """Expected-value coincidence table: the sampling-free limit of
     simulate_counts, with unrounded mean counts per outcome."""
-    _check_simulation_args(settings, pair_flux, duration, transmission_a,
-                           transmission_b, accidental_fraction)
+    md = _detection_metadata(settings, pair_flux, duration, transmission_a,
+                             transmission_b, accidental_fraction, exact=1)
     lam = pair_flux * duration * transmission_a * transmission_b
     counts = lam * _effective_probabilities(rho, settings, accidental_fraction)
-    md = _table_metadata(pair_flux, duration, transmission_a, transmission_b,
-                         accidental_fraction, exact=1)
     return CoincidenceTable([tuple(s) for s in settings], counts, md)
 
 
