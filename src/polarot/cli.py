@@ -126,11 +126,10 @@ def _cmd_scan(args) -> int:
 
 def _cmd_tomo(args) -> int:
     counts, _ = read_tomo_counts(args.counts)
-    result = mle_reconstruct(counts, max_iter=args.max_iter,
-                             grad_tol=args.grad_tol)
+    result = mle_reconstruct(counts, max_iter=args.max_iter)
     print(f"log_likelihood = {result.log_likelihood:.6f}")
     print(f"converged = {result.converged} (iterations {result.n_iter}, "
-          f"max gradient {result.grad_max:.3g})")
+          f"KKT gap {result.kkt_gap:.3g})")
     if args.out_state:
         save_state(_resolve_out(args.out_state), result.rho)
     if args.reference:
@@ -383,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, default=0,
                    help="number of parametric-bootstrap resamples (0 = off)")
     p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--grad-tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="output file path")
     p.set_defaults(func=_cmd_tomo)

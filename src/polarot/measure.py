@@ -467,18 +467,11 @@ def write_table(table: CoincidenceTable, path) -> None:
                for (a, b), row in zip(table.settings, table.counts)))
 
 
-def _parse_metadata_value(text: str):
-    try:
-        f = float(text)
-    except ValueError:
-        return text
-    return int(f) if f.is_integer() and "." not in text and "e" not in text.lower() else f
-
-
 def read_table(path) -> CoincidenceTable:
-    """Read a coincidence table written by write_table."""
+    """Read a coincidence table written by write_table; metadata values
+    come back as the strings in the file."""
     metadata, rows = read_csv(path, _TABLE_HEADER)
     return CoincidenceTable(
         settings_from_ids(row[:2] for row in rows),
         np.array([[float(v) for v in row[2:]] for row in rows]),
-        {key: _parse_metadata_value(value) for key, value in metadata.items()})
+        metadata)

@@ -216,9 +216,10 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
         th_m = offset_correct(th_m_exp, "minus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
         th_a_hat, th_b_hat = extract_thetas(obs_p, obs_m)
         # the wave plate rotates arm A in the minus branch only, so the
-        # extracted angles carry pbs_a + hwp/2 (arm A) and pbs_b - hwp/2 (arm B)
-        th_a_hat -= cfg.pbs_a + cfg.hwp / 2.0
-        th_b_hat -= cfg.pbs_b - cfg.hwp / 2.0
+        # extracted angles carry pbs_a + hwp/2 (arm A) and pbs_b - hwp/2 (arm B);
+        # wrapping after the subtraction keeps the readouts in the +-45 deg window
+        th_a_hat = math.remainder(th_a_hat - (cfg.pbs_a + cfg.hwp / 2.0), math.pi / 2)
+        th_b_hat = math.remainder(th_b_hat - (cfg.pbs_b - cfg.hwp / 2.0), math.pi / 2)
         rows.append((theta_b_deg,
                      obs_p.m_zz, obs_p.m_xz, obs_m.m_zz, obs_m.m_xz,
                      obs_p.sigma_zz, obs_p.sigma_xz, obs_m.sigma_zz, obs_m.sigma_xz,

@@ -35,6 +35,14 @@ BASIS_LABELS = tuple([("H", g) for g in _GAMMA] + [("V", g) for g in _GAMMA]
 # the off-diagonal entries in this order.
 _OFFDIAG = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
 
+# fit: eigenvalue floor of the starting state, BFGS gtol, and the parameter
+# gradient max-norm above which BFGS restarts; verdict: largest KKT gap per
+# count at which a fit counts as converged
+_PARAM_FLOOR = 1e-6
+_BFGS_GTOL = 1e-10
+_RESTART_GRAD = 1e-8
+KKT_TOL = 1e-5
+
 
 @dataclass(frozen=True, eq=False)
 class TomographyBasisSet:
@@ -57,38 +65,30 @@ def tomography_settings() -> TomographyBasisSet:
 
 
 _CANONICAL = tomography_settings()
+_KETS = _CANONICAL.kets
+_DESIGN = _CANONICAL.design_matrix()
+_PROJECTORS = _KETS[:, :, None] * _KETS.conj()[:, None, :]
 
 
-def _basis_or_default(basis) -> TomographyBasisSet:
-    return _CANONICAL if basis is None else basis
-
-
-def predicted_counts(rho: np.ndarray, basis: TomographyBasisSet | None = None,
-                     flux_norm: float = 1.0) -> np.ndarray:
+def predicted_counts(rho: np.ndarray, flux_norm: float = 1.0) -> np.ndarray:
     """Expected counts flux_norm * <psi_k| rho |psi_k> per basis."""
-    basis = _basis_or_default(basis)
     if flux_norm <= 0:
         raise ValueError(f"flux_norm must be positive, got {flux_norm}")
     rho = validate_state(rho)
-    p = np.einsum("ki,ij,kj->k", basis.kets.conj(), rho, basis.kets).real
+    p = np.einsum("ki,ij,kj->k", _KETS.conj(), rho, _KETS).real
     return flux_norm * np.clip(p, 0.0, None)
 
 
-def linear_inversion(counts: np.ndarray,
-                     basis: TomographyBasisSet | None = None) -> np.ndarray:
+def linear_inversion(counts: np.ndarray) -> np.ndarray:
     """Solve the 16x16 linear system for the state, symmetrized and trace
     normalized. The result is Hermitian with unit trace but can have
     negative eigenvalues for noisy counts."""
-    basis = _basis_or_default(basis)
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (16,):
         raise ValueError(f"expected 16 counts, got shape {counts.shape}")
     if not np.isfinite(counts).all() or counts.sum() <= 0:
         raise ValueError("counts must be finite with a positive total")
-    design = basis.design_matrix()
-    if np.linalg.matrix_rank(design) < 16:
-        raise ValueError("tomography basis set is not informationally complete")
-    rho = np.linalg.solve(design, counts).reshape(4, 4)
+    rho = np.linalg.solve(_DESIGN, counts).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
@@ -116,11 +116,10 @@ def _rho_from_t(t: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _initial_t(counts: np.ndarray, basis: TomographyBasisSet,
-               param_floor: float) -> np.ndarray:
-    rho0 = linear_inversion(counts, basis)
+def _initial_t(counts: np.ndarray) -> np.ndarray:
+    rho0 = linear_inversion(counts)
     w, v = np.linalg.eigh(rho0)
-    w = np.maximum(w, param_floor)
+    w = np.maximum(w, _PARAM_FLOOR)
     rho0 = (v * w) @ v.conj().T
     rho0 /= np.trace(rho0).real
     # lower-triangular factor with rho = T^dag T, via the anti-diagonal
@@ -150,69 +149,66 @@ def _negloglike_and_grad(t, counts, kets):
     return -f, -grad
 
 
+def _kkt_gap(counts: np.ndarray, p: np.ndarray) -> float:
+    # lambda_max of the per-count likelihood gradient operator
+    # G = sum_k (n_k / p_k) Pi_k / N - sum_k Pi_k / sum_k p_k at the state
+    # with p_k = <psi_k|rho|psi_k>; terms with n_k = 0 contribute nothing.
+    # rho maximizes the likelihood iff G <= 0 (Rehacek et al., PRA 75,
+    # 042108, 2007), and Tr(rho G) = 0, so the gap is >= 0 and vanishes
+    # exactly at the maximum, on the boundary of state space too
+    w = np.divide(counts, p, out=np.zeros_like(p), where=counts > 0)
+    g = (np.einsum("k,kij->ij", w, _PROJECTORS) / counts.sum()
+         - _PROJECTORS.sum(axis=0) / p.sum())
+    return float(np.linalg.eigvalsh(g)[-1])
+
+
 @dataclass
 class MleResult:
     rho: np.ndarray
     log_likelihood: float
     converged: bool
     n_iter: int
-    grad_max: float
-    loglik_trace: np.ndarray
+    kkt_gap: float
 
 
-def mle_reconstruct(counts: np.ndarray, basis: TomographyBasisSet | None = None,
-                    max_iter: int = 5000, grad_tol: float = 1e-8,
-                    param_floor: float = 1e-6) -> MleResult:
+def mle_reconstruct(counts: np.ndarray, max_iter: int = 5000) -> MleResult:
     """Maximum-likelihood state reconstruction from 16 projection counts.
 
     Maximizes the Poisson log-likelihood sum_k [n_k ln nbar_k - nbar_k]
     over the 16 real factorization parameters, with the flux normalization
-    profiled out analytically (flux = sum n_k / sum q_k at every iterate).
-    BFGS with the analytic gradient runs on the per-count mean
-    log-likelihood, so grad_tol is count-scale independent; `converged` is
-    true iff the final gradient max-norm is at or below grad_tol. The
+    profiled out analytically (flux = sum n_k / sum q_k at every iterate),
+    by BFGS with the analytic gradient on the per-count mean
+    log-likelihood. `converged` is true iff the likelihood KKT gap of the
+    returned state (see `_kkt_gap`) is at most KKT_TOL per count. The
     returned state is physical by construction for any parameter values.
     The reported log-likelihood is the unnormalized Poisson form above
     (factorial terms dropped).
     """
-    basis = _basis_or_default(basis)
     counts = np.asarray(counts, dtype=float)
-    if counts.shape != (16,):
-        raise ValueError(f"expected 16 counts, got shape {counts.shape}")
     if (counts < 0).any():
         raise ValueError("counts must be nonnegative")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("total counts must be positive")
-    t = _initial_t(counts, basis, param_floor)
-    trace = [-_negloglike_and_grad(t, counts, basis.kets)[0]]
+    t = _initial_t(counts)
     n_iter = 0
-    # BFGS runs against a tighter internal tolerance and is restarted with a
-    # fresh Hessian when it stalls on line-search precision loss; near the
-    # optimum the objective varies at machine precision, so a single pass
-    # lands slightly above grad_tol in a few percent of noisy problems
+    # BFGS is restarted with a fresh Hessian when it stalls on line-search
+    # precision loss; near the optimum the objective varies at machine
+    # precision, so a single pass can stop short in noisy problems
     for _ in range(3):
         res = optimize.minimize(
-            _negloglike_and_grad, t, args=(counts, basis.kets), jac=True,
+            _negloglike_and_grad, t, args=(counts, _KETS), jac=True,
             method="BFGS",
-            options={"gtol": 1e-2 * grad_tol, "maxiter": max_iter - n_iter},
-            callback=lambda tk: trace.append(
-                -_negloglike_and_grad(tk, counts, basis.kets)[0]),
+            options={"gtol": _BFGS_GTOL, "maxiter": max_iter - n_iter},
         )
         t = res.x
         n_iter += int(res.nit)
-        grad_max = float(np.abs(res.jac).max())
-        if grad_max <= grad_tol or n_iter >= max_iter:
+        if np.abs(res.jac).max() <= _RESTART_GRAD or n_iter >= max_iter:
             break
     rho = _rho_from_t(t)
-    nbar = predicted_counts(rho, basis, flux_norm=1.0)
-    flux = total / nbar.sum()
-    nbar = np.maximum(flux * nbar, 1e-300)
+    p = predicted_counts(rho, flux_norm=1.0)
+    nbar = np.maximum(counts.sum() / p.sum() * p, 1e-300)
     loglik = float(counts @ np.log(nbar) - nbar.sum())
-    return MleResult(rho=rho, log_likelihood=loglik,
-                     converged=bool(grad_max <= grad_tol),
-                     n_iter=n_iter, grad_max=grad_max,
-                     loglik_trace=np.asarray(trace))
+    kkt_gap = _kkt_gap(counts, p)
+    return MleResult(rho=rho, log_likelihood=loglik, converged=kkt_gap <= KKT_TOL,
+                     n_iter=n_iter, kkt_gap=kkt_gap)
 
 
 def reconstruction_report(rho_hat: np.ndarray, reference: np.ndarray) -> dict:
@@ -226,9 +222,8 @@ def reconstruction_report(rho_hat: np.ndarray, reference: np.ndarray) -> dict:
 
 
 def bootstrap_sigmas(rho_hat: np.ndarray, counts: np.ndarray,
-                     reference: np.ndarray,
-                     basis: TomographyBasisSet | None = None,
-                     n_resamples: int = 200, seed: int = 0) -> dict:
+                     reference: np.ndarray, n_resamples: int = 200,
+                     seed: int = 0) -> dict:
     """Parametric-bootstrap standard deviations of the report metrics.
 
     Resamples Poisson counts from the fitted model (flux matched to the
@@ -236,16 +231,15 @@ def bootstrap_sigmas(rho_hat: np.ndarray, counts: np.ndarray,
     every metric. Resample r uses the independent stream (seed, r), so the
     result does not depend on evaluation order.
     """
-    basis = _basis_or_default(basis)
     counts = np.asarray(counts, dtype=float)
-    p = predicted_counts(rho_hat, basis, flux_norm=1.0)
+    p = predicted_counts(rho_hat, flux_norm=1.0)
     nbar = counts.sum() / p.sum() * p
     samples = {key: [] for key in ("fidelity", "concurrence", "purity",
                                    "cosine_similarity")}
     for r in range(n_resamples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         resampled = rng.poisson(nbar).astype(float)
-        rho_r = mle_reconstruct(resampled, basis).rho
+        rho_r = mle_reconstruct(resampled).rho
         for key, value in reconstruction_report(rho_r, reference).items():
             samples[key].append(value)
     return {key: float(np.std(vals, ddof=1)) for key, vals in samples.items()}

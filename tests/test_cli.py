@@ -201,6 +201,17 @@ def test_tomo_with_bootstrap(tmp_path, capsys):
     assert "+-" in stdout
 
 
+@pytest.mark.parametrize("trial", [353, 519])
+def test_tomo_exit_0_at_rank_deficient_optimum(tmp_path, capsys, trial):
+    # criterion-5b trials whose optima sit on the boundary of state space
+    nbar = tomography.predicted_counts(states.werner_state(0.97867), flux_norm=4e4)
+    counts = np.random.default_rng([5, trial]).poisson(nbar).astype(float)
+    counts_file = tmp_path / "tomo.csv"
+    tomography.write_tomo_counts(counts_file, counts)
+    assert main(["tomo", "--counts", str(counts_file)]) == 0
+    assert "converged = True" in capsys.readouterr().out
+
+
 def test_tomo_nonconvergence_exit_3(tmp_path):
     # the 16-parameter model reproduces 16 counts exactly whenever linear
     # inversion is physical, making the initializer already optimal; to see

@@ -503,8 +503,8 @@ def test_table_file_round_trip(tmp_path):
     assert np.array_equal(loaded.counts, table.counts)
     assert [(a.setting_id, b.setting_id) for a, b in loaded.settings] \
         == [(a.setting_id, b.setting_id) for a, b in table.settings]
-    assert loaded.metadata["rng_seed"] == 31
-    assert loaded.metadata["pair_flux"] == 5e3
+    assert loaded.metadata["rng_seed"] == "31"
+    assert loaded.metadata["pair_flux"] == "5000.0"
 
 
 def test_table_rejects_negative_counts():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -238,13 +239,15 @@ def test_theta_sweep_phase_separation():
 
 def test_theta_sweep_extracted_angles_exact():
     for offsets in (ZERO_OFFSETS, SHIPPED_OFFSETS):
-        result = sweeps.run_theta_sweep(theta_config(offsets=offsets), exact=True)
-        tb = result.rows[:, 0]
+        cfg = theta_config(offsets=offsets)
         # the raw arm-B angle carries pbs_b - hwp/2 = +1.355 deg with the
-        # shipped offsets, which moves the +-45 deg extraction window
-        inside = np.abs(tb) < 43.0
-        assert np.abs(result.rows[inside, 13] - 20.0).max() < 1e-9
-        assert np.abs(result.rows[inside, 14] - tb[inside]).max() < 1e-9
+        # shipped offsets; the readout must still wrap at +-45 deg
+        cfg = dataclasses.replace(cfg,
+                                  sweep_values=cfg.sweep_values + (43.7, 44.0, -46.3))
+        result = sweeps.run_theta_sweep(cfg, exact=True)
+        tb = result.rows[:, 0]
+        assert np.abs(result.rows[:, 13] - 20.0).max() < 1e-9
+        assert np.abs(result.rows[:, 14] - ((tb + 45.0) % 90.0 - 45.0)).max() < 1e-9
 
 
 def test_theta_sweep_cancellation_of_addition_branch():

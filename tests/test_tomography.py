@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polarot import states, tomography
+from test_acceptance import likelihood_gradient_lambda_max
 
 
 def random_state(rng):
@@ -12,6 +13,18 @@ def random_state(rng):
 
 def werner_ideal():
     return states.werner_state((4.0 * 0.984 - 1.0) / 3.0, "psi_plus")
+
+
+def criterion_5b_counts(trial):
+    nbar = tomography.predicted_counts(states.werner_state(0.97867), flux_norm=4e4)
+    return np.random.default_rng([5, trial]).poisson(nbar).astype(float)
+
+
+# a pure-state fit that BFGS leaves at parameter gradient 7.4e-10 but short
+# of the likelihood optimum (KKT gap 1.22e-5 per count)
+PURE_SHORT_OF_OPTIMUM = np.array([0, 19965, 10000, 10159, 19979, 0, 9901, 10188,
+                                  10097, 10153, 9932, 0, 9897, 10127, 20112, 9892],
+                                 dtype=float)
 
 
 def test_basis_set_structure():
@@ -36,12 +49,11 @@ def test_design_matrix_rank_and_condition():
 
 
 def test_predicted_counts_examples():
-    basis = tomography.tomography_settings()
     rho_hh = states.separable_state(states.ket("H"), states.ket("H"))
-    counts = tomography.predicted_counts(rho_hh, basis, flux_norm=1000.0)
+    counts = tomography.predicted_counts(rho_hh, flux_norm=1000.0)
     assert abs(counts[0] - 1000.0) < 1e-9          # (H, H) projector
     assert abs(counts[1]) < 1e-9                   # (V, V)-type row is dark
-    counts = tomography.predicted_counts(states.maximally_mixed(), basis, 1000.0)
+    counts = tomography.predicted_counts(states.maximally_mixed(), 1000.0)
     assert np.abs(counts - 250.0).max() < 1e-9
 
 
@@ -114,19 +126,28 @@ def test_mle_degenerate_hh_counts():
     assert states.fidelity(result.rho, rho_hh) >= 0.9999
 
 
-def test_mle_loglik_trace_monotone():
-    rng = np.random.default_rng(22)
-    nbar = tomography.predicted_counts(werner_ideal(), flux_norm=4e4)
-    counts = rng.poisson(nbar).astype(float)
+@pytest.mark.parametrize("counts, converged", [
+    (criterion_5b_counts(0), True),
+    # rank-deficient optima whose parameter gradient ends just above 1e-8
+    (criterion_5b_counts(353), True),
+    (criterion_5b_counts(519), True),
+    (PURE_SHORT_OF_OPTIMUM, False),
+], ids=["5b-0", "5b-353", "5b-519", "pure-short"])
+def test_mle_converged_iff_kkt_gap_within_tolerance(counts, converged):
     result = tomography.mle_reconstruct(counts)
-    diffs = np.diff(result.loglik_trace)
-    assert (diffs >= -1e-9).all()
+    reference = likelihood_gradient_lambda_max(
+        result.rho, counts, tomography.tomography_settings().kets)
+    assert abs(result.kkt_gap - reference) <= 1e-12 * abs(reference)
+    assert result.converged is converged
+    assert (result.kkt_gap <= tomography.KKT_TOL) is converged
+    if not converged:
+        assert abs(result.kkt_gap - 1.22e-5) < 0.01e-5
 
 
 def test_mle_gradient_matches_finite_differences():
     basis = tomography.tomography_settings()
     rng = np.random.default_rng(23)
-    nbar = tomography.predicted_counts(werner_ideal(), basis, flux_norm=4e4)
+    nbar = tomography.predicted_counts(werner_ideal(), flux_norm=4e4)
     counts = rng.poisson(nbar).astype(float)
     worst = 0.0
     for _ in range(20):
