@@ -12,7 +12,7 @@ from .config import ExperimentConfig, config_hash, load_config, loads_config
 from .measure import (AnalyzerSetting, CoincidenceTable, JointObservables,
                       chsh_from_counts, chsh_s, estimate_observables,
                       exact_observables, exact_table, extract_thetas,
-                      joint_expectation, outcome_probabilities, read_table,
+                      outcome_probabilities, read_table,
                       rotation_from_observables, scan_theta_a,
                       separable_expectations, simulate_counts, write_table)
 from .metrology import probe_state, qfi, variance_scaling

@@ -16,7 +16,7 @@ import numpy as np
 from .states import maximally_mixed, validate_state
 
 __all__ = [
-    "rotation_unitary", "hwp_matrix", "qwp_matrix", "apply_local",
+    "rotation_unitary", "local_rotations", "hwp_matrix", "qwp_matrix", "apply_local",
     "SolutionSpec", "NoiseSpec",
     "solution_rotation", "offset_correct", "wrap_angle", "apply_noise",
 ]
@@ -29,6 +29,20 @@ def rotation_unitary(theta: float) -> np.ndarray:
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def local_rotations(theta_a, theta_b) -> np.ndarray:
+    """U(theta_a) (x) U(theta_b) for broadcastable arrays of arm angles
+    (radians), built from their cosines and sines; shape
+    broadcast(theta_a, theta_b) + (4, 4), real."""
+    thetas = np.asarray(theta_a, dtype=float), np.asarray(theta_b, dtype=float)
+    if not all(np.isfinite(t).all() for t in thetas):
+        raise ValueError("rotation angles must be finite")
+    ua, ub = (np.stack([np.cos(t), -np.sin(t), np.sin(t), np.cos(t)], axis=-1)
+              .reshape(t.shape + (2, 2)) for t in thetas)
+    # kron(U_a, U_b)[2i + j, 2k + l] = U_a[i, k] U_b[j, l]
+    u = np.einsum("...ik,...jl->...ijkl", ua, ub)
+    return u.reshape(u.shape[:-4] + (4, 4))
 
 
 def hwp_matrix(angle: float) -> np.ndarray:

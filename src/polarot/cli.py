@@ -111,9 +111,9 @@ def _cmd_scan(args) -> int:
     lo, hi = (math.radians(v) for v in args.range_deg)
     probe_number = itertools.count(1)  # sampled probe k draws stream (seed, k)
 
-    def probe(theta_b: float):
+    def probe(theta_b: np.ndarray):
         return observables_at(cfg, "psi_minus", None, theta_b, args.exact,
-                              (next(probe_number),))
+                              [(next(probe_number),) for _ in theta_b])
 
     theta_b = scan_theta_a(probe, (lo, hi), math.radians(args.resolution_deg),
                            noise_floor=args.noise_floor)

@@ -78,8 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.state_kind not in BELL_KINDS + ("separable",):
             raise ValueError(f"unknown state kind {self.state_kind!r}")
-        if self.pair_flux <= 0 or self.duration <= 0:
-            raise ValueError("pair_flux and duration must be positive")
+        if not (0.0 < self.pair_flux < math.inf and 0.0 < self.duration < math.inf):
+            raise ValueError("pair_flux and duration must be positive and finite")
         if self.sweep_variable is not None:
             if self.sweep_variable not in SWEEP_VARIABLES:
                 raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, "
@@ -122,21 +122,29 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def _float(section, key: str, fallback: float | None = None) -> float | None:
+    """The finite float value of `key`, or `fallback` when it is absent."""
+    value = section.getfloat(key, fallback=fallback)
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"[{section.name}] {key} must be finite, got {value!r}")
+    return value
+
+
 def _parse_arm(section) -> ArmConfig:
-    transmission = section.getfloat("transmission", fallback=DEFAULT_TRANSMISSION)
+    transmission = _float(section, "transmission", fallback=DEFAULT_TRANSMISSION)
     has_angle = "angle_deg" in section
     has_molarity = "molarity" in section
     if has_angle and has_molarity:
         raise ValueError(f"section [{section.name}] must not set both angle_deg "
                          f"and molarity")
     if has_angle:
-        return ArmConfig(angle=math.radians(section.getfloat("angle_deg")),
+        return ArmConfig(angle=math.radians(_float(section, "angle_deg")),
                          transmission=transmission)
     if has_molarity:
         spec = SolutionSpec(
-            molarity=section.getfloat("molarity"),
-            slope_deg_per_molar=section.getfloat(
-                "slope_deg_per_molar", fallback=DEFAULT_SLOPE_DEG_PER_MOLAR),
+            molarity=_float(section, "molarity"),
+            slope_deg_per_molar=_float(section, "slope_deg_per_molar",
+                                       fallback=DEFAULT_SLOPE_DEG_PER_MOLAR),
         )
         return ArmConfig(solution=spec, transmission=transmission)
     raise ValueError(f"section [{section.name}] needs angle_deg or molarity")
@@ -152,9 +160,12 @@ def _parse_sweep(section) -> tuple[str, tuple]:
         raise ValueError("[sweep] needs either 'values' or 'start/stop/count'")
     if has_values:
         values = tuple(float(v) for v in section.get("values").split(","))
+        for value in values:
+            if not math.isfinite(value):
+                raise ValueError(f"[sweep] values must be finite, got {value!r}")
     else:
-        start = section.getfloat("start")
-        stop = section.getfloat("stop")
+        start = _float(section, "start")
+        stop = _float(section, "stop")
         count = section.getint("count")
         if count < 2:
             raise ValueError("[sweep] count must be at least 2")
@@ -180,21 +191,21 @@ def loads_config(text: str) -> ExperimentConfig:
     if parser.has_section("noise"):
         sec = parser["noise"]
         kwargs["noise"] = NoiseSpec(
-            visibility=sec.getfloat("visibility", fallback=1.0),
-            accidental_fraction=sec.getfloat("accidental_fraction", fallback=0.0))
+            visibility=_float(sec, "visibility", fallback=1.0),
+            accidental_fraction=_float(sec, "accidental_fraction", fallback=0.0))
     for name in ("arm_a", "arm_b"):
         if parser.has_section(name):
             kwargs[name] = _parse_arm(parser[name])
     if parser.has_section("offsets"):
         sec = parser["offsets"]
-        kwargs["pbs_a"] = math.radians(sec.getfloat("pbs_a_deg", fallback=DEFAULT_PBS_A_DEG))
-        kwargs["pbs_b"] = math.radians(sec.getfloat("pbs_b_deg", fallback=DEFAULT_PBS_B_DEG))
-        kwargs["hwp"] = math.radians(sec.getfloat("hwp_deg", fallback=DEFAULT_HWP_DEG))
+        kwargs["pbs_a"] = math.radians(_float(sec, "pbs_a_deg", fallback=DEFAULT_PBS_A_DEG))
+        kwargs["pbs_b"] = math.radians(_float(sec, "pbs_b_deg", fallback=DEFAULT_PBS_B_DEG))
+        kwargs["hwp"] = math.radians(_float(sec, "hwp_deg", fallback=DEFAULT_HWP_DEG))
     if not parser.has_section("statistics") or "seed" not in parser["statistics"]:
         raise ValueError("[statistics] section with an explicit seed is mandatory")
     sec = parser["statistics"]
-    kwargs["pair_flux"] = sec.getfloat("pair_flux", fallback=1e5)
-    kwargs["duration"] = sec.getfloat("duration", fallback=1.0)
+    kwargs["pair_flux"] = _float(sec, "pair_flux", fallback=1e5)
+    kwargs["duration"] = _float(sec, "duration", fallback=1.0)
     kwargs["seed"] = sec.getint("seed")
     if parser.has_section("settings"):
         pairs = []

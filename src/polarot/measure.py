@@ -4,6 +4,12 @@ Covers analyzer settings (named bases, rotated linear polarizers, wave-plate
 stacks), Born-rule outcome probabilities, seeded Monte Carlo coincidence
 sampling, correlation estimators, extraction of the local rotation angles
 from joint observables, the wide-range scan, and the CHSH statistic.
+
+Every outcome probability comes from one batched Born kernel,
+outcome_probabilities: a stack of states against the projector tensor
+P_a (x) P_b of a settings list, Tr[rho (P_a (x) P_b)] (James, Kwiat,
+Munro & White, PRA 64, 052312, 2001). Tables, estimators and the scan
+probe work on whole stacks of states, one per arm angle.
 """
 
 from __future__ import annotations
@@ -15,12 +21,12 @@ import numpy as np
 
 from .channels import hwp_matrix, qwp_matrix, rotation_unitary, wrap_angle
 from .csvfile import read_csv, write_csv
-from .states import ID2, PAULI_X, PAULI_Z, ket_to_dm, validate_state
+from .states import ID2, ket_to_dm, validate_state
 
 __all__ = [
     "AnalyzerSetting", "NAMED_PAIRS", "NAMED_SETTINGS", "settings_from_ids",
-    "JointObservables", "CoincidenceTable",
-    "outcome_probabilities", "joint_expectation", "exact_observables",
+    "JointObservables", "CoincidenceTable", "projector_tensor",
+    "outcome_probabilities", "exact_observables",
     "separable_expectations", "simulate_counts", "exact_table",
     "estimate_correlation", "estimate_observables",
     "rotation_from_observables", "extract_thetas", "scan_theta_a",
@@ -102,16 +108,27 @@ def settings_from_ids(pairs) -> list[tuple[AnalyzerSetting, AnalyzerSetting]]:
             for a, b in pairs]
 
 
+def projector_tensor(settings) -> np.ndarray:
+    """Joint projectors P_a (x) P_b of a settings list, shape (S, 4, 4, 4):
+    setting, outcome (++, +-, -+, --), then the two-photon matrix."""
+    pa = np.array([a.projectors() for a, _ in settings])
+    pb = np.array([b.projectors() for _, b in settings])
+    # kron(P, Q)[2i + j, 2k + l] = P[i, k] Q[j, l], for each outcome pair
+    return np.einsum("sxik,syjl->sxyijkl", pa, pb).reshape(len(settings), 4, 4, 4)
+
+
 # the (Z,Z), (X,Z), (Z,X) analyzer pairs behind M_zz, M_xz and M_zx
 NAMED_PAIRS = (("Z", "Z"), ("X", "Z"), ("Z", "X"))
 NAMED_SETTINGS = tuple(settings_from_ids(NAMED_PAIRS))
+_NAMED_PROJECTORS = projector_tensor(NAMED_SETTINGS)
 
 
 @dataclass(frozen=True)
 class JointObservables:
     """Two-photon correlation values for the (z,z), (x,z) and (z,x)
     operator pairs, with one statistical sigma per entry (zero for exact
-    Born-rule values)."""
+    Born-rule values). Estimated from a stacked table, every field is an
+    array with one entry per state."""
 
     m_zz: float
     m_xz: float
@@ -127,7 +144,9 @@ class CoincidenceTable:
 
     counts has one row per setting pair with the four outcome combinations
     (++, +-, -+, --). Counts are floats so that exact-expectation tables
-    can store unrounded expected values; sampled tables hold integers.
+    can store unrounded expected values; sampled tables hold integers. A
+    stacked table, with counts of shape (N, S, 4), holds the tables of N
+    states measured in the same S settings.
     """
 
     settings: list[tuple[AnalyzerSetting, AnalyzerSetting]]
@@ -136,43 +155,47 @@ class CoincidenceTable:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=float)
-        if self.counts.shape != (len(self.settings), 4):
-            raise ValueError(f"counts must have shape ({len(self.settings)}, 4), "
-                             f"got {self.counts.shape}")
+        if self.counts.shape[-2:] != (len(self.settings), 4) or self.counts.ndim > 3:
+            raise ValueError(f"counts must have shape ({len(self.settings)}, 4) or "
+                             f"(N, {len(self.settings)}, 4), got {self.counts.shape}")
         if not np.isfinite(self.counts).all():
             raise ValueError("counts must be finite")
         if (self.counts < 0).any():
             raise ValueError("counts must be nonnegative")
 
 
-def outcome_probabilities(rho: np.ndarray, a: AnalyzerSetting,
-                          b: AnalyzerSetting) -> np.ndarray:
-    """Born probabilities of the four coincidence outcomes (++, +-, -+, --)."""
+def outcome_probabilities(rho: np.ndarray, a,
+                          b: AnalyzerSetting | None = None) -> np.ndarray:
+    """Born probabilities Tr[rho (P_a (x) P_b)] of the four coincidence
+    outcomes (++, +-, -+, --), with round-off below 0 clipped to 0.
+
+    rho is one state or a (..., 4, 4) stack, validated once. For one
+    analyzer pair a, b the result has shape (..., 4). With b omitted, a is
+    the projector tensor of S settings (projector_tensor) and the result
+    has shape (..., S, 4).
+    """
     rho = validate_state(rho)
-    pa_p, pa_m = a.projectors()
-    pb_p, pb_m = b.projectors()
-    probs = np.array([
-        np.trace(rho @ np.kron(pa_p, pb_p)).real,
-        np.trace(rho @ np.kron(pa_p, pb_m)).real,
-        np.trace(rho @ np.kron(pa_m, pb_p)).real,
-        np.trace(rho @ np.kron(pa_m, pb_m)).real,
-    ])
-    return np.clip(probs, 0.0, None)
+    projectors = a if b is None else projector_tensor([(a, b)])
+    # sum_ij rho_ij P_ji as one contraction over the flattened index pair
+    # (i, j): each probability is then summed in the same order whatever
+    # the stack shape, so a state's values do not depend on its batch
+    transposed = projectors.swapaxes(-2, -1).reshape(len(projectors), 4, 16)
+    probs = np.einsum("...x,skx->...sk", rho.reshape(rho.shape[:-2] + (16,)),
+                      transposed).real
+    probs = np.clip(probs, 0.0, None)
+    return probs if b is None else probs[..., 0, :]
 
 
-def joint_expectation(rho: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> float:
-    """Tr[rho (op_a (x) op_b)] for single-photon operators op_a, op_b."""
-    rho = validate_state(rho)
-    return float(np.trace(rho @ np.kron(op_a, op_b)).real)
+def _correlations(probs: np.ndarray) -> np.ndarray:
+    """P(++) - P(+-) - P(-+) + P(--) along the last axis."""
+    return probs[..., 0] - probs[..., 1] - probs[..., 2] + probs[..., 3]
 
 
 def exact_observables(rho: np.ndarray) -> JointObservables:
-    """Born-rule joint observables of a state, with zero sigmas."""
-    return JointObservables(
-        m_zz=joint_expectation(rho, PAULI_Z, PAULI_Z),
-        m_xz=joint_expectation(rho, PAULI_X, PAULI_Z),
-        m_zx=joint_expectation(rho, PAULI_Z, PAULI_X),
-    )
+    """Born-rule joint observables of a state, with zero sigmas: the
+    correlations of the named (Z,Z), (X,Z), (Z,X) analyzer pairs."""
+    m_zz, m_xz, m_zx = _correlations(outcome_probabilities(rho, _NAMED_PROJECTORS))
+    return JointObservables(m_zz=float(m_zz), m_xz=float(m_xz), m_zx=float(m_zx))
 
 
 def separable_expectations(theta_a: float, theta_b: float) -> JointObservables:
@@ -191,12 +214,12 @@ def separable_expectations(theta_a: float, theta_b: float) -> JointObservables:
 
 
 def _effective_probabilities(rho, settings, accidental_fraction):
-    rows = []
-    for a, b in settings:
-        p = outcome_probabilities(rho, a, b)
-        p = p / p.sum()
-        rows.append((1.0 - accidental_fraction) * p + accidental_fraction / 4.0)
-    return np.array(rows)
+    # the named triple's tensor is built once, at import
+    projectors = (_NAMED_PROJECTORS if settings is NAMED_SETTINGS
+                  else projector_tensor(settings))
+    p = outcome_probabilities(rho, projectors)
+    p = p / p.sum(axis=-1, keepdims=True)
+    return (1.0 - accidental_fraction) * p + accidental_fraction / 4.0
 
 
 def _detection_metadata(settings, pair_flux, duration, transmission_a,
@@ -205,9 +228,9 @@ def _detection_metadata(settings, pair_flux, duration, transmission_a,
     `extra`, as its metadata."""
     if not settings:
         raise ValueError("settings list must not be empty")
-    if pair_flux <= 0 or duration <= 0:
-        raise ValueError(f"pair_flux and duration must be positive, got "
-                         f"{pair_flux}, {duration}")
+    if not (0.0 < pair_flux < math.inf and 0.0 < duration < math.inf):
+        raise ValueError(f"pair_flux and duration must be positive and finite, "
+                         f"got {pair_flux}, {duration}")
     for name, frac in (("transmission_a", transmission_a),
                        ("transmission_b", transmission_b)):
         if not 0.0 <= frac <= 1.0:
@@ -231,20 +254,28 @@ def simulate_counts(rho: np.ndarray, settings, pair_flux: float, duration: float
     coincidences replace the stated fraction of the mean and are uniform
     over the four outcomes. Each setting consumes an independent random
     stream derived from (seed, setting index), so tables are reproducible
-    and independent of evaluation order.
+    and independent of evaluation order. For an (N, 4, 4) stack of
+    states, seed is a sequence of N seeds and the table is stacked.
     """
     md = _detection_metadata(settings, pair_flux, duration, transmission_a,
                              transmission_b, accidental_fraction,
                              rng_seed=seed, exact=0)
     lam = pair_flux * duration * transmission_a * transmission_b
     probs = _effective_probabilities(rho, settings, 0.0)
-    counts = np.zeros((len(settings), 4))
-    for k in range(len(settings)):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        n_true = rng.poisson(lam * (1.0 - accidental_fraction))
-        n_acc = rng.poisson(lam * accidental_fraction)
-        counts[k] = rng.multinomial(n_true, probs[k]) + rng.multinomial(n_acc, [0.25] * 4)
-    return CoincidenceTable([tuple(s) for s in settings], counts, md)
+    seeds = [seed] if probs.ndim == 2 else list(seed)
+    per_state = probs.reshape(-1, len(settings), 4)
+    if len(seeds) != len(per_state):
+        raise ValueError(f"need one seed per state, got {len(seeds)} for "
+                         f"{len(per_state)} states")
+    counts = np.zeros(per_state.shape)
+    for n, (state_seed, state_probs) in enumerate(zip(seeds, per_state)):
+        for k, p in enumerate(state_probs):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=state_seed,
+                                                               spawn_key=(k,)))
+            n_true = rng.poisson(lam * (1.0 - accidental_fraction))
+            n_acc = rng.poisson(lam * accidental_fraction)
+            counts[n, k] = rng.multinomial(n_true, p) + rng.multinomial(n_acc, [0.25] * 4)
+    return CoincidenceTable([tuple(s) for s in settings], counts.reshape(probs.shape), md)
 
 
 def exact_table(rho: np.ndarray, settings, pair_flux: float, duration: float,
@@ -259,16 +290,17 @@ def exact_table(rho: np.ndarray, settings, pair_flux: float, duration: float,
     return CoincidenceTable([tuple(s) for s in settings], counts, md)
 
 
-def estimate_correlation(counts: np.ndarray) -> tuple[float, float]:
+def estimate_correlation(counts: np.ndarray):
     """Correlation estimate (n_pp - n_pm - n_mp + n_mm) / n_total and its
-    binomial standard error sqrt((1 - m^2) / n_total)."""
+    binomial standard error sqrt((1 - m^2) / n_total): two floats for one
+    (4,) row of counts, two arrays for a (..., 4) stack of rows."""
     counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
+    total = counts.sum(axis=-1)
+    if (total <= 0).any():
         raise ValueError("cannot estimate a correlation from zero total counts")
-    m = (counts[0] - counts[1] - counts[2] + counts[3]) / total
-    sigma = math.sqrt(max(1.0 - m * m, 0.0) / total)
-    return float(m), sigma
+    m = _correlations(counts) / total
+    sigma = np.sqrt(np.maximum(1.0 - m * m, 0.0) / total)
+    return (float(m), float(sigma)) if counts.ndim == 1 else (m, sigma)
 
 
 def _rows_for_pair(table: CoincidenceTable, id_a: str, id_b: str) -> np.ndarray:
@@ -277,7 +309,7 @@ def _rows_for_pair(table: CoincidenceTable, id_a: str, id_b: str) -> np.ndarray:
     if not rows:
         raise ValueError(f"coincidence table is missing the ({id_a}, {id_b}) "
                          f"basis pair")
-    return table.counts[rows].sum(axis=0)
+    return table.counts[..., rows, :].sum(axis=-2)
 
 
 def estimate_observables(table: CoincidenceTable) -> JointObservables:
@@ -357,11 +389,13 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
                  noise_floor: float = 1e-3) -> float:
     """Locate an unknown rotation in one arm by sweeping the other arm.
 
-    `probe` maps a trial angle theta_b to the cancellation-branch
-    JointObservables. The m_zz response is -cos(2(theta_a - theta_b)): its
-    magnitude peaks every pi/2, and requiring m_zz < 0 at the peak keeps
-    only the lattice theta_b = theta_a (mod pi), which the local slope of
-    m_xz confirms (positive at a kept peak). A physical rotation is only
+    `probe` maps an array of trial angles theta_b to the cancellation-branch
+    JointObservables, one per angle; the grid is probed in one call, the
+    golden-section and slope probes one angle at a time. The m_zz response
+    is -cos(2(theta_a - theta_b)): its magnitude peaks every pi/2, and
+    requiring m_zz < 0 at the peak keeps only the lattice
+    theta_b = theta_a (mod pi), which the local slope of m_xz confirms
+    (positive at a kept peak). A physical rotation is only
     defined modulo pi, so the search window is the caller's prior: it
     should contain one representative of theta_a mod pi. Grid minimum of
     m_zz (ties broken toward smaller |theta_b|) is refined by
@@ -376,7 +410,7 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
     grid = lo + resolution * np.arange(n_pts)
     if grid[-1] < hi - 1e-12:
         grid = np.append(grid, hi)
-    m_zz = np.array([probe(t).m_zz for t in grid])
+    m_zz = np.array([obs.m_zz for obs in probe(grid)])
     mag = np.abs(m_zz)
     if mag.max() - mag.min() < noise_floor:
         raise ValueError(f"flat scan response: |m_zz| spread "
@@ -390,39 +424,32 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
                          "widen the range so it covers theta_a mod pi")
     a = max(lo, grid[best] - resolution)
     b = min(hi, grid[best] + resolution)
-    theta = _golden_section_min(lambda t: probe(t).m_zz, a, b,
+
+    def probe_at(t):
+        return probe(np.array([t]))[0]
+
+    theta = _golden_section_min(lambda t: probe_at(t).m_zz, a, b,
                                 tol=max(resolution * 1e-6, 1e-12))
     # slope of m_xz at a kept optimum is positive; a negative slope means
     # the response contradicts the m_zz < 0 branch selection
     delta = max(min(resolution, 0.05), 1e-6)
-    slope = probe(theta + delta).m_xz - probe(theta - delta).m_xz
+    slope = probe_at(theta + delta).m_xz - probe_at(theta - delta).m_xz
     if slope < 0.0:
         raise ValueError("scan optimum is inconsistent: m_zz < 0 but the local "
                          "m_xz slope is negative")
     return wrap_angle(theta)
 
 
-def _correlation_function(rho, x: float, y: float) -> float:
-    e = 0.0
-    for m in (0, 1):
-        for n in (0, 1):
-            a = AnalyzerSetting.from_polarizer(x + m * math.pi / 2.0)
-            b = AnalyzerSetting.from_polarizer(y + n * math.pi / 2.0)
-            p = outcome_probabilities(rho, a, b)
-            e += (-1.0) ** (m + n) * p[0]
-    return e
-
-
 def chsh_s(rho: np.ndarray, a: float, a_prime: float, b: float,
            b_prime: float) -> float:
     """CHSH statistic |E(a,b) - E(a,b')| + |E(a',b)| + |E(a',b')| for
     linear analyzers at the given angles (radians); each correlation
-    function E uses the four coincidence probabilities with either
-    analyzer rotated by +90 degrees for its -1 outcome."""
-    rho = validate_state(rho)
-    return (abs(_correlation_function(rho, a, b) - _correlation_function(rho, a, b_prime))
-            + abs(_correlation_function(rho, a_prime, b))
-            + abs(_correlation_function(rho, a_prime, b_prime)))
+    function E uses the four coincidence probabilities, the -1 outcome of
+    either analyzer being its port rotated by +90 degrees."""
+    settings = [(AnalyzerSetting.from_polarizer(x), AnalyzerSetting.from_polarizer(y))
+                for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))]
+    e = _correlations(outcome_probabilities(rho, projector_tensor(settings)))
+    return float(abs(e[0] - e[1]) + abs(e[2]) + abs(e[3]))
 
 
 def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:

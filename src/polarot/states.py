@@ -104,23 +104,33 @@ def werner_state(p: float, kind: str = "psi_plus") -> np.ndarray:
 
 def validate_state(rho: np.ndarray, herm_tol: float = 1e-10,
                    trace_tol: float = 1e-10, psd_tol: float = 1e-9) -> np.ndarray:
-    """Check the physicality invariants of a two-photon density matrix.
+    """Check the physicality invariants of a two-photon density matrix, or
+    of every member of a (..., 4, 4) stack in one vectorized pass.
 
     Returns the input as a complex array; raises ValueError when it is not
-    Hermitian / unit-trace / positive semidefinite within the tolerances.
+    finite / Hermitian / unit-trace / positive semidefinite within the
+    tolerances. For a stack, the message names the first offending index.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must have shape (4, 4), got {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
-        raise ValueError(f"density matrix not Hermitian: max |rho - rho^dag| = {herm:g}")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -psd_tol:
-        raise ValueError(f"density matrix not positive semidefinite: min eigenvalue = {lo:g}")
+
+    def check(ok, message):
+        if not ok.all():
+            idx = tuple(int(i) for i in np.argwhere(~ok)[0])
+            where = f" at stack index {idx}" if idx else ""
+            raise ValueError(f"density matrix{where} {message(idx)}")
+
+    check(np.isfinite(rho).all(axis=(-2, -1)), lambda idx: "has non-finite entries")
+    herm = np.abs(rho - rho.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    check(herm <= herm_tol,
+          lambda idx: f"not Hermitian: max |rho - rho^dag| = {herm[idx]:g}")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    check(np.abs(tr - 1.0) <= trace_tol,
+          lambda idx: f"trace is {float(tr[idx])!r}, expected 1")
+    lo = np.linalg.eigvalsh(rho).min(axis=-1)
+    check(lo >= -psd_tol, lambda idx: f"not positive semidefinite: min eigenvalue "
+                                      f"= {lo[idx]:g}")
     return rho
 
 

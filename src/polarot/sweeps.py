@@ -1,11 +1,11 @@
 """Scripted experiment sweeps and the calibration line fit.
 
-Both sweep runners and the CLI scan share one per-point pipeline,
-observables_at: build the source state, fold analyzer offsets into the
-local rotations, simulate (or emit exact expectations for) the
-named-basis coincidence settings and estimate the joint observables. The
-sweeps then convert them back to rotation angles with the offsets
-removed.
+Both sweep runners and the CLI scan share one pipeline, observables_at,
+which runs a whole array of arm-B angles at once: build the source state,
+fold analyzer offsets into the local rotations, simulate (or emit exact
+expectations for) the named-basis coincidence settings and estimate the
+joint observables, one result per angle. The sweeps then convert them
+back to rotation angles with the offsets removed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import apply_local, apply_noise, offset_correct, rotation_unitary
+from .channels import apply_noise, local_rotations, offset_correct
 from .config import ExperimentConfig, config_hash
 from .csvfile import write_csv
 from .measure import (NAMED_SETTINGS, JointObservables, estimate_observables,
@@ -113,7 +113,8 @@ def configured_state(cfg: ExperimentConfig, kind: str | None = None,
     arm rotations. Analyzer-frame offsets ride on top of the physical
     rotations; the state-exchanging wave plate contributes only in
     cancellation (psi_minus) runs. kind/theta overrides replace the
-    configured source state or arm angles (radians)."""
+    configured source state or arm angles (radians); an array of arm-B
+    angles gives a stack with one state per angle."""
     kind = cfg.state_kind if kind is None else kind
     if kind == "separable":
         rho = separable_state(ket(cfg.ket_a), ket(cfg.ket_b))
@@ -124,14 +125,15 @@ def configured_state(cfg: ExperimentConfig, kind: str | None = None,
     if kind == "psi_minus":
         theta_a_eff += cfg.hwp
     theta_b_eff = (cfg.arm_b.theta() if theta_b is None else theta_b) + cfg.pbs_b
-    return apply_local(rho, rotation_unitary(theta_a_eff), rotation_unitary(theta_b_eff))
+    u = local_rotations(theta_a_eff, theta_b_eff)
+    return u @ rho @ u.swapaxes(-2, -1)
 
 
-def configured_table(cfg: ExperimentConfig, rho, settings, exact: bool,
-                     seed: int | None):
+def configured_table(cfg: ExperimentConfig, rho, settings, exact: bool, seed):
     """Coincidence table of `settings` on `rho` under the configured pair
     flux, duration, arm transmissions and accidental fraction: exact
-    expectations, or counts sampled from `seed`."""
+    expectations, or counts sampled from `seed`. A stack of states gives a
+    stacked table, sampled from one seed per state."""
     detection = (cfg.pair_flux, cfg.duration, cfg.arm_a.transmission,
                  cfg.arm_b.transmission, cfg.noise.accidental_fraction)
     if exact:
@@ -140,14 +142,18 @@ def configured_table(cfg: ExperimentConfig, rho, settings, exact: bool,
 
 
 def observables_at(cfg: ExperimentConfig, kind: str | None,
-                   theta_a: float | None, theta_b: float | None, exact: bool,
-                   seed_key: tuple) -> JointObservables:
+                   theta_a: float | None, theta_b, exact: bool,
+                   seed_keys) -> list[JointObservables]:
     """Joint observables of the configured state (overrides as in
-    configured_state) measured in the named (Z,Z), (X,Z), (Z,X) settings.
-    A sampled table draws from the stream (cfg.seed, *seed_key)."""
+    configured_state) measured in the named (Z,Z), (X,Z), (Z,X) settings,
+    one per angle in the array theta_b. The sampled table of angle i draws
+    from the stream (cfg.seed, *seed_keys[i])."""
+    theta_b = np.asarray(theta_b, dtype=float).reshape(-1)
     rho = configured_state(cfg, kind, theta_a, theta_b)
-    seed = None if exact else _point_seed(cfg.seed, *seed_key)
-    return estimate_observables(configured_table(cfg, rho, NAMED_SETTINGS, exact, seed))
+    seeds = None if exact else [_point_seed(cfg.seed, *key) for key in seed_keys]
+    obs = estimate_observables(configured_table(cfg, rho, NAMED_SETTINGS, exact, seeds))
+    columns = (obs.m_zz, obs.m_xz, obs.m_zx, obs.sigma_zz, obs.sigma_xz, obs.sigma_zx)
+    return [JointObservables(*values) for values in np.array(columns).T.tolist()]
 
 
 def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
@@ -172,14 +178,14 @@ def run_molarity_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResul
     if cfg.arm_b.solution is None:
         raise ValueError("molarity sweeps need a solution-type arm_b")
     which = "plus" if cfg.state_kind == "psi_plus" else "minus"
-    theta_a = cfg.arm_a.theta()
-    slope = cfg.arm_b.solution.slope_deg_per_molar
+    molarities = sorted(cfg.sweep_values)
+    if molarities[0] < 0:
+        raise ValueError(f"negative molarity {molarities[0]}")
+    theta_b = np.radians(cfg.arm_b.solution.slope_deg_per_molar * np.array(molarities))
+    points = observables_at(cfg, cfg.state_kind, cfg.arm_a.theta(), theta_b, exact,
+                            [(i,) for i in range(len(molarities))])
     rows = []
-    for i, molarity in enumerate(sorted(cfg.sweep_values)):
-        if molarity < 0:
-            raise ValueError(f"negative molarity {molarity}")
-        theta_b = math.radians(slope * molarity)
-        obs = observables_at(cfg, cfg.state_kind, theta_a, theta_b, exact, (i,))
+    for molarity, obs in zip(molarities, points):
         theta_exp, sig = rotation_from_observables(obs.m_zz, obs.m_xz,
                                                    obs.sigma_zz, obs.sigma_xz)
         theta = offset_correct(theta_exp, which, cfg.pbs_a, cfg.pbs_b, cfg.hwp)
@@ -203,11 +209,14 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
         raise ValueError(f"theta sweep needs sweep variable 'theta_b', "
                          f"got {cfg.sweep_variable!r}")
     theta_a = cfg.arm_a.theta()
+    values = sorted(cfg.sweep_values)
+    theta_b = np.radians(values)
+    obs_plus, obs_minus = (
+        observables_at(cfg, kind, theta_a, theta_b, exact,
+                       [(i, branch) for i in range(len(values))])
+        for branch, kind in enumerate(("psi_plus", "psi_minus")))
     rows = []
-    for i, theta_b_deg in enumerate(sorted(cfg.sweep_values)):
-        theta_b = math.radians(theta_b_deg)
-        obs_p = observables_at(cfg, "psi_plus", theta_a, theta_b, exact, (i, 0))
-        obs_m = observables_at(cfg, "psi_minus", theta_a, theta_b, exact, (i, 1))
+    for theta_b_deg, obs_p, obs_m in zip(values, obs_plus, obs_minus):
         th_p_exp, sig_p = rotation_from_observables(obs_p.m_zz, obs_p.m_xz,
                                                     obs_p.sigma_zz, obs_p.sigma_xz)
         th_m_exp, sig_m = rotation_from_observables(obs_m.m_zz, obs_m.m_xz,

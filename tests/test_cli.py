@@ -314,3 +314,25 @@ def test_non_finite_input_exits_2(tmp_path, capsys, bad):
         assert main(["extract", "--plus", str(obs), "--minus", str(good)]) == 2
         assert main(["extract", "--plus", str(good), "--minus", str(obs)]) == 2
     assert "nan" not in capsys.readouterr().out
+
+
+
+CONFIG_NUMBER_KEYS = ("pair_flux", "duration", "angle_deg", "molarity",
+                      "slope_deg_per_molar", "pbs_a_deg", "pbs_b_deg", "hwp_deg",
+                      "values")
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["sweep", "--exact"], ["scan"],
+                                     ["simulate"]],
+                         ids=["sweep", "sweep-exact", "scan", "simulate"])
+@pytest.mark.parametrize("key", CONFIG_NUMBER_KEYS)
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_config_number_exits_2(tmp_path, monkeypatch, capsys, command,
+                                          key, bad):
+    value = f"0, 1.0, {bad}" if key == "values" else bad
+    text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                     for line in SWEEP_TEMPLATE.splitlines())
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path))
+    assert main([*command, "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and bad in err

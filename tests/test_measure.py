@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarot import channels, measure, states
 
@@ -101,22 +103,76 @@ def test_outcome_probabilities_sum_to_one():
         assert abs(p.sum() - 1.0) < 1e-12
 
 
+# every setting family on each arm: named bases, linear polarizers, wave plates
+FAMILY_IDS = ("Z", "X", "Y", "lin:22.5", "lin:-61.3", "wp:10:20", "wp:-33.3:71.9")
+FAMILY_SETTINGS = measure.settings_from_ids(
+    [(a, b) for a in FAMILY_IDS for b in FAMILY_IDS])
+
+
+def random_states(n, seed):
+    # random pure states mixed with I/4, from the maximally mixed (p = 0)
+    # through Werner-like mixtures to pure (p = 1)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    p = np.linspace(0.0, 1.0, n)[:, None, None]
+    return p * np.einsum("ni,nj->nij", psi, psi.conj()) + (1 - p) * np.eye(4) / 4
+
+
+def test_born_kernel_matches_reference():
+    rhos = random_states(12, seed=8)
+    probs = measure.outcome_probabilities(rhos, measure.projector_tensor(FAMILY_SETTINGS))
+    assert probs.shape == (12, len(FAMILY_SETTINGS), 4)
+    for n, rho in enumerate(rhos):
+        for k, (a, b) in enumerate(FAMILY_SETTINGS):
+            reference = np.clip(born_probabilities(rho, a, b), 0.0, None)
+            assert np.abs(probs[n, k] - reference).max() < 1e-14
+            single = measure.outcome_probabilities(rho, a, b)
+            assert np.abs(single - reference).max() < 1e-14
+            assert np.array_equal(single, probs[n, k])
+    # a stack of one analyzer pair gives the same rows as the tensor
+    a, b = FAMILY_SETTINGS[-1]
+    assert np.array_equal(measure.outcome_probabilities(rhos, a, b), probs[:, -1])
+
+
+def test_born_kernel_validates_the_stack():
+    rhos = random_states(5, seed=9)
+    rhos[3] = np.diag([0.7, 0.5, 0.0, -0.2])
+    with pytest.raises(ValueError, match=r"stack index \(3,\).*positive semidefinite"):
+        measure.outcome_probabilities(rhos, measure.projector_tensor(FAMILY_SETTINGS))
+
+
+def test_stacked_tables_match_single_state_tables():
+    rhos = random_states(6, seed=10)
+    settings = FAMILY_SETTINGS[::5]
+    seeds = [101, 7, 2**32 - 1, 0, 55, 9]
+    detection = dict(pair_flux=3e4, duration=1.5, transmission_a=0.8,
+                     transmission_b=0.7, accidental_fraction=0.03)
+    sampled = measure.simulate_counts(rhos, settings, seed=seeds, **detection)
+    exact = measure.exact_table(rhos, settings, **detection)
+    for rho, seed, counts, expected in zip(rhos, seeds, sampled.counts, exact.counts):
+        single = measure.simulate_counts(rho, settings, seed=seed, **detection)
+        assert np.array_equal(single.counts, counts)
+        assert np.array_equal(measure.exact_table(rho, settings, **detection).counts,
+                              expected)
+    with pytest.raises(ValueError, match="one seed per state"):
+        measure.simulate_counts(rhos, settings, seed=seeds[:-1], **detection)
+
+
 # ------------------------------------------------------- joint expectations
 
 def test_joint_expectation_examples():
     # equal rotations leave the cancellation branch fully anticorrelated
     for theta in (0.0, 0.4, -1.1):
         rho = evolved_bell("psi_minus", theta, theta)
-        assert abs(measure.joint_expectation(rho, states.PAULI_Z, states.PAULI_Z)
-                   + 1.0) < 1e-12
+        assert abs(measure.exact_observables(rho).m_zz + 1.0) < 1e-12
     # oracle: full matrix evaluation of Tr[rho sz x sz]
     rho = evolved_bell("psi_plus", math.radians(20), math.radians(10))
     oracle = float(np.trace(rho @ np.kron(states.PAULI_Z, states.PAULI_Z)).real)
     assert abs(oracle - (-0.5)) < 1e-12
-    assert abs(measure.joint_expectation(rho, states.PAULI_Z, states.PAULI_Z)
-               - oracle) < 1e-12
+    assert abs(measure.exact_observables(rho).m_zz - oracle) < 1e-12
     rho = evolved_bell("psi_minus", math.radians(20), math.radians(10))
-    m_xz = measure.joint_expectation(rho, states.PAULI_X, states.PAULI_Z)
+    m_xz = measure.exact_observables(rho).m_xz
     assert abs(m_xz - (-math.sin(math.radians(20)))) < 1e-12
 
 
@@ -272,6 +328,48 @@ def test_estimate_correlation_examples():
         measure.estimate_correlation([0, 0, 0, 0])
 
 
+_COUNT_ROWS = st.lists(st.lists(st.integers(0, 10**12), min_size=4, max_size=4)
+                       .filter(lambda row: sum(row) > 0), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_COUNT_ROWS)
+def test_estimate_correlation_properties(rows):
+    stacked_m, stacked_sigma = measure.estimate_correlation(np.array(rows))
+    for row, m_row, sigma_row in zip(rows, stacked_m, stacked_sigma):
+        m, sigma = measure.estimate_correlation(row)
+        assert abs(m) <= 1.0 and sigma >= 0.0
+        # the stack gives each row's values, bit for bit
+        assert (m, sigma) == (m_row, sigma_row)
+        # the two anticorrelated outcomes enter symmetrically
+        n_pp, n_pm, n_mp, n_mm = row
+        assert measure.estimate_correlation([n_pp, n_mp, n_pm, n_mm]) == (m, sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(-math.pi / 2, math.pi / 2, exclude_min=True))
+def test_rotation_from_observables_round_trip(theta):
+    theta_hat, sigma = measure.rotation_from_observables(-math.cos(2 * theta),
+                                                         -math.sin(2 * theta))
+    assert -math.pi / 2 < theta_hat <= math.pi / 2
+    assert abs(theta_hat - theta) <= 1e-12 and sigma == 0.0
+
+
+# inside the +-45 deg window, clear of its edges, where the products
+# exp(i 4 theta) reach -1 and the principal logarithm may take either sign
+_WINDOW_ANGLE = st.floats(-math.pi / 4 + 1e-6, math.pi / 4 - 1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta_a=_WINDOW_ANGLE, theta_b=_WINDOW_ANGLE)
+def test_extract_thetas_round_trip_in_window(theta_a, theta_b):
+    def branch(angle):
+        return measure.JointObservables(-math.cos(2 * angle), -math.sin(2 * angle), 0.0)
+    ta_hat, tb_hat = measure.extract_thetas(branch(theta_a + theta_b),
+                                            branch(theta_a - theta_b))
+    assert abs(ta_hat - theta_a) <= 1e-9 and abs(tb_hat - theta_b) <= 1e-9
+
+
 def test_estimate_observables_statistical():
     rho = evolved_bell("psi_plus", math.radians(20), math.radians(10))
     table = measure.simulate_counts(rho, make_named_settings(), pair_flux=1e5,
@@ -345,8 +443,9 @@ def test_extract_thetas_ill_conditioned():
 # --------------------------------------------------------------------- scan
 
 def exact_probe(ta):
-    def probe(tb):
-        return measure.exact_observables(evolved_bell("psi_minus", ta, tb))
+    def probe(tbs):
+        return [measure.exact_observables(evolved_bell("psi_minus", ta, tb))
+                for tb in tbs]
     return probe
 
 
@@ -382,15 +481,18 @@ def test_scan_noisy_repeatability():
     for rep in range(5):
         calls = [0]
 
-        def probe(tb):
-            calls[0] += 1
-            rho = channels.apply_local(rho0, channels.rotation_unitary(ta),
-                                       channels.rotation_unitary(tb))
-            seed = int(np.random.SeedSequence(entropy=1000 + rep,
-                                              spawn_key=(calls[0],)).generate_state(1)[0])
-            table = measure.simulate_counts(rho, [(z, z), (x, z), (z, x)],
-                                            pair_flux=1e5, duration=1.0, seed=seed)
-            return measure.estimate_observables(table)
+        def probe(tbs):
+            observables = []
+            for tb in tbs:
+                calls[0] += 1
+                rho = channels.apply_local(rho0, channels.rotation_unitary(ta),
+                                           channels.rotation_unitary(tb))
+                seed = int(np.random.SeedSequence(
+                    entropy=1000 + rep, spawn_key=(calls[0],)).generate_state(1)[0])
+                table = measure.simulate_counts(rho, [(z, z), (x, z), (z, x)],
+                                                pair_flux=1e5, duration=1.0, seed=seed)
+                observables.append(measure.estimate_observables(table))
+            return observables
 
         theta = measure.scan_theta_a(probe, (-math.pi / 4, math.pi / 2),
                                      math.radians(5.0))
@@ -398,8 +500,8 @@ def test_scan_noisy_repeatability():
 
 
 def test_scan_flat_response_rejected():
-    def probe(tb):
-        return measure.exact_observables(states.maximally_mixed())
+    def probe(tbs):
+        return [measure.exact_observables(states.maximally_mixed()) for _ in tbs]
     with pytest.raises(ValueError, match="flat scan response"):
         measure.scan_theta_a(probe, (-1.0, 1.0), 0.1)
 

@@ -199,6 +199,22 @@ def test_validate_state_rejections():
         states.validate_state(np.diag([0.7, 0.5, 0.0, -0.2]).astype(complex))
     with pytest.raises(ValueError, match="shape"):
         states.validate_state(np.eye(2) / 2)
+    one_nan = states.maximally_mixed()
+    one_nan[2, 2] = np.nan  # every comparison with nan is false
+    with pytest.raises(ValueError, match="non-finite"):
+        states.validate_state(one_nan)
+    # a stack is checked in one pass and the message names the bad member
+    stack = np.array([states.werner_state(p) for p in (0.0, 0.5, 1.0, 0.3)])
+    assert states.validate_state(stack).shape == (4, 4, 4)
+    for idx, bad, match in ((2, herm, "Hermitian"),
+                            (3, 2.0 * states.maximally_mixed(), "trace"),
+                            (1, np.diag([0.7, 0.5, 0.0, -0.2]), "positive semidefinite")):
+        broken = stack.copy()
+        broken[idx] = bad
+        with pytest.raises(ValueError, match=rf"stack index \({idx},\) .*{match}"):
+            states.validate_state(broken)
+        with pytest.raises(ValueError, match=rf"stack index \(1, {idx}\) .*{match}"):
+            states.validate_state(np.array([stack, broken]))
 
 
 def test_state_file_round_trip(tmp_path):
