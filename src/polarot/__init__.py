@@ -22,7 +22,7 @@ from .states import (BELL_KINDS, bell_ket, bell_state, concurrence,
                      validate_state, werner_state)
 from .sweeps import (SweepResult, fit_line, run_molarity_sweep, run_theta_sweep,
                      write_sweep, zero_crossing)
-from .tomography import (MleResult, linear_inversion, mle_reconstruct,
-                         predicted_counts, read_tomo_counts,
-                         reconstruction_report, bootstrap_sigmas,
-                         tomography_settings, write_tomo_counts)
+from .tomography import (BASIS_LABELS, DESIGN, KETS, MleResult,
+                         linear_inversion, mle_reconstruct, predicted_counts,
+                         read_tomo_counts, reconstruction_report,
+                         bootstrap_sigmas, write_tomo_counts)

@@ -202,7 +202,7 @@ def _verify_checks():
                          maximally_mixed, validate_state)
     from .channels import apply_local
     from .measure import chsh_s, exact_observables, separable_expectations
-    from .tomography import predicted_counts, tomography_settings
+    from .tomography import DESIGN, predicted_counts
 
     def pauli_algebra():
         paulis = (PAULI_X, PAULI_Y, PAULI_Z)
@@ -284,7 +284,7 @@ def _verify_checks():
         return ok, f"S = {s_bell:.9f}, mixed {s_mixed:.1e}"
 
     def tomography_rank():
-        rank = np.linalg.matrix_rank(tomography_settings().design_matrix())
+        rank = np.linalg.matrix_rank(DESIGN)
         return rank == 16, f"design rank {rank}"
 
     def mle_self_consistency():

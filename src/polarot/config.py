@@ -2,7 +2,7 @@
 
 Config files are INI-style structured text with named sections mirroring
 the run description: [state], [noise], [arm_a], [arm_b], [offsets],
-[statistics], [settings], [sweep], [outputs]. Angles appear in degrees in
+[statistics], [settings], [sweep]. Angles appear in degrees in
 files (keys carry a _deg suffix) and are converted to radians on load.
 Calibration constants default to the shipped values below and are never
 hard-coded in analysis logic.
@@ -73,7 +73,6 @@ class ExperimentConfig:
     setting_pairs: tuple = NAMED_PAIRS
     sweep_variable: str | None = None
     sweep_values: tuple = ()
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.state_kind not in BELL_KINDS + ("separable",):
@@ -105,7 +104,6 @@ class ExperimentConfig:
             "settings.pairs": ";".join(f"{a}/{b}" for a, b in self.setting_pairs),
             "sweep.variable": str(self.sweep_variable),
             "sweep.values": ";".join(repr(v) for v in self.sweep_values),
-            "outputs.directory": str(self.output_dir),
         }
         for name, arm in (("arm_a", self.arm_a), ("arm_b", self.arm_b)):
             items[f"{name}.transmission"] = repr(arm.transmission)
@@ -220,8 +218,6 @@ def loads_config(text: str) -> ExperimentConfig:
         variable, values = _parse_sweep(parser["sweep"])
         kwargs["sweep_variable"] = variable
         kwargs["sweep_values"] = values
-    if parser.has_section("outputs"):
-        kwargs["output_dir"] = parser["outputs"].get("directory", fallback=None)
     return ExperimentConfig(**kwargs)
 
 

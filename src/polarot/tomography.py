@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .csvfile import read_csv, write_csv
 from .states import (concurrence, cosine_similarity, fidelity, ket, purity,
                      validate_state)
 
 __all__ = [
-    "TomographyBasisSet", "MleResult", "tomography_settings",
+    "BASIS_LABELS", "KETS", "DESIGN", "MleResult",
     "predicted_counts", "linear_inversion", "mle_reconstruct",
     "reconstruction_report", "bootstrap_sigmas",
     "write_tomo_counts", "read_tomo_counts",
@@ -31,43 +30,34 @@ _DELTA = ("H", "V", "D", "R")
 BASIS_LABELS = tuple([("H", g) for g in _GAMMA] + [("V", g) for g in _GAMMA]
                      + [("R", g) for g in _GAMMA] + [("D", d) for d in _DELTA])
 
-# T is lower triangular: 4 real diagonal entries, then (re, im) pairs for
-# the off-diagonal entries in this order.
-_OFFDIAG = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+# The 16 joint projection kets in the frozen order, row k projecting on
+# |labels[k][0]>_A |labels[k][1]>_B. The 16x16 design matrix (rows =
+# conjugated vectorized projectors) has rank 16 and condition number 9.75,
+# so the set is informationally complete.
+KETS = np.array([np.kron(ket(a), ket(b)) for a, b in BASIS_LABELS])
+_PROJECTORS = KETS[:, :, None] * KETS.conj()[:, None, :]
+DESIGN = _PROJECTORS.conj().reshape(16, 16)
 
-# fit: eigenvalue floor of the starting state, BFGS gtol, and the parameter
-# gradient max-norm above which BFGS restarts; verdict: largest KKT gap per
-# count at which a fit counts as converged
+# T = sum_j t_j E_j is lower triangular: t holds its 4 real diagonal
+# entries, then (re, im) of each entry below the diagonal, row by row.
+# Each q_k = ||T psi_k||^2 is the quadratic form t^T A_k t.
+_ROWS, _COLS = np.tril_indices(4, -1)
+_FACTOR_BASIS = np.zeros((16, 4, 4), dtype=complex)
+_FACTOR_BASIS[range(4), range(4), range(4)] = 1.0
+_FACTOR_BASIS[4:].reshape(6, 2, 4, 4)[range(6), :, _ROWS, _COLS] = 1.0, 1j
+_QUAD = np.einsum("iab,jac,kcb->kij", _FACTOR_BASIS.conj(), _FACTOR_BASIS,
+                  _PROJECTORS).real
+_QUAD_SUM = _QUAD.sum(axis=0)
+
+# fit: eigenvalue floor of every starting state, predicted per-count gain
+# below which the ascent stops, KKT gap above which a stopped ascent
+# escapes, and the weight of the escape direction; verdict: largest KKT gap
+# per count at which a fit counts as converged
 _PARAM_FLOOR = 1e-6
-_BFGS_GTOL = 1e-10
-_RESTART_GRAD = 1e-8
+_STOP_GAIN = 1e-25
+_ESCAPE_GAP = 1e-10
+_ESCAPE_MIX = 1e-3
 KKT_TOL = 1e-5
-
-
-@dataclass(frozen=True, eq=False)
-class TomographyBasisSet:
-    """The 16 joint projection kets, row k projecting on |labels[k][0]>_A
-    |labels[k][1]>_B. The 16x16 design matrix (rows = conjugated vectorized
-    projectors) has rank 16 and condition number 9.75, so the set is
-    informationally complete."""
-
-    labels: tuple
-    kets: np.ndarray
-
-    def design_matrix(self) -> np.ndarray:
-        return np.array([np.outer(k, k.conj()).conj().ravel() for k in self.kets])
-
-
-def tomography_settings() -> TomographyBasisSet:
-    """The canonical 16-basis set in its frozen order."""
-    kets = np.array([np.kron(ket(a), ket(b)) for a, b in BASIS_LABELS])
-    return TomographyBasisSet(BASIS_LABELS, kets)
-
-
-_CANONICAL = tomography_settings()
-_KETS = _CANONICAL.kets
-_DESIGN = _CANONICAL.design_matrix()
-_PROJECTORS = _KETS[:, :, None] * _KETS.conj()[:, None, :]
 
 
 def predicted_counts(rho: np.ndarray, flux_norm: float = 1.0) -> np.ndarray:
@@ -75,7 +65,7 @@ def predicted_counts(rho: np.ndarray, flux_norm: float = 1.0) -> np.ndarray:
     if flux_norm <= 0:
         raise ValueError(f"flux_norm must be positive, got {flux_norm}")
     rho = validate_state(rho)
-    p = np.einsum("ki,ij,kj->k", _KETS.conj(), rho, _KETS).real
+    p = np.einsum("ki,ij,kj->k", KETS.conj(), rho, KETS).real
     return flux_norm * np.clip(p, 0.0, None)
 
 
@@ -88,78 +78,90 @@ def linear_inversion(counts: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected 16 counts, got shape {counts.shape}")
     if not np.isfinite(counts).all() or counts.sum() <= 0:
         raise ValueError("counts must be finite with a positive total")
-    rho = np.linalg.solve(_DESIGN, counts).reshape(4, 4)
+    rho = np.linalg.solve(DESIGN, counts).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
-def _t_to_matrix(t: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[np.diag_indices(4)] = t[:4]
-    for i, (r, c) in enumerate(_OFFDIAG):
-        m[r, c] = t[4 + 2 * i] + 1j * t[5 + 2 * i]
-    return m
-
-
-def _matrix_to_t(m: np.ndarray) -> np.ndarray:
-    t = np.empty(16)
-    t[:4] = m.diagonal().real
-    for i, (r, c) in enumerate(_OFFDIAG):
-        t[4 + 2 * i] = m[r, c].real
-        t[5 + 2 * i] = m[r, c].imag
-    return t
-
-
 def _rho_from_t(t: np.ndarray) -> np.ndarray:
-    m = _t_to_matrix(t)
+    m = np.einsum("j,jab->ab", t, _FACTOR_BASIS)
     rho = m.conj().T @ m
     return rho / np.trace(rho).real
 
 
-def _initial_t(counts: np.ndarray) -> np.ndarray:
-    rho0 = linear_inversion(counts)
-    w, v = np.linalg.eigh(rho0)
-    w = np.maximum(w, _PARAM_FLOOR)
-    rho0 = (v * w) @ v.conj().T
-    rho0 /= np.trace(rho0).real
-    # lower-triangular factor with rho = T^dag T, via the anti-diagonal
-    # permutation of the ordinary Cholesky factor
+def _t_from_rho(rho: np.ndarray) -> np.ndarray:
+    # floor the eigenvalues so that no row of T starts at zero (f ignores
+    # the scale of T), then take the lower-triangular factor with rho =
+    # T^dag T via the anti-diagonal permutation of the ordinary Cholesky factor
+    w, v = np.linalg.eigh(rho)
+    rho = (v * np.maximum(w, _PARAM_FLOOR)) @ v.conj().T
     p = np.eye(4)[::-1]
-    lower = np.linalg.cholesky(p @ rho0 @ p)
-    return _matrix_to_t((p @ lower @ p).conj().T)
+    m = (p @ np.linalg.cholesky(p @ rho @ p) @ p).conj().T
+    return np.einsum("jab,ab->j", _FACTOR_BASIS.conj(), m).real
 
 
-def _negloglike_and_grad(t, counts, kets):
-    # mean Poisson log-likelihood per detected count, flux profiled out:
-    # f = sum(n_k ln q_k)/N - ln(sum q_k), with q_k = ||T psi_k||^2
-    m = _t_to_matrix(t)
-    tp = kets @ m.T
-    q = np.maximum(np.einsum("ij,ij->i", tp.conj(), tp).real, 1e-300)
-    total = counts.sum()
-    qsum = q.sum()
-    f = (counts @ np.log(q)) / total - np.log(qsum)
-    w = (counts / total) / q - 1.0 / qsum
-    outer = tp.conj()[:, :, None] * kets[:, None, :]
-    dq = np.empty((len(counts), 16))
-    dq[:, 0:4] = 2.0 * outer[:, range(4), range(4)].real
-    for i, (r, c) in enumerate(_OFFDIAG):
-        dq[:, 4 + 2 * i] = 2.0 * outer[:, r, c].real
-        dq[:, 5 + 2 * i] = -2.0 * outer[:, r, c].imag
-    grad = w @ dq
-    return -f, -grad
+def _grad_hess(t, quad, w):
+    """Exact gradient and Hessian in t of the mean Poisson log-likelihood
+    per count with the flux profiled out, f = sum_k w_k ln q_k - ln sum_k
+    q_k (differences of f: `_gain`). `quad` and `w` hold A_k and n_k / N of
+    the bases with n_k > 0; the sum in the second term runs over all 16."""
+    at = quad @ t
+    q = at @ t
+    st = _QUAD_SUM @ t
+    qs = t @ st
+    c = w / q
+    grad = 2.0 * (c @ at - st / qs)
+    hess = (2.0 * (np.tensordot(c, quad, 1) - _QUAD_SUM / qs)
+            - 4.0 * ((at.T * (c / q)) @ at - np.outer(st, st) / qs**2))
+    return grad, hess
 
 
-def _kkt_gap(counts: np.ndarray, p: np.ndarray) -> float:
-    # lambda_max of the per-count likelihood gradient operator
+def _gain(t, step, quad, w):
+    # f(t + step) - f(t) from ln(q'/q) = log1p((q' - q)/q) with
+    # q' - q = step^T A (2t + step): accurate to the rounding of the gain,
+    # not of f, so the gain ratio stays meaningful down to tiny steps
+    s = 2.0 * t + step
+    return (w @ np.log1p((quad @ step) @ s / ((quad @ t) @ t))
+            - np.log1p(_QUAD_SUM @ step @ s / (_QUAD_SUM @ t @ t)))
+
+
+def _ascend(t, quad, w, max_iter):
+    """Damped Newton ascent of f from t, at most max_iter steps.
+    The damping mu follows the Levenberg-Marquardt gain-ratio rule (H. B.
+    Nielsen, IMM-REP-1999-05), first raised above lambda_max(H) whenever
+    mu I - H is not positive definite. f does not depend on the scale of t, so t is renormalized
+    after each step. Returns t and the number of steps taken."""
+    grad, hess = _grad_hess(t, quad, w)
+    lam, vec = np.linalg.eigh(hess)
+    mu, nu = 1e-3 * np.abs(lam).max(), 2.0
+    for n_iter in range(max_iter):
+        if mu <= lam[-1]:
+            mu, nu = nu * lam[-1], 2.0 * nu
+        step = vec @ (vec.T @ grad / (mu - lam))
+        predicted = grad @ step + 0.5 * step @ hess @ step
+        if predicted <= _STOP_GAIN:
+            return t, n_iter
+        ratio = _gain(t, step, quad, w) / predicted
+        if ratio > 0:
+            t = (t + step) / np.linalg.norm(t + step)
+            grad, hess = _grad_hess(t, quad, w)
+            lam, vec = np.linalg.eigh(hess)
+            mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+    return t, max_iter
+
+
+def _kkt_operator(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # the per-count likelihood gradient operator
     # G = sum_k (n_k / p_k) Pi_k / N - sum_k Pi_k / sum_k p_k at the state
     # with p_k = <psi_k|rho|psi_k>; terms with n_k = 0 contribute nothing.
     # rho maximizes the likelihood iff G <= 0 (Rehacek et al., PRA 75,
-    # 042108, 2007), and Tr(rho G) = 0, so the gap is >= 0 and vanishes
-    # exactly at the maximum, on the boundary of state space too
+    # 042108, 2007), and Tr(rho G) = 0, so the KKT gap lambda_max(G) is >= 0
+    # and vanishes exactly at the maximum, on the boundary of state space too
     w = np.divide(counts, p, out=np.zeros_like(p), where=counts > 0)
-    g = (np.einsum("k,kij->ij", w, _PROJECTORS) / counts.sum()
-         - _PROJECTORS.sum(axis=0) / p.sum())
-    return float(np.linalg.eigvalsh(g)[-1])
+    return (np.einsum("k,kij->ij", w, _PROJECTORS) / counts.sum()
+            - _PROJECTORS.sum(axis=0) / p.sum())
 
 
 @dataclass
@@ -177,36 +179,37 @@ def mle_reconstruct(counts: np.ndarray, max_iter: int = 5000) -> MleResult:
     Maximizes the Poisson log-likelihood sum_k [n_k ln nbar_k - nbar_k]
     over the 16 real factorization parameters, with the flux normalization
     profiled out analytically (flux = sum n_k / sum q_k at every iterate),
-    by BFGS with the analytic gradient on the per-count mean
-    log-likelihood. `converged` is true iff the likelihood KKT gap of the
-    returned state (see `_kkt_gap`) is at most KKT_TOL per count. The
-    returned state is physical by construction for any parameter values.
-    The reported log-likelihood is the unnormalized Poisson form above
-    (factorial terms dropped).
+    by a damped Newton ascent with the exact gradient and Hessian of the
+    per-count mean log-likelihood, started from the eigenvalue-floored
+    linear inversion. `n_iter` counts Newton steps over both ascents.
+    `converged` is true iff the likelihood KKT gap of the returned state
+    (see `_kkt_operator`) is at most KKT_TOL per count. The returned state
+    is physical by construction for any parameter values. The reported
+    log-likelihood is the unnormalized Poisson form above (factorial terms
+    dropped).
     """
     counts = np.asarray(counts, dtype=float)
     if (counts < 0).any():
         raise ValueError("counts must be nonnegative")
-    t = _initial_t(counts)
-    n_iter = 0
-    # BFGS is restarted with a fresh Hessian when it stalls on line-search
-    # precision loss; near the optimum the objective varies at machine
-    # precision, so a single pass can stop short in noisy problems
-    for _ in range(3):
-        res = optimize.minimize(
-            _negloglike_and_grad, t, args=(counts, _KETS), jac=True,
-            method="BFGS",
-            options={"gtol": _BFGS_GTOL, "maxiter": max_iter - n_iter},
-        )
-        t = res.x
-        n_iter += int(res.nit)
-        if np.abs(res.jac).max() <= _RESTART_GRAD or n_iter >= max_iter:
-            break
+    start = _t_from_rho(linear_inversion(counts))
+    quad, w = _QUAD[counts > 0], counts[counts > 0] / counts.sum()
+    t, n_iter = _ascend(start, quad, w, max_iter)
     rho = _rho_from_t(t)
+    # a zero row of T is stationary in t but can be a saddle in rho, where
+    # the ascent stops at a positive KKT gap; mixing in the top eigenvector
+    # v of G raises the likelihood at first order (Burer & Monteiro, Math.
+    # Program. 95, 329, 2003), so the fit ascends once more from there
+    lam, vec = np.linalg.eigh(_kkt_operator(counts, predicted_counts(rho)))
+    if lam[-1] > _ESCAPE_GAP and n_iter < max_iter:
+        v = vec[:, -1]
+        escape = (1.0 - _ESCAPE_MIX) * rho + _ESCAPE_MIX * np.outer(v, v.conj())
+        t, steps = _ascend(_t_from_rho(escape), quad, w, max_iter - n_iter)
+        n_iter += steps
+        rho = _rho_from_t(t)
     p = predicted_counts(rho, flux_norm=1.0)
     nbar = np.maximum(counts.sum() / p.sum() * p, 1e-300)
     loglik = float(counts @ np.log(nbar) - nbar.sum())
-    kkt_gap = _kkt_gap(counts, p)
+    kkt_gap = float(np.linalg.eigvalsh(_kkt_operator(counts, p))[-1])
     return MleResult(rho=rho, log_likelihood=loglik, converged=kkt_gap <= KKT_TOL,
                      n_iter=n_iter, kkt_gap=kkt_gap)
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import polarot
 from polarot import states, tomography
 from polarot.cli import main
 
@@ -285,6 +291,16 @@ def test_verify_command(capsys):
     lines = [l for l in stdout.splitlines() if l]
     assert len(lines) >= 10
     assert all(l.startswith("ok: ") for l in lines)
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is a test dependency
+    code = ("import sys, polarot.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(polarot.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_out_env_var(tmp_path, monkeypatch, capsys):

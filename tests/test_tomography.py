@@ -20,29 +20,31 @@ def criterion_5b_counts(trial):
     return np.random.default_rng([5, trial]).poisson(nbar).astype(float)
 
 
-# a pure-state fit that BFGS leaves at parameter gradient 7.4e-10 but short
-# of the likelihood optimum (KKT gap 1.22e-5 per count)
+# pure-state counts (Werner p = 1, 1e4 per basis) whose likelihood optimum
+# has a small |VV> component. With the last row of T at zero the state has
+# none, and that row's gradient vanishes: a saddle, where the earlier BFGS
+# fit stopped (KKT gap 1.22e-5 per count, log-likelihood 1358986.6950783208)
 PURE_SHORT_OF_OPTIMUM = np.array([0, 19965, 10000, 10159, 19979, 0, 9901, 10188,
                                   10097, 10153, 9932, 0, 9897, 10127, 20112, 9892],
                                  dtype=float)
 
 
 def test_basis_set_structure():
-    basis = tomography.tomography_settings()
-    assert len(basis.labels) == 16
-    assert basis.labels[0] == ("H", "H")
-    proj = np.outer(basis.kets[0], basis.kets[0].conj())
+    labels, kets = tomography.BASIS_LABELS, tomography.KETS
+    assert len(labels) == 16 and kets.shape == (16, 4)
+    assert labels[0] == ("H", "H")
+    proj = np.outer(kets[0], kets[0].conj())
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
     assert np.abs(proj - expected).max() < 1e-15
     # arm-A labels cycle through H, V, R, D in blocks of four
-    assert [lbl[0] for lbl in basis.labels] == ["H"] * 4 + ["V"] * 4 + ["R"] * 4 + ["D"] * 4
-    assert [lbl[1] for lbl in basis.labels[:4]] == ["H", "V", "D", "L"]
-    assert [lbl[1] for lbl in basis.labels[12:]] == ["H", "V", "D", "R"]
+    assert [lbl[0] for lbl in labels] == ["H"] * 4 + ["V"] * 4 + ["R"] * 4 + ["D"] * 4
+    assert [lbl[1] for lbl in labels[:4]] == ["H", "V", "D", "L"]
+    assert [lbl[1] for lbl in labels[12:]] == ["H", "V", "D", "R"]
 
 
 def test_design_matrix_rank_and_condition():
-    design = tomography.tomography_settings().design_matrix()
+    design = tomography.DESIGN
     assert np.linalg.matrix_rank(design) == 16
     cond = np.linalg.cond(design)
     assert abs(cond - 9.75) < 0.01
@@ -126,45 +128,102 @@ def test_mle_degenerate_hh_counts():
     assert states.fidelity(result.rho, rho_hh) >= 0.9999
 
 
-@pytest.mark.parametrize("counts, converged", [
-    (criterion_5b_counts(0), True),
-    # rank-deficient optima whose parameter gradient ends just above 1e-8
-    (criterion_5b_counts(353), True),
-    (criterion_5b_counts(519), True),
-    (PURE_SHORT_OF_OPTIMUM, False),
+@pytest.mark.parametrize("counts, loglik_floor", [
+    (criterion_5b_counts(0), -np.inf),
+    # rank-deficient optima where BFGS ended at parameter gradient just
+    # above 1e-8
+    (criterion_5b_counts(353), -np.inf),
+    (criterion_5b_counts(519), -np.inf),
+    (PURE_SHORT_OF_OPTIMUM, 1358986.6950783208),
 ], ids=["5b-0", "5b-353", "5b-519", "pure-short"])
-def test_mle_converged_iff_kkt_gap_within_tolerance(counts, converged):
+def test_mle_converged_iff_kkt_gap_within_tolerance(counts, loglik_floor):
     result = tomography.mle_reconstruct(counts)
-    reference = likelihood_gradient_lambda_max(
-        result.rho, counts, tomography.tomography_settings().kets)
+    reference = likelihood_gradient_lambda_max(result.rho, counts, tomography.KETS)
     assert abs(result.kkt_gap - reference) <= 1e-12 * abs(reference)
-    assert result.converged is converged
-    assert (result.kkt_gap <= tomography.KKT_TOL) is converged
-    if not converged:
-        assert abs(result.kkt_gap - 1.22e-5) < 0.01e-5
+    assert result.converged is (result.kkt_gap <= tomography.KKT_TOL)
+    assert result.converged
+    assert result.kkt_gap <= 1e-8
+    assert result.log_likelihood >= loglik_floor
+
+
+def test_escape_leaves_a_saddle(monkeypatch):
+    counts = PURE_SHORT_OF_OPTIMUM
+    quad, w = tomography._QUAD[counts > 0], counts[counts > 0] / counts.sum()
+    last_row = np.abs(tomography._FACTOR_BASIS[:, 3, :]).sum(axis=1) > 0
+    t_from_rho = tomography._t_from_rho
+    start = t_from_rho(tomography.linear_inversion(counts))
+    start[last_row] = 0.0
+
+    def loglik(rho):
+        p = tomography.predicted_counts(rho)
+        nbar = counts.sum() / p.sum() * p
+        return counts[counts > 0] @ np.log(nbar[counts > 0]) - nbar.sum()
+
+    # the ascent alone keeps the last row at zero (up to rounding) and
+    # stops on the saddle, where BFGS stopped
+    saddle, _ = tomography._ascend(start, quad, w, 5000)
+    assert np.abs(saddle[last_row]).max() < 1e-15
+    rho = tomography._rho_from_t(saddle)
+    gap = likelihood_gradient_lambda_max(rho, counts, tomography.KETS)
+    assert abs(gap - 1.224e-5) < 0.001e-5
+    assert abs(loglik(rho) - 1358986.6950783208) < 1e-6
+
+    # started there, the fit escapes and reaches the ordinary fit's optimum
+    starts = []
+
+    def start_first_on_the_saddle(rho):
+        starts.append(rho)
+        return start.copy() if len(starts) == 1 else t_from_rho(rho)
+
+    optimum = tomography.mle_reconstruct(counts)
+    monkeypatch.setattr(tomography, "_t_from_rho", start_first_on_the_saddle)
+    escaped = tomography.mle_reconstruct(counts)
+    assert len(starts) == 2
+    assert escaped.kkt_gap <= 1e-10
+    assert escaped.log_likelihood - loglik(rho) > 0.6
+    assert escaped.log_likelihood >= optimum.log_likelihood - 1e-9
+    assert 0.5 * np.abs(np.linalg.eigvalsh(escaped.rho - optimum.rho)).sum() < 1e-7
 
 
 def test_mle_gradient_matches_finite_differences():
-    basis = tomography.tomography_settings()
+    # the gradient against central differences of f (from `_gain`), the
+    # Hessian against central differences of the gradient, and `_gain`
+    # against f evaluated directly from the state
     rng = np.random.default_rng(23)
     nbar = tomography.predicted_counts(werner_ideal(), flux_norm=4e4)
     counts = rng.poisson(nbar).astype(float)
-    worst = 0.0
+    quad, w = tomography._QUAD, counts / counts.sum()
+
+    def f(t):
+        m = np.einsum("j,jab->ab", t, tomography._FACTOR_BASIS)
+        q = np.einsum("ki,ij,kj->k", tomography.KETS.conj(), m.conj().T @ m,
+                      tomography.KETS).real
+        return w @ np.log(q) - np.log(q.sum())
+
+    worst_grad = worst_hess = worst_gain = 0.0
     for _ in range(20):
         t = rng.normal(size=16)
         t[:4] = np.abs(t[:4]) + 0.3
-        _, grad = tomography._negloglike_and_grad(t, counts, basis.kets)
-        fd = np.empty(16)
+        grad, hess = tomography._grad_hess(t, quad, w)
+        fd_grad, fd_hess = np.empty(16), np.empty((16, 16))
         h = 1e-6
         for j in range(16):
-            tp, tm = t.copy(), t.copy()
-            tp[j] += h
-            tm[j] -= h
-            fp, _ = tomography._negloglike_and_grad(tp, counts, basis.kets)
-            fm, _ = tomography._negloglike_and_grad(tm, counts, basis.kets)
-            fd[j] = (fp - fm) / (2.0 * h)
-        worst = max(worst, np.abs(grad - fd).max() / max(1.0, np.abs(grad).max()))
-    assert worst < 1e-6
+            step = np.zeros(16)
+            step[j] = h
+            fd_grad[j] = (tomography._gain(t, step, quad, w)
+                          - tomography._gain(t, -step, quad, w)) / (2.0 * h)
+            fd_hess[j] = (tomography._grad_hess(t + step, quad, w)[0]
+                          - tomography._grad_hess(t - step, quad, w)[0]) / (2.0 * h)
+        worst_grad = max(worst_grad, np.abs(grad - fd_grad).max()
+                         / max(1.0, np.abs(grad).max()))
+        worst_hess = max(worst_hess, np.abs(hess - fd_hess).max()
+                         / max(1.0, np.abs(hess).max()))
+        step = 0.1 * rng.normal(size=16)
+        worst_gain = max(worst_gain, abs(tomography._gain(t, step, quad, w)
+                                         - (f(t + step) - f(t))))
+    assert worst_grad < 1e-6
+    assert worst_hess < 1e-6
+    assert worst_gain < 1e-12
 
 
 def test_mle_agrees_with_linear_inversion_when_physical():
