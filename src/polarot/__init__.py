@@ -5,14 +5,14 @@ state tomography, CHSH tests and Fisher-information sensitivity."""
 
 __version__ = "0.1.0"
 
-from .channels import (NoiseSpec, SolutionSpec, apply_local, apply_noise,
-                       hwp_matrix, offset_correct, qwp_matrix, rotation_unitary,
+from .channels import (SolutionSpec, apply_local, apply_noise, hwp_matrix,
+                       offset_correct, qwp_matrix, rotation_unitary,
                        solution_rotation)
 from .config import ExperimentConfig, config_hash, load_config, loads_config
-from .measure import (AnalyzerSetting, CoincidenceTable, JointObservables,
-                      chsh_from_counts, chsh_s, estimate_observables,
-                      exact_observables, exact_table, extract_thetas,
-                      outcome_probabilities, read_table,
+from .measure import (AnalyzerSetting, CoincidenceTable, Detection,
+                      JointObservables, chsh_from_counts, chsh_s,
+                      estimate_observables, exact_observables, exact_table,
+                      extract_thetas, outcome_probabilities, read_table,
                       rotation_from_observables, scan_theta_a,
                       separable_expectations, simulate_counts, write_table)
 from .metrology import probe_state, qfi, variance_scaling

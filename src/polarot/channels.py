@@ -17,8 +17,8 @@ from .states import maximally_mixed, validate_state
 
 __all__ = [
     "rotation_unitary", "local_rotations", "hwp_matrix", "qwp_matrix", "apply_local",
-    "SolutionSpec", "NoiseSpec",
-    "solution_rotation", "offset_correct", "wrap_angle", "apply_noise",
+    "SolutionSpec", "solution_rotation", "offset_correct", "wrap_angle",
+    "apply_noise",
 ]
 
 
@@ -130,27 +130,10 @@ def wrap_angle(theta: float) -> float:
     return theta
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Phenomenological imperfection model: isotropic (Werner) mixing with
-    weight `visibility` toward the ideal state, plus a fraction of
-    accidental coincidences spread uniformly over outcomes at sampling
-    time."""
-
-    visibility: float = 1.0
-    accidental_fraction: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
-        if not 0.0 <= self.accidental_fraction < 1.0:
-            raise ValueError(
-                f"accidental_fraction must be in [0, 1), got {self.accidental_fraction}")
-
-
-def apply_noise(rho: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """Mix the state with the maximally mixed one:
-    p * rho + (1 - p) * I/4."""
+def apply_noise(rho: np.ndarray, visibility: float) -> np.ndarray:
+    """Mix the state with the maximally mixed one (Werner noise):
+    p * rho + (1 - p) * I/4 with weight p = visibility in [0, 1]."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
     rho = validate_state(rho)
-    p = noise.visibility
-    return p * rho + (1.0 - p) * maximally_mixed()
+    return visibility * rho + (1.0 - visibility) * maximally_mixed()

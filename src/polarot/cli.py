@@ -298,9 +298,8 @@ def _verify_checks():
         return worst <= 1e-10, f"max deviation {worst:.2e}"
 
     def noise_physicality():
-        from .channels import NoiseSpec
         for p in np.linspace(0.0, 1.0, 11):
-            rho = apply_noise(bell_state("psi_minus"), NoiseSpec(visibility=float(p)))
+            rho = apply_noise(bell_state("psi_minus"), float(p))
             validate_state(rho)
         return True, "trace-preserving and PSD for the full mixing range"
 

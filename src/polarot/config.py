@@ -15,8 +15,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .channels import NoiseSpec, SolutionSpec, solution_rotation
-from .measure import NAMED_PAIRS
+from .channels import SolutionSpec, solution_rotation
+from .measure import NAMED_PAIRS, Detection
 from .states import BELL_KINDS
 
 __all__ = [
@@ -42,13 +42,10 @@ class ArmConfig:
 
     angle: float | None = None
     solution: SolutionSpec | None = None
-    transmission: float = DEFAULT_TRANSMISSION
 
     def __post_init__(self):
         if (self.angle is None) == (self.solution is None):
             raise ValueError("an arm needs exactly one of a fixed angle or a solution")
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError(f"transmission must be in [0, 1], got {self.transmission}")
 
     def theta(self) -> float:
         if self.angle is not None:
@@ -61,14 +58,14 @@ class ExperimentConfig:
     state_kind: str = "psi_minus"
     ket_a: str = "H"
     ket_b: str = "V"
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
+    visibility: float = 1.0
     arm_a: ArmConfig = field(default_factory=lambda: ArmConfig(angle=0.0))
     arm_b: ArmConfig = field(default_factory=lambda: ArmConfig(angle=0.0))
     pbs_a: float = math.radians(DEFAULT_PBS_A_DEG)
     pbs_b: float = math.radians(DEFAULT_PBS_B_DEG)
     hwp: float = math.radians(DEFAULT_HWP_DEG)
-    pair_flux: float = 1e5
-    duration: float = 1.0
+    detection: Detection = Detection(1e5, 1.0, DEFAULT_TRANSMISSION,
+                                     DEFAULT_TRANSMISSION)
     seed: int = 0
     setting_pairs: tuple = NAMED_PAIRS
     sweep_variable: str | None = None
@@ -77,8 +74,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.state_kind not in BELL_KINDS + ("separable",):
             raise ValueError(f"unknown state kind {self.state_kind!r}")
-        if not (0.0 < self.pair_flux < math.inf and 0.0 < self.duration < math.inf):
-            raise ValueError("pair_flux and duration must be positive and finite")
         if self.sweep_variable is not None:
             if self.sweep_variable not in SWEEP_VARIABLES:
                 raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, "
@@ -93,20 +88,21 @@ class ExperimentConfig:
             "state.kind": self.state_kind,
             "state.ket_a": self.ket_a,
             "state.ket_b": self.ket_b,
-            "noise.visibility": repr(self.noise.visibility),
-            "noise.accidental_fraction": repr(self.noise.accidental_fraction),
+            "noise.visibility": repr(self.visibility),
+            "noise.accidental_fraction": repr(self.detection.accidental_fraction),
+            "arm_a.transmission": repr(self.detection.transmission_a),
+            "arm_b.transmission": repr(self.detection.transmission_b),
             "offsets.pbs_a": repr(self.pbs_a),
             "offsets.pbs_b": repr(self.pbs_b),
             "offsets.hwp": repr(self.hwp),
-            "statistics.pair_flux": repr(self.pair_flux),
-            "statistics.duration": repr(self.duration),
+            "statistics.pair_flux": repr(self.detection.pair_flux),
+            "statistics.duration": repr(self.detection.duration),
             "statistics.seed": repr(self.seed),
             "settings.pairs": ";".join(f"{a}/{b}" for a, b in self.setting_pairs),
             "sweep.variable": str(self.sweep_variable),
             "sweep.values": ";".join(repr(v) for v in self.sweep_values),
         }
         for name, arm in (("arm_a", self.arm_a), ("arm_b", self.arm_b)):
-            items[f"{name}.transmission"] = repr(arm.transmission)
             if arm.angle is not None:
                 items[f"{name}.angle"] = repr(arm.angle)
             else:
@@ -128,7 +124,8 @@ def _float(section, key: str, fallback: float | None = None) -> float | None:
     return value
 
 
-def _parse_arm(section) -> ArmConfig:
+def _parse_arm(section) -> tuple[ArmConfig, float]:
+    """The arm of a section and its transmission."""
     transmission = _float(section, "transmission", fallback=DEFAULT_TRANSMISSION)
     has_angle = "angle_deg" in section
     has_molarity = "molarity" in section
@@ -136,15 +133,15 @@ def _parse_arm(section) -> ArmConfig:
         raise ValueError(f"section [{section.name}] must not set both angle_deg "
                          f"and molarity")
     if has_angle:
-        return ArmConfig(angle=math.radians(_float(section, "angle_deg")),
-                         transmission=transmission)
+        angle = math.radians(_float(section, "angle_deg"))
+        return ArmConfig(angle=angle), transmission
     if has_molarity:
         spec = SolutionSpec(
             molarity=_float(section, "molarity"),
             slope_deg_per_molar=_float(section, "slope_deg_per_molar",
                                        fallback=DEFAULT_SLOPE_DEG_PER_MOLAR),
         )
-        return ArmConfig(solution=spec, transmission=transmission)
+        return ArmConfig(solution=spec), transmission
     raise ValueError(f"section [{section.name}] needs angle_deg or molarity")
 
 
@@ -186,14 +183,15 @@ def loads_config(text: str) -> ExperimentConfig:
         kwargs["state_kind"] = sec.get("kind", "psi_minus").strip()
         kwargs["ket_a"] = sec.get("ket_a", "H").strip().upper()
         kwargs["ket_b"] = sec.get("ket_b", "V").strip().upper()
+    accidental_fraction = 0.0
     if parser.has_section("noise"):
         sec = parser["noise"]
-        kwargs["noise"] = NoiseSpec(
-            visibility=_float(sec, "visibility", fallback=1.0),
-            accidental_fraction=_float(sec, "accidental_fraction", fallback=0.0))
+        kwargs["visibility"] = _float(sec, "visibility", fallback=1.0)
+        accidental_fraction = _float(sec, "accidental_fraction", fallback=0.0)
+    transmissions = {}
     for name in ("arm_a", "arm_b"):
         if parser.has_section(name):
-            kwargs[name] = _parse_arm(parser[name])
+            kwargs[name], transmissions[name] = _parse_arm(parser[name])
     if parser.has_section("offsets"):
         sec = parser["offsets"]
         kwargs["pbs_a"] = math.radians(_float(sec, "pbs_a_deg", fallback=DEFAULT_PBS_A_DEG))
@@ -202,8 +200,12 @@ def loads_config(text: str) -> ExperimentConfig:
     if not parser.has_section("statistics") or "seed" not in parser["statistics"]:
         raise ValueError("[statistics] section with an explicit seed is mandatory")
     sec = parser["statistics"]
-    kwargs["pair_flux"] = _float(sec, "pair_flux", fallback=1e5)
-    kwargs["duration"] = _float(sec, "duration", fallback=1.0)
+    kwargs["detection"] = Detection(
+        pair_flux=_float(sec, "pair_flux", fallback=1e5),
+        duration=_float(sec, "duration", fallback=1.0),
+        transmission_a=transmissions.get("arm_a", DEFAULT_TRANSMISSION),
+        transmission_b=transmissions.get("arm_b", DEFAULT_TRANSMISSION),
+        accidental_fraction=accidental_fraction)
     kwargs["seed"] = sec.getint("seed")
     if parser.has_section("settings"):
         pairs = []

@@ -15,7 +15,7 @@ probe work on whole stacks of states, one per arm angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .states import ID2, ket_to_dm, validate_state
 
 __all__ = [
     "AnalyzerSetting", "NAMED_PAIRS", "NAMED_SETTINGS", "settings_from_ids",
-    "JointObservables", "CoincidenceTable", "projector_tensor",
+    "JointObservables", "CoincidenceTable", "Detection", "projector_tensor",
     "outcome_probabilities", "exact_observables",
     "separable_expectations", "simulate_counts", "exact_table",
     "estimate_correlation", "estimate_observables",
@@ -213,7 +213,38 @@ def separable_expectations(theta_a: float, theta_b: float) -> JointObservables:
     return JointObservables(m_zz=-ca * cb, m_xz=-sa * cb, m_zx=-ca * sb)
 
 
+@dataclass(frozen=True)
+class Detection:
+    """The counting model of a coincidence table, checked once here:
+    pair_flux * duration * both arm transmissions detected pairs per
+    setting on average, of which accidental_fraction are accidentals
+    uniform over the four outcomes. asdict(detection) is table metadata."""
+
+    pair_flux: float
+    duration: float
+    transmission_a: float = 1.0
+    transmission_b: float = 1.0
+    accidental_fraction: float = 0.0
+
+    def __post_init__(self):
+        if not (0.0 < self.pair_flux < math.inf and 0.0 < self.duration < math.inf):
+            raise ValueError(f"pair_flux and duration must be positive and finite, "
+                             f"got {self.pair_flux}, {self.duration}")
+        for name in ("transmission_a", "transmission_b"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not 0.0 <= self.accidental_fraction < 1.0:
+            raise ValueError(f"accidental_fraction must be in [0, 1), "
+                             f"got {self.accidental_fraction}")
+
+    def mean_pairs(self) -> float:
+        """Mean detected pairs per setting, accidentals included."""
+        return self.pair_flux * self.duration * self.transmission_a * self.transmission_b
+
+
 def _effective_probabilities(rho, settings, accidental_fraction):
+    if not settings:
+        raise ValueError("settings list must not be empty")
     # the named triple's tensor is built once, at import
     projectors = (_NAMED_PROJECTORS if settings is NAMED_SETTINGS
                   else projector_tensor(settings))
@@ -222,45 +253,20 @@ def _effective_probabilities(rho, settings, accidental_fraction):
     return (1.0 - accidental_fraction) * p + accidental_fraction / 4.0
 
 
-def _detection_metadata(settings, pair_flux, duration, transmission_a,
-                        transmission_b, accidental_fraction, **extra):
-    """Validate the detection arguments of a table; return them, plus
-    `extra`, as its metadata."""
-    if not settings:
-        raise ValueError("settings list must not be empty")
-    if not (0.0 < pair_flux < math.inf and 0.0 < duration < math.inf):
-        raise ValueError(f"pair_flux and duration must be positive and finite, "
-                         f"got {pair_flux}, {duration}")
-    for name, frac in (("transmission_a", transmission_a),
-                       ("transmission_b", transmission_b)):
-        if not 0.0 <= frac <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {frac}")
-    if not 0.0 <= accidental_fraction < 1.0:
-        raise ValueError(f"accidental_fraction must be in [0, 1), "
-                         f"got {accidental_fraction}")
-    return dict(pair_flux=pair_flux, duration=duration,
-                transmission_a=transmission_a, transmission_b=transmission_b,
-                accidental_fraction=accidental_fraction, **extra)
-
-
-def simulate_counts(rho: np.ndarray, settings, pair_flux: float, duration: float,
-                    transmission_a: float = 1.0, transmission_b: float = 1.0,
-                    accidental_fraction: float = 0.0, seed: int = 0) -> CoincidenceTable:
+def simulate_counts(rho: np.ndarray, settings, detection: Detection,
+                    seed: int = 0) -> CoincidenceTable:
     """Draw a coincidence table for the given joint settings.
 
     Per setting, the detected-pair total is Poisson with mean
-    pair_flux * duration * transmission_a * transmission_b, split
-    multinomially by the Born outcome probabilities; accidental
-    coincidences replace the stated fraction of the mean and are uniform
-    over the four outcomes. Each setting consumes an independent random
-    stream derived from (seed, setting index), so tables are reproducible
-    and independent of evaluation order. For an (N, 4, 4) stack of
-    states, seed is a sequence of N seeds and the table is stacked.
+    detection.mean_pairs(), split multinomially by the Born outcome
+    probabilities; accidental coincidences replace the stated fraction of
+    the mean and are uniform over the four outcomes. Each setting
+    consumes an independent random stream derived from (seed, setting
+    index), so tables are reproducible and independent of evaluation
+    order. For an (N, 4, 4) stack of states, seed is a sequence of N seeds
+    and the table is stacked.
     """
-    md = _detection_metadata(settings, pair_flux, duration, transmission_a,
-                             transmission_b, accidental_fraction,
-                             rng_seed=seed, exact=0)
-    lam = pair_flux * duration * transmission_a * transmission_b
+    lam = detection.mean_pairs()
     probs = _effective_probabilities(rho, settings, 0.0)
     seeds = [seed] if probs.ndim == 2 else list(seed)
     per_state = probs.reshape(-1, len(settings), 4)
@@ -272,22 +278,20 @@ def simulate_counts(rho: np.ndarray, settings, pair_flux: float, duration: float
         for k, p in enumerate(state_probs):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=state_seed,
                                                                spawn_key=(k,)))
-            n_true = rng.poisson(lam * (1.0 - accidental_fraction))
-            n_acc = rng.poisson(lam * accidental_fraction)
+            n_true = rng.poisson(lam * (1.0 - detection.accidental_fraction))
+            n_acc = rng.poisson(lam * detection.accidental_fraction)
             counts[n, k] = rng.multinomial(n_true, p) + rng.multinomial(n_acc, [0.25] * 4)
-    return CoincidenceTable([tuple(s) for s in settings], counts.reshape(probs.shape), md)
+    return CoincidenceTable([tuple(s) for s in settings], counts.reshape(probs.shape),
+                            dict(asdict(detection), rng_seed=seed, exact=0))
 
 
-def exact_table(rho: np.ndarray, settings, pair_flux: float, duration: float,
-                transmission_a: float = 1.0, transmission_b: float = 1.0,
-                accidental_fraction: float = 0.0) -> CoincidenceTable:
+def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceTable:
     """Expected-value coincidence table: the sampling-free limit of
     simulate_counts, with unrounded mean counts per outcome."""
-    md = _detection_metadata(settings, pair_flux, duration, transmission_a,
-                             transmission_b, accidental_fraction, exact=1)
-    lam = pair_flux * duration * transmission_a * transmission_b
-    counts = lam * _effective_probabilities(rho, settings, accidental_fraction)
-    return CoincidenceTable([tuple(s) for s in settings], counts, md)
+    counts = detection.mean_pairs() * _effective_probabilities(
+        rho, settings, detection.accidental_fraction)
+    return CoincidenceTable([tuple(s) for s in settings], counts,
+                            dict(asdict(detection), exact=1))
 
 
 def estimate_correlation(counts: np.ndarray):

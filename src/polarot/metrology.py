@@ -73,16 +73,16 @@ def variance_scaling(n_values, trials: int, counts_per_trial: int, seed: int,
     Returns one (n, var_entangled_bound, var_separable_sim) row per photon
     number. The entangled column is the single-use Cramer-Rao bound
     1/(4 n^2); it is a bound, not a simulated variance. The separable
-    column is the empirical variance over `trials` of the single-photon
-    recipe: n * counts_per_trial photons prepared in |V>, rotated by
-    theta, split between z- and x-basis measurements, combined as
-    theta_hat = atan2(-<x>, -<z>)/2. counts_per_trial = 1 makes the
+    column is the empirical variance over `trials` (at least 2) of the
+    single-photon recipe: n * counts_per_trial photons prepared in |V>,
+    rotated by theta, split between z- and x-basis measurements, combined
+    as theta_hat = atan2(-<x>, -<z>)/2. counts_per_trial = 1 makes the
     photon budget of one trial equal to one use of the n-photon probe,
     which is the fair setting for comparing against the bound column.
     Trial t of row n draws from the independent stream (seed, n, t).
     """
-    if trials < 1 or counts_per_trial < 1:
-        raise ValueError("trials and counts_per_trial must be positive")
+    if trials < 2 or counts_per_trial < 1:
+        raise ValueError("trials must be at least 2 and counts_per_trial positive")
     rows = []
     for n in n_values:
         if n < 1:

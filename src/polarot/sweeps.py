@@ -120,7 +120,7 @@ def configured_state(cfg: ExperimentConfig, kind: str | None = None,
         rho = separable_state(ket(cfg.ket_a), ket(cfg.ket_b))
     else:
         rho = bell_state(kind)
-    rho = apply_noise(rho, cfg.noise)
+    rho = apply_noise(rho, cfg.visibility)
     theta_a_eff = (cfg.arm_a.theta() if theta_a is None else theta_a) + cfg.pbs_a
     if kind == "psi_minus":
         theta_a_eff += cfg.hwp
@@ -130,15 +130,13 @@ def configured_state(cfg: ExperimentConfig, kind: str | None = None,
 
 
 def configured_table(cfg: ExperimentConfig, rho, settings, exact: bool, seed):
-    """Coincidence table of `settings` on `rho` under the configured pair
-    flux, duration, arm transmissions and accidental fraction: exact
-    expectations, or counts sampled from `seed`. A stack of states gives a
-    stacked table, sampled from one seed per state."""
-    detection = (cfg.pair_flux, cfg.duration, cfg.arm_a.transmission,
-                 cfg.arm_b.transmission, cfg.noise.accidental_fraction)
+    """Coincidence table of `settings` on `rho` under the configured
+    detection model: exact expectations, or counts sampled from `seed`. A
+    stack of states gives a stacked table, sampled from one seed per
+    state."""
     if exact:
-        return exact_table(rho, settings, *detection)
-    return simulate_counts(rho, settings, *detection, seed=seed)
+        return exact_table(rho, settings, cfg.detection)
+    return simulate_counts(rho, settings, cfg.detection, seed=seed)
 
 
 def observables_at(cfg: ExperimentConfig, kind: str | None,

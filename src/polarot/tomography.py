@@ -37,6 +37,9 @@ BASIS_LABELS = tuple([("H", g) for g in _GAMMA] + [("V", g) for g in _GAMMA]
 KETS = np.array([np.kron(ket(a), ket(b)) for a, b in BASIS_LABELS])
 _PROJECTORS = KETS[:, :, None] * KETS.conj()[:, None, :]
 DESIGN = _PROJECTORS.conj().reshape(16, 16)
+# the HH, HV, VH, VV rows: their projectors sum to the identity, so their
+# counts sum to the trace of the linear inversion
+_HV_ROWS = [BASIS_LABELS.index((a, b)) for a in "HV" for b in "HV"]
 
 # T = sum_j t_j E_j is lower triangular: t holds its 4 real diagonal
 # entries, then (re, im) of each entry below the diagonal, row by row.
@@ -78,6 +81,9 @@ def linear_inversion(counts: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected 16 counts, got shape {counts.shape}")
     if not np.isfinite(counts).all() or counts.sum() <= 0:
         raise ValueError("counts must be finite with a positive total")
+    if counts[_HV_ROWS].sum() <= 0:
+        raise ValueError(f"the HH, HV, VH and VV counts must have a positive sum "
+                         f"(the trace of the state), got {counts[_HV_ROWS].sum():g}")
     rho = np.linalg.solve(DESIGN, counts).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
@@ -232,8 +238,11 @@ def bootstrap_sigmas(rho_hat: np.ndarray, counts: np.ndarray,
     Resamples Poisson counts from the fitted model (flux matched to the
     observed total), reconstructs each resample, and returns the spread of
     every metric. Resample r uses the independent stream (seed, r), so the
-    result does not depend on evaluation order.
+    result does not depend on evaluation order. A spread needs
+    n_resamples >= 2.
     """
+    if n_resamples < 2:
+        raise ValueError(f"n_resamples must be at least 2, got {n_resamples}")
     counts = np.asarray(counts, dtype=float)
     p = predicted_counts(rho_hat, flux_norm=1.0)
     nbar = counts.sum() / p.sum() * p

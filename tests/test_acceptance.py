@@ -54,7 +54,7 @@ def test_criterion_1_closed_forms_exact_mode():
             for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
                 rho = evolved_bell(kind, ta, tb)
                 table = measure.exact_table(rho, named_settings(),
-                                            pair_flux=1e5, duration=1.0)
+                                            measure.Detection(1e5, 1.0))
                 obs = measure.estimate_observables(table)
                 tpm = ta + sign * tb
                 worst = max(worst, abs(obs.m_zz + math.cos(2 * tpm)),
@@ -139,7 +139,7 @@ def test_criterion_4_chsh():
     mk = measure.AnalyzerSetting.from_polarizer
     settings = [(mk(x), mk(y)) for x in angles[:2] for y in angles[2:]]
     table = measure.simulate_counts(states.bell_state("psi_plus"), settings,
-                                    pair_flux=1e5, duration=1.0, seed=404)
+                                    measure.Detection(1e5, 1.0), seed=404)
     s_hat, sigma = measure.chsh_from_counts(table)
     simulated_ok = abs(s_hat - 2.8284) <= 3.0 * sigma
 
@@ -277,7 +277,7 @@ def test_criterion_6_separable_contrast():
             rho = channels.apply_local(
                 states.separable_state(states.ket("H"), states.ket("V")),
                 channels.rotation_unitary(ta), channels.rotation_unitary(tb))
-            table = measure.exact_table(rho, [(z, z)], pair_flux=1.0, duration=1.0)
+            table = measure.exact_table(rho, [(z, z)], measure.Detection(1.0, 1.0))
             m_zz, _ = measure.estimate_correlation(table.counts[0])
             amplitudes.append(abs(m_zz))
         worst = max(worst, abs(max(amplitudes) - abs(math.cos(2 * ta))))

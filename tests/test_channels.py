@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polarot import channels, states
+from polarot import channels, measure, states
 
 
 def test_rotation_unitary_special_values():
@@ -129,8 +129,8 @@ def test_offset_correct_rejects_bad_branch():
 
 def test_apply_noise_limits():
     rho = states.bell_state("psi_plus")
-    assert np.abs(channels.apply_noise(rho, channels.NoiseSpec(1.0)) - rho).max() == 0.0
-    mixed = channels.apply_noise(rho, channels.NoiseSpec(0.0))
+    assert np.abs(channels.apply_noise(rho, 1.0) - rho).max() == 0.0
+    mixed = channels.apply_noise(rho, 0.0)
     assert np.abs(mixed - states.maximally_mixed()).max() < 1e-15
 
 
@@ -140,20 +140,20 @@ def test_apply_noise_fidelity_target():
     p = (4.0 * 0.984 - 1.0) / 3.0
     assert abs(p - 0.97867) < 5e-6
     rho = states.bell_state("psi_plus")
-    mixed = channels.apply_noise(rho, channels.NoiseSpec(visibility=p))
+    mixed = channels.apply_noise(rho, p)
     assert abs(states.fidelity(mixed, rho) - 0.984) < 1e-10
 
 
 def test_apply_noise_preserves_physicality():
     rho = states.bell_state("psi_minus")
     for p in np.linspace(0.0, 1.0, 11):
-        out = channels.apply_noise(rho, channels.NoiseSpec(visibility=float(p)))
+        out = channels.apply_noise(rho, float(p))
         states.validate_state(out)
         assert abs(np.trace(out).real - 1.0) < 1e-12
 
 
 def test_noise_spec_validation():
     with pytest.raises(ValueError, match="visibility"):
-        channels.NoiseSpec(visibility=1.2)
+        channels.apply_noise(states.bell_state("psi_plus"), 1.2)
     with pytest.raises(ValueError, match="accidental_fraction"):
-        channels.NoiseSpec(accidental_fraction=1.0)
+        measure.Detection(1.0, 1.0, accidental_fraction=1.0)

@@ -1,3 +1,5 @@
+import configparser
+import io
 import os
 import subprocess
 import sys
@@ -218,6 +220,29 @@ def test_tomo_exit_0_at_rank_deficient_optimum(tmp_path, capsys, trial):
     assert "converged = True" in capsys.readouterr().out
 
 
+def test_tomo_single_bootstrap_exits_2(tmp_path, capsys):
+    # one resample has no spread: it used to print "+- nan" and exit 0
+    nbar = tomography.predicted_counts(states.werner_state(0.9), flux_norm=4e4)
+    counts_file = tmp_path / "tomo.csv"
+    tomography.write_tomo_counts(counts_file,
+                                 np.random.default_rng(1).poisson(nbar).astype(float))
+    assert main(["tomo", "--counts", str(counts_file), "--reference", "psi_plus",
+                 "--bootstrap", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out
+    assert "n_resamples must be at least 2" in captured.err
+
+
+def test_tomo_without_hv_counts_exits_2(tmp_path, capsys, recwarn):
+    # HH, HV, VH and VV are 0: linear inversion has no trace to normalize by
+    counts_file = tmp_path / "tomo.csv"
+    tomography.write_tomo_counts(
+        counts_file, np.array([0, 0, 3, 2, 0, 0, 4, 1, 2, 3, 1, 2, 5, 1, 2, 3.0]))
+    assert main(["tomo", "--counts", str(counts_file)]) == 2
+    assert "HH, HV, VH and VV counts must have a positive sum" in capsys.readouterr().err
+    assert not recwarn.list
+
+
 def test_tomo_nonconvergence_exit_3(tmp_path):
     # the 16-parameter model reproduces 16 counts exactly whenever linear
     # inversion is physical, making the initializer already optimal; to see
@@ -283,6 +308,12 @@ def test_fisher_command(tmp_path, capsys):
                  "--seed", "1"]) == 0
     stdout = capsys.readouterr().out
     assert "var_separable_sim" in stdout.splitlines()[0]
+
+
+def test_fisher_single_trial_exits_2(capsys):
+    # the variance of one trial is not 0 but undefined
+    assert main(["fisher", "--n-values", "1,2", "--trials", "1"]) == 2
+    assert "trials must be at least 2" in capsys.readouterr().err
 
 
 def test_verify_command(capsys):
@@ -352,3 +383,34 @@ def test_non_finite_config_number_exits_2(tmp_path, monkeypatch, capsys, command
     assert main([*command, "--config", write_config(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert key in err and bad in err
+
+
+def with_key(text, section, key, value):
+    """Config text with `key = value` set in [section]."""
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("section, key, value, name", [
+    ("arm_a", "transmission", "1.5", "transmission_a"),
+    ("arm_b", "transmission", "1.5", "transmission_b"),
+    ("noise", "accidental_fraction", "1.0", "accidental_fraction"),
+    ("noise", "visibility", "1.2", "visibility"),
+    ("statistics", "pair_flux", "-1", "pair_flux"),
+    ("statistics", "duration", "-1", "duration")],
+    ids=["transmission_a", "transmission_b", "accidental_fraction", "visibility",
+         "pair_flux", "duration"])
+def test_out_of_range_detection_value_exits_2(tmp_path, monkeypatch, capsys, command,
+                                              section, key, value, name):
+    text = with_key(SWEEP_TEMPLATE, section, key, value)
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path))
+    assert main([command, "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and value in err

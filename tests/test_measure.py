@@ -9,8 +9,7 @@ from polarot import channels, measure, states
 
 
 def evolved_bell(kind, theta_a, theta_b, visibility=1.0):
-    rho = channels.apply_noise(states.bell_state(kind),
-                               channels.NoiseSpec(visibility=visibility))
+    rho = channels.apply_noise(states.bell_state(kind), visibility)
     return channels.apply_local(rho, channels.rotation_unitary(theta_a),
                                 channels.rotation_unitary(theta_b))
 
@@ -146,17 +145,17 @@ def test_stacked_tables_match_single_state_tables():
     rhos = random_states(6, seed=10)
     settings = FAMILY_SETTINGS[::5]
     seeds = [101, 7, 2**32 - 1, 0, 55, 9]
-    detection = dict(pair_flux=3e4, duration=1.5, transmission_a=0.8,
-                     transmission_b=0.7, accidental_fraction=0.03)
-    sampled = measure.simulate_counts(rhos, settings, seed=seeds, **detection)
-    exact = measure.exact_table(rhos, settings, **detection)
+    detection = measure.Detection(pair_flux=3e4, duration=1.5, transmission_a=0.8,
+                                  transmission_b=0.7, accidental_fraction=0.03)
+    sampled = measure.simulate_counts(rhos, settings, detection, seed=seeds)
+    exact = measure.exact_table(rhos, settings, detection)
     for rho, seed, counts, expected in zip(rhos, seeds, sampled.counts, exact.counts):
-        single = measure.simulate_counts(rho, settings, seed=seed, **detection)
+        single = measure.simulate_counts(rho, settings, detection, seed=seed)
         assert np.array_equal(single.counts, counts)
-        assert np.array_equal(measure.exact_table(rho, settings, **detection).counts,
+        assert np.array_equal(measure.exact_table(rho, settings, detection).counts,
                               expected)
     with pytest.raises(ValueError, match="one seed per state"):
-        measure.simulate_counts(rhos, settings, seed=seeds[:-1], **detection)
+        measure.simulate_counts(rhos, settings, detection, seed=seeds[:-1])
 
 
 # ------------------------------------------------------- joint expectations
@@ -247,12 +246,12 @@ def make_named_settings():
 
 def test_simulate_counts_deterministic():
     rho = evolved_bell("psi_plus", 0.2, 0.1)
-    kwargs = dict(pair_flux=1e4, duration=1.0, seed=42)
+    kwargs = dict(detection=measure.Detection(pair_flux=1e4, duration=1.0), seed=42)
     t1 = measure.simulate_counts(rho, make_named_settings(), **kwargs)
     t2 = measure.simulate_counts(rho, make_named_settings(), **kwargs)
     assert np.array_equal(t1.counts, t2.counts)
-    t3 = measure.simulate_counts(rho, make_named_settings(), pair_flux=1e4,
-                                 duration=1.0, seed=43)
+    t3 = measure.simulate_counts(rho, make_named_settings(),
+                                 measure.Detection(1e4, 1.0), seed=43)
     assert not np.array_equal(t1.counts, t3.counts)
 
 
@@ -260,7 +259,7 @@ def test_simulate_counts_law_of_large_numbers():
     rho = evolved_bell("psi_plus", 0.3, -0.1, visibility=0.95)
     settings = make_named_settings()
     n = 400000
-    table = measure.simulate_counts(rho, settings, pair_flux=n, duration=1.0, seed=7)
+    table = measure.simulate_counts(rho, settings, measure.Detection(n, 1.0), seed=7)
     for k, (a, b) in enumerate(settings):
         p = measure.outcome_probabilities(rho, a, b)
         total = table.counts[k].sum()
@@ -273,8 +272,10 @@ def test_simulate_counts_transmission_scaling():
     rho = states.bell_state("psi_plus")
     settings = make_named_settings()
     lam = 2e5
-    table = measure.simulate_counts(rho, settings, pair_flux=lam, duration=1.0,
-                                    transmission_a=0.75, transmission_b=0.75,
+    table = measure.simulate_counts(rho, settings,
+                                    measure.Detection(pair_flux=lam, duration=1.0,
+                                                      transmission_a=0.75,
+                                                      transmission_b=0.75),
                                     seed=11)
     expected = lam * 0.75 * 0.75  # 0.5625 of the lossless rate
     totals = table.counts.sum(axis=1)
@@ -286,8 +287,10 @@ def test_simulate_counts_accidentals_uniform():
     # a pure accidental table is uniform over outcomes
     rho = states.separable_state(states.ket("H"), states.ket("V"))
     z = measure.AnalyzerSetting.from_basis("Z")
-    table = measure.simulate_counts(rho, [(z, z)], pair_flux=4e5, duration=1.0,
-                                    accidental_fraction=0.999, seed=3)
+    table = measure.simulate_counts(rho, [(z, z)],
+                                    measure.Detection(pair_flux=4e5, duration=1.0,
+                                                      accidental_fraction=0.999),
+                                    seed=3)
     freq = table.counts[0] / table.counts[0].sum()
     assert np.abs(freq - 0.25).max() < 0.01
 
@@ -295,20 +298,46 @@ def test_simulate_counts_accidentals_uniform():
 def test_simulate_counts_validation():
     rho = states.bell_state("psi_plus")
     with pytest.raises(ValueError, match="must not be empty"):
-        measure.simulate_counts(rho, [], pair_flux=1.0, duration=1.0, seed=0)
+        measure.simulate_counts(rho, [], measure.Detection(pair_flux=1.0, duration=1.0),
+                                seed=0)
     with pytest.raises(ValueError, match="positive"):
-        measure.simulate_counts(rho, make_named_settings(), pair_flux=1.0,
-                                duration=0.0, seed=0)
+        measure.simulate_counts(rho, make_named_settings(),
+                                measure.Detection(pair_flux=1.0, duration=0.0), seed=0)
     with pytest.raises(ValueError, match="transmission_a"):
-        measure.simulate_counts(rho, make_named_settings(), pair_flux=1.0,
-                                duration=1.0, transmission_a=1.5, seed=0)
+        measure.simulate_counts(rho, make_named_settings(),
+                                measure.Detection(pair_flux=1.0, duration=1.0,
+                                                  transmission_a=1.5), seed=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("pair_flux", -1.0), ("pair_flux", math.inf), ("duration", 0.0),
+    ("duration", -1.0), ("transmission_a", 1.5), ("transmission_a", -0.1),
+    ("transmission_b", 1.5), ("accidental_fraction", 1.0),
+    ("accidental_fraction", -0.1)])
+def test_detection_validation(name, value):
+    # every out-of-range value is rejected by a message that names its field
+    with pytest.raises(ValueError, match=name):
+        measure.Detection(**{"pair_flux": 1.0, "duration": 1.0, name: value})
+
+
+def test_detection_mean_and_metadata():
+    detection = measure.Detection(2e4, 1.5, 0.8, 0.5, 0.1)
+    assert detection.mean_pairs() == 2e4 * 1.5 * 0.8 * 0.5
+    rho = states.bell_state("psi_plus")
+    exact = measure.exact_table(rho, make_named_settings(), detection)
+    assert exact.metadata == dict(pair_flux=2e4, duration=1.5, transmission_a=0.8,
+                                  transmission_b=0.5, accidental_fraction=0.1, exact=1)
+    sampled = measure.simulate_counts(rho, make_named_settings(), detection, seed=5)
+    assert sampled.metadata == dict(exact.metadata, rng_seed=5, exact=0)
 
 
 def test_exact_table_matches_born():
     rho = evolved_bell("psi_minus", 0.25, 0.1, visibility=0.9)
     settings = make_named_settings()
-    table = measure.exact_table(rho, settings, pair_flux=1e5, duration=2.0,
-                                transmission_a=0.75, transmission_b=0.75)
+    table = measure.exact_table(rho, settings,
+                                measure.Detection(pair_flux=1e5, duration=2.0,
+                                                  transmission_a=0.75,
+                                                  transmission_b=0.75))
     lam = 1e5 * 2.0 * 0.5625
     for k, (a, b) in enumerate(settings):
         p = measure.outcome_probabilities(rho, a, b)
@@ -372,8 +401,8 @@ def test_extract_thetas_round_trip_in_window(theta_a, theta_b):
 
 def test_estimate_observables_statistical():
     rho = evolved_bell("psi_plus", math.radians(20), math.radians(10))
-    table = measure.simulate_counts(rho, make_named_settings(), pair_flux=1e5,
-                                    duration=1.0, seed=19)
+    table = measure.simulate_counts(rho, make_named_settings(),
+                                    measure.Detection(1e5, 1.0), seed=19)
     obs = measure.estimate_observables(table)
     assert abs(obs.m_zz - (-0.5)) <= 3.0 * obs.sigma_zz
     assert abs(obs.m_xz - (-math.sin(math.radians(60)))) <= 3.0 * obs.sigma_xz
@@ -389,8 +418,7 @@ def test_estimate_observables_missing_pair():
 def test_exact_mode_estimation_reproduces_closed_forms():
     ta, tb = math.radians(20), math.radians(10)
     rho = evolved_bell("psi_plus", ta, tb)
-    table = measure.exact_table(rho, make_named_settings(), pair_flux=1e5,
-                                duration=1.0)
+    table = measure.exact_table(rho, make_named_settings(), measure.Detection(1e5, 1.0))
     obs = measure.estimate_observables(table)
     assert abs(obs.m_zz + math.cos(2 * (ta + tb))) < 1e-12
     assert abs(obs.m_xz + math.sin(2 * (ta + tb))) < 1e-12
@@ -490,7 +518,7 @@ def test_scan_noisy_repeatability():
                 seed = int(np.random.SeedSequence(
                     entropy=1000 + rep, spawn_key=(calls[0],)).generate_state(1)[0])
                 table = measure.simulate_counts(rho, [(z, z), (x, z), (z, x)],
-                                                pair_flux=1e5, duration=1.0, seed=seed)
+                                                measure.Detection(1e5, 1.0), seed=seed)
                 observables.append(measure.estimate_observables(table))
             return observables
 
@@ -553,16 +581,16 @@ def chsh_settings():
 
 def test_chsh_from_counts_ideal():
     rho = states.bell_state("psi_plus")
-    table = measure.simulate_counts(rho, chsh_settings(), pair_flux=1e5,
-                                    duration=1.0, seed=21)
+    table = measure.simulate_counts(rho, chsh_settings(), measure.Detection(1e5, 1.0),
+                                    seed=21)
     s, sigma = measure.chsh_from_counts(table)
     assert abs(s - 2.8284) <= 3.0 * sigma
 
 
 def test_chsh_from_counts_separable_bounded():
     rho = states.separable_state(states.ket("H"), states.ket("V"))
-    table = measure.simulate_counts(rho, chsh_settings(), pair_flux=1e5,
-                                    duration=1.0, seed=22)
+    table = measure.simulate_counts(rho, chsh_settings(), measure.Detection(1e5, 1.0),
+                                    seed=22)
     s, sigma = measure.chsh_from_counts(table)
     assert s <= 2.0 + 3.0 * sigma
 
@@ -571,8 +599,8 @@ def test_chsh_sigma_scales_inverse_sqrt_n():
     rho = states.bell_state("psi_plus")
     sigmas = []
     for n in (1e3, 1e4, 1e5):
-        table = measure.simulate_counts(rho, chsh_settings(), pair_flux=n,
-                                        duration=1.0, seed=23)
+        table = measure.simulate_counts(rho, chsh_settings(), measure.Detection(n, 1.0),
+                                        seed=23)
         sigmas.append(measure.chsh_from_counts(table)[1])
     assert abs(sigmas[0] / sigmas[1] - math.sqrt(10.0)) < 0.6
     assert abs(sigmas[1] / sigmas[2] - math.sqrt(10.0)) < 0.6
@@ -597,7 +625,7 @@ def test_table_file_round_trip(tmp_path):
     settings = make_named_settings() + [
         (measure.AnalyzerSetting.from_polarizer(math.radians(22.5)),
          measure.AnalyzerSetting.from_waveplates(0.1, 0.2))]
-    table = measure.simulate_counts(rho, settings, pair_flux=5e3, duration=1.0,
+    table = measure.simulate_counts(rho, settings, measure.Detection(5e3, 1.0),
                                     seed=31)
     path = tmp_path / "counts.csv"
     measure.write_table(table, path)

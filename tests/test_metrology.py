@@ -74,6 +74,8 @@ def test_variance_scaling_shrinks_with_repetitions():
 def test_variance_scaling_validation():
     with pytest.raises(ValueError, match="positive"):
         metrology.variance_scaling([1], trials=0, counts_per_trial=1, seed=0)
+    with pytest.raises(ValueError, match="at least 2"):
+        metrology.variance_scaling([1], trials=1, counts_per_trial=1, seed=0)
     with pytest.raises(ValueError, match=">= 1"):
         metrology.variance_scaling([0], trials=10, counts_per_trial=1, seed=0)
 

@@ -93,6 +93,11 @@ def test_linear_inversion_validation():
         tomography.linear_inversion(np.ones(4))
     with pytest.raises(ValueError, match="positive total"):
         tomography.linear_inversion(np.zeros(16))
+    # the H/V x H/V counts carry the trace; without them there is no state
+    counts = np.ones(16)
+    counts[[0, 1, 4, 5]] = 0.0
+    with pytest.raises(ValueError, match="HH, HV, VH and VV counts"):
+        tomography.linear_inversion(counts)
 
 
 def test_mle_exact_bell():
@@ -318,6 +323,15 @@ def test_bootstrap_sigmas_deterministic():
     assert set(s1) == {"fidelity", "concurrence", "purity", "cosine_similarity"}
     assert all(v >= 0.0 for v in s1.values())
     assert s1["fidelity"] < 0.05
+
+
+def test_bootstrap_sigmas_needs_two_resamples():
+    # one resample has no spread: np.std(ddof=1) of it is nan
+    rho = werner_ideal()
+    counts = tomography.predicted_counts(rho, flux_norm=1e4)
+    for n_resamples in (1, 0):
+        with pytest.raises(ValueError, match="at least 2"):
+            tomography.bootstrap_sigmas(rho, counts, rho, n_resamples=n_resamples)
 
 
 def test_tomo_counts_file_round_trip(tmp_path):
