@@ -125,6 +125,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
+    if args.bootstrap < 0:
+        raise ValueError(f"--bootstrap must be >= 0, got {args.bootstrap}")
     counts, _ = read_tomo_counts(args.counts)
     result = mle_reconstruct(counts, max_iter=args.max_iter)
     print(f"log_likelihood = {result.log_likelihood:.6f}")
@@ -178,6 +180,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fisher(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     n_values = [int(v) for v in args.n_values.split(",")]
     rows = []
     if args.trials > 0:

@@ -159,6 +159,9 @@ def _parse_sweep(section) -> tuple[str, tuple]:
             if not math.isfinite(value):
                 raise ValueError(f"[sweep] values must be finite, got {value!r}")
     else:
+        for key in ("start", "stop", "count"):
+            if key not in section:
+                raise ValueError(f"[sweep] range is missing '{key}'")
         start = _float(section, "start")
         stop = _float(section, "stop")
         count = section.getint("count")

@@ -233,6 +233,18 @@ def test_tomo_single_bootstrap_exits_2(tmp_path, capsys):
     assert "n_resamples must be at least 2" in captured.err
 
 
+def test_tomo_negative_bootstrap_exits_2(tmp_path, capsys):
+    # a negative count used to read as 0 (off) and exit 0
+    counts_file = tmp_path / "tomo.csv"
+    tomography.write_tomo_counts(counts_file, tomography.predicted_counts(
+        states.bell_state("psi_plus"), flux_norm=1e4))
+    assert main(["tomo", "--counts", str(counts_file), "--reference", "psi_plus",
+                 "--bootstrap", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bootstrap must be >= 0, got -3" in captured.err
+
+
 def test_tomo_without_hv_counts_exits_2(tmp_path, capsys, recwarn):
     # HH, HV, VH and VV are 0: linear inversion has no trace to normalize by
     counts_file = tmp_path / "tomo.csv"
@@ -314,6 +326,24 @@ def test_fisher_single_trial_exits_2(capsys):
     # the variance of one trial is not 0 but undefined
     assert main(["fisher", "--n-values", "1,2", "--trials", "1"]) == 2
     assert "trials must be at least 2" in capsys.readouterr().err
+
+
+def test_fisher_negative_trials_exits_2(capsys):
+    # a negative count used to print the bounds-only table and exit 0
+    assert main(["fisher", "--n-values", "1,2", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be >= 0, got -5" in captured.err
+
+
+@pytest.mark.parametrize("missing", ["start", "stop", "count"])
+def test_sweep_range_missing_key_exits_2(tmp_path, monkeypatch, capsys, missing):
+    sweep = "".join(f"{key} = {value}\n" for key, value in
+                    (("start", "0"), ("stop", "4"), ("count", "3")) if key != missing)
+    text = SWEEP_TEMPLATE.replace("values = 0, 1.0, 2.0, 3.0, 4.0\n", sweep)
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path))
+    assert main(["sweep", "--config", write_config(tmp_path, text)]) == 2
+    assert f"[sweep] range is missing '{missing}'" in capsys.readouterr().err
 
 
 def test_verify_command(capsys):
