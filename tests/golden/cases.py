@@ -33,6 +33,10 @@ CASES = {
                     ["sweep.csv"]),
     "sweep_molarity": (["sweep", "--config", "sweep_molarity.ini",
                         "--out", "sweep.csv"], ["sweep.csv"]),
+    "sweep_theta_exact": (["sweep", "--config", "sweep_theta.ini", "--exact",
+                           "--out", "sweep.csv"], ["sweep.csv"]),
+    "sweep_molarity_exact": (["sweep", "--config", "sweep_molarity.ini", "--exact",
+                              "--out", "sweep.csv"], ["sweep.csv"]),
     "scan_exact": (["scan", "--config", "scan.ini", "--exact"], []),
     "scan": (["scan", "--config", "scan.ini", "--range-deg", "-45", "45"], []),
     "observables": (["observables", "--table", "table.csv", "--out", "obs.csv"],
