@@ -127,6 +127,8 @@ def _cmd_scan(args) -> int:
 def _cmd_tomo(args) -> int:
     if args.bootstrap < 0:
         raise ValueError(f"--bootstrap must be >= 0, got {args.bootstrap}")
+    if args.max_iter < 0:
+        raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
     counts, _ = read_tomo_counts(args.counts)
     result = mle_reconstruct(counts, max_iter=args.max_iter)
     print(f"log_likelihood = {result.log_likelihood:.6f}")
@@ -182,6 +184,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_fisher(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.counts_per_trial < 1:
+        raise ValueError(f"--counts-per-trial must be >= 1, got {args.counts_per_trial}")
+    if not math.isfinite(args.theta_deg):
+        raise ValueError(f"--theta-deg must be finite, got {args.theta_deg}")
     n_values = [int(v) for v in args.n_values.split(",")]
     rows = []
     if args.trials > 0:
@@ -269,15 +275,12 @@ def _verify_checks():
         return worst <= 1e-12, f"amplitude deviation {worst:.2e}"
 
     def extraction_round_trip():
-        worst = 0.0
-        for ta in np.radians(np.linspace(-44, 44, 12)):
-            for tb in np.radians(np.linspace(-44, 44, 12)):
-                obs_p = JointObservables(-math.cos(2 * (ta + tb)),
-                                         -math.sin(2 * (ta + tb)), 0.0)
-                obs_m = JointObservables(-math.cos(2 * (ta - tb)),
-                                         -math.sin(2 * (ta - tb)), 0.0)
-                ta_hat, tb_hat = extract_thetas(obs_p, obs_m)
-                worst = max(worst, abs(ta_hat - ta), abs(tb_hat - tb))
+        angles = np.radians(np.linspace(-44, 44, 12))
+        ta, tb = np.meshgrid(angles, angles)
+        obs_p = JointObservables(-np.cos(2 * (ta + tb)), -np.sin(2 * (ta + tb)), 0.0)
+        obs_m = JointObservables(-np.cos(2 * (ta - tb)), -np.sin(2 * (ta - tb)), 0.0)
+        ta_hat, tb_hat = extract_thetas(obs_p, obs_m)
+        worst = max(np.abs(ta_hat - ta).max(), np.abs(tb_hat - tb).max())
         return worst <= 1e-9, f"max angle error {worst:.2e} rad"
 
     def chsh_analytic():

@@ -127,15 +127,16 @@ _NAMED_PROJECTORS = projector_tensor(NAMED_SETTINGS)
 class JointObservables:
     """Two-photon correlation values for the (z,z), (x,z) and (z,x)
     operator pairs, with one statistical sigma per entry (zero for exact
-    Born-rule values). Estimated from a stacked table, every field is an
-    array with one entry per state."""
+    Born-rule values). The fields are floats for one state, or arrays with
+    one entry per state for a stack (as estimated from a stacked table);
+    the readout functions take either."""
 
-    m_zz: float
-    m_xz: float
-    m_zx: float
-    sigma_zz: float = 0.0
-    sigma_xz: float = 0.0
-    sigma_zx: float = 0.0
+    m_zz: float | np.ndarray
+    m_xz: float | np.ndarray
+    m_zx: float | np.ndarray
+    sigma_zz: float | np.ndarray = 0.0
+    sigma_xz: float | np.ndarray = 0.0
+    sigma_zx: float | np.ndarray = 0.0
 
 
 @dataclass
@@ -329,13 +330,16 @@ def rotation_from_observables(m_zz: float, m_xz: float,
                               sigma_xz: float = 0.0) -> tuple[float, float]:
     """Effective rotation angle of an evolved Bell state from its own
     joint observables: theta = atan2(-m_xz, -m_zz) / 2, in (-pi/2, pi/2],
-    with the propagated standard error."""
-    theta = 0.5 * math.atan2(-m_xz, -m_zz)
+    with the propagated standard error (infinite where m_zz = m_xz = 0).
+    Elementwise: two floats for float inputs, two arrays for arrays."""
+    m_zz, m_xz = np.asarray(m_zz, dtype=float), np.asarray(m_xz, dtype=float)
+    theta = 0.5 * np.arctan2(-m_xz, -m_zz)
     r2 = m_zz * m_zz + m_xz * m_xz
-    if r2 == 0.0:
-        return theta, math.inf
-    var = (0.5 * m_xz / r2) ** 2 * sigma_zz ** 2 + (0.5 * m_zz / r2) ** 2 * sigma_xz ** 2
-    return theta, math.sqrt(var)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = (np.square(0.5 * m_xz / r2) * np.square(sigma_zz)
+               + np.square(0.5 * m_zz / r2) * np.square(sigma_xz))
+    sigma = np.where(r2 == 0.0, np.inf, np.sqrt(var))
+    return (float(theta), float(sigma)) if sigma.ndim == 0 else (theta, sigma)
 
 
 def extract_thetas(obs_plus: JointObservables, obs_minus: JointObservables,
@@ -352,20 +356,30 @@ def extract_thetas(obs_plus: JointObservables, obs_minus: JointObservables,
     result wraps by pi/2 (use scan_theta_a first when the prior is wider).
     For noisy inputs the products drift off the unit circle; the real part
     of the logarithm only shifts the discarded imaginary component of the
-    angle, so the returned values stay real estimates.
+    angle, so the returned values stay real estimates. Elementwise (floats
+    or arrays); a factor below modulus_floor raises, naming its index.
     """
-    z_plus = complex(-obs_plus.m_zz, -obs_plus.m_xz)
-    thetas = []
-    for eps in (1.0, -1.0):
-        z_minus = complex(-obs_minus.m_zz, -eps * obs_minus.m_xz)
-        for name, z in (("plus", z_plus), ("minus", z_minus)):
-            if abs(z) < modulus_floor:
-                raise ValueError(
-                    f"extraction ill-conditioned: |{name}-branch factor| = "
-                    f"{abs(z):g} < {modulus_floor:g}")
-        theta = -0.25j * np.log(z_plus * z_minus)
-        thetas.append(float(theta.real))
-    return thetas[0], thetas[1]
+    if not 0.0 <= modulus_floor < math.inf:
+        raise ValueError(f"modulus_floor must be finite and nonnegative, "
+                         f"got {modulus_floor}")
+    # real and imaginary parts of z+ and z-(+1); z-(-1) is the conjugate
+    re_p, im_p = -np.asarray(obs_plus.m_zz, float), -np.asarray(obs_plus.m_xz, float)
+    re_m, im_m = -np.asarray(obs_minus.m_zz, float), -np.asarray(obs_minus.m_xz, float)
+    for name, re, im in (("plus", re_p, im_p), ("minus", re_m, im_m)):
+        modulus = np.hypot(re, im)
+        if (modulus < modulus_floor).any():
+            idx = tuple(int(i) for i in np.argwhere(modulus < modulus_floor)[0])
+            where = f" at stack index {idx}" if idx else ""
+            raise ValueError(f"extraction ill-conditioned{where}: |{name}-branch "
+                             f"factor| = {modulus[idx]:g} < {modulus_floor:g}")
+    # z+ z-(eps) for eps = +1, -1, multiplied out as Python's complex product
+    # does it (numpy's may fuse multiply-adds and move the last bit)
+    im_eps = np.stack((im_m, -im_m))
+    product = np.empty(np.broadcast(re_p, im_eps).shape, dtype=complex)
+    product.real = re_p * re_m - im_p * im_eps
+    product.imag = re_p * im_eps + im_p * re_m
+    theta_a, theta_b = (-0.25j * np.log(product)).real
+    return (float(theta_a), float(theta_b)) if theta_a.ndim == 0 else (theta_a, theta_b)
 
 
 def _golden_section_min(func, lo: float, hi: float, tol: float,
@@ -393,9 +407,10 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
                  noise_floor: float = 1e-3) -> float:
     """Locate an unknown rotation in one arm by sweeping the other arm.
 
-    `probe` maps an array of trial angles theta_b to the cancellation-branch
-    JointObservables, one per angle; the grid is probed in one call, the
-    golden-section and slope probes one angle at a time. The m_zz response
+    `probe` maps an array of trial angles theta_b to one cancellation-branch
+    JointObservables whose fields are arrays with one entry per angle; the
+    grid is probed in one call, the golden-section and slope probes as
+    length-1 arrays, one angle at a time. The m_zz response
     is -cos(2(theta_a - theta_b)): its magnitude peaks every pi/2, and
     requiring m_zz < 0 at the peak keeps only the lattice
     theta_b = theta_a (mod pi), which the local slope of m_xz confirms
@@ -406,15 +421,19 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
     golden-section search; the result is wrapped into (-pi, pi].
     """
     lo, hi = search_range
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"search_range must be finite, got ({lo}, {hi})")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    if not math.isfinite(noise_floor):
+        raise ValueError(f"noise_floor must be finite, got {noise_floor}")
     if hi <= lo:
         raise ValueError(f"empty search range ({lo}, {hi})")
     n_pts = int(math.floor((hi - lo) / resolution)) + 1
     grid = lo + resolution * np.arange(n_pts)
     if grid[-1] < hi - 1e-12:
         grid = np.append(grid, hi)
-    m_zz = np.array([obs.m_zz for obs in probe(grid)])
+    m_zz = probe(grid).m_zz
     mag = np.abs(m_zz)
     if mag.max() - mag.min() < noise_floor:
         raise ValueError(f"flat scan response: |m_zz| spread "
@@ -429,15 +448,13 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
     a = max(lo, grid[best] - resolution)
     b = min(hi, grid[best] + resolution)
 
-    def probe_at(t):
-        return probe(np.array([t]))[0]
-
-    theta = _golden_section_min(lambda t: probe_at(t).m_zz, a, b,
+    theta = _golden_section_min(lambda t: probe(np.array([t])).m_zz[0], a, b,
                                 tol=max(resolution * 1e-6, 1e-12))
     # slope of m_xz at a kept optimum is positive; a negative slope means
     # the response contradicts the m_zz < 0 branch selection
     delta = max(min(resolution, 0.05), 1e-6)
-    slope = probe_at(theta + delta).m_xz - probe_at(theta - delta).m_xz
+    slope = (probe(np.array([theta + delta])).m_xz[0]
+             - probe(np.array([theta - delta])).m_xz[0])
     if slope < 0.0:
         raise ValueError("scan optimum is inconsistent: m_zz < 0 but the local "
                          "m_xz slope is negative")

@@ -4,8 +4,9 @@ Both sweep runners and the CLI scan share one pipeline, observables_at,
 which runs a whole array of arm-B angles at once: build the source state,
 fold analyzer offsets into the local rotations, simulate (or emit exact
 expectations for) the named-basis coincidence settings and estimate the
-joint observables, one result per angle. The sweeps then convert them
-back to rotation angles with the offsets removed.
+joint observables, one JointObservables whose fields hold one entry per
+angle. The sweeps then convert those arrays back to rotation angles with
+the offsets removed, a column at a time.
 """
 
 from __future__ import annotations
@@ -103,10 +104,6 @@ def zero_crossing(x, y, sigma) -> tuple[float, float]:
     return float(x0), math.sqrt(max(var, 0.0))
 
 
-def _point_seed(seed: int, *key) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
-
-
 def configured_state(cfg: ExperimentConfig, kind: str | None = None,
                      theta_a: float | None = None, theta_b: float | None = None):
     """The two-photon state after the configured source, noise and both
@@ -141,17 +138,17 @@ def configured_table(cfg: ExperimentConfig, rho, settings, exact: bool, seed):
 
 def observables_at(cfg: ExperimentConfig, kind: str | None,
                    theta_a: float | None, theta_b, exact: bool,
-                   seed_keys) -> list[JointObservables]:
+                   seed_keys) -> JointObservables:
     """Joint observables of the configured state (overrides as in
     configured_state) measured in the named (Z,Z), (X,Z), (Z,X) settings,
-    one per angle in the array theta_b. The sampled table of angle i draws
-    from the stream (cfg.seed, *seed_keys[i])."""
+    as arrays with one entry per angle in the array theta_b. The sampled
+    table of angle i draws from the stream (cfg.seed, *seed_keys[i])."""
     theta_b = np.asarray(theta_b, dtype=float).reshape(-1)
     rho = configured_state(cfg, kind, theta_a, theta_b)
-    seeds = None if exact else [_point_seed(cfg.seed, *key) for key in seed_keys]
-    obs = estimate_observables(configured_table(cfg, rho, NAMED_SETTINGS, exact, seeds))
-    columns = (obs.m_zz, obs.m_xz, obs.m_zx, obs.sigma_zz, obs.sigma_xz, obs.sigma_zx)
-    return [JointObservables(*values) for values in np.array(columns).T.tolist()]
+    seeds = None if exact else [
+        int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=key).generate_state(1)[0])
+        for key in seed_keys]
+    return estimate_observables(configured_table(cfg, rho, NAMED_SETTINGS, exact, seeds))
 
 
 def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
@@ -180,20 +177,17 @@ def run_molarity_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResul
     if molarities[0] < 0:
         raise ValueError(f"negative molarity {molarities[0]}")
     theta_b = np.radians(cfg.arm_b.solution.slope_deg_per_molar * np.array(molarities))
-    points = observables_at(cfg, cfg.state_kind, cfg.arm_a.theta(), theta_b, exact,
-                            [(i,) for i in range(len(molarities))])
-    rows = []
-    for molarity, obs in zip(molarities, points):
-        theta_exp, sig = rotation_from_observables(obs.m_zz, obs.m_xz,
-                                                   obs.sigma_zz, obs.sigma_xz)
-        theta = offset_correct(theta_exp, which, cfg.pbs_a, cfg.pbs_b, cfg.hwp)
-        rows.append((molarity, math.degrees(theta), math.degrees(sig),
-                     obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz))
+    obs = observables_at(cfg, cfg.state_kind, cfg.arm_a.theta(), theta_b, exact,
+                         [(i,) for i in range(len(molarities))])
+    theta_exp, sig = rotation_from_observables(obs.m_zz, obs.m_xz,
+                                               obs.sigma_zz, obs.sigma_xz)
+    theta = offset_correct(theta_exp, which, cfg.pbs_a, cfg.pbs_b, cfg.hwp)
     return SweepResult(
         variable="molarity_b",
         columns=("molarity", "theta_deg", "sigma_deg",
                  "m_zz", "m_xz", "sigma_zz", "sigma_xz"),
-        rows=np.array(rows),
+        rows=np.column_stack((molarities, np.degrees(theta), np.degrees(sig),
+                              obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)),
         provenance=_provenance(cfg, exact),
     )
 
@@ -209,30 +203,22 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
     theta_a = cfg.arm_a.theta()
     values = sorted(cfg.sweep_values)
     theta_b = np.radians(values)
-    obs_plus, obs_minus = (
+    obs_p, obs_m = (
         observables_at(cfg, kind, theta_a, theta_b, exact,
                        [(i, branch) for i in range(len(values))])
         for branch, kind in enumerate(("psi_plus", "psi_minus")))
-    rows = []
-    for theta_b_deg, obs_p, obs_m in zip(values, obs_plus, obs_minus):
-        th_p_exp, sig_p = rotation_from_observables(obs_p.m_zz, obs_p.m_xz,
-                                                    obs_p.sigma_zz, obs_p.sigma_xz)
-        th_m_exp, sig_m = rotation_from_observables(obs_m.m_zz, obs_m.m_xz,
-                                                    obs_m.sigma_zz, obs_m.sigma_xz)
-        th_p = offset_correct(th_p_exp, "plus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
-        th_m = offset_correct(th_m_exp, "minus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
-        th_a_hat, th_b_hat = extract_thetas(obs_p, obs_m)
-        # the wave plate rotates arm A in the minus branch only, so the
-        # extracted angles carry pbs_a + hwp/2 (arm A) and pbs_b - hwp/2 (arm B);
-        # wrapping after the subtraction keeps the readouts in the +-45 deg window
-        th_a_hat = math.remainder(th_a_hat - (cfg.pbs_a + cfg.hwp / 2.0), math.pi / 2)
-        th_b_hat = math.remainder(th_b_hat - (cfg.pbs_b - cfg.hwp / 2.0), math.pi / 2)
-        rows.append((theta_b_deg,
-                     obs_p.m_zz, obs_p.m_xz, obs_m.m_zz, obs_m.m_xz,
-                     obs_p.sigma_zz, obs_p.sigma_xz, obs_m.sigma_zz, obs_m.sigma_xz,
-                     math.degrees(th_p), math.degrees(sig_p),
-                     math.degrees(th_m), math.degrees(sig_m),
-                     math.degrees(th_a_hat), math.degrees(th_b_hat)))
+    (th_p, sig_p), (th_m, sig_m) = (
+        rotation_from_observables(obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
+        for obs in (obs_p, obs_m))
+    th_p = offset_correct(th_p, "plus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
+    th_m = offset_correct(th_m, "minus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
+    # the wave plate rotates arm A in the minus branch only, so the
+    # extracted angles carry pbs_a + hwp/2 (arm A) and pbs_b - hwp/2 (arm B);
+    # wrapping after the subtraction keeps the readouts in the +-45 deg
+    # window (x - q round(x / q) is math.remainder(x, q) elementwise)
+    hats = np.array(extract_thetas(obs_p, obs_m)) - [[cfg.pbs_a + cfg.hwp / 2.0],
+                                                     [cfg.pbs_b - cfg.hwp / 2.0]]
+    hats -= math.pi / 2 * np.round(hats / (math.pi / 2))
     return SweepResult(
         variable="theta_b",
         columns=("theta_b_deg",
@@ -241,7 +227,10 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
                  "theta_plus_deg", "sigma_plus_deg",
                  "theta_minus_deg", "sigma_minus_deg",
                  "theta_a_hat_deg", "theta_b_hat_deg"),
-        rows=np.array(rows),
+        rows=np.column_stack((
+            values, obs_p.m_zz, obs_p.m_xz, obs_m.m_zz, obs_m.m_xz,
+            obs_p.sigma_zz, obs_p.sigma_xz, obs_m.sigma_zz, obs_m.sigma_xz,
+            *np.degrees((th_p, sig_p, th_m, sig_m, *hats)))),
         provenance=_provenance(cfg, exact),
     )
 

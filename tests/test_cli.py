@@ -90,6 +90,9 @@ pairs = lin:0/lin:22.5, lin:0/lin:67.5, lin:45/lin:22.5, lin:45/lin:67.5
 """
 
 
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -334,6 +337,67 @@ def test_fisher_negative_trials_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--trials must be >= 0, got -5" in captured.err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--trials", "10", "--theta-deg", "nan"], "--theta-deg must be finite, got nan"),
+    (["--theta-deg", "inf"], "--theta-deg must be finite, got inf"),
+    (["--counts-per-trial", "-1"], "--counts-per-trial must be >= 1, got -1"),
+    (["--trials", "10", "--counts-per-trial", "0"],
+     "--counts-per-trial must be >= 1, got 0")],
+    ids=["theta-nan", "theta-inf", "counts-negative", "counts-zero"])
+def test_fisher_bad_flag_exits_2(capsys, flags, message):
+    # a NaN angle reached numpy's binomial, whose message names no flag, and
+    # a negative photon count passed unchecked without --trials
+    assert main(["fisher", "--n-values", "1,2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_tomo_max_iter_must_be_nonnegative(capsys):
+    counts = str(GOLDEN_INPUTS / "tomo.csv")
+    # a negative cap printed "iterations -1"
+    assert main(["tomo", "--counts", counts, "--max-iter", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-iter must be >= 0, got -1" in captured.err
+    # no step at all reports the starting state, not converged
+    assert main(["tomo", "--counts", counts, "--max-iter", "0"]) == 3
+    assert "iterations 0," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, name, bad", [
+    (["--range-deg", "0", "inf"], "search_range", "inf"),
+    (["--range-deg", "nan", "10"], "search_range", "nan"),
+    (["--resolution-deg", "nan"], "resolution", "nan"),
+    (["--resolution-deg", "inf"], "resolution", "inf"),
+    (["--noise-floor", "nan"], "noise_floor", "nan"),
+    (["--noise-floor", "inf"], "noise_floor", "inf")],
+    ids=["range-inf", "range-nan", "resolution-nan", "resolution-inf",
+         "noise-floor-nan", "noise-floor-inf"])
+def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
+    # an infinite range overflowed the grid size (a traceback), a NaN
+    # resolution failed the integer conversion, a NaN noise floor switched
+    # the flat-response guard off
+    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
+                 *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be" in captured.err and bad in captured.err
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+def test_extract_bad_modulus_floor_exits_2(tmp_path, capsys, floor):
+    # on all-zero observables a NaN or negative floor printed "nan, nan"
+    obs = tmp_path / "obs.csv"
+    obs.write_text("observable,value,sigma\nm_zz,0,0\nm_xz,0,0\nm_zx,0,0\n")
+    assert main(["extract", "--plus", str(obs), "--minus", str(obs),
+                 "--modulus-floor", floor]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "modulus_floor must be finite and nonnegative" in captured.err
+    assert floor in captured.err
 
 
 @pytest.mark.parametrize("missing", ["start", "stop", "count"])

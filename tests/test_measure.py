@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -468,12 +469,91 @@ def test_extract_thetas_ill_conditioned():
         measure.extract_thetas(obs, obs)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_readout_stack_equals_scalar_calls():
+    # random observables plus the corner cases of the readout: m_zz =
+    # m_xz = 0 (infinite sigma) and signed zeros, whose sign picks the
+    # branch of atan2 and of the logarithm
+    rng = np.random.default_rng(7)
+    m = rng.uniform(-1.0, 1.0, (4, 40))
+    sigmas = rng.uniform(0.0, 0.1, (2, 40))
+    m[:2, :4] = [[0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]]
+    m[1, 4:8] = m[3, 4:8] = [0.0, -0.0, 0.0, -0.0]
+    m[0, 4:8] = m[2, 4:8] = [-0.5, -0.5, 0.5, 0.5]
+    theta, sigma = measure.rotation_from_observables(m[0], m[1], *sigmas)
+    assert np.isinf(sigma[:4]).all() and np.isfinite(sigma[4:]).all()
+    scalar = [measure.rotation_from_observables(*args)
+              for args in zip(*m[:2].tolist(), *sigmas.tolist())]
+    assert all(type(v) is float for pair in scalar for v in pair)
+    assert _bits(theta) == _bits([t for t, _ in scalar])
+    assert _bits(sigma) == _bits([s for _, s in scalar])
+    # the scalar formulas in Python floats, to a few float64 epsilons:
+    # math.atan2 and pow(x, 2) may differ from numpy's in the last bit
+    for (m_zz, m_xz, s_zz, s_xz), (t, s) in zip(zip(*m[:2].tolist(), *sigmas.tolist()),
+                                                scalar):
+        assert abs(t - 0.5 * math.atan2(-m_xz, -m_zz)) <= 1e-15 * abs(t)
+        r2 = m_zz ** 2 + m_xz ** 2
+        if r2 > 0.0:
+            ref = math.sqrt((0.5 * m_xz / r2) ** 2 * s_zz ** 2
+                            + (0.5 * m_zz / r2) ** 2 * s_xz ** 2)
+            assert abs(s - ref) <= 1e-15 * ref
+
+    plus = measure.JointObservables(m[0, 4:], m[1, 4:], 0.0)
+    minus = measure.JointObservables(m[2, 4:], m[3, 4:], 0.0)
+    theta_a, theta_b = measure.extract_thetas(plus, minus)
+    scalar = []
+    for args in zip(*m[:, 4:].tolist()):
+        one = measure.extract_thetas(measure.JointObservables(*args[:2], 0.0),
+                                     measure.JointObservables(*args[2:], 0.0))
+        scalar.append(one)
+        # the arithmetic of a Python complex product and numpy's logarithm
+        z_plus = complex(-args[0], -args[1])
+        products = (z_plus * complex(-args[2], -eps * args[3]) for eps in (1.0, -1.0))
+        assert one == tuple(float((-0.25j * np.log(z)).real) for z in products)
+    assert _bits(theta_a) == _bits([a for a, _ in scalar])
+    assert _bits(theta_b) == _bits([b for _, b in scalar])
+    # the m_zz = m_xz = 0 members make the whole stack ill-conditioned,
+    # and the error names the first of them
+    with pytest.raises(ValueError, match=r"ill-conditioned at stack index \(0,\)"):
+        measure.extract_thetas(measure.JointObservables(m[0], m[1], 0.0),
+                               measure.JointObservables(m[2], m[3], 0.0))
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_extract_thetas_names_the_ill_conditioned_member(branch):
+    m_zz = np.full((2, 3), -1.0)
+    m_zz[1, 2] = 0.0
+    good = measure.JointObservables(np.full((2, 3), -1.0), np.zeros((2, 3)), 0.0)
+    bad = measure.JointObservables(m_zz, np.zeros((2, 3)), 0.0)
+    obs = (bad, good) if branch == "plus" else (good, bad)
+    with pytest.raises(ValueError, match=rf"ill-conditioned at stack index \(1, 2\): "
+                                         rf"\|{branch}-branch factor\| = 0 < 1e-06"):
+        measure.extract_thetas(*obs)
+
+
+@pytest.mark.parametrize("floor", [math.nan, math.inf, -1e-6])
+def test_extract_thetas_rejects_bad_modulus_floor(floor):
+    obs = measure.JointObservables(-1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=f"modulus_floor must be finite and "
+                                         f"nonnegative, got {floor}"):
+        measure.extract_thetas(obs, obs, modulus_floor=floor)
+
+
 # --------------------------------------------------------------------- scan
+
+def stacked(observables):
+    """One JointObservables of arrays from a list of single-state ones."""
+    columns = zip(*(dataclasses.astuple(obs) for obs in observables))
+    return measure.JointObservables(*(np.array(column) for column in columns))
+
 
 def exact_probe(ta):
     def probe(tbs):
-        return [measure.exact_observables(evolved_bell("psi_minus", ta, tb))
-                for tb in tbs]
+        return stacked([measure.exact_observables(evolved_bell("psi_minus", ta, tb))
+                        for tb in tbs])
     return probe
 
 
@@ -520,7 +600,7 @@ def test_scan_noisy_repeatability():
                 table = measure.simulate_counts(rho, [(z, z), (x, z), (z, x)],
                                                 measure.Detection(1e5, 1.0), seed=seed)
                 observables.append(measure.estimate_observables(table))
-            return observables
+            return stacked(observables)
 
         theta = measure.scan_theta_a(probe, (-math.pi / 4, math.pi / 2),
                                      math.radians(5.0))
@@ -529,7 +609,8 @@ def test_scan_noisy_repeatability():
 
 def test_scan_flat_response_rejected():
     def probe(tbs):
-        return [measure.exact_observables(states.maximally_mixed()) for _ in tbs]
+        return stacked([measure.exact_observables(states.maximally_mixed())
+                        for _ in tbs])
     with pytest.raises(ValueError, match="flat scan response"):
         measure.scan_theta_a(probe, (-1.0, 1.0), 0.1)
 
@@ -539,6 +620,18 @@ def test_scan_validation():
         measure.scan_theta_a(exact_probe(0.0), (-1.0, 1.0), 0.0)
     with pytest.raises(ValueError, match="empty search range"):
         measure.scan_theta_a(exact_probe(0.0), (1.0, -1.0), 0.1)
+
+
+@pytest.mark.parametrize("search_range, resolution, noise_floor, name", [
+    ((0.0, math.inf), 0.1, 1e-3, "search_range"),
+    ((math.nan, 1.0), 0.1, 1e-3, "search_range"),
+    ((-1.0, 1.0), math.nan, 1e-3, "resolution"),
+    ((-1.0, 1.0), math.inf, 1e-3, "resolution"),
+    ((-1.0, 1.0), 0.1, math.nan, "noise_floor"),
+    ((-1.0, 1.0), 0.1, -math.inf, "noise_floor")])
+def test_scan_rejects_non_finite_numbers(search_range, resolution, noise_floor, name):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        measure.scan_theta_a(exact_probe(0.0), search_range, resolution, noise_floor)
 
 
 # --------------------------------------------------------------------- CHSH
