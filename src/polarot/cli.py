@@ -9,6 +9,7 @@ sets the directory against which relative output paths are resolved.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -109,11 +110,11 @@ def _cmd_extract(args) -> int:
 def _cmd_scan(args) -> int:
     cfg = _load_config_with_override(args)
     lo, hi = (math.radians(v) for v in args.range_deg)
-    probe_number = itertools.count(1)  # sampled probe k draws stream (seed, k)
+    probe_number = itertools.count(1)  # sampled probe call k draws stream (seed, k)
 
     def probe(theta_b: np.ndarray):
         return observables_at(cfg, "psi_minus", None, theta_b, args.exact,
-                              [(next(probe_number),) for _ in theta_b])
+                              (next(probe_number),))
 
     theta_b = scan_theta_a(probe, (lo, hi), math.radians(args.resolution_deg),
                            noise_floor=args.noise_floor)
@@ -338,6 +339,7 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 2
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polarot",
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="wide-range search for the arm-A rotation")
     add_run(p)
-    p.add_argument("--range-deg", nargs=2, type=float, default=[-90.0, 90.0],
+    p.add_argument("--range-deg", nargs=2, type=float, default=(-90.0, 90.0),
                    metavar=("LO", "HI"), help="search window in degrees")
     p.add_argument("--resolution-deg", type=float, default=5.0)
     p.add_argument("--noise-floor", type=float, default=1e-3)
@@ -419,9 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

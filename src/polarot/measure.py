@@ -255,35 +255,33 @@ def _effective_probabilities(rho, settings, accidental_fraction):
 
 
 def simulate_counts(rho: np.ndarray, settings, detection: Detection,
-                    seed: int = 0) -> CoincidenceTable:
+                    seed: int | np.random.SeedSequence = 0) -> CoincidenceTable:
     """Draw a coincidence table for the given joint settings.
 
     Per setting, the detected-pair total is Poisson with mean
     detection.mean_pairs(), split multinomially by the Born outcome
     probabilities; accidental coincidences replace the stated fraction of
-    the mean and are uniform over the four outcomes. Each setting
-    consumes an independent random stream derived from (seed, setting
-    index), so tables are reproducible and independent of evaluation
-    order. For an (N, 4, 4) stack of states, seed is a sequence of N seeds
-    and the table is stacked.
+    the mean and are uniform over the four outcomes. For an (N, 4, 4)
+    stack of states the table is stacked.
+
+    The whole table draws from one random stream, seeded by `seed` (an int
+    or a SeedSequence): the true-pair Poisson totals of every (state,
+    setting) cell in one call, then the accidental totals, then the
+    multinomial splits of each, cells in C order. The table is
+    reproducible from its seed, but what one cell draws depends on the
+    number and order of all the states and settings in the table.
     """
     lam = detection.mean_pairs()
     probs = _effective_probabilities(rho, settings, 0.0)
-    seeds = [seed] if probs.ndim == 2 else list(seed)
-    per_state = probs.reshape(-1, len(settings), 4)
-    if len(seeds) != len(per_state):
-        raise ValueError(f"need one seed per state, got {len(seeds)} for "
-                         f"{len(per_state)} states")
-    counts = np.zeros(per_state.shape)
-    for n, (state_seed, state_probs) in enumerate(zip(seeds, per_state)):
-        for k, p in enumerate(state_probs):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=state_seed,
-                                                               spawn_key=(k,)))
-            n_true = rng.poisson(lam * (1.0 - detection.accidental_fraction))
-            n_acc = rng.poisson(lam * detection.accidental_fraction)
-            counts[n, k] = rng.multinomial(n_true, p) + rng.multinomial(n_acc, [0.25] * 4)
-    return CoincidenceTable([tuple(s) for s in settings], counts.reshape(probs.shape),
-                            dict(asdict(detection), rng_seed=seed, exact=0))
+    rng = np.random.default_rng(seed)
+    n_true = rng.poisson(lam * (1.0 - detection.accidental_fraction), probs.shape[:-1])
+    n_acc = rng.poisson(lam * detection.accidental_fraction, probs.shape[:-1])
+    counts = rng.multinomial(n_true, probs) + rng.multinomial(n_acc, [0.25] * 4)
+    # a SeedSequence is recorded on one line, as its entropy and spawn key
+    rng_seed = (" ".join(map(str, (seed.entropy, *seed.spawn_key)))
+                if isinstance(seed, np.random.SeedSequence) else seed)
+    return CoincidenceTable([tuple(s) for s in settings], counts,
+                            dict(asdict(detection), rng_seed=rng_seed, exact=0))
 
 
 def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceTable:
@@ -357,7 +355,8 @@ def extract_thetas(obs_plus: JointObservables, obs_minus: JointObservables,
     For noisy inputs the products drift off the unit circle; the real part
     of the logarithm only shifts the discarded imaginary component of the
     angle, so the returned values stay real estimates. Elementwise (floats
-    or arrays); a factor below modulus_floor raises, naming its index.
+    or arrays); a factor below modulus_floor, or zero, raises, naming its
+    index.
     """
     if not 0.0 <= modulus_floor < math.inf:
         raise ValueError(f"modulus_floor must be finite and nonnegative, "
@@ -367,11 +366,13 @@ def extract_thetas(obs_plus: JointObservables, obs_minus: JointObservables,
     re_m, im_m = -np.asarray(obs_minus.m_zz, float), -np.asarray(obs_minus.m_xz, float)
     for name, re, im in (("plus", re_p, im_p), ("minus", re_m, im_m)):
         modulus = np.hypot(re, im)
-        if (modulus < modulus_floor).any():
-            idx = tuple(int(i) for i in np.argwhere(modulus < modulus_floor)[0])
+        bad = (modulus < modulus_floor) | (modulus == 0.0)  # a zero has no phase
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
             where = f" at stack index {idx}" if idx else ""
+            limit = f"< {modulus_floor:g}" if modulus_floor > 0.0 else "has no phase"
             raise ValueError(f"extraction ill-conditioned{where}: |{name}-branch "
-                             f"factor| = {modulus[idx]:g} < {modulus_floor:g}")
+                             f"factor| = {modulus[idx]:g} {limit}")
     # z+ z-(eps) for eps = +1, -1, multiplied out as Python's complex product
     # does it (numpy's may fuse multiply-adds and move the last bit)
     im_eps = np.stack((im_m, -im_m))

@@ -128,9 +128,9 @@ def configured_state(cfg: ExperimentConfig, kind: str | None = None,
 
 def configured_table(cfg: ExperimentConfig, rho, settings, exact: bool, seed):
     """Coincidence table of `settings` on `rho` under the configured
-    detection model: exact expectations, or counts sampled from `seed`. A
-    stack of states gives a stacked table, sampled from one seed per
-    state."""
+    detection model: exact expectations, or counts sampled from `seed` (an
+    int or a SeedSequence). A stack of states gives a stacked table, all
+    of it sampled from the one stream of `seed`."""
     if exact:
         return exact_table(rho, settings, cfg.detection)
     return simulate_counts(rho, settings, cfg.detection, seed=seed)
@@ -138,17 +138,17 @@ def configured_table(cfg: ExperimentConfig, rho, settings, exact: bool, seed):
 
 def observables_at(cfg: ExperimentConfig, kind: str | None,
                    theta_a: float | None, theta_b, exact: bool,
-                   seed_keys) -> JointObservables:
+                   key: tuple) -> JointObservables:
     """Joint observables of the configured state (overrides as in
     configured_state) measured in the named (Z,Z), (X,Z), (Z,X) settings,
     as arrays with one entry per angle in the array theta_b. The sampled
-    table of angle i draws from the stream (cfg.seed, *seed_keys[i])."""
+    table of all the angles draws from the one stream
+    SeedSequence(cfg.seed, spawn_key=key), so an angle's counts depend on
+    the number and order of the angles in theta_b."""
     theta_b = np.asarray(theta_b, dtype=float).reshape(-1)
     rho = configured_state(cfg, kind, theta_a, theta_b)
-    seeds = None if exact else [
-        int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=key).generate_state(1)[0])
-        for key in seed_keys]
-    return estimate_observables(configured_table(cfg, rho, NAMED_SETTINGS, exact, seeds))
+    seed = None if exact else np.random.SeedSequence(cfg.seed, spawn_key=key)
+    return estimate_observables(configured_table(cfg, rho, NAMED_SETTINGS, exact, seed))
 
 
 def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
@@ -177,8 +177,7 @@ def run_molarity_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResul
     if molarities[0] < 0:
         raise ValueError(f"negative molarity {molarities[0]}")
     theta_b = np.radians(cfg.arm_b.solution.slope_deg_per_molar * np.array(molarities))
-    obs = observables_at(cfg, cfg.state_kind, cfg.arm_a.theta(), theta_b, exact,
-                         [(i,) for i in range(len(molarities))])
+    obs = observables_at(cfg, cfg.state_kind, cfg.arm_a.theta(), theta_b, exact, (0,))
     theta_exp, sig = rotation_from_observables(obs.m_zz, obs.m_xz,
                                                obs.sigma_zz, obs.sigma_xz)
     theta = offset_correct(theta_exp, which, cfg.pbs_a, cfg.pbs_b, cfg.hwp)
@@ -203,10 +202,9 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
     theta_a = cfg.arm_a.theta()
     values = sorted(cfg.sweep_values)
     theta_b = np.radians(values)
-    obs_p, obs_m = (
-        observables_at(cfg, kind, theta_a, theta_b, exact,
-                       [(i, branch) for i in range(len(values))])
-        for branch, kind in enumerate(("psi_plus", "psi_minus")))
+    # each branch samples its own stream, (cfg.seed, branch)
+    obs_p, obs_m = (observables_at(cfg, kind, theta_a, theta_b, exact, (branch,))
+                    for branch, kind in enumerate(("psi_plus", "psi_minus")))
     (th_p, sig_p), (th_m, sig_m) = (
         rotation_from_observables(obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
         for obs in (obs_p, obs_m))
@@ -240,8 +238,7 @@ def write_sweep(result: SweepResult, path) -> None:
     Angle columns (named *_deg) carry six decimal places."""
     metadata = [(key, result.provenance[key]) for key in sorted(result.provenance)]
     metadata.append(("variable", result.variable))
-    formats = ["{:.6f}" if name.endswith("_deg") else "{:.10g}"
-               for name in result.columns]
+    row_format = ",".join("{:.6f}" if name.endswith("_deg") else "{:.10g}"
+                          for name in result.columns)
     write_csv(path, metadata, ",".join(result.columns),
-              ([fmt.format(value) for fmt, value in zip(formats, row)]
-               for row in result.rows))
+              ([row_format.format(*row)] for row in result.rows.tolist()))

@@ -400,6 +400,50 @@ def test_extract_bad_modulus_floor_exits_2(tmp_path, capsys, floor):
     assert floor in captured.err
 
 
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_extract_zero_factor_at_floor_zero_exits_2(tmp_path, capsys, recwarn, branch):
+    # at floor 0 all-zero observables printed "nan, nan" with two
+    # RuntimeWarnings and exited 0
+    zero, good = tmp_path / "zero.csv", tmp_path / "good.csv"
+    zero.write_text("observable,value,sigma\nm_zz,0,0\nm_xz,0,0\nm_zx,0,0\n")
+    good.write_text("observable,value,sigma\nm_zz,-1,0\nm_xz,0,0\nm_zx,0,0\n")
+    plus, minus = (zero, good) if branch == "plus" else (good, zero)
+    assert main(["extract", "--plus", str(plus), "--minus", str(minus),
+                 "--modulus-floor", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"|{branch}-branch factor| = 0 has no phase" in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_repeated_main_calls_share_one_parser_and_leak_nothing(capsys):
+    # main() builds its parser once per process; each call must still see
+    # only its own flags and the defaults, whatever ran before it
+    from polarot import cli
+    scan = ["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact"]
+    fisher = ["fisher", "--n-values", "1,2"]
+    argvs = [scan + ["--range-deg", "30", "80", "--resolution-deg", "2"], scan,
+             fisher + ["--trials", "20", "--seed", "4", "--theta-deg", "12"], fisher,
+             scan + ["--seed", "3", "--noise-floor", "0.5"], scan,
+             ["extract", "--plus", "x"], scan]
+    shared = [(main(argv), capsys.readouterr()) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    assert shared == fresh
+    # the narrowed range and the trials really changed the printed results
+    assert shared[0][1].out != shared[1][1].out
+    assert shared[2][1].out.splitlines()[0] != shared[3][1].out.splitlines()[0]
+    assert shared[6][0] == 1
+    parser = cli.build_parser()
+    for argv in argvs[:-2]:
+        fresh_args = cli.build_parser.__wrapped__().parse_args(argv)
+        assert vars(parser.parse_args(argv)) == vars(fresh_args)
+    assert parser.parse_args(scan).range_deg == (-90.0, 90.0)
+
+
 @pytest.mark.parametrize("missing", ["start", "stop", "count"])
 def test_sweep_range_missing_key_exits_2(tmp_path, monkeypatch, capsys, missing):
     sweep = "".join(f"{key} = {value}\n" for key, value in

@@ -142,21 +142,56 @@ def test_born_kernel_validates_the_stack():
         measure.outcome_probabilities(rhos, measure.projector_tensor(FAMILY_SETTINGS))
 
 
-def test_stacked_tables_match_single_state_tables():
+STACK_DETECTION = measure.Detection(pair_flux=3e4, duration=1.5, transmission_a=0.8,
+                                    transmission_b=0.7, accidental_fraction=0.03)
+
+
+def test_sampled_table_is_one_stream_per_seed(tmp_path):
     rhos = random_states(6, seed=10)
     settings = FAMILY_SETTINGS[::5]
-    seeds = [101, 7, 2**32 - 1, 0, 55, 9]
-    detection = measure.Detection(pair_flux=3e4, duration=1.5, transmission_a=0.8,
-                                  transmission_b=0.7, accidental_fraction=0.03)
-    sampled = measure.simulate_counts(rhos, settings, detection, seed=seeds)
-    exact = measure.exact_table(rhos, settings, detection)
-    for rho, seed, counts, expected in zip(rhos, seeds, sampled.counts, exact.counts):
-        single = measure.simulate_counts(rho, settings, detection, seed=seed)
-        assert np.array_equal(single.counts, counts)
-        assert np.array_equal(measure.exact_table(rho, settings, detection).counts,
-                              expected)
-    with pytest.raises(ValueError, match="one seed per state"):
-        measure.simulate_counts(rhos, settings, detection, seed=seeds[:-1])
+
+    def draw(seed):
+        return measure.simulate_counts(rhos, settings, STACK_DETECTION, seed=seed)
+
+    # the same int seed, or the same (seed, key) stream, gives the same table
+    assert np.array_equal(draw(101).counts, draw(101).counts)
+    branch = [draw(np.random.SeedSequence(101, spawn_key=(k,))) for k in (0, 1, 0)]
+    assert np.array_equal(branch[0].counts, branch[2].counts)
+    # different branch keys, and a key against the bare seed, give different tables
+    assert (branch[0].counts != branch[1].counts).mean() > 0.9
+    assert (branch[0].counts != draw(101).counts).mean() > 0.9
+    # a keyed seed is recorded on one metadata line, as entropy then key
+    table = measure.simulate_counts(rhos[0], settings, STACK_DETECTION,
+                                    seed=np.random.SeedSequence(101, spawn_key=(1, 2)))
+    assert table.metadata == dict(dataclasses.asdict(STACK_DETECTION),
+                                  rng_seed="101 1 2", exact=0)
+    measure.write_table(table, tmp_path / "t.csv")
+    loaded = measure.read_table(tmp_path / "t.csv")
+    assert loaded.metadata["rng_seed"] == "101 1 2"
+    assert np.array_equal(loaded.counts, table.counts)
+
+
+def test_stacked_table_mean_counts_match_exact_table():
+    # Every cell of a sampled table is Poisson with the exact table's mean
+    # (a Poisson total split multinomially, plus Poisson accidentals), and
+    # the cells are independent. Over K tables the mean count of a cell has
+    # z = (mean - mu) / sqrt(mu / K) ~ N(0, 1) (mu >= 189 here, thanks to
+    # the accidentals). Bounds: every |z| within the two-sided
+    # Bonferroni quantile at a family-wise rate of 1e-4 over the M cells,
+    # and sum z^2 within 5 sd of its chi-square mean M.
+    from statistics import NormalDist
+    rhos = random_states(6, seed=10)
+    settings = FAMILY_SETTINGS[::5]
+    n_tables = 20
+    mean = np.mean([measure.simulate_counts(rhos, settings, STACK_DETECTION,
+                                            seed=seed).counts
+                    for seed in range(n_tables)], axis=0)
+    mu = measure.exact_table(rhos, settings, STACK_DETECTION).counts
+    assert mean.shape == mu.shape == (6, len(settings), 4)
+    z = (mean - mu) / np.sqrt(mu / n_tables)
+    cells = z.size
+    assert np.abs(z).max() < NormalDist().inv_cdf(1.0 - 1e-4 / (2 * cells))
+    assert abs((z * z).sum() - cells) < 5.0 * math.sqrt(2.0 * cells)
 
 
 # ------------------------------------------------------- joint expectations
@@ -532,6 +567,23 @@ def test_extract_thetas_names_the_ill_conditioned_member(branch):
     with pytest.raises(ValueError, match=rf"ill-conditioned at stack index \(1, 2\): "
                                          rf"\|{branch}-branch factor\| = 0 < 1e-06"):
         measure.extract_thetas(*obs)
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_extract_thetas_rejects_a_zero_factor_at_floor_zero(branch):
+    # a zero factor has no phase: at floor 0 it gave nan angles with warnings
+    m_zz = np.full(4, -1.0)
+    m_zz[2] = 0.0
+    good = measure.JointObservables(np.full(4, -1.0), np.zeros(4), 0.0)
+    bad = measure.JointObservables(m_zz, np.zeros(4), 0.0)
+    obs = (bad, good) if branch == "plus" else (good, bad)
+    with pytest.raises(ValueError, match=rf"ill-conditioned at stack index \(2,\): "
+                                         rf"\|{branch}-branch factor\| = 0 has no phase"):
+        measure.extract_thetas(*obs, modulus_floor=0.0)
+    # a tiny nonzero factor still has a phase and passes floor 0
+    tiny = measure.JointObservables(np.where(m_zz == 0.0, -1e-300, m_zz), np.zeros(4), 0.0)
+    theta_a, theta_b = measure.extract_thetas(tiny, good, modulus_floor=0.0)
+    assert np.isfinite(theta_a).all() and np.isfinite(theta_b).all()
 
 
 @pytest.mark.parametrize("floor", [math.nan, math.inf, -1e-6])

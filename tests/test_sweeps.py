@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +265,59 @@ def test_theta_sweep_sampled_tracks_truth():
         resid = result.rows[:, col_theta] - truth
         sigma = np.maximum(result.rows[:, col_sigma], 1e-4)
         assert (np.abs(resid) <= 5.0 * sigma).all()
+
+
+def test_sampled_sweeps_draw_one_stream_per_branch():
+    # a theta sweep samples branch k from the stream (seed, k), a molarity
+    # sweep from (seed, 0); all points of a branch share its stream
+    cfg = theta_config(offsets=SHIPPED_OFFSETS)
+    result = sweeps.run_theta_sweep(cfg)
+    theta_a, theta_b = cfg.arm_a.theta(), np.radians(sorted(cfg.sweep_values))
+    plus, minus, minus_on_plus_stream = (
+        sweeps.observables_at(cfg, kind, theta_a, theta_b, False, key)
+        for kind, key in (("psi_plus", (0,)), ("psi_minus", (1,)), ("psi_minus", (0,))))
+    expected = (plus.m_zz, plus.m_xz, minus.m_zz, minus.m_xz, plus.sigma_zz,
+                plus.sigma_xz, minus.sigma_zz, minus.sigma_xz)
+    assert np.array_equal(result.rows[:, 1:9], np.column_stack(expected))
+    # the minus branch has a stream of its own: on the plus branch's key
+    # it would draw other counts
+    assert (minus.sigma_zz != minus_on_plus_stream.sigma_zz).mean() > 0.9
+    cfg = molarity_config()
+    result = sweeps.run_molarity_sweep(cfg)
+    obs = sweeps.observables_at(cfg, "psi_minus", cfg.arm_a.theta(),
+                                np.radians(7.01 * result.rows[:, 0]), False, (0,))
+    assert np.array_equal(result.rows[:, 3:],
+                          np.column_stack((obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)))
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("accidental_fraction", [0.0, 0.1])
+def test_theta_sweep_sigma_pulls(accidental_fraction):
+    # Pulls (estimate - truth) / sigma of theta_plus_deg and theta_minus_deg
+    # over many seeds of the sampled sweep_theta golden input. With correct
+    # sigmas they are N(0, 1), independent across points, branches and
+    # seeds; over n pulls the mean has sd 1/sqrt(n) and the sample variance
+    # sd sqrt(2/(n - 1)). Both bounds are 4 of those sds.
+    cfg = config.load_config(GOLDEN_INPUTS / "sweep_theta.ini")
+    cfg = dataclasses.replace(cfg, detection=dataclasses.replace(
+        cfg.detection, accidental_fraction=accidental_fraction))
+    theta_a = math.degrees(cfg.arm_a.theta())
+    theta_b = np.array(sorted(cfg.sweep_values))
+    pulls = {"theta_plus_deg": [], "theta_minus_deg": []}
+    for seed in range(200):
+        result = sweeps.run_theta_sweep(dataclasses.replace(cfg, seed=seed))
+        for name, truth in (("theta_plus_deg", theta_a + theta_b),
+                            ("theta_minus_deg", theta_a - theta_b)):
+            col = result.columns.index(name)
+            err = (result.rows[:, col] - truth + 90.0) % 180.0 - 90.0
+            pulls[name].append(err / result.rows[:, col + 1])
+    for name, values in pulls.items():
+        values = np.concatenate(values)
+        n = values.size
+        assert abs(values.mean()) < 4.0 / math.sqrt(n), name
+        assert abs(values.var(ddof=1) - 1.0) < 4.0 * math.sqrt(2.0 / (n - 1)), name
 
 
 def test_sweep_rows_sorted_and_provenance():
