@@ -5,9 +5,8 @@ state tomography, CHSH tests and Fisher-information sensitivity."""
 
 __version__ = "0.1.0"
 
-from .channels import (SolutionSpec, apply_local, apply_noise, hwp_matrix,
-                       offset_correct, qwp_matrix, rotation_unitary,
-                       solution_rotation)
+from .channels import (SolutionSpec, apply_noise, hwp_matrix, offset_correct,
+                       qwp_matrix, rotation_unitary, solution_rotation)
 from .config import ExperimentConfig, config_hash, load_config, loads_config
 from .measure import (AnalyzerSetting, CoincidenceTable, Detection,
                       JointObservables, chsh_from_counts, chsh_s,

@@ -16,7 +16,7 @@ import numpy as np
 from .states import maximally_mixed, validate_state
 
 __all__ = [
-    "rotation_unitary", "local_rotations", "hwp_matrix", "qwp_matrix", "apply_local",
+    "rotation_unitary", "local_rotations", "hwp_matrix", "qwp_matrix",
     "SolutionSpec", "solution_rotation", "offset_correct", "wrap_angle",
     "apply_noise",
 ]
@@ -55,27 +55,6 @@ def qwp_matrix(angle: float) -> np.ndarray:
     """Jones matrix of a quarter-wave plate with fast axis at `angle` radians."""
     rot = rotation_unitary(angle)
     return rot @ np.diag([1.0, -1.0j]) @ rot.conj().T
-
-
-def _check_unitary(u: np.ndarray, tol: float, name: str) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"{name} must be a 2x2 matrix, got shape {u.shape}")
-    dev = np.abs(u.conj().T @ u - np.eye(2)).max()
-    if dev > tol:
-        raise ValueError(f"{name} is not unitary: max |U^dag U - I| = {dev:g}")
-    return u
-
-
-def apply_local(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
-                unitary_tol: float = 1e-8) -> np.ndarray:
-    """Evolve a two-photon state by independent single-photon unitaries,
-    (u_a (x) u_b) rho (u_a (x) u_b)^dag."""
-    rho = validate_state(rho)
-    u_a = _check_unitary(u_a, unitary_tol, "u_a")
-    u_b = _check_unitary(u_b, unitary_tol, "u_b")
-    u = np.kron(u_a, u_b)
-    return u @ rho @ u.conj().T
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -110,11 +109,9 @@ def _cmd_extract(args) -> int:
 def _cmd_scan(args) -> int:
     cfg = _load_config_with_override(args)
     lo, hi = (math.radians(v) for v in args.range_deg)
-    probe_number = itertools.count(1)  # sampled probe call k draws stream (seed, k)
 
-    def probe(theta_b: np.ndarray):
-        return observables_at(cfg, "psi_minus", None, theta_b, args.exact,
-                              (next(probe_number),))
+    def probe(theta_b: np.ndarray):  # called once; samples stream (seed, 1)
+        return observables_at(cfg, "psi_minus", None, theta_b, args.exact, (1,))
 
     theta_b = scan_theta_a(probe, (lo, hi), math.radians(args.resolution_deg),
                            noise_floor=args.noise_floor)
@@ -211,7 +208,7 @@ def _cmd_fisher(args) -> int:
 def _verify_checks():
     from .states import (PAULI_X, PAULI_Y, PAULI_Z, ID2, fidelity,
                          maximally_mixed, validate_state)
-    from .channels import apply_local
+    from .channels import local_rotations
     from .measure import chsh_s, exact_observables, separable_expectations
     from .tomography import DESIGN, predicted_counts
 
@@ -239,6 +236,10 @@ def _verify_checks():
             worst = max(worst, dev)
         return worst <= 1e-12, f"max deviation {worst:.2e}"
 
+    def evolve(rho, ta, tb):
+        u = local_rotations(ta, tb)  # real, so u.T is its adjoint
+        return u @ rho @ u.T
+
     def bell_equivalence():
         rng = np.random.default_rng(2)
         worst = 0.0
@@ -246,9 +247,8 @@ def _verify_checks():
             ta, tb = rng.uniform(-np.pi, np.pi, 2)
             for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
                 rho = bell_state(kind)
-                lhs = apply_local(rho, rotation_unitary(ta), rotation_unitary(tb))
-                rhs = apply_local(rho, rotation_unitary(ta + sign * tb),
-                                  np.eye(2, dtype=complex))
+                lhs = evolve(rho, ta, tb)
+                rhs = evolve(rho, ta + sign * tb, 0.0)
                 worst = max(worst, np.abs(lhs - rhs).max())
         return worst <= 1e-12, f"max deviation {worst:.2e}"
 
@@ -258,8 +258,7 @@ def _verify_checks():
         for _ in range(200):
             ta, tb = rng.uniform(-np.pi, np.pi, 2)
             for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
-                rho = apply_local(bell_state(kind), rotation_unitary(ta),
-                                  rotation_unitary(tb))
+                rho = evolve(bell_state(kind), ta, tb)
                 obs = exact_observables(rho)
                 tpm = ta + sign * tb
                 worst = max(worst, abs(obs.m_zz + math.cos(2 * tpm)),
@@ -379,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range-deg", nargs=2, type=float, default=(-90.0, 90.0),
                    metavar=("LO", "HI"), help="search window in degrees")
     p.add_argument("--resolution-deg", type=float, default=5.0)
-    p.add_argument("--noise-floor", type=float, default=1e-3)
+    p.add_argument("--noise-floor", type=float, default=1e-3,
+                   help="smallest accepted modulus of the mean grid phasor "
+                        "(the source visibility, for exact data)")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("tomo", help="maximum-likelihood state reconstruction")

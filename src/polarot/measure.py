@@ -383,43 +383,21 @@ def extract_thetas(obs_plus: JointObservables, obs_minus: JointObservables,
     return (float(theta_a), float(theta_b)) if theta_a.ndim == 0 else (theta_a, theta_b)
 
 
-def _golden_section_min(func, lo: float, hi: float, tol: float,
-                        max_iter: int = 200) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = func(c), func(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = func(d)
-    return 0.5 * (a + b)
-
-
 def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
                  noise_floor: float = 1e-3) -> float:
     """Locate an unknown rotation in one arm by sweeping the other arm.
 
     `probe` maps an array of trial angles theta_b to one cancellation-branch
-    JointObservables whose fields are arrays with one entry per angle; the
-    grid is probed in one call, the golden-section and slope probes as
-    length-1 arrays, one angle at a time. The m_zz response
-    is -cos(2(theta_a - theta_b)): its magnitude peaks every pi/2, and
-    requiring m_zz < 0 at the peak keeps only the lattice
-    theta_b = theta_a (mod pi), which the local slope of m_xz confirms
-    (positive at a kept peak). A physical rotation is only
-    defined modulo pi, so the search window is the caller's prior: it
-    should contain one representative of theta_a mod pi. Grid minimum of
-    m_zz (ties broken toward smaller |theta_b|) is refined by
-    golden-section search; the result is wrapped into (-pi, pi].
+    JointObservables whose fields are arrays with one entry per angle; it
+    is called once, on a grid over `search_range` with step `resolution`.
+    There -m_zz - i m_xz = V exp(2i(theta_a - theta_b)) at visibility V, so
+    theta_a mod pi is half the phase of the mean of the grid phasors
+    (-m_zz - i m_xz) exp(2i theta_b): the known-frequency single-tone phase
+    estimator (Rife & Boorstyn, IEEE Trans. Inf. Theory 20, 591, 1974). A
+    rotation is only defined modulo pi, so the window is the caller's prior:
+    the result is the representative inside it (ties toward smaller
+    |theta_a|), wrapped into (-pi, pi]. A window without one raises, and so
+    does a mean phasor modulus below noise_floor (a flat response).
     """
     lo, hi = search_range
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -434,32 +412,21 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
     grid = lo + resolution * np.arange(n_pts)
     if grid[-1] < hi - 1e-12:
         grid = np.append(grid, hi)
-    m_zz = probe(grid).m_zz
-    mag = np.abs(m_zz)
-    if mag.max() - mag.min() < noise_floor:
-        raise ValueError(f"flat scan response: |m_zz| spread "
-                         f"{mag.max() - mag.min():g} is below the noise floor "
-                         f"{noise_floor:g}")
-    best_val = m_zz.min()
-    tied = np.flatnonzero(m_zz <= best_val + 1e-12)
-    best = tied[np.argmin(np.abs(grid[tied]))]
-    if m_zz[best] >= 0.0:
+    obs = probe(grid)
+    if np.shape(obs.m_zz) != grid.shape or np.shape(obs.m_xz) != grid.shape:
+        raise ValueError(f"probe must return one m_zz and m_xz per grid angle, got "
+                         f"{np.shape(obs.m_zz)}, {np.shape(obs.m_xz)} for {grid.size}")
+    phasor = np.mean((-obs.m_zz - 1j * obs.m_xz) * np.exp(2j * grid))
+    if abs(phasor) < noise_floor or phasor == 0.0:  # a zero has no phase
+        raise ValueError(f"flat scan response: mean phasor modulus "
+                         f"{abs(phasor):g} is below the noise floor {noise_floor:g}")
+    theta = 0.5 * float(np.angle(phasor))
+    reps = theta + math.pi * np.arange(math.ceil((lo - theta) / math.pi),
+                                       math.floor((hi - theta) / math.pi) + 1)
+    if reps.size == 0:
         raise ValueError("no anticorrelation optimum inside the search range; "
                          "widen the range so it covers theta_a mod pi")
-    a = max(lo, grid[best] - resolution)
-    b = min(hi, grid[best] + resolution)
-
-    theta = _golden_section_min(lambda t: probe(np.array([t])).m_zz[0], a, b,
-                                tol=max(resolution * 1e-6, 1e-12))
-    # slope of m_xz at a kept optimum is positive; a negative slope means
-    # the response contradicts the m_zz < 0 branch selection
-    delta = max(min(resolution, 0.05), 1e-6)
-    slope = (probe(np.array([theta + delta])).m_xz[0]
-             - probe(np.array([theta - delta])).m_xz[0])
-    if slope < 0.0:
-        raise ValueError("scan optimum is inconsistent: m_zz < 0 but the local "
-                         "m_xz slope is negative")
-    return wrap_angle(theta)
+    return wrap_angle(float(reps[np.argmin(np.abs(reps))]))
 
 
 def chsh_s(rho: np.ndarray, a: float, a_prime: float, b: float,
@@ -510,6 +477,9 @@ _TABLE_HEADER = "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm"
 def write_table(table: CoincidenceTable, path) -> None:
     """Write a coincidence table as comma-separated text with '#'-prefixed
     key=value metadata lines and a mandatory header row."""
+    if table.counts.ndim != 2:
+        raise ValueError(f"write_table writes one table; got stacked counts of "
+                         f"shape {table.counts.shape}")
     write_csv(path, [(key, table.metadata[key]) for key in sorted(table.metadata)],
               _TABLE_HEADER,
               ([a.setting_id, b.setting_id, *(f"{v:.17g}" for v in row)]

@@ -33,10 +33,16 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def rotate_locally(rho, u_a, u_b):
+    """Independent oracle: (u_a (x) u_b) rho (u_a (x) u_b)^dag."""
+    u = np.kron(u_a, u_b)
+    return u @ rho @ u.conj().T
+
+
 def evolved_bell(kind, theta_a, theta_b):
-    return channels.apply_local(states.bell_state(kind),
-                                channels.rotation_unitary(theta_a),
-                                channels.rotation_unitary(theta_b))
+    return rotate_locally(states.bell_state(kind),
+                          channels.rotation_unitary(theta_a),
+                          channels.rotation_unitary(theta_b))
 
 
 def named_settings():
@@ -274,7 +280,7 @@ def test_criterion_6_separable_contrast():
         # separable amplitude: the theta_b swing peaks at cos(2 theta_b) = +-1
         amplitudes = []
         for tb in (0.0, math.pi / 2):
-            rho = channels.apply_local(
+            rho = rotate_locally(
                 states.separable_state(states.ket("H"), states.ket("V")),
                 channels.rotation_unitary(ta), channels.rotation_unitary(tb))
             table = measure.exact_table(rho, [(z, z)], measure.Detection(1.0, 1.0))

@@ -54,11 +54,16 @@ def test_hwp_maps_d_to_h():
     assert abs(abs(np.vdot(states.KET_H, out)) - 1.0) < 1e-12
 
 
+def apply_local(rho, theta_a, theta_b):
+    """The local rotations of channels.local_rotations applied to rho."""
+    u = channels.local_rotations(theta_a, theta_b)
+    return u @ rho @ u.conj().swapaxes(-2, -1)
+
+
 def test_apply_local_singlet_invariance():
     rho = states.bell_state("psi_minus")
     for theta in (0.3, -1.2, 2.8):
-        u = channels.rotation_unitary(theta)
-        out = channels.apply_local(rho, u, u)
+        out = apply_local(rho, theta, theta)
         assert np.abs(out - rho).max() < 1e-12
 
 
@@ -70,17 +75,16 @@ def test_apply_local_nonlocal_equivalence(kind, sign):
     eye = np.eye(2, dtype=complex)
     for _ in range(100):
         ta, tb = rng.uniform(-math.pi, math.pi, 2)
-        lhs = channels.apply_local(rho, channels.rotation_unitary(ta),
-                                   channels.rotation_unitary(tb))
+        lhs = apply_local(rho, ta, tb)
         ueff = channels.rotation_unitary(ta + sign * tb)
         rhs = np.kron(ueff, eye) @ rho @ np.kron(ueff, eye).conj().T
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_apply_local_rejects_nonunitary():
-    with pytest.raises(ValueError, match="not unitary"):
-        channels.apply_local(states.bell_state("psi_plus"),
-                             np.array([[1.0, 0.0], [0.0, 0.5]]), np.eye(2))
+@pytest.mark.parametrize("theta_a, theta_b", [(math.nan, 0.0), (0.0, [0.1, math.inf])])
+def test_local_rotations_rejects_non_finite_angles(theta_a, theta_b):
+    with pytest.raises(ValueError, match="rotation angles must be finite"):
+        channels.local_rotations(theta_a, theta_b)
 
 
 def test_solution_rotation_examples():

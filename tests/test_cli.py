@@ -367,6 +367,16 @@ def test_tomo_max_iter_must_be_nonnegative(capsys):
     assert "iterations 0," in capsys.readouterr().out
 
 
+def test_scan_window_missing_the_angle_exits_2(capsys):
+    # scan.ini's arm-A angle is 20 degrees; the window holds no representative
+    # of its effective angle mod 180 degrees
+    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
+                 "--range-deg", "40", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no anticorrelation optimum" in captured.err
+
+
 @pytest.mark.parametrize("flags, name, bad", [
     (["--range-deg", "0", "inf"], "search_range", "inf"),
     (["--range-deg", "nan", "10"], "search_range", "nan"),

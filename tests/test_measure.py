@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarot import channels, measure, states
+from test_acceptance import rotate_locally
 
 
 def evolved_bell(kind, theta_a, theta_b, visibility=1.0):
     rho = channels.apply_noise(states.bell_state(kind), visibility)
-    return channels.apply_local(rho, channels.rotation_unitary(theta_a),
-                                channels.rotation_unitary(theta_b))
+    return rotate_locally(rho, channels.rotation_unitary(theta_a),
+                          channels.rotation_unitary(theta_b))
 
 
 def born_probabilities(rho, a, b):
@@ -243,7 +244,7 @@ def test_separable_expectations_against_born_oracle():
     rng = np.random.default_rng(3)
     for _ in range(25):
         ta, tb = rng.uniform(-math.pi, math.pi, 2)
-        rho = channels.apply_local(
+        rho = rotate_locally(
             states.separable_state(states.ket("H"), states.ket("V")),
             channels.rotation_unitary(ta), channels.rotation_unitary(tb))
         obs = measure.separable_expectations(ta, tb)
@@ -442,6 +443,40 @@ def test_estimate_observables_statistical():
     obs = measure.estimate_observables(table)
     assert abs(obs.m_zz - (-0.5)) <= 3.0 * obs.sigma_zz
     assert abs(obs.m_xz - (-math.sin(math.radians(60)))) <= 3.0 * obs.sigma_xz
+
+
+PULL_TABLES = 2000
+
+
+def assert_standard_normal(pulls, name):
+    # n independent N(0, 1) pulls: the mean has sd 1/sqrt(n) and the sample
+    # variance sd sqrt(2/(n - 1)); both bounds are 4 of those sds
+    n = pulls.size
+    assert abs(pulls.mean()) < 4.0 / math.sqrt(n), name
+    assert abs(pulls.var(ddof=1) - 1.0) < 4.0 * math.sqrt(2.0 / (n - 1)), name
+
+
+def repeated_table(rho, settings, detection, seed):
+    """PULL_TABLES independent tables of one state, drawn in one call."""
+    return measure.simulate_counts(np.repeat(rho[None], PULL_TABLES, axis=0),
+                                   settings, detection, seed=seed)
+
+
+@pytest.mark.parametrize("accidental_fraction", [0.0, 0.1])
+def test_estimate_observables_sigma_pulls(accidental_fraction):
+    # Pulls (estimate - exact) / sigma of each observable over independent
+    # tables are N(0, 1); the exact values, accidentals included, come from
+    # the exact table
+    rho = evolved_bell("psi_minus", math.radians(20), math.radians(-5), 0.9)
+    detection = measure.Detection(1e5, 1.0, accidental_fraction=accidental_fraction)
+    exact = measure.estimate_observables(
+        measure.exact_table(rho, make_named_settings(), detection))
+    obs = measure.estimate_observables(
+        repeated_table(rho, make_named_settings(), detection, seed=41))
+    for name in ("zz", "xz", "zx"):
+        pulls = ((getattr(obs, "m_" + name) - getattr(exact, "m_" + name))
+                 / getattr(obs, "sigma_" + name))
+        assert_standard_normal(pulls, name)
 
 
 def test_estimate_observables_missing_pair():
@@ -645,8 +680,8 @@ def test_scan_noisy_repeatability():
             observables = []
             for tb in tbs:
                 calls[0] += 1
-                rho = channels.apply_local(rho0, channels.rotation_unitary(ta),
-                                           channels.rotation_unitary(tb))
+                rho = rotate_locally(rho0, channels.rotation_unitary(ta),
+                                     channels.rotation_unitary(tb))
                 seed = int(np.random.SeedSequence(
                     entropy=1000 + rep, spawn_key=(calls[0],)).generate_state(1)[0])
                 table = measure.simulate_counts(rho, [(z, z), (x, z), (z, x)],
@@ -659,11 +694,57 @@ def test_scan_noisy_repeatability():
         assert abs(theta - ta) < math.radians(0.5)
 
 
+def mixed_probe(tbs):
+    return stacked([measure.exact_observables(states.maximally_mixed())
+                    for _ in tbs])
+
+
 def test_scan_flat_response_rejected():
-    def probe(tbs):
-        return stacked([measure.exact_observables(states.maximally_mixed())
-                        for _ in tbs])
     with pytest.raises(ValueError, match="flat scan response"):
+        measure.scan_theta_a(mixed_probe, (-1.0, 1.0), 0.1)
+
+
+def test_scan_zero_phasor_rejected_without_noise_floor():
+    # a fully mixed source gives a mean phasor of exactly 0, which has no
+    # phase, so a zero floor does not switch the check off
+    with pytest.raises(ValueError, match="flat scan response"):
+        measure.scan_theta_a(mixed_probe, (-1.0, 1.0), 0.1, noise_floor=0.0)
+
+
+def test_scan_probes_the_grid_once():
+    calls = []
+
+    def probe(tbs):
+        calls.append(np.array(tbs))
+        return exact_probe(math.radians(20.0))(tbs)
+
+    theta = measure.scan_theta_a(probe, (-math.pi / 2, math.pi / 2),
+                                 math.radians(5.0))
+    assert abs(theta - math.radians(20.0)) < 1e-12
+    assert len(calls) == 1
+    assert np.allclose(calls[0], np.radians(np.arange(-90.0, 91.0, 5.0)))
+
+
+def test_scan_narrow_window_returns_truth():
+    ta = math.radians(20.0)
+    theta = measure.scan_theta_a(exact_probe(ta), (math.radians(15.0),
+                                                   math.radians(25.0)),
+                                 math.radians(5.0))
+    assert abs(theta - ta) < 1e-12
+
+
+def test_scan_window_without_representative_raises():
+    # 20 degrees mod 180 has no representative in [40, 60] degrees
+    with pytest.raises(ValueError, match="no anticorrelation optimum"):
+        measure.scan_theta_a(exact_probe(math.radians(20.0)),
+                             (math.radians(40.0), math.radians(60.0)),
+                             math.radians(5.0))
+
+
+def test_scan_rejects_probe_without_one_value_per_angle():
+    def probe(tbs):
+        return measure.exact_observables(evolved_bell("psi_minus", 0.3, 0.0))
+    with pytest.raises(ValueError, match="one m_zz and m_xz per grid angle"):
         measure.scan_theta_a(probe, (-1.0, 1.0), 0.1)
 
 
@@ -732,6 +813,23 @@ def test_chsh_from_counts_ideal():
     assert abs(s - 2.8284) <= 3.0 * sigma
 
 
+@pytest.mark.parametrize("accidental_fraction", [0.0, 0.1])
+def test_chsh_from_counts_sigma_pulls(accidental_fraction):
+    # as test_estimate_observables_sigma_pulls, for the plug-in S and its
+    # quadrature sigma; every |E| is near 0.64, far from the kinks of |.|
+    rho = channels.apply_noise(states.bell_state("psi_plus"), 0.9)
+    detection = measure.Detection(1e5, 1.0, accidental_fraction=accidental_fraction)
+    s_exact, _ = measure.chsh_from_counts(
+        measure.exact_table(rho, chsh_settings(), detection))
+    table = repeated_table(rho, chsh_settings(), detection, seed=43)
+    pulls = []
+    for counts in table.counts:
+        s, sigma = measure.chsh_from_counts(
+            measure.CoincidenceTable(table.settings, counts))
+        pulls.append((s - s_exact) / sigma)
+    assert_standard_normal(np.array(pulls), "S")
+
+
 def test_chsh_from_counts_separable_bounded():
     rho = states.separable_state(states.ket("H"), states.ket("V"))
     table = measure.simulate_counts(rho, chsh_settings(), measure.Detection(1e5, 1.0),
@@ -786,6 +884,15 @@ def test_table_rejects_negative_counts():
     z = measure.AnalyzerSetting.from_basis("Z")
     with pytest.raises(ValueError, match="nonnegative"):
         measure.CoincidenceTable([(z, z)], np.array([[1.0, -2.0, 0.0, 0.0]]))
+
+
+def test_write_table_rejects_stacked_table(tmp_path):
+    table = measure.simulate_counts(random_states(2, seed=3), make_named_settings(),
+                                    STACK_DETECTION, seed=5)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"stacked counts of shape \(2, 3, 4\)"):
+        measure.write_table(table, path)
+    assert not path.exists()
 
 
 def test_read_table_requires_header(tmp_path):

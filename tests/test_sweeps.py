@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polarot import channels, config, states, sweeps
+from test_acceptance import rotate_locally
 
 BASE_MOLARITY_CONFIG = """
 [state]
@@ -145,7 +146,7 @@ def theta_config(seed=78, offsets=ZERO_OFFSETS):
 def test_configured_state_folds_offsets():
     cfg = molarity_config()
     rho = sweeps.configured_state(cfg, theta_b=0.1)
-    manual = channels.apply_local(
+    manual = rotate_locally(
         states.bell_state("psi_minus"),
         channels.rotation_unitary(math.radians(20.08) + cfg.pbs_a + cfg.hwp),
         channels.rotation_unitary(0.1 + cfg.pbs_b))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polarot import states, tomography
-from test_acceptance import likelihood_gradient_lambda_max
+from test_acceptance import likelihood_gradient_lambda_max, rotate_locally
 
 
 def random_state(rng):
@@ -303,8 +303,8 @@ def test_reconstruction_report_rotated_cosine_similarity():
     from polarot import channels
     theta = np.radians(20.08)
     rho = states.bell_state("psi_plus")
-    rotated = channels.apply_local(rho, channels.rotation_unitary(theta),
-                                   np.eye(2, dtype=complex))
+    rotated = rotate_locally(rho, channels.rotation_unitary(theta),
+                             np.eye(2, dtype=complex))
     oracle = float(np.trace(rotated.conj().T @ rho).real)
     report = tomography.reconstruction_report(rotated, rho)
     assert abs(report["cosine_similarity"] - oracle) < 1e-12
