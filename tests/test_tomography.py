@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -151,13 +153,35 @@ def test_mle_converged_iff_kkt_gap_within_tolerance(counts, loglik_floor):
     assert result.log_likelihood >= loglik_floor
 
 
+# parameters of T with a nonzero entry in its last row
+LAST_ROW = np.abs(tomography._FACTOR_BASIS[:, 3, :]).sum(axis=1) > 0
+
+
+def saddle_start(counts):
+    """The fit's own start with the last row of T set to zero."""
+    start = tomography._t_from_rho(tomography.linear_inversion(counts))
+    start[LAST_ROW] = 0.0
+    return start
+
+
+def fit_from_saddle(monkeypatch, counts, start):
+    """mle_reconstruct with its first start replaced by `start`; returns
+    the result and every state the fit started from."""
+    starts, t_from_rho = [], tomography._t_from_rho
+
+    def start_first_on_the_saddle(rho):
+        starts.append(rho)
+        return start.copy() if len(starts) == 1 else t_from_rho(rho)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tomography, "_t_from_rho", start_first_on_the_saddle)
+        return tomography.mle_reconstruct(counts), starts
+
+
 def test_escape_leaves_a_saddle(monkeypatch):
     counts = PURE_SHORT_OF_OPTIMUM
     quad, w = tomography._QUAD[counts > 0], counts[counts > 0] / counts.sum()
-    last_row = np.abs(tomography._FACTOR_BASIS[:, 3, :]).sum(axis=1) > 0
-    t_from_rho = tomography._t_from_rho
-    start = t_from_rho(tomography.linear_inversion(counts))
-    start[last_row] = 0.0
+    start = saddle_start(counts)
 
     def loglik(rho):
         p = tomography.predicted_counts(rho)
@@ -167,28 +191,44 @@ def test_escape_leaves_a_saddle(monkeypatch):
     # the ascent alone keeps the last row at zero (up to rounding) and
     # stops on the saddle, where BFGS stopped
     saddle, _ = tomography._ascend(start, quad, w, 5000)
-    assert np.abs(saddle[last_row]).max() < 1e-15
+    assert np.abs(saddle[LAST_ROW]).max() < 1e-15
     rho = tomography._rho_from_t(saddle)
     gap = likelihood_gradient_lambda_max(rho, counts, tomography.KETS)
     assert abs(gap - 1.224e-5) < 0.001e-5
     assert abs(loglik(rho) - 1358986.6950783208) < 1e-6
 
     # started there, the fit escapes and reaches the ordinary fit's optimum
-    starts = []
-
-    def start_first_on_the_saddle(rho):
-        starts.append(rho)
-        return start.copy() if len(starts) == 1 else t_from_rho(rho)
-
     optimum = tomography.mle_reconstruct(counts)
-    monkeypatch.setattr(tomography, "_t_from_rho", start_first_on_the_saddle)
-    escaped = tomography.mle_reconstruct(counts)
+    escaped, starts = fit_from_saddle(monkeypatch, counts, start)
     assert len(starts) == 2
     assert escaped.kkt_gap <= 1e-10
     assert escaped.log_likelihood - loglik(rho) > 0.6
     assert escaped.log_likelihood >= optimum.log_likelihood - 1e-9
     assert 0.5 * np.abs(np.linalg.eigvalsh(escaped.rho - optimum.rho)).sum() < 1e-7
 
+
+
+def test_fits_are_pinned_bit_for_bit(monkeypatch):
+    # every bit of every result, on fits without escape (5b trials 0..39, a
+    # counts vector with zeros, the pure-state saddle case) and one with it
+    # (from the saddle start above); the digest is of this platform's
+    # numpy/LAPACK, so a speed change to the solver must leave it as it is
+    with_zeros = np.random.default_rng(8).poisson(tomography.predicted_counts(
+        states.separable_state(states.ket("H"), states.ket("H")), 1e3)).astype(float)
+    results = [tomography.mle_reconstruct(counts) for counts in
+               [criterion_5b_counts(trial) for trial in range(40)]
+               + [PURE_SHORT_OF_OPTIMUM, with_zeros]]
+    escaped, starts = fit_from_saddle(monkeypatch, PURE_SHORT_OF_OPTIMUM,
+                                      saddle_start(PURE_SHORT_OF_OPTIMUM))
+    assert len(starts) == 2 and (with_zeros == 0).sum() == 7
+    digest = hashlib.sha256()
+    for result in results + [escaped]:
+        digest.update(result.rho.tobytes())
+        digest.update(np.array([result.log_likelihood, result.kkt_gap]).tobytes())
+        digest.update(f"{result.n_iter} {result.converged}".encode())
+    assert sum(result.n_iter for result in results) == 525
+    assert digest.hexdigest() == ("9b061b29357637db37fdaa01c6bde374"
+                                  "1bd90a445b178f4102ca8ddd360e8836")
 
 def test_mle_gradient_matches_finite_differences():
     # the gradient against central differences of f (from `_gain`), the
