@@ -442,7 +442,8 @@ def chsh_s(rho: np.ndarray, a: float, a_prime: float, b: float,
 
 
 def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
-    """Plug-in CHSH estimate and standard error from a coincidence table.
+    """Plug-in CHSH estimate and standard error from a coincidence table:
+    two floats for one table, two arrays for a stacked (N, S, 4) table.
 
     The table must hold exactly two distinct linear-analyzer angles per
     arm, with all four combinations present; the smaller angle of each arm
@@ -467,8 +468,8 @@ def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
         e[ka, kb] = estimate_correlation(_rows_for_pair(table, ka, kb))
     s = (abs(e[id_a, id_b][0] - e[id_a, id_bp][0])
          + abs(e[id_ap, id_b][0]) + abs(e[id_ap, id_bp][0]))
-    sigma = math.sqrt(sum(v[1] ** 2 for v in e.values()))
-    return s, sigma
+    sigma = np.sqrt(sum(v[1] ** 2 for v in e.values()))
+    return (s, float(sigma)) if np.ndim(s) == 0 else (s, sigma)
 
 
 _TABLE_HEADER = "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm"

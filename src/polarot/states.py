@@ -36,6 +36,7 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z, "i": ID2}
+_YY = np.kron(PAULI_Y, PAULI_Y)  # the spin flip in `concurrence`
 
 BELL_KINDS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 
@@ -159,8 +160,7 @@ def concurrence(rho: np.ndarray) -> float:
     rho (sy (x) sy) rho* (sy (x) sy).
     """
     rho = validate_state(rho)
-    yy = np.kron(PAULI_Y, PAULI_Y)
-    m = rho @ yy @ rho.conj() @ yy
+    m = rho @ _YY @ rho.conj() @ _YY
     ev = np.linalg.eigvals(m).real
     lam = np.sqrt(np.clip(ev, 0.0, None))
     lam.sort()

@@ -98,37 +98,37 @@ def _rho_from_t(t: np.ndarray) -> np.ndarray:
 def _t_from_rho(rho: np.ndarray) -> np.ndarray:
     # floor the eigenvalues so that no row of T starts at zero (f ignores
     # the scale of T), then take the lower-triangular factor with rho =
-    # T^dag T via the anti-diagonal permutation of the ordinary Cholesky factor
+    # T^dag T from the ordinary Cholesky factor of rho with rows and columns reversed
     w, v = np.linalg.eigh(rho)
     rho = (v * np.maximum(w, _PARAM_FLOOR)) @ v.conj().T
-    p = np.eye(4)[::-1]
-    m = (p @ np.linalg.cholesky(p @ rho @ p) @ p).conj().T
+    m = np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1].conj().T
     return np.einsum("jab,ab->j", _FACTOR_BASIS.conj(), m).real
 
 
 def _grad_hess(t, quad, w):
     """Exact gradient and Hessian in t of the mean Poisson log-likelihood
     per count with the flux profiled out, f = sum_k w_k ln q_k - ln sum_k
-    q_k (differences of f: `_gain`). `quad` and `w` hold A_k and n_k / N of
-    the bases with n_k > 0; the sum in the second term runs over all 16."""
+    q_k, then the q_k and sum_k q_k at t for `_gain` (differences of f).
+    `quad` and `w` hold A_k and n_k / N of the bases with n_k > 0; the sum
+    in the second term runs over all 16."""
     at = quad @ t
     q = at @ t
     st = _QUAD_SUM @ t
     qs = t @ st
     c = w / q
     grad = 2.0 * (c @ at - st / qs)
-    hess = (2.0 * (np.tensordot(c, quad, 1) - _QUAD_SUM / qs)
-            - 4.0 * ((at.T * (c / q)) @ at - np.outer(st, st) / qs**2))
-    return grad, hess
+    ca = np.dot(c[None], quad.reshape(len(c), 256)).reshape(16, 16)  # sum_k c_k A_k
+    hess = (2.0 * (ca - _QUAD_SUM / qs)
+            - 4.0 * ((at.T * (c / q)) @ at - st[:, None] * st / qs**2))
+    return grad, hess, q, qs
 
 
-def _gain(t, step, quad, w):
-    # f(t + step) - f(t) from ln(q'/q) = log1p((q' - q)/q) with
-    # q' - q = step^T A (2t + step): accurate to the rounding of the gain,
-    # not of f, so the gain ratio stays meaningful down to tiny steps
+def _gain(t, step, quad, w, q, qs):
+    # f(t + step) - f(t) from ln(q'/q) = log1p((q' - q)/q), q at t from
+    # `_grad_hess`, q' - q = step^T A (2t + step): accurate to the rounding
+    # of the gain, not of f, so the gain ratio stays meaningful to tiny steps
     s = 2.0 * t + step
-    return (w @ np.log1p((quad @ step) @ s / ((quad @ t) @ t))
-            - np.log1p(_QUAD_SUM @ step @ s / (_QUAD_SUM @ t @ t)))
+    return w @ np.log1p((quad @ step) @ s / q) - np.log1p(_QUAD_SUM @ step @ s / qs)
 
 
 def _ascend(t, quad, w, max_iter):
@@ -137,7 +137,7 @@ def _ascend(t, quad, w, max_iter):
     Nielsen, IMM-REP-1999-05), first raised above lambda_max(H) whenever
     mu I - H is not positive definite. f does not depend on the scale of t, so t is renormalized
     after each step. Returns t and the number of steps taken."""
-    grad, hess = _grad_hess(t, quad, w)
+    grad, hess, q, qs = _grad_hess(t, quad, w)
     lam, vec = np.linalg.eigh(hess)
     mu, nu = 1e-3 * np.abs(lam).max(), 2.0
     for n_iter in range(max_iter):
@@ -147,10 +147,10 @@ def _ascend(t, quad, w, max_iter):
         predicted = grad @ step + 0.5 * step @ hess @ step
         if predicted <= _STOP_GAIN:
             return t, n_iter
-        ratio = _gain(t, step, quad, w) / predicted
+        ratio = _gain(t, step, quad, w, q, qs) / predicted
         if ratio > 0:
             t = (t + step) / np.linalg.norm(t + step)
-            grad, hess = _grad_hess(t, quad, w)
+            grad, hess, q, qs = _grad_hess(t, quad, w)
             lam, vec = np.linalg.eigh(hess)
             mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0
         else:
@@ -158,16 +158,18 @@ def _ascend(t, quad, w, max_iter):
     return t, max_iter
 
 
-def _kkt_operator(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # the per-count likelihood gradient operator
-    # G = sum_k (n_k / p_k) Pi_k / N - sum_k Pi_k / sum_k p_k at the state
-    # with p_k = <psi_k|rho|psi_k>; terms with n_k = 0 contribute nothing.
-    # rho maximizes the likelihood iff G <= 0 (Rehacek et al., PRA 75,
-    # 042108, 2007), and Tr(rho G) = 0, so the KKT gap lambda_max(G) is >= 0
-    # and vanishes exactly at the maximum, on the boundary of state space too
+def _kkt(counts: np.ndarray, rho: np.ndarray):
+    # p_k = <psi_k|rho|psi_k>, the per-count likelihood gradient operator
+    # G = sum_k (n_k / p_k) Pi_k / N - sum_k Pi_k / sum_k p_k at rho (terms
+    # with n_k = 0 contribute nothing) and its KKT gap lambda_max(G). rho
+    # maximizes the likelihood iff G <= 0 (Rehacek et al., PRA 75, 042108,
+    # 2007), and Tr(rho G) = 0, so the gap is >= 0 and vanishes exactly at
+    # the maximum, on the boundary of state space too
+    p = predicted_counts(rho)
     w = np.divide(counts, p, out=np.zeros_like(p), where=counts > 0)
-    return (np.einsum("k,kij->ij", w, _PROJECTORS) / counts.sum()
-            - _PROJECTORS.sum(axis=0) / p.sum())
+    g = (np.einsum("k,kij->ij", w, _PROJECTORS) / counts.sum()
+         - _PROJECTORS.sum(axis=0) / p.sum())
+    return p, g, float(np.linalg.eigvalsh(g)[-1])
 
 
 @dataclass
@@ -189,7 +191,7 @@ def mle_reconstruct(counts: np.ndarray, max_iter: int = 5000) -> MleResult:
     per-count mean log-likelihood, started from the eigenvalue-floored
     linear inversion. `n_iter` counts Newton steps over both ascents.
     `converged` is true iff the likelihood KKT gap of the returned state
-    (see `_kkt_operator`) is at most KKT_TOL per count. The returned state
+    (see `_kkt`) is at most KKT_TOL per count. The returned state
     is physical by construction for any parameter values. The reported
     log-likelihood is the unnormalized Poisson form above (factorial terms
     dropped).
@@ -201,21 +203,20 @@ def mle_reconstruct(counts: np.ndarray, max_iter: int = 5000) -> MleResult:
     quad, w = _QUAD[counts > 0], counts[counts > 0] / counts.sum()
     t, n_iter = _ascend(start, quad, w, max_iter)
     rho = _rho_from_t(t)
+    p, kkt, kkt_gap = _kkt(counts, rho)
     # a zero row of T is stationary in t but can be a saddle in rho, where
     # the ascent stops at a positive KKT gap; mixing in the top eigenvector
     # v of G raises the likelihood at first order (Burer & Monteiro, Math.
     # Program. 95, 329, 2003), so the fit ascends once more from there
-    lam, vec = np.linalg.eigh(_kkt_operator(counts, predicted_counts(rho)))
-    if lam[-1] > _ESCAPE_GAP and n_iter < max_iter:
-        v = vec[:, -1]
+    if kkt_gap > _ESCAPE_GAP and n_iter < max_iter:
+        v = np.linalg.eigh(kkt)[1][:, -1]
         escape = (1.0 - _ESCAPE_MIX) * rho + _ESCAPE_MIX * np.outer(v, v.conj())
         t, steps = _ascend(_t_from_rho(escape), quad, w, max_iter - n_iter)
         n_iter += steps
         rho = _rho_from_t(t)
-    p = predicted_counts(rho, flux_norm=1.0)
+        p, kkt, kkt_gap = _kkt(counts, rho)
     nbar = np.maximum(counts.sum() / p.sum() * p, 1e-300)
     loglik = float(counts @ np.log(nbar) - nbar.sum())
-    kkt_gap = float(np.linalg.eigvalsh(_kkt_operator(counts, p))[-1])
     return MleResult(rho=rho, log_likelihood=loglik, converged=kkt_gap <= KKT_TOL,
                      n_iter=n_iter, kkt_gap=kkt_gap)
 
@@ -246,15 +247,13 @@ def bootstrap_sigmas(rho_hat: np.ndarray, counts: np.ndarray,
     counts = np.asarray(counts, dtype=float)
     p = predicted_counts(rho_hat, flux_norm=1.0)
     nbar = counts.sum() / p.sum() * p
-    samples = {key: [] for key in ("fidelity", "concurrence", "purity",
-                                   "cosine_similarity")}
+    reports = []
     for r in range(n_resamples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        resampled = rng.poisson(nbar).astype(float)
-        rho_r = mle_reconstruct(resampled).rho
-        for key, value in reconstruction_report(rho_r, reference).items():
-            samples[key].append(value)
-    return {key: float(np.std(vals, ddof=1)) for key, vals in samples.items()}
+        rho_r = mle_reconstruct(rng.poisson(nbar).astype(float)).rho
+        reports.append(reconstruction_report(rho_r, reference))
+    return {key: float(np.std([report[key] for report in reports], ddof=1))
+            for key in reports[0]}
 
 
 _COUNTS_HEADER = "basis_label_a,basis_label_b,count"

@@ -245,15 +245,15 @@ def test_criterion_5d_gradient_and_budget():
     for _ in range(20):
         t = rng.normal(size=16)
         t[:4] = np.abs(t[:4]) + 0.3
-        grad, hess = tomography._grad_hess(t, quad, w)
+        grad, hess, q, qs = tomography._grad_hess(t, quad, w)
         fd_grad, fd_hess = np.empty(16), np.empty((16, 16))
         h = 1e-6
         for j in range(16):
             step = np.zeros(16)
             step[j] = h
             # f(t + step) - f(t - step) as a difference of two gains
-            fd_grad[j] = (tomography._gain(t, step, quad, w)
-                          - tomography._gain(t, -step, quad, w)) / (2 * h)
+            fd_grad[j] = (tomography._gain(t, step, quad, w, q, qs)
+                          - tomography._gain(t, -step, quad, w, q, qs)) / (2 * h)
             fd_hess[j] = (tomography._grad_hess(t + step, quad, w)[0]
                           - tomography._grad_hess(t - step, quad, w)[0]) / (2 * h)
         worst_grad = max(worst_grad, np.abs(grad - fd_grad).max()

@@ -821,13 +821,25 @@ def test_chsh_from_counts_sigma_pulls(accidental_fraction):
     detection = measure.Detection(1e5, 1.0, accidental_fraction=accidental_fraction)
     s_exact, _ = measure.chsh_from_counts(
         measure.exact_table(rho, chsh_settings(), detection))
-    table = repeated_table(rho, chsh_settings(), detection, seed=43)
-    pulls = []
-    for counts in table.counts:
-        s, sigma = measure.chsh_from_counts(
+    s, sigma = measure.chsh_from_counts(
+        repeated_table(rho, chsh_settings(), detection, seed=43))
+    assert_standard_normal((s - s_exact) / sigma, "S")
+
+
+def test_chsh_from_counts_stack_equals_single_tables():
+    # S of each member bit for bit; sigma squares with numpy in a stack and
+    # with Python floats for one table, so it may differ in the last bit
+    rho = channels.apply_noise(states.bell_state("psi_plus"), 0.9)
+    table = measure.simulate_counts(np.repeat(rho[None], 5, axis=0), chsh_settings(),
+                                    measure.Detection(1e4, 1.0), seed=44)
+    s, sigma = measure.chsh_from_counts(table)
+    assert s.shape == sigma.shape == (5,)
+    for k, counts in enumerate(table.counts):
+        s_k, sigma_k = measure.chsh_from_counts(
             measure.CoincidenceTable(table.settings, counts))
-        pulls.append((s - s_exact) / sigma)
-    assert_standard_normal(np.array(pulls), "S")
+        assert type(s_k) is float and type(sigma_k) is float
+        assert s_k == s[k]
+        assert abs(sigma_k - sigma[k]) <= 2e-16 * sigma_k
 
 
 def test_chsh_from_counts_separable_bounded():

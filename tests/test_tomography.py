@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -249,14 +250,14 @@ def test_mle_gradient_matches_finite_differences():
     for _ in range(20):
         t = rng.normal(size=16)
         t[:4] = np.abs(t[:4]) + 0.3
-        grad, hess = tomography._grad_hess(t, quad, w)
+        grad, hess, q, qs = tomography._grad_hess(t, quad, w)
         fd_grad, fd_hess = np.empty(16), np.empty((16, 16))
         h = 1e-6
         for j in range(16):
             step = np.zeros(16)
             step[j] = h
-            fd_grad[j] = (tomography._gain(t, step, quad, w)
-                          - tomography._gain(t, -step, quad, w)) / (2.0 * h)
+            fd_grad[j] = (tomography._gain(t, step, quad, w, q, qs)
+                          - tomography._gain(t, -step, quad, w, q, qs)) / (2.0 * h)
             fd_hess[j] = (tomography._grad_hess(t + step, quad, w)[0]
                           - tomography._grad_hess(t - step, quad, w)[0]) / (2.0 * h)
         worst_grad = max(worst_grad, np.abs(grad - fd_grad).max()
@@ -264,7 +265,7 @@ def test_mle_gradient_matches_finite_differences():
         worst_hess = max(worst_hess, np.abs(hess - fd_hess).max()
                          / max(1.0, np.abs(hess).max()))
         step = 0.1 * rng.normal(size=16)
-        worst_gain = max(worst_gain, abs(tomography._gain(t, step, quad, w)
+        worst_gain = max(worst_gain, abs(tomography._gain(t, step, quad, w, q, qs)
                                          - (f(t + step) - f(t))))
     assert worst_grad < 1e-6
     assert worst_hess < 1e-6
@@ -372,6 +373,36 @@ def test_bootstrap_sigmas_needs_two_resamples():
     for n_resamples in (1, 0):
         with pytest.raises(ValueError, match="at least 2"):
             tomography.bootstrap_sigmas(rho, counts, rho, n_resamples=n_resamples)
+
+
+
+def test_bootstrap_sigmas_match_the_spread_over_count_draws():
+    # The mean bootstrap variance of each metric, over K draws of the counts
+    # with R resamples each, against the sample variance of the metric over
+    # M independent draws. For normal metrics the two have relative sds
+    # sqrt(2 / (K (R - 1))) and sqrt(2 / (M - 1)), and their ratio is
+    # bounded at 4 sds of its own. Werner p = 0.9 at 1e4 counts per basis is
+    # interior, so almost every fit takes no Newton step. The reference is
+    # psi_minus: against psi_plus, its own Bell state, the cosine similarity
+    # sits close to a stationary point, where a plug-in bootstrap overstates
+    # the spread (by about 20 % in sd here), so that case is no check.
+    draws_m, datasets_k, resamples_r = 1601, 100, 17
+    rho, reference = states.werner_state(0.9), states.bell_state("psi_minus")
+    nbar = tomography.predicted_counts(rho, flux_norm=4e4)
+    draws = [np.random.default_rng([13, i]).poisson(nbar).astype(float)
+             for i in range(draws_m)]
+    fits = [tomography.mle_reconstruct(counts) for counts in draws]
+    assert sum(fit.n_iter > 0 for fit in fits) < 0.01 * draws_m
+    reports = [tomography.reconstruction_report(fit.rho, reference) for fit in fits]
+    boots = [tomography.bootstrap_sigmas(fit.rho, counts, reference,
+                                         n_resamples=resamples_r, seed=i)
+             for i, (fit, counts) in enumerate(zip(fits[:datasets_k], draws))]
+    bound = 4.0 * math.sqrt(2.0 / (datasets_k * (resamples_r - 1))
+                            + 2.0 / (draws_m - 1))
+    for key in reports[0]:
+        spread = np.var([report[key] for report in reports], ddof=1)
+        ratio = np.mean([boot[key] ** 2 for boot in boots]) / spread
+        assert abs(ratio - 1.0) < bound, (key, ratio, bound)
 
 
 def test_tomo_counts_file_round_trip(tmp_path):
