@@ -98,7 +98,7 @@ def _rho_from_t(t: np.ndarray) -> np.ndarray:
 def _t_from_rho(rho: np.ndarray) -> np.ndarray:
     # floor the eigenvalues so that no row of T starts at zero (f ignores
     # the scale of T), then take the lower-triangular factor with rho =
-    # T^dag T from the ordinary Cholesky factor of rho with rows and columns reversed
+    # T^dag T from the Cholesky factor of rho with rows and columns reversed
     w, v = np.linalg.eigh(rho)
     rho = (v * np.maximum(w, _PARAM_FLOOR)) @ v.conj().T
     m = np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1].conj().T

@@ -385,7 +385,8 @@ def test_bootstrap_sigmas_match_the_spread_over_count_draws():
     # interior, so almost every fit takes no Newton step. The reference is
     # psi_minus: against psi_plus, its own Bell state, the cosine similarity
     # sits close to a stationary point, where a plug-in bootstrap overstates
-    # the spread (by about 20 % in sd here), so that case is no check.
+    # the spread (by about 20 % in sd here; ROADMAP, direction 4), so that
+    # case would test the estimator's bias, not the bootstrap.
     draws_m, datasets_k, resamples_r = 1601, 100, 17
     rho, reference = states.werner_state(0.9), states.bell_state("psi_minus")
     nbar = tomography.predicted_counts(rho, flux_norm=4e4)
@@ -400,8 +401,8 @@ def test_bootstrap_sigmas_match_the_spread_over_count_draws():
     bound = 4.0 * math.sqrt(2.0 / (datasets_k * (resamples_r - 1))
                             + 2.0 / (draws_m - 1))
     for key in reports[0]:
-        spread = np.var([report[key] for report in reports], ddof=1)
-        ratio = np.mean([boot[key] ** 2 for boot in boots]) / spread
+        variance = np.var([report[key] for report in reports], ddof=1)
+        ratio = np.mean([boot[key] ** 2 for boot in boots]) / variance
         assert abs(ratio - 1.0) < bound, (key, ratio, bound)
 
 
