@@ -15,10 +15,9 @@ from .measure import (AnalyzerSetting, CoincidenceTable, Detection,
                       rotation_from_observables, scan_theta_a,
                       separable_expectations, simulate_counts, write_table)
 from .metrology import probe_state, qfi, variance_scaling
-from .states import (BELL_KINDS, bell_ket, bell_state, concurrence,
-                     cosine_similarity, fidelity, ket, load_state,
-                     maximally_mixed, purity, save_state, separable_state,
-                     validate_state, werner_state)
+from .states import (BELL_KINDS, bell_state, concurrence, cosine_similarity,
+                     fidelity, ket, load_state, maximally_mixed, purity,
+                     save_state, separable_state, validate_state, werner_state)
 from .sweeps import (SweepResult, fit_line, run_molarity_sweep, run_theta_sweep,
                      write_sweep, zero_crossing)
 from .tomography import (BASIS_LABELS, DESIGN, KETS, MleResult,

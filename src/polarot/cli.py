@@ -18,17 +18,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import apply_noise, offset_correct, rotation_unitary, wrap_angle
+from .channels import apply_noise, local_rotations, offset_correct, wrap_angle
 from .config import load_config
 from .csvfile import read_csv, write_csv
-from .measure import (JointObservables, chsh_from_counts, estimate_observables,
-                      extract_thetas, read_table, scan_theta_a,
+from .measure import (JointObservables, chsh_from_counts, chsh_s,
+                      estimate_observables, exact_observables, extract_thetas,
+                      read_table, scan_theta_a, separable_expectations,
                       settings_from_ids, write_table)
 from .metrology import qfi, variance_scaling
-from .states import bell_state, save_state
+from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity,
+                     maximally_mixed, save_state, validate_state)
 from .sweeps import (configured_state, configured_table, observables_at,
                      run_molarity_sweep, run_theta_sweep, write_sweep)
-from .tomography import (bootstrap_sigmas, mle_reconstruct, read_tomo_counts,
+from .tomography import (DESIGN, bootstrap_sigmas, mle_reconstruct,
+                         predicted_counts, read_tomo_counts,
                          reconstruction_report)
 
 OUT_ENV = "POLAROT_OUT"
@@ -159,7 +162,7 @@ def _cmd_tomo(args) -> int:
 def _cmd_chsh(args) -> int:
     table = read_table(args.table)
     s, sigma = chsh_from_counts(table)
-    significance = (s - 2.0) / sigma if sigma > 0 else math.inf
+    significance = (s - 2.0) / sigma if sigma > 0 else (math.inf if s > 2.0 else 0.0)
     print(f"S = {s:.6f} +- {sigma:.6f}")
     print(f"violation significance = {significance:.2f} sigma")
     return 0
@@ -206,64 +209,46 @@ def _cmd_fisher(args) -> int:
 
 
 def _verify_checks():
-    from .states import (PAULI_X, PAULI_Y, PAULI_Z, ID2, fidelity,
-                         maximally_mixed, validate_state)
-    from .channels import local_rotations
-    from .measure import chsh_s, exact_observables, separable_expectations
-    from .tomography import DESIGN, predicted_counts
-
     def pauli_algebra():
-        paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-        eps = np.zeros((3, 3, 3))
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            eps[i, j, k], eps[j, i, k] = 1.0, -1.0
-        worst = 0.0
-        for j in range(3):
-            for k in range(3):
-                prod = paulis[j] @ paulis[k]
-                expect = (j == k) * ID2 + 1j * sum(
-                    eps[j, k, l] * paulis[l] for l in range(3))
-                worst = max(worst, np.abs(prod - expect).max())
+        paulis = np.array((PAULI_X, PAULI_Y, PAULI_Z))
+        i, j, k = np.indices((3, 3, 3))
+        eps = (i - j) * (j - k) * (k - i) / 2  # the Levi-Civita symbol
+        prod = paulis[:, None] @ paulis[None, :]
+        expect = (np.eye(3)[..., None, None] * ID2
+                  + 1j * np.einsum("jkl,lab->jkab", eps, paulis))
+        worst = np.abs(prod - expect).max()
         return worst <= 1e-14, f"max deviation {worst:.2e}"
 
     def rotation_group():
-        rng = np.random.default_rng(1)
-        worst = 0.0
-        for _ in range(100):
-            t1, t2 = rng.uniform(-np.pi, np.pi, 2)
-            dev = np.abs(rotation_unitary(t1) @ rotation_unitary(t2)
-                         - rotation_unitary(t1 + t2)).max()
-            worst = max(worst, dev)
+        t1, t2 = np.random.default_rng(1).uniform(-np.pi, np.pi, (100, 2)).T[..., None]
+        arm = np.array([1.0, 0.0])  # U(t) (x) I, then I (x) U(t)
+
+        def u(t):
+            return local_rotations(t * arm, t * arm[::-1])
+
+        worst = np.abs(u(t1) @ u(t2) - u(t1 + t2)).max()
         return worst <= 1e-12, f"max deviation {worst:.2e}"
 
-    def evolve(rho, ta, tb):
-        u = local_rotations(ta, tb)  # real, so u.T is its adjoint
-        return u @ rho @ u.T
+    signs = np.array([[1.0], [-1.0]])  # of theta_b in psi_plus, psi_minus
+
+    def evolve(ta, tb):
+        """psi_plus and psi_minus on a leading axis, rotated by (ta, tb)."""
+        bells = np.array([bell_state("psi_plus"), bell_state("psi_minus")])[:, None]
+        u = local_rotations(ta, tb)  # real, so its transpose is its adjoint
+        return u @ bells @ u.swapaxes(-2, -1)
 
     def bell_equivalence():
-        rng = np.random.default_rng(2)
-        worst = 0.0
-        for _ in range(100):
-            ta, tb = rng.uniform(-np.pi, np.pi, 2)
-            for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
-                rho = bell_state(kind)
-                lhs = evolve(rho, ta, tb)
-                rhs = evolve(rho, ta + sign * tb, 0.0)
-                worst = max(worst, np.abs(lhs - rhs).max())
+        ta, tb = np.random.default_rng(2).uniform(-np.pi, np.pi, (100, 2)).T
+        worst = np.abs(evolve(ta, tb) - evolve(ta + signs * tb, 0.0)).max()
         return worst <= 1e-12, f"max deviation {worst:.2e}"
 
     def closed_forms():
-        rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(200):
-            ta, tb = rng.uniform(-np.pi, np.pi, 2)
-            for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
-                rho = evolve(bell_state(kind), ta, tb)
-                obs = exact_observables(rho)
-                tpm = ta + sign * tb
-                worst = max(worst, abs(obs.m_zz + math.cos(2 * tpm)),
-                            abs(obs.m_xz + math.sin(2 * tpm)),
-                            abs(obs.m_xz - sign * obs.m_zx))
+        ta, tb = np.random.default_rng(3).uniform(-np.pi, np.pi, (200, 2)).T
+        obs = exact_observables(evolve(ta, tb))
+        tpm = ta + signs * tb
+        worst = max(np.abs(obs.m_zz + np.cos(2 * tpm)).max(),
+                    np.abs(obs.m_xz + np.sin(2 * tpm)).max(),
+                    np.abs(obs.m_xz - signs * obs.m_zx).max())
         return worst <= 1e-12, f"max deviation {worst:.2e}"
 
     def separable_contrast():
@@ -305,9 +290,8 @@ def _verify_checks():
         return worst <= 1e-10, f"max deviation {worst:.2e}"
 
     def noise_physicality():
-        for p in np.linspace(0.0, 1.0, 11):
-            rho = apply_noise(bell_state("psi_minus"), float(p))
-            validate_state(rho)
+        validate_state(np.array([apply_noise(bell_state("psi_minus"), float(p))
+                                 for p in np.linspace(0.0, 1.0, 11)]))
         return True, "trace-preserving and PSD for the full mixing range"
 
     return [

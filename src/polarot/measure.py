@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import hwp_matrix, qwp_matrix, rotation_unitary, wrap_angle
 from .csvfile import read_csv, write_csv
-from .states import ID2, ket_to_dm, validate_state
+from .states import ID2, ket, ket_to_dm, validate_state
 
 __all__ = [
     "AnalyzerSetting", "NAMED_PAIRS", "NAMED_SETTINGS", "settings_from_ids",
@@ -58,14 +58,10 @@ class AnalyzerSetting:
     def from_basis(cls, name: str) -> "AnalyzerSetting":
         """Named basis: Z is H/V, X is D/A, Y is L/R (+1 outcome first)."""
         name = name.upper()
-        if name == "Z":
-            plus = np.array([1.0, 0.0], dtype=complex)
-        elif name == "X":
-            plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-        elif name == "Y":
-            plus = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
-        else:
-            raise ValueError(f"unknown basis {name!r}; expected Z, X or Y")
+        try:
+            plus = ket({"Z": "H", "X": "D", "Y": "L"}[name])
+        except KeyError:
+            raise ValueError(f"unknown basis {name!r}; expected Z, X or Y") from None
         minus = np.array([-plus[1].conjugate(), plus[0].conjugate()], dtype=complex)
         return cls(plus, minus, name)
 
@@ -73,8 +69,8 @@ class AnalyzerSetting:
     def from_polarizer(cls, angle: float) -> "AnalyzerSetting":
         """Linear analyzer rotated by `angle` radians; +1 transmits
         cos(angle)|H> + sin(angle)|V>, -1 the orthogonal port."""
-        plus = rotation_unitary(angle) @ np.array([1.0, 0.0], dtype=complex)
-        minus = rotation_unitary(angle + math.pi / 2.0) @ np.array([1.0, 0.0], dtype=complex)
+        plus = rotation_unitary(angle) @ ket("H")
+        minus = rotation_unitary(angle + math.pi / 2.0) @ ket("H")
         return cls(plus, minus, f"lin:{math.degrees(angle):.6f}")
 
     @classmethod
@@ -82,8 +78,8 @@ class AnalyzerSetting:
         """Half-wave plate at hwp_angle then quarter-wave plate at qwp_angle
         (radians) in front of a PBS; +1 is the transmitted (H) port."""
         w = qwp_matrix(qwp_angle) @ hwp_matrix(hwp_angle)
-        plus = w.conj().T @ np.array([1.0, 0.0], dtype=complex)
-        minus = w.conj().T @ np.array([0.0, 1.0], dtype=complex)
+        plus = w.conj().T @ ket("H")
+        minus = w.conj().T @ ket("V")
         sid = f"wp:{math.degrees(hwp_angle):.6f}:{math.degrees(qwp_angle):.6f}"
         return cls(plus, minus, sid)
 
@@ -194,9 +190,10 @@ def _correlations(probs: np.ndarray) -> np.ndarray:
 
 def exact_observables(rho: np.ndarray) -> JointObservables:
     """Born-rule joint observables of a state, with zero sigmas: the
-    correlations of the named (Z,Z), (X,Z), (Z,X) analyzer pairs."""
-    m_zz, m_xz, m_zx = _correlations(outcome_probabilities(rho, _NAMED_PROJECTORS))
-    return JointObservables(m_zz=float(m_zz), m_xz=float(m_xz), m_zx=float(m_zx))
+    correlations of the named (Z,Z), (X,Z), (Z,X) analyzer pairs. Floats
+    for one state, arrays with one entry per state for a (..., 4, 4) stack."""
+    m = _correlations(outcome_probabilities(rho, _NAMED_PROJECTORS))
+    return JointObservables(*(map(float, m) if m.ndim == 1 else np.moveaxis(m, -1, 0)))
 
 
 def separable_expectations(theta_a: float, theta_b: float) -> JointObservables:

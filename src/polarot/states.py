@@ -13,32 +13,34 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "KET_H", "KET_V", "KET_D", "KET_A", "KET_R", "KET_L",
-    "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "PAULIS",
-    "BELL_KINDS", "ket", "ket_to_dm", "bell_ket", "bell_state",
-    "separable_state", "werner_state", "maximally_mixed",
-    "validate_ket", "validate_state",
+    "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2",
+    "BELL_KINDS", "ket", "ket_to_dm", "bell_state",
+    "separable_state", "werner_state", "maximally_mixed", "validate_state",
     "fidelity", "concurrence", "cosine_similarity", "purity",
     "save_state", "load_state",
 ]
 
-KET_H = np.array([1.0, 0.0], dtype=complex)
-KET_V = np.array([0.0, 1.0], dtype=complex)
-KET_D = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-KET_A = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-KET_R = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
-KET_L = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
-
-_KETS = {"H": KET_H, "V": KET_V, "D": KET_D, "A": KET_A, "R": KET_R, "L": KET_L}
+_KETS = {
+    "H": np.array([1.0, 0.0], dtype=complex),
+    "V": np.array([0.0, 1.0], dtype=complex),
+    "D": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    "A": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
+    "R": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
+    "L": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+}
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z, "i": ID2}
 _YY = np.kron(PAULI_Y, PAULI_Y)  # the spin flip in `concurrence`
 
-BELL_KINDS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
+# the four maximally entangled two-photon state vectors, (HH, HV, VH, VV)
+_BELL_KETS = {kind: np.array(amplitudes, dtype=complex) / np.sqrt(2.0)
+              for kind, amplitudes in (
+                  ("psi_plus", [0, 1, 1, 0]), ("psi_minus", [0, 1, -1, 0]),
+                  ("phi_plus", [1, 0, 0, 1]), ("phi_minus", [1, 0, 0, -1]))}
+BELL_KINDS = tuple(_BELL_KETS)
 
 
 def ket(label: str) -> np.ndarray:
@@ -50,46 +52,29 @@ def ket(label: str) -> np.ndarray:
                          f"{sorted(_KETS)}") from None
 
 
-def validate_ket(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError(f"single-photon ket must have shape (2,), got {psi.shape}")
-    norm2 = float(np.vdot(psi, psi).real)
-    if abs(norm2 - 1.0) > tol:
-        raise ValueError(f"ket not normalized: |psi|^2 = {norm2!r}")
-    return psi
-
-
 def ket_to_dm(psi: np.ndarray) -> np.ndarray:
     """Outer product |psi><psi| of a (multi-photon) ket."""
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
 
 
-def bell_ket(kind: str) -> np.ndarray:
-    """State vector of one of the four maximally entangled two-photon states."""
-    s = 1.0 / np.sqrt(2.0)
-    if kind == "psi_plus":
-        return np.array([0, s, s, 0], dtype=complex)
-    if kind == "psi_minus":
-        return np.array([0, s, -s, 0], dtype=complex)
-    if kind == "phi_plus":
-        return np.array([s, 0, 0, s], dtype=complex)
-    if kind == "phi_minus":
-        return np.array([s, 0, 0, -s], dtype=complex)
-    raise ValueError(f"unknown Bell-state kind {kind!r}; expected one of {BELL_KINDS}")
-
-
 def bell_state(kind: str) -> np.ndarray:
-    """Density matrix of a Bell state."""
-    return ket_to_dm(bell_ket(kind))
+    """Density matrix of one of the four Bell states (BELL_KINDS)."""
+    if kind not in _BELL_KETS:
+        raise ValueError(f"unknown Bell-state kind {kind!r}; expected one of {BELL_KINDS}")
+    return ket_to_dm(_BELL_KETS[kind])
 
 
 def separable_state(ket_a: np.ndarray, ket_b: np.ndarray) -> np.ndarray:
-    """Product-state density matrix |a><a| (x) |b><b|."""
-    ket_a = validate_ket(ket_a)
-    ket_b = validate_ket(ket_b)
-    return ket_to_dm(np.kron(ket_a, ket_b))
+    """Product-state density matrix |a><a| (x) |b><b| of normalized kets."""
+    kets = [np.asarray(psi, dtype=complex) for psi in (ket_a, ket_b)]
+    for psi in kets:
+        if psi.shape != (2,):
+            raise ValueError(f"single-photon ket must have shape (2,), got {psi.shape}")
+        norm2 = float(np.vdot(psi, psi).real)
+        if abs(norm2 - 1.0) > 1e-12:
+            raise ValueError(f"ket not normalized: |psi|^2 = {norm2!r}")
+    return ket_to_dm(np.kron(*kets))
 
 
 def maximally_mixed() -> np.ndarray:
@@ -207,4 +192,6 @@ def load_state(path) -> np.ndarray:
             entries.append(complex(float(re_s), float(im_s)))
     if len(entries) != 16:
         raise ValueError(f"expected 16 matrix entries, found {len(entries)}")
+    if not np.isfinite(entries).all():
+        raise ValueError(f"state file {path} has non-finite entries")
     return np.array(entries, dtype=complex).reshape(4, 4)

@@ -199,6 +199,8 @@ def mle_reconstruct(counts: np.ndarray, max_iter: int = 5000) -> MleResult:
     counts = np.asarray(counts, dtype=float)
     if (counts < 0).any():
         raise ValueError("counts must be nonnegative")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     start = _t_from_rho(linear_inversion(counts))
     quad, w = _QUAD[counts > 0], counts[counts > 0] / counts.sum()
     t, n_iter = _ascend(start, quad, w, max_iter)

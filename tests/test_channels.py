@@ -10,12 +10,12 @@ def test_rotation_unitary_special_values():
     assert np.abs(channels.rotation_unitary(0.0) - np.eye(2)).max() == 0.0
     quarter = channels.rotation_unitary(math.pi / 2)
     assert np.abs(quarter - np.array([[0, -1], [1, 0]])).max() < 1e-15
-    assert np.allclose(quarter @ states.KET_H, states.KET_V)
+    assert np.allclose(quarter @ states.ket("H"), states.ket("V"))
 
 
 def test_rotation_unitary_rotates_h_toward_v():
     theta = math.radians(20.08)
-    out = channels.rotation_unitary(theta) @ states.KET_H
+    out = channels.rotation_unitary(theta) @ states.ket("H")
     assert abs(out[0] - math.cos(theta)) < 1e-15
     assert abs(out[1] - math.sin(theta)) < 1e-15
 
@@ -50,8 +50,8 @@ def test_waveplates_unitary():
 
 
 def test_hwp_maps_d_to_h():
-    out = channels.hwp_matrix(math.pi / 8) @ states.KET_D
-    assert abs(abs(np.vdot(states.KET_H, out)) - 1.0) < 1e-12
+    out = channels.hwp_matrix(math.pi / 8) @ states.ket("D")
+    assert abs(abs(np.vdot(states.ket("H"), out)) - 1.0) < 1e-12
 
 
 def apply_local(rho, theta_a, theta_b):

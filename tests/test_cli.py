@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import polarot
-from polarot import states, tomography
+from polarot import cli, measure, states, tomography
 from polarot.cli import main
 
 EXACT_TEMPLATE = """
@@ -289,6 +289,18 @@ def test_chsh_command(tmp_path, capsys):
     assert "violation significance" in stdout
 
 
+def test_chsh_at_the_classical_bound_is_no_violation(tmp_path, capsys):
+    # four all-'++' rows: every correlation is 1 with zero sigma, so S = 2
+    pairs = [("lin:0", "lin:22.5"), ("lin:0", "lin:67.5"),
+             ("lin:45", "lin:22.5"), ("lin:45", "lin:67.5")]
+    table = tmp_path / "chsh.csv"
+    measure.write_table(measure.CoincidenceTable(
+        measure.settings_from_ids(pairs), [[100, 0, 0, 0]] * 4), table)
+    assert main(["chsh", "--table", str(table)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "S = 2.000000 +- 0.000000", "violation significance = 0.00 sigma"]
+
+
 def test_sweep_command_deterministic(tmp_path):
     cfg = write_config(tmp_path, SWEEP_TEMPLATE)
     out_1, out_2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")
@@ -464,12 +476,51 @@ def test_sweep_range_missing_key_exits_2(tmp_path, monkeypatch, capsys, missing)
     assert f"[sweep] range is missing '{missing}'" in capsys.readouterr().err
 
 
+VERIFY_CHECKS = [
+    "pauli-algebra", "rotation-group", "bell-nonlocal-equivalence",
+    "joint-observable-closed-forms", "separable-contrast-amplitude",
+    "extraction-round-trip", "chsh-analytic", "tomography-design-rank",
+    "mle-exact-self-consistency", "qfi-closed-form", "noise-physicality",
+]
+
+
+def verify_report(capsys):
+    """The verify report as {check name: status}, in printed order."""
+    lines = [l for l in capsys.readouterr().out.splitlines() if l]
+    return dict(l.split(" (")[0].split(": ")[::-1] for l in lines)
+
+
 def test_verify_command(capsys):
     assert main(["verify"]) == 0
-    stdout = capsys.readouterr().out
-    lines = [l for l in stdout.splitlines() if l]
-    assert len(lines) >= 10
-    assert all(l.startswith("ok: ") for l in lines)
+    report = verify_report(capsys)
+    assert list(report) == VERIFY_CHECKS
+    assert set(report.values()) == {"ok"}
+
+
+LOCAL_ROTATIONS = cli.local_rotations
+
+
+def offset_rotations(theta_a, theta_b):
+    return LOCAL_ROTATIONS(np.add(theta_a, 0.1), np.add(theta_b, 0.1))
+
+
+def arm_b_flipped_rotations(theta_a, theta_b):
+    return LOCAL_ROTATIONS(theta_a, np.negative(theta_b))
+
+
+# a constant offset breaks the group law and the closed forms, but not the
+# nonlocal equivalence, which a sign flip on one arm breaks
+@pytest.mark.parametrize("check, broken", [
+    ("rotation-group", offset_rotations),
+    ("bell-nonlocal-equivalence", arm_b_flipped_rotations),
+    ("joint-observable-closed-forms", offset_rotations),
+])
+def test_verify_fails_on_a_broken_rotation_kernel(monkeypatch, capsys, check, broken):
+    monkeypatch.setattr(cli, "local_rotations", broken)
+    assert main(["verify"]) == 2
+    report = verify_report(capsys)
+    assert list(report) == VERIFY_CHECKS
+    assert report[check] == "FAIL"
 
 
 def test_cli_import_loads_no_scipy():

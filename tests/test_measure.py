@@ -27,20 +27,20 @@ def born_probabilities(rho, a, b):
 
 def test_named_bases_projector_kets():
     z = measure.AnalyzerSetting.from_basis("Z")
-    assert np.allclose(z.plus_ket, states.KET_H)
-    assert np.allclose(z.minus_ket, states.KET_V)
+    assert np.allclose(z.plus_ket, states.ket("H"))
+    assert np.allclose(z.minus_ket, states.ket("V"))
     x = measure.AnalyzerSetting.from_basis("X")
-    assert abs(abs(np.vdot(x.plus_ket, states.KET_D)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(x.plus_ket, states.ket("D"))) - 1.0) < 1e-12
     y = measure.AnalyzerSetting.from_basis("Y")
-    assert abs(abs(np.vdot(y.plus_ket, states.KET_L)) - 1.0) < 1e-12
-    assert abs(abs(np.vdot(y.minus_ket, states.KET_R)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(y.plus_ket, states.ket("L"))) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(y.minus_ket, states.ket("R"))) - 1.0) < 1e-12
 
 
 def test_waveplate_analyzer_recipes():
     # HWP/QWP at (0, 0), (22.5deg, 0), (0, 45deg) measure Z, X, Y
-    for (h, q), target in (((0.0, 0.0), states.KET_H),
-                           ((math.pi / 8, 0.0), states.KET_D),
-                           ((0.0, math.pi / 4), states.KET_L)):
+    for (h, q), target in (((0.0, 0.0), states.ket("H")),
+                           ((math.pi / 8, 0.0), states.ket("D")),
+                           ((0.0, math.pi / 4), states.ket("L"))):
         setting = measure.AnalyzerSetting.from_waveplates(h, q)
         assert abs(abs(np.vdot(setting.plus_ket, target)) - 1.0) < 1e-12
 
@@ -222,6 +222,23 @@ def test_closed_forms_random_angles():
         assert abs(obs.m_zz + math.cos(2 * tpm)) < 1e-12
         assert abs(obs.m_xz + math.sin(2 * tpm)) < 1e-12
         assert abs(obs.m_xz - sign * obs.m_zx) < 1e-12
+
+
+def test_exact_observables_stack_equals_its_members():
+    # a (2, 3, 4, 4) stack: both Bell branches, noisy, at three angle pairs
+    angles = ((0.3, -0.7), (1.1, 0.2), (-2.5, 2.9))
+    stack = np.array([[evolved_bell(kind, ta, tb, visibility=0.8) for ta, tb in angles]
+                      for kind in ("psi_plus", "psi_minus")])
+    obs = measure.exact_observables(stack)
+    for name in ("m_zz", "m_xz", "m_zx"):
+        assert getattr(obs, name).shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        single = measure.exact_observables(stack[idx])
+        for name in ("m_zz", "m_xz", "m_zx"):
+            value = getattr(single, name)
+            assert type(value) is float
+            assert getattr(obs, name)[idx] == value, (idx, name)
+        assert (single.sigma_zz, single.sigma_xz, single.sigma_zx) == (0.0, 0.0, 0.0)
 
 
 def test_entangled_extrema_full_swing():

@@ -4,24 +4,30 @@ import pytest
 from polarot import states
 
 
+def psi_plus_ket():
+    # (|HV> + |VH>)/sqrt(2), built from single-photon kets
+    h, v = states.ket("H"), states.ket("V")
+    return (np.kron(h, v) + np.kron(v, h)) / np.sqrt(2.0)
+
+
 def random_ket(rng):
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     return v / np.linalg.norm(v)
 
 
 def test_basis_kets_normalized_and_orthogonal():
-    assert abs(np.vdot(states.KET_H, states.KET_V)) == 0.0
-    for k in (states.KET_H, states.KET_V, states.KET_D, states.KET_A,
-              states.KET_R, states.KET_L):
+    assert abs(np.vdot(states.ket("H"), states.ket("V"))) == 0.0
+    for label in "HVDARL":
+        k = states.ket(label)
         assert abs(np.vdot(k, k) - 1.0) < 1e-12
-    assert abs(np.vdot(states.KET_D, states.KET_A)) < 1e-12
-    assert abs(np.vdot(states.KET_R, states.KET_L)) < 1e-12
+    assert abs(np.vdot(states.ket("D"), states.ket("A"))) < 1e-12
+    assert abs(np.vdot(states.ket("R"), states.ket("L"))) < 1e-12
 
 
 def test_circular_ket_convention():
     # |R> = (|H> - i|V>)/sqrt(2) and |L> = (|H> + i|V>)/sqrt(2)
-    assert np.allclose(states.KET_R, np.array([1.0, -1.0j]) / np.sqrt(2))
-    assert np.allclose(states.KET_L, np.array([1.0, 1.0j]) / np.sqrt(2))
+    assert np.allclose(states.ket("R"), np.array([1.0, -1.0j]) / np.sqrt(2))
+    assert np.allclose(states.ket("L"), np.array([1.0, 1.0j]) / np.sqrt(2))
 
 
 def test_pauli_algebra():
@@ -37,8 +43,7 @@ def test_pauli_algebra():
 
 
 def test_pauli_properties():
-    for name in "xyz":
-        sigma = states.PAULIS[name]
+    for sigma in (states.PAULI_X, states.PAULI_Y, states.PAULI_Z):
         assert np.allclose(sigma, sigma.conj().T)
         assert np.allclose(sigma @ sigma.conj().T, states.ID2)
         assert abs(np.trace(sigma)) == 0.0
@@ -84,7 +89,7 @@ def test_separable_state_examples():
     assert np.abs(rho - 0.25).max() < 1e-15
 
     # oracle: direct outer product of kron(R, H)
-    psi = np.kron(states.KET_R, states.KET_H)
+    psi = np.kron(states.ket("R"), states.ket("H"))
     oracle = np.outer(psi, psi.conj())
     rho = states.separable_state(states.ket("R"), states.ket("H"))
     assert np.abs(rho - oracle).max() < 1e-15
@@ -95,7 +100,12 @@ def test_separable_state_examples():
 
 def test_separable_state_rejects_unnormalized():
     with pytest.raises(ValueError, match="not normalized"):
-        states.separable_state(np.array([1.0, 1.0]), states.KET_H)
+        states.separable_state(np.array([1.0, 1.0]), states.ket("H"))
+
+
+def test_separable_state_rejects_a_ket_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"must have shape \(2,\), got \(4,\)"):
+        states.separable_state(states.ket("H"), np.full(4, 0.5))
 
 
 def test_fidelity_identity_and_orthogonal():
@@ -107,7 +117,7 @@ def test_fidelity_identity_and_orthogonal():
 
 def test_fidelity_pure_vs_maximally_mixed():
     # oracle for a pure state: F(|psi><psi|, sigma) = <psi|sigma|psi> = 1/4
-    psi = states.bell_ket("psi_plus")
+    psi = psi_plus_ket()
     oracle = float((psi.conj() @ states.maximally_mixed() @ psi).real)
     assert abs(oracle - 0.25) < 1e-15
     f = states.fidelity(states.bell_state("psi_plus"), states.maximally_mixed())
@@ -176,7 +186,7 @@ def test_purity_examples():
 
 def test_metrics_invariant_under_global_phase():
     rng = np.random.default_rng(3)
-    psi = states.bell_ket("psi_plus")
+    psi = psi_plus_ket()
     phased = np.exp(1j * rng.uniform(0, 2 * np.pi)) * psi
     rho = states.ket_to_dm(psi)
     rho_p = states.ket_to_dm(phased)
@@ -232,3 +242,11 @@ def test_load_state_rejects_short_file(tmp_path):
     path.write_text("# comment\n1.0 0.0\n")
     with pytest.raises(ValueError, match="16 matrix entries"):
         states.load_state(path)
+
+
+def test_load_state_rejects_non_finite_entries(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("nan 0\n" * 16)
+    with pytest.raises(ValueError, match="has non-finite entries") as excinfo:
+        states.load_state(path)
+    assert str(path) in str(excinfo.value)
