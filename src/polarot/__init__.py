@@ -5,8 +5,8 @@ state tomography, CHSH tests and Fisher-information sensitivity."""
 
 __version__ = "0.1.0"
 
-from .channels import (SolutionSpec, apply_noise, hwp_matrix, offset_correct,
-                       qwp_matrix, rotation_unitary, solution_rotation)
+from .channels import (apply_noise, hwp_matrix, offset_correct, qwp_matrix,
+                       rotation_unitary)
 from .config import ExperimentConfig, config_hash, load_config, loads_config
 from .measure import (AnalyzerSetting, CoincidenceTable, Detection,
                       JointObservables, chsh_from_counts, chsh_s,
@@ -17,7 +17,7 @@ from .measure import (AnalyzerSetting, CoincidenceTable, Detection,
 from .metrology import probe_state, qfi, variance_scaling
 from .states import (BELL_KINDS, bell_state, concurrence, cosine_similarity,
                      fidelity, ket, load_state, maximally_mixed, purity,
-                     save_state, separable_state, validate_state, werner_state)
+                     save_state, separable_state, validate_state)
 from .sweeps import (SweepResult, fit_line, run_molarity_sweep, run_theta_sweep,
                      write_sweep, zero_crossing)
 from .tomography import (BASIS_LABELS, DESIGN, KETS, MleResult,

@@ -1,5 +1,5 @@
 """Local polarization transformations: optical rotations, wave plates,
-molarity-calibrated solutions, analyzer offsets, and isotropic noise.
+analyzer offsets, and isotropic noise.
 
 Sign convention: levorotation is a positive angle and rotates the
 polarization plane from H toward V, i.e. U(theta)|H> = cos(theta)|H> +
@@ -9,7 +9,6 @@ sin(theta)|V>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +16,7 @@ from .states import maximally_mixed, validate_state
 
 __all__ = [
     "rotation_unitary", "local_rotations", "hwp_matrix", "qwp_matrix",
-    "SolutionSpec", "solution_rotation", "offset_correct", "wrap_angle",
-    "apply_noise",
+    "offset_correct", "wrap_angle", "apply_noise",
 ]
 
 
@@ -55,33 +53,6 @@ def qwp_matrix(angle: float) -> np.ndarray:
     """Jones matrix of a quarter-wave plate with fast axis at `angle` radians."""
     rot = rotation_unitary(angle)
     return rot @ np.diag([1.0, -1.0j]) @ rot.conj().T
-
-
-@dataclass(frozen=True)
-class SolutionSpec:
-    """A chiral solution characterized by a linear molarity-to-rotation
-    calibration.
-
-    slope_deg_per_molar is in degrees (I/O units); the physical rotation
-    angle is returned in radians by solution_rotation. Analyzer offsets
-    are never part of the physical rotation; offset_correct removes them.
-    """
-
-    molarity: float
-    slope_deg_per_molar: float
-
-    def __post_init__(self):
-        if self.molarity < 0.0:
-            raise ValueError(f"molarity must be nonnegative, got {self.molarity}")
-
-
-def solution_rotation(spec: SolutionSpec) -> float:
-    """Physical rotation angle (radians) induced by the solution:
-    radians(slope * molarity)."""
-    theta_deg = spec.slope_deg_per_molar * spec.molarity
-    if not math.isfinite(theta_deg):
-        raise ValueError(f"solution rotation is not finite: {theta_deg!r}")
-    return math.radians(theta_deg)
 
 
 def offset_correct(theta_exp: float, which: str, pbs_a: float, pbs_b: float,

@@ -23,11 +23,10 @@ from .config import load_config
 from .csvfile import read_csv, write_csv
 from .measure import (JointObservables, chsh_from_counts, chsh_s,
                       estimate_observables, exact_observables, extract_thetas,
-                      read_table, scan_theta_a, separable_expectations,
-                      settings_from_ids, write_table)
+                      read_table, scan_theta_a, settings_from_ids, write_table)
 from .metrology import qfi, variance_scaling
-from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity,
-                     maximally_mixed, save_state, validate_state)
+from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity, ket,
+                     maximally_mixed, save_state, separable_state, validate_state)
 from .sweeps import (configured_state, configured_table, observables_at,
                      run_molarity_sweep, run_theta_sweep, write_sweep)
 from .tomography import (DESIGN, bootstrap_sigmas, mle_reconstruct,
@@ -252,11 +251,13 @@ def _verify_checks():
         return worst <= 1e-12, f"max deviation {worst:.2e}"
 
     def separable_contrast():
-        worst = 0.0
-        for ta in np.linspace(-np.pi / 2, np.pi / 2, 19):
-            swing = [separable_expectations(ta, tb).m_zz
-                     for tb in np.linspace(-np.pi, np.pi, 73)]
-            worst = max(worst, abs(max(map(abs, swing)) - abs(math.cos(2 * ta))))
+        # |H>|V> on a 19 x 73 grid of (theta_a, theta_b); the swing of m_zz
+        # over theta_b is |cos 2 theta_a|
+        ta = np.linspace(-np.pi / 2, np.pi / 2, 19)[:, None]
+        u = local_rotations(ta, np.linspace(-np.pi, np.pi, 73))
+        rho = u @ separable_state(ket("H"), ket("V")) @ u.swapaxes(-2, -1)
+        swing = np.abs(exact_observables(rho).m_zz).max(axis=-1)
+        worst = np.abs(swing - np.abs(np.cos(2 * ta[:, 0]))).max()
         return worst <= 1e-12, f"amplitude deviation {worst:.2e}"
 
     def extraction_round_trip():
@@ -411,6 +412,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .channels import SolutionSpec, solution_rotation
 from .measure import NAMED_PAIRS, Detection
 from .states import BELL_KINDS
 
@@ -38,19 +37,26 @@ SWEEP_VARIABLES = ("molarity_b", "theta_b")
 @dataclass(frozen=True)
 class ArmConfig:
     """One arm of the experiment: either a fixed rotation angle (radians)
-    or a molarity-calibrated solution."""
+    or a chiral solution, whose rotation in degrees follows the linear
+    calibration slope_deg_per_molar * molarity."""
 
     angle: float | None = None
-    solution: SolutionSpec | None = None
+    molarity: float | None = None
+    slope_deg_per_molar: float = DEFAULT_SLOPE_DEG_PER_MOLAR
 
     def __post_init__(self):
-        if (self.angle is None) == (self.solution is None):
+        if (self.angle is None) == (self.molarity is None):
             raise ValueError("an arm needs exactly one of a fixed angle or a solution")
+        if self.molarity is not None and self.molarity < 0.0:
+            raise ValueError(f"molarity must be nonnegative, got {self.molarity}")
+        if self.molarity is not None and not math.isfinite(self.theta()):
+            raise ValueError(f"solution rotation is not finite: {self.theta()!r}")
 
     def theta(self) -> float:
+        """The physical rotation (radians); analyzer offsets are not part of it."""
         if self.angle is not None:
             return self.angle
-        return solution_rotation(self.solution)
+        return math.radians(self.slope_deg_per_molar * self.molarity)
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,8 @@ class ExperimentConfig:
             if arm.angle is not None:
                 items[f"{name}.angle"] = repr(arm.angle)
             else:
-                items[f"{name}.molarity"] = repr(arm.solution.molarity)
-                items[f"{name}.slope"] = repr(arm.solution.slope_deg_per_molar)
+                items[f"{name}.molarity"] = repr(arm.molarity)
+                items[f"{name}.slope"] = repr(arm.slope_deg_per_molar)
         return sorted(items.items())
 
 
@@ -136,12 +142,10 @@ def _parse_arm(section) -> tuple[ArmConfig, float]:
         angle = math.radians(_float(section, "angle_deg"))
         return ArmConfig(angle=angle), transmission
     if has_molarity:
-        spec = SolutionSpec(
-            molarity=_float(section, "molarity"),
-            slope_deg_per_molar=_float(section, "slope_deg_per_molar",
-                                       fallback=DEFAULT_SLOPE_DEG_PER_MOLAR),
-        )
-        return ArmConfig(solution=spec), transmission
+        arm = ArmConfig(molarity=_float(section, "molarity"),
+                        slope_deg_per_molar=_float(section, "slope_deg_per_molar",
+                                                   fallback=DEFAULT_SLOPE_DEG_PER_MOLAR))
+        return arm, transmission
     raise ValueError(f"section [{section.name}] needs angle_deg or molarity")
 
 
@@ -210,6 +214,8 @@ def loads_config(text: str) -> ExperimentConfig:
         transmission_b=transmissions.get("arm_b", DEFAULT_TRANSMISSION),
         accidental_fraction=accidental_fraction)
     kwargs["seed"] = sec.getint("seed")
+    if kwargs["seed"] < 0:
+        raise ValueError(f"[statistics] seed must be >= 0, got {kwargs['seed']}")
     if parser.has_section("settings"):
         pairs = []
         for token in parser["settings"].get("pairs").split(","):

@@ -15,7 +15,7 @@ import numpy as np
 __all__ = [
     "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2",
     "BELL_KINDS", "ket", "ket_to_dm", "bell_state",
-    "separable_state", "werner_state", "maximally_mixed", "validate_state",
+    "separable_state", "maximally_mixed", "validate_state",
     "fidelity", "concurrence", "cosine_similarity", "purity",
     "save_state", "load_state",
 ]
@@ -81,21 +81,14 @@ def maximally_mixed() -> np.ndarray:
     return np.eye(4, dtype=complex) / 4.0
 
 
-def werner_state(p: float, kind: str = "psi_plus") -> np.ndarray:
-    """Mixture p * (Bell state) + (1 - p) * I/4."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight must be in [0, 1], got {p}")
-    return p * bell_state(kind) + (1.0 - p) * maximally_mixed()
-
-
-def validate_state(rho: np.ndarray, herm_tol: float = 1e-10,
-                   trace_tol: float = 1e-10, psd_tol: float = 1e-9) -> np.ndarray:
+def validate_state(rho: np.ndarray) -> np.ndarray:
     """Check the physicality invariants of a two-photon density matrix, or
     of every member of a (..., 4, 4) stack in one vectorized pass.
 
     Returns the input as a complex array; raises ValueError when it is not
-    finite / Hermitian / unit-trace / positive semidefinite within the
-    tolerances. For a stack, the message names the first offending index.
+    finite, Hermitian within 1e-10, of unit trace within 1e-10 and positive
+    semidefinite within 1e-9. For a stack, the message names the first
+    offending index.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -109,14 +102,14 @@ def validate_state(rho: np.ndarray, herm_tol: float = 1e-10,
 
     check(np.isfinite(rho).all(axis=(-2, -1)), lambda idx: "has non-finite entries")
     herm = np.abs(rho - rho.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
-    check(herm <= herm_tol,
+    check(herm <= 1e-10,
           lambda idx: f"not Hermitian: max |rho - rho^dag| = {herm[idx]:g}")
     tr = np.trace(rho, axis1=-2, axis2=-1).real
-    check(np.abs(tr - 1.0) <= trace_tol,
+    check(np.abs(tr - 1.0) <= 1e-10,
           lambda idx: f"trace is {float(tr[idx])!r}, expected 1")
     lo = np.linalg.eigvalsh(rho).min(axis=-1)
-    check(lo >= -psd_tol, lambda idx: f"not positive semidefinite: min eigenvalue "
-                                      f"= {lo[idx]:g}")
+    check(lo >= -1e-9, lambda idx: f"not positive semidefinite: min eigenvalue "
+                                   f"= {lo[idx]:g}")
     return rho
 
 
@@ -181,17 +174,23 @@ def save_state(path, rho: np.ndarray) -> None:
 
 
 def load_state(path) -> np.ndarray:
-    """Read a matrix written by save_state."""
+    """Read a matrix written by save_state and check that it is a state."""
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            re_s, im_s = line.split()
-            entries.append(complex(float(re_s), float(im_s)))
+            try:
+                re_s, im_s = line.split()
+                entries.append(complex(float(re_s), float(im_s)))
+            except ValueError:
+                raise ValueError(f"state file {path} line {lineno}: expected "
+                                 f"'real imag', got {line!r}") from None
     if len(entries) != 16:
-        raise ValueError(f"expected 16 matrix entries, found {len(entries)}")
-    if not np.isfinite(entries).all():
-        raise ValueError(f"state file {path} has non-finite entries")
-    return np.array(entries, dtype=complex).reshape(4, 4)
+        raise ValueError(f"state file {path}: expected 16 matrix entries, "
+                         f"found {len(entries)}")
+    try:
+        return validate_state(np.array(entries).reshape(4, 4))
+    except ValueError as exc:
+        raise ValueError(f"state file {path}: {exc}") from None

@@ -170,13 +170,13 @@ def run_molarity_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResul
     if cfg.state_kind not in ("psi_plus", "psi_minus"):
         raise ValueError("molarity sweeps are defined for the psi_plus or "
                          "psi_minus source state")
-    if cfg.arm_b.solution is None:
+    if cfg.arm_b.molarity is None:
         raise ValueError("molarity sweeps need a solution-type arm_b")
     which = "plus" if cfg.state_kind == "psi_plus" else "minus"
     molarities = sorted(cfg.sweep_values)
     if molarities[0] < 0:
         raise ValueError(f"negative molarity {molarities[0]}")
-    theta_b = np.radians(cfg.arm_b.solution.slope_deg_per_molar * np.array(molarities))
+    theta_b = np.radians(cfg.arm_b.slope_deg_per_molar * np.array(molarities))
     obs = observables_at(cfg, cfg.state_kind, cfg.arm_a.theta(), theta_b, exact, (0,))
     theta_exp, sig = rotation_from_observables(obs.m_zz, obs.m_xz,
                                                obs.sigma_zz, obs.sigma_xz)

@@ -39,6 +39,11 @@ def rotate_locally(rho, u_a, u_b):
     return u @ rho @ u.conj().T
 
 
+def werner(p, kind="psi_plus"):
+    """The Werner state p * (Bell state) + (1 - p) * I/4."""
+    return channels.apply_noise(states.bell_state(kind), p)
+
+
 def evolved_bell(kind, theta_a, theta_b):
     return rotate_locally(states.bell_state(kind),
                           channels.rotation_unitary(theta_a),
@@ -150,7 +155,7 @@ def test_criterion_4_chsh():
     simulated_ok = abs(s_hat - 2.8284) <= 3.0 * sigma
 
     p = 0.97867
-    s_werner = measure.chsh_s(states.werner_state(p), *angles)
+    s_werner = measure.chsh_s(werner(p), *angles)
     werner_ok = abs(s_werner - 2.0 * math.sqrt(2.0) * p) <= 1e-9
     report("criterion 4 (CHSH)",
            analytic_ok and simulated_ok and werner_ok,
@@ -197,7 +202,7 @@ def test_criterion_5b_tomography_noisy_monte_carlo():
     start = time.monotonic()
     trials, target, alpha, kkt_tol = 1000, 0.95, 0.01, 1e-5
     kets = tomography.KETS
-    rho_w = states.werner_state(0.97867)
+    rho_w = werner(0.97867)
     nbar = tomography.predicted_counts(rho_w, flux_norm=4e4)  # mean 1e4/basis
     reached = np.zeros(trials, dtype=bool)
     worst_kkt = 0.0
@@ -239,7 +244,7 @@ def test_criterion_5d_gradient_and_budget():
     start = time.monotonic()
     rng = np.random.default_rng(507)
     counts = rng.poisson(tomography.predicted_counts(
-        states.werner_state(0.97867), flux_norm=4e4)).astype(float)
+        werner(0.97867), flux_norm=4e4)).astype(float)
     quad, w = tomography._QUAD, counts / counts.sum()
     worst_grad = worst_hess = 0.0
     for _ in range(20):

@@ -87,22 +87,6 @@ def test_local_rotations_rejects_non_finite_angles(theta_a, theta_b):
         channels.local_rotations(theta_a, theta_b)
 
 
-def test_solution_rotation_examples():
-    spec = channels.SolutionSpec(molarity=0.0, slope_deg_per_molar=7.01)
-    assert channels.solution_rotation(spec) == 0.0
-    # oracle: plain product slope * molarity
-    spec = channels.SolutionSpec(molarity=2.877, slope_deg_per_molar=7.01)
-    assert abs(math.degrees(channels.solution_rotation(spec)) - 7.01 * 2.877) < 1e-12
-    assert abs(math.degrees(channels.solution_rotation(spec)) - 20.17) < 0.005
-    spec = channels.SolutionSpec(molarity=4.236, slope_deg_per_molar=7.01)
-    assert abs(math.degrees(channels.solution_rotation(spec)) - 29.69) < 0.005
-
-
-def test_solution_spec_rejects_negative_molarity():
-    with pytest.raises(ValueError, match="molarity"):
-        channels.SolutionSpec(molarity=-0.1, slope_deg_per_molar=7.01)
-
-
 def test_offset_correct_examples():
     pbs_a, pbs_b, hwp = (math.radians(v) for v in (-4.75, 4.09, 5.47))
     # offsets exactly cancel

@@ -11,6 +11,7 @@ import pytest
 import polarot
 from polarot import cli, measure, states, tomography
 from polarot.cli import main
+from test_acceptance import werner
 
 EXACT_TEMPLATE = """
 [state]
@@ -203,7 +204,7 @@ def test_tomo_command(tmp_path, capsys):
 def test_tomo_with_bootstrap(tmp_path, capsys):
     rng = np.random.default_rng(2)
     nbar = tomography.predicted_counts(
-        states.werner_state(0.97867), flux_norm=1e4)
+        werner(0.97867), flux_norm=1e4)
     counts_file = tmp_path / "tomo.csv"
     tomography.write_tomo_counts(counts_file, rng.poisson(nbar).astype(float))
     assert main(["tomo", "--counts", str(counts_file), "--reference", "psi_plus",
@@ -215,7 +216,7 @@ def test_tomo_with_bootstrap(tmp_path, capsys):
 @pytest.mark.parametrize("trial", [353, 519])
 def test_tomo_exit_0_at_rank_deficient_optimum(tmp_path, capsys, trial):
     # criterion-5b trials whose optima sit on the boundary of state space
-    nbar = tomography.predicted_counts(states.werner_state(0.97867), flux_norm=4e4)
+    nbar = tomography.predicted_counts(werner(0.97867), flux_norm=4e4)
     counts = np.random.default_rng([5, trial]).poisson(nbar).astype(float)
     counts_file = tmp_path / "tomo.csv"
     tomography.write_tomo_counts(counts_file, counts)
@@ -225,7 +226,7 @@ def test_tomo_exit_0_at_rank_deficient_optimum(tmp_path, capsys, trial):
 
 def test_tomo_single_bootstrap_exits_2(tmp_path, capsys):
     # one resample has no spread: it used to print "+- nan" and exit 0
-    nbar = tomography.predicted_counts(states.werner_state(0.9), flux_norm=4e4)
+    nbar = tomography.predicted_counts(werner(0.9), flux_norm=4e4)
     counts_file = tmp_path / "tomo.csv"
     tomography.write_tomo_counts(counts_file,
                                  np.random.default_rng(1).poisson(nbar).astype(float))
@@ -365,6 +366,42 @@ def test_fisher_bad_flag_exits_2(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", str(GOLDEN_INPUTS / "sim.ini")],
+    ["simulate", "--config", str(GOLDEN_INPUTS / "sim.ini"), "--exact"],
+    ["scan", "--config", str(GOLDEN_INPUTS / "scan.ini")],
+    ["sweep", "--config", str(GOLDEN_INPUTS / "sweep_molarity.ini")],
+    ["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"), "--reference", "psi_plus",
+     "--bootstrap", "2"],
+    ["fisher", "--trials", "10"]],
+    ids=["simulate", "simulate-exact", "scan", "sweep", "tomo", "fisher"])
+def test_negative_seed_flag_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
+                                                      command):
+    # a sampled run failed in numpy with a message naming no flag, and tomo
+    # printed its fit before failing
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path))
+    assert main([*command, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be >= 0, got -1" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["simulate", "--exact"], ["scan"],
+                                     ["sweep", "--exact"]],
+                         ids=["simulate", "simulate-exact", "scan", "sweep-exact"])
+def test_negative_config_seed_exits_2(tmp_path, monkeypatch, capsys, command):
+    # an exact run used to accept it and exit 0
+    config_path = write_config(tmp_path, with_key(SWEEP_TEMPLATE, "statistics",
+                                                  "seed", "-3"))
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    assert main([*command, "--config", config_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[statistics] seed must be >= 0, got -3" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tomo_max_iter_must_be_nonnegative(capsys):
@@ -508,12 +545,18 @@ def arm_b_flipped_rotations(theta_a, theta_b):
     return LOCAL_ROTATIONS(theta_a, np.negative(theta_b))
 
 
+def arm_a_offset_rotations(theta_a, theta_b):
+    return LOCAL_ROTATIONS(np.add(theta_a, 0.1), theta_b)
+
+
 # a constant offset breaks the group law and the closed forms, but not the
-# nonlocal equivalence, which a sign flip on one arm breaks
+# nonlocal equivalence, which a sign flip on one arm breaks; an arm-A offset
+# moves the separable contrast |cos 2 theta_a| off its grid
 @pytest.mark.parametrize("check, broken", [
     ("rotation-group", offset_rotations),
     ("bell-nonlocal-equivalence", arm_b_flipped_rotations),
     ("joint-observable-closed-forms", offset_rotations),
+    ("separable-contrast-amplitude", arm_a_offset_rotations),
 ])
 def test_verify_fails_on_a_broken_rotation_kernel(monkeypatch, capsys, check, broken):
     monkeypatch.setattr(cli, "local_rotations", broken)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarot import channels, measure, states
-from test_acceptance import rotate_locally
+from test_acceptance import rotate_locally, werner
 
 
 def evolved_bell(kind, theta_a, theta_b, visibility=1.0):
@@ -801,7 +801,7 @@ def test_chsh_mixed_state_zero():
 
 def test_chsh_werner_scaling():
     p = (4.0 * 0.984 - 1.0) / 3.0
-    s = measure.chsh_s(states.werner_state(p), *CHSH_ANGLES)
+    s = measure.chsh_s(werner(p), *CHSH_ANGLES)
     assert abs(s - 2.0 * math.sqrt(2.0) * p) < 1e-9
     assert abs(s - 2.768) < 2e-3
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polarot import states
+from test_acceptance import werner
 
 
 def psi_plus_ket():
@@ -153,9 +154,9 @@ def test_concurrence_bell_and_separable():
 
 def test_concurrence_werner_closed_form():
     # closed form max(0, (3p - 1)/2) at p = 0.5 gives 0.25
-    rho = states.werner_state(0.5, "psi_minus")
+    rho = werner(0.5, "psi_minus")
     assert abs(states.concurrence(rho) - 0.25) < 1e-10
-    assert states.concurrence(states.werner_state(1.0 / 3.0, "psi_minus")) < 1e-10
+    assert states.concurrence(werner(1.0 / 3.0, "psi_minus")) < 1e-10
 
 
 def test_cosine_similarity_examples():
@@ -178,7 +179,7 @@ def test_purity_examples():
     assert abs(states.purity(states.bell_state("phi_minus")) - 1.0) < 1e-12
     assert abs(states.purity(states.maximally_mixed()) - 0.25) < 1e-12
     # oracle: direct trace of rho @ rho
-    rho = states.werner_state(0.5)
+    rho = werner(0.5)
     oracle = float(np.trace(rho @ rho).real)
     assert abs(oracle - 0.4375) < 1e-12
     assert abs(states.purity(rho) - 0.4375) < 1e-12
@@ -190,7 +191,7 @@ def test_metrics_invariant_under_global_phase():
     phased = np.exp(1j * rng.uniform(0, 2 * np.pi)) * psi
     rho = states.ket_to_dm(psi)
     rho_p = states.ket_to_dm(phased)
-    sigma = states.werner_state(0.9)
+    sigma = werner(0.9)
     assert abs(states.fidelity(rho, sigma) - states.fidelity(rho_p, sigma)) < 1e-12
     assert abs(states.concurrence(rho) - states.concurrence(rho_p)) < 1e-12
     assert abs(states.purity(rho) - states.purity(rho_p)) < 1e-12
@@ -214,7 +215,7 @@ def test_validate_state_rejections():
     with pytest.raises(ValueError, match="non-finite"):
         states.validate_state(one_nan)
     # a stack is checked in one pass and the message names the bad member
-    stack = np.array([states.werner_state(p) for p in (0.0, 0.5, 1.0, 0.3)])
+    stack = np.array([werner(p) for p in (0.0, 0.5, 1.0, 0.3)])
     assert states.validate_state(stack).shape == (4, 4, 4)
     for idx, bad, match in ((2, herm, "Hermitian"),
                             (3, 2.0 * states.maximally_mixed(), "trace"),
@@ -248,5 +249,28 @@ def test_load_state_rejects_non_finite_entries(tmp_path):
     path = tmp_path / "nan.txt"
     path.write_text("nan 0\n" * 16)
     with pytest.raises(ValueError, match="has non-finite entries") as excinfo:
+        states.load_state(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("row, lineno", [("1.0", 3), ("1.0 x", 3), ("1.0 0.0 0.0", 3)])
+def test_load_state_names_the_file_and_line_of_a_malformed_row(tmp_path, row, lineno):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# comment\n0.25 0\n{row}\n" + "0 0\n" * 14)
+    with pytest.raises(ValueError, match=rf"line {lineno}: expected 'real imag', "
+                                         rf"got '{row}'") as excinfo:
+        states.load_state(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("rho, match", [
+    (np.diag([1.5, -0.5, 0.0, 0.0]), "not positive semidefinite"),
+    (2.0 * states.maximally_mixed(), "trace is 2.0"),
+    (np.triu(np.full((4, 4), 0.25)), "not Hermitian"),
+])
+def test_load_state_rejects_an_unphysical_matrix(tmp_path, rho, match):
+    path = tmp_path / "unphysical.txt"
+    states.save_state(path, rho)
+    with pytest.raises(ValueError, match=match) as excinfo:
         states.load_state(path)
     assert str(path) in str(excinfo.value)

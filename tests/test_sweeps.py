@@ -339,6 +339,66 @@ def test_config_hash_changes_iff_fields_change():
         molarity_config(kind="psi_plus", seed=77))
 
 
+def loaded_arm_b(molarity, slope_line="slope_deg_per_molar = 7.01"):
+    text = BASE_MOLARITY_CONFIG.format(kind="psi_minus", seed=1).replace(
+        "molarity = 0\nslope_deg_per_molar = 7.01",
+        f"molarity = {molarity!r}\n{slope_line}")
+    return config.loads_config(text).arm_b
+
+
+def test_arm_solution_rotation_examples():
+    assert config.ArmConfig(molarity=0.0, slope_deg_per_molar=7.01).theta() == 0.0
+    # oracle: plain product slope * molarity
+    arm = config.ArmConfig(molarity=2.877, slope_deg_per_molar=7.01)
+    assert abs(math.degrees(arm.theta()) - 7.01 * 2.877) < 1e-12
+    assert abs(math.degrees(arm.theta()) - 20.17) < 0.005
+    arm = config.ArmConfig(molarity=4.236, slope_deg_per_molar=7.01)
+    assert abs(math.degrees(arm.theta()) - 29.69) < 0.005
+
+
+def test_arm_rejects_negative_molarity():
+    with pytest.raises(ValueError, match="molarity must be nonnegative"):
+        config.ArmConfig(molarity=-0.1, slope_deg_per_molar=7.01)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({}, "exactly one of a fixed angle or a solution"),
+    ({"angle": 0.1, "molarity": 1.0}, "exactly one of a fixed angle or a solution"),
+    ({"molarity": 1e200, "slope_deg_per_molar": 1e200}, "rotation is not finite: inf"),
+    ({"molarity": 1.0, "slope_deg_per_molar": math.nan}, "rotation is not finite: nan"),
+    ({"molarity": math.inf, "slope_deg_per_molar": -1.0}, "rotation is not finite: -inf"),
+])
+def test_arm_config_rejections(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        config.ArmConfig(**kwargs)
+
+
+@pytest.mark.parametrize("molarity", [0.0, 0.5, 2.877, 4.236, 1e-300])
+def test_ini_solution_arm_matches_the_arm_built_in_code(molarity):
+    arm = config.ArmConfig(molarity=molarity, slope_deg_per_molar=7.01)
+    assert loaded_arm_b(molarity) == arm
+    assert loaded_arm_b(molarity).theta() == arm.theta() == math.radians(7.01 * molarity)
+    # without a slope key both take the shipped calibration
+    assert loaded_arm_b(molarity, "").theta() == config.ArmConfig(molarity=molarity).theta()
+    assert config.ArmConfig(molarity=molarity).slope_deg_per_molar == \
+        config.DEFAULT_SLOPE_DEG_PER_MOLAR
+
+
+@pytest.mark.parametrize("arm", ["arm_a", "arm_b"])
+@pytest.mark.parametrize("field, value", [
+    ("angle", 0.25), ("molarity", 1.5), ("slope_deg_per_molar", 7.02)])
+def test_config_hash_follows_every_arm_field(arm, field, value):
+    solution = config.ArmConfig(molarity=1.0, slope_deg_per_molar=7.01)
+    base = dataclasses.replace(theta_config(), arm_a=solution, arm_b=solution)
+    if field == "angle":
+        base = dataclasses.replace(base, **{arm: config.ArmConfig(angle=0.2)})
+        changed = config.ArmConfig(angle=value)
+    else:
+        changed = dataclasses.replace(solution, **{field: value})
+    assert config.config_hash(base) != config.config_hash(
+        dataclasses.replace(base, **{arm: changed}))
+
+
 def test_write_sweep_deterministic(tmp_path):
     cfg = molarity_config()
     path_1 = tmp_path / "a.csv"

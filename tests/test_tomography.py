@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polarot import states, tomography
-from test_acceptance import likelihood_gradient_lambda_max, rotate_locally
+from test_acceptance import likelihood_gradient_lambda_max, rotate_locally, werner
 
 
 def random_state(rng):
@@ -15,11 +15,11 @@ def random_state(rng):
 
 
 def werner_ideal():
-    return states.werner_state((4.0 * 0.984 - 1.0) / 3.0, "psi_plus")
+    return werner((4.0 * 0.984 - 1.0) / 3.0, "psi_plus")
 
 
 def criterion_5b_counts(trial):
-    nbar = tomography.predicted_counts(states.werner_state(0.97867), flux_norm=4e4)
+    nbar = tomography.predicted_counts(werner(0.97867), flux_norm=4e4)
     return np.random.default_rng([5, trial]).poisson(nbar).astype(float)
 
 
@@ -395,7 +395,7 @@ def test_bootstrap_sigmas_match_the_spread_over_count_draws():
     # the spread (by about 20 % in sd here; ROADMAP, direction 4), so that
     # case would test the estimator's bias, not the bootstrap.
     draws_m, datasets_k, resamples_r = 1601, 100, 17
-    rho, reference = states.werner_state(0.9), states.bell_state("psi_minus")
+    rho, reference = werner(0.9), states.bell_state("psi_minus")
     nbar = tomography.predicted_counts(rho, flux_norm=4e4)
     draws = [np.random.default_rng([13, i]).poisson(nbar).astype(float)
              for i in range(draws_m)]
