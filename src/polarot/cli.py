@@ -29,9 +29,8 @@ from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity, ket,
                      maximally_mixed, save_state, separable_state, validate_state)
 from .sweeps import (configured_state, configured_table, observables_at,
                      run_molarity_sweep, run_theta_sweep, write_sweep)
-from .tomography import (DESIGN, bootstrap_sigmas, mle_reconstruct,
-                         predicted_counts, read_tomo_counts,
-                         reconstruction_report)
+from .tomography import (DESIGN, _report, bootstrap_sigmas, mle_reconstruct,
+                         predicted_counts, read_tomo_counts)
 
 OUT_ENV = "POLAROT_OUT"
 _OBSERVABLES = ("m_zz", "m_xz", "m_zx")
@@ -138,7 +137,7 @@ def _cmd_tomo(args) -> int:
         save_state(_resolve_out(args.out_state), result.rho)
     if args.reference:
         reference = bell_state(args.reference)
-        report = reconstruction_report(result.rho, reference)
+        report = _report(result.rho, reference)
         sigmas = {}
         if args.bootstrap > 0:
             sigmas = bootstrap_sigmas(result.rho, counts, reference,

@@ -139,6 +139,9 @@ def _parse_arm(section) -> tuple[ArmConfig, float]:
         raise ValueError(f"section [{section.name}] must not set both angle_deg "
                          f"and molarity")
     if has_angle:
+        if "slope_deg_per_molar" in section:
+            raise ValueError(f"section [{section.name}] must not set slope_deg_per_molar "
+                             f"with angle_deg (the slope calibrates a solution arm)")
         angle = math.radians(_float(section, "angle_deg"))
         return ArmConfig(angle=angle), transmission
     if has_molarity:
@@ -213,7 +216,11 @@ def loads_config(text: str) -> ExperimentConfig:
         transmission_a=transmissions.get("arm_a", DEFAULT_TRANSMISSION),
         transmission_b=transmissions.get("arm_b", DEFAULT_TRANSMISSION),
         accidental_fraction=accidental_fraction)
-    kwargs["seed"] = sec.getint("seed")
+    try:
+        kwargs["seed"] = sec.getint("seed")
+    except ValueError:
+        raise ValueError(f"[statistics] seed must be an integer, "
+                         f"got {sec['seed']!r}") from None
     if kwargs["seed"] < 0:
         raise ValueError(f"[statistics] seed must be >= 0, got {kwargs['seed']}")
     if parser.has_section("settings"):

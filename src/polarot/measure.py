@@ -171,16 +171,18 @@ def outcome_probabilities(rho: np.ndarray, a,
     the projector tensor of S settings (projector_tensor) and the result
     has shape (..., S, 4).
     """
-    rho = validate_state(rho)
-    projectors = a if b is None else projector_tensor([(a, b)])
+    probs = _born(validate_state(rho), a if b is None else projector_tensor([(a, b)]))
+    return probs if b is None else probs[..., 0, :]
+
+
+def _born(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     # sum_ij rho_ij P_ji as one contraction over the flattened index pair
     # (i, j): each probability is then summed in the same order whatever
     # the stack shape, so a state's values do not depend on its batch
     transposed = projectors.swapaxes(-2, -1).reshape(len(projectors), 4, 16)
     probs = np.einsum("...x,skx->...sk", rho.reshape(rho.shape[:-2] + (16,)),
                       transposed).real
-    probs = np.clip(probs, 0.0, None)
-    return probs if b is None else probs[..., 0, :]
+    return np.clip(probs, 0.0, None)
 
 
 def _correlations(probs: np.ndarray) -> np.ndarray:
@@ -246,7 +248,7 @@ def _effective_probabilities(rho, settings, accidental_fraction):
     # the named triple's tensor is built once, at import
     projectors = (_NAMED_PROJECTORS if settings is NAMED_SETTINGS
                   else projector_tensor(settings))
-    p = outcome_probabilities(rho, projectors)
+    p = _born(rho, projectors)
     p = p / p.sum(axis=-1, keepdims=True)
     return (1.0 - accidental_fraction) * p + accidental_fraction / 4.0
 
@@ -268,6 +270,10 @@ def simulate_counts(rho: np.ndarray, settings, detection: Detection,
     reproducible from its seed, but what one cell draws depends on the
     number and order of all the states and settings in the table.
     """
+    return _simulate_counts(validate_state(rho), settings, detection, seed)
+
+
+def _simulate_counts(rho, settings, detection, seed) -> CoincidenceTable:
     lam = detection.mean_pairs()
     probs = _effective_probabilities(rho, settings, 0.0)
     rng = np.random.default_rng(seed)
@@ -284,6 +290,10 @@ def simulate_counts(rho: np.ndarray, settings, detection: Detection,
 def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceTable:
     """Expected-value coincidence table: the sampling-free limit of
     simulate_counts, with unrounded mean counts per outcome."""
+    return _exact_table(validate_state(rho), settings, detection)
+
+
+def _exact_table(rho, settings, detection) -> CoincidenceTable:
     counts = detection.mean_pairs() * _effective_probabilities(
         rho, settings, detection.accidental_fraction)
     return CoincidenceTable([tuple(s) for s in settings], counts,
@@ -435,7 +445,12 @@ def chsh_s(rho: np.ndarray, a: float, a_prime: float, b: float,
     settings = [(AnalyzerSetting.from_polarizer(x), AnalyzerSetting.from_polarizer(y))
                 for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))]
     e = _correlations(outcome_probabilities(rho, projector_tensor(settings)))
-    return float(abs(e[0] - e[1]) + abs(e[2]) + abs(e[3]))
+    return float(_chsh(e))
+
+
+def _chsh(e):
+    """|e0 - e1| + |e2| + |e3| for e = E(a,b), E(a,b'), E(a',b), E(a',b')."""
+    return abs(e[0] - e[1]) + abs(e[2]) + abs(e[3])
 
 
 def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
@@ -460,12 +475,10 @@ def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
     key = lambda sid: float(sid.split(":")[1])
     id_a, id_ap = sorted(angles_a, key=key)
     id_b, id_bp = sorted(angles_b, key=key)
-    e = {}
-    for ka, kb in ((id_a, id_b), (id_a, id_bp), (id_ap, id_b), (id_ap, id_bp)):
-        e[ka, kb] = estimate_correlation(_rows_for_pair(table, ka, kb))
-    s = (abs(e[id_a, id_b][0] - e[id_a, id_bp][0])
-         + abs(e[id_ap, id_b][0]) + abs(e[id_ap, id_bp][0]))
-    sigma = np.sqrt(sum(v[1] ** 2 for v in e.values()))
+    e, sigmas = zip(*(estimate_correlation(_rows_for_pair(table, ka, kb))
+                      for ka in (id_a, id_ap) for kb in (id_b, id_bp)))
+    s = _chsh(e)
+    sigma = np.sqrt(sum(v ** 2 for v in sigmas))
     return (s, float(sigma)) if np.ndim(s) == 0 else (s, sigma)
 
 

@@ -123,8 +123,10 @@ def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
-    rho = validate_state(rho)
-    sigma = validate_state(sigma)
+    return _fidelity(validate_state(rho), validate_state(sigma))
+
+
+def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     sq = _sqrtm_psd(rho)
     ev = np.linalg.eigvalsh(sq @ sigma @ sq)
     f = float(np.sqrt(np.clip(ev, 0.0, None)).sum() ** 2)
@@ -137,7 +139,10 @@ def concurrence(rho: np.ndarray) -> float:
     The l_i are the decreasingly ordered square roots of the eigenvalues of
     rho (sy (x) sy) rho* (sy (x) sy).
     """
-    rho = validate_state(rho)
+    return _concurrence(validate_state(rho))
+
+
+def _concurrence(rho: np.ndarray) -> float:
     m = rho @ _YY @ rho.conj() @ _YY
     ev = np.linalg.eigvals(m).real
     lam = np.sqrt(np.clip(ev, 0.0, None))
@@ -158,7 +163,10 @@ def cosine_similarity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def purity(rho: np.ndarray) -> float:
     """Tr rho^2; 1 for pure states, 1/4 for the maximally mixed state."""
-    rho = validate_state(rho)
+    return _purity(validate_state(rho))
+
+
+def _purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import apply_noise, local_rotations, offset_correct
+from .channels import _apply_noise, local_rotations, offset_correct
 from .config import ExperimentConfig, config_hash
 from .csvfile import write_csv
-from .measure import (NAMED_SETTINGS, JointObservables, estimate_observables,
-                      exact_table, extract_thetas, rotation_from_observables,
-                      simulate_counts)
+from .measure import (NAMED_SETTINGS, JointObservables, _exact_table,
+                      _simulate_counts, estimate_observables, extract_thetas,
+                      rotation_from_observables)
 from .states import bell_state, ket, separable_state
 
 __all__ = ["SweepResult", "configured_state", "configured_table",
@@ -117,7 +117,7 @@ def configured_state(cfg: ExperimentConfig, kind: str | None = None,
         rho = separable_state(ket(cfg.ket_a), ket(cfg.ket_b))
     else:
         rho = bell_state(kind)
-    rho = apply_noise(rho, cfg.visibility)
+    rho = _apply_noise(rho, cfg.visibility)
     theta_a_eff = (cfg.arm_a.theta() if theta_a is None else theta_a) + cfg.pbs_a
     if kind == "psi_minus":
         theta_a_eff += cfg.hwp
@@ -127,13 +127,13 @@ def configured_state(cfg: ExperimentConfig, kind: str | None = None,
 
 
 def configured_table(cfg: ExperimentConfig, rho, settings, exact: bool, seed):
-    """Coincidence table of `settings` on `rho` under the configured
-    detection model: exact expectations, or counts sampled from `seed` (an
-    int or a SeedSequence). A stack of states gives a stacked table, all
-    of it sampled from the one stream of `seed`."""
+    """Coincidence table of `settings` on `rho`, a configured_state (not
+    validated again), under the configured detection model: exact
+    expectations, or counts sampled from `seed` (an int or a SeedSequence).
+    A stack of states gives a stacked table, from the one stream of `seed`."""
     if exact:
-        return exact_table(rho, settings, cfg.detection)
-    return simulate_counts(rho, settings, cfg.detection, seed=seed)
+        return _exact_table(rho, settings, cfg.detection)
+    return _simulate_counts(rho, settings, cfg.detection, seed)
 
 
 def observables_at(cfg: ExperimentConfig, kind: str | None,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvfile import read_csv, write_csv
-from .states import (concurrence, cosine_similarity, fidelity, ket, purity,
+from .states import (_concurrence, _fidelity, _purity, cosine_similarity, ket,
                      validate_state)
 
 __all__ = [
@@ -67,9 +67,11 @@ def predicted_counts(rho: np.ndarray, flux_norm: float = 1.0) -> np.ndarray:
     """Expected counts flux_norm * <psi_k| rho |psi_k> per basis."""
     if flux_norm <= 0:
         raise ValueError(f"flux_norm must be positive, got {flux_norm}")
-    rho = validate_state(rho)
-    p = np.einsum("ki,ij,kj->k", KETS.conj(), rho, KETS).real
-    return flux_norm * np.clip(p, 0.0, None)
+    return flux_norm * _probabilities(validate_state(rho))
+
+
+def _probabilities(rho: np.ndarray) -> np.ndarray:
+    return np.clip(np.einsum("ki,ij,kj->k", KETS.conj(), rho, KETS).real, 0.0, None)
 
 
 def linear_inversion(counts: np.ndarray) -> np.ndarray:
@@ -165,7 +167,7 @@ def _kkt(counts: np.ndarray, rho: np.ndarray):
     # maximizes the likelihood iff G <= 0 (Rehacek et al., PRA 75, 042108,
     # 2007), and Tr(rho G) = 0, so the gap is >= 0 and vanishes exactly at
     # the maximum, on the boundary of state space too
-    p = predicted_counts(rho)
+    p = _probabilities(rho)
     w = np.divide(counts, p, out=np.zeros_like(p), where=counts > 0)
     g = (np.einsum("k,kij->ij", w, _PROJECTORS) / counts.sum()
          - _PROJECTORS.sum(axis=0) / p.sum())
@@ -225,10 +227,14 @@ def mle_reconstruct(counts: np.ndarray, max_iter: int = 5000) -> MleResult:
 
 def reconstruction_report(rho_hat: np.ndarray, reference: np.ndarray) -> dict:
     """Bundle the four comparison metrics of a reconstructed state."""
+    return _report(validate_state(rho_hat), validate_state(reference))
+
+
+def _report(rho_hat: np.ndarray, reference: np.ndarray) -> dict:
     return {
-        "fidelity": fidelity(rho_hat, reference),
-        "concurrence": concurrence(rho_hat),
-        "purity": purity(rho_hat),
+        "fidelity": _fidelity(rho_hat, reference),
+        "concurrence": _concurrence(rho_hat),
+        "purity": _purity(rho_hat),
         "cosine_similarity": cosine_similarity(rho_hat, reference),
     }
 
@@ -246,14 +252,15 @@ def bootstrap_sigmas(rho_hat: np.ndarray, counts: np.ndarray,
     """
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be at least 2, got {n_resamples}")
+    rho_hat, reference = validate_state(rho_hat), validate_state(reference)
     counts = np.asarray(counts, dtype=float)
-    p = predicted_counts(rho_hat, flux_norm=1.0)
+    p = _probabilities(rho_hat)
     nbar = counts.sum() / p.sum() * p
     reports = []
     for r in range(n_resamples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         rho_r = mle_reconstruct(rng.poisson(nbar).astype(float)).rho
-        reports.append(reconstruction_report(rho_r, reference))
+        reports.append(_report(rho_r, reference))
     return {key: float(np.std([report[key] for report in reports], ddof=1))
             for key in reports[0]}
 

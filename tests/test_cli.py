@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import polarot
-from polarot import cli, measure, states, tomography
+from golden.cases import run_case
+from polarot import channels, cli, measure, states, tomography
 from polarot.cli import main
 from test_acceptance import werner
 
@@ -402,6 +403,55 @@ def test_negative_config_seed_exits_2(tmp_path, monkeypatch, capsys, command):
     assert captured.out == ""
     assert "[statistics] seed must be >= 0, got -3" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1.5", "seven"])
+def test_non_integer_config_seed_exits_2(tmp_path, monkeypatch, capsys, value):
+    # it exited 2 with "invalid literal for int() with base 10: '1.5'"
+    config_path = write_config(tmp_path, with_key(SWEEP_TEMPLATE, "statistics",
+                                                  "seed", value))
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    assert main(["sweep", "--exact", "--config", config_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"[statistics] seed must be an integer, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("arm", ["arm_a", "arm_b"])
+def test_slope_in_an_angle_arm_exits_2(tmp_path, monkeypatch, capsys, arm):
+    # it was accepted and ignored, with an unchanged config_hash
+    text = with_key(EXACT_TEMPLATE.format(kind="psi_minus"), arm,
+                    "slope_deg_per_molar", "99")
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    assert main(["simulate", "--exact", "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"section [{arm}] must not set slope_deg_per_molar with angle_deg"
+            in captured.err)
+
+
+def test_validate_state_checks_only_the_states_a_command_is_given(tmp_path,
+                                                                  monkeypatch):
+    # the states a command builds itself (Bell constants, Werner mixtures,
+    # rotations of them, fits) are physical by construction and are not
+    # validated again; tomo checks the fit and the reference once each, as
+    # bootstrap_sigmas takes them
+    calls = []
+    validate_state = states.validate_state
+
+    def counted(rho):
+        calls.append(rho)
+        return validate_state(rho)
+
+    for module in (states, channels, measure, tomography, cli):
+        monkeypatch.setattr(module, "validate_state", counted)
+    counts = {}
+    for name in ("sweep_theta", "scan_exact", "tomo"):
+        calls.clear()
+        code, _ = run_case(name, tmp_path / name)
+        assert code == 0
+        counts[name] = len(calls)
+    assert counts == {"sweep_theta": 0, "scan_exact": 0, "tomo": 2}
 
 
 def test_tomo_max_iter_must_be_nonnegative(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarot import states
+from polarot import channels, measure, states, tomography
 from test_acceptance import werner
 
 
@@ -141,6 +141,54 @@ def test_fidelity_rejects_nonphysical():
     bad = np.diag([0.7, 0.5, 0.0, -0.2]).astype(complex)
     with pytest.raises(ValueError, match="positive semidefinite"):
         states.fidelity(bad, states.maximally_mixed())
+
+
+def _load_saved(rho, tmp_path):
+    states.save_state(tmp_path / "rho.txt", rho)
+    return states.load_state(tmp_path / "rho.txt")
+
+
+GOOD = states.maximally_mixed()
+COUNTS = np.full(16, 100.0)
+
+# every public function that takes a density matrix, with the state under
+# test in one of its state arguments
+DOORS = {
+    "outcome_probabilities": lambda rho, tmp: measure.outcome_probabilities(
+        rho, *measure.NAMED_SETTINGS[0]),
+    "exact_observables": lambda rho, tmp: measure.exact_observables(rho),
+    "simulate_counts": lambda rho, tmp: measure.simulate_counts(
+        rho, measure.NAMED_SETTINGS, measure.Detection(1e3, 1.0)),
+    "exact_table": lambda rho, tmp: measure.exact_table(
+        rho, measure.NAMED_SETTINGS, measure.Detection(1e3, 1.0)),
+    "chsh_s": lambda rho, tmp: measure.chsh_s(rho, 0.0, 0.8, 0.4, 1.2),
+    "apply_noise": lambda rho, tmp: channels.apply_noise(rho, 0.5),
+    "predicted_counts": lambda rho, tmp: tomography.predicted_counts(rho),
+    "reconstruction_report-rho_hat": lambda rho, tmp:
+        tomography.reconstruction_report(rho, GOOD),
+    "reconstruction_report-reference": lambda rho, tmp:
+        tomography.reconstruction_report(GOOD, rho),
+    "bootstrap_sigmas-rho_hat": lambda rho, tmp:
+        tomography.bootstrap_sigmas(rho, COUNTS, GOOD, n_resamples=2),
+    "bootstrap_sigmas-reference": lambda rho, tmp:
+        tomography.bootstrap_sigmas(GOOD, COUNTS, rho, n_resamples=2),
+    "fidelity-rho": lambda rho, tmp: states.fidelity(rho, GOOD),
+    "fidelity-sigma": lambda rho, tmp: states.fidelity(GOOD, rho),
+    "concurrence": lambda rho, tmp: states.concurrence(rho),
+    "purity": lambda rho, tmp: states.purity(rho),
+    "load_state": _load_saved,
+}
+
+
+@pytest.mark.parametrize("door", sorted(DOORS))
+def test_every_public_door_rejects_an_unphysical_state(tmp_path, door):
+    # the package's own pipelines skip the check on the states they build,
+    # so each public function must still make it on the states it is given
+    DOORS[door](GOOD, tmp_path)
+    bad = np.diag([0.7, 0.5, 0.0, -0.2]).astype(complex)
+    with pytest.raises(ValueError, match=r"density matrix not positive "
+                                         r"semidefinite: min eigenvalue = -0\.2$"):
+        DOORS[door](bad, tmp_path)
 
 
 def test_concurrence_bell_and_separable():
