@@ -1,18 +1,18 @@
 """Declarative experiment configuration.
 
-Config files are INI-style structured text with named sections mirroring
-the run description: [state], [noise], [arm_a], [arm_b], [offsets],
-[statistics], [settings], [sweep]. Angles appear in degrees in
-files (keys carry a _deg suffix) and are converted to radians on load.
-Calibration constants default to the shipped values below and are never
-hard-coded in analysis logic.
+Config files are INI text, read in one pass by `_read_ini`, with named
+sections mirroring the run description: [state], [noise], [arm_a], [arm_b],
+[offsets], [statistics], [settings], [sweep]; any other section or key is
+rejected. Angles appear in degrees in files (keys carry a _deg suffix) and
+are converted to radians on load. Calibration constants default to the
+shipped values below and are never hard-coded in analysis logic.
 """
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field
 
 from .measure import NAMED_PAIRS, Detection
@@ -122,120 +122,179 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _float(section, key: str, fallback: float | None = None) -> float | None:
-    """The finite float value of `key`, or `fallback` when it is absent."""
-    value = section.getfloat(key, fallback=fallback)
-    if value is not None and not math.isfinite(value):
-        raise ValueError(f"[{section.name}] {key} must be finite, got {value!r}")
+_COMMENT = re.compile(r"(?:^|\s)[;#]")
+_KEY_LINE = re.compile(r"([^=:]+)[=:](.*)")
+
+# the keys each section accepts; any other section or key is an error
+_KEYS = {
+    "state": ("kind", "ket_a", "ket_b"),
+    "noise": ("visibility", "accidental_fraction"),
+    "arm_a": ("angle_deg", "molarity", "slope_deg_per_molar", "transmission"),
+    "arm_b": ("angle_deg", "molarity", "slope_deg_per_molar", "transmission"),
+    "offsets": ("pbs_a_deg", "pbs_b_deg", "hwp_deg"),
+    "statistics": ("pair_flux", "duration", "seed"),
+    "settings": ("pairs",),
+    "sweep": ("variable", "values", "start", "stop", "count"),
+}
+
+
+def _read_ini(text: str) -> dict[str, dict[str, str]]:
+    """The {section: {key: raw value}} of INI text, read in one pass.
+
+    `#` or `;` at the start of a line or after whitespace begins a comment.
+    A key line splits at its first `=` or `:`; keys are lower-cased, section
+    names are not. A line indented deeper than its key line continues the
+    value, joined with a newline. Nothing is interpolated.
+    """
+    def malformed(why):
+        return ValueError(f"malformed config: line {number}: {why}")
+
+    sections: dict[str, dict[str, str]] = {}
+    section = key = None
+    key_indent = 0
+    for number, line in enumerate(text.split("\n"), start=1):
+        comment = (";" in line or "#" in line) and _COMMENT.search(line)
+        value = line[:comment.start() if comment else None].strip()
+        if not value:
+            continue
+        indent = len(line) - len(line.lstrip())
+        if key is not None and indent > key_indent:
+            section[key] += "\n" + value
+            continue
+        key, key_indent = None, indent
+        if len(value) > 2 and value[0] == "[" and value[-1] == "]":
+            if value[1:-1] in sections:
+                raise malformed(f"duplicate section {value}")
+            section = sections[value[1:-1]] = {}
+            continue
+        if section is None:
+            raise malformed(f"{value!r} comes before any [section] header")
+        pair = _KEY_LINE.match(value)
+        if pair is None:
+            raise malformed(f"expected 'key = value', got {value!r}")
+        key = pair[1].strip().lower()
+        if key in section:
+            raise malformed(f"duplicate key {key!r}")
+        section[key] = pair[2].strip()
+    return sections
+
+
+def _number(kind, name: str, key: str, raw: str):
+    """`raw` read as a finite `kind` (float or int); errors name the key."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"[{name}] {key} must be {noun}, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"[{name}] {key} must be finite, got {value!r}")
     return value
 
 
-def _parse_arm(section) -> tuple[ArmConfig, float]:
+def _float(sec: dict, name: str, key: str,
+           fallback: float | None = None) -> float | None:
+    """The finite float value of `key` in section `name`, or `fallback` when
+    it is absent."""
+    raw = sec.get(key)
+    return fallback if raw is None else _number(float, name, key, raw)
+
+
+def _parse_arm(sec: dict, name: str) -> tuple[ArmConfig, float]:
     """The arm of a section and its transmission."""
-    transmission = _float(section, "transmission", fallback=DEFAULT_TRANSMISSION)
-    has_angle = "angle_deg" in section
-    has_molarity = "molarity" in section
+    transmission = _float(sec, name, "transmission", DEFAULT_TRANSMISSION)
+    has_angle = "angle_deg" in sec
+    has_molarity = "molarity" in sec
     if has_angle and has_molarity:
-        raise ValueError(f"section [{section.name}] must not set both angle_deg "
-                         f"and molarity")
+        raise ValueError(f"section [{name}] must not set both angle_deg and molarity")
     if has_angle:
-        if "slope_deg_per_molar" in section:
-            raise ValueError(f"section [{section.name}] must not set slope_deg_per_molar "
+        if "slope_deg_per_molar" in sec:
+            raise ValueError(f"section [{name}] must not set slope_deg_per_molar "
                              f"with angle_deg (the slope calibrates a solution arm)")
-        angle = math.radians(_float(section, "angle_deg"))
+        angle = math.radians(_float(sec, name, "angle_deg"))
         return ArmConfig(angle=angle), transmission
     if has_molarity:
-        arm = ArmConfig(molarity=_float(section, "molarity"),
-                        slope_deg_per_molar=_float(section, "slope_deg_per_molar",
-                                                   fallback=DEFAULT_SLOPE_DEG_PER_MOLAR))
+        arm = ArmConfig(molarity=_float(sec, name, "molarity"),
+                        slope_deg_per_molar=_float(sec, name, "slope_deg_per_molar",
+                                                   DEFAULT_SLOPE_DEG_PER_MOLAR))
         return arm, transmission
-    raise ValueError(f"section [{section.name}] needs angle_deg or molarity")
+    raise ValueError(f"section [{name}] needs angle_deg or molarity")
 
 
-def _parse_sweep(section) -> tuple[str, tuple]:
-    variable = section.get("variable")
+def _parse_sweep(sec: dict) -> tuple[str, tuple]:
+    variable = sec.get("variable")
     if variable is None:
         raise ValueError("[sweep] section needs a 'variable' key")
-    has_values = "values" in section
-    has_range = "start" in section or "stop" in section or "count" in section
+    has_values = "values" in sec
+    has_range = "start" in sec or "stop" in sec or "count" in sec
     if has_values == has_range:
         raise ValueError("[sweep] needs either 'values' or 'start/stop/count'")
     if has_values:
-        values = tuple(float(v) for v in section.get("values").split(","))
-        for value in values:
-            if not math.isfinite(value):
-                raise ValueError(f"[sweep] values must be finite, got {value!r}")
-    else:
-        for key in ("start", "stop", "count"):
-            if key not in section:
-                raise ValueError(f"[sweep] range is missing '{key}'")
-        start = _float(section, "start")
-        stop = _float(section, "stop")
-        count = section.getint("count")
-        if count < 2:
-            raise ValueError("[sweep] count must be at least 2")
-        step = (stop - start) / (count - 1)
-        values = tuple(start + step * i for i in range(count))
-    return variable, values
+        return variable, tuple(_number(float, "sweep", "values", v.strip())
+                               for v in sec["values"].split(","))
+    for key in ("start", "stop", "count"):
+        if key not in sec:
+            raise ValueError(f"[sweep] range is missing '{key}'")
+    start = _float(sec, "sweep", "start")
+    stop = _float(sec, "sweep", "stop")
+    count = _number(int, "sweep", "count", sec["count"])
+    if count < 2:
+        raise ValueError("[sweep] count must be at least 2")
+    step = (stop - start) / (count - 1)
+    return variable, tuple(start + step * i for i in range(count))
 
 
 def loads_config(text: str) -> ExperimentConfig:
     """Parse a configuration from INI text."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ValueError(f"malformed config: {exc}") from exc
+    ini = _read_ini(text)
+    for name, values in ini.items():
+        if name not in _KEYS:
+            raise ValueError(f"unknown config section [{name}]; the sections are "
+                             + ", ".join(f"[{known}]" for known in _KEYS))
+        for key in values:
+            if key not in _KEYS[name]:
+                raise ValueError(f"[{name}] unknown key {key!r}; the keys are "
+                                 + ", ".join(_KEYS[name]))
 
-    kwargs = {}
-    if parser.has_section("state"):
-        sec = parser["state"]
-        kwargs["state_kind"] = sec.get("kind", "psi_minus").strip()
-        kwargs["ket_a"] = sec.get("ket_a", "H").strip().upper()
-        kwargs["ket_b"] = sec.get("ket_b", "V").strip().upper()
-    accidental_fraction = 0.0
-    if parser.has_section("noise"):
-        sec = parser["noise"]
-        kwargs["visibility"] = _float(sec, "visibility", fallback=1.0)
-        accidental_fraction = _float(sec, "accidental_fraction", fallback=0.0)
+    state = ini.get("state", {})
+    kwargs = {"state_kind": state.get("kind", "psi_minus"),
+              "ket_a": state.get("ket_a", "H").upper(),
+              "ket_b": state.get("ket_b", "V").upper()}
+    noise = ini.get("noise", {})
+    kwargs["visibility"] = _float(noise, "noise", "visibility", 1.0)
+    accidental_fraction = _float(noise, "noise", "accidental_fraction", 0.0)
     transmissions = {}
     for name in ("arm_a", "arm_b"):
-        if parser.has_section(name):
-            kwargs[name], transmissions[name] = _parse_arm(parser[name])
-    if parser.has_section("offsets"):
-        sec = parser["offsets"]
-        kwargs["pbs_a"] = math.radians(_float(sec, "pbs_a_deg", fallback=DEFAULT_PBS_A_DEG))
-        kwargs["pbs_b"] = math.radians(_float(sec, "pbs_b_deg", fallback=DEFAULT_PBS_B_DEG))
-        kwargs["hwp"] = math.radians(_float(sec, "hwp_deg", fallback=DEFAULT_HWP_DEG))
-    if not parser.has_section("statistics") or "seed" not in parser["statistics"]:
+        if name in ini:
+            kwargs[name], transmissions[name] = _parse_arm(ini[name], name)
+    offsets = ini.get("offsets", {})
+    for key, default in (("pbs_a", DEFAULT_PBS_A_DEG), ("pbs_b", DEFAULT_PBS_B_DEG),
+                         ("hwp", DEFAULT_HWP_DEG)):
+        kwargs[key] = math.radians(_float(offsets, "offsets", f"{key}_deg", default))
+    statistics = ini.get("statistics", {})
+    if "seed" not in statistics:
         raise ValueError("[statistics] section with an explicit seed is mandatory")
-    sec = parser["statistics"]
     kwargs["detection"] = Detection(
-        pair_flux=_float(sec, "pair_flux", fallback=1e5),
-        duration=_float(sec, "duration", fallback=1.0),
+        pair_flux=_float(statistics, "statistics", "pair_flux", 1e5),
+        duration=_float(statistics, "statistics", "duration", 1.0),
         transmission_a=transmissions.get("arm_a", DEFAULT_TRANSMISSION),
         transmission_b=transmissions.get("arm_b", DEFAULT_TRANSMISSION),
         accidental_fraction=accidental_fraction)
-    try:
-        kwargs["seed"] = sec.getint("seed")
-    except ValueError:
-        raise ValueError(f"[statistics] seed must be an integer, "
-                         f"got {sec['seed']!r}") from None
+    kwargs["seed"] = _number(int, "statistics", "seed", statistics["seed"])
     if kwargs["seed"] < 0:
         raise ValueError(f"[statistics] seed must be >= 0, got {kwargs['seed']}")
-    if parser.has_section("settings"):
+    if "settings" in ini:
+        if "pairs" not in ini["settings"]:
+            raise ValueError("[settings] section needs a 'pairs' key")
         pairs = []
-        for token in parser["settings"].get("pairs").split(","):
+        for token in ini["settings"]["pairs"].split(","):
             token = token.strip()
             if token.count("/") != 1:
                 raise ValueError(f"setting pair {token!r} must be '<id_a>/<id_b>'")
             a, b = token.split("/")
             pairs.append((a.strip(), b.strip()))
         kwargs["setting_pairs"] = tuple(pairs)
-    if parser.has_section("sweep"):
-        variable, values = _parse_sweep(parser["sweep"])
-        kwargs["sweep_variable"] = variable
-        kwargs["sweep_values"] = values
+    if "sweep" in ini:
+        kwargs["sweep_variable"], kwargs["sweep_values"] = _parse_sweep(ini["sweep"])
     return ExperimentConfig(**kwargs)
 
 

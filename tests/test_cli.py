@@ -417,6 +417,52 @@ def test_non_integer_config_seed_exits_2(tmp_path, monkeypatch, capsys, value):
     assert f"[statistics] seed must be an integer, got '{value}'" in captured.err
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("visibility", "90%", "[noise] visibility must be a number, got '90%'"),
+    ("angle_deg", "20%", "[arm_a] angle_deg must be a number, got '20%'"),
+    ("seed", "40%", "[statistics] seed must be an integer, got '40%'"),
+    ("values", "0, 10%", "[sweep] values must be a number, got '10%'")],
+    ids=["visibility", "angle_deg", "seed", "values"])
+def test_percent_in_a_config_value_exits_2(tmp_path, monkeypatch, capsys, key, value,
+                                           named):
+    # '%' was read as interpolation syntax: a traceback and exit 1
+    lines = (SWEEP_TEMPLATE + "[noise]\nvisibility = 1\n").splitlines()
+    text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                     for line in lines)
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    assert main(["sweep", "--exact", "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("extra, named", [
+    ("[noise]\nvisibilty = 0.5\n", "[noise] unknown key 'visibilty'"),
+    ("[sweep_values]\nvalues = 1\n", "unknown config section [sweep_values]"),
+    ("[outputs]\ndir = runs\n", "unknown config section [outputs]"),
+    ("[DEFAULT]\nseed = 1\n", "unknown config section [DEFAULT]")],
+    ids=["misspelled-key", "unknown-section", "outputs", "DEFAULT"])
+def test_unknown_config_section_or_key_exits_2(tmp_path, monkeypatch, capsys, extra,
+                                               named):
+    # a misspelled key used to load silently, with its default
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    text = SWEEP_TEMPLATE + extra
+    assert main(["sweep", "--exact", "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_settings_without_pairs_exits_2(tmp_path, monkeypatch, capsys):
+    # it crashed with an AttributeError traceback and exit 1
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    text = EXACT_TEMPLATE.format(kind="psi_minus") + "[settings]\n"
+    assert main(["simulate", "--exact", "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[settings] section needs a 'pairs' key" in captured.err
+
+
 @pytest.mark.parametrize("arm", ["arm_a", "arm_b"])
 def test_slope_in_an_angle_arm_exits_2(tmp_path, monkeypatch, capsys, arm):
     # it was accepted and ignored, with an unchanged config_hash
