@@ -21,14 +21,15 @@ from . import __version__
 from .channels import apply_noise, local_rotations, offset_correct, wrap_angle
 from .config import load_config
 from .csvfile import read_csv, write_csv
-from .measure import (JointObservables, chsh_from_counts, chsh_s,
-                      estimate_observables, exact_observables, extract_thetas,
-                      read_table, scan_theta_a, settings_from_ids, write_table)
+from .measure import (JointObservables, _exact_table, _simulate_counts,
+                      chsh_from_counts, chsh_s, estimate_observables,
+                      exact_observables, extract_thetas, read_table, scan_theta_a,
+                      settings_from_ids, write_table)
 from .metrology import qfi, variance_scaling
 from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity, ket,
                      maximally_mixed, save_state, separable_state, validate_state)
-from .sweeps import (configured_state, configured_table, observables_at,
-                     run_molarity_sweep, run_theta_sweep, write_sweep)
+from .sweeps import (configured_state, observables_at, run_molarity_sweep,
+                     run_theta_sweep, write_sweep)
 from .tomography import (DESIGN, _report, bootstrap_sigmas, mle_reconstruct,
                          predicted_counts, read_tomo_counts)
 
@@ -57,8 +58,9 @@ def _load_config_with_override(args):
 def _cmd_simulate(args) -> int:
     cfg = _load_config_with_override(args)
     settings = settings_from_ids(cfg.setting_pairs)
-    table = configured_table(cfg, configured_state(cfg), settings, args.exact,
-                             cfg.seed)
+    rho = configured_state(cfg)
+    table = (_exact_table(rho, settings, cfg.detection) if args.exact
+             else _simulate_counts(rho, settings, cfg.detection, cfg.seed))
     out = _resolve_out(args.out)
     write_table(table, out)
     print(f"wrote {len(settings)} settings to {out}")

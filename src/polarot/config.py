@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 
 from .measure import NAMED_PAIRS, Detection
-from .states import BELL_KINDS
+from .states import BELL_KINDS, ket
 
 __all__ = [
     "ArmConfig", "ExperimentConfig", "load_config", "loads_config",
@@ -256,9 +256,16 @@ def loads_config(text: str) -> ExperimentConfig:
                                  + ", ".join(_KEYS[name]))
 
     state = ini.get("state", {})
-    kwargs = {"state_kind": state.get("kind", "psi_minus"),
-              "ket_a": state.get("ket_a", "H").upper(),
-              "ket_b": state.get("ket_b", "V").upper()}
+    kwargs = {"state_kind": state.get("kind", "psi_minus")}
+    for key, default in (("ket_a", "H"), ("ket_b", "V")):
+        if key in state and kwargs["state_kind"] != "separable":
+            raise ValueError(f"section [state] must not set {key} with kind = "
+                             f"{kwargs['state_kind']} (only a separable source has kets)")
+        kwargs[key] = state.get(key, default).upper()
+        try:
+            ket(kwargs[key])
+        except ValueError as err:
+            raise ValueError(f"[state] {key}: {err}") from None
     noise = ini.get("noise", {})
     kwargs["visibility"] = _float(noise, "noise", "visibility", 1.0)
     accidental_fraction = _float(noise, "noise", "accidental_fraction", 0.0)

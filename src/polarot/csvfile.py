@@ -45,11 +45,10 @@ def read_csv(path, header: str) -> tuple[dict[str, str], list[list[str]]]:
 
 def write_csv(path, metadata_items, header: str, rows) -> None:
     """Write `# key=value` lines in the given order, the header, then one
-    line per row of already formatted cells."""
+    line per row of already formatted cells, all in one write."""
+    lines = [f"# {key}={value}" for key, value in metadata_items]
+    lines.append(header)
+    lines.extend(",".join(cells) for cells in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in metadata_items:
-            fh.write(f"# {key}={value}\n")
-        fh.write(header + "\n")
-        for cells in rows:
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join(lines) + "\n")
 

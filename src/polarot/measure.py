@@ -242,15 +242,15 @@ class Detection:
         return self.pair_flux * self.duration * self.transmission_a * self.transmission_b
 
 
-def _effective_probabilities(rho, settings, accidental_fraction):
+def _pair_probabilities(rho, settings):
+    # the Born probabilities of true pairs, normalized per setting
     if not settings:
         raise ValueError("settings list must not be empty")
     # the named triple's tensor is built once, at import
     projectors = (_NAMED_PROJECTORS if settings is NAMED_SETTINGS
                   else projector_tensor(settings))
     p = _born(rho, projectors)
-    p = p / p.sum(axis=-1, keepdims=True)
-    return (1.0 - accidental_fraction) * p + accidental_fraction / 4.0
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def simulate_counts(rho: np.ndarray, settings, detection: Detection,
@@ -274,17 +274,24 @@ def simulate_counts(rho: np.ndarray, settings, detection: Detection,
 
 
 def _simulate_counts(rho, settings, detection, seed) -> CoincidenceTable:
-    lam = detection.mean_pairs()
-    probs = _effective_probabilities(rho, settings, 0.0)
-    rng = np.random.default_rng(seed)
-    n_true = rng.poisson(lam * (1.0 - detection.accidental_fraction), probs.shape[:-1])
-    n_acc = rng.poisson(lam * detection.accidental_fraction, probs.shape[:-1])
-    counts = rng.multinomial(n_true, probs) + rng.multinomial(n_acc, [0.25] * 4)
+    counts = _sample(_pair_probabilities(rho, settings), detection, seed)
     # a SeedSequence is recorded on one line, as its entropy and spawn key
     rng_seed = (" ".join(map(str, (seed.entropy, *seed.spawn_key)))
                 if isinstance(seed, np.random.SeedSequence) else seed)
     return CoincidenceTable([tuple(s) for s in settings], counts,
                             dict(asdict(detection), rng_seed=rng_seed, exact=0))
+
+
+def _sample(probs, detection, seed) -> np.ndarray:
+    """Counts of true-pair probabilities `probs`, drawn as simulate_counts says."""
+    lam = detection.mean_pairs()
+    rng = np.random.default_rng(seed)
+    n_true = rng.poisson(lam * (1.0 - detection.accidental_fraction), probs.shape[:-1])
+    n_acc = rng.poisson(lam * detection.accidental_fraction, probs.shape[:-1])
+    counts = rng.multinomial(n_true, probs)
+    if detection.accidental_fraction:  # the last draw; else its totals are all 0
+        counts += rng.multinomial(n_acc, [0.25] * 4)
+    return counts
 
 
 def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceTable:
@@ -294,10 +301,15 @@ def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceT
 
 
 def _exact_table(rho, settings, detection) -> CoincidenceTable:
-    counts = detection.mean_pairs() * _effective_probabilities(
-        rho, settings, detection.accidental_fraction)
-    return CoincidenceTable([tuple(s) for s in settings], counts,
+    return CoincidenceTable([tuple(s) for s in settings],
+                            _mean_counts(rho, settings, detection),
                             dict(asdict(detection), exact=1))
+
+
+def _mean_counts(rho, settings, detection) -> np.ndarray:
+    # accidentals replace their fraction of the mean, uniform over the outcomes
+    f, p = detection.accidental_fraction, _pair_probabilities(rho, settings)
+    return detection.mean_pairs() * ((1.0 - f) * p + f / 4.0)
 
 
 def estimate_correlation(counts: np.ndarray):
@@ -325,9 +337,14 @@ def _rows_for_pair(table: CoincidenceTable, id_a: str, id_b: str) -> np.ndarray:
 def estimate_observables(table: CoincidenceTable) -> JointObservables:
     """Estimate the (z,z), (x,z), (z,x) correlations from a coincidence
     table containing the named basis pairs (Z,Z), (X,Z) and (Z,X)."""
-    (m_zz, s_zz), (m_xz, s_xz), (m_zx, s_zx) = (
-        estimate_correlation(_rows_for_pair(table, a, b)) for a, b in NAMED_PAIRS)
-    return JointObservables(m_zz, m_xz, m_zx, s_zz, s_xz, s_zx)
+    return _observables(np.stack([_rows_for_pair(table, a, b)
+                                  for a, b in NAMED_PAIRS], axis=-2))
+
+
+def _observables(counts) -> JointObservables:
+    # (..., 3, 4) counts in NAMED_PAIRS order: floats for one table, else arrays
+    values = np.moveaxis(np.concatenate(estimate_correlation(counts), axis=-1), -1, 0)
+    return JointObservables(*(values.tolist() if values.ndim == 1 else values.copy()))
 
 
 def rotation_from_observables(m_zz: float, m_xz: float,

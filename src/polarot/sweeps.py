@@ -1,12 +1,14 @@
 """Scripted experiment sweeps and the calibration line fit.
 
-Both sweep runners and the CLI scan share one pipeline, observables_at,
-which runs a whole array of arm-B angles at once: build the source state,
-fold analyzer offsets into the local rotations, simulate (or emit exact
+Both sweep runners and the CLI scan share one pipeline, which runs a
+whole array of arm-B angles at once: build the source state, fold
+analyzer offsets into the local rotations, simulate (or emit exact
 expectations for) the named-basis coincidence settings and estimate the
 joint observables, one JointObservables whose fields hold one entry per
-angle. The sweeps then convert those arrays back to rotation angles with
-the offsets removed, a column at a time.
+angle. A theta sweep runs both Bell branches through it as one stack;
+observables_at is its one-branch view. The sweeps then convert those
+arrays back to rotation angles with the offsets removed, a column at a
+time.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from . import __version__
 from .channels import _apply_noise, local_rotations, offset_correct
 from .config import ExperimentConfig, config_hash
 from .csvfile import write_csv
-from .measure import (NAMED_SETTINGS, JointObservables, _exact_table,
-                      _simulate_counts, estimate_observables, extract_thetas,
+from .measure import (NAMED_SETTINGS, JointObservables, _mean_counts, _observables,
+                      _pair_probabilities, _sample, extract_thetas,
                       rotation_from_observables)
 from .states import bell_state, ket, separable_state
 
-__all__ = ["SweepResult", "configured_state", "configured_table",
-           "observables_at", "fit_line", "zero_crossing",
-           "run_molarity_sweep", "run_theta_sweep", "write_sweep"]
+__all__ = ["SweepResult", "configured_state", "observables_at", "fit_line",
+           "zero_crossing", "run_molarity_sweep", "run_theta_sweep", "write_sweep"]
 
 
 @dataclass
@@ -104,36 +105,42 @@ def zero_crossing(x, y, sigma) -> tuple[float, float]:
     return float(x0), math.sqrt(max(var, 0.0))
 
 
-def configured_state(cfg: ExperimentConfig, kind: str | None = None,
+def configured_state(cfg: ExperimentConfig, kind: str | tuple | None = None,
                      theta_a: float | None = None, theta_b: float | None = None):
     """The two-photon state after the configured source, noise and both
     arm rotations. Analyzer-frame offsets ride on top of the physical
     rotations; the state-exchanging wave plate contributes only in
     cancellation (psi_minus) runs. kind/theta overrides replace the
     configured source state or arm angles (radians); an array of arm-B
-    angles gives a stack with one state per angle."""
-    kind = cfg.state_kind if kind is None else kind
-    if kind == "separable":
-        rho = separable_state(ket(cfg.ket_a), ket(cfg.ket_b))
-    else:
-        rho = bell_state(kind)
-    rho = _apply_noise(rho, cfg.visibility)
-    theta_a_eff = (cfg.arm_a.theta() if theta_a is None else theta_a) + cfg.pbs_a
-    if kind == "psi_minus":
-        theta_a_eff += cfg.hwp
-    theta_b_eff = (cfg.arm_b.theta() if theta_b is None else theta_b) + cfg.pbs_b
-    u = local_rotations(theta_a_eff, theta_b_eff)
-    return u @ rho @ u.swapaxes(-2, -1)
+    angles gives a stack with one state per angle, and a tuple of kinds one
+    such stack per kind. The real and imaginary parts of the sources are
+    rotated apart, as real products (the complex product, bit for bit)."""
+    stacked = not (kind is None or isinstance(kind, str))
+    kinds = [cfg.state_kind if k is None else k for k in (kind if stacked else (kind,))]
+    rho = _apply_noise(np.array([separable_state(ket(cfg.ket_a), ket(cfg.ket_b))
+                                 if k == "separable" else bell_state(k) for k in kinds]),
+                       cfg.visibility)
+    theta_a = (cfg.arm_a.theta() if theta_a is None else theta_a) + cfg.pbs_a
+    theta_a = np.array([theta_a + cfg.hwp if k == "psi_minus" else theta_a for k in kinds])
+    theta_b = np.asarray(cfg.arm_b.theta() if theta_b is None else theta_b) + cfg.pbs_b
+    u = local_rotations(theta_a.reshape((-1,) + (1,) * theta_b.ndim), theta_b)
+    rho = rho.reshape((len(kinds),) + (1,) * theta_b.ndim + (4, 4))
+    out = np.empty(u.shape, dtype=complex)
+    out.real, out.imag = (u @ part @ u.swapaxes(-2, -1) for part in (rho.real, rho.imag))
+    return out if stacked else out[0]
 
 
-def configured_table(cfg: ExperimentConfig, rho, settings, exact: bool, seed):
-    """Coincidence table of `settings` on `rho`, a configured_state (not
-    validated again), under the configured detection model: exact
-    expectations, or counts sampled from `seed` (an int or a SeedSequence).
-    A stack of states gives a stacked table, from the one stream of `seed`."""
+def _named_counts(cfg: ExperimentConfig, kinds: tuple, theta_a, theta_b, exact: bool,
+                  keys: tuple) -> np.ndarray:
+    # named-setting counts, shape (len(kinds),) + shape(theta_b) + (3, 4), from
+    # one Born call; kind k samples its own stream, (cfg.seed, keys[k])
+    rho = configured_state(cfg, kinds, theta_a, theta_b)
     if exact:
-        return _exact_table(rho, settings, cfg.detection)
-    return _simulate_counts(rho, settings, cfg.detection, seed)
+        return _mean_counts(rho, NAMED_SETTINGS, cfg.detection)
+    probs = _pair_probabilities(rho, NAMED_SETTINGS)
+    return np.stack([_sample(p, cfg.detection,
+                             np.random.SeedSequence(cfg.seed, spawn_key=key))
+                     for p, key in zip(probs, keys)])
 
 
 def observables_at(cfg: ExperimentConfig, kind: str | None,
@@ -142,13 +149,10 @@ def observables_at(cfg: ExperimentConfig, kind: str | None,
     """Joint observables of the configured state (overrides as in
     configured_state) measured in the named (Z,Z), (X,Z), (Z,X) settings,
     as arrays with one entry per angle in the array theta_b. The sampled
-    table of all the angles draws from the one stream
+    counts of all the angles draw from the one stream
     SeedSequence(cfg.seed, spawn_key=key), so an angle's counts depend on
     the number and order of the angles in theta_b."""
-    theta_b = np.asarray(theta_b, dtype=float).reshape(-1)
-    rho = configured_state(cfg, kind, theta_a, theta_b)
-    seed = None if exact else np.random.SeedSequence(cfg.seed, spawn_key=key)
-    return estimate_observables(configured_table(cfg, rho, NAMED_SETTINGS, exact, seed))
+    return _observables(_named_counts(cfg, (kind,), theta_a, theta_b, exact, (key,))[0])
 
 
 def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
@@ -202,14 +206,14 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
     theta_a = cfg.arm_a.theta()
     values = sorted(cfg.sweep_values)
     theta_b = np.radians(values)
-    # each branch samples its own stream, (cfg.seed, branch)
-    obs_p, obs_m = (observables_at(cfg, kind, theta_a, theta_b, exact, (branch,))
-                    for branch, kind in enumerate(("psi_plus", "psi_minus")))
-    (th_p, sig_p), (th_m, sig_m) = (
-        rotation_from_observables(obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
-        for obs in (obs_p, obs_m))
+    # both branches in one stack; branch k samples its own stream, (cfg.seed, k)
+    obs = _observables(_named_counts(cfg, ("psi_plus", "psi_minus"), theta_a,
+                                     theta_b, exact, ((0,), (1,))))
+    (th_p, th_m), (sig_p, sig_m) = rotation_from_observables(
+        obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
     th_p = offset_correct(th_p, "plus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
     th_m = offset_correct(th_m, "minus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
+    obs_p, obs_m = (JointObservables(*m) for m in zip(obs.m_zz, obs.m_xz, obs.m_zx))
     # the wave plate rotates arm A in the minus branch only, so the
     # extracted angles carry pbs_a + hwp/2 (arm A) and pbs_b - hwp/2 (arm B);
     # wrapping after the subtraction keeps the readouts in the +-45 deg
@@ -226,8 +230,8 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
                  "theta_minus_deg", "sigma_minus_deg",
                  "theta_a_hat_deg", "theta_b_hat_deg"),
         rows=np.column_stack((
-            values, obs_p.m_zz, obs_p.m_xz, obs_m.m_zz, obs_m.m_xz,
-            obs_p.sigma_zz, obs_p.sigma_xz, obs_m.sigma_zz, obs_m.sigma_xz,
+            values, obs.m_zz[0], obs.m_xz[0], obs.m_zz[1], obs.m_xz[1],
+            obs.sigma_zz[0], obs.sigma_xz[0], obs.sigma_zz[1], obs.sigma_xz[1],
             *np.degrees((th_p, sig_p, th_m, sig_m, *hats)))),
         provenance=_provenance(cfg, exact),
     )
@@ -238,7 +242,8 @@ def write_sweep(result: SweepResult, path) -> None:
     Angle columns (named *_deg) carry six decimal places."""
     metadata = [(key, result.provenance[key]) for key in sorted(result.provenance)]
     metadata.append(("variable", result.variable))
-    row_format = ",".join("{:.6f}" if name.endswith("_deg") else "{:.10g}"
+    # %.6f and %.10g write the bytes of {:.6f} and {:.10g}, -0, inf and nan included
+    row_format = ",".join("%.6f" if name.endswith("_deg") else "%.10g"
                           for name in result.columns)
     write_csv(path, metadata, ",".join(result.columns),
-              ([row_format.format(*row)] for row in result.rows.tolist()))
+              ([row_format % tuple(row)] for row in result.rows.tolist()))

@@ -10,7 +10,7 @@ import pytest
 
 import polarot
 from golden.cases import run_case
-from polarot import channels, cli, measure, states, tomography
+from polarot import channels, cli, config, measure, states, tomography
 from polarot.cli import main
 from test_acceptance import werner
 
@@ -463,6 +463,35 @@ def test_settings_without_pairs_exits_2(tmp_path, monkeypatch, capsys):
     assert "[settings] section needs a 'pairs' key" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["psi_minus", "psi_plus", "phi_plus"])
+@pytest.mark.parametrize("key", ["ket_a", "ket_b"])
+def test_ket_with_a_bell_kind_exits_2(tmp_path, monkeypatch, capsys, kind, key):
+    # it was read and ignored, and changed the config_hash
+    text = with_key(EXACT_TEMPLATE.format(kind=kind), "state", key, "Q")
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    assert main(["simulate", "--exact", "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"section [state] must not set {key} with kind = {kind}" in captured.err
+
+
+@pytest.mark.parametrize("key", ["ket_a", "ket_b"])
+def test_unknown_ket_label_exits_2_at_load(tmp_path, monkeypatch, capsys, key):
+    text = with_key(EXACT_TEMPLATE.format(kind="separable"), "state", key, "Q")
+    with pytest.raises(ValueError, match=rf"^\[state\] {key}: unknown polarization "
+                                         r"label 'Q'"):
+        config.loads_config(text)
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    assert main(["simulate", "--exact", "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"[state] {key}: unknown polarization label 'Q'" in captured.err
+    # a known label in either case loads
+    for label in ("R", "l"):
+        cfg = config.loads_config(with_key(text, "state", key, label))
+        assert getattr(cfg, key) == label.upper()
+
+
 @pytest.mark.parametrize("arm", ["arm_a", "arm_b"])
 def test_slope_in_an_angle_arm_exits_2(tmp_path, monkeypatch, capsys, arm):
     # it was accepted and ignored, with an unchanged config_hash
@@ -498,6 +527,34 @@ def test_validate_state_checks_only_the_states_a_command_is_given(tmp_path,
         assert code == 0
         counts[name] = len(calls)
     assert counts == {"sweep_theta": 0, "scan_exact": 0, "tomo": 2}
+
+
+def test_one_born_call_and_one_stream_per_branch(tmp_path, monkeypatch):
+    # a theta sweep runs both Bell branches as one stacked pass: one Born
+    # call for every probability, then one sampling stream per branch,
+    # keyed (seed, 0) and (seed, 1); a scan makes one Born call
+    born_calls, stream_keys = [], []
+    born, default_rng = measure._born, np.random.default_rng
+
+    def counted_born(rho, projectors):
+        born_calls.append(rho.shape)
+        return born(rho, projectors)
+
+    def counted_rng(seed):
+        stream_keys.append(seed.spawn_key)
+        return default_rng(seed)
+
+    monkeypatch.setattr(measure, "_born", counted_born)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    counts = {}
+    for name in ("sweep_theta", "sweep_theta_exact", "scan_exact", "scan"):
+        born_calls.clear()
+        stream_keys.clear()
+        code, _ = run_case(name, tmp_path / name)
+        assert code == 0
+        counts[name] = len(born_calls), list(stream_keys)
+    assert counts == {"sweep_theta": (1, [(0,), (1,)]), "sweep_theta_exact": (1, []),
+                      "scan_exact": (1, []), "scan": (1, [(1,)])}
 
 
 def test_tomo_max_iter_must_be_nonnegative(capsys):

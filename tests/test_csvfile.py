@@ -1,11 +1,13 @@
 """Property tests of the shared '# key=value' CSV format and its readers."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarot import cli, measure, tomography
+from polarot import cli, measure, sweeps, tomography
 from polarot.csvfile import read_csv, write_csv
 
 # text that survives a line-oriented format: no line breaks, no surrounding
@@ -36,6 +38,56 @@ def test_write_read_round_trip(path, metadata, header, data):
     rows = [r for r in rows if not r[0].startswith("#")]  # a '#' line is a comment
     write_csv(path, list(metadata.items()), ",".join(header), rows)
     assert read_csv(path, ",".join(header)) == (metadata, rows)
+
+
+def _write_csv_line_by_line(path, metadata_items, header, rows):
+    """Oracle: the format written one line per call."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in metadata_items:
+            fh.write(f"# {key}={value}\n")
+        fh.write(header + "\n")
+        for cells in rows:
+            fh.write(",".join(cells) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(metadata=st.dictionaries(_KEY, _VALUE, max_size=4),
+       header=st.lists(_CELL, min_size=1, max_size=4),
+       rows=st.lists(st.lists(_CELL, min_size=1, max_size=4), max_size=5))
+@example(metadata={"seed": "1", "exact": "0"}, header=["a", "b"], rows=[])
+@example(metadata={}, header=["a"], rows=[])
+def test_write_csv_bytes_match_a_line_per_write(path, metadata, header, rows):
+    # one write per file gives the bytes of one write per line, metadata-only
+    # and empty files included
+    expected = path.with_name("expected.csv")
+    _write_csv_line_by_line(expected, list(metadata.items()), ",".join(header), rows)
+    write_csv(path, list(metadata.items()), ",".join(header), rows)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+# signed zeros, infinities, nan, subnormals and huge values, besides any float
+_SWEEP_VALUE = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e300,
+     -1e300, 0.5e-6, 1234567890.5]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(names=st.lists(st.sampled_from(["theta_b_deg", "sigma_deg", "m_zz", "molarity"]),
+                      min_size=1, max_size=6),
+       data=st.data())
+def test_sweep_rows_match_per_cell_format(path, names, data):
+    # write_sweep formats each row with one %-format string; the bytes are
+    # those of "{:.6f}" (angle columns, named *_deg) and "{:.10g}" per cell
+    rows = data.draw(st.lists(st.lists(_SWEEP_VALUE, min_size=len(names),
+                                       max_size=len(names)), max_size=4))
+    result = sweeps.SweepResult("theta_b", tuple(names),
+                                np.array(rows, dtype=float).reshape(-1, len(names)),
+                                {"seed": 7, "exact": 0})
+    sweeps.write_sweep(result, path)
+    formats = ["{:.6f}" if name.endswith("_deg") else "{:.10g}" for name in names]
+    lines = ["# exact=0", "# seed=7", "# variable=theta_b", ",".join(names)]
+    lines += [",".join(f.format(v) for f, v in zip(formats, row)) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # read_table returns metadata values as the strings written

@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polarot import channels, config, states, sweeps
+from polarot import channels, config, measure, states, sweeps
 from test_acceptance import rotate_locally
 
 BASE_MOLARITY_CONFIG = """
@@ -270,25 +271,66 @@ def test_theta_sweep_sampled_tracks_truth():
 
 def test_sampled_sweeps_draw_one_stream_per_branch():
     # a theta sweep samples branch k from the stream (seed, k), a molarity
-    # sweep from (seed, 0); all points of a branch share its stream
-    cfg = theta_config(offsets=SHIPPED_OFFSETS)
-    result = sweeps.run_theta_sweep(cfg)
-    theta_a, theta_b = cfg.arm_a.theta(), np.radians(sorted(cfg.sweep_values))
-    plus, minus, minus_on_plus_stream = (
-        sweeps.observables_at(cfg, kind, theta_a, theta_b, False, key)
-        for kind, key in (("psi_plus", (0,)), ("psi_minus", (1,)), ("psi_minus", (0,))))
-    expected = (plus.m_zz, plus.m_xz, minus.m_zz, minus.m_xz, plus.sigma_zz,
-                plus.sigma_xz, minus.sigma_zz, minus.sigma_xz)
-    assert np.array_equal(result.rows[:, 1:9], np.column_stack(expected))
-    # the minus branch has a stream of its own: on the plus branch's key
-    # it would draw other counts
-    assert (minus.sigma_zz != minus_on_plus_stream.sigma_zz).mean() > 0.9
+    # sweep from (seed, 0); all points of a branch share its stream. The
+    # theta sweep runs both branches as one stacked pass, and each branch's
+    # columns equal a one-branch observables_at call bit for bit, sampled or
+    # exact, with or without accidentals and offsets
+    for exact, accidental_fraction, offsets in itertools.product(
+            (False, True), (0.0, 0.1), (SHIPPED_OFFSETS, ZERO_OFFSETS)):
+        cfg = theta_config(offsets=offsets)
+        cfg = dataclasses.replace(cfg, detection=dataclasses.replace(
+            cfg.detection, accidental_fraction=accidental_fraction))
+        result = sweeps.run_theta_sweep(cfg, exact=exact)
+        theta_a, theta_b = cfg.arm_a.theta(), np.radians(sorted(cfg.sweep_values))
+        plus, minus, minus_on_plus_stream = (
+            sweeps.observables_at(cfg, kind, theta_a, theta_b, exact, key)
+            for kind, key in (("psi_plus", (0,)), ("psi_minus", (1,)),
+                              ("psi_minus", (0,))))
+        expected = (plus.m_zz, plus.m_xz, minus.m_zz, minus.m_xz, plus.sigma_zz,
+                    plus.sigma_xz, minus.sigma_zz, minus.sigma_xz)
+        (th_p, sig_p), (th_m, sig_m) = (
+            measure.rotation_from_observables(o.m_zz, o.m_xz, o.sigma_zz, o.sigma_xz)
+            for o in (plus, minus))
+        expected += tuple(np.degrees((
+            channels.offset_correct(th_p, "plus", cfg.pbs_a, cfg.pbs_b, cfg.hwp), sig_p,
+            channels.offset_correct(th_m, "minus", cfg.pbs_a, cfg.pbs_b, cfg.hwp),
+            sig_m)))
+        assert result.rows[:, 1:13].tobytes() == np.column_stack(expected).tobytes()
+        if not exact:
+            # the minus branch has a stream of its own: on the plus branch's
+            # key it would draw other counts
+            assert (minus.sigma_zz != minus_on_plus_stream.sigma_zz).mean() > 0.9
     cfg = molarity_config()
     result = sweeps.run_molarity_sweep(cfg)
     obs = sweeps.observables_at(cfg, "psi_minus", cfg.arm_a.theta(),
                                 np.radians(7.01 * result.rows[:, 0]), False, (0,))
     assert np.array_equal(result.rows[:, 3:],
                           np.column_stack((obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)))
+
+
+def test_configured_state_stacks_kinds_as_the_complex_product():
+    # the stack of kinds rotates the real and imaginary parts of each source
+    # apart; each member equals the complex u @ rho @ u^T bit for bit, the
+    # complex R/L product source included
+    cfg = dataclasses.replace(theta_config(offsets=SHIPPED_OFFSETS), ket_a="R",
+                              ket_b="L", visibility=0.8)
+    theta_b = np.radians(sorted(cfg.sweep_values))
+    kinds = ("separable", "psi_plus", "psi_minus")
+    stack = sweeps.configured_state(cfg, kinds, None, theta_b)
+    assert stack.shape == (3, theta_b.size, 4, 4)
+    for member, kind in zip(stack, kinds):
+        source = (states.separable_state(states.ket("R"), states.ket("L"))
+                  if kind == "separable" else states.bell_state(kind))
+        rho = channels.apply_noise(source, 0.8)
+        theta_a = cfg.arm_a.theta() + cfg.pbs_a
+        if kind == "psi_minus":
+            theta_a += cfg.hwp
+        u = channels.local_rotations(theta_a, theta_b + cfg.pbs_b)
+        assert member.tobytes() == (u @ rho @ u.swapaxes(-2, -1)).tobytes()
+        single = sweeps.configured_state(cfg, kind, None, theta_b)
+        assert single.tobytes() == member.tobytes()
+    # one kind and one angle still give one state
+    assert sweeps.configured_state(cfg, "separable", None, 0.1).shape == (4, 4)
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
