@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -62,6 +63,31 @@ def test_analyzer_id_round_trip():
         assert clone.setting_id == setting.setting_id
         # ids carry angles at six decimals in degrees, so compare overlaps
         assert abs(abs(np.vdot(clone.plus_ket, setting.plus_ket)) - 1.0) < 1e-12
+
+
+def pinned_family_pairs():
+    # linear polarizers and wave plates at angles uniform over +-400 degrees
+    # (written at full precision, so parsed ids round to six decimals), the
+    # edge cases -0 and 90, and one of each named or short form
+    rng = np.random.default_rng(20)
+    ids = [f"lin:{v!r}" for v in rng.uniform(-400, 400, 40).tolist()]
+    ids += [f"wp:{h!r}:{q!r}" for h, q in rng.uniform(-400, 400, (40, 2)).tolist()]
+    ids += ["lin:-0", "lin:90", "Y", "lin:22.5", "wp:10:20", "X", "Z"]
+    return list(zip(ids, ids[::-1]))
+
+
+def test_projector_tensor_is_pinned_bit_for_bit():
+    # every byte of the named triple's tensor and of a family's tensor, and
+    # the canonical id of every setting; the digest is of this platform's
+    # numpy and libm
+    digest = hashlib.sha256()
+    for pairs in (measure.NAMED_PAIRS, pinned_family_pairs()):
+        settings = measure.settings_from_ids(pairs)
+        digest.update(measure.projector_tensor(settings).tobytes())
+        digest.update(" ".join(f"{a.setting_id}/{b.setting_id}"
+                               for a, b in settings).encode())
+    assert digest.hexdigest() == ("261b9a8a86ecb9c4d02f976e3892a6d0"
+                                  "fc0cabf4bfe6b41be82c9b6411ef3ef3")
 
 
 def test_analyzer_bad_ids():
