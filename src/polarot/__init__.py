@@ -8,12 +8,12 @@ __version__ = "0.1.0"
 from .channels import (apply_noise, hwp_matrix, offset_correct, qwp_matrix,
                        rotation_unitary)
 from .config import ExperimentConfig, config_hash, load_config, loads_config
-from .measure import (AnalyzerSetting, CoincidenceTable, Detection,
-                      JointObservables, chsh_from_counts, chsh_s,
-                      estimate_observables, exact_observables, exact_table,
-                      extract_thetas, outcome_probabilities, read_table,
+from .measure import (CoincidenceTable, Detection, JointObservables,
+                      chsh_from_counts, chsh_s, estimate_observables,
+                      exact_observables, exact_table, extract_thetas,
+                      outcome_probabilities, parse_setting, read_table,
                       rotation_from_observables, scan_theta_a,
-                      separable_expectations, simulate_counts, write_table)
+                      simulate_counts, write_table)
 from .metrology import probe_state, qfi, variance_scaling
 from .states import (BELL_KINDS, bell_state, concurrence, cosine_similarity,
                      fidelity, ket, load_state, maximally_mixed, purity,

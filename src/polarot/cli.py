@@ -24,7 +24,7 @@ from .csvfile import read_csv, write_csv
 from .measure import (JointObservables, _exact_table, _simulate_counts,
                       chsh_from_counts, chsh_s, estimate_observables,
                       exact_observables, extract_thetas, read_table, scan_theta_a,
-                      settings_from_ids, write_table)
+                      write_table)
 from .metrology import qfi, variance_scaling
 from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity, ket,
                      maximally_mixed, save_state, separable_state, validate_state)
@@ -57,13 +57,12 @@ def _load_config_with_override(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config_with_override(args)
-    settings = settings_from_ids(cfg.setting_pairs)
     rho = configured_state(cfg)
-    table = (_exact_table(rho, settings, cfg.detection) if args.exact
-             else _simulate_counts(rho, settings, cfg.detection, cfg.seed))
+    table = (_exact_table(rho, cfg.setting_pairs, cfg.detection) if args.exact
+             else _simulate_counts(rho, cfg.setting_pairs, cfg.detection, cfg.seed))
     out = _resolve_out(args.out)
     write_table(table, out)
-    print(f"wrote {len(settings)} settings to {out}")
+    print(f"wrote {len(table.settings)} settings to {out}")
     return 0
 
 

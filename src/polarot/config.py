@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .measure import NAMED_PAIRS, Detection
+from .measure import NAMED_PAIRS, Detection, parse_setting
 from .states import BELL_KINDS, ket
 
 __all__ = [
@@ -297,8 +297,13 @@ def loads_config(text: str) -> ExperimentConfig:
             token = token.strip()
             if token.count("/") != 1:
                 raise ValueError(f"setting pair {token!r} must be '<id_a>/<id_b>'")
-            a, b = token.split("/")
-            pairs.append((a.strip(), b.strip()))
+            pair = tuple(setting_id.strip() for setting_id in token.split("/"))
+            for setting_id in pair:
+                try:
+                    parse_setting(setting_id)
+                except ValueError as err:
+                    raise ValueError(f"[settings] pairs: {err}") from None
+            pairs.append(pair)
         kwargs["setting_pairs"] = tuple(pairs)
     if "sweep" in ini:
         kwargs["sweep_variable"], kwargs["sweep_values"] = _parse_sweep(ini["sweep"])

@@ -1,15 +1,15 @@
 """Projective polarization measurements and coincidence statistics.
 
-Covers analyzer settings (named bases, rotated linear polarizers, wave-plate
-stacks), Born-rule outcome probabilities, seeded Monte Carlo coincidence
+Covers analyzer settings, each an id string that only parse_setting turns
+into kets; Born-rule outcome probabilities, seeded Monte Carlo coincidence
 sampling, correlation estimators, extraction of the local rotation angles
 from joint observables, the wide-range scan, and the CHSH statistic.
 
 Every outcome probability comes from one batched Born kernel,
 outcome_probabilities: a stack of states against the projector tensor
-P_a (x) P_b of a settings list, Tr[rho (P_a (x) P_b)] (James, Kwiat,
-Munro & White, PRA 64, 052312, 2001). Tables, estimators and the scan
-probe work on whole stacks of states, one per arm angle.
+P_a (x) P_b of (id_a, id_b) setting pairs, Tr[rho (P_a (x) P_b)] (James,
+Kwiat, Munro & White, PRA 64, 052312, 2001). Tables, estimators and the
+scan probe work on whole stacks of states, one per arm angle.
 """
 
 from __future__ import annotations
@@ -24,99 +24,78 @@ from .csvfile import read_csv, write_csv
 from .states import ID2, ket, ket_to_dm, validate_state
 
 __all__ = [
-    "AnalyzerSetting", "NAMED_PAIRS", "NAMED_SETTINGS", "settings_from_ids",
-    "JointObservables", "CoincidenceTable", "Detection", "projector_tensor",
-    "outcome_probabilities", "exact_observables",
-    "separable_expectations", "simulate_counts", "exact_table",
+    "parse_setting", "NAMED_PAIRS", "JointObservables", "CoincidenceTable",
+    "Detection", "projector_tensor", "outcome_probabilities",
+    "exact_observables", "simulate_counts", "exact_table",
     "estimate_correlation", "estimate_observables",
     "rotation_from_observables", "extract_thetas", "scan_theta_a",
     "chsh_s", "chsh_from_counts", "write_table", "read_table",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class AnalyzerSetting:
-    """One local analyzer: an orthogonal projector pair with outcomes +1/-1.
+_ARITY = {"Z": 0, "X": 0, "Y": 0, "lin": 1, "wp": 2}  # the angles each kind carries
 
-    `setting_id` is the canonical string form used in coincidence files:
-    'Z', 'X', 'Y' for the named bases, 'lin:<deg>' for a linear polarizer
-    rotated by <deg>, and 'wp:<hwp deg>:<qwp deg>' for a half- plus
-    quarter-wave plate in front of a polarizing beam splitter.
+
+def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
+    """The canonical id of an analyzer setting and its port kets, shape
+    (2, 2): the +1 ket, then the -1 ket.
+
+    'Z', 'X' and 'Y' are the named bases, with +1 at H, D and L. 'lin:<deg>'
+    is a linear analyzer rotated by <deg>: +1 transmits cos|H> + sin|V>, and
+    -1 is that port rotated by a further 90 degrees. 'wp:<hwp deg>:<qwp deg>'
+    is a half- then a quarter-wave plate in front of a polarizing beam
+    splitter, with +1 at the transmitted (H) port. Canonical ids carry angles
+    at six decimals. Errors name the id.
     """
-
-    plus_ket: np.ndarray
-    minus_ket: np.ndarray
-    setting_id: str
-
-    def __post_init__(self):
-        comp = np.abs(ket_to_dm(self.plus_ket) + ket_to_dm(self.minus_ket) - ID2).max()
-        if comp > 1e-12:
-            raise ValueError(f"analyzer projectors do not resolve the identity "
-                             f"(deviation {comp:g})")
-
-    @classmethod
-    def from_basis(cls, name: str) -> "AnalyzerSetting":
-        """Named basis: Z is H/V, X is D/A, Y is L/R (+1 outcome first)."""
-        name = name.upper()
-        try:
-            plus = ket({"Z": "H", "X": "D", "Y": "L"}[name])
-        except KeyError:
-            raise ValueError(f"unknown basis {name!r}; expected Z, X or Y") from None
-        minus = np.array([-plus[1].conjugate(), plus[0].conjugate()], dtype=complex)
-        return cls(plus, minus, name)
-
-    @classmethod
-    def from_polarizer(cls, angle: float) -> "AnalyzerSetting":
-        """Linear analyzer rotated by `angle` radians; +1 transmits
-        cos(angle)|H> + sin(angle)|V>, -1 the orthogonal port."""
-        plus = rotation_unitary(angle) @ ket("H")
-        minus = rotation_unitary(angle + math.pi / 2.0) @ ket("H")
-        return cls(plus, minus, f"lin:{math.degrees(angle):.6f}")
-
-    @classmethod
-    def from_waveplates(cls, hwp_angle: float, qwp_angle: float) -> "AnalyzerSetting":
-        """Half-wave plate at hwp_angle then quarter-wave plate at qwp_angle
-        (radians) in front of a PBS; +1 is the transmitted (H) port."""
-        w = qwp_matrix(qwp_angle) @ hwp_matrix(hwp_angle)
-        plus = w.conj().T @ ket("H")
-        minus = w.conj().T @ ket("V")
-        sid = f"wp:{math.degrees(hwp_angle):.6f}:{math.degrees(qwp_angle):.6f}"
-        return cls(plus, minus, sid)
-
-    @classmethod
-    def from_id(cls, setting_id: str) -> "AnalyzerSetting":
-        if setting_id in ("Z", "X", "Y"):
-            return cls.from_basis(setting_id)
-        if setting_id.startswith("lin:"):
-            return cls.from_polarizer(math.radians(float(setting_id[4:])))
-        if setting_id.startswith("wp:"):
-            _, h, q = setting_id.split(":")
-            return cls.from_waveplates(math.radians(float(h)), math.radians(float(q)))
-        raise ValueError(f"cannot parse analyzer setting id {setting_id!r}")
-
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        return ket_to_dm(self.plus_ket), ket_to_dm(self.minus_ket)
+    kind, *values = setting_id.split(":")
+    if len(values) != _ARITY.get(kind):
+        raise ValueError(f"cannot parse analyzer setting id {setting_id!r}; expected "
+                         f"Z, X, Y, 'lin:<deg>' or 'wp:<hwp deg>:<qwp deg>'")
+    try:
+        angles = [math.radians(float(v)) for v in values]
+        if kind == "lin":
+            kets = _polarizer(angles[0])
+        elif kind == "wp":
+            w = qwp_matrix(angles[1]) @ hwp_matrix(angles[0])
+            kets = np.array([w.conj().T @ ket("H"), w.conj().T @ ket("V")])
+        else:
+            plus = ket({"Z": "H", "X": "D", "Y": "L"}[kind])
+            kets = np.array([plus, [-plus[1].conjugate(), plus[0].conjugate()]])
+        # NaN angles fail this test too
+        deviation = np.abs(ket_to_dm(kets[0]) + ket_to_dm(kets[1]) - ID2).max()
+        if not deviation <= 1e-12:
+            raise ValueError(f"projectors do not resolve the identity "
+                             f"(deviation {deviation:g})")
+    except ValueError as err:
+        raise ValueError(f"analyzer setting {setting_id!r}: {err}") from None
+    return ":".join([kind] + [f"{math.degrees(a):.6f}" for a in angles]), kets
 
 
-def settings_from_ids(pairs) -> list[tuple[AnalyzerSetting, AnalyzerSetting]]:
-    """Joint analyzer settings from (id_a, id_b) setting-id pairs."""
-    return [(AnalyzerSetting.from_id(a), AnalyzerSetting.from_id(b))
-            for a, b in pairs]
+def _polarizer(angle: float) -> np.ndarray:
+    # the port kets of a linear analyzer rotated by `angle` radians
+    return np.array([rotation_unitary(angle) @ ket("H"),
+                     rotation_unitary(angle + math.pi / 2.0) @ ket("H")])
 
 
 def projector_tensor(settings) -> np.ndarray:
-    """Joint projectors P_a (x) P_b of a settings list, shape (S, 4, 4, 4):
-    setting, outcome (++, +-, -+, --), then the two-photon matrix."""
-    pa = np.array([a.projectors() for a, _ in settings])
-    pb = np.array([b.projectors() for _, b in settings])
+    """Joint projectors P_a (x) P_b of (id_a, id_b) setting pairs, shape
+    (S, 4, 4, 4): setting, outcome (++, +-, -+, --), then the two-photon
+    matrix."""
+    return _joint_projectors([(parse_setting(a)[1], parse_setting(b)[1])
+                              for a, b in settings])
+
+
+def _joint_projectors(kets) -> np.ndarray:
+    # kets holds one (kets_a, kets_b) pair of port kets per setting
+    pa, pb = (np.array([[ket_to_dm(k) for k in pair[arm]] for pair in kets])
+              for arm in (0, 1))
     # kron(P, Q)[2i + j, 2k + l] = P[i, k] Q[j, l], for each outcome pair
-    return np.einsum("sxik,syjl->sxyijkl", pa, pb).reshape(len(settings), 4, 4, 4)
+    return np.einsum("sxik,syjl->sxyijkl", pa, pb).reshape(len(kets), 4, 4, 4)
 
 
 # the (Z,Z), (X,Z), (Z,X) analyzer pairs behind M_zz, M_xz and M_zx
 NAMED_PAIRS = (("Z", "Z"), ("X", "Z"), ("Z", "X"))
-NAMED_SETTINGS = tuple(settings_from_ids(NAMED_PAIRS))
-_NAMED_PROJECTORS = projector_tensor(NAMED_SETTINGS)
+_NAMED_PROJECTORS = projector_tensor(NAMED_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -139,18 +118,21 @@ class JointObservables:
 class CoincidenceTable:
     """Coincidence counts per joint analyzer setting.
 
-    counts has one row per setting pair with the four outcome combinations
-    (++, +-, -+, --). Counts are floats so that exact-expectation tables
-    can store unrounded expected values; sampled tables hold integers. A
-    stacked table, with counts of shape (N, S, 4), holds the tables of N
-    states measured in the same S settings.
+    settings holds (id_a, id_b) pairs, stored canonical, and counts one row
+    per pair with the four outcome combinations (++, +-, -+, --). Counts are
+    floats so that exact-expectation tables can store unrounded expected
+    values; sampled tables hold integers. A stacked table, with counts of
+    shape (N, S, 4), holds the tables of N states measured in the same S
+    settings.
     """
 
-    settings: list[tuple[AnalyzerSetting, AnalyzerSetting]]
+    settings: list[tuple[str, str]]
     counts: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.settings = [(parse_setting(a)[0], parse_setting(b)[0])
+                         for a, b in self.settings]
         self.counts = np.asarray(self.counts, dtype=float)
         if self.counts.shape[-2:] != (len(self.settings), 4) or self.counts.ndim > 3:
             raise ValueError(f"counts must have shape ({len(self.settings)}, 4) or "
@@ -161,13 +143,12 @@ class CoincidenceTable:
             raise ValueError("counts must be nonnegative")
 
 
-def outcome_probabilities(rho: np.ndarray, a,
-                          b: AnalyzerSetting | None = None) -> np.ndarray:
+def outcome_probabilities(rho: np.ndarray, a, b: str | None = None) -> np.ndarray:
     """Born probabilities Tr[rho (P_a (x) P_b)] of the four coincidence
     outcomes (++, +-, -+, --), with round-off below 0 clipped to 0.
 
-    rho is one state or a (..., 4, 4) stack, validated once. For one
-    analyzer pair a, b the result has shape (..., 4). With b omitted, a is
+    rho is one state or a (..., 4, 4) stack, validated once. For one pair
+    of setting ids a, b the result has shape (..., 4). With b omitted, a is
     the projector tensor of S settings (projector_tensor) and the result
     has shape (..., S, 4).
     """
@@ -196,21 +177,6 @@ def exact_observables(rho: np.ndarray) -> JointObservables:
     for one state, arrays with one entry per state for a (..., 4, 4) stack."""
     m = _correlations(outcome_probabilities(rho, _NAMED_PROJECTORS))
     return JointObservables(*(map(float, m) if m.ndim == 1 else np.moveaxis(m, -1, 0)))
-
-
-def separable_expectations(theta_a: float, theta_b: float) -> JointObservables:
-    """Joint observables of the product state |H>|V> evolved through local
-    rotations (theta_a, theta_b).
-
-    Closed forms (Born rule): m_zz = -cos(2 theta_a) cos(2 theta_b),
-    m_xz = -sin(2 theta_a) cos(2 theta_b), m_zx = -cos(2 theta_a)
-    sin(2 theta_b). The swing of every entry is bounded by the other arm's
-    cosine factor instead of reaching +-1, which is what separates product
-    states from the entangled case.
-    """
-    ca, sa = math.cos(2.0 * theta_a), math.sin(2.0 * theta_a)
-    cb, sb = math.cos(2.0 * theta_b), math.sin(2.0 * theta_b)
-    return JointObservables(m_zz=-ca * cb, m_xz=-sa * cb, m_zx=-ca * sb)
 
 
 @dataclass(frozen=True)
@@ -247,7 +213,7 @@ def _pair_probabilities(rho, settings):
     if not settings:
         raise ValueError("settings list must not be empty")
     # the named triple's tensor is built once, at import
-    projectors = (_NAMED_PROJECTORS if settings is NAMED_SETTINGS
+    projectors = (_NAMED_PROJECTORS if settings is NAMED_PAIRS
                   else projector_tensor(settings))
     p = _born(rho, projectors)
     return p / p.sum(axis=-1, keepdims=True)
@@ -255,7 +221,7 @@ def _pair_probabilities(rho, settings):
 
 def simulate_counts(rho: np.ndarray, settings, detection: Detection,
                     seed: int | np.random.SeedSequence = 0) -> CoincidenceTable:
-    """Draw a coincidence table for the given joint settings.
+    """Draw a coincidence table for the given (id_a, id_b) setting pairs.
 
     Per setting, the detected-pair total is Poisson with mean
     detection.mean_pairs(), split multinomially by the Born outcome
@@ -278,7 +244,7 @@ def _simulate_counts(rho, settings, detection, seed) -> CoincidenceTable:
     # a SeedSequence is recorded on one line, as its entropy and spawn key
     rng_seed = (" ".join(map(str, (seed.entropy, *seed.spawn_key)))
                 if isinstance(seed, np.random.SeedSequence) else seed)
-    return CoincidenceTable([tuple(s) for s in settings], counts,
+    return CoincidenceTable(settings, counts,
                             dict(asdict(detection), rng_seed=rng_seed, exact=0))
 
 
@@ -301,8 +267,7 @@ def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceT
 
 
 def _exact_table(rho, settings, detection) -> CoincidenceTable:
-    return CoincidenceTable([tuple(s) for s in settings],
-                            _mean_counts(rho, settings, detection),
+    return CoincidenceTable(settings, _mean_counts(rho, settings, detection),
                             dict(asdict(detection), exact=1))
 
 
@@ -326,8 +291,7 @@ def estimate_correlation(counts: np.ndarray):
 
 
 def _rows_for_pair(table: CoincidenceTable, id_a: str, id_b: str) -> np.ndarray:
-    rows = [k for k, (a, b) in enumerate(table.settings)
-            if a.setting_id == id_a and b.setting_id == id_b]
+    rows = [k for k, pair in enumerate(table.settings) if pair == (id_a, id_b)]
     if not rows:
         raise ValueError(f"coincidence table is missing the ({id_a}, {id_b}) "
                          f"basis pair")
@@ -459,9 +423,9 @@ def chsh_s(rho: np.ndarray, a: float, a_prime: float, b: float,
     linear analyzers at the given angles (radians); each correlation
     function E uses the four coincidence probabilities, the -1 outcome of
     either analyzer being its port rotated by +90 degrees."""
-    settings = [(AnalyzerSetting.from_polarizer(x), AnalyzerSetting.from_polarizer(y))
-                for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))]
-    e = _correlations(outcome_probabilities(rho, projector_tensor(settings)))
+    kets = [(_polarizer(x), _polarizer(y))
+            for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))]
+    e = _correlations(outcome_probabilities(rho, _joint_projectors(kets)))
     return float(_chsh(e))
 
 
@@ -481,11 +445,11 @@ def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
     """
     angles_a, angles_b = set(), set()
     for a, b in table.settings:
-        for setting, bag in ((a, angles_a), (b, angles_b)):
-            if not setting.setting_id.startswith("lin:"):
+        for setting_id, bag in ((a, angles_a), (b, angles_b)):
+            if not setting_id.startswith("lin:"):
                 raise ValueError(f"CHSH tables need linear-analyzer settings, "
-                                 f"got {setting.setting_id!r}")
-            bag.add(setting.setting_id)
+                                 f"got {setting_id!r}")
+            bag.add(setting_id)
     if len(angles_a) != 2 or len(angles_b) != 2:
         raise ValueError(f"CHSH needs two analyzer angles per arm, got "
                          f"{sorted(angles_a)} / {sorted(angles_b)}")
@@ -510,7 +474,7 @@ def write_table(table: CoincidenceTable, path) -> None:
                          f"shape {table.counts.shape}")
     write_csv(path, [(key, table.metadata[key]) for key in sorted(table.metadata)],
               _TABLE_HEADER,
-              ([a.setting_id, b.setting_id, *(f"{v:.17g}" for v in row)]
+              ([a, b, *(f"{v:.17g}" for v in row)]
                for (a, b), row in zip(table.settings, table.counts)))
 
 
@@ -519,6 +483,6 @@ def read_table(path) -> CoincidenceTable:
     come back as the strings in the file."""
     metadata, rows = read_csv(path, _TABLE_HEADER)
     return CoincidenceTable(
-        settings_from_ids(row[:2] for row in rows),
+        [row[:2] for row in rows],
         np.array([[float(v) for v in row[2:]] for row in rows]),
         metadata)

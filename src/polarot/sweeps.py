@@ -22,7 +22,7 @@ from . import __version__
 from .channels import _apply_noise, local_rotations, offset_correct
 from .config import ExperimentConfig, config_hash
 from .csvfile import write_csv
-from .measure import (NAMED_SETTINGS, JointObservables, _mean_counts, _observables,
+from .measure import (NAMED_PAIRS, JointObservables, _mean_counts, _observables,
                       _pair_probabilities, _sample, extract_thetas,
                       rotation_from_observables)
 from .states import bell_state, ket, separable_state
@@ -136,8 +136,8 @@ def _named_counts(cfg: ExperimentConfig, kinds: tuple, theta_a, theta_b, exact: 
     # one Born call; kind k samples its own stream, (cfg.seed, keys[k])
     rho = configured_state(cfg, kinds, theta_a, theta_b)
     if exact:
-        return _mean_counts(rho, NAMED_SETTINGS, cfg.detection)
-    probs = _pair_probabilities(rho, NAMED_SETTINGS)
+        return _mean_counts(rho, NAMED_PAIRS, cfg.detection)
+    probs = _pair_probabilities(rho, NAMED_PAIRS)
     return np.stack([_sample(p, cfg.detection,
                              np.random.SeedSequence(cfg.seed, spawn_key=key))
                      for p, key in zip(probs, keys)])

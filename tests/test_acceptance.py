@@ -51,9 +51,7 @@ def evolved_bell(kind, theta_a, theta_b):
 
 
 def named_settings():
-    z = measure.AnalyzerSetting.from_basis("Z")
-    x = measure.AnalyzerSetting.from_basis("X")
-    return [(z, z), (x, z), (z, x)]
+    return [("Z", "Z"), ("X", "Z"), ("Z", "X")]
 
 
 def test_criterion_1_closed_forms_exact_mode():
@@ -143,12 +141,12 @@ def test_criterion_3_extraction_round_trip_and_branch_wrap():
 
 
 def test_criterion_4_chsh():
-    angles = tuple(math.radians(v) for v in (0.0, 45.0, 22.5, 67.5))
+    degrees = (0.0, 45.0, 22.5, 67.5)
+    angles = tuple(math.radians(v) for v in degrees)
     s_ideal = measure.chsh_s(states.bell_state("psi_plus"), *angles)
     analytic_ok = abs(s_ideal - 2.0 * math.sqrt(2.0)) <= 1e-9
 
-    mk = measure.AnalyzerSetting.from_polarizer
-    settings = [(mk(x), mk(y)) for x in angles[:2] for y in angles[2:]]
+    settings = [(f"lin:{x}", f"lin:{y}") for x in degrees[:2] for y in degrees[2:]]
     table = measure.simulate_counts(states.bell_state("psi_plus"), settings,
                                     measure.Detection(1e5, 1.0), seed=404)
     s_hat, sigma = measure.chsh_from_counts(table)
@@ -275,7 +273,6 @@ def test_criterion_5d_gradient_and_budget():
 
 
 def test_criterion_6_separable_contrast():
-    z = measure.AnalyzerSetting.from_basis("Z")
     worst = 0.0
     for ta_deg in (0.0, 10.0, 20.0, 30.0, 40.0, 70.0):
         ta = math.radians(ta_deg)
@@ -288,15 +285,18 @@ def test_criterion_6_separable_contrast():
             rho = rotate_locally(
                 states.separable_state(states.ket("H"), states.ket("V")),
                 channels.rotation_unitary(ta), channels.rotation_unitary(tb))
-            table = measure.exact_table(rho, [(z, z)], measure.Detection(1.0, 1.0))
+            table = measure.exact_table(rho, [("Z", "Z")], measure.Detection(1.0, 1.0))
             m_zz, _ = measure.estimate_correlation(table.counts[0])
             amplitudes.append(abs(m_zz))
         worst = max(worst, abs(max(amplitudes) - abs(math.cos(2 * ta))))
-        # the swing never exceeds the cosine bound anywhere on a grid
-        for tb in np.linspace(-math.pi, math.pi, 37):
-            obs = measure.separable_expectations(ta, tb)
-            if abs(obs.m_zz) > abs(math.cos(2 * ta)) + 1e-12:
-                worst = max(worst, abs(obs.m_zz) - abs(math.cos(2 * ta)))
+        # the swing never exceeds the cosine bound anywhere on a grid, read
+        # from |H>|V> rotated by local_rotations as `polarot verify` reads it
+        u = channels.local_rotations(ta, np.linspace(-math.pi, math.pi, 37))
+        product = states.separable_state(states.ket("H"), states.ket("V"))
+        rho = u @ product @ u.swapaxes(-2, -1)
+        for m_zz in measure.exact_observables(rho).m_zz:
+            if abs(m_zz) > abs(math.cos(2 * ta)) + 1e-12:
+                worst = max(worst, abs(m_zz) - abs(math.cos(2 * ta)))
     report("criterion 6 (separable contrast reduced by cos 2 theta_a)",
            worst <= 1e-12, f"max deviation {worst:.2e} in exact mode")
 

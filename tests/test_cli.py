@@ -297,7 +297,7 @@ def test_chsh_at_the_classical_bound_is_no_violation(tmp_path, capsys):
              ("lin:45", "lin:22.5"), ("lin:45", "lin:67.5")]
     table = tmp_path / "chsh.csv"
     measure.write_table(measure.CoincidenceTable(
-        measure.settings_from_ids(pairs), [[100, 0, 0, 0]] * 4), table)
+        pairs, [[100, 0, 0, 0]] * 4), table)
     assert main(["chsh", "--table", str(table)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "S = 2.000000 +- 0.000000", "violation significance = 0.00 sigma"]
@@ -461,6 +461,38 @@ def test_settings_without_pairs_exits_2(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "[settings] section needs a 'pairs' key" in captured.err
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("pair, why", [
+    ("foo/bar", "cannot parse analyzer setting id 'foo'"),
+    ("wp:1/Z", "cannot parse analyzer setting id 'wp:1'"),
+    ("wp:1:2:3/Z", "cannot parse analyzer setting id 'wp:1:2:3'"),
+    ("lin:nan/Z", "analyzer setting 'lin:nan': rotation angle must be finite"),
+    ("lin:1e308/Z", "analyzer setting 'lin:1e308': projectors do not resolve "
+                    "the identity (deviation 0.885554)")])
+def test_bad_setting_id_exits_2_at_load(tmp_path, monkeypatch, capsys, command, pair,
+                                        why):
+    # a sweep loaded, ran and exited 0 with these, under a changed config_hash
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    text = SWEEP_TEMPLATE + f"[settings]\npairs = {pair}\n"
+    assert main([command, "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: [settings] pairs: {why}")
+
+
+@pytest.mark.parametrize("command", ["observables", "chsh"])
+@pytest.mark.parametrize("bad_id", ["wp:1", "wp:1:2:3"])
+def test_bad_setting_id_in_a_table_exits_2_naming_it(tmp_path, capsys, command,
+                                                     bad_id):
+    # it printed Python's "not enough" or "too many values to unpack"
+    table = tmp_path / "t.csv"
+    table.write_text(f"{measure._TABLE_HEADER}\nZ,Z,1,2,3,4\n{bad_id},Z,1,2,3,4\n")
+    assert main([command, "--table", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot parse analyzer setting id {bad_id!r}" in captured.err
 
 
 @pytest.mark.parametrize("kind", ["psi_minus", "psi_plus", "phi_plus"])

@@ -100,11 +100,11 @@ def test_sweep_rows_match_per_cell_format(path, names, data):
 def test_coincidence_table_round_trip(path, ids, data, metadata):
     counts = data.draw(st.lists(st.lists(_COUNT, min_size=4, max_size=4),
                                 min_size=len(ids), max_size=len(ids)))
-    table = measure.CoincidenceTable(measure.settings_from_ids(ids), counts, metadata)
+    table = measure.CoincidenceTable(ids, counts, metadata)
     measure.write_table(table, path)
     loaded = measure.read_table(path)
     assert np.array_equal(loaded.counts, table.counts)
-    assert [(a.setting_id, b.setting_id) for a, b in loaded.settings] == ids
+    assert loaded.settings == ids
     assert loaded.metadata == {key: str(value) for key, value in metadata.items()}
 
 

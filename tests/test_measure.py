@@ -17,9 +17,23 @@ def evolved_bell(kind, theta_a, theta_b, visibility=1.0):
                           channels.rotation_unitary(theta_b))
 
 
+def oracle_kets(setting_id):
+    # the (+1, -1) port kets of a setting id, from states.ket and the
+    # channels Jones matrices alone
+    kind, *values = setting_id.split(":")
+    if not values:
+        return [states.ket(label) for label in {"Z": "HV", "X": "DA", "Y": "LR"}[kind]]
+    angles = [math.radians(float(v)) for v in values]
+    if kind == "lin":
+        u = channels.rotation_unitary(angles[0])
+        return [u @ states.ket("H"), u @ states.ket("V")]
+    w = channels.qwp_matrix(angles[1]) @ channels.hwp_matrix(angles[0])
+    return [w.conj().T @ states.ket("H"), w.conj().T @ states.ket("V")]
+
+
 def born_probabilities(rho, a, b):
     # independent oracle: explicit projector expectation values
-    pa, pb = a.projectors(), b.projectors()
+    pa, pb = ([states.ket_to_dm(k) for k in oracle_kets(s)] for s in (a, b))
     return np.array([np.trace(rho @ np.kron(pa[i], pb[j])).real
                      for i in (0, 1) for j in (0, 1)])
 
@@ -27,42 +41,42 @@ def born_probabilities(rho, a, b):
 # ---------------------------------------------------------------- analyzers
 
 def test_named_bases_projector_kets():
-    z = measure.AnalyzerSetting.from_basis("Z")
-    assert np.allclose(z.plus_ket, states.ket("H"))
-    assert np.allclose(z.minus_ket, states.ket("V"))
-    x = measure.AnalyzerSetting.from_basis("X")
-    assert abs(abs(np.vdot(x.plus_ket, states.ket("D"))) - 1.0) < 1e-12
-    y = measure.AnalyzerSetting.from_basis("Y")
-    assert abs(abs(np.vdot(y.plus_ket, states.ket("L"))) - 1.0) < 1e-12
-    assert abs(abs(np.vdot(y.minus_ket, states.ket("R"))) - 1.0) < 1e-12
+    z_plus, z_minus = measure.parse_setting("Z")[1]
+    assert np.allclose(z_plus, states.ket("H"))
+    assert np.allclose(z_minus, states.ket("V"))
+    x_plus, _ = measure.parse_setting("X")[1]
+    assert abs(abs(np.vdot(x_plus, states.ket("D"))) - 1.0) < 1e-12
+    y_plus, y_minus = measure.parse_setting("Y")[1]
+    assert abs(abs(np.vdot(y_plus, states.ket("L"))) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(y_minus, states.ket("R"))) - 1.0) < 1e-12
 
 
 def test_waveplate_analyzer_recipes():
     # HWP/QWP at (0, 0), (22.5deg, 0), (0, 45deg) measure Z, X, Y
-    for (h, q), target in (((0.0, 0.0), states.ket("H")),
-                           ((math.pi / 8, 0.0), states.ket("D")),
-                           ((0.0, math.pi / 4), states.ket("L"))):
-        setting = measure.AnalyzerSetting.from_waveplates(h, q)
-        assert abs(abs(np.vdot(setting.plus_ket, target)) - 1.0) < 1e-12
+    for setting_id, target in (("wp:0:0", states.ket("H")),
+                               ("wp:22.5:0", states.ket("D")),
+                               ("wp:0:45", states.ket("L"))):
+        plus, _ = measure.parse_setting(setting_id)[1]
+        assert abs(abs(np.vdot(plus, target)) - 1.0) < 1e-12
 
 
 def test_analyzer_completeness():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        setting = measure.AnalyzerSetting.from_waveplates(*rng.uniform(-1.5, 1.5, 2))
-        p_plus, p_minus = setting.projectors()
+        h, q = np.degrees(rng.uniform(-1.5, 1.5, 2))
+        plus, minus = measure.parse_setting(f"wp:{h}:{q}")[1]
+        p_plus, p_minus = states.ket_to_dm(plus), states.ket_to_dm(minus)
         assert np.abs(p_plus + p_minus - np.eye(2)).max() < 1e-12
-        assert abs(np.vdot(setting.plus_ket, setting.minus_ket)) < 1e-12
+        assert abs(np.vdot(plus, minus)) < 1e-12
 
 
 def test_analyzer_id_round_trip():
-    for setting in (measure.AnalyzerSetting.from_basis("X"),
-                    measure.AnalyzerSetting.from_polarizer(math.radians(22.5)),
-                    measure.AnalyzerSetting.from_waveplates(0.3, -0.2)):
-        clone = measure.AnalyzerSetting.from_id(setting.setting_id)
-        assert clone.setting_id == setting.setting_id
+    for setting_id in ("X", "lin:22.5", f"wp:{math.degrees(0.3)}:{math.degrees(-0.2)}"):
+        canonical, kets = measure.parse_setting(setting_id)
+        clone_id, clone_kets = measure.parse_setting(canonical)
+        assert clone_id == canonical
         # ids carry angles at six decimals in degrees, so compare overlaps
-        assert abs(abs(np.vdot(clone.plus_ket, setting.plus_ket)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(clone_kets[0], kets[0])) - 1.0) < 1e-12
 
 
 def pinned_family_pairs():
@@ -82,39 +96,37 @@ def test_projector_tensor_is_pinned_bit_for_bit():
     # numpy and libm
     digest = hashlib.sha256()
     for pairs in (measure.NAMED_PAIRS, pinned_family_pairs()):
-        settings = measure.settings_from_ids(pairs)
-        digest.update(measure.projector_tensor(settings).tobytes())
-        digest.update(" ".join(f"{a.setting_id}/{b.setting_id}"
-                               for a, b in settings).encode())
+        digest.update(measure.projector_tensor(pairs).tobytes())
+        digest.update(" ".join(f"{measure.parse_setting(a)[0]}/"
+                               f"{measure.parse_setting(b)[0]}"
+                               for a, b in pairs).encode())
     assert digest.hexdigest() == ("261b9a8a86ecb9c4d02f976e3892a6d0"
                                   "fc0cabf4bfe6b41be82c9b6411ef3ef3")
 
 
 def test_analyzer_bad_ids():
     with pytest.raises(ValueError):
-        measure.AnalyzerSetting.from_basis("W")
+        measure.parse_setting("W")
     with pytest.raises(ValueError):
-        measure.AnalyzerSetting.from_id("circ:10")
+        measure.parse_setting("circ:10")
 
 
 # ----------------------------------------------------- outcome probabilities
 
 def test_outcome_probabilities_singlet_anticorrelated():
     rho = states.bell_state("psi_minus")
-    z = measure.AnalyzerSetting.from_basis("Z")
-    x = measure.AnalyzerSetting.from_basis("X")
-    assert np.abs(measure.outcome_probabilities(rho, z, z)
+    assert np.abs(measure.outcome_probabilities(rho, "Z", "Z")
                   - [0.0, 0.5, 0.5, 0.0]).max() < 1e-12
     # anticorrelation holds in the X basis as well (oracle cross-check)
-    p = measure.outcome_probabilities(rho, x, x)
-    assert np.abs(p - born_probabilities(rho, x, x)).max() < 1e-12
+    p = measure.outcome_probabilities(rho, "X", "X")
+    assert np.abs(p - born_probabilities(rho, "X", "X")).max() < 1e-12
     assert np.abs(p - [0.0, 0.5, 0.5, 0.0]).max() < 1e-12
 
 
 def test_outcome_probabilities_mixed_uniform():
     rho = states.maximally_mixed()
-    a = measure.AnalyzerSetting.from_polarizer(0.3)
-    b = measure.AnalyzerSetting.from_waveplates(0.1, 1.0)
+    a = f"lin:{math.degrees(0.3)}"
+    b = f"wp:{math.degrees(0.1)}:{math.degrees(1.0)}"
     p = measure.outcome_probabilities(rho, a, b)
     assert np.abs(p - 0.25).max() < 1e-12
 
@@ -123,8 +135,8 @@ def test_outcome_probabilities_sum_to_one():
     rng = np.random.default_rng(1)
     rho = evolved_bell("psi_plus", 0.4, -0.2, visibility=0.9)
     for _ in range(10):
-        a = measure.AnalyzerSetting.from_waveplates(*rng.uniform(-1, 1, 2))
-        b = measure.AnalyzerSetting.from_polarizer(rng.uniform(-1, 1))
+        a = "wp:{}:{}".format(*np.degrees(rng.uniform(-1, 1, 2)))
+        b = f"lin:{math.degrees(rng.uniform(-1, 1))}"
         p = measure.outcome_probabilities(rho, a, b)
         assert (p >= 0).all()
         assert abs(p.sum() - 1.0) < 1e-12
@@ -132,8 +144,7 @@ def test_outcome_probabilities_sum_to_one():
 
 # every setting family on each arm: named bases, linear polarizers, wave plates
 FAMILY_IDS = ("Z", "X", "Y", "lin:22.5", "lin:-61.3", "wp:10:20", "wp:-33.3:71.9")
-FAMILY_SETTINGS = measure.settings_from_ids(
-    [(a, b) for a in FAMILY_IDS for b in FAMILY_IDS])
+FAMILY_SETTINGS = [(a, b) for a in FAMILY_IDS for b in FAMILY_IDS]
 
 
 def random_states(n, seed):
@@ -281,47 +292,57 @@ def test_entangled_extrema_full_swing():
 
 # ------------------------------------------------------ separable contrast
 
+def separable_observables(theta_a, theta_b):
+    # |H>|V> rotated by local_rotations, read as `polarot verify` reads it
+    u = channels.local_rotations(theta_a, theta_b)
+    rho = u @ states.separable_state(states.ket("H"), states.ket("V")) @ u.swapaxes(-2, -1)
+    return measure.exact_observables(rho)
+
+
 def test_separable_expectations_against_born_oracle():
-    z = measure.AnalyzerSetting.from_basis("Z")
-    x = measure.AnalyzerSetting.from_basis("X")
+    # closed forms: m_zz = -cos 2ta cos 2tb, m_xz = -sin 2ta cos 2tb and
+    # m_zx = -cos 2ta sin 2tb; the swing of each is bounded by the other
+    # arm's cosine factor instead of reaching +-1
     rng = np.random.default_rng(3)
     for _ in range(25):
         ta, tb = rng.uniform(-math.pi, math.pi, 2)
         rho = rotate_locally(
             states.separable_state(states.ket("H"), states.ket("V")),
             channels.rotation_unitary(ta), channels.rotation_unitary(tb))
-        obs = measure.separable_expectations(ta, tb)
-        for (sa, sb), value in (((z, z), obs.m_zz), ((x, z), obs.m_xz),
-                                ((z, x), obs.m_zx)):
-            p = born_probabilities(rho, sa, sb)
+        obs = separable_observables(ta, tb)
+        ca, sa = math.cos(2.0 * ta), math.sin(2.0 * ta)
+        cb, sb = math.cos(2.0 * tb), math.sin(2.0 * tb)
+        for (a, b), value, closed in ((("Z", "Z"), obs.m_zz, -ca * cb),
+                                      (("X", "Z"), obs.m_xz, -sa * cb),
+                                      (("Z", "X"), obs.m_zx, -ca * sb)):
+            p = born_probabilities(rho, a, b)
             assert abs((p[0] - p[1] - p[2] + p[3]) - value) < 1e-12
+            assert abs(closed - value) < 1e-12
 
 
 def test_separable_expectation_values():
-    obs = measure.separable_expectations(0.0, 0.0)
+    obs = separable_observables(0.0, 0.0)
     assert abs(abs(obs.m_zz) - 1.0) < 1e-15
     assert abs(obs.m_xz) < 1e-15
-    obs = measure.separable_expectations(math.radians(22.5), 0.0)
+    obs = separable_observables(math.radians(22.5), 0.0)
     assert abs(abs(obs.m_zz) - math.sqrt(2) / 2) < 1e-12
     assert abs(obs.m_xz + math.sqrt(2) / 2) < 1e-12
     for ta in np.linspace(-1.5, 1.5, 7):
-        assert abs(measure.separable_expectations(ta, math.radians(45)).m_zz) < 1e-12
+        assert abs(separable_observables(ta, math.radians(45)).m_zz) < 1e-12
 
 
 def test_separable_amplitude_bounded_by_cosine():
     rng = np.random.default_rng(4)
     for _ in range(100):
         ta, tb = rng.uniform(-math.pi, math.pi, 2)
-        obs = measure.separable_expectations(ta, tb)
+        obs = separable_observables(ta, tb)
         assert abs(obs.m_zz) <= abs(math.cos(2 * tb)) + 1e-12
 
 
 # ------------------------------------------------------------- Monte Carlo
 
 def make_named_settings():
-    z = measure.AnalyzerSetting.from_basis("Z")
-    x = measure.AnalyzerSetting.from_basis("X")
-    return [(z, z), (x, z), (z, x)]
+    return [("Z", "Z"), ("X", "Z"), ("Z", "X")]
 
 
 def test_simulate_counts_deterministic():
@@ -366,8 +387,7 @@ def test_simulate_counts_transmission_scaling():
 def test_simulate_counts_accidentals_uniform():
     # a pure accidental table is uniform over outcomes
     rho = states.separable_state(states.ket("H"), states.ket("V"))
-    z = measure.AnalyzerSetting.from_basis("Z")
-    table = measure.simulate_counts(rho, [(z, z)],
+    table = measure.simulate_counts(rho, [("Z", "Z")],
                                     measure.Detection(pair_flux=4e5, duration=1.0,
                                                       accidental_fraction=0.999),
                                     seed=3)
@@ -523,8 +543,7 @@ def test_estimate_observables_sigma_pulls(accidental_fraction):
 
 
 def test_estimate_observables_missing_pair():
-    z = measure.AnalyzerSetting.from_basis("Z")
-    table = measure.CoincidenceTable([(z, z)], np.array([[1.0, 2.0, 3.0, 4.0]]))
+    table = measure.CoincidenceTable([("Z", "Z")], np.array([[1.0, 2.0, 3.0, 4.0]]))
     with pytest.raises(ValueError, match=r"\(X, Z\)"):
         measure.estimate_observables(table)
 
@@ -712,8 +731,6 @@ def test_scan_exact_negative_angle():
 def test_scan_noisy_repeatability():
     # tolerance frozen from a repeatability study at 1e5 pairs per point
     ta = math.radians(20.0)
-    z = measure.AnalyzerSetting.from_basis("Z")
-    x = measure.AnalyzerSetting.from_basis("X")
     rho0 = states.bell_state("psi_minus")
 
     for rep in range(5):
@@ -727,7 +744,7 @@ def test_scan_noisy_repeatability():
                                      channels.rotation_unitary(tb))
                 seed = int(np.random.SeedSequence(
                     entropy=1000 + rep, spawn_key=(calls[0],)).generate_state(1)[0])
-                table = measure.simulate_counts(rho, [(z, z), (x, z), (z, x)],
+                table = measure.simulate_counts(rho, make_named_settings(),
                                                 measure.Detection(1e5, 1.0), seed=seed)
                 observables.append(measure.estimate_observables(table))
             return stacked(observables)
@@ -812,7 +829,8 @@ def test_scan_rejects_non_finite_numbers(search_range, resolution, noise_floor, 
 
 # --------------------------------------------------------------------- CHSH
 
-CHSH_ANGLES = tuple(math.radians(v) for v in (0.0, 45.0, 22.5, 67.5))
+CHSH_DEGREES = (0.0, 45.0, 22.5, 67.5)
+CHSH_ANGLES = tuple(math.radians(v) for v in CHSH_DEGREES)
 
 
 def test_chsh_maximal_violation():
@@ -843,9 +861,8 @@ def test_chsh_separable_classical_bound():
 
 
 def chsh_settings():
-    a, ap, b, bp = CHSH_ANGLES
-    mk = measure.AnalyzerSetting.from_polarizer
-    return [(mk(x), mk(y)) for x in (a, ap) for y in (b, bp)]
+    a, ap, b, bp = CHSH_DEGREES
+    return [(f"lin:{x}", f"lin:{y}") for x in (a, ap) for y in (b, bp)]
 
 
 def test_chsh_from_counts_ideal():
@@ -905,12 +922,10 @@ def test_chsh_sigma_scales_inverse_sqrt_n():
 
 
 def test_chsh_from_counts_validation():
-    z = measure.AnalyzerSetting.from_basis("Z")
-    table = measure.CoincidenceTable([(z, z)], np.array([[1.0, 1.0, 1.0, 1.0]]))
+    table = measure.CoincidenceTable([("Z", "Z")], np.array([[1.0, 1.0, 1.0, 1.0]]))
     with pytest.raises(ValueError, match="linear-analyzer"):
         measure.chsh_from_counts(table)
-    mk = measure.AnalyzerSetting.from_polarizer
-    table = measure.CoincidenceTable([(mk(0.0), mk(0.4))],
+    table = measure.CoincidenceTable([("lin:0", f"lin:{math.degrees(0.4)}")],
                                      np.array([[1.0, 1.0, 1.0, 1.0]]))
     with pytest.raises(ValueError, match="two analyzer angles"):
         measure.chsh_from_counts(table)
@@ -921,24 +936,21 @@ def test_chsh_from_counts_validation():
 def test_table_file_round_trip(tmp_path):
     rho = evolved_bell("psi_plus", 0.11, -0.07)
     settings = make_named_settings() + [
-        (measure.AnalyzerSetting.from_polarizer(math.radians(22.5)),
-         measure.AnalyzerSetting.from_waveplates(0.1, 0.2))]
+        ("lin:22.5", f"wp:{math.degrees(0.1)}:{math.degrees(0.2)}")]
     table = measure.simulate_counts(rho, settings, measure.Detection(5e3, 1.0),
                                     seed=31)
     path = tmp_path / "counts.csv"
     measure.write_table(table, path)
     loaded = measure.read_table(path)
     assert np.array_equal(loaded.counts, table.counts)
-    assert [(a.setting_id, b.setting_id) for a, b in loaded.settings] \
-        == [(a.setting_id, b.setting_id) for a, b in table.settings]
+    assert loaded.settings == table.settings
     assert loaded.metadata["rng_seed"] == "31"
     assert loaded.metadata["pair_flux"] == "5000.0"
 
 
 def test_table_rejects_negative_counts():
-    z = measure.AnalyzerSetting.from_basis("Z")
     with pytest.raises(ValueError, match="nonnegative"):
-        measure.CoincidenceTable([(z, z)], np.array([[1.0, -2.0, 0.0, 0.0]]))
+        measure.CoincidenceTable([("Z", "Z")], np.array([[1.0, -2.0, 0.0, 0.0]]))
 
 
 def test_write_table_rejects_stacked_table(tmp_path):

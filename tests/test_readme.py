@@ -21,3 +21,10 @@ def test_readme_states_the_shipped_calibration_defaults():
     assert numbers == [config.DEFAULT_SLOPE_DEG_PER_MOLAR, config.DEFAULT_PBS_A_DEG,
                        config.DEFAULT_PBS_B_DEG, config.DEFAULT_HWP_DEG,
                        config.DEFAULT_TRANSMISSION]
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"```python\n(.*?)```", README, flags=re.S)
+    assert len(blocks) == 1
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -155,12 +155,12 @@ COUNTS = np.full(16, 100.0)
 # test in one of its state arguments
 DOORS = {
     "outcome_probabilities": lambda rho, tmp: measure.outcome_probabilities(
-        rho, *measure.NAMED_SETTINGS[0]),
+        rho, *measure.NAMED_PAIRS[0]),
     "exact_observables": lambda rho, tmp: measure.exact_observables(rho),
     "simulate_counts": lambda rho, tmp: measure.simulate_counts(
-        rho, measure.NAMED_SETTINGS, measure.Detection(1e3, 1.0)),
+        rho, measure.NAMED_PAIRS, measure.Detection(1e3, 1.0)),
     "exact_table": lambda rho, tmp: measure.exact_table(
-        rho, measure.NAMED_SETTINGS, measure.Detection(1e3, 1.0)),
+        rho, measure.NAMED_PAIRS, measure.Detection(1e3, 1.0)),
     "chsh_s": lambda rho, tmp: measure.chsh_s(rho, 0.0, 0.8, 0.4, 1.2),
     "apply_noise": lambda rho, tmp: channels.apply_noise(rho, 0.5),
     "predicted_counts": lambda rho, tmp: tomography.predicted_counts(rho),
