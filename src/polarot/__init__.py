@@ -15,12 +15,10 @@ from .measure import (CoincidenceTable, Detection, JointObservables,
                       rotation_from_observables, scan_theta_a,
                       simulate_counts, write_table)
 from .metrology import probe_state, qfi, variance_scaling
-from .states import (BELL_KINDS, bell_state, concurrence, cosine_similarity,
-                     fidelity, ket, load_state, maximally_mixed, purity,
-                     save_state, separable_state, validate_state)
+from .states import (BELL_KINDS, bell_state, cosine_similarity, fidelity, ket,
+                     maximally_mixed, save_state, separable_state, validate_state)
 from .sweeps import (SweepResult, fit_line, run_molarity_sweep, run_theta_sweep,
                      write_sweep, zero_crossing)
 from .tomography import (BASIS_LABELS, DESIGN, KETS, MleResult,
                          linear_inversion, mle_reconstruct, predicted_counts,
-                         read_tomo_counts, reconstruction_report,
-                         bootstrap_sigmas, write_tomo_counts)
+                         read_tomo_counts, bootstrap_sigmas, write_tomo_counts)

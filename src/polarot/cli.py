@@ -127,8 +127,15 @@ def _cmd_scan(args) -> int:
 def _cmd_tomo(args) -> int:
     if args.bootstrap < 0:
         raise ValueError(f"--bootstrap must be >= 0, got {args.bootstrap}")
+    if args.bootstrap == 1:
+        raise ValueError("--bootstrap must be 0 (off) or at least 2, got 1: "
+                         "one resample has no spread")
     if args.max_iter < 0:
         raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
+    for flag, value in (("--bootstrap", args.bootstrap), ("--out", args.out)):
+        if value and not args.reference:
+            raise ValueError(f"{flag} needs --reference: it applies to the report")
+    reference = bell_state(args.reference) if args.reference else None
     counts, _ = read_tomo_counts(args.counts)
     result = mle_reconstruct(counts, max_iter=args.max_iter)
     print(f"log_likelihood = {result.log_likelihood:.6f}")
@@ -137,7 +144,6 @@ def _cmd_tomo(args) -> int:
     if args.out_state:
         save_state(_resolve_out(args.out_state), result.rho)
     if args.reference:
-        reference = bell_state(args.reference)
         report = _report(result.rho, reference)
         sigmas = {}
         if args.bootstrap > 0:

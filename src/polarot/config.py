@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .measure import NAMED_PAIRS, Detection, parse_setting
+from .measure import MAX_GRID_POINTS, NAMED_PAIRS, Detection, parse_setting
 from .states import BELL_KINDS, ket
 
 __all__ = [
@@ -229,6 +229,9 @@ def _parse_sweep(sec: dict) -> tuple[str, tuple]:
     if has_values == has_range:
         raise ValueError("[sweep] needs either 'values' or 'start/stop/count'")
     if has_values:
+        if sec["values"].count(",") >= MAX_GRID_POINTS:
+            raise ValueError(f"[sweep] values must hold at most {MAX_GRID_POINTS:,} "
+                             f"entries")
         return variable, tuple(_number(float, "sweep", "values", v.strip())
                                for v in sec["values"].split(","))
     for key in ("start", "stop", "count"):
@@ -239,6 +242,9 @@ def _parse_sweep(sec: dict) -> tuple[str, tuple]:
     count = _number(int, "sweep", "count", sec["count"])
     if count < 2:
         raise ValueError("[sweep] count must be at least 2")
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"[sweep] count must be at most {MAX_GRID_POINTS:,}, "
+                         f"got {count:,}")
     step = (stop - start) / (count - 1)
     return variable, tuple(start + step * i for i in range(count))
 

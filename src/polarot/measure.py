@@ -34,6 +34,9 @@ __all__ = [
 
 
 _ARITY = {"Z": 0, "X": 0, "Y": 0, "lin": 1, "wp": 2}  # the angles each kind carries
+# the most angles a scan grid or a sweep may hold: a 100,000-point sweep
+# peaks near 190 MiB (about 1.5 KiB a point) and such a scan near 110 MiB
+MAX_GRID_POINTS = 100_000
 
 
 def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
@@ -397,6 +400,9 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
     if hi <= lo:
         raise ValueError(f"empty search range ({lo}, {hi})")
     n_pts = int(math.floor((hi - lo) / resolution)) + 1
+    if n_pts > MAX_GRID_POINTS:
+        raise ValueError(f"search_range / resolution gives {n_pts:,} grid points, "
+                         f"more than the limit of {MAX_GRID_POINTS:,}")
     grid = lo + resolution * np.arange(n_pts)
     if grid[-1] < hi - 1e-12:
         grid = np.append(grid, hi)

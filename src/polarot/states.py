@@ -16,8 +16,7 @@ __all__ = [
     "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2",
     "BELL_KINDS", "ket", "ket_to_dm", "bell_state",
     "separable_state", "maximally_mixed", "validate_state",
-    "fidelity", "concurrence", "cosine_similarity", "purity",
-    "save_state", "load_state",
+    "fidelity", "cosine_similarity", "save_state",
 ]
 
 _KETS = {
@@ -33,7 +32,7 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-_YY = np.kron(PAULI_Y, PAULI_Y)  # the spin flip in `concurrence`
+_YY = np.kron(PAULI_Y, PAULI_Y)  # the spin flip in `_concurrence`
 
 # the four maximally entangled two-photon state vectors, (HH, HV, VH, VV)
 _BELL_KETS = {kind: np.array(amplitudes, dtype=complex) / np.sqrt(2.0)
@@ -133,16 +132,9 @@ def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return min(f, 1.0)
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit concurrence: max(0, l1 - l2 - l3 - l4).
-
-    The l_i are the decreasingly ordered square roots of the eigenvalues of
-    rho (sy (x) sy) rho* (sy (x) sy).
-    """
-    return _concurrence(validate_state(rho))
-
-
 def _concurrence(rho: np.ndarray) -> float:
+    """Two-qubit concurrence max(0, l1 - l2 - l3 - l4), the l_i the decreasing
+    square roots of the eigenvalues of rho (sy (x) sy) rho* (sy (x) sy)."""
     m = rho @ _YY @ rho.conj() @ _YY
     ev = np.linalg.eigvals(m).real
     lam = np.sqrt(np.clip(ev, 0.0, None))
@@ -161,44 +153,17 @@ def cosine_similarity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.trace(rho.conj().T @ sigma).real / (nr * ns))
 
 
-def purity(rho: np.ndarray) -> float:
-    """Tr rho^2; 1 for pure states, 1/4 for the maximally mixed state."""
-    return _purity(validate_state(rho))
-
-
 def _purity(rho: np.ndarray) -> float:
+    """Tr rho^2; 1 for pure states, 1/4 for the maximally mixed state."""
     return float(np.trace(rho @ rho).real)
 
 
 def save_state(path, rho: np.ndarray) -> None:
-    """Write a 4x4 complex matrix as 16 'real imag' rows in (HH, HV, VH, VV)
-    row-major order."""
+    """Write a 4x4 complex matrix as 16 'real imag' rows, row-major in (HH, HV,
+    VH, VV); `np.loadtxt(path).view(complex).reshape(4, 4)` reads it back."""
     rho = np.asarray(rho, dtype=complex)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# two-photon density matrix, row-major (HH, HV, VH, VV)\n")
         fh.write("# columns: real imag\n")
         for z in rho.ravel():
             fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
-
-
-def load_state(path) -> np.ndarray:
-    """Read a matrix written by save_state and check that it is a state."""
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                re_s, im_s = line.split()
-                entries.append(complex(float(re_s), float(im_s)))
-            except ValueError:
-                raise ValueError(f"state file {path} line {lineno}: expected "
-                                 f"'real imag', got {line!r}") from None
-    if len(entries) != 16:
-        raise ValueError(f"state file {path}: expected 16 matrix entries, "
-                         f"found {len(entries)}")
-    try:
-        return validate_state(np.array(entries).reshape(4, 4))
-    except ValueError as exc:
-        raise ValueError(f"state file {path}: {exc}") from None

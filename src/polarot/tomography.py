@@ -20,8 +20,7 @@ from .states import (_concurrence, _fidelity, _purity, cosine_similarity, ket,
 
 __all__ = [
     "BASIS_LABELS", "KETS", "DESIGN", "MleResult",
-    "predicted_counts", "linear_inversion", "mle_reconstruct",
-    "reconstruction_report", "bootstrap_sigmas",
+    "predicted_counts", "linear_inversion", "mle_reconstruct", "bootstrap_sigmas",
     "write_tomo_counts", "read_tomo_counts",
 ]
 
@@ -61,6 +60,9 @@ _STOP_GAIN = 1e-25
 _ESCAPE_GAP = 1e-10
 _ESCAPE_MIX = 1e-3
 KKT_TOL = 1e-5
+# the largest Poisson mean numpy draws (int64 max - 10 sqrt(int64 max)):
+# no count total above it can be bootstrapped
+MAX_COUNTS_TOTAL = 9.223372006484771e18
 
 
 def predicted_counts(rho: np.ndarray, flux_norm: float = 1.0) -> np.ndarray:
@@ -81,8 +83,13 @@ def linear_inversion(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (16,):
         raise ValueError(f"expected 16 counts, got shape {counts.shape}")
-    if not np.isfinite(counts).all() or counts.sum() <= 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite totals fail below
+        total = counts.sum()
+    if not np.isfinite(counts).all() or total <= 0:
         raise ValueError("counts must be finite with a positive total")
+    if total > MAX_COUNTS_TOTAL:
+        raise ValueError(f"counts total {total:g} is above {MAX_COUNTS_TOTAL:g}, "
+                         f"the largest Poisson mean a bootstrap can draw")
     if counts[_HV_ROWS].sum() <= 0:
         raise ValueError(f"the HH, HV, VH and VV counts must have a positive sum "
                          f"(the trace of the state), got {counts[_HV_ROWS].sum():g}")
@@ -223,11 +230,6 @@ def mle_reconstruct(counts: np.ndarray, max_iter: int = 5000) -> MleResult:
     loglik = float(counts @ np.log(nbar) - nbar.sum())
     return MleResult(rho=rho, log_likelihood=loglik, converged=kkt_gap <= KKT_TOL,
                      n_iter=n_iter, kkt_gap=kkt_gap)
-
-
-def reconstruction_report(rho_hat: np.ndarray, reference: np.ndarray) -> dict:
-    """Bundle the four comparison metrics of a reconstructed state."""
-    return _report(validate_state(rho_hat), validate_state(reference))
 
 
 def _report(rho_hat: np.ndarray, reference: np.ndarray) -> dict:

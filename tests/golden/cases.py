@@ -3,11 +3,14 @@
 Each case is an argv for `polarot.cli.main` and the output files it
 writes. A case runs in a scratch directory holding a copy of `inputs/`,
 with relative paths and `POLAROT_OUT` unset, so stdout names outputs by
-their relative path. The files under `inputs/` are fixed data (configs,
-and tables, observables and tomography counts written once by the CLI
-and `write_tomo_counts` at fixed seeds); nothing regenerates them. The
-files under `expected/<case>/` are the goldens (`stdout.txt` plus each
-output file), rewritten only by `python tests/golden/regen.py`.
+their relative path. The files under `inputs/` are fixed data: configs
+written by hand; tables and observables written once by `polarot
+simulate` and `polarot observables` at fixed seeds; and `tomo.csv`,
+written once by `tomography.write_tomo_counts` from a Poisson draw of
+Werner(0.97867) counts (its `# rng_seed` and `# source` lines), since no
+command writes tomography counts. Nothing regenerates them. The files
+under `expected/<case>/` are the goldens (`stdout.txt` plus each output
+file), rewritten only by `python tests/golden/regen.py`.
 """
 
 from __future__ import annotations

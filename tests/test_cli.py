@@ -197,7 +197,7 @@ def test_tomo_command(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "converged = True" in stdout
     assert "fidelity = 1.000000" in stdout
-    rho = states.load_state(state_file)
+    rho = np.loadtxt(state_file).view(complex).reshape(4, 4)
     assert states.fidelity(rho, states.bell_state("psi_plus")) >= 0.9999
     assert "fidelity" in report_file.read_text()
 
@@ -226,16 +226,56 @@ def test_tomo_exit_0_at_rank_deficient_optimum(tmp_path, capsys, trial):
 
 
 def test_tomo_single_bootstrap_exits_2(tmp_path, capsys):
-    # one resample has no spread: it used to print "+- nan" and exit 0
+    # one resample has no spread: it used to print "+- nan" and exit 0, and
+    # then the fit and the state file before exiting 2
     nbar = tomography.predicted_counts(werner(0.9), flux_norm=4e4)
     counts_file = tmp_path / "tomo.csv"
     tomography.write_tomo_counts(counts_file,
                                  np.random.default_rng(1).poisson(nbar).astype(float))
+    state_file = tmp_path / "rho.txt"
     assert main(["tomo", "--counts", str(counts_file), "--reference", "psi_plus",
-                 "--bootstrap", "1"]) == 2
+                 "--bootstrap", "1", "--out-state", str(state_file)]) == 2
     captured = capsys.readouterr()
-    assert "nan" not in captured.out
-    assert "n_resamples must be at least 2" in captured.err
+    assert captured.out == ""
+    assert "--bootstrap must be 0 (off) or at least 2, got 1" in captured.err
+    assert not state_file.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bootstrap", "5"], "--bootstrap needs --reference"),
+    (["--out", "report.txt"], "--out needs --reference"),
+    (["--reference", "psi", "--out", "report.txt"], "unknown Bell-state kind 'psi'")],
+    ids=["bootstrap", "out", "unknown-reference"])
+def test_tomo_report_flags_are_checked_before_any_output(tmp_path, monkeypatch,
+                                                          capsys, flags, message):
+    # without --reference there is no report: the bootstrap was skipped and
+    # no report file written, with exit 0; an unknown reference exited 2
+    # only after printing the fit and writing the state file
+    monkeypatch.chdir(tmp_path)
+    assert main(["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"),
+                 "--out-state", "rho.txt", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("count", ["1e308", "1e200"])
+def test_tomo_counts_beyond_the_poisson_range_exit_2(tmp_path, capsys, recwarn,
+                                                     count):
+    # 1e308 overflowed linear inversion (RuntimeWarnings, then "Eigenvalues
+    # did not converge"); 1e200 printed a fit, then the bootstrap's
+    # rng.poisson failed with "lam value too large"
+    text = (GOLDEN_INPUTS / "tomo.csv").read_text()
+    assert "\nH,H,194\n" in text
+    counts_file = tmp_path / "tomo.csv"
+    counts_file.write_text(text.replace("\nH,H,194\n", f"\nH,H,{count}\n"))
+    assert main(["tomo", "--counts", str(counts_file), "--reference", "psi_plus",
+                 "--bootstrap", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"counts total {float(count):g} is above 9.22337e+18" in captured.err
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
 def test_tomo_negative_bootstrap_exits_2(tmp_path, capsys):
@@ -629,6 +669,37 @@ def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{name} must be" in captured.err and bad in captured.err
+
+
+def test_scan_grid_above_the_point_limit_exits_2(capsys):
+    # 1e-9 deg over 180 deg asked numpy for 1.31 TiB: a MemoryError traceback
+    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
+                 "--resolution-deg", "1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "search_range / resolution gives 180,000,000,000 grid points" in captured.err
+    assert "more than the limit of 100,000" in captured.err
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ("start = -40\nstop = 40\ncount = 10000000000",
+     "[sweep] count must be at most 100,000, got 10,000,000,000"),
+    ("values = " + ", ".join(["0"] * 100_001),
+     "[sweep] values must hold at most 100,000 entries")],
+    ids=["count", "values"])
+def test_sweep_above_the_point_limit_exits_2(tmp_path, monkeypatch, capsys, sweep,
+                                             message):
+    # the count was built into a tuple until memory ran out; the values ran
+    # a 100,001-point sweep
+    monkeypatch.chdir(tmp_path)
+    text = (GOLDEN_INPUTS / "sweep_theta.ini").read_text()
+    text = text[:text.index("[sweep]")] + f"[sweep]\nvariable = theta_b\n{sweep}\n"
+    (tmp_path / "big.ini").write_text(text)
+    assert main(["sweep", "--config", "big.ini", "--exact", "--out", "sweep.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])

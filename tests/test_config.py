@@ -107,3 +107,20 @@ def test_wrapped_sweep_values_load_as_one_line():
     wrapped = text.replace(one_line, "values =\n    -30, -10,\n    0, 15,\n    40")
     assert config.loads_config(wrapped) == config.loads_config(text)
     assert config.loads_config(wrapped).sweep_values == (-30.0, -10.0, 0.0, 15.0, 40.0)
+
+
+@pytest.mark.parametrize("key", ["count", "values"])
+def test_sweep_point_limit_is_inclusive(key):
+    # a sweep of exactly MAX_GRID_POINTS loads; one point more is named
+    limit = config.MAX_GRID_POINTS
+    text = (GOLDEN_INPUTS / "sweep_theta.ini").read_text(encoding="utf-8")
+    head = text[:text.index("[sweep]")] + "[sweep]\nvariable = theta_b\n"
+
+    def sweep(n):
+        body = (f"start = -40\nstop = 40\ncount = {n}" if key == "count"
+                else "values = " + ", ".join(["1.5"] * n))
+        return config.loads_config(head + body)
+
+    assert len(sweep(limit).sweep_values) == limit
+    with pytest.raises(ValueError, match=rf"\[sweep\] {key} must .*at most 100,000"):
+        sweep(limit + 1)

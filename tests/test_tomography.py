@@ -333,16 +333,15 @@ def test_mle_werner_noisy_smoke():
 
 def test_reconstruction_report_identity():
     rho = werner_ideal()
-    report = tomography.reconstruction_report(rho, rho)
+    report = tomography._report(rho, rho)
     assert abs(report["fidelity"] - 1.0) < 1e-9
     assert abs(report["cosine_similarity"] - 1.0) < 1e-12
-    assert abs(report["purity"] - states.purity(rho)) < 1e-12
-    assert abs(report["concurrence"] - states.concurrence(rho)) < 1e-12
+    assert abs(report["purity"] - states._purity(rho)) < 1e-12
+    assert abs(report["concurrence"] - states._concurrence(rho)) < 1e-12
 
 
 def test_reconstruction_report_werner_vs_bell():
-    report = tomography.reconstruction_report(werner_ideal(),
-                                              states.bell_state("psi_plus"))
+    report = tomography._report(werner_ideal(), states.bell_state("psi_plus"))
     assert abs(report["fidelity"] - 0.984) < 1e-9
 
 
@@ -354,7 +353,7 @@ def test_reconstruction_report_rotated_cosine_similarity():
     rotated = rotate_locally(rho, channels.rotation_unitary(theta),
                              np.eye(2, dtype=complex))
     oracle = float(np.trace(rotated.conj().T @ rho).real)
-    report = tomography.reconstruction_report(rotated, rho)
+    report = tomography._report(rotated, rho)
     assert abs(report["cosine_similarity"] - oracle) < 1e-12
     assert report["cosine_similarity"] < 0.9
 
@@ -401,7 +400,7 @@ def test_bootstrap_sigmas_match_the_spread_over_count_draws():
              for i in range(draws_m)]
     fits = [tomography.mle_reconstruct(counts) for counts in draws]
     assert sum(fit.n_iter > 0 for fit in fits) < 0.01 * draws_m
-    reports = [tomography.reconstruction_report(fit.rho, reference) for fit in fits]
+    reports = [tomography._report(fit.rho, reference) for fit in fits]
     boots = [tomography.bootstrap_sigmas(fit.rho, counts, reference,
                                          n_resamples=resamples_r, seed=i)
              for i, (fit, counts) in enumerate(zip(fits[:datasets_k], draws))]
