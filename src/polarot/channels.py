@@ -1,5 +1,5 @@
 """Local polarization transformations: optical rotations, wave plates,
-analyzer offsets, and isotropic noise.
+angle wrapping and isotropic noise.
 
 Sign convention: levorotation is a positive angle and rotates the
 polarization plane from H toward V, i.e. U(theta)|H> = cos(theta)|H> +
@@ -16,7 +16,7 @@ from .states import maximally_mixed, validate_state
 
 __all__ = [
     "rotation_unitary", "local_rotations", "hwp_matrix", "qwp_matrix",
-    "offset_correct", "wrap_angle", "apply_noise",
+    "wrap_angle", "apply_noise",
 ]
 
 
@@ -53,23 +53,6 @@ def qwp_matrix(angle: float) -> np.ndarray:
     """Jones matrix of a quarter-wave plate with fast axis at `angle` radians."""
     rot = rotation_unitary(angle)
     return rot @ np.diag([1.0, -1.0j]) @ rot.conj().T
-
-
-def offset_correct(theta_exp: float, which: str, pbs_a: float, pbs_b: float,
-                   hwp: float) -> float:
-    """Remove analyzer offsets from a measured rotation angle.
-
-    For the addition branch ('plus') the corrected angle is
-    theta_exp - pbs_a - pbs_b; for the cancellation branch ('minus') it is
-    theta_exp - pbs_a + pbs_b - hwp, because the state-exchanging
-    half-wave plate is only inserted in minus-branch runs. All angles in
-    radians.
-    """
-    if which == "plus":
-        return theta_exp - pbs_a - pbs_b
-    if which == "minus":
-        return theta_exp - pbs_a + pbs_b - hwp
-    raise ValueError(f"branch must be 'plus' or 'minus', got {which!r}")
 
 
 def wrap_angle(theta: float) -> float:

@@ -18,18 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import apply_noise, local_rotations, offset_correct, wrap_angle
+from .channels import apply_noise, local_rotations
 from .config import load_config
 from .csvfile import read_csv, write_csv
 from .measure import (JointObservables, _exact_table, _simulate_counts,
                       chsh_from_counts, chsh_s, estimate_observables,
-                      exact_observables, extract_thetas, read_table, scan_theta_a,
-                      write_table)
-from .metrology import qfi, variance_scaling
+                      exact_observables, extract_thetas, read_table, write_table)
+from .metrology import MAX_TRIALS, qfi, variance_scaling
 from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity, ket,
                      maximally_mixed, save_state, separable_state, validate_state)
-from .sweeps import (configured_state, observables_at, run_molarity_sweep,
-                     run_theta_sweep, write_sweep)
+from .sweeps import (configured_state, run_molarity_sweep, run_scan, run_theta_sweep,
+                     write_sweep)
 from .tomography import (DESIGN, _report, bootstrap_sigmas, mle_reconstruct,
                          predicted_counts, read_tomo_counts)
 
@@ -110,16 +109,8 @@ def _cmd_extract(args) -> int:
 
 def _cmd_scan(args) -> int:
     cfg = _load_config_with_override(args)
-    lo, hi = (math.radians(v) for v in args.range_deg)
-
-    def probe(theta_b: np.ndarray):  # called once; samples stream (seed, 1)
-        return observables_at(cfg, "psi_minus", None, theta_b, args.exact, (1,))
-
-    theta_b = scan_theta_a(probe, (lo, hi), math.radians(args.resolution_deg),
-                           noise_floor=args.noise_floor)
-    # the optimum matches arm B to arm A's effective (offset-carrying) angle
-    theta_a = wrap_angle(offset_correct(theta_b, "minus", cfg.pbs_a, cfg.pbs_b,
-                                        cfg.hwp))
+    theta_a = run_scan(cfg, tuple(math.radians(v) for v in args.range_deg),
+                       math.radians(args.resolution_deg), args.noise_floor, args.exact)
     print(f"{math.degrees(theta_a):.6f}")
     return 0
 
@@ -190,11 +181,21 @@ def _cmd_sweep(args) -> int:
 def _cmd_fisher(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {MAX_TRIALS:,}, got {args.trials:,}")
     if args.counts_per_trial < 1:
         raise ValueError(f"--counts-per-trial must be >= 1, got {args.counts_per_trial}")
     if not math.isfinite(args.theta_deg):
         raise ValueError(f"--theta-deg must be finite, got {args.theta_deg}")
-    n_values = [int(v) for v in args.n_values.split(",")]
+    try:
+        n_values = [int(v) for v in args.n_values.split(",")]
+    except ValueError:
+        raise ValueError(f"--n-values must be comma-separated integers, "
+                         f"got {args.n_values!r}") from None
+    # numpy's binomial draws take at most an int64 photon count
+    if max(n_values) * args.counts_per_trial > np.iinfo(np.int64).max:
+        raise ValueError(f"--n-values times --counts-per-trial must be at most "
+                         f"{np.iinfo(np.int64).max:,} photons")
     rows = []
     if args.trials > 0:
         scaling = variance_scaling(n_values, args.trials, args.counts_per_trial,

@@ -399,11 +399,11 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
         raise ValueError(f"noise_floor must be finite, got {noise_floor}")
     if hi <= lo:
         raise ValueError(f"empty search range ({lo}, {hi})")
-    n_pts = int(math.floor((hi - lo) / resolution)) + 1
-    if n_pts > MAX_GRID_POINTS:
-        raise ValueError(f"search_range / resolution gives {n_pts:,} grid points, "
-                         f"more than the limit of {MAX_GRID_POINTS:,}")
-    grid = lo + resolution * np.arange(n_pts)
+    span = (hi - lo) / resolution  # inf for a tiny resolution, so compared as a float
+    if not span < MAX_GRID_POINTS:
+        raise ValueError(f"search_range / resolution gives {np.floor(span) + 1:,.0f} "
+                         f"grid points, more than the limit of {MAX_GRID_POINTS:,}")
+    grid = lo + resolution * np.arange(math.floor(span) + 1)
     if grid[-1] < hi - 1e-12:
         grid = np.append(grid, hi)
     obs = probe(grid)

@@ -14,6 +14,10 @@ import numpy as np
 
 __all__ = ["probe_state", "probe_state_derivative", "qfi", "variance_scaling"]
 
+# the most trials variance_scaling may run: it holds about 50 bytes a trial,
+# so a 1,000,000-trial fisher command peaks near 80 MiB
+MAX_TRIALS = 1_000_000
+
 
 def probe_state(n: int, theta: float) -> np.ndarray:
     """Coordinates (a_R, a_L) of the evolved n-photon probe in the

@@ -1,14 +1,13 @@
-"""Scripted experiment sweeps and the calibration line fit.
+"""Scripted experiment sweeps, the arm-A scan and the calibration line fit.
 
-Both sweep runners and the CLI scan share one pipeline, which runs a
-whole array of arm-B angles at once: build the source state, fold
-analyzer offsets into the local rotations, simulate (or emit exact
+Both sweep runners and the scan share one pipeline, which runs a whole
+array of arm-B angles at once: build the source state, fold the analyzer
+offsets (_offsets) into the local rotations, simulate (or emit exact
 expectations for) the named-basis coincidence settings and estimate the
 joint observables, one JointObservables whose fields hold one entry per
-angle. A theta sweep runs both Bell branches through it as one stack;
-observables_at is its one-branch view. The sweeps then convert those
-arrays back to rotation angles with the offsets removed, a column at a
-time.
+angle. A theta sweep runs both Bell branches through it as one stack.
+The runners then convert those arrays back to rotation angles with the
+offsets removed, a column at a time.
 """
 
 from __future__ import annotations
@@ -19,16 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import _apply_noise, local_rotations, offset_correct
+from .channels import _apply_noise, local_rotations, wrap_angle
 from .config import ExperimentConfig, config_hash
 from .csvfile import write_csv
 from .measure import (NAMED_PAIRS, JointObservables, _mean_counts, _observables,
                       _pair_probabilities, _sample, extract_thetas,
-                      rotation_from_observables)
+                      rotation_from_observables, scan_theta_a)
 from .states import bell_state, ket, separable_state
 
-__all__ = ["SweepResult", "configured_state", "observables_at", "fit_line",
-           "zero_crossing", "run_molarity_sweep", "run_theta_sweep", "write_sweep"]
+__all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
+           "run_molarity_sweep", "run_theta_sweep", "run_scan", "write_sweep"]
 
 
 @dataclass
@@ -105,25 +104,39 @@ def zero_crossing(x, y, sigma) -> tuple[float, float]:
     return float(x0), math.sqrt(max(var, 0.0))
 
 
+def _offsets(cfg: ExperimentConfig, kinds) -> tuple:
+    """The analyzer-frame offsets (pbs_a, hwp, pbs_b) riding on the arm
+    rotations of sources of `kinds`, radians: arm A carries pbs_a + hwp and
+    arm B pbs_b. The state-exchanging half-wave plate sits in cancellation
+    (psi_minus) runs only, so hwp holds cfg.hwp there and 0 for other kinds."""
+    return cfg.pbs_a, np.array([cfg.hwp if k == "psi_minus" else 0.0 for k in kinds]), cfg.pbs_b
+
+
+def _remove_offsets(cfg: ExperimentConfig, kind: str, theta):
+    """The rotation theta_a + theta_b of a psi_plus source, or theta_a -
+    theta_b of a psi_minus one, from its value theta in the analyzer frame."""
+    pbs_a, (hwp,), pbs_b = _offsets(cfg, (kind,))
+    return theta - pbs_a - (pbs_b if kind == "psi_plus" else -pbs_b) - hwp
+
+
 def configured_state(cfg: ExperimentConfig, kind: str | tuple | None = None,
                      theta_a: float | None = None, theta_b: float | None = None):
     """The two-photon state after the configured source, noise and both
-    arm rotations. Analyzer-frame offsets ride on top of the physical
-    rotations; the state-exchanging wave plate contributes only in
-    cancellation (psi_minus) runs. kind/theta overrides replace the
-    configured source state or arm angles (radians); an array of arm-B
-    angles gives a stack with one state per angle, and a tuple of kinds one
-    such stack per kind. The real and imaginary parts of the sources are
-    rotated apart, as real products (the complex product, bit for bit)."""
+    arm rotations, with the analyzer-frame offsets (_offsets) on top of the
+    physical rotations. kind/theta overrides replace the configured source
+    state or arm angles (radians); an array of arm-B angles gives a stack
+    with one state per angle, and a tuple of kinds one such stack per kind.
+    The real and imaginary parts of the sources are rotated apart, as real
+    products (the complex product, bit for bit)."""
     stacked = not (kind is None or isinstance(kind, str))
     kinds = [cfg.state_kind if k is None else k for k in (kind if stacked else (kind,))]
     rho = _apply_noise(np.array([separable_state(ket(cfg.ket_a), ket(cfg.ket_b))
                                  if k == "separable" else bell_state(k) for k in kinds]),
                        cfg.visibility)
-    theta_a = (cfg.arm_a.theta() if theta_a is None else theta_a) + cfg.pbs_a
-    theta_a = np.array([theta_a + cfg.hwp if k == "psi_minus" else theta_a for k in kinds])
-    theta_b = np.asarray(cfg.arm_b.theta() if theta_b is None else theta_b) + cfg.pbs_b
-    u = local_rotations(theta_a.reshape((-1,) + (1,) * theta_b.ndim), theta_b)
+    pbs_a, hwp, pbs_b = _offsets(cfg, kinds)
+    theta_a = (cfg.arm_a.theta() if theta_a is None else theta_a) + pbs_a
+    theta_b = np.asarray(cfg.arm_b.theta() if theta_b is None else theta_b) + pbs_b
+    u = local_rotations((theta_a + hwp).reshape((-1,) + (1,) * theta_b.ndim), theta_b)
     rho = rho.reshape((len(kinds),) + (1,) * theta_b.ndim + (4, 4))
     out = np.empty(u.shape, dtype=complex)
     out.real, out.imag = (u @ part @ u.swapaxes(-2, -1) for part in (rho.real, rho.imag))
@@ -141,18 +154,6 @@ def _named_counts(cfg: ExperimentConfig, kinds: tuple, theta_a, theta_b, exact: 
     return np.stack([_sample(p, cfg.detection,
                              np.random.SeedSequence(cfg.seed, spawn_key=key))
                      for p, key in zip(probs, keys)])
-
-
-def observables_at(cfg: ExperimentConfig, kind: str | None,
-                   theta_a: float | None, theta_b, exact: bool,
-                   key: tuple) -> JointObservables:
-    """Joint observables of the configured state (overrides as in
-    configured_state) measured in the named (Z,Z), (X,Z), (Z,X) settings,
-    as arrays with one entry per angle in the array theta_b. The sampled
-    counts of all the angles draw from the one stream
-    SeedSequence(cfg.seed, spawn_key=key), so an angle's counts depend on
-    the number and order of the angles in theta_b."""
-    return _observables(_named_counts(cfg, (kind,), theta_a, theta_b, exact, (key,))[0])
 
 
 def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
@@ -176,15 +177,14 @@ def run_molarity_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResul
                          "psi_minus source state")
     if cfg.arm_b.molarity is None:
         raise ValueError("molarity sweeps need a solution-type arm_b")
-    which = "plus" if cfg.state_kind == "psi_plus" else "minus"
     molarities = sorted(cfg.sweep_values)
     if molarities[0] < 0:
         raise ValueError(f"negative molarity {molarities[0]}")
     theta_b = np.radians(cfg.arm_b.slope_deg_per_molar * np.array(molarities))
-    obs = observables_at(cfg, cfg.state_kind, cfg.arm_a.theta(), theta_b, exact, (0,))
-    theta_exp, sig = rotation_from_observables(obs.m_zz, obs.m_xz,
-                                               obs.sigma_zz, obs.sigma_xz)
-    theta = offset_correct(theta_exp, which, cfg.pbs_a, cfg.pbs_b, cfg.hwp)
+    obs = _observables(_named_counts(cfg, (cfg.state_kind,), cfg.arm_a.theta(), theta_b,
+                                     exact, ((0,),))[0])
+    theta, sig = rotation_from_observables(obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
+    theta = _remove_offsets(cfg, cfg.state_kind, theta)
     return SweepResult(
         variable="molarity_b",
         columns=("molarity", "theta_deg", "sigma_deg",
@@ -203,23 +203,23 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
     if cfg.sweep_variable != "theta_b":
         raise ValueError(f"theta sweep needs sweep variable 'theta_b', "
                          f"got {cfg.sweep_variable!r}")
-    theta_a = cfg.arm_a.theta()
+    kinds = ("psi_plus", "psi_minus")
     values = sorted(cfg.sweep_values)
     theta_b = np.radians(values)
     # both branches in one stack; branch k samples its own stream, (cfg.seed, k)
-    obs = _observables(_named_counts(cfg, ("psi_plus", "psi_minus"), theta_a,
-                                     theta_b, exact, ((0,), (1,))))
-    (th_p, th_m), (sig_p, sig_m) = rotation_from_observables(
+    obs = _observables(_named_counts(cfg, kinds, cfg.arm_a.theta(), theta_b, exact,
+                                     ((0,), (1,))))
+    thetas, (sig_p, sig_m) = rotation_from_observables(
         obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
-    th_p = offset_correct(th_p, "plus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
-    th_m = offset_correct(th_m, "minus", cfg.pbs_a, cfg.pbs_b, cfg.hwp)
+    th_p, th_m = (_remove_offsets(cfg, k, theta) for k, theta in zip(kinds, thetas))
     obs_p, obs_m = (JointObservables(*m) for m in zip(obs.m_zz, obs.m_xz, obs.m_zx))
-    # the wave plate rotates arm A in the minus branch only, so the
-    # extracted angles carry pbs_a + hwp/2 (arm A) and pbs_b - hwp/2 (arm B);
-    # wrapping after the subtraction keeps the readouts in the +-45 deg
-    # window (x - q round(x / q) is math.remainder(x, q) elementwise)
-    hats = np.array(extract_thetas(obs_p, obs_m)) - [[cfg.pbs_a + cfg.hwp / 2.0],
-                                                     [cfg.pbs_b - cfg.hwp / 2.0]]
+    # the extracted angles are the half-sum and half-difference of the two
+    # branch rotations, so they carry pbs_a + hwp/2 (arm A) and pbs_b - hwp/2
+    # (arm B); wrapping after the subtraction keeps the readouts in the
+    # +-45 deg window (x - q round(x / q) is math.remainder(x, q) elementwise)
+    pbs_a, (hwp_p, hwp_m), pbs_b = _offsets(cfg, kinds)
+    hats = np.array(extract_thetas(obs_p, obs_m)) - [[pbs_a + (hwp_p + hwp_m) / 2.0],
+                                                     [pbs_b + (hwp_p - hwp_m) / 2.0]]
     hats -= math.pi / 2 * np.round(hats / (math.pi / 2))
     return SweepResult(
         variable="theta_b",
@@ -235,6 +235,19 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
             *np.degrees((th_p, sig_p, th_m, sig_m, *hats)))),
         provenance=_provenance(cfg, exact),
     )
+
+
+def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float],
+             resolution: float, noise_floor: float, exact: bool) -> float:
+    """The arm-A rotation (radians, in (-pi, pi]) that scan_theta_a finds by
+    probing the cancellation (psi_minus) branch over a grid of arm-B angles,
+    counts drawn from the stream (cfg.seed, 1). The optimum matches arm B to
+    arm A's angle in the analyzer frame, so the offsets come off after."""
+    theta = scan_theta_a(
+        lambda grid: _observables(_named_counts(cfg, ("psi_minus",), None, grid, exact,
+                                                ((1,),))[0]),
+        search_range, resolution, noise_floor=noise_floor)
+    return wrap_angle(_remove_offsets(cfg, "psi_minus", theta))
 
 
 def write_sweep(result: SweepResult, path) -> None:

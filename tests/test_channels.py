@@ -87,34 +87,6 @@ def test_local_rotations_rejects_non_finite_angles(theta_a, theta_b):
         channels.local_rotations(theta_a, theta_b)
 
 
-def test_offset_correct_examples():
-    pbs_a, pbs_b, hwp = (math.radians(v) for v in (-4.75, 4.09, 5.47))
-    # offsets exactly cancel
-    theta = channels.offset_correct(pbs_a + pbs_b, "plus", pbs_a, pbs_b, hwp)
-    assert abs(theta) < 1e-15
-    # no offsets: identity
-    assert channels.offset_correct(0.7, "minus", 0.0, 0.0, 0.0) == 0.7
-    # minus branch applies the wave-plate term
-    theta = channels.offset_correct(0.0, "minus", pbs_a, pbs_b, hwp)
-    assert abs(theta - (-pbs_a + pbs_b - hwp)) < 1e-15
-
-
-def test_offset_correct_affine_invertible():
-    pbs_a, pbs_b, hwp = 0.1, -0.2, 0.05
-    rng = np.random.default_rng(8)
-    for which, forward in (("plus", lambda t: t + pbs_a + pbs_b),
-                           ("minus", lambda t: t + pbs_a - pbs_b + hwp)):
-        for theta in rng.uniform(-1.0, 1.0, 20):
-            corrected = channels.offset_correct(forward(theta), which,
-                                                pbs_a, pbs_b, hwp)
-            assert abs(corrected - theta) < 1e-14
-
-
-def test_offset_correct_rejects_bad_branch():
-    with pytest.raises(ValueError, match="branch"):
-        channels.offset_correct(0.0, "both", 0.0, 0.0, 0.0)
-
-
 def test_apply_noise_limits():
     rho = states.bell_state("psi_plus")
     assert np.abs(channels.apply_noise(rho, 1.0) - rho).max() == 0.0

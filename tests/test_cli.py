@@ -398,11 +398,23 @@ def test_fisher_negative_trials_exits_2(capsys):
     (["--theta-deg", "inf"], "--theta-deg must be finite, got inf"),
     (["--counts-per-trial", "-1"], "--counts-per-trial must be >= 1, got -1"),
     (["--trials", "10", "--counts-per-trial", "0"],
-     "--counts-per-trial must be >= 1, got 0")],
-    ids=["theta-nan", "theta-inf", "counts-negative", "counts-zero"])
+     "--counts-per-trial must be >= 1, got 0"),
+    (["--n-values", "99999999999999999999", "--trials", "10"],
+     "--n-values times --counts-per-trial must be at most"),
+    (["--counts-per-trial", "99999999999999999999", "--trials", "10"],
+     "--n-values times --counts-per-trial must be at most"),
+    (["--n-values", "1" + "0" * 400], "--n-values times --counts-per-trial must be at most"),
+    (["--n-values", "1,,2"], "--n-values must be comma-separated integers, got '1,,2'"),
+    (["--trials", "2000000000"], "--trials must be at most 1,000,000, got 2,000,000,000")],
+    ids=["theta-nan", "theta-inf", "counts-negative", "counts-zero", "n-values-huge",
+         "counts-huge", "n-values-beyond-float", "n-values-empty-entry", "trials-huge"])
 def test_fisher_bad_flag_exits_2(capsys, flags, message):
     # a NaN angle reached numpy's binomial, whose message names no flag, and
-    # a negative photon count passed unchecked without --trials
+    # a negative photon count passed unchecked without --trials; counts beyond
+    # int64 raised an OverflowError traceback in numpy's binomial (or in the
+    # float of the bound), an empty --n-values entry printed int()'s message,
+    # which names no flag, and 2e9 trials asked numpy for 14.9 GiB (an
+    # _ArrayMemoryError traceback)
     assert main(["fisher", "--n-values", "1,2", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -672,13 +684,15 @@ def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
 
 
 def test_scan_grid_above_the_point_limit_exits_2(capsys):
-    # 1e-9 deg over 180 deg asked numpy for 1.31 TiB: a MemoryError traceback
-    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                 "--resolution-deg", "1e-9"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "search_range / resolution gives 180,000,000,000 grid points" in captured.err
-    assert "more than the limit of 100,000" in captured.err
+    # 1e-9 deg over 180 deg asked numpy for 1.31 TiB: a MemoryError traceback;
+    # at 1e-320 deg the point count overflowed to inf: an OverflowError traceback
+    for resolution, count in (("1e-9", "180,000,000,000"), ("1e-320", "inf")):
+        assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
+                     "--resolution-deg", resolution]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"search_range / resolution gives {count} grid points" in captured.err
+        assert "more than the limit of 100,000" in captured.err
 
 
 @pytest.mark.parametrize("sweep, message", [

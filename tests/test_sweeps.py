@@ -154,6 +154,27 @@ def test_configured_state_folds_offsets():
     assert np.abs(rho - manual).max() < 1e-12
 
 
+def test_configured_offsets_read_back_as_the_configured_rotation():
+    # a state made with non-default offsets, sampled or exact, reads back
+    # theta_a + theta_b (psi_plus) or theta_a - theta_b (psi_minus) once
+    # _remove_offsets takes its branch's offsets off the extracted angle
+    cfg = theta_config(offsets="pbs_a_deg = 3.1\npbs_b_deg = -7.3\nhwp_deg = 11.9")
+    theta_a, theta_b = cfg.arm_a.theta(), np.radians(sorted(cfg.sweep_values))
+    for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
+        rho = sweeps.configured_state(cfg, kind, None, theta_b)
+        exact = measure.exact_observables(rho)
+        sampled = measure.estimate_observables(measure.simulate_counts(
+            rho, measure.NAMED_PAIRS, cfg.detection, seed=5))
+        for obs, bound in ((exact, 1e-12), (sampled, None)):
+            theta, sigma = measure.rotation_from_observables(
+                obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
+            resid = sweeps._remove_offsets(cfg, kind, theta) - (theta_a + sign * theta_b)
+            assert (np.abs(resid) <= (5.0 * sigma if bound is None else bound)).all()
+    # the offsets of each branch's rotation: the wave plate in psi_minus only
+    for kind, offset_deg in (("psi_plus", 3.1 - 7.3), ("psi_minus", 3.1 + 7.3 + 11.9)):
+        assert abs(sweeps._remove_offsets(cfg, kind, 0.0) + math.radians(offset_deg)) < 1e-15
+
+
 def test_molarity_sweep_exact_line():
     result = sweeps.run_molarity_sweep(molarity_config("psi_minus"), exact=True)
     molarities = result.rows[:, 0]
@@ -269,11 +290,17 @@ def test_theta_sweep_sampled_tracks_truth():
         assert (np.abs(resid) <= 5.0 * sigma).all()
 
 
+def one_branch(cfg, kind, theta_a, theta_b, exact, key):
+    # the sweep kernel run for one kind, whose counts draw from (cfg.seed, key)
+    return measure._observables(
+        sweeps._named_counts(cfg, (kind,), theta_a, theta_b, exact, (key,))[0])
+
+
 def test_sampled_sweeps_draw_one_stream_per_branch():
     # a theta sweep samples branch k from the stream (seed, k), a molarity
     # sweep from (seed, 0); all points of a branch share its stream. The
     # theta sweep runs both branches as one stacked pass, and each branch's
-    # columns equal a one-branch observables_at call bit for bit, sampled or
+    # columns equal a one-branch run of the kernel bit for bit, sampled or
     # exact, with or without accidentals and offsets
     for exact, accidental_fraction, offsets in itertools.product(
             (False, True), (0.0, 0.1), (SHIPPED_OFFSETS, ZERO_OFFSETS)):
@@ -283,7 +310,7 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
         result = sweeps.run_theta_sweep(cfg, exact=exact)
         theta_a, theta_b = cfg.arm_a.theta(), np.radians(sorted(cfg.sweep_values))
         plus, minus, minus_on_plus_stream = (
-            sweeps.observables_at(cfg, kind, theta_a, theta_b, exact, key)
+            one_branch(cfg, kind, theta_a, theta_b, exact, key)
             for kind, key in (("psi_plus", (0,)), ("psi_minus", (1,)),
                               ("psi_minus", (0,))))
         expected = (plus.m_zz, plus.m_xz, minus.m_zz, minus.m_xz, plus.sigma_zz,
@@ -291,10 +318,8 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
         (th_p, sig_p), (th_m, sig_m) = (
             measure.rotation_from_observables(o.m_zz, o.m_xz, o.sigma_zz, o.sigma_xz)
             for o in (plus, minus))
-        expected += tuple(np.degrees((
-            channels.offset_correct(th_p, "plus", cfg.pbs_a, cfg.pbs_b, cfg.hwp), sig_p,
-            channels.offset_correct(th_m, "minus", cfg.pbs_a, cfg.pbs_b, cfg.hwp),
-            sig_m)))
+        expected += tuple(np.degrees((th_p - cfg.pbs_a - cfg.pbs_b, sig_p,
+                                      th_m - cfg.pbs_a + cfg.pbs_b - cfg.hwp, sig_m)))
         assert result.rows[:, 1:13].tobytes() == np.column_stack(expected).tobytes()
         if not exact:
             # the minus branch has a stream of its own: on the plus branch's
@@ -302,8 +327,8 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
             assert (minus.sigma_zz != minus_on_plus_stream.sigma_zz).mean() > 0.9
     cfg = molarity_config()
     result = sweeps.run_molarity_sweep(cfg)
-    obs = sweeps.observables_at(cfg, "psi_minus", cfg.arm_a.theta(),
-                                np.radians(7.01 * result.rows[:, 0]), False, (0,))
+    obs = one_branch(cfg, "psi_minus", cfg.arm_a.theta(),
+                     np.radians(7.01 * result.rows[:, 0]), False, (0,))
     assert np.array_equal(result.rows[:, 3:],
                           np.column_stack((obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)))
 
