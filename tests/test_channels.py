@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from polarot import channels, measure, states
+from polarot import channels, measure, states, sweeps
+from polarot.config import ExperimentConfig
 
 
 def test_rotation_unitary_special_values():
@@ -85,6 +86,32 @@ def test_apply_local_nonlocal_equivalence(kind, sign):
 def test_local_rotations_rejects_non_finite_angles(theta_a, theta_b):
     with pytest.raises(ValueError, match="rotation angles must be finite"):
         channels.local_rotations(theta_a, theta_b)
+
+
+def test_offset_correct_examples():
+    # offset correction now lives in sweeps._remove_offsets, keyed by source kind
+    pbs_a, pbs_b, hwp = (math.radians(v) for v in (-4.75, 4.09, 5.47))
+    cfg = ExperimentConfig(pbs_a=pbs_a, pbs_b=pbs_b, hwp=hwp)
+    # offsets exactly cancel
+    theta = sweeps._remove_offsets(cfg, "psi_plus", pbs_a + pbs_b)
+    assert abs(theta) < 1e-15
+    # no offsets: identity
+    bare = ExperimentConfig(pbs_a=0.0, pbs_b=0.0, hwp=0.0)
+    assert sweeps._remove_offsets(bare, "psi_minus", 0.7) == 0.7
+    # the cancellation branch applies the wave-plate term
+    theta = sweeps._remove_offsets(cfg, "psi_minus", 0.0)
+    assert abs(theta - (-pbs_a + pbs_b - hwp)) < 1e-15
+
+
+def test_offset_correct_affine_invertible():
+    pbs_a, pbs_b, hwp = 0.1, -0.2, 0.05
+    cfg = ExperimentConfig(pbs_a=pbs_a, pbs_b=pbs_b, hwp=hwp)
+    rng = np.random.default_rng(8)
+    for kind, forward in (("psi_plus", lambda t: t + pbs_a + pbs_b),
+                          ("psi_minus", lambda t: t + pbs_a - pbs_b + hwp)):
+        for theta in rng.uniform(-1.0, 1.0, 20):
+            corrected = sweeps._remove_offsets(cfg, kind, forward(theta))
+            assert abs(corrected - theta) < 1e-14
 
 
 def test_apply_noise_limits():
