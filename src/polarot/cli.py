@@ -21,9 +21,9 @@ from . import __version__
 from .channels import apply_noise, local_rotations
 from .config import load_config
 from .csvfile import read_csv, write_csv
-from .measure import (JointObservables, _exact_table, _simulate_counts,
-                      chsh_from_counts, chsh_s, estimate_observables,
-                      exact_observables, extract_thetas, read_table, write_table)
+from .measure import (JointObservables, chsh_from_counts, chsh_s, estimate_observables,
+                      exact_observables, exact_table, extract_thetas, read_table,
+                      simulate_counts, write_table)
 from .metrology import MAX_TRIALS, qfi, variance_scaling
 from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity, ket,
                      maximally_mixed, save_state, separable_state, validate_state)
@@ -57,8 +57,8 @@ def _load_config_with_override(args):
 def _cmd_simulate(args) -> int:
     cfg = _load_config_with_override(args)
     rho = configured_state(cfg)
-    table = (_exact_table(rho, cfg.setting_pairs, cfg.detection) if args.exact
-             else _simulate_counts(rho, cfg.setting_pairs, cfg.detection, cfg.seed))
+    table = (exact_table(rho, cfg.setting_pairs, cfg.detection) if args.exact
+             else simulate_counts(rho, cfg.setting_pairs, cfg.detection, cfg.seed))
     out = _resolve_out(args.out)
     write_table(table, out)
     print(f"wrote {len(table.settings)} settings to {out}")

@@ -8,8 +8,8 @@ from joint observables, the wide-range scan, and the CHSH statistic.
 Every outcome probability comes from one batched Born kernel,
 outcome_probabilities: a stack of states against the projector tensor
 P_a (x) P_b of (id_a, id_b) setting pairs, Tr[rho (P_a (x) P_b)] (James,
-Kwiat, Munro & White, PRA 64, 052312, 2001). Tables, estimators and the
-scan probe work on whole stacks of states, one per arm angle.
+Kwiat, Munro & White, PRA 64, 052312, 2001). A table holds one state; the
+sweep and scan kernels work on whole stacks of states, one per arm angle.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ _ARITY = {"Z": 0, "X": 0, "Y": 0, "lin": 1, "wp": 2}  # the angles each kind car
 # the most angles a scan grid or a sweep may hold: a 100,000-point sweep
 # peaks near 190 MiB (about 1.5 KiB a point) and such a scan near 110 MiB
 MAX_GRID_POINTS = 100_000
+# the largest Poisson mean numpy draws (int64 max - 10 sqrt(int64 max))
+MAX_POISSON_MEAN = 9.223372006484771e18
 
 
 def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
@@ -106,8 +108,8 @@ class JointObservables:
     """Two-photon correlation values for the (z,z), (x,z) and (z,x)
     operator pairs, with one statistical sigma per entry (zero for exact
     Born-rule values). The fields are floats for one state, or arrays with
-    one entry per state for a stack (as estimated from a stacked table);
-    the readout functions take either."""
+    one entry per state for a stack (as the sweeps estimate them); the
+    readout functions take either."""
 
     m_zz: float | np.ndarray
     m_xz: float | np.ndarray
@@ -124,9 +126,7 @@ class CoincidenceTable:
     settings holds (id_a, id_b) pairs, stored canonical, and counts one row
     per pair with the four outcome combinations (++, +-, -+, --). Counts are
     floats so that exact-expectation tables can store unrounded expected
-    values; sampled tables hold integers. A stacked table, with counts of
-    shape (N, S, 4), holds the tables of N states measured in the same S
-    settings.
+    values; sampled tables hold integers.
     """
 
     settings: list[tuple[str, str]]
@@ -137,9 +137,9 @@ class CoincidenceTable:
         self.settings = [(parse_setting(a)[0], parse_setting(b)[0])
                          for a, b in self.settings]
         self.counts = np.asarray(self.counts, dtype=float)
-        if self.counts.shape[-2:] != (len(self.settings), 4) or self.counts.ndim > 3:
-            raise ValueError(f"counts must have shape ({len(self.settings)}, 4) or "
-                             f"(N, {len(self.settings)}, 4), got {self.counts.shape}")
+        if self.counts.shape != (len(self.settings), 4):
+            raise ValueError(f"counts must have shape ({len(self.settings)}, 4), "
+                             f"got {self.counts.shape}")
         if not np.isfinite(self.counts).all():
             raise ValueError("counts must be finite")
         if (self.counts < 0).any():
@@ -187,7 +187,8 @@ class Detection:
     """The counting model of a coincidence table, checked once here:
     pair_flux * duration * both arm transmissions detected pairs per
     setting on average, of which accidental_fraction are accidentals
-    uniform over the four outcomes. asdict(detection) is table metadata."""
+    uniform over the four outcomes, at most MAX_POISSON_MEAN of them.
+    asdict(detection) is table metadata."""
 
     pair_flux: float
     duration: float
@@ -205,6 +206,10 @@ class Detection:
         if not 0.0 <= self.accidental_fraction < 1.0:
             raise ValueError(f"accidental_fraction must be in [0, 1), "
                              f"got {self.accidental_fraction}")
+        if not self.mean_pairs() <= MAX_POISSON_MEAN:
+            raise ValueError(f"pair_flux * duration * transmission_a * transmission_b "
+                             f"= {self.mean_pairs():g} pairs per setting is above "
+                             f"{MAX_POISSON_MEAN:g}, the largest Poisson mean numpy draws")
 
     def mean_pairs(self) -> float:
         """Mean detected pairs per setting, accidentals included."""
@@ -224,26 +229,21 @@ def _pair_probabilities(rho, settings):
 
 def simulate_counts(rho: np.ndarray, settings, detection: Detection,
                     seed: int | np.random.SeedSequence = 0) -> CoincidenceTable:
-    """Draw a coincidence table for the given (id_a, id_b) setting pairs.
+    """Draw one state's coincidence table for the given (id_a, id_b) pairs.
 
     Per setting, the detected-pair total is Poisson with mean
     detection.mean_pairs(), split multinomially by the Born outcome
     probabilities; accidental coincidences replace the stated fraction of
-    the mean and are uniform over the four outcomes. For an (N, 4, 4)
-    stack of states the table is stacked.
+    the mean and are uniform over the four outcomes.
 
     The whole table draws from one random stream, seeded by `seed` (an int
-    or a SeedSequence): the true-pair Poisson totals of every (state,
-    setting) cell in one call, then the accidental totals, then the
-    multinomial splits of each, cells in C order. The table is
-    reproducible from its seed, but what one cell draws depends on the
-    number and order of all the states and settings in the table.
+    or a SeedSequence): the true-pair Poisson totals of every setting in
+    one call, then the accidental totals, then the multinomial splits of
+    each, settings in order. The table is reproducible from its seed, but
+    what one setting draws depends on the number and order of all the
+    settings in the table.
     """
-    return _simulate_counts(validate_state(rho), settings, detection, seed)
-
-
-def _simulate_counts(rho, settings, detection, seed) -> CoincidenceTable:
-    counts = _sample(_pair_probabilities(rho, settings), detection, seed)
+    counts = _sample(_pair_probabilities(validate_state(rho), settings), detection, seed)
     # a SeedSequence is recorded on one line, as its entropy and spawn key
     rng_seed = (" ".join(map(str, (seed.entropy, *seed.spawn_key)))
                 if isinstance(seed, np.random.SeedSequence) else seed)
@@ -266,11 +266,7 @@ def _sample(probs, detection, seed) -> np.ndarray:
 def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceTable:
     """Expected-value coincidence table: the sampling-free limit of
     simulate_counts, with unrounded mean counts per outcome."""
-    return _exact_table(validate_state(rho), settings, detection)
-
-
-def _exact_table(rho, settings, detection) -> CoincidenceTable:
-    return CoincidenceTable(settings, _mean_counts(rho, settings, detection),
+    return CoincidenceTable(settings, _mean_counts(validate_state(rho), settings, detection),
                             dict(asdict(detection), exact=1))
 
 
@@ -283,11 +279,14 @@ def _mean_counts(rho, settings, detection) -> np.ndarray:
 def estimate_correlation(counts: np.ndarray):
     """Correlation estimate (n_pp - n_pm - n_mp + n_mm) / n_total and its
     binomial standard error sqrt((1 - m^2) / n_total): two floats for one
-    (4,) row of counts, two arrays for a (..., 4) stack of rows."""
+    (4,) row of counts, two arrays for a (..., 4) stack of rows. An empty
+    row raises, naming its stack index."""
     counts = np.asarray(counts, dtype=float)
     total = counts.sum(axis=-1)
     if (total <= 0).any():
-        raise ValueError("cannot estimate a correlation from zero total counts")
+        idx = tuple(int(i) for i in np.argwhere(total <= 0)[0])
+        where = f" at stack index {idx}" if idx else ""
+        raise ValueError(f"cannot estimate a correlation from zero total counts{where}")
     m = _correlations(counts) / total
     sigma = np.sqrt(np.maximum(1.0 - m * m, 0.0) / total)
     return (float(m), float(sigma)) if counts.ndim == 1 else (m, sigma)
@@ -298,7 +297,7 @@ def _rows_for_pair(table: CoincidenceTable, id_a: str, id_b: str) -> np.ndarray:
     if not rows:
         raise ValueError(f"coincidence table is missing the ({id_a}, {id_b}) "
                          f"basis pair")
-    return table.counts[..., rows, :].sum(axis=-2)
+    return table.counts[rows].sum(axis=0)
 
 
 def estimate_observables(table: CoincidenceTable) -> JointObservables:
@@ -441,8 +440,7 @@ def _chsh(e):
 
 
 def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
-    """Plug-in CHSH estimate and standard error from a coincidence table:
-    two floats for one table, two arrays for a stacked (N, S, 4) table.
+    """Plug-in CHSH estimate and standard error from a coincidence table.
 
     The table must hold exactly two distinct linear-analyzer angles per
     arm, with all four combinations present; the smaller angle of each arm
@@ -464,9 +462,7 @@ def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
     id_b, id_bp = sorted(angles_b, key=key)
     e, sigmas = zip(*(estimate_correlation(_rows_for_pair(table, ka, kb))
                       for ka in (id_a, id_ap) for kb in (id_b, id_bp)))
-    s = _chsh(e)
-    sigma = np.sqrt(sum(v ** 2 for v in sigmas))
-    return (s, float(sigma)) if np.ndim(s) == 0 else (s, sigma)
+    return _chsh(e), math.sqrt(sum(v ** 2 for v in sigmas))
 
 
 _TABLE_HEADER = "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm"
@@ -475,9 +471,6 @@ _TABLE_HEADER = "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm"
 def write_table(table: CoincidenceTable, path) -> None:
     """Write a coincidence table as comma-separated text with '#'-prefixed
     key=value metadata lines and a mandatory header row."""
-    if table.counts.ndim != 2:
-        raise ValueError(f"write_table writes one table; got stacked counts of "
-                         f"shape {table.counts.shape}")
     write_csv(path, [(key, table.metadata[key]) for key in sorted(table.metadata)],
               _TABLE_HEADER,
               ([a, b, *(f"{v:.17g}" for v in row)]

@@ -120,11 +120,11 @@ def _remove_offsets(cfg: ExperimentConfig, kind: str, theta):
 
 
 def configured_state(cfg: ExperimentConfig, kind: str | tuple | None = None,
-                     theta_a: float | None = None, theta_b: float | None = None):
+                     theta_b: float | np.ndarray | None = None):
     """The two-photon state after the configured source, noise and both
     arm rotations, with the analyzer-frame offsets (_offsets) on top of the
-    physical rotations. kind/theta overrides replace the configured source
-    state or arm angles (radians); an array of arm-B angles gives a stack
+    physical rotations. kind/theta_b overrides replace the configured source
+    state or arm-B angle (radians); an array of arm-B angles gives a stack
     with one state per angle, and a tuple of kinds one such stack per kind.
     The real and imaginary parts of the sources are rotated apart, as real
     products (the complex product, bit for bit)."""
@@ -134,7 +134,7 @@ def configured_state(cfg: ExperimentConfig, kind: str | tuple | None = None,
                                  if k == "separable" else bell_state(k) for k in kinds]),
                        cfg.visibility)
     pbs_a, hwp, pbs_b = _offsets(cfg, kinds)
-    theta_a = (cfg.arm_a.theta() if theta_a is None else theta_a) + pbs_a
+    theta_a = cfg.arm_a.theta() + pbs_a
     theta_b = np.asarray(cfg.arm_b.theta() if theta_b is None else theta_b) + pbs_b
     u = local_rotations((theta_a + hwp).reshape((-1,) + (1,) * theta_b.ndim), theta_b)
     rho = rho.reshape((len(kinds),) + (1,) * theta_b.ndim + (4, 4))
@@ -143,11 +143,11 @@ def configured_state(cfg: ExperimentConfig, kind: str | tuple | None = None,
     return out if stacked else out[0]
 
 
-def _named_counts(cfg: ExperimentConfig, kinds: tuple, theta_a, theta_b, exact: bool,
+def _named_counts(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool,
                   keys: tuple) -> np.ndarray:
     # named-setting counts, shape (len(kinds),) + shape(theta_b) + (3, 4), from
     # one Born call; kind k samples its own stream, (cfg.seed, keys[k])
-    rho = configured_state(cfg, kinds, theta_a, theta_b)
+    rho = configured_state(cfg, kinds, theta_b)
     if exact:
         return _mean_counts(rho, NAMED_PAIRS, cfg.detection)
     probs = _pair_probabilities(rho, NAMED_PAIRS)
@@ -181,8 +181,7 @@ def run_molarity_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResul
     if molarities[0] < 0:
         raise ValueError(f"negative molarity {molarities[0]}")
     theta_b = np.radians(cfg.arm_b.slope_deg_per_molar * np.array(molarities))
-    obs = _observables(_named_counts(cfg, (cfg.state_kind,), cfg.arm_a.theta(), theta_b,
-                                     exact, ((0,),))[0])
+    obs = _observables(_named_counts(cfg, (cfg.state_kind,), theta_b, exact, ((0,),))[0])
     theta, sig = rotation_from_observables(obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
     theta = _remove_offsets(cfg, cfg.state_kind, theta)
     return SweepResult(
@@ -207,8 +206,7 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
     values = sorted(cfg.sweep_values)
     theta_b = np.radians(values)
     # both branches in one stack; branch k samples its own stream, (cfg.seed, k)
-    obs = _observables(_named_counts(cfg, kinds, cfg.arm_a.theta(), theta_b, exact,
-                                     ((0,), (1,))))
+    obs = _observables(_named_counts(cfg, kinds, theta_b, exact, ((0,), (1,))))
     thetas, (sig_p, sig_m) = rotation_from_observables(
         obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
     th_p, th_m = (_remove_offsets(cfg, k, theta) for k, theta in zip(kinds, thetas))
@@ -244,7 +242,7 @@ def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float],
     counts drawn from the stream (cfg.seed, 1). The optimum matches arm B to
     arm A's angle in the analyzer frame, so the offsets come off after."""
     theta = scan_theta_a(
-        lambda grid: _observables(_named_counts(cfg, ("psi_minus",), None, grid, exact,
+        lambda grid: _observables(_named_counts(cfg, ("psi_minus",), grid, exact,
                                                 ((1,),))[0]),
         search_range, resolution, noise_floor=noise_floor)
     return wrap_angle(_remove_offsets(cfg, "psi_minus", theta))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvfile import read_csv, write_csv
+from .measure import MAX_POISSON_MEAN
 from .states import (_concurrence, _fidelity, _purity, cosine_similarity, ket,
                      validate_state)
 
@@ -60,9 +61,6 @@ _STOP_GAIN = 1e-25
 _ESCAPE_GAP = 1e-10
 _ESCAPE_MIX = 1e-3
 KKT_TOL = 1e-5
-# the largest Poisson mean numpy draws (int64 max - 10 sqrt(int64 max)):
-# no count total above it can be bootstrapped
-MAX_COUNTS_TOTAL = 9.223372006484771e18
 
 
 def predicted_counts(rho: np.ndarray, flux_norm: float = 1.0) -> np.ndarray:
@@ -87,8 +85,8 @@ def linear_inversion(counts: np.ndarray) -> np.ndarray:
         total = counts.sum()
     if not np.isfinite(counts).all() or total <= 0:
         raise ValueError("counts must be finite with a positive total")
-    if total > MAX_COUNTS_TOTAL:
-        raise ValueError(f"counts total {total:g} is above {MAX_COUNTS_TOTAL:g}, "
+    if total > MAX_POISSON_MEAN:  # no larger total can be bootstrapped
+        raise ValueError(f"counts total {total:g} is above {MAX_POISSON_MEAN:g}, "
                          f"the largest Poisson mean a bootstrap can draw")
     if counts[_HV_ROWS].sum() <= 0:
         raise ValueError(f"the HH, HV, VH and VV counts must have a positive sum "

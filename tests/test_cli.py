@@ -278,6 +278,45 @@ def test_tomo_counts_beyond_the_poisson_range_exit_2(tmp_path, capsys, recwarn,
     assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
+GOLDEN_RUNS = {"simulate": "sim.ini", "sweep": "sweep_theta.ini", "scan": "scan.ini"}
+
+
+def golden_with_flux(tmp_path, name, flux):
+    text = (GOLDEN_INPUTS / name).read_text()
+    line = next(line for line in text.splitlines() if line.startswith("pair_flux = "))
+    return write_config(tmp_path, text.replace(line, f"pair_flux = {flux}"))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+@pytest.mark.parametrize("command", sorted(GOLDEN_RUNS))
+def test_detection_beyond_the_poisson_range_exits_2_naming_the_keys(
+        tmp_path, monkeypatch, capsys, command, exact):
+    # sampled runs failed in rng.poisson with "lam value too large", which
+    # names no key, and exact runs printed means no sampled run could draw;
+    # the one check, where the detection model is built, now rejects both
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path))
+    cfg = golden_with_flux(tmp_path, GOLDEN_RUNS[command], "1e300")
+    assert main([command, "--config", cfg, *(["--exact"] if exact else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: pair_flux * duration * transmission_a * transmission_b = "
+            in captured.err)
+    assert "is above 9.22337e+18, the largest Poisson mean numpy draws" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
+@pytest.mark.parametrize("command, index", [("sweep", "(0, 0, 0)"), ("scan", "(0, 0)")])
+def test_empty_count_rows_name_their_stack_index(tmp_path, capsys, command, index):
+    # at a vanishing pair flux every row is empty; the error named no row
+    cfg = golden_with_flux(tmp_path, GOLDEN_RUNS[command], "1e-300")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]
+                if command == "sweep" else [command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: cannot estimate a correlation from zero total counts at stack "
+            f"index {index}\n") == captured.err
+
+
 def test_tomo_negative_bootstrap_exits_2(tmp_path, capsys):
     # a negative count used to read as 0 (off) and exit 0
     counts_file = tmp_path / "tomo.csv"
@@ -593,8 +632,9 @@ def test_validate_state_checks_only_the_states_a_command_is_given(tmp_path,
                                                                   monkeypatch):
     # the states a command builds itself (Bell constants, Werner mixtures,
     # rotations of them, fits) are physical by construction and are not
-    # validated again; tomo checks the fit and the reference once each, as
-    # bootstrap_sigmas takes them
+    # validated again inside a pipeline; simulate hands its one state to a
+    # public table door, which checks it once, and tomo checks the fit and
+    # the reference once each, as bootstrap_sigmas takes them
     calls = []
     validate_state = states.validate_state
 
@@ -605,12 +645,13 @@ def test_validate_state_checks_only_the_states_a_command_is_given(tmp_path,
     for module in (states, channels, measure, tomography, cli):
         monkeypatch.setattr(module, "validate_state", counted)
     counts = {}
-    for name in ("sweep_theta", "scan_exact", "tomo"):
+    for name in ("simulate", "simulate_exact", "sweep_theta", "scan_exact", "tomo"):
         calls.clear()
         code, _ = run_case(name, tmp_path / name)
         assert code == 0
         counts[name] = len(calls)
-    assert counts == {"sweep_theta": 0, "scan_exact": 0, "tomo": 2}
+    assert counts == {"simulate": 1, "simulate_exact": 1, "sweep_theta": 0,
+                      "scan_exact": 0, "tomo": 2}
 
 
 def test_one_born_call_and_one_stream_per_branch(tmp_path, monkeypatch):

@@ -42,10 +42,6 @@ def test_package_exports_are_module_exports():
 
 # exported functions that no command calls, each kept for a stated reason
 LIBRARY_ONLY = {
-    "measure.simulate_counts": "the README's python example samples counts of a "
-                               "state built outside any config with it",
-    "measure.exact_table": "the README's python example takes the expected counts "
-                           "of that state with it",
     "sweeps.fit_line": "fits the paper's calibration line (acceptance criterion 8)",
     "sweeps.zero_crossing": "reads the calibration line's zero crossing "
                             "(acceptance criterion 8)",

@@ -185,24 +185,29 @@ STACK_DETECTION = measure.Detection(pair_flux=3e4, duration=1.5, transmission_a=
 
 
 def test_sampled_table_is_one_stream_per_seed(tmp_path):
+    # the sampling kernel the sweeps run on a stack of states, and the
+    # table door on one state
     rhos = random_states(6, seed=10)
     settings = FAMILY_SETTINGS[::5]
+    probs = measure._pair_probabilities(rhos, settings)
 
     def draw(seed):
-        return measure.simulate_counts(rhos, settings, STACK_DETECTION, seed=seed)
+        return measure._sample(probs, STACK_DETECTION, seed)
 
-    # the same int seed, or the same (seed, key) stream, gives the same table
-    assert np.array_equal(draw(101).counts, draw(101).counts)
+    # the same int seed, or the same (seed, key) stream, gives the same counts
+    assert np.array_equal(draw(101), draw(101))
     branch = [draw(np.random.SeedSequence(101, spawn_key=(k,))) for k in (0, 1, 0)]
-    assert np.array_equal(branch[0].counts, branch[2].counts)
-    # different branch keys, and a key against the bare seed, give different tables
-    assert (branch[0].counts != branch[1].counts).mean() > 0.9
-    assert (branch[0].counts != draw(101).counts).mean() > 0.9
+    assert np.array_equal(branch[0], branch[2])
+    # different branch keys, and a key against the bare seed, give different counts
+    assert (branch[0] != branch[1]).mean() > 0.9
+    assert (branch[0] != draw(101)).mean() > 0.9
     # a keyed seed is recorded on one metadata line, as entropy then key
-    table = measure.simulate_counts(rhos[0], settings, STACK_DETECTION,
-                                    seed=np.random.SeedSequence(101, spawn_key=(1, 2)))
+    key = np.random.SeedSequence(101, spawn_key=(1, 2))
+    table = measure.simulate_counts(rhos[0], settings, STACK_DETECTION, seed=key)
     assert table.metadata == dict(dataclasses.asdict(STACK_DETECTION),
                                   rng_seed="101 1 2", exact=0)
+    # the door draws what the kernel draws for that one state
+    assert np.array_equal(table.counts, measure._sample(probs[0], STACK_DETECTION, key))
     measure.write_table(table, tmp_path / "t.csv")
     loaded = measure.read_table(tmp_path / "t.csv")
     assert loaded.metadata["rng_seed"] == "101 1 2"
@@ -221,11 +226,14 @@ def test_stacked_table_mean_counts_match_exact_table():
     rhos = random_states(6, seed=10)
     settings = FAMILY_SETTINGS[::5]
     n_tables = 20
-    mean = np.mean([measure.simulate_counts(rhos, settings, STACK_DETECTION,
-                                            seed=seed).counts
+    probs = measure._pair_probabilities(rhos, settings)
+    mean = np.mean([measure._sample(probs, STACK_DETECTION, seed)
                     for seed in range(n_tables)], axis=0)
-    mu = measure.exact_table(rhos, settings, STACK_DETECTION).counts
+    mu = measure._mean_counts(rhos, settings, STACK_DETECTION)
     assert mean.shape == mu.shape == (6, len(settings), 4)
+    # the exact-table door gives the kernel's means of one state
+    assert np.array_equal(measure.exact_table(rhos[5], settings, STACK_DETECTION).counts,
+                          mu[5])
     z = (mean - mu) / np.sqrt(mu / n_tables)
     cells = z.size
     assert np.abs(z).max() < NormalDist().inv_cdf(1.0 - 1e-4 / (2 * cells))
@@ -420,6 +428,28 @@ def test_detection_validation(name, value):
         measure.Detection(**{"pair_flux": 1.0, "duration": 1.0, name: value})
 
 
+def test_detection_mean_is_one_numpy_can_draw():
+    # MAX_POISSON_MEAN is numpy's own bound: a Poisson draw takes it and
+    # rejects the next float up
+    bound = measure.MAX_POISSON_MEAN
+    rng = np.random.default_rng(0)
+    rng.poisson(bound)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(bound, math.inf))
+    # a detection at the bound samples a table; above it, the message names
+    # the fields whose product is the mean
+    detection = measure.Detection(bound, 1.0, accidental_fraction=0.3)
+    table = measure.simulate_counts(states.bell_state("psi_plus"), make_named_settings(),
+                                    detection, seed=1)
+    assert np.all(np.abs(table.counts.sum(axis=1) / bound - 1.0) < 1e-8)
+    with pytest.raises(ValueError, match=r"^pair_flux \* duration \* transmission_a \* "
+                                         r"transmission_b = 1e\+19 pairs per setting is "
+                                         r"above 9\.22337e\+18"):
+        measure.Detection(1e10, 1e9)
+    with pytest.raises(ValueError, match="= inf pairs per setting"):
+        measure.Detection(1e300, 1e300)
+
+
 def test_detection_mean_and_metadata():
     detection = measure.Detection(2e4, 1.5, 0.8, 0.5, 0.1)
     assert detection.mean_pairs() == 2e4 * 1.5 * 0.8 * 0.5
@@ -453,8 +483,13 @@ def test_estimate_correlation_examples():
     m, sigma = measure.estimate_correlation([n / 4] * 4)
     assert m == 0.0
     assert abs(sigma - 1.0 / math.sqrt(n)) < 1e-15
-    with pytest.raises(ValueError, match="zero total"):
+    with pytest.raises(ValueError, match="zero total counts$"):
         measure.estimate_correlation([0, 0, 0, 0])
+    # in a stack, the first empty row is named by its index
+    rows = np.ones((2, 3, 4))
+    rows[1, 2] = rows[1, 1, 0] = 0.0
+    with pytest.raises(ValueError, match=r"zero total counts at stack index \(1, 2\)$"):
+        measure.estimate_correlation(rows)
 
 
 _COUNT_ROWS = st.lists(st.lists(st.integers(0, 10**12), min_size=4, max_size=4)
@@ -519,23 +554,29 @@ def assert_standard_normal(pulls, name):
     assert abs(pulls.var(ddof=1) - 1.0) < 4.0 * math.sqrt(2.0 / (n - 1)), name
 
 
-def repeated_table(rho, settings, detection, seed):
-    """PULL_TABLES independent tables of one state, drawn in one call."""
-    return measure.simulate_counts(np.repeat(rho[None], PULL_TABLES, axis=0),
-                                   settings, detection, seed=seed)
+def repeated_counts(rho, settings, detection, seed):
+    """The counts of PULL_TABLES independent tables of one state, drawn in
+    one call by the sampling kernel the sweeps run."""
+    probs = measure._pair_probabilities(np.repeat(rho[None], PULL_TABLES, axis=0), settings)
+    return measure._sample(probs, detection, seed)
 
 
 @pytest.mark.parametrize("accidental_fraction", [0.0, 0.1])
 def test_estimate_observables_sigma_pulls(accidental_fraction):
     # Pulls (estimate - exact) / sigma of each observable over independent
     # tables are N(0, 1); the exact values, accidentals included, come from
-    # the exact table
+    # the exact table, and the estimates from the estimator kernel the
+    # sweeps run on the stack of tables
     rho = evolved_bell("psi_minus", math.radians(20), math.radians(-5), 0.9)
     detection = measure.Detection(1e5, 1.0, accidental_fraction=accidental_fraction)
     exact = measure.estimate_observables(
         measure.exact_table(rho, make_named_settings(), detection))
-    obs = measure.estimate_observables(
-        repeated_table(rho, make_named_settings(), detection, seed=41))
+    counts = repeated_counts(rho, make_named_settings(), detection, seed=41)
+    obs = measure._observables(counts)
+    # the table door reads the same values from one table
+    single = measure.estimate_observables(
+        measure.CoincidenceTable(make_named_settings(), counts[7]))
+    assert dataclasses.astuple(single) == tuple(v[7] for v in dataclasses.astuple(obs))
     for name in ("zz", "xz", "zx"):
         pulls = ((getattr(obs, "m_" + name) - getattr(exact, "m_" + name))
                  / getattr(obs, "sigma_" + name))
@@ -876,27 +917,20 @@ def test_chsh_from_counts_ideal():
 @pytest.mark.parametrize("accidental_fraction", [0.0, 0.1])
 def test_chsh_from_counts_sigma_pulls(accidental_fraction):
     # as test_estimate_observables_sigma_pulls, for the plug-in S and its
-    # quadrature sigma; every |E| is near 0.64, far from the kinks of |.|
+    # quadrature sigma; every |E| is near 0.64, far from the kinks of |.|.
+    # The stack is read with the correlation estimator and the one CHSH
+    # formula, and chsh_from_counts must read each of its first tables alike
     rho = channels.apply_noise(states.bell_state("psi_plus"), 0.9)
     detection = measure.Detection(1e5, 1.0, accidental_fraction=accidental_fraction)
     s_exact, _ = measure.chsh_from_counts(
         measure.exact_table(rho, chsh_settings(), detection))
-    s, sigma = measure.chsh_from_counts(
-        repeated_table(rho, chsh_settings(), detection, seed=43))
+    counts = repeated_counts(rho, chsh_settings(), detection, seed=43)
+    e, sigmas = measure.estimate_correlation(counts)
+    s, sigma = measure._chsh(e.T), np.sqrt(np.square(sigmas).sum(axis=-1))
     assert_standard_normal((s - s_exact) / sigma, "S")
-
-
-def test_chsh_from_counts_stack_equals_single_tables():
-    # S of each member bit for bit; sigma squares with numpy in a stack and
-    # with Python floats for one table, so it may differ in the last bit
-    rho = channels.apply_noise(states.bell_state("psi_plus"), 0.9)
-    table = measure.simulate_counts(np.repeat(rho[None], 5, axis=0), chsh_settings(),
-                                    measure.Detection(1e4, 1.0), seed=44)
-    s, sigma = measure.chsh_from_counts(table)
-    assert s.shape == sigma.shape == (5,)
-    for k, counts in enumerate(table.counts):
+    for k in range(20):
         s_k, sigma_k = measure.chsh_from_counts(
-            measure.CoincidenceTable(table.settings, counts))
+            measure.CoincidenceTable(chsh_settings(), counts[k]))
         assert type(s_k) is float and type(sigma_k) is float
         assert s_k == s[k]
         assert abs(sigma_k - sigma[k]) <= 2e-16 * sigma_k
@@ -953,13 +987,13 @@ def test_table_rejects_negative_counts():
         measure.CoincidenceTable([("Z", "Z")], np.array([[1.0, -2.0, 0.0, 0.0]]))
 
 
-def test_write_table_rejects_stacked_table(tmp_path):
-    table = measure.simulate_counts(random_states(2, seed=3), make_named_settings(),
-                                    STACK_DETECTION, seed=5)
-    path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match=r"stacked counts of shape \(2, 3, 4\)"):
-        measure.write_table(table, path)
-    assert not path.exists()
+@pytest.mark.parametrize("door", ["simulate_counts", "exact_table"])
+def test_table_doors_reject_a_stack_of_states(door):
+    # a coincidence table holds the counts of one state
+    with pytest.raises(ValueError, match=r"counts must have shape \(3, 4\), "
+                                         r"got \(2, 3, 4\)$"):
+        getattr(measure, door)(random_states(2, seed=3), make_named_settings(),
+                               STACK_DETECTION)
 
 
 def test_read_table_requires_header(tmp_path):

@@ -161,10 +161,10 @@ def test_configured_offsets_read_back_as_the_configured_rotation():
     cfg = theta_config(offsets="pbs_a_deg = 3.1\npbs_b_deg = -7.3\nhwp_deg = 11.9")
     theta_a, theta_b = cfg.arm_a.theta(), np.radians(sorted(cfg.sweep_values))
     for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
-        rho = sweeps.configured_state(cfg, kind, None, theta_b)
+        rho = sweeps.configured_state(cfg, kind, theta_b)
         exact = measure.exact_observables(rho)
-        sampled = measure.estimate_observables(measure.simulate_counts(
-            rho, measure.NAMED_PAIRS, cfg.detection, seed=5))
+        sampled = measure._observables(measure._sample(
+            measure._pair_probabilities(rho, measure.NAMED_PAIRS), cfg.detection, 5))
         for obs, bound in ((exact, 1e-12), (sampled, None)):
             theta, sigma = measure.rotation_from_observables(
                 obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
@@ -290,10 +290,10 @@ def test_theta_sweep_sampled_tracks_truth():
         assert (np.abs(resid) <= 5.0 * sigma).all()
 
 
-def one_branch(cfg, kind, theta_a, theta_b, exact, key):
+def one_branch(cfg, kind, theta_b, exact, key):
     # the sweep kernel run for one kind, whose counts draw from (cfg.seed, key)
     return measure._observables(
-        sweeps._named_counts(cfg, (kind,), theta_a, theta_b, exact, (key,))[0])
+        sweeps._named_counts(cfg, (kind,), theta_b, exact, (key,))[0])
 
 
 def test_sampled_sweeps_draw_one_stream_per_branch():
@@ -308,9 +308,9 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
         cfg = dataclasses.replace(cfg, detection=dataclasses.replace(
             cfg.detection, accidental_fraction=accidental_fraction))
         result = sweeps.run_theta_sweep(cfg, exact=exact)
-        theta_a, theta_b = cfg.arm_a.theta(), np.radians(sorted(cfg.sweep_values))
+        theta_b = np.radians(sorted(cfg.sweep_values))
         plus, minus, minus_on_plus_stream = (
-            one_branch(cfg, kind, theta_a, theta_b, exact, key)
+            one_branch(cfg, kind, theta_b, exact, key)
             for kind, key in (("psi_plus", (0,)), ("psi_minus", (1,)),
                               ("psi_minus", (0,))))
         expected = (plus.m_zz, plus.m_xz, minus.m_zz, minus.m_xz, plus.sigma_zz,
@@ -327,8 +327,7 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
             assert (minus.sigma_zz != minus_on_plus_stream.sigma_zz).mean() > 0.9
     cfg = molarity_config()
     result = sweeps.run_molarity_sweep(cfg)
-    obs = one_branch(cfg, "psi_minus", cfg.arm_a.theta(),
-                     np.radians(7.01 * result.rows[:, 0]), False, (0,))
+    obs = one_branch(cfg, "psi_minus", np.radians(7.01 * result.rows[:, 0]), False, (0,))
     assert np.array_equal(result.rows[:, 3:],
                           np.column_stack((obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)))
 
@@ -341,7 +340,7 @@ def test_configured_state_stacks_kinds_as_the_complex_product():
                               ket_b="L", visibility=0.8)
     theta_b = np.radians(sorted(cfg.sweep_values))
     kinds = ("separable", "psi_plus", "psi_minus")
-    stack = sweeps.configured_state(cfg, kinds, None, theta_b)
+    stack = sweeps.configured_state(cfg, kinds, theta_b)
     assert stack.shape == (3, theta_b.size, 4, 4)
     for member, kind in zip(stack, kinds):
         source = (states.separable_state(states.ket("R"), states.ket("L"))
@@ -352,10 +351,10 @@ def test_configured_state_stacks_kinds_as_the_complex_product():
             theta_a += cfg.hwp
         u = channels.local_rotations(theta_a, theta_b + cfg.pbs_b)
         assert member.tobytes() == (u @ rho @ u.swapaxes(-2, -1)).tobytes()
-        single = sweeps.configured_state(cfg, kind, None, theta_b)
+        single = sweeps.configured_state(cfg, kind, theta_b)
         assert single.tobytes() == member.tobytes()
     # one kind and one angle still give one state
-    assert sweeps.configured_state(cfg, "separable", None, 0.1).shape == (4, 4)
+    assert sweeps.configured_state(cfg, "separable", 0.1).shape == (4, 4)
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
