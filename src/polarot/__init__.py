@@ -16,8 +16,7 @@ from .measure import (CoincidenceTable, Detection, JointObservables,
 from .metrology import probe_state, qfi, variance_scaling
 from .states import (BELL_KINDS, bell_state, cosine_similarity, fidelity, ket,
                      maximally_mixed, save_state, separable_state, validate_state)
-from .sweeps import (SweepResult, fit_line, run_molarity_sweep, run_theta_sweep,
-                     write_sweep, zero_crossing)
+from .sweeps import SweepResult, fit_line, run_sweep, write_sweep, zero_crossing
 from .tomography import (BASIS_LABELS, DESIGN, KETS, MleResult,
                          linear_inversion, mle_reconstruct, predicted_counts,
                          read_tomo_counts, bootstrap_sigmas, write_tomo_counts)

@@ -20,15 +20,14 @@ import numpy as np
 from . import __version__
 from .channels import apply_noise, local_rotations
 from .config import load_config
-from .csvfile import read_csv, write_csv
+from .csvfile import read_csv, row_floats, write_csv
 from .measure import (JointObservables, chsh_from_counts, chsh_s, estimate_observables,
                       exact_observables, exact_table, extract_thetas, read_table,
                       simulate_counts, write_table)
 from .metrology import MAX_TRIALS, qfi, variance_scaling
 from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity, ket,
                      maximally_mixed, save_state, separable_state, validate_state)
-from .sweeps import (configured_state, run_molarity_sweep, run_scan, run_theta_sweep,
-                     write_sweep)
+from .sweeps import configured_state, run_scan, run_sweep, write_sweep
 from .tomography import (DESIGN, _report, bootstrap_sigmas, mle_reconstruct,
                          predicted_counts, read_tomo_counts)
 
@@ -74,7 +73,14 @@ def _write_observables(path: Path, obs: JointObservables) -> None:
 
 def _read_observables(path) -> JointObservables:
     _, rows = read_csv(path, _OBSERVABLES_HEADER)
-    values = {name: (float(value), float(sigma)) for name, value, sigma in rows}
+    values = {}
+    for row in rows:
+        if row[0] not in _OBSERVABLES:
+            raise ValueError(f"{path}: row {','.join(row)!r} names no observable of "
+                             f"{_OBSERVABLES}")
+        if row[0] in values:
+            raise ValueError(f"{path}: row {','.join(row)!r} repeats observable {row[0]}")
+        values[row[0]] = row_floats(path, row, 1)
     missing = sorted(set(_OBSERVABLES) - set(values))
     if missing:
         raise ValueError(f"observables file {path} is missing rows: {missing}")
@@ -165,13 +171,7 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config_with_override(args)
-    if cfg.sweep_variable == "molarity_b":
-        result = run_molarity_sweep(cfg, exact=args.exact)
-    elif cfg.sweep_variable == "theta_b":
-        result = run_theta_sweep(cfg, exact=args.exact)
-    else:
-        raise ValueError("config does not define a sweep")
+    result = run_sweep(_load_config_with_override(args), exact=args.exact)
     out = _resolve_out(args.out)
     write_sweep(result, out)
     print(f"wrote {len(result.rows)} sweep points to {out}")

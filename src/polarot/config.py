@@ -86,6 +86,8 @@ class ExperimentConfig:
                                  f"got {self.sweep_variable!r}")
             if not self.sweep_values:
                 raise ValueError("sweep requested but no sweep values given")
+            if self.sweep_variable == "molarity_b" and min(self.sweep_values) < 0:
+                raise ValueError(f"[sweep] values: negative molarity {min(self.sweep_values)}")
 
     def canonical_items(self) -> list[tuple[str, str]]:
         """Flat, sorted (key, value) view of every configuration field;

@@ -2,11 +2,11 @@
 metadata lines, a mandatory header row, then data rows of the header's
 width. Blank lines are skipped; '#' lines may appear anywhere and those
 without '=' are plain comments. Cells are strings; callers format them
-and parse them."""
+and read numeric cells with row_floats."""
 
 from __future__ import annotations
 
-__all__ = ["read_csv", "write_csv"]
+__all__ = ["read_csv", "row_floats", "write_csv"]
 
 
 def read_csv(path, header: str) -> tuple[dict[str, str], list[list[str]]]:
@@ -41,6 +41,14 @@ def read_csv(path, header: str) -> tuple[dict[str, str], list[list[str]]]:
     if not header_seen:
         raise ValueError(f"{path}: no header row {header!r}")
     return metadata, rows
+
+
+def row_floats(path, row: list[str], start: int) -> list[float]:
+    """The cells row[start:] of a data row of `path` as floats; errors name file and row."""
+    try:
+        return [float(cell) for cell in row[start:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: row {','.join(row)!r}: {exc}") from None
 
 
 def write_csv(path, metadata_items, header: str, rows) -> None:

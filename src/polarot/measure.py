@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .channels import hwp_matrix, qwp_matrix, rotation_unitary, wrap_angle
-from .csvfile import read_csv, write_csv
+from .csvfile import read_csv, row_floats, write_csv
 from .states import ID2, ket, ket_to_dm, validate_state
 
 __all__ = [
@@ -297,7 +297,10 @@ def _rows_for_pair(table: CoincidenceTable, id_a: str, id_b: str) -> np.ndarray:
     if not rows:
         raise ValueError(f"coincidence table is missing the ({id_a}, {id_b}) "
                          f"basis pair")
-    return table.counts[rows].sum(axis=0)
+    counts = table.counts[rows].sum(axis=0)
+    if counts.sum() <= 0:
+        raise ValueError(f"the ({id_a}, {id_b}) basis pair has zero total counts")
+    return counts
 
 
 def estimate_observables(table: CoincidenceTable) -> JointObservables:
@@ -483,5 +486,5 @@ def read_table(path) -> CoincidenceTable:
     metadata, rows = read_csv(path, _TABLE_HEADER)
     return CoincidenceTable(
         [row[:2] for row in rows],
-        np.array([[float(v) for v in row[2:]] for row in rows]),
+        np.array([row_floats(path, row, 2) for row in rows]),
         metadata)

@@ -27,7 +27,7 @@ from .measure import (NAMED_PAIRS, JointObservables, _mean_counts, _observables,
 from .states import bell_state, ket, separable_state
 
 __all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
-           "run_molarity_sweep", "run_theta_sweep", "run_scan", "write_sweep"]
+           "run_sweep", "run_scan", "write_sweep"]
 
 
 @dataclass
@@ -38,10 +38,20 @@ class SweepResult:
     provenance: dict
 
 
-def _wls(x, y, sigma):
-    w = 1.0 / np.asarray(sigma, dtype=float) ** 2
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def fit_line(x, y, sigma) -> dict:
+    """Weighted least-squares straight line y = slope x + intercept through
+    points with absolute uncertainties sigma. Returns the parameters, their
+    sigmas, their covariance cov = [[var_slope, c], [c, var_intercept]] and
+    R^2 = 1 - SS_res/SS_tot (weighted), defined as 1 when both sums vanish
+    (constant data fitted exactly)."""
+    x, y, sigma = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, sigma)))
+    if x.size < 3:
+        raise ValueError(f"need at least 3 points to fit a line, got {x.size}")
+    if (sigma <= 0).any():
+        raise ValueError("point sigmas must be positive")
+    if np.allclose(x, x[0]):
+        raise ValueError("degenerate abscissa: all x values are equal")
+    w = 1.0 / sigma ** 2
     s = w.sum()
     sx, sy = (w * x).sum(), (w * y).sum()
     sxx, sxy = (w * x * x).sum(), (w * x * y).sum()
@@ -50,58 +60,32 @@ def _wls(x, y, sigma):
         raise ValueError("degenerate abscissa: line fit is underdetermined")
     slope = (s * sxy - sx * sy) / det
     intercept = (sxx * sy - sx * sxy) / det
-    cov = np.array([[s, -sx], [-sx, sxx]]) / det  # [[var_slope, cov], [cov, var_int]]
-    return slope, intercept, cov
-
-
-def fit_line(points) -> dict:
-    """Weighted least-squares straight line through (x, y, sigma) points.
-
-    Points may be (x, y) pairs, in which case the parameter uncertainties
-    are scaled to the residual scatter; with explicit sigmas they are
-    absolute. R^2 is 1 - SS_res/SS_tot (weighted), defined as 1 when both
-    sums vanish (constant data fitted exactly).
-    """
-    pts = [tuple(p) for p in points]
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points to fit a line, got {len(pts)}")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    has_sigma = len(pts[0]) > 2
-    sigma = np.array([p[2] for p in pts], dtype=float) if has_sigma else np.ones_like(x)
-    if has_sigma and (sigma <= 0).any():
-        raise ValueError("point sigmas must be positive")
-    if np.allclose(x, x[0]):
-        raise ValueError("degenerate abscissa: all x values are equal")
-    slope, intercept, cov = _wls(x, y, sigma)
-    w = 1.0 / sigma ** 2
+    cov = np.array([[s, -sx], [-sx, sxx]]) / det
     resid = y - (slope * x + intercept)
     ss_res = float((w * resid ** 2).sum())
-    ybar = float((w * y).sum() / w.sum())
+    ybar = sy / s
     ss_tot = float((w * (y - ybar) ** 2).sum())
-    if not has_sigma:
-        dof = len(pts) - 2
-        cov = cov * (ss_res / dof if dof > 0 else 0.0)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return {
         "slope": float(slope),
         "intercept": float(intercept),
-        "slope_sigma": float(math.sqrt(max(cov[0, 0], 0.0))),
-        "intercept_sigma": float(math.sqrt(max(cov[1, 1], 0.0))),
-        "r_squared": float(r_squared),
+        "slope_sigma": math.sqrt(max(cov[0, 0], 0.0)),
+        "intercept_sigma": math.sqrt(max(cov[1, 1], 0.0)),
+        "cov": cov,
+        "r_squared": r_squared,
     }
 
 
-def zero_crossing(x, y, sigma) -> tuple[float, float]:
-    """Root of the weighted line fit, x0 = -intercept/slope, with its
-    standard error from the full parameter covariance."""
-    slope, intercept, cov = _wls(x, y, sigma)
+def zero_crossing(fit: dict) -> tuple[float, float]:
+    """Root x0 = -intercept/slope of a fit_line fit, with its standard
+    error from the fit's full parameter covariance (delta method)."""
+    slope, intercept = fit["slope"], fit["intercept"]
     if slope == 0.0:
         raise ValueError("zero slope: the fitted line has no root")
     x0 = -intercept / slope
     grad = np.array([intercept / slope ** 2, -1.0 / slope])  # d x0 / d(slope, intercept)
-    var = float(grad @ cov @ grad)
-    return float(x0), math.sqrt(max(var, 0.0))
+    var = float(grad @ fit["cov"] @ grad)
+    return x0, math.sqrt(max(var, 0.0))
 
 
 def _offsets(cfg: ExperimentConfig, kinds) -> tuple:
@@ -165,21 +149,16 @@ def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
     }
 
 
-def run_molarity_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
+def _molarity_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     """Sweep the arm-B solution molarity at a fixed arm-A rotation and
     extract the offset-corrected effective rotation of the configured
     Bell state per point."""
-    if cfg.sweep_variable != "molarity_b":
-        raise ValueError(f"molarity sweep needs sweep variable 'molarity_b', "
-                         f"got {cfg.sweep_variable!r}")
     if cfg.state_kind not in ("psi_plus", "psi_minus"):
         raise ValueError("molarity sweeps are defined for the psi_plus or "
                          "psi_minus source state")
     if cfg.arm_b.molarity is None:
         raise ValueError("molarity sweeps need a solution-type arm_b")
     molarities = sorted(cfg.sweep_values)
-    if molarities[0] < 0:
-        raise ValueError(f"negative molarity {molarities[0]}")
     theta_b = np.radians(cfg.arm_b.slope_deg_per_molar * np.array(molarities))
     obs = _observables(_named_counts(cfg, (cfg.state_kind,), theta_b, exact, ((0,),))[0])
     theta, sig = rotation_from_observables(obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
@@ -194,14 +173,11 @@ def run_molarity_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResul
     )
 
 
-def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
+def _theta_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     """Sweep the arm-B rotation angle with both Bell branches at a fixed
     arm-A rotation; reports per point the joint observables of both
     branches, the offset-corrected effective rotations, and the
     jointly extracted, offset-corrected local angles."""
-    if cfg.sweep_variable != "theta_b":
-        raise ValueError(f"theta sweep needs sweep variable 'theta_b', "
-                         f"got {cfg.sweep_variable!r}")
     kinds = ("psi_plus", "psi_minus")
     values = sorted(cfg.sweep_values)
     theta_b = np.radians(values)
@@ -233,6 +209,15 @@ def run_theta_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
             *np.degrees((th_p, sig_p, th_m, sig_m, *hats)))),
         provenance=_provenance(cfg, exact),
     )
+
+
+def run_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
+    """Run the sweep of the config's [sweep] section: the molarity sweep
+    for variable molarity_b, the theta sweep for theta_b."""
+    if cfg.sweep_variable is None:
+        raise ValueError("config does not define a sweep")
+    runner = {"molarity_b": _molarity_sweep, "theta_b": _theta_sweep}[cfg.sweep_variable]
+    return runner(cfg, exact)
 
 
 def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvfile import read_csv, write_csv
+from .csvfile import read_csv, row_floats, write_csv
 from .measure import MAX_POISSON_MEAN
 from .states import (_concurrence, _fidelity, _purity, cosine_similarity, ket,
                      validate_state)
@@ -287,11 +287,13 @@ def read_tomo_counts(path) -> tuple[np.ndarray, dict]:
     every canonical basis pair must occur exactly once."""
     metadata, rows = read_csv(path, _COUNTS_HEADER)
     seen = {}
-    for a, b, n in rows:
-        pair = (a.upper(), b.upper())
+    for row in rows:
+        pair = (row[0].upper(), row[1].upper())
+        if pair not in BASIS_LABELS:
+            raise ValueError(f"{path}: row {','.join(row)!r} names no basis pair of the design")
         if pair in seen:
-            raise ValueError(f"duplicate basis row {pair}")
-        seen[pair] = float(n)
+            raise ValueError(f"{path}: row {','.join(row)!r} repeats basis pair {pair}")
+        seen[pair] = row_floats(path, row, 2)[0]
     missing = [pair for pair in BASIS_LABELS if pair not in seen]
     if missing:
         raise ValueError(f"tomography file is missing basis rows: {missing}")

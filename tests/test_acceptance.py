@@ -109,7 +109,7 @@ count = 17
 def test_criterion_2_nonlocal_cancellation_addition_sweep():
     start = time.monotonic()
     cfg = config.loads_config(THETA_SWEEP_CONFIG)
-    result = sweeps.run_theta_sweep(cfg, exact=False)
+    result = sweeps.run_sweep(cfg, exact=False)
     tb = result.rows[:, 0]
     r2_plus = r_squared(result.rows[:, 9], 20.0 + tb)
     r2_minus = r_squared(result.rows[:, 11], 20.0 - tb)
@@ -343,13 +343,14 @@ def test_criterion_8_calibration_pipeline():
     rng = np.random.default_rng(808)
     xs = np.linspace(0.0, 4.236, 9)
     ys = 7.01 * xs + 4.09 + rng.normal(0.0, 0.04, xs.size)
-    fit = sweeps.fit_line([(x, y, 0.04) for x, y in zip(xs, ys)])
+    fit = sweeps.fit_line(xs, ys, np.full(xs.size, 0.04))
     slope_ok = abs(fit["slope"] - 7.01) <= 3.0 * fit["slope_sigma"]
 
     cfg = config.loads_config(MOLARITY_CONFIG)
-    result = sweeps.run_molarity_sweep(cfg, exact=False)
+    result = sweeps.run_sweep(cfg, exact=False)
     sigma = np.maximum(result.rows[:, 2], 1e-6)
-    x0, x0_sigma = sweeps.zero_crossing(result.rows[:, 0], result.rows[:, 1], sigma)
+    x0, x0_sigma = sweeps.zero_crossing(sweeps.fit_line(result.rows[:, 0],
+                                                        result.rows[:, 1], sigma))
     truth = 20.08 / 7.01
     crossing_ok = abs(x0 - truth) <= 3.0 * x0_sigma
     report("criterion 8 (calibration pipeline)",

@@ -317,6 +317,97 @@ def test_empty_count_rows_name_their_stack_index(tmp_path, capsys, command, inde
             f"index {index}\n") == captured.err
 
 
+def golden_edited(tmp_path, name, edit):
+    """A copy of the golden input `name` in tmp_path, its text passed
+    through `edit`; returns its path as a string."""
+    path = tmp_path / name
+    path.write_text(edit((GOLDEN_INPUTS / name).read_text()))
+    return str(path)
+
+
+def run_failing(capsys, argv):
+    """Run argv, which must exit 2 printing nothing; returns stderr."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("m_zz,0.5,0.01", "row 'm_zz,0.5,0.01' repeats observable m_zz"),
+    ("m_yy,0.5,0.01", "row 'm_yy,0.5,0.01' names no observable of "
+                      "('m_zz', 'm_xz', 'm_zx')")], ids=["repeated", "unknown"])
+def test_extract_rejects_a_row_it_would_ignore(tmp_path, capsys, row, message):
+    # a repeated m_zz row replaced the first and an unknown one was
+    # ignored, both with exit 0
+    plus = golden_edited(tmp_path, "obs_plus.csv", lambda text: text + row + "\n")
+    minus = str(GOLDEN_INPUTS / "obs_minus.csv")
+    err = run_failing(capsys, ["extract", "--plus", plus, "--minus", minus])
+    assert err == f"error: {plus}: {message}\n"
+
+
+def test_tomo_rejects_a_row_outside_the_design(tmp_path, capsys):
+    # the row was ignored and the fit ran to exit 0
+    counts = golden_edited(tmp_path, "tomo.csv", lambda text: text + "X,Y,5\n")
+    err = run_failing(capsys, ["tomo", "--counts", counts])
+    assert err == f"error: {counts}: row 'X,Y,5' names no basis pair of the design\n"
+
+
+@pytest.mark.parametrize("command, name, old, new", [
+    ("observables", "table.csv", "Z,Z,6702,", "Z,Z,abc,"),
+    ("chsh", "chsh.csv", "lin:45.000000,lin:67.500000,20892,",
+     "lin:45.000000,lin:67.500000,abc,"),
+    ("tomo", "tomo.csv", "H,V,19952", "H,V,abc"),
+    ("extract", "obs_plus.csv", "m_xz,-0.80485948360475135,", "m_xz,abc,")],
+    ids=["observables", "chsh", "tomo", "extract"])
+def test_non_numeric_cell_names_the_file_and_row(tmp_path, capsys, command, name,
+                                                 old, new):
+    # each printed "could not convert string to float: 'abc'" alone
+    path = golden_edited(tmp_path, name, lambda text: text.replace(old, new))
+    flag = {"observables": "--table", "chsh": "--table", "tomo": "--counts",
+            "extract": "--plus"}[command]
+    argv = [command, flag, path]
+    if command == "extract":
+        argv += ["--minus", str(GOLDEN_INPUTS / "obs_minus.csv")]
+    err = run_failing(capsys, argv)
+    assert err.startswith(f"error: {path}: row '{new}")
+    assert err.endswith(": could not convert string to float: 'abc'\n")
+
+
+@pytest.mark.parametrize("command, name, row, pair", [
+    ("observables", "table.csv", "X,Z,", "(X, Z)"),
+    ("chsh", "chsh.csv", "lin:0.000000,lin:22.500000,",
+     "(lin:0.000000, lin:22.500000)")], ids=["observables", "chsh"])
+def test_zero_count_setting_pair_names_the_pair(tmp_path, capsys, command, name,
+                                                row, pair):
+    # observables named a stack index into its own pair order, chsh nothing
+    def zeroed(text):
+        line = next(line for line in text.splitlines() if line.startswith(row))
+        return text.replace(line, row + "0,0,0,0")
+    err = run_failing(capsys, [command, "--table", golden_edited(tmp_path, name, zeroed)])
+    assert err == f"error: the {pair} basis pair has zero total counts\n"
+
+
+def test_negative_molarity_sweep_value_exits_2_at_load(tmp_path, monkeypatch, capsys):
+    # the molarity runner found it, after the config had loaded
+    monkeypatch.chdir(tmp_path)
+    cfg = golden_edited(tmp_path, "sweep_molarity.ini",
+                        lambda text: text.replace("start = 0", "start = -1"))
+    err = run_failing(capsys, ["sweep", "--config", cfg, "--out", "sweep.csv"])
+    assert err == "error: [sweep] values: negative molarity -1.0\n"
+    assert not (tmp_path / "sweep.csv").exists()
+    with pytest.raises(ValueError, match=r"^\[sweep\] values: negative molarity -1.0$"):
+        config.load_config(cfg)
+
+
+def test_sweep_without_a_sweep_section_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    err = run_failing(capsys, ["sweep", "--config", str(GOLDEN_INPUTS / "sim.ini"),
+                               "--out", "sweep.csv"])
+    assert err == "error: config does not define a sweep\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_tomo_negative_bootstrap_exits_2(tmp_path, capsys):
     # a negative count used to read as 0 (off) and exit 0
     counts_file = tmp_path / "tomo.csv"

@@ -69,26 +69,27 @@ count = 17
 
 def test_fit_line_exact_calibration_line():
     xs = [0.0, 1.0, 2.0, 3.0, 4.0]
-    pts = [(x, 7.01 * x + 4.09, 0.04) for x in xs]
-    fit = sweeps.fit_line(pts)
+    fit = sweeps.fit_line(xs, [7.01 * x + 4.09 for x in xs], [0.04] * 5)
     assert abs(fit["slope"] - 7.01) < 1e-12
     assert abs(fit["intercept"] - 4.09) < 1e-12
     assert abs(fit["r_squared"] - 1.0) < 1e-12
 
 
 def test_fit_line_constant_y():
-    fit = sweeps.fit_line([(0.0, 2.0), (1.0, 2.0), (2.0, 2.0)])
+    fit = sweeps.fit_line([0.0, 1.0, 2.0], [2.0, 2.0, 2.0], [0.1, 0.1, 0.1])
     assert fit["slope"] == 0.0
     assert fit["r_squared"] == 1.0
+    with pytest.raises(ValueError, match="zero slope"):
+        sweeps.zero_crossing(fit)
 
 
 def test_fit_line_validation():
     with pytest.raises(ValueError, match="at least 3"):
-        sweeps.fit_line([(0.0, 1.0), (1.0, 2.0)])
+        sweeps.fit_line([0.0, 1.0], [1.0, 2.0], [0.1, 0.1])
     with pytest.raises(ValueError, match="degenerate"):
-        sweeps.fit_line([(1.0, 0.0), (1.0, 1.0), (1.0, 2.0)])
+        sweeps.fit_line([1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.1, 0.1, 0.1])
     with pytest.raises(ValueError, match="positive"):
-        sweeps.fit_line([(0.0, 1.0, 0.0), (1.0, 2.0, 0.1), (2.0, 3.0, 0.1)])
+        sweeps.fit_line([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.0, 0.1, 0.1])
 
 
 def test_fit_line_noisy_calibration_recovery():
@@ -97,24 +98,15 @@ def test_fit_line_noisy_calibration_recovery():
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         ys = 7.01 * xs + 4.09 + rng.normal(0.0, 0.04, xs.size)
-        fit = sweeps.fit_line([(x, y, 0.04) for x, y in zip(xs, ys)])
+        fit = sweeps.fit_line(xs, ys, np.full(xs.size, 0.04))
         assert abs(fit["slope"] - 7.01) <= 4.0 * fit["slope_sigma"]
         assert fit["slope_sigma"] < 0.02
-
-
-def test_fit_line_unweighted_scales_uncertainty():
-    rng = np.random.default_rng(200)
-    xs = np.linspace(0.0, 10.0, 30)
-    ys = 2.0 * xs + 1.0 + rng.normal(0.0, 0.5, xs.size)
-    fit = sweeps.fit_line(list(zip(xs, ys)))
-    assert abs(fit["slope"] - 2.0) <= 4.0 * fit["slope_sigma"]
-    assert 0.0 < fit["slope_sigma"] < 0.1
 
 
 def test_zero_crossing_exact():
     xs = np.linspace(0.0, 4.0, 9)
     ys = 20.08 - 7.01 * xs
-    x0, sigma = sweeps.zero_crossing(xs, ys, np.full(xs.size, 0.04))
+    x0, sigma = sweeps.zero_crossing(sweeps.fit_line(xs, ys, np.full(xs.size, 0.04)))
     assert abs(x0 - 20.08 / 7.01) < 1e-12
     assert sigma > 0.0
 
@@ -125,7 +117,7 @@ def test_zero_crossing_coverage():
     for seed in range(10):
         rng = np.random.default_rng(300 + seed)
         ys = 20.08 - 7.01 * xs + rng.normal(0.0, 0.1, xs.size)
-        x0, sigma = sweeps.zero_crossing(xs, ys, np.full(xs.size, 0.1))
+        x0, sigma = sweeps.zero_crossing(sweeps.fit_line(xs, ys, np.full(xs.size, 0.1)))
         assert abs(x0 - truth) <= 4.0 * sigma
 
 
@@ -176,7 +168,7 @@ def test_configured_offsets_read_back_as_the_configured_rotation():
 
 
 def test_molarity_sweep_exact_line():
-    result = sweeps.run_molarity_sweep(molarity_config("psi_minus"), exact=True)
+    result = sweeps.run_sweep(molarity_config("psi_minus"), exact=True)
     molarities = result.rows[:, 0]
     thetas = result.rows[:, 1]
     expected = 20.08 - 7.01 * molarities
@@ -187,22 +179,23 @@ def test_molarity_sweep_exact_line():
 
 
 def test_molarity_sweep_exact_zero_crossing():
-    result = sweeps.run_molarity_sweep(molarity_config("psi_minus"), exact=True)
-    x0, _ = sweeps.zero_crossing(result.rows[:, 0], result.rows[:, 1],
-                                 np.full(len(result.rows), 0.04))
+    result = sweeps.run_sweep(molarity_config("psi_minus"), exact=True)
+    x0, _ = sweeps.zero_crossing(sweeps.fit_line(result.rows[:, 0], result.rows[:, 1],
+                                                 np.full(len(result.rows), 0.04)))
     assert abs(x0 - 20.08 / 7.01) < 1e-9
 
 
 def test_molarity_sweep_sampled_zero_crossing():
-    result = sweeps.run_molarity_sweep(molarity_config("psi_minus"), exact=False)
+    result = sweeps.run_sweep(molarity_config("psi_minus"), exact=False)
     sigma = np.maximum(result.rows[:, 2], 1e-6)
-    x0, x0_sigma = sweeps.zero_crossing(result.rows[:, 0], result.rows[:, 1], sigma)
+    x0, x0_sigma = sweeps.zero_crossing(sweeps.fit_line(result.rows[:, 0],
+                                                        result.rows[:, 1], sigma))
     assert abs(x0 - 20.08 / 7.01) <= 4.0 * x0_sigma
     assert x0_sigma < 0.05
 
 
 def test_molarity_sweep_plus_branch_addition():
-    result = sweeps.run_molarity_sweep(molarity_config("psi_plus"), exact=True)
+    result = sweeps.run_sweep(molarity_config("psi_plus"), exact=True)
     molarities = result.rows[:, 0]
     thetas = result.rows[:, 1]
     assert np.abs(thetas - (20.08 + 7.01 * molarities)).max() < 1e-9
@@ -217,19 +210,16 @@ def test_molarity_sweep_zero_everything_is_zero():
         "pbs_b_deg = 4.09", "pbs_b_deg = 0").replace(
         "hwp_deg = 5.47", "hwp_deg = 0")
     cfg = config.loads_config(text)
-    result = sweeps.run_molarity_sweep(cfg, exact=False)
+    result = sweeps.run_sweep(cfg, exact=False)
     row = result.rows[0]  # molarity 0: no rotation anywhere
     assert abs(row[1]) <= 3.0 * max(row[2], 1e-4)
 
 
 def test_molarity_sweep_validation():
-    cfg = molarity_config()
-    with pytest.raises(ValueError, match="molarity_b"):
-        sweeps.run_theta_sweep(cfg)
     bad = config.loads_config(
         BASE_MOLARITY_CONFIG.format(kind="separable", seed=1))
     with pytest.raises(ValueError, match="psi_plus or"):
-        sweeps.run_molarity_sweep(bad)
+        sweeps.run_sweep(bad)
 
 
 def fit_phase(theta_b_deg, values):
@@ -241,7 +231,7 @@ def fit_phase(theta_b_deg, values):
 
 
 def test_theta_sweep_exact_closed_forms():
-    result = sweeps.run_theta_sweep(theta_config(), exact=True)
+    result = sweeps.run_sweep(theta_config(), exact=True)
     tb = result.rows[:, 0]
     m_zz_plus = result.rows[:, 1]
     expected = -np.cos(np.radians(2.0 * tb + 40.0))
@@ -252,7 +242,7 @@ def test_theta_sweep_exact_closed_forms():
 
 
 def test_theta_sweep_phase_separation():
-    result = sweeps.run_theta_sweep(theta_config(), exact=True)
+    result = sweeps.run_sweep(theta_config(), exact=True)
     tb = result.rows[:, 0]
     phi_plus = fit_phase(tb, result.rows[:, 1])
     phi_minus = fit_phase(tb, result.rows[:, 3])
@@ -268,21 +258,21 @@ def test_theta_sweep_extracted_angles_exact():
         # shipped offsets; the readout must still wrap at +-45 deg
         cfg = dataclasses.replace(cfg,
                                   sweep_values=cfg.sweep_values + (43.7, 44.0, -46.3))
-        result = sweeps.run_theta_sweep(cfg, exact=True)
+        result = sweeps.run_sweep(cfg, exact=True)
         tb = result.rows[:, 0]
         assert np.abs(result.rows[:, 13] - 20.0).max() < 1e-9
         assert np.abs(result.rows[:, 14] - ((tb + 45.0) % 90.0 - 45.0)).max() < 1e-9
 
 
 def test_theta_sweep_cancellation_of_addition_branch():
-    result = sweeps.run_theta_sweep(theta_config(), exact=False)
+    result = sweeps.run_sweep(theta_config(), exact=False)
     row = result.rows[np.argmin(np.abs(result.rows[:, 0] + 20.0))]
     assert abs(row[0] + 20.0) < 1e-12          # theta_b = -20 is on the grid
     assert abs(row[9]) <= 3.0 * max(row[10], 1e-4)
 
 
 def test_theta_sweep_sampled_tracks_truth():
-    result = sweeps.run_theta_sweep(theta_config(), exact=False)
+    result = sweeps.run_sweep(theta_config(), exact=False)
     tb = result.rows[:, 0]
     for col_theta, col_sigma, truth in ((9, 10, 20.0 + tb), (11, 12, 20.0 - tb)):
         resid = result.rows[:, col_theta] - truth
@@ -307,7 +297,7 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
         cfg = theta_config(offsets=offsets)
         cfg = dataclasses.replace(cfg, detection=dataclasses.replace(
             cfg.detection, accidental_fraction=accidental_fraction))
-        result = sweeps.run_theta_sweep(cfg, exact=exact)
+        result = sweeps.run_sweep(cfg, exact=exact)
         theta_b = np.radians(sorted(cfg.sweep_values))
         plus, minus, minus_on_plus_stream = (
             one_branch(cfg, kind, theta_b, exact, key)
@@ -326,7 +316,7 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
             # key it would draw other counts
             assert (minus.sigma_zz != minus_on_plus_stream.sigma_zz).mean() > 0.9
     cfg = molarity_config()
-    result = sweeps.run_molarity_sweep(cfg)
+    result = sweeps.run_sweep(cfg)
     obs = one_branch(cfg, "psi_minus", np.radians(7.01 * result.rows[:, 0]), False, (0,))
     assert np.array_equal(result.rows[:, 3:],
                           np.column_stack((obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)))
@@ -374,7 +364,7 @@ def test_theta_sweep_sigma_pulls(accidental_fraction):
     theta_b = np.array(sorted(cfg.sweep_values))
     pulls = {"theta_plus_deg": [], "theta_minus_deg": []}
     for seed in range(200):
-        result = sweeps.run_theta_sweep(dataclasses.replace(cfg, seed=seed))
+        result = sweeps.run_sweep(dataclasses.replace(cfg, seed=seed))
         for name, truth in (("theta_plus_deg", theta_a + theta_b),
                             ("theta_minus_deg", theta_a - theta_b)):
             col = result.columns.index(name)
@@ -389,7 +379,7 @@ def test_theta_sweep_sigma_pulls(accidental_fraction):
 
 def test_sweep_rows_sorted_and_provenance():
     cfg = molarity_config()
-    result = sweeps.run_molarity_sweep(cfg, exact=True)
+    result = sweeps.run_sweep(cfg, exact=True)
     assert (np.diff(result.rows[:, 0]) > 0).all()
     assert result.provenance["config_hash"] == config.config_hash(cfg)
     assert result.provenance["seed"] == cfg.seed
@@ -469,7 +459,7 @@ def test_write_sweep_deterministic(tmp_path):
     cfg = molarity_config()
     path_1 = tmp_path / "a.csv"
     path_2 = tmp_path / "b.csv"
-    sweeps.write_sweep(sweeps.run_molarity_sweep(cfg), path_1)
-    sweeps.write_sweep(sweeps.run_molarity_sweep(cfg), path_2)
+    sweeps.write_sweep(sweeps.run_sweep(cfg), path_1)
+    sweeps.write_sweep(sweeps.run_sweep(cfg), path_2)
     assert path_1.read_bytes() == path_2.read_bytes()
 
