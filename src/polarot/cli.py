@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .channels import apply_noise, local_rotations
-from .config import load_config
-from .csvfile import read_csv, row_floats, write_csv
+from .config import check_reads, load_config
+from .csvfile import read_labeled, write_csv
 from .measure import (JointObservables, chsh_from_counts, chsh_s, estimate_observables,
                       exact_observables, exact_table, extract_thetas, read_table,
                       simulate_counts, write_table)
@@ -47,9 +47,12 @@ def _resolve_out(path_str: str) -> Path:
 
 def _load_config_with_override(args):
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
+    # a sweep config without [sweep] has no entry in UNREAD; run_sweep rejects it
+    check_reads(cfg, f"{cfg.sweep_variable} sweep" if args.command == "sweep"
+                else args.command)
     return cfg
 
 
@@ -72,22 +75,9 @@ def _write_observables(path: Path, obs: JointObservables) -> None:
 
 
 def _read_observables(path) -> JointObservables:
-    _, rows = read_csv(path, _OBSERVABLES_HEADER)
-    values = {}
-    for row in rows:
-        if row[0] not in _OBSERVABLES:
-            raise ValueError(f"{path}: row {','.join(row)!r} names no observable of "
-                             f"{_OBSERVABLES}")
-        if row[0] in values:
-            raise ValueError(f"{path}: row {','.join(row)!r} repeats observable {row[0]}")
-        values[row[0]] = row_floats(path, row, 1)
-    missing = sorted(set(_OBSERVABLES) - set(values))
-    if missing:
-        raise ValueError(f"observables file {path} is missing rows: {missing}")
-    if not np.isfinite(list(values.values())).all():
-        raise ValueError(f"observables file {path} has non-finite values")
-    return JointObservables(*(values[name][0] for name in _OBSERVABLES),
-                            *(values[name][1] for name in _OBSERVABLES))
+    _, values = read_labeled(path, _OBSERVABLES_HEADER, _OBSERVABLES, "observable",
+                             f"observable of {_OBSERVABLES}")
+    return JointObservables(*(row[0] for row in values), *(row[1] for row in values))
 
 
 def _cmd_observables(args) -> int:
@@ -132,6 +122,8 @@ def _cmd_tomo(args) -> int:
     for flag, value in (("--bootstrap", args.bootstrap), ("--out", args.out)):
         if value and not args.reference:
             raise ValueError(f"{flag} needs --reference: it applies to the report")
+    if args.seed is not None and not args.bootstrap:
+        raise ValueError("--seed needs --bootstrap: it seeds the resamples")
     reference = bell_state(args.reference) if args.reference else None
     counts, _ = read_tomo_counts(args.counts)
     result = mle_reconstruct(counts, max_iter=args.max_iter)
@@ -196,6 +188,13 @@ def _cmd_fisher(args) -> int:
     if max(n_values) * args.counts_per_trial > np.iinfo(np.int64).max:
         raise ValueError(f"--n-values times --counts-per-trial must be at most "
                          f"{np.iinfo(np.int64).max:,} photons")
+    # the flags of the Monte Carlo trials, with their parser defaults
+    trial_flags = (("--seed", args.seed, None), ("--theta-deg", args.theta_deg, 30.0),
+                   ("--counts-per-trial", args.counts_per_trial, 1))
+    for flag, value, default in trial_flags:
+        if args.trials == 0 and value != default:
+            raise ValueError(f"{flag} needs --trials: it applies to the Monte Carlo "
+                             f"trials")
     rows = []
     if args.trials > 0:
         scaling = variance_scaling(n_values, args.trials, args.counts_per_trial,

@@ -14,14 +14,15 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .measure import MAX_GRID_POINTS, NAMED_PAIRS, Detection, parse_setting
 from .states import BELL_KINDS, ket
 
 __all__ = [
     "ArmConfig", "ExperimentConfig", "load_config", "loads_config",
-    "config_hash", "DEFAULT_SLOPE_DEG_PER_MOLAR", "DEFAULT_PBS_A_DEG",
-    "DEFAULT_PBS_B_DEG", "DEFAULT_HWP_DEG", "DEFAULT_TRANSMISSION",
+    "config_hash", "check_reads", "UNREAD", "DEFAULT_SLOPE_DEG_PER_MOLAR",
+    "DEFAULT_PBS_A_DEG", "DEFAULT_PBS_B_DEG", "DEFAULT_HWP_DEG", "DEFAULT_TRANSMISSION",
 ]
 
 # shipped calibration defaults
@@ -122,6 +123,56 @@ class ExperimentConfig:
 def config_hash(cfg: ExperimentConfig) -> str:
     payload = "\n".join(f"{k}={v}" for k, v in cfg.canonical_items())
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+# the ExperimentConfig fields a run may leave unread, and the key that sets each
+_KEY_OF = {
+    "state_kind": "[state] kind", "ket_a": "[state] ket_a", "ket_b": "[state] ket_b",
+    "arm_b.molarity": "[arm_b] molarity",
+    "arm_b.slope_deg_per_molar": "[arm_b] slope_deg_per_molar",
+    "arm_b.angle": "[arm_b] angle_deg",
+    "setting_pairs": "[settings] pairs",
+    "sweep_variable": "[sweep] variable", "sweep_values": "[sweep] values",
+}
+# in each group the keys a section can only set along with another come first,
+# so that an error names the key set last: ket_a, not the kind = separable it needs
+_STATE = ("ket_a", "ket_b", "state_kind")
+_ARM_B = ("arm_b.slope_deg_per_molar", "arm_b.molarity", "arm_b.angle")
+_PAIRS = ("setting_pairs",)
+_SWEEP = ("sweep_variable", "sweep_values")
+_NAMED = "it measures the named pairs Z/Z, X/Z, Z/X"
+_GRID = "it probes its own grid of arm-B angles (--range-deg, --resolution-deg)"
+
+# the fields each run does not read, with what the run uses instead
+UNREAD = {
+    "simulate": {_SWEEP: "it simulates the configured arm-B rotation "
+                         "(polarot sweep runs [sweep])"},
+    "scan": {_STATE: "it always probes psi_minus", _ARM_B: _GRID, _PAIRS: _NAMED,
+             _SWEEP: _GRID},
+    "theta_b sweep": {_STATE: "it always runs psi_plus and psi_minus",
+                      _ARM_B: "the [sweep] values set the arm-B angle",
+                      _PAIRS: _NAMED},
+    "molarity_b sweep": {_PAIRS: _NAMED},
+}
+_GETTERS = {name: attrgetter(name) for name in _KEY_OF}
+# compared by repr, as config_hash compares values, so -0.0 is not 0.0
+_DEFAULT_REPRS = {name: repr(get(ExperimentConfig())) for name, get in _GETTERS.items()}
+
+
+def check_reads(cfg: ExperimentConfig, run: str) -> None:
+    """Reject a config that sets a field `run` (a key of UNREAD) does not
+    read: each such field must hold its ExperimentConfig default, and so
+    cannot change the hash of a run it does not change. A molarity_b sweep
+    needs [arm_b] molarity = 0: the arm must be a solution arm to carry its
+    slope, and the [sweep] values replace its molarity."""
+    for fields, instead in UNREAD.get(run, {}).items():
+        for name in fields:
+            if repr(_GETTERS[name](cfg)) != _DEFAULT_REPRS[name]:
+                raise ValueError(f"{run} does not read {_KEY_OF[name]}: {instead}")
+    if run == "molarity_b sweep" and repr(cfg.arm_b.molarity) != repr(0.0):
+        raise ValueError("molarity_b sweep needs [arm_b] molarity = 0: the arm must be "
+                         "a solution arm to carry its slope, and the [sweep] values "
+                         "replace its molarity")
 
 
 _COMMENT = re.compile(r"(?:^|\s)[;#]")

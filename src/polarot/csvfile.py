@@ -6,7 +6,9 @@ and read numeric cells with row_floats."""
 
 from __future__ import annotations
 
-__all__ = ["read_csv", "row_floats", "write_csv"]
+import math
+
+__all__ = ["read_csv", "read_labeled", "row_floats", "write_csv"]
 
 
 def read_csv(path, header: str) -> tuple[dict[str, str], list[list[str]]]:
@@ -49,6 +51,33 @@ def row_floats(path, row: list[str], start: int) -> list[float]:
         return [float(cell) for cell in row[start:]]
     except ValueError as exc:
         raise ValueError(f"{path}: row {','.join(row)!r}: {exc}") from None
+
+
+def read_labeled(path, header: str, labels: tuple, noun: str, known: str):
+    """Read a file of the format above whose rows each start with a label:
+    the row's leading cells, comma-joined, name one of `labels` (letter case
+    ignored), and its other cells are finite numbers. Each label occurs
+    exactly once. Returns the metadata and the numbers of each label in the
+    order of `labels`. Every error names the file: a row that names no
+    `known`, a row that repeats its `noun`, a row with a non-finite value,
+    and the missing `noun` rows."""
+    width = labels[0].count(",") + 1
+    index = {label.upper(): k for k, label in enumerate(labels)}
+    metadata, rows = read_csv(path, header)
+    values = [None] * len(labels)
+    for row in rows:
+        k = index.get(",".join(row[:width]).upper())
+        if k is None:
+            raise ValueError(f"{path}: row {','.join(row)!r} names no {known}")
+        if values[k] is not None:
+            raise ValueError(f"{path}: row {','.join(row)!r} repeats {noun} {labels[k]}")
+        values[k] = row_floats(path, row, width)
+        if not all(map(math.isfinite, values[k])):
+            raise ValueError(f"{path}: row {','.join(row)!r} holds a non-finite value")
+    missing = [label for label, v in zip(labels, values) if v is None]
+    if missing:
+        raise ValueError(f"{path} is missing {noun} rows: {missing}")
+    return metadata, values
 
 
 def write_csv(path, metadata_items, header: str, rows) -> None:

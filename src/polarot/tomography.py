@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvfile import read_csv, row_floats, write_csv
+from .csvfile import read_labeled, write_csv
 from .measure import MAX_POISSON_MEAN
 from .states import (_concurrence, _fidelity, _purity, cosine_similarity, ket,
                      validate_state)
@@ -285,19 +285,7 @@ def write_tomo_counts(path, counts: np.ndarray, metadata: dict | None = None) ->
 def read_tomo_counts(path) -> tuple[np.ndarray, dict]:
     """Read a tomography counts file; rows may appear in any order but
     every canonical basis pair must occur exactly once."""
-    metadata, rows = read_csv(path, _COUNTS_HEADER)
-    seen = {}
-    for row in rows:
-        pair = (row[0].upper(), row[1].upper())
-        if pair not in BASIS_LABELS:
-            raise ValueError(f"{path}: row {','.join(row)!r} names no basis pair of the design")
-        if pair in seen:
-            raise ValueError(f"{path}: row {','.join(row)!r} repeats basis pair {pair}")
-        seen[pair] = row_floats(path, row, 2)[0]
-    missing = [pair for pair in BASIS_LABELS if pair not in seen]
-    if missing:
-        raise ValueError(f"tomography file is missing basis rows: {missing}")
-    counts = np.array([seen[pair] for pair in BASIS_LABELS])
-    if not np.isfinite(counts).all():
-        raise ValueError(f"tomography file {path} has non-finite counts")
-    return counts, metadata
+    metadata, values = read_labeled(path, _COUNTS_HEADER,
+                                    tuple(f"{a},{b}" for a, b in BASIS_LABELS),
+                                    "basis", "basis pair of the design")
+    return np.array([cells[0] for cells in values]), metadata

@@ -159,8 +159,12 @@ def test_extract_pipeline(tmp_path, capsys):
     assert stdout == "20.000000, 10.000000"
 
 
+# scan reads no [arm_b] rotation, so its configs hold the default angle 0
+SCAN_TEMPLATE = EXACT_TEMPLATE.replace("angle_deg = 10.0", "angle_deg = 0.0")
+
+
 def test_scan_exact(tmp_path, capsys):
-    cfg = write_config(tmp_path, EXACT_TEMPLATE.format(kind="psi_minus"))
+    cfg = write_config(tmp_path, SCAN_TEMPLATE.format(kind="psi_minus"))
     assert main(["scan", "--config", cfg, "--exact", "--range-deg", "-45", "45",
                  "--resolution-deg", "5"]) == 0
     stdout = capsys.readouterr().out.strip()
@@ -170,14 +174,15 @@ def test_scan_exact(tmp_path, capsys):
 @pytest.mark.parametrize("theta_a", ["20.0", "-70.0", "3.37"])
 def test_scan_exact_removes_shipped_offsets(tmp_path, capsys, theta_a):
     text = SWEEP_TEMPLATE.split("[statistics]")[0].replace(
-        "angle_deg = 20.08", f"angle_deg = {theta_a}")
+        "angle_deg = 20.08", f"angle_deg = {theta_a}").replace(
+        "molarity = 0\nslope_deg_per_molar = 7.01\n", "angle_deg = 0.0\n")
     cfg = write_config(tmp_path, text + "[statistics]\nseed = 1\n")
     assert main(["scan", "--config", cfg, "--exact"]) == 0
     assert abs(float(capsys.readouterr().out) - float(theta_a)) < 1e-3
 
 
 def test_scan_sampled(tmp_path, capsys):
-    cfg = write_config(tmp_path, EXACT_TEMPLATE.format(kind="psi_minus"))
+    cfg = write_config(tmp_path, SCAN_TEMPLATE.format(kind="psi_minus"))
     assert main(["scan", "--config", cfg, "--range-deg", "-45", "45",
                  "--resolution-deg", "5"]) == 0
     stdout = capsys.readouterr().out.strip()
@@ -353,6 +358,32 @@ def test_tomo_rejects_a_row_outside_the_design(tmp_path, capsys):
     assert err == f"error: {counts}: row 'X,Y,5' names no basis pair of the design\n"
 
 
+def _without(prefix):
+    return lambda text: "".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith(prefix))
+
+
+def _replaced(old, new):
+    return lambda text: text.replace(old, new)
+
+
+@pytest.mark.parametrize("command, name, edit, message", [
+    ("tomo", "tomo.csv", _without("H,H,"), " is missing basis rows: ['H,H']"),
+    ("extract", "obs_plus.csv", _without("m_zx,"), " is missing observable rows: ['m_zx']"),
+    ("tomo", "tomo.csv", _replaced("H,H,194", "H,H,inf"),
+     ": row 'H,H,inf' holds a non-finite value"),
+    ("extract", "obs_plus.csv", _replaced(",0.0039620238371403096", ",nan"),
+     ": row 'm_zz,-0.46343608812122666,nan' holds a non-finite value")],
+    ids=["tomo-missing", "extract-missing", "tomo-non-finite", "extract-non-finite"])
+def test_labeled_row_errors_name_the_file(tmp_path, capsys, command, name, edit, message):
+    # the tomography reader named no file for missing rows, and neither
+    # reader named the row of a non-finite value
+    path = golden_edited(tmp_path, name, edit)
+    argv = (["tomo", "--counts", path] if command == "tomo" else
+            ["extract", "--plus", path, "--minus", str(GOLDEN_INPUTS / "obs_minus.csv")])
+    assert run_failing(capsys, argv) == f"error: {path}{message}\n"
+
+
 @pytest.mark.parametrize("command, name, old, new", [
     ("observables", "table.csv", "Z,Z,6702,", "Z,Z,abc,"),
     ("chsh", "chsh.csv", "lin:45.000000,lin:67.500000,20892,",
@@ -406,6 +437,24 @@ def test_sweep_without_a_sweep_section_exits_2(tmp_path, monkeypatch, capsys):
                                "--out", "sweep.csv"])
     assert err == "error: config does not define a sweep\n"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fisher", "--trials", "0", "--seed", "3", "--out", "fisher.csv"],
+     "--seed needs --trials: it applies to the Monte Carlo trials"),
+    (["fisher", "--theta-deg", "10", "--out", "fisher.csv"],
+     "--theta-deg needs --trials: it applies to the Monte Carlo trials"),
+    (["fisher", "--counts-per-trial", "7", "--out", "fisher.csv"],
+     "--counts-per-trial needs --trials: it applies to the Monte Carlo trials"),
+    (["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"), "--reference", "psi_plus",
+      "--seed", "9", "--out-state", "rho.txt"],
+     "--seed needs --bootstrap: it seeds the resamples")],
+    ids=["fisher-seed", "fisher-theta-deg", "fisher-counts-per-trial", "tomo-seed"])
+def test_a_flag_the_run_ignores_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    # each run printed what it prints without the flag and exited 0
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path))
+    assert run_failing(capsys, argv) == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_tomo_negative_bootstrap_exits_2(tmp_path, capsys):
@@ -1053,7 +1102,9 @@ def with_key(text, section, key, value):
          "pair_flux", "duration"])
 def test_out_of_range_detection_value_exits_2(tmp_path, monkeypatch, capsys, command,
                                               section, key, value, name):
-    text = with_key(SWEEP_TEMPLATE, section, key, value)
+    # simulate reads no [sweep]
+    template = SWEEP_TEMPLATE if command == "sweep" else SWEEP_TEMPLATE.split("[sweep]")[0]
+    text = with_key(template, section, key, value)
     monkeypatch.setenv("POLAROT_OUT", str(tmp_path))
     assert main([command, "--config", write_config(tmp_path, text)]) == 2
     err = capsys.readouterr().err
