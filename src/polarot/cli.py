@@ -19,12 +19,12 @@ import numpy as np
 
 from . import __version__
 from .channels import apply_noise, local_rotations
-from .config import check_reads, load_config
+from .config import ACCEPTS, check_reads, load_config
 from .csvfile import read_labeled, write_csv
 from .measure import (JointObservables, chsh_from_counts, chsh_s, estimate_observables,
                       exact_observables, exact_table, extract_thetas, read_table,
                       simulate_counts, write_table)
-from .metrology import MAX_TRIALS, qfi, variance_scaling
+from .metrology import qfi, variance_scaling
 from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity, ket,
                      maximally_mixed, save_state, separable_state, validate_state)
 from .sweeps import configured_state, run_scan, run_sweep, write_sweep
@@ -50,9 +50,8 @@ def _load_config_with_override(args):
     if args.seed is not None:
         from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
-    # a sweep config without [sweep] has no entry in UNREAD; run_sweep rejects it
-    check_reads(cfg, f"{cfg.sweep_variable} sweep" if args.command == "sweep"
-                else args.command)
+    # run_sweep checks a sweep config, against the run its [sweep] variable names
+    check_reads(cfg, args.command)
     return cfg
 
 
@@ -112,19 +111,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
-    if args.bootstrap < 0:
-        raise ValueError(f"--bootstrap must be >= 0, got {args.bootstrap}")
-    if args.bootstrap == 1:
-        raise ValueError("--bootstrap must be 0 (off) or at least 2, got 1: "
-                         "one resample has no spread")
-    if args.max_iter < 0:
-        raise ValueError(f"--max-iter must be >= 0, got {args.max_iter}")
-    for flag, value in (("--bootstrap", args.bootstrap), ("--out", args.out)):
-        if value and not args.reference:
-            raise ValueError(f"{flag} needs --reference: it applies to the report")
-    if args.seed is not None and not args.bootstrap:
-        raise ValueError("--seed needs --bootstrap: it seeds the resamples")
-    reference = bell_state(args.reference) if args.reference else None
+    reference = None if args.reference is None else bell_state(args.reference)
     counts, _ = read_tomo_counts(args.counts)
     result = mle_reconstruct(counts, max_iter=args.max_iter)
     print(f"log_likelihood = {result.log_likelihood:.6f}")
@@ -132,25 +119,16 @@ def _cmd_tomo(args) -> int:
           f"KKT gap {result.kkt_gap:.3g})")
     if args.out_state:
         save_state(_resolve_out(args.out_state), result.rho)
-    if args.reference:
-        report = _report(result.rho, reference)
-        sigmas = {}
-        if args.bootstrap > 0:
-            sigmas = bootstrap_sigmas(result.rho, counts, reference,
-                                      n_resamples=args.bootstrap, seed=args.seed or 0)
-        lines = []
-        for key, value in report.items():
-            if key in sigmas:
-                lines.append(f"{key} = {value:.6f} +- {sigmas[key]:.6f}")
-            else:
-                lines.append(f"{key} = {value:.6f}")
+    if reference is not None:
+        sigmas = (bootstrap_sigmas(result.rho, counts, reference,
+                                   n_resamples=args.bootstrap, seed=args.seed or 0)
+                  if args.bootstrap > 0 else {})
+        lines = [f"{key} = {value:.6f}" + (f" +- {sigmas[key]:.6f}" if sigmas else "")
+                 for key, value in _report(result.rho, reference).items()]
         print("\n".join(lines))
         if args.out:
-            with open(_resolve_out(args.out), "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-    if not result.converged:
-        return 3
-    return 0
+            _resolve_out(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return 0 if result.converged else 3
 
 
 def _cmd_chsh(args) -> int:
@@ -171,14 +149,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fisher(args) -> int:
-    if args.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {args.trials}")
-    if args.trials > MAX_TRIALS:
-        raise ValueError(f"--trials must be at most {MAX_TRIALS:,}, got {args.trials:,}")
-    if args.counts_per_trial < 1:
-        raise ValueError(f"--counts-per-trial must be >= 1, got {args.counts_per_trial}")
-    if not math.isfinite(args.theta_deg):
-        raise ValueError(f"--theta-deg must be finite, got {args.theta_deg}")
     try:
         n_values = [int(v) for v in args.n_values.split(",")]
     except ValueError:
@@ -188,23 +158,13 @@ def _cmd_fisher(args) -> int:
     if max(n_values) * args.counts_per_trial > np.iinfo(np.int64).max:
         raise ValueError(f"--n-values times --counts-per-trial must be at most "
                          f"{np.iinfo(np.int64).max:,} photons")
-    # the flags of the Monte Carlo trials, with their parser defaults
-    trial_flags = (("--seed", args.seed, None), ("--theta-deg", args.theta_deg, 30.0),
-                   ("--counts-per-trial", args.counts_per_trial, 1))
-    for flag, value, default in trial_flags:
-        if args.trials == 0 and value != default:
-            raise ValueError(f"{flag} needs --trials: it applies to the Monte Carlo "
-                             f"trials")
-    rows = []
     if args.trials > 0:
-        scaling = variance_scaling(n_values, args.trials, args.counts_per_trial,
-                                   args.seed or 0, theta=math.radians(args.theta_deg))
-        for n, bound, var_sim in scaling:
-            rows.append((n, qfi(n), bound, var_sim))
+        rows = [(n, qfi(n), bound, var_sim) for n, bound, var_sim in variance_scaling(
+            n_values, args.trials, args.counts_per_trial, args.seed or 0,
+            theta=math.radians(args.theta_deg))]
         header = "n,qfi,var_entangled_bound,var_separable_sim"
     else:
-        for n in n_values:
-            rows.append((n, qfi(n), 1.0 / (4.0 * n * n)))
+        rows = [(n, qfi(n), 1.0 / (4.0 * n * n)) for n in n_values]
         header = "n,qfi,var_entangled_bound"
     cells = [[f"{v:.10g}" for v in row] for row in rows]
     print("\n".join([header] + [",".join(row) for row in cells]))
@@ -409,7 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the analytic invariant suite")
     p.set_defaults(func=_cmd_verify)
 
+    parser.commands = sub.choices  # the subparser of each command, by name
     return parser
+
+
+def _check_flags(args) -> None:
+    """Reject a flag of args.command outside its domain, or away from its
+    parser default without the flag it needs, as config.ACCEPTS declares."""
+    accepts = ACCEPTS.get(args.command, {})
+    defaults = build_parser().commands[args.command]
+
+    def given(flag):
+        dest = flag[2:].replace("-", "_")
+        return getattr(args, dest) != defaults.get_default(dest)
+
+    for flag, domain, test, *why in accepts.get("flags", ()):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not test(value):
+            raise ValueError(": ".join([f"{flag} must be {domain}, got {value:,}", *why]))
+    for flag, other, why in accepts.get("needs", ()):
+        if given(flag) and not given(other):
+            raise ValueError(f"{flag} needs {other}: {why}")
 
 
 def main(argv=None) -> int:
@@ -418,8 +398,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        _check_flags(args)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .measure import MAX_GRID_POINTS, NAMED_PAIRS, Detection, parse_setting
+from .metrology import MAX_TRIALS
 from .states import BELL_KINDS, ket
 
 __all__ = [
     "ArmConfig", "ExperimentConfig", "load_config", "loads_config",
-    "config_hash", "check_reads", "UNREAD", "DEFAULT_SLOPE_DEG_PER_MOLAR",
+    "config_hash", "check_reads", "ACCEPTS", "DEFAULT_SLOPE_DEG_PER_MOLAR",
     "DEFAULT_PBS_A_DEG", "DEFAULT_PBS_B_DEG", "DEFAULT_HWP_DEG", "DEFAULT_TRANSMISSION",
 ]
 
@@ -125,54 +126,71 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-# the ExperimentConfig fields a run may leave unread, and the key that sets each
-_KEY_OF = {
-    "state_kind": "[state] kind", "ket_a": "[state] ket_a", "ket_b": "[state] ket_b",
-    "arm_b.molarity": "[arm_b] molarity",
-    "arm_b.slope_deg_per_molar": "[arm_b] slope_deg_per_molar",
-    "arm_b.angle": "[arm_b] angle_deg",
-    "setting_pairs": "[settings] pairs",
-    "sweep_variable": "[sweep] variable", "sweep_values": "[sweep] values",
-}
-# in each group the keys a section can only set along with another come first,
+# groups of ExperimentConfig fields a run may leave unread, with the key that
+# sets each; the keys a section can only set along with another come first,
 # so that an error names the key set last: ket_a, not the kind = separable it needs
-_STATE = ("ket_a", "ket_b", "state_kind")
-_ARM_B = ("arm_b.slope_deg_per_molar", "arm_b.molarity", "arm_b.angle")
-_PAIRS = ("setting_pairs",)
-_SWEEP = ("sweep_variable", "sweep_values")
+_STATE = {"ket_a": "[state] ket_a", "ket_b": "[state] ket_b",
+          "state_kind": "[state] kind"}
+_ARM_B = {"arm_b.slope_deg_per_molar": "[arm_b] slope_deg_per_molar",
+          "arm_b.molarity": "[arm_b] molarity", "arm_b.angle": "[arm_b] angle_deg"}
+_PAIRS = {"setting_pairs": "[settings] pairs"}
+_SWEEP = {"sweep_variable": "[sweep] variable", "sweep_values": "[sweep] values"}
 _NAMED = "it measures the named pairs Z/Z, X/Z, Z/X"
 _GRID = "it probes its own grid of arm-B angles (--range-deg, --resolution-deg)"
+_SEED = ("--seed", ">= 0", lambda v: v >= 0)
 
-# the fields each run does not read, with what the run uses instead
-UNREAD = {
-    "simulate": {_SWEEP: "it simulates the configured arm-B rotation "
-                         "(polarot sweep runs [sweep])"},
-    "scan": {_STATE: "it always probes psi_minus", _ARM_B: _GRID, _PAIRS: _NAMED,
-             _SWEEP: _GRID},
-    "theta_b sweep": {_STATE: "it always runs psi_plus and psi_minus",
-                      _ARM_B: "the [sweep] values set the arm-B angle",
-                      _PAIRS: _NAMED},
-    "molarity_b sweep": {_PAIRS: _NAMED},
+# What each command accepts, stated once for check_reads, cli's flag check and
+# the README's tables; a sweep runs as "<variable> sweep". "unread" holds
+# (fields, instead): fields the run does not read, which must hold their
+# defaults, and what it uses instead; "fixed" (field, key, value, why): a
+# field read at one value only; "flags" (flag, domain, test[, why]): a value
+# other than None that fails test exits 2; "needs" (flag, other, why): a flag
+# away from its parser default needs the other away from its own.
+ACCEPTS = {
+    "simulate": {"unread": [(_SWEEP, "it simulates the configured arm-B rotation "
+                                     "(polarot sweep runs [sweep])")],
+                 "flags": [_SEED]},
+    "scan": {"unread": [(_STATE, "it always probes psi_minus"), (_ARM_B, _GRID),
+                        (_PAIRS, _NAMED), (_SWEEP, _GRID)],
+             "flags": [_SEED]},
+    "sweep": {"flags": [_SEED]},
+    "theta_b sweep": {"unread": [(_STATE, "it always runs psi_plus and psi_minus"),
+                                 (_ARM_B, "the [sweep] values set the arm-B angle"),
+                                 (_PAIRS, _NAMED)]},
+    "molarity_b sweep": {"unread": [(_PAIRS, _NAMED)], "fixed": [(
+        "arm_b.molarity", "[arm_b] molarity", 0.0, "the arm must be a solution arm to "
+        "carry its slope, and the [sweep] values replace its molarity")]},
+    "tomo": {"flags": [_SEED, ("--bootstrap", ">= 0", lambda v: v >= 0),
+                       ("--bootstrap", "0 (off) or at least 2", lambda v: v != 1,
+                        "one resample has no spread"),
+                       ("--max-iter", ">= 0", lambda v: v >= 0)],
+             "needs": [("--bootstrap", "--reference", "it applies to the report"),
+                       ("--out", "--reference", "it applies to the report"),
+                       ("--seed", "--bootstrap", "it seeds the resamples")]},
+    "fisher": {"flags": [_SEED, ("--trials", ">= 0", lambda v: v >= 0),
+                         ("--trials", f"at most {MAX_TRIALS:,}",
+                          lambda v: v <= MAX_TRIALS),
+                         ("--counts-per-trial", ">= 1", lambda v: v >= 1),
+                         ("--theta-deg", "finite", math.isfinite)],
+               "needs": [(flag, "--trials", "it applies to the Monte Carlo trials")
+                         for flag in ("--seed", "--theta-deg", "--counts-per-trial")]},
 }
-_GETTERS = {name: attrgetter(name) for name in _KEY_OF}
-# compared by repr, as config_hash compares values, so -0.0 is not 0.0
-_DEFAULT_REPRS = {name: repr(get(ExperimentConfig())) for name, get in _GETTERS.items()}
+_DEFAULT = ExperimentConfig()
 
 
 def check_reads(cfg: ExperimentConfig, run: str) -> None:
-    """Reject a config that sets a field `run` (a key of UNREAD) does not
-    read: each such field must hold its ExperimentConfig default, and so
-    cannot change the hash of a run it does not change. A molarity_b sweep
-    needs [arm_b] molarity = 0: the arm must be a solution arm to carry its
-    slope, and the [sweep] values replace its molarity."""
-    for fields, instead in UNREAD.get(run, {}).items():
-        for name in fields:
-            if repr(_GETTERS[name](cfg)) != _DEFAULT_REPRS[name]:
-                raise ValueError(f"{run} does not read {_KEY_OF[name]}: {instead}")
-    if run == "molarity_b sweep" and repr(cfg.arm_b.molarity) != repr(0.0):
-        raise ValueError("molarity_b sweep needs [arm_b] molarity = 0: the arm must be "
-                         "a solution arm to carry its slope, and the [sweep] values "
-                         "replace its molarity")
+    """Reject a config that sets a field `run` does not read, as ACCEPTS
+    declares, so that it cannot change the hash of a run it does not change.
+    Values compare by repr, as config_hash compares them: -0.0 is not 0.0."""
+    accepts = ACCEPTS.get(run, {})
+    for fields, instead in accepts.get("unread", ()):
+        for name, key in fields.items():
+            value, default = attrgetter(name)(cfg), attrgetter(name)(_DEFAULT)
+            if value is not default and repr(value) != repr(default):
+                raise ValueError(f"{run} does not read {key}: {instead}")
+    for name, key, value, why in accepts.get("fixed", ()):
+        if repr(attrgetter(name)(cfg)) != repr(value):
+            raise ValueError(f"{run} needs {key} = {value:g}: {why}")
 
 
 _COMMENT = re.compile(r"(?:^|\s)[;#]")
@@ -253,24 +271,22 @@ def _float(sec: dict, name: str, key: str,
 
 
 def _parse_arm(sec: dict, name: str) -> tuple[ArmConfig, float]:
-    """The arm of a section and its transmission."""
+    """The arm of a section and its transmission; a section without
+    angle_deg or molarity, or an absent one ({}), is the angle-0 arm."""
     transmission = _float(sec, name, "transmission", DEFAULT_TRANSMISSION)
-    has_angle = "angle_deg" in sec
-    has_molarity = "molarity" in sec
-    if has_angle and has_molarity:
+    if "angle_deg" in sec and "molarity" in sec:
         raise ValueError(f"section [{name}] must not set both angle_deg and molarity")
-    if has_angle:
-        if "slope_deg_per_molar" in sec:
-            raise ValueError(f"section [{name}] must not set slope_deg_per_molar "
-                             f"with angle_deg (the slope calibrates a solution arm)")
-        angle = math.radians(_float(sec, name, "angle_deg"))
-        return ArmConfig(angle=angle), transmission
-    if has_molarity:
-        arm = ArmConfig(molarity=_float(sec, name, "molarity"),
-                        slope_deg_per_molar=_float(sec, name, "slope_deg_per_molar",
-                                                   DEFAULT_SLOPE_DEG_PER_MOLAR))
-        return arm, transmission
-    raise ValueError(f"section [{name}] needs angle_deg or molarity")
+    if "slope_deg_per_molar" in sec and "molarity" not in sec:
+        other = "with angle_deg" if "angle_deg" in sec else "without molarity"
+        raise ValueError(f"section [{name}] must not set slope_deg_per_molar {other} "
+                         f"(the slope calibrates a solution arm)")
+    if "molarity" not in sec:
+        angle = _float(sec, name, "angle_deg", 0.0)
+        return ArmConfig(angle=math.radians(angle)), transmission
+    arm = ArmConfig(molarity=_float(sec, name, "molarity"),
+                    slope_deg_per_molar=_float(sec, name, "slope_deg_per_molar",
+                                               DEFAULT_SLOPE_DEG_PER_MOLAR))
+    return arm, transmission
 
 
 def _parse_sweep(sec: dict) -> tuple[str, tuple]:
@@ -330,8 +346,7 @@ def loads_config(text: str) -> ExperimentConfig:
     accidental_fraction = _float(noise, "noise", "accidental_fraction", 0.0)
     transmissions = {}
     for name in ("arm_a", "arm_b"):
-        if name in ini:
-            kwargs[name], transmissions[name] = _parse_arm(ini[name], name)
+        kwargs[name], transmissions[name] = _parse_arm(ini.get(name, {}), name)
     offsets = ini.get("offsets", {})
     for key, default in (("pbs_a", DEFAULT_PBS_A_DEG), ("pbs_b", DEFAULT_PBS_B_DEG),
                          ("hwp", DEFAULT_HWP_DEG)):
@@ -342,8 +357,8 @@ def loads_config(text: str) -> ExperimentConfig:
     kwargs["detection"] = Detection(
         pair_flux=_float(statistics, "statistics", "pair_flux", 1e5),
         duration=_float(statistics, "statistics", "duration", 1.0),
-        transmission_a=transmissions.get("arm_a", DEFAULT_TRANSMISSION),
-        transmission_b=transmissions.get("arm_b", DEFAULT_TRANSMISSION),
+        transmission_a=transmissions["arm_a"],
+        transmission_b=transmissions["arm_b"],
         accidental_fraction=accidental_fraction)
     kwargs["seed"] = _number(int, "statistics", "seed", statistics["seed"])
     if kwargs["seed"] < 0:

@@ -146,17 +146,15 @@ class CoincidenceTable:
             raise ValueError("counts must be nonnegative")
 
 
-def outcome_probabilities(rho: np.ndarray, a, b: str | None = None) -> np.ndarray:
+def outcome_probabilities(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     """Born probabilities Tr[rho (P_a (x) P_b)] of the four coincidence
-    outcomes (++, +-, -+, --), with round-off below 0 clipped to 0.
+    outcomes (++, +-, -+, --) of each of the S settings of a projector
+    tensor (projector_tensor), with round-off below 0 clipped to 0.
 
-    rho is one state or a (..., 4, 4) stack, validated once. For one pair
-    of setting ids a, b the result has shape (..., 4). With b omitted, a is
-    the projector tensor of S settings (projector_tensor) and the result
-    has shape (..., S, 4).
+    rho is one state or a (..., 4, 4) stack, validated once; the result has
+    shape (..., S, 4).
     """
-    probs = _born(validate_state(rho), a if b is None else projector_tensor([(a, b)]))
-    return probs if b is None else probs[..., 0, :]
+    return _born(validate_state(rho), projectors)
 
 
 def _born(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
@@ -228,7 +226,7 @@ def _pair_probabilities(rho, settings):
 
 
 def simulate_counts(rho: np.ndarray, settings, detection: Detection,
-                    seed: int | np.random.SeedSequence = 0) -> CoincidenceTable:
+                    seed: int = 0) -> CoincidenceTable:
     """Draw one state's coincidence table for the given (id_a, id_b) pairs.
 
     Per setting, the detected-pair total is Poisson with mean
@@ -236,19 +234,16 @@ def simulate_counts(rho: np.ndarray, settings, detection: Detection,
     probabilities; accidental coincidences replace the stated fraction of
     the mean and are uniform over the four outcomes.
 
-    The whole table draws from one random stream, seeded by `seed` (an int
-    or a SeedSequence): the true-pair Poisson totals of every setting in
-    one call, then the accidental totals, then the multinomial splits of
-    each, settings in order. The table is reproducible from its seed, but
-    what one setting draws depends on the number and order of all the
-    settings in the table.
+    The whole table draws from one random stream, seeded by the int `seed`
+    (the metadata's rng_seed): the true-pair Poisson totals of every
+    setting in one call, then the accidental totals, then the multinomial
+    splits of each, settings in order. The table is reproducible from its
+    seed, but what one setting draws depends on the number and order of
+    all the settings in the table.
     """
     counts = _sample(_pair_probabilities(validate_state(rho), settings), detection, seed)
-    # a SeedSequence is recorded on one line, as its entropy and spawn key
-    rng_seed = (" ".join(map(str, (seed.entropy, *seed.spawn_key)))
-                if isinstance(seed, np.random.SeedSequence) else seed)
     return CoincidenceTable(settings, counts,
-                            dict(asdict(detection), rng_seed=rng_seed, exact=0))
+                            dict(asdict(detection), rng_seed=int(seed), exact=0))
 
 
 def _sample(probs, detection, seed) -> np.ndarray:

@@ -40,18 +40,12 @@ def qfi(n: int, theta: float = 0.0) -> float:
     4 (<dpsi|dpsi> - |<psi|dpsi>|^2).
 
     Evaluated numerically from the state and its exact derivative in the
-    two-dimensional branch basis; the value is checked against the closed
-    form 4 n^2 before returning (they agree to machine precision for any
-    theta).
+    two-dimensional branch basis; it equals the closed form 4 n^2 for any
+    theta, which `polarot verify` checks.
     """
     psi = probe_state(n, theta)
     dpsi = probe_state_derivative(n, theta)
-    value = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
-    closed = 4.0 * n * n
-    if abs(value - closed) > 1e-10 * max(1.0, closed):
-        raise AssertionError(f"numeric Fisher information {value!r} deviates from "
-                             f"the closed form {closed!r}")
-    return value
+    return 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
 
 
 def variance_scaling(n_values, trials: int, counts_per_trial: int, seed: int,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .channels import _apply_noise, local_rotations, wrap_angle
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, check_reads, config_hash
 from .csvfile import write_csv
 from .measure import (NAMED_PAIRS, JointObservables, _mean_counts, _observables,
                       _pair_probabilities, _sample, extract_thetas,
@@ -152,12 +152,10 @@ def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
 def _molarity_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     """Sweep the arm-B solution molarity at a fixed arm-A rotation and
     extract the offset-corrected effective rotation of the configured
-    Bell state per point."""
+    Bell state per point, on arm B's slope."""
     if cfg.state_kind not in ("psi_plus", "psi_minus"):
         raise ValueError("molarity sweeps are defined for the psi_plus or "
                          "psi_minus source state")
-    if cfg.arm_b.molarity is None:
-        raise ValueError("molarity sweeps need a solution-type arm_b")
     molarities = sorted(cfg.sweep_values)
     theta_b = np.radians(cfg.arm_b.slope_deg_per_molar * np.array(molarities))
     obs = _observables(_named_counts(cfg, (cfg.state_kind,), theta_b, exact, ((0,),))[0])
@@ -212,10 +210,11 @@ def _theta_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
 
 
 def run_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
-    """Run the sweep of the config's [sweep] section: the molarity sweep
-    for variable molarity_b, the theta sweep for theta_b."""
+    """Run the sweep of the config's [sweep] section, after check_reads: the
+    molarity sweep for variable molarity_b, the theta sweep for theta_b."""
     if cfg.sweep_variable is None:
         raise ValueError("config does not define a sweep")
+    check_reads(cfg, f"{cfg.sweep_variable} sweep")
     runner = {"molarity_b": _molarity_sweep, "theta_b": _theta_sweep}[cfg.sweep_variable]
     return runner(cfg, exact)
 

@@ -768,6 +768,62 @@ def test_slope_in_an_angle_arm_exits_2(tmp_path, monkeypatch, capsys, arm):
             in captured.err)
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+def test_a_transmission_only_arm_section_is_the_angle_0_arm(tmp_path, capsys, exact):
+    # it exited 2 with "section [arm_b] needs angle_deg or molarity", so a
+    # scan config that set the arm-B transmission also had to set
+    # angle_deg = 0.0, a key scan does not read
+    bare = SCAN_TEMPLATE.format(kind="psi_minus").replace(
+        "[arm_b]\nangle_deg = 0.0\ntransmission = 1.0\n", "[arm_b]\ntransmission = 0.5\n")
+    explicit = bare.replace("[arm_b]\n", "[arm_b]\nangle_deg = 0.0\n")
+    assert bare != explicit
+    outputs = []
+    for name, text in (("bare.ini", bare), ("explicit.ini", explicit)):
+        argv = ["scan", "--config", write_config(tmp_path, text, name)]
+        assert main(argv + (["--exact"] if exact else [])) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    cfg = config.loads_config(bare)
+    assert (cfg.arm_b, cfg.detection.transmission_b) == (config.ArmConfig(angle=0.0), 0.5)
+    assert config.config_hash(cfg) == config.config_hash(config.loads_config(explicit))
+    # either arm: a section without a rotation is the arm an absent one gives
+    for arm in ("arm_a", "arm_b"):
+        cfg = config.loads_config(f"[{arm}]\ntransmission = 0.75\n"
+                                  "[statistics]\nseed = 1\n")
+        assert config.config_hash(cfg) == config.config_hash(
+            config.loads_config("[statistics]\nseed = 1\n"))
+
+
+@pytest.mark.parametrize("arm, angle", [("arm_a", "20.0"), ("arm_b", "10.0")])
+def test_a_slope_without_molarity_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
+                                                         arm, angle):
+    text = with_key(EXACT_TEMPLATE.format(kind="psi_minus").replace(
+        f"angle_deg = {angle}\n", ""), arm, "slope_deg_per_molar", "7.01")
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    assert run_failing(capsys, ["simulate", "--exact", "--config",
+                                write_config(tmp_path, text)]) == (
+        f"error: section [{arm}] must not set slope_deg_per_molar without molarity "
+        f"(the slope calibrates a solution arm)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("arm_b", ["angle_deg = 0.0\n", "transmission = 0.75\n", None],
+                         ids=["angle", "transmission-only", "absent"])
+def test_a_molarity_sweep_needs_a_solution_arm_b(tmp_path, monkeypatch, capsys, arm_b):
+    # config.ACCEPTS states the rule once; sweeps._molarity_sweep kept a
+    # second guard of its own ("molarity sweeps need a solution-type arm_b")
+    # that no command reached
+    text = (GOLDEN_INPUTS / "sweep_molarity.ini").read_text()
+    solution = "[arm_b]\nmolarity = 0\nslope_deg_per_molar = 7.01\n"
+    assert solution in text
+    text = text.replace(solution, "" if arm_b is None else f"[arm_b]\n{arm_b}")
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    assert run_failing(capsys, ["sweep", "--config", write_config(tmp_path, text)]) == (
+        "error: molarity_b sweep needs [arm_b] molarity = 0: the arm must be a solution "
+        "arm to carry its slope, and the [sweep] values replace its molarity\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_state_checks_only_the_states_a_command_is_given(tmp_path,
                                                                   monkeypatch):
     # the states a command builds itself (Bell constants, Werner mixtures,

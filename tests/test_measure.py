@@ -113,12 +113,18 @@ def test_analyzer_bad_ids():
 
 # ----------------------------------------------------- outcome probabilities
 
+def one_pair(rho, a, b):
+    # the Born probabilities of the one setting pair (a, b), shape (..., 4)
+    projectors = measure.projector_tensor([(a, b)])
+    return measure.outcome_probabilities(rho, projectors)[..., 0, :]
+
+
 def test_outcome_probabilities_singlet_anticorrelated():
     rho = states.bell_state("psi_minus")
-    assert np.abs(measure.outcome_probabilities(rho, "Z", "Z")
+    assert np.abs(one_pair(rho, "Z", "Z")
                   - [0.0, 0.5, 0.5, 0.0]).max() < 1e-12
     # anticorrelation holds in the X basis as well (oracle cross-check)
-    p = measure.outcome_probabilities(rho, "X", "X")
+    p = one_pair(rho, "X", "X")
     assert np.abs(p - born_probabilities(rho, "X", "X")).max() < 1e-12
     assert np.abs(p - [0.0, 0.5, 0.5, 0.0]).max() < 1e-12
 
@@ -127,7 +133,7 @@ def test_outcome_probabilities_mixed_uniform():
     rho = states.maximally_mixed()
     a = f"lin:{math.degrees(0.3)}"
     b = f"wp:{math.degrees(0.1)}:{math.degrees(1.0)}"
-    p = measure.outcome_probabilities(rho, a, b)
+    p = one_pair(rho, a, b)
     assert np.abs(p - 0.25).max() < 1e-12
 
 
@@ -137,7 +143,7 @@ def test_outcome_probabilities_sum_to_one():
     for _ in range(10):
         a = "wp:{}:{}".format(*np.degrees(rng.uniform(-1, 1, 2)))
         b = f"lin:{math.degrees(rng.uniform(-1, 1))}"
-        p = measure.outcome_probabilities(rho, a, b)
+        p = one_pair(rho, a, b)
         assert (p >= 0).all()
         assert abs(p.sum() - 1.0) < 1e-12
 
@@ -165,12 +171,12 @@ def test_born_kernel_matches_reference():
         for k, (a, b) in enumerate(FAMILY_SETTINGS):
             reference = np.clip(born_probabilities(rho, a, b), 0.0, None)
             assert np.abs(probs[n, k] - reference).max() < 1e-14
-            single = measure.outcome_probabilities(rho, a, b)
+            single = one_pair(rho, a, b)
             assert np.abs(single - reference).max() < 1e-14
             assert np.array_equal(single, probs[n, k])
     # a stack of one analyzer pair gives the same rows as the tensor
     a, b = FAMILY_SETTINGS[-1]
-    assert np.array_equal(measure.outcome_probabilities(rhos, a, b), probs[:, -1])
+    assert np.array_equal(one_pair(rhos, a, b), probs[:, -1])
 
 
 def test_born_kernel_validates_the_stack():
@@ -201,17 +207,20 @@ def test_sampled_table_is_one_stream_per_seed(tmp_path):
     # different branch keys, and a key against the bare seed, give different counts
     assert (branch[0] != branch[1]).mean() > 0.9
     assert (branch[0] != draw(101)).mean() > 0.9
-    # a keyed seed is recorded on one metadata line, as entropy then key
-    key = np.random.SeedSequence(101, spawn_key=(1, 2))
-    table = measure.simulate_counts(rhos[0], settings, STACK_DETECTION, seed=key)
+    # the door records its int seed and draws what the kernel draws for that
+    # one state
+    table = measure.simulate_counts(rhos[0], settings, STACK_DETECTION, seed=101)
     assert table.metadata == dict(dataclasses.asdict(STACK_DETECTION),
-                                  rng_seed="101 1 2", exact=0)
-    # the door draws what the kernel draws for that one state
-    assert np.array_equal(table.counts, measure._sample(probs[0], STACK_DETECTION, key))
+                                  rng_seed=101, exact=0)
+    assert np.array_equal(table.counts, measure._sample(probs[0], STACK_DETECTION, 101))
     measure.write_table(table, tmp_path / "t.csv")
     loaded = measure.read_table(tmp_path / "t.csv")
-    assert loaded.metadata["rng_seed"] == "101 1 2"
+    assert loaded.metadata["rng_seed"] == "101"
     assert np.array_equal(loaded.counts, table.counts)
+    # a keyed seed is not the door's: its metadata records an int seed
+    with pytest.raises(TypeError):
+        measure.simulate_counts(rhos[0], settings, STACK_DETECTION,
+                                seed=np.random.SeedSequence(101, spawn_key=(1, 2)))
 
 
 def test_stacked_table_mean_counts_match_exact_table():
@@ -370,7 +379,7 @@ def test_simulate_counts_law_of_large_numbers():
     n = 400000
     table = measure.simulate_counts(rho, settings, measure.Detection(n, 1.0), seed=7)
     for k, (a, b) in enumerate(settings):
-        p = measure.outcome_probabilities(rho, a, b)
+        p = one_pair(rho, a, b)
         total = table.counts[k].sum()
         freq = table.counts[k] / total
         bound = 3.0 * np.sqrt(p * (1 - p) / total) + 1e-9
@@ -470,7 +479,7 @@ def test_exact_table_matches_born():
                                                   transmission_b=0.75))
     lam = 1e5 * 2.0 * 0.5625
     for k, (a, b) in enumerate(settings):
-        p = measure.outcome_probabilities(rho, a, b)
+        p = one_pair(rho, a, b)
         assert np.abs(table.counts[k] - lam * p).max() < 1e-6
 
 

@@ -28,3 +28,40 @@ def test_readme_python_examples_run():
     assert len(blocks) == 1
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def readme_table(header):
+    """The rows, as lists of cells, of the README table whose header row is
+    `header`."""
+    lines = README.split("\n")
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
+    return rows
+
+
+def test_readme_config_table_is_the_declaration():
+    expected = []
+    for run, accepts in config.ACCEPTS.items():
+        for fields, instead in accepts.get("unread", ()):
+            keys = ", ".join(f"`{key}`" for key in fields.values())
+            expected.append([f"`{run}`", keys, "its default", instead])
+        for _, key, value, why in accepts.get("fixed", ()):
+            expected.append([f"`{run}`", f"`{key}`", f"`{value:g}`", why])
+    assert readme_table("| run | keys | accepted only at | because |") == expected
+
+
+def test_readme_flag_tables_are_the_declaration():
+    domains, needs = {}, []
+    for command, accepts in config.ACCEPTS.items():
+        for flag, domain, _, *why in accepts.get("flags", ()):
+            entry = (flag, ": ".join([domain, *why]))
+            domains.setdefault(entry, []).append(f"`{command}`")
+        needs += [[f"`{command}`", f"`{flag}`", f"`{other}`", why]
+                  for flag, other, why in accepts.get("needs", ())]
+    assert readme_table("| commands | flag | must be |") == [
+        [", ".join(commands), f"`{flag}`", domain]
+        for (flag, domain), commands in domains.items()]
+    assert readme_table("| command | flag | needs | because |") == needs

@@ -150,7 +150,7 @@ COUNTS = np.full(16, 100.0)
 # test in one of its state arguments
 DOORS = {
     "outcome_probabilities": lambda rho: measure.outcome_probabilities(
-        rho, *measure.NAMED_PAIRS[0]),
+        rho, measure.projector_tensor([measure.NAMED_PAIRS[0]]))[..., 0, :],
     "exact_observables": lambda rho: measure.exact_observables(rho),
     "simulate_counts": lambda rho: measure.simulate_counts(
         rho, measure.NAMED_PAIRS, measure.Detection(1e3, 1.0)),

@@ -215,6 +215,18 @@ def test_molarity_sweep_zero_everything_is_zero():
     assert abs(row[1]) <= 3.0 * max(row[2], 1e-4)
 
 
+def test_run_sweep_applies_the_declared_reads():
+    # the library door holds a sweep to config.ACCEPTS as the command does;
+    # _molarity_sweep kept a guard of its own ("molarity sweeps need a
+    # solution-type arm_b") and ran a theta sweep whatever [state] kind said
+    angle_arm = dataclasses.replace(molarity_config(), arm_b=config.ArmConfig(angle=0.0))
+    with pytest.raises(ValueError, match=r"^molarity_b sweep needs \[arm_b\] molarity"):
+        sweeps.run_sweep(angle_arm)
+    plus = dataclasses.replace(theta_config(), state_kind="psi_plus")
+    with pytest.raises(ValueError, match=r"^theta_b sweep does not read \[state\] kind"):
+        sweeps.run_sweep(plus)
+
+
 def test_molarity_sweep_validation():
     bad = config.loads_config(
         BASE_MOLARITY_CONFIG.format(kind="separable", seed=1))
