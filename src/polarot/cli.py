@@ -2,8 +2,11 @@
 
 Subcommands: simulate, observables, extract, scan, tomo, chsh, sweep,
 fisher, verify. Exit codes: 0 success, 1 usage error, 2 data or
-validation error, 3 non-convergence. The POLAROT_OUT environment variable
-sets the directory against which relative output paths are resolved.
+validation error, 3 non-convergence. Commands only compute: each returns
+its exit code, stdout lines and {output path: writer}. `main` alone emits.
+It resolves each output flag against $POLAROT_OUT and checks that the path
+can take a file before the command runs, and writes the files, then stdout,
+after it returns; so an exit 2 prints and writes nothing.
 """
 
 from __future__ import annotations
@@ -32,17 +35,31 @@ from .tomography import (DESIGN, _report, bootstrap_sigmas, mle_reconstruct,
                          predicted_counts, read_tomo_counts)
 
 OUT_ENV = "POLAROT_OUT"
+OUTPUTS = ("--out", "--out-state")  # the flags that name an output file
 _OBSERVABLES = ("m_zz", "m_xz", "m_zx")
 _OBSERVABLES_HEADER = "observable,value,sigma"
 
 
-def _resolve_out(path_str: str) -> Path:
-    path = Path(path_str)
+def _resolve_outputs(args) -> None:
+    """Set each output flag given to its path, resolved against $POLAROT_OUT;
+    reject a path that cannot take a file, and two flags that name one file."""
     base = os.environ.get(OUT_ENV)
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    paths = {}
+    for flag in OUTPUTS:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest, None) is None:
+            continue
+        path = Path(base or "", getattr(args, dest))  # an absolute path ignores base
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if existing is path and path.is_dir():
+            raise ValueError(f"{flag} {path} is a directory")
+        if existing is not path and not existing.is_dir():
+            raise ValueError(f"{flag} {path}: {existing} is not a directory")
+        paths[flag] = path
+        setattr(args, dest, path)
+    # resolve() costs more than the checks above, so it runs only for two paths
+    if len(paths) > 1 and len({p.resolve() for p in paths.values()}) < len(paths):
+        raise ValueError(f"{' and '.join(paths)} name one file, {path}")
 
 
 def _load_config_with_override(args):
@@ -55,15 +72,13 @@ def _load_config_with_override(args):
     return cfg
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     cfg = _load_config_with_override(args)
     rho = configured_state(cfg)
     table = (exact_table(rho, cfg.setting_pairs, cfg.detection) if args.exact
              else simulate_counts(rho, cfg.setting_pairs, cfg.detection, cfg.seed))
-    out = _resolve_out(args.out)
-    write_table(table, out)
-    print(f"wrote {len(table.settings)} settings to {out}")
-    return 0
+    return (0, [f"wrote {len(table.settings)} settings to {args.out}"],
+            {args.out: lambda path: write_table(table, path)})
 
 
 def _write_observables(path: Path, obs: JointObservables) -> None:
@@ -79,76 +94,61 @@ def _read_observables(path) -> JointObservables:
     return JointObservables(*(row[0] for row in values), *(row[1] for row in values))
 
 
-def _cmd_observables(args) -> int:
-    table = read_table(args.table)
-    obs = estimate_observables(table)
-    for name in _OBSERVABLES:
-        sigma = getattr(obs, "sigma_" + name[2:])
-        print(f"{name} = {getattr(obs, name):+.9f} +- {sigma:.9f}")
-    if args.out:
-        _write_observables(_resolve_out(args.out), obs)
-    return 0
+def _cmd_observables(args) -> tuple:
+    obs = estimate_observables(read_table(args.table))
+    lines = [f"{name} = {getattr(obs, name):+.9f} +- "
+             f"{getattr(obs, 'sigma_' + name[2:]):.9f}" for name in _OBSERVABLES]
+    return 0, lines, {args.out: lambda path: _write_observables(path, obs)}
 
 
-def _cmd_extract(args) -> int:
-    obs_plus = _read_observables(args.plus)
-    obs_minus = _read_observables(args.minus)
-    theta_a, theta_b = extract_thetas(obs_plus, obs_minus,
-                                      modulus_floor=args.modulus_floor)
-    cells = [f"{math.degrees(theta_a):.6f}", f"{math.degrees(theta_b):.6f}"]
-    print(", ".join(cells))
-    if args.out:
-        write_csv(_resolve_out(args.out), (), "theta_a_deg,theta_b_deg", [cells])
-    return 0
+def _cmd_extract(args) -> tuple:
+    thetas = extract_thetas(_read_observables(args.plus), _read_observables(args.minus),
+                            modulus_floor=args.modulus_floor)
+    cells = [f"{math.degrees(theta):.6f}" for theta in thetas]
+    return 0, [", ".join(cells)], {args.out: lambda path: write_csv(
+        path, (), "theta_a_deg,theta_b_deg", [cells])}
 
 
-def _cmd_scan(args) -> int:
-    cfg = _load_config_with_override(args)
-    theta_a = run_scan(cfg, tuple(math.radians(v) for v in args.range_deg),
+def _cmd_scan(args) -> tuple:
+    theta_a = run_scan(_load_config_with_override(args),
+                       tuple(math.radians(v) for v in args.range_deg),
                        math.radians(args.resolution_deg), args.noise_floor, args.exact)
-    print(f"{math.degrees(theta_a):.6f}")
-    return 0
+    return 0, [f"{math.degrees(theta_a):.6f}"], {}
 
 
-def _cmd_tomo(args) -> int:
+def _cmd_tomo(args) -> tuple:
     reference = None if args.reference is None else bell_state(args.reference)
     counts, _ = read_tomo_counts(args.counts)
     result = mle_reconstruct(counts, max_iter=args.max_iter)
-    print(f"log_likelihood = {result.log_likelihood:.6f}")
-    print(f"converged = {result.converged} (iterations {result.n_iter}, "
-          f"KKT gap {result.kkt_gap:.3g})")
-    if args.out_state:
-        save_state(_resolve_out(args.out_state), result.rho)
-    if reference is not None:
-        sigmas = (bootstrap_sigmas(result.rho, counts, reference,
-                                   n_resamples=args.bootstrap, seed=args.seed or 0)
-                  if args.bootstrap > 0 else {})
-        lines = [f"{key} = {value:.6f}" + (f" +- {sigmas[key]:.6f}" if sigmas else "")
-                 for key, value in _report(result.rho, reference).items()]
-        print("\n".join(lines))
-        if args.out:
-            _resolve_out(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return 0 if result.converged else 3
+    sigmas = (bootstrap_sigmas(result.rho, counts, reference,  # --bootstrap needs --reference
+                               n_resamples=args.bootstrap, seed=args.seed or 0)
+              if args.bootstrap > 0 else {})
+    metrics = {} if reference is None else _report(result.rho, reference)
+    report = [f"{key} = {value:.6f}" + (f" +- {sigmas[key]:.6f}" if sigmas else "")
+              for key, value in metrics.items()]
+    lines = [f"log_likelihood = {result.log_likelihood:.6f}",
+             f"converged = {result.converged} (iterations {result.n_iter}, "
+             f"KKT gap {result.kkt_gap:.3g})", *report]
+    return (0 if result.converged else 3, lines,
+            {args.out_state: lambda path: save_state(path, result.rho),
+             args.out: lambda path: path.write_text("\n".join(report) + "\n",
+                                                    encoding="utf-8")})
 
 
-def _cmd_chsh(args) -> int:
-    table = read_table(args.table)
-    s, sigma = chsh_from_counts(table)
+def _cmd_chsh(args) -> tuple:
+    s, sigma = chsh_from_counts(read_table(args.table))
     significance = (s - 2.0) / sigma if sigma > 0 else (math.inf if s > 2.0 else 0.0)
-    print(f"S = {s:.6f} +- {sigma:.6f}")
-    print(f"violation significance = {significance:.2f} sigma")
-    return 0
+    return 0, [f"S = {s:.6f} +- {sigma:.6f}",
+               f"violation significance = {significance:.2f} sigma"], {}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     result = run_sweep(_load_config_with_override(args), exact=args.exact)
-    out = _resolve_out(args.out)
-    write_sweep(result, out)
-    print(f"wrote {len(result.rows)} sweep points to {out}")
-    return 0
+    return (0, [f"wrote {len(result.rows)} sweep points to {args.out}"],
+            {args.out: lambda path: write_sweep(result, path)})
 
 
-def _cmd_fisher(args) -> int:
+def _cmd_fisher(args) -> tuple:
     try:
         n_values = [int(v) for v in args.n_values.split(",")]
     except ValueError:
@@ -167,10 +167,8 @@ def _cmd_fisher(args) -> int:
         rows = [(n, qfi(n), 1.0 / (4.0 * n * n)) for n in n_values]
         header = "n,qfi,var_entangled_bound"
     cells = [[f"{v:.10g}" for v in row] for row in rows]
-    print("\n".join([header] + [",".join(row) for row in cells]))
-    if args.out:
-        write_csv(_resolve_out(args.out), (), header, cells)
-    return 0
+    return (0, [header] + [",".join(row) for row in cells],
+            {args.out: lambda path: write_csv(path, (), header, cells)})
 
 
 def _verify_checks():
@@ -276,17 +274,15 @@ def _verify_checks():
     ]
 
 
-def _cmd_verify(args) -> int:
-    failures = 0
+def _cmd_verify(args) -> tuple:
+    lines = []
     for name, check in _verify_checks():
         try:
             ok, detail = check()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {exc!r}"
-        status = "ok" if ok else "FAIL"
-        print(f"{status}: {name} ({detail})")
-        failures += not ok
-    return 0 if failures == 0 else 2
+        lines.append(f"{'ok' if ok else 'FAIL'}: {name} ({detail})")
+    return 2 if any(line.startswith("FAIL") for line in lines) else 0, lines, {}
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -309,12 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate a coincidence table from a config")
     add_run(p)
     p.add_argument("--out", default="counts.csv", help="output file path")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("observables", help="estimate joint observables from a table")
     p.add_argument("--table", required=True, help="coincidence table file")
     p.add_argument("--out", help="output file path")
-    p.set_defaults(func=_cmd_observables)
 
     p = sub.add_parser("extract", help="extract both rotation angles from "
                                        "plus- and minus-branch observables")
@@ -322,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minus", required=True, help="observables file, cancellation branch")
     p.add_argument("--modulus-floor", type=float, default=1e-6)
     p.add_argument("--out", help="output file path")
-    p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("scan", help="wide-range search for the arm-A rotation")
     add_run(p)
@@ -332,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-floor", type=float, default=1e-3,
                    help="smallest accepted modulus of the mean grid phasor "
                         "(the source visibility, for exact data)")
-    p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("tomo", help="maximum-likelihood state reconstruction")
     p.add_argument("--counts", required=True, help="tomography counts file")
@@ -344,16 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="output file path")
-    p.set_defaults(func=_cmd_tomo)
 
     p = sub.add_parser("chsh", help="CHSH statistic from a coincidence table")
     p.add_argument("--table", required=True)
-    p.set_defaults(func=_cmd_chsh)
 
     p = sub.add_parser("sweep", help="run the molarity or theta sweep from a config")
     add_run(p)
     p.add_argument("--out", default="sweep.csv", help="output file path")
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fisher", help="Fisher-information scaling table")
     p.add_argument("--n-values", default="1,2,4,8,16",
@@ -364,10 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-deg", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="output file path")
-    p.set_defaults(func=_cmd_fisher)
 
-    p = sub.add_parser("verify", help="run the analytic invariant suite")
-    p.set_defaults(func=_cmd_verify)
+    sub.add_parser("verify", help="run the analytic invariant suite")
 
     parser.commands = sub.choices  # the subparser of each command, by name
     return parser
@@ -386,7 +373,9 @@ def _check_flags(args) -> None:
     for flag, domain, test, *why in accepts.get("flags", ()):
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and not test(value):
-            raise ValueError(": ".join([f"{flag} must be {domain}, got {value:,}", *why]))
+            shown = (" ".join(f"{v:,}" for v in value) if isinstance(value, (list, tuple))
+                     else f"{value:,}")  # a pair (--range-deg) reads as typed
+            raise ValueError(": ".join([f"{flag} must be {domain}, got {shown}", *why]))
     for flag, other, why in accepts.get("needs", ()):
         if given(flag) and not given(other):
             raise ValueError(f"{flag} needs {other}: {why}")
@@ -399,10 +388,18 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         _check_flags(args)
-        return args.func(args)
+        _resolve_outputs(args)
+        # the command `name` is the function _cmd_<name>
+        code, lines, writes = globals()[f"_cmd_{args.command}"](args)
+        for path, write in writes.items():
+            if path is not None:  # None: the flag of this output was not given
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write(path)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

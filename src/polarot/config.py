@@ -152,7 +152,8 @@ ACCEPTS = {
                  "flags": [_SEED]},
     "scan": {"unread": [(_STATE, "it always probes psi_minus"), (_ARM_B, _GRID),
                         (_PAIRS, _NAMED), (_SWEEP, _GRID)],
-             "flags": [_SEED]},
+             "flags": [_SEED, ("--range-deg", "LO < HI",  # run_scan names an end not finite
+                               lambda v: v[0] < v[1] or not all(map(math.isfinite, v)))]},
     "sweep": {"flags": [_SEED]},
     "theta_b sweep": {"unread": [(_STATE, "it always runs psi_plus and psi_minus"),
                                  (_ARM_B, "the [sweep] values set the arm-B angle"),
@@ -168,6 +169,8 @@ ACCEPTS = {
                        ("--out", "--reference", "it applies to the report"),
                        ("--seed", "--bootstrap", "it seeds the resamples")]},
     "fisher": {"flags": [_SEED, ("--trials", ">= 0", lambda v: v >= 0),
+                         ("--trials", "at least 2 (or 0: bounds only)", lambda v: v != 1,
+                          "one trial has no spread"),
                          ("--trials", f"at most {MAX_TRIALS:,}",
                           lambda v: v <= MAX_TRIALS),
                          ("--counts-per-trial", ">= 1", lambda v: v >= 1),

@@ -42,3 +42,14 @@ def test_every_field_and_key_exists(run):
         attrgetter(name)(default)  # raises AttributeError for a field that is gone
         section, option = key[1:].split("] ")
         assert option in config._KEYS[section], key
+
+
+def test_main_resolves_every_output_option():
+    # the output flags main resolves and checks before a command runs are the
+    # options that name a file to write: an --out* name, or help that says so;
+    # a new output flag missing from cli.OUTPUTS would skip the path check
+    writes = {flag for parser in COMMANDS.values()
+              for flag, action in parser._option_string_actions.items()
+              if flag.startswith("--out")
+              or any(word in (action.help or "") for word in ("output", "write"))}
+    assert writes == set(cli.OUTPUTS)

@@ -249,13 +249,18 @@ def test_tomo_single_bootstrap_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--bootstrap", "5"], "--bootstrap needs --reference"),
     (["--out", "report.txt"], "--out needs --reference"),
-    (["--reference", "psi", "--out", "report.txt"], "unknown Bell-state kind 'psi'")],
-    ids=["bootstrap", "out", "unknown-reference"])
+    (["--reference", "psi", "--out", "report.txt"], "unknown Bell-state kind 'psi'"),
+    (["--reference", "psi_plus", "--out", "rho.txt"],
+     "--out and --out-state name one file, rho.txt"),
+    (["--reference", "psi_plus", "--out", "./rho.txt"],
+     "--out and --out-state name one file, rho.txt")],
+    ids=["bootstrap", "out", "unknown-reference", "same-file", "same-file-dotted"])
 def test_tomo_report_flags_are_checked_before_any_output(tmp_path, monkeypatch,
                                                           capsys, flags, message):
     # without --reference there is no report: the bootstrap was skipped and
     # no report file written, with exit 0; an unknown reference exited 2
-    # only after printing the fit and writing the state file
+    # only after printing the fit and writing the state file; the report
+    # silently replaced the state file that --out-state named too
     monkeypatch.chdir(tmp_path)
     assert main(["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"),
                  "--out-state", "rho.txt", *flags]) == 2
@@ -320,6 +325,68 @@ def test_empty_count_rows_name_their_stack_index(tmp_path, capsys, command, inde
     assert captured.out == ""
     assert (f"error: cannot estimate a correlation from zero total counts at stack "
             f"index {index}\n") == captured.err
+
+
+TOMO_RUN = ["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"), "--reference", "psi_plus",
+            "--bootstrap", "3", "--seed", "5"]
+
+
+def output_runs(tmp_path):
+    """{case: argv ending in the output flag under test}; any other output
+    goes to tmp_path."""
+    return {
+        "simulate": ["simulate", "--config", str(GOLDEN_INPUTS / "sim.ini"), "--out"],
+        "observables": ["observables", "--table", str(GOLDEN_INPUTS / "table.csv"), "--out"],
+        "extract": ["extract", "--plus", str(GOLDEN_INPUTS / "obs_plus.csv"),
+                    "--minus", str(GOLDEN_INPUTS / "obs_minus.csv"), "--out"],
+        "sweep": ["sweep", "--config", str(GOLDEN_INPUTS / "sweep_theta.ini"), "--out"],
+        "fisher": ["fisher", "--trials", "10", "--out"],
+        "tomo-out-state": [*TOMO_RUN, "--out", str(tmp_path / "report.txt"), "--out-state"],
+        "tomo-out": [*TOMO_RUN, "--out-state", str(tmp_path / "rho.txt"), "--out"]}
+
+
+@pytest.mark.parametrize("path, out_env, message", [
+    ("afile/x.txt", None, "afile/x.txt: afile is not a directory"),
+    ("x.txt", "afile", "afile/x.txt: afile is not a directory"),
+    ("adir", None, "adir is a directory"),
+    ("", None, ". is a directory")],
+    ids=["under-a-file", "out-env-a-file", "a-directory", "empty"])
+@pytest.mark.parametrize("case", list(output_runs(Path())))
+def test_an_unusable_output_path_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
+                                                           case, path, out_env, message):
+    # tomo, fisher, observables and extract printed their results (tomo also
+    # wrote its state file) before failing on the path, and every message
+    # read like "[Errno 17] File exists: 'afile'", naming no flag
+    monkeypatch.chdir(tmp_path)
+    if out_env is not None:
+        monkeypatch.setenv("POLAROT_OUT", out_env)
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "adir").mkdir()
+    argv = output_runs(tmp_path)[case]
+    assert run_failing(capsys, [*argv, path]) == f"error: {argv[-1]} {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert not any((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["simulate", "--config", str(GOLDEN_INPUTS / "sim.ini"), "--out", "counts.csv"],
+     "simulate_counts"),
+    (["sweep", "--config", str(GOLDEN_INPUTS / "sweep_theta.ini"), "--out", "sweep.csv"],
+     "run_sweep"),
+    ([*TOMO_RUN, "--out-state", "rho.txt", "--out", "report.txt"], "bootstrap_sigmas"),
+    (["fisher", "--trials", "10", "--out", "fisher.csv"], "variance_scaling")],
+    ids=["simulate", "sweep", "tomo", "fisher"])
+def test_a_failed_computation_prints_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                        argv, call):
+    # tomo printed its fit and wrote its state file before the bootstrap ran
+    def fail(*args, **kwargs):
+        raise ValueError(f"{call} failed")
+
+    monkeypatch.setattr(cli, call, fail)
+    monkeypatch.chdir(tmp_path)
+    assert run_failing(capsys, argv) == f"error: {call} failed\n"
+    assert not any(tmp_path.iterdir())
 
 
 def golden_edited(tmp_path, name, edit):
@@ -584,16 +651,20 @@ def test_fisher_negative_trials_exits_2(capsys):
      "--n-values times --counts-per-trial must be at most"),
     (["--n-values", "1" + "0" * 400], "--n-values times --counts-per-trial must be at most"),
     (["--n-values", "1,,2"], "--n-values must be comma-separated integers, got '1,,2'"),
-    (["--trials", "2000000000"], "--trials must be at most 1,000,000, got 2,000,000,000")],
+    (["--trials", "2000000000"], "--trials must be at most 1,000,000, got 2,000,000,000"),
+    (["--trials", "1"],
+     "--trials must be at least 2 (or 0: bounds only), got 1: one trial has no spread")],
     ids=["theta-nan", "theta-inf", "counts-negative", "counts-zero", "n-values-huge",
-         "counts-huge", "n-values-beyond-float", "n-values-empty-entry", "trials-huge"])
+         "counts-huge", "n-values-beyond-float", "n-values-empty-entry", "trials-huge",
+         "trials-one"])
 def test_fisher_bad_flag_exits_2(capsys, flags, message):
     # a NaN angle reached numpy's binomial, whose message names no flag, and
     # a negative photon count passed unchecked without --trials; counts beyond
     # int64 raised an OverflowError traceback in numpy's binomial (or in the
     # float of the bound), an empty --n-values entry printed int()'s message,
     # which names no flag, and 2e9 trials asked numpy for 14.9 GiB (an
-    # _ArrayMemoryError traceback)
+    # _ArrayMemoryError traceback); one trial was rejected by
+    # metrology.variance_scaling, naming no flag
     assert main(["fisher", "--n-values", "1,2", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -878,16 +949,22 @@ def test_one_born_call_and_one_stream_per_branch(tmp_path, monkeypatch):
                       "scan_exact": (1, []), "scan": (1, [(1,)])}
 
 
-def test_tomo_max_iter_must_be_nonnegative(capsys):
+def test_tomo_max_iter_must_be_nonnegative(tmp_path, capsys):
     counts = str(GOLDEN_INPUTS / "tomo.csv")
+    state_file = tmp_path / "out" / "rho.txt"
     # a negative cap printed "iterations -1"
-    assert main(["tomo", "--counts", counts, "--max-iter", "-1"]) == 2
+    assert main(["tomo", "--counts", counts, "--max-iter", "-1",
+                 "--out-state", str(state_file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-iter must be >= 0, got -1" in captured.err
-    # no step at all reports the starting state, not converged
-    assert main(["tomo", "--counts", counts, "--max-iter", "0"]) == 3
+    assert not state_file.parent.exists()
+    # no step at all reports the starting state, not converged, and still
+    # writes it
+    assert main(["tomo", "--counts", counts, "--max-iter", "0",
+                 "--out-state", str(state_file)]) == 3
     assert "iterations 0," in capsys.readouterr().out
+    assert np.loadtxt(state_file).shape == (16, 2)
 
 
 def test_scan_window_missing_the_angle_exits_2(capsys):
@@ -906,13 +983,16 @@ def test_scan_window_missing_the_angle_exits_2(capsys):
     (["--resolution-deg", "nan"], "resolution", "nan"),
     (["--resolution-deg", "inf"], "resolution", "inf"),
     (["--noise-floor", "nan"], "noise_floor", "nan"),
-    (["--noise-floor", "inf"], "noise_floor", "inf")],
+    (["--noise-floor", "inf"], "noise_floor", "inf"),
+    (["--range-deg", "10", "-10"], "--range-deg", "LO < HI, got 10.0 -10.0"),
+    (["--range-deg", "10", "10"], "--range-deg", "LO < HI, got 10.0 10.0")],
     ids=["range-inf", "range-nan", "resolution-nan", "resolution-inf",
-         "noise-floor-nan", "noise-floor-inf"])
+         "noise-floor-nan", "noise-floor-inf", "range-reversed", "range-empty"])
 def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
     # an infinite range overflowed the grid size (a traceback), a NaN
     # resolution failed the integer conversion, a NaN noise floor switched
-    # the flat-response guard off
+    # the flat-response guard off; a reversed or empty window was named in
+    # radians, without its flag
     assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
                  *flags]) == 2
     captured = capsys.readouterr()
@@ -1056,14 +1136,20 @@ def arm_a_offset_rotations(theta_a, theta_b):
     return LOCAL_ROTATIONS(np.add(theta_a, 0.1), theta_b)
 
 
+def raising_rotations(theta_a, theta_b):
+    raise ValueError("no rotation")
+
+
 # a constant offset breaks the group law and the closed forms, but not the
 # nonlocal equivalence, which a sign flip on one arm breaks; an arm-A offset
-# moves the separable contrast |cos 2 theta_a| off its grid
+# moves the separable contrast |cos 2 theta_a| off its grid; a kernel that
+# raises fails the checks that call it, and the report still lists them all
 @pytest.mark.parametrize("check, broken", [
     ("rotation-group", offset_rotations),
     ("bell-nonlocal-equivalence", arm_b_flipped_rotations),
     ("joint-observable-closed-forms", offset_rotations),
     ("separable-contrast-amplitude", arm_a_offset_rotations),
+    ("rotation-group", raising_rotations),
 ])
 def test_verify_fails_on_a_broken_rotation_kernel(monkeypatch, capsys, check, broken):
     monkeypatch.setattr(cli, "local_rotations", broken)
