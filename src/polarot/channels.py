@@ -66,11 +66,10 @@ def wrap_angle(theta: float) -> float:
 def apply_noise(rho: np.ndarray, visibility: float) -> np.ndarray:
     """Mix the state with the maximally mixed one (Werner noise):
     p * rho + (1 - p) * I/4 with weight p = visibility in [0, 1]."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
     return _apply_noise(validate_state(rho), visibility)
 
 
 def _apply_noise(rho: np.ndarray, visibility: float) -> np.ndarray:
-    # the visibility comes from config files, so the kernel checks it
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
     return visibility * rho + (1.0 - visibility) * maximally_mixed()

@@ -154,6 +154,8 @@ def _cmd_fisher(args) -> tuple:
     except ValueError:
         raise ValueError(f"--n-values must be comma-separated integers, "
                          f"got {args.n_values!r}") from None
+    if min(n_values) < 1:
+        raise ValueError(f"--n-values entries must be >= 1, got {min(n_values)}")
     # numpy's binomial draws take at most an int64 photon count
     if max(n_values) * args.counts_per_trial > np.iinfo(np.int64).max:
         raise ValueError(f"--n-values times --counts-per-trial must be at most "
@@ -200,12 +202,12 @@ def _verify_checks():
         u = local_rotations(ta, tb)  # real, so its transpose is its adjoint
         return u @ bells @ u.swapaxes(-2, -1)
 
-    def bell_equivalence():
+    def bell_nonlocal_equivalence():
         ta, tb = np.random.default_rng(2).uniform(-np.pi, np.pi, (100, 2)).T
         worst = np.abs(evolve(ta, tb) - evolve(ta + signs * tb, 0.0)).max()
         return worst <= 1e-12, f"max deviation {worst:.2e}"
 
-    def closed_forms():
+    def joint_observable_closed_forms():
         ta, tb = np.random.default_rng(3).uniform(-np.pi, np.pi, (200, 2)).T
         obs = exact_observables(evolve(ta, tb))
         tpm = ta + signs * tb
@@ -214,7 +216,7 @@ def _verify_checks():
                     np.abs(obs.m_xz - signs * obs.m_zx).max())
         return worst <= 1e-12, f"max deviation {worst:.2e}"
 
-    def separable_contrast():
+    def separable_contrast_amplitude():
         # |H>|V> on a 19 x 73 grid of (theta_a, theta_b); the swing of m_zz
         # over theta_b is |cos 2 theta_a|
         ta = np.linspace(-np.pi / 2, np.pi / 2, 19)[:, None]
@@ -240,11 +242,11 @@ def _verify_checks():
         ok = abs(s_bell - 2 * math.sqrt(2)) <= 1e-9 and abs(s_mixed) <= 1e-12
         return ok, f"S = {s_bell:.9f}, mixed {s_mixed:.1e}"
 
-    def tomography_rank():
+    def tomography_design_rank():
         rank = np.linalg.matrix_rank(DESIGN)
         return rank == 16, f"design rank {rank}"
 
-    def mle_self_consistency():
+    def mle_exact_self_consistency():
         counts = predicted_counts(bell_state("psi_plus"), flux_norm=1e6)
         result = mle_reconstruct(counts)
         fid = fidelity(result.rho, bell_state("psi_plus"))
@@ -259,29 +261,21 @@ def _verify_checks():
                                  for p in np.linspace(0.0, 1.0, 11)]))
         return True, "trace-preserving and PSD for the full mixing range"
 
-    return [
-        ("pauli-algebra", pauli_algebra),
-        ("rotation-group", rotation_group),
-        ("bell-nonlocal-equivalence", bell_equivalence),
-        ("joint-observable-closed-forms", closed_forms),
-        ("separable-contrast-amplitude", separable_contrast),
-        ("extraction-round-trip", extraction_round_trip),
-        ("chsh-analytic", chsh_analytic),
-        ("tomography-design-rank", tomography_rank),
-        ("mle-exact-self-consistency", mle_self_consistency),
-        ("qfi-closed-form", qfi_closed_form),
-        ("noise-physicality", noise_physicality),
-    ]
+    return [pauli_algebra, rotation_group, bell_nonlocal_equivalence,
+            joint_observable_closed_forms, separable_contrast_amplitude,
+            extraction_round_trip, chsh_analytic, tomography_design_rank,
+            mle_exact_self_consistency, qfi_closed_form, noise_physicality]
 
 
 def _cmd_verify(args) -> tuple:
     lines = []
-    for name, check in _verify_checks():
+    for check in _verify_checks():  # each check prints as its name, with - for _
         try:
             ok, detail = check()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {exc!r}"
-        lines.append(f"{'ok' if ok else 'FAIL'}: {name} ({detail})")
+        lines.append(f"{'ok' if ok else 'FAIL'}: {check.__name__.replace('_', '-')} "
+                     f"({detail})")
     return 2 if any(line.startswith("FAIL") for line in lines) else 0, lines, {}
 
 

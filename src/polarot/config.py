@@ -82,6 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.state_kind not in BELL_KINDS + ("separable",):
             raise ValueError(f"unknown state kind {self.state_kind!r}")
+        if not 0.0 <= self.visibility <= 1.0:
+            raise ValueError(f"[noise] visibility must be in [0, 1], got {self.visibility}")
         if self.sweep_variable is not None:
             if self.sweep_variable not in SWEEP_VARIABLES:
                 raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, "
@@ -142,25 +144,31 @@ _SEED = ("--seed", ">= 0", lambda v: v >= 0)
 # What each command accepts, stated once for check_reads, cli's flag check and
 # the README's tables; a sweep runs as "<variable> sweep". "unread" holds
 # (fields, instead): fields the run does not read, which must hold their
-# defaults, and what it uses instead; "fixed" (field, key, value, why): a
-# field read at one value only; "flags" (flag, domain, test[, why]): a value
-# other than None that fails test exits 2; "needs" (flag, other, why): a flag
-# away from its parser default needs the other away from its own.
+# defaults, and what it uses instead; "fixed" (field, key, values, why): a field
+# read at these values only; "flags" (flag, domain, test[, why]): a value other
+# than None that fails test exits 2, before any library check; "needs" (flag,
+# other, why): a flag off its parser default needs the other off its own.
 ACCEPTS = {
     "simulate": {"unread": [(_SWEEP, "it simulates the configured arm-B rotation "
                                      "(polarot sweep runs [sweep])")],
                  "flags": [_SEED]},
+    "extract": {"flags": [("--modulus-floor", ">= 0 and finite", lambda v: 0 <= v < math.inf)]},
     "scan": {"unread": [(_STATE, "it always probes psi_minus"), (_ARM_B, _GRID),
                         (_PAIRS, _NAMED), (_SWEEP, _GRID)],
-             "flags": [_SEED, ("--range-deg", "LO < HI",  # run_scan names an end not finite
-                               lambda v: v[0] < v[1] or not all(map(math.isfinite, v)))]},
+             "flags": [_SEED,
+                       ("--range-deg", "finite", lambda v: all(map(math.isfinite, v))),
+                       ("--range-deg", "LO < HI", lambda v: v[0] < v[1]),
+                       ("--resolution-deg", "> 0 and finite", lambda v: 0 < v < math.inf),
+                       ("--noise-floor", "finite", math.isfinite)]},
     "sweep": {"flags": [_SEED]},
     "theta_b sweep": {"unread": [(_STATE, "it always runs psi_plus and psi_minus"),
                                  (_ARM_B, "the [sweep] values set the arm-B angle"),
                                  (_PAIRS, _NAMED)]},
-    "molarity_b sweep": {"unread": [(_PAIRS, _NAMED)], "fixed": [(
-        "arm_b.molarity", "[arm_b] molarity", 0.0, "the arm must be a solution arm to "
-        "carry its slope, and the [sweep] values replace its molarity")]},
+    "molarity_b sweep": {"unread": [(_PAIRS, _NAMED)], "fixed": [
+        ("arm_b.molarity", "[arm_b] molarity", (0.0,), "the arm must be a solution arm "
+         "to carry its slope, and the [sweep] values replace its molarity"),
+        ("state_kind", "[state] kind", ("psi_plus", "psi_minus"), "its readout is the "
+         "sum (psi_plus) or the difference (psi_minus) of the two rotations")]},
     "tomo": {"flags": [_SEED, ("--bootstrap", ">= 0", lambda v: v >= 0),
                        ("--bootstrap", "0 (off) or at least 2", lambda v: v != 1,
                         "one resample has no spread"),
@@ -182,18 +190,19 @@ _DEFAULT = ExperimentConfig()
 
 
 def check_reads(cfg: ExperimentConfig, run: str) -> None:
-    """Reject a config that sets a field `run` does not read, as ACCEPTS
-    declares, so that it cannot change the hash of a run it does not change.
-    Values compare by repr, as config_hash compares them: -0.0 is not 0.0."""
+    """Reject a config that sets a field `run` does not read (so that it cannot
+    change the run's hash), or one it reads at some values only to another, as
+    ACCEPTS declares. Values compare by repr, as config_hash does: -0.0 is not 0.0."""
     accepts = ACCEPTS.get(run, {})
     for fields, instead in accepts.get("unread", ()):
         for name, key in fields.items():
             value, default = attrgetter(name)(cfg), attrgetter(name)(_DEFAULT)
             if value is not default and repr(value) != repr(default):
                 raise ValueError(f"{run} does not read {key}: {instead}")
-    for name, key, value, why in accepts.get("fixed", ()):
-        if repr(attrgetter(name)(cfg)) != repr(value):
-            raise ValueError(f"{run} needs {key} = {value:g}: {why}")
+    for name, key, values, why in accepts.get("fixed", ()):
+        if repr(attrgetter(name)(cfg)) not in map(repr, values):
+            shown = " or ".join(v if isinstance(v, str) else f"{v:g}" for v in values)
+            raise ValueError(f"{run} needs {key} = {shown}: {why}")
 
 
 _COMMENT = re.compile(r"(?:^|\s)[;#]")
@@ -334,19 +343,20 @@ def loads_config(text: str) -> ExperimentConfig:
                                  + ", ".join(_KEYS[name]))
 
     state = ini.get("state", {})
-    kwargs = {"state_kind": state.get("kind", "psi_minus")}
-    for key, default in (("ket_a", "H"), ("ket_b", "V")):
+    kwargs = {"state_kind": state.get("kind", _DEFAULT.state_kind)}
+    for key in ("ket_a", "ket_b"):
         if key in state and kwargs["state_kind"] != "separable":
             raise ValueError(f"section [state] must not set {key} with kind = "
                              f"{kwargs['state_kind']} (only a separable source has kets)")
-        kwargs[key] = state.get(key, default).upper()
+        kwargs[key] = state.get(key, getattr(_DEFAULT, key)).upper()
         try:
             ket(kwargs[key])
         except ValueError as err:
             raise ValueError(f"[state] {key}: {err}") from None
     noise = ini.get("noise", {})
-    kwargs["visibility"] = _float(noise, "noise", "visibility", 1.0)
-    accidental_fraction = _float(noise, "noise", "accidental_fraction", 0.0)
+    kwargs["visibility"] = _float(noise, "noise", "visibility", _DEFAULT.visibility)
+    accidental_fraction = _float(noise, "noise", "accidental_fraction",
+                                 _DEFAULT.detection.accidental_fraction)
     transmissions = {}
     for name in ("arm_a", "arm_b"):
         kwargs[name], transmissions[name] = _parse_arm(ini.get(name, {}), name)
@@ -358,8 +368,8 @@ def loads_config(text: str) -> ExperimentConfig:
     if "seed" not in statistics:
         raise ValueError("[statistics] section with an explicit seed is mandatory")
     kwargs["detection"] = Detection(
-        pair_flux=_float(statistics, "statistics", "pair_flux", 1e5),
-        duration=_float(statistics, "statistics", "duration", 1.0),
+        pair_flux=_float(statistics, "statistics", "pair_flux", _DEFAULT.detection.pair_flux),
+        duration=_float(statistics, "statistics", "duration", _DEFAULT.detection.duration),
         transmission_a=transmissions["arm_a"],
         transmission_b=transmissions["arm_b"],
         accidental_fraction=accidental_fraction)

@@ -153,9 +153,6 @@ def _molarity_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     """Sweep the arm-B solution molarity at a fixed arm-A rotation and
     extract the offset-corrected effective rotation of the configured
     Bell state per point, on arm B's slope."""
-    if cfg.state_kind not in ("psi_plus", "psi_minus"):
-        raise ValueError("molarity sweeps are defined for the psi_plus or "
-                         "psi_minus source state")
     molarities = sorted(cfg.sweep_values)
     theta_b = np.radians(cfg.arm_b.slope_deg_per_molar * np.array(molarities))
     obs = _observables(_named_counts(cfg, (cfg.state_kind,), theta_b, exact, ((0,),))[0])

@@ -31,6 +31,16 @@ def test_every_flag_is_an_option_of_its_command(command):
     assert flags <= set(options), flags - set(options)
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_number_option_has_a_domain(command):
+    # an int or float option without a domain here is judged, if at all, by a
+    # library check mid-run, whose message names no flag
+    numbers = {flag for flag, action in COMMANDS[command]._option_string_actions.items()
+               if action.type in (int, float)}
+    declared = {entry[0] for entry in config.ACCEPTS.get(command, {}).get("flags", ())}
+    assert numbers <= declared, numbers - declared
+
+
 @pytest.mark.parametrize("run", [run for run, accepts in config.ACCEPTS.items()
                                  if "unread" in accepts or "fixed" in accepts])
 def test_every_field_and_key_exists(run):

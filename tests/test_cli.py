@@ -653,10 +653,11 @@ def test_fisher_negative_trials_exits_2(capsys):
     (["--n-values", "1,,2"], "--n-values must be comma-separated integers, got '1,,2'"),
     (["--trials", "2000000000"], "--trials must be at most 1,000,000, got 2,000,000,000"),
     (["--trials", "1"],
-     "--trials must be at least 2 (or 0: bounds only), got 1: one trial has no spread")],
+     "--trials must be at least 2 (or 0: bounds only), got 1: one trial has no spread"),
+    (["--n-values", "0"], "--n-values entries must be >= 1, got 0")],
     ids=["theta-nan", "theta-inf", "counts-negative", "counts-zero", "n-values-huge",
          "counts-huge", "n-values-beyond-float", "n-values-empty-entry", "trials-huge",
-         "trials-one"])
+         "trials-one", "n-values-zero"])
 def test_fisher_bad_flag_exits_2(capsys, flags, message):
     # a NaN angle reached numpy's binomial, whose message names no flag, and
     # a negative photon count passed unchecked without --trials; counts beyond
@@ -664,7 +665,7 @@ def test_fisher_bad_flag_exits_2(capsys, flags, message):
     # float of the bound), an empty --n-values entry printed int()'s message,
     # which names no flag, and 2e9 trials asked numpy for 14.9 GiB (an
     # _ArrayMemoryError traceback); one trial was rejected by
-    # metrology.variance_scaling, naming no flag
+    # metrology.variance_scaling, naming no flag, and so was photon number 0
     assert main(["fisher", "--n-values", "1,2", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -895,6 +896,28 @@ def test_a_molarity_sweep_needs_a_solution_arm_b(tmp_path, monkeypatch, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["phi_plus", "separable"])
+def test_a_molarity_sweep_needs_a_psi_source(tmp_path, monkeypatch, capsys, kind):
+    # sweeps._molarity_sweep rejected it mid-run, naming no key
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    cfg = golden_edited(tmp_path, "sweep_molarity.ini",
+                        lambda text: text.replace("kind = psi_minus", f"kind = {kind}"))
+    assert run_failing(capsys, ["sweep", "--config", cfg]) == (
+        "error: molarity_b sweep needs [state] kind = psi_plus or psi_minus: its readout "
+        "is the sum (psi_plus) or the difference (psi_minus) of the two rotations\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_range_visibility_exits_2_naming_the_key(tmp_path, monkeypatch, capsys):
+    # the config loaded, and scan failed in channels._apply_noise, naming no key
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path / "out"))
+    cfg = golden_edited(tmp_path, "scan.ini",
+                        lambda text: text + "\n[noise]\nvisibility = 1.2\n")
+    assert run_failing(capsys, ["scan", "--config", cfg, "--exact"]) == (
+        "error: [noise] visibility must be in [0, 1], got 1.2\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_state_checks_only_the_states_a_command_is_given(tmp_path,
                                                                   monkeypatch):
     # the states a command builds itself (Bell constants, Werner mixtures,
@@ -978,21 +1001,25 @@ def test_scan_window_missing_the_angle_exits_2(capsys):
 
 
 @pytest.mark.parametrize("flags, name, bad", [
-    (["--range-deg", "0", "inf"], "search_range", "inf"),
-    (["--range-deg", "nan", "10"], "search_range", "nan"),
-    (["--resolution-deg", "nan"], "resolution", "nan"),
-    (["--resolution-deg", "inf"], "resolution", "inf"),
-    (["--noise-floor", "nan"], "noise_floor", "nan"),
-    (["--noise-floor", "inf"], "noise_floor", "inf"),
+    (["--range-deg", "0", "inf"], "--range-deg", "inf"),
+    (["--range-deg", "nan", "10"], "--range-deg", "nan"),
+    (["--resolution-deg", "nan"], "--resolution-deg", "nan"),
+    (["--resolution-deg", "inf"], "--resolution-deg", "inf"),
+    (["--noise-floor", "nan"], "--noise-floor", "nan"),
+    (["--noise-floor", "inf"], "--noise-floor", "inf"),
     (["--range-deg", "10", "-10"], "--range-deg", "LO < HI, got 10.0 -10.0"),
-    (["--range-deg", "10", "10"], "--range-deg", "LO < HI, got 10.0 10.0")],
+    (["--range-deg", "10", "10"], "--range-deg", "LO < HI, got 10.0 10.0"),
+    (["--resolution-deg", "-5"], "--resolution-deg", "> 0 and finite, got -5.0"),
+    (["--resolution-deg", "0"], "--resolution-deg", "> 0 and finite, got 0.0")],
     ids=["range-inf", "range-nan", "resolution-nan", "resolution-inf",
-         "noise-floor-nan", "noise-floor-inf", "range-reversed", "range-empty"])
+         "noise-floor-nan", "noise-floor-inf", "range-reversed", "range-empty",
+         "resolution-negative", "resolution-zero"])
 def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
     # an infinite range overflowed the grid size (a traceback), a NaN
     # resolution failed the integer conversion, a NaN noise floor switched
-    # the flat-response guard off; a reversed or empty window was named in
-    # radians, without its flag
+    # the flat-response guard off; a reversed or empty window, a non-finite
+    # window, step or floor and a step <= 0 were named in radians, without
+    # their flag (resolution must be positive and finite, got -0.087...)
     assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
                  *flags]) == 2
     captured = capsys.readouterr()
@@ -1042,7 +1069,7 @@ def test_extract_bad_modulus_floor_exits_2(tmp_path, capsys, floor):
                  "--modulus-floor", floor]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "modulus_floor must be finite and nonnegative" in captured.err
+    assert "--modulus-floor must be >= 0 and finite, got " in captured.err
     assert floor in captured.err
 
 

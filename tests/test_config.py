@@ -124,3 +124,17 @@ def test_sweep_point_limit_is_inclusive(key):
     assert len(sweep(limit).sweep_values) == limit
     with pytest.raises(ValueError, match=rf"\[sweep\] {key} must .*at most 100,000"):
         sweep(limit + 1)
+
+
+def test_an_empty_config_is_the_default_config():
+    # loads_config states no default of its own: each fallback is the field's
+    cfg = config.loads_config("[statistics]\nseed = 0\n")
+    assert cfg == config.ExperimentConfig()
+    assert config.config_hash(cfg) == config.config_hash(config.ExperimentConfig())
+
+
+def test_out_of_range_visibility_is_rejected_at_load():
+    # it loaded, and every run failed later, in channels._apply_noise
+    with pytest.raises(ValueError, match=r"^\[noise\] visibility must be in \[0, 1\], "
+                                         r"got 1\.2$"):
+        config.loads_config("[noise]\nvisibility = 1.2\n[statistics]\nseed = 0\n")

@@ -48,8 +48,10 @@ def test_readme_config_table_is_the_declaration():
         for fields, instead in accepts.get("unread", ()):
             keys = ", ".join(f"`{key}`" for key in fields.values())
             expected.append([f"`{run}`", keys, "its default", instead])
-        for _, key, value, why in accepts.get("fixed", ()):
-            expected.append([f"`{run}`", f"`{key}`", f"`{value:g}`", why])
+        for _, key, values, why in accepts.get("fixed", ()):
+            shown = " or ".join(f"`{v}`" if isinstance(v, str) else f"`{v:g}`"
+                                for v in values)
+            expected.append([f"`{run}`", f"`{key}`", shown, why])
     assert readme_table("| run | keys | accepted only at | because |") == expected
 
 
