@@ -15,6 +15,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -350,6 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="run the analytic invariant suite")
 
+    # read -1e2 as a value, as argparse reads -100 (Python 3.11's pattern of
+    # a negative number has no exponent)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     parser.commands = sub.choices  # the subparser of each command, by name
     return parser
 

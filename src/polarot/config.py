@@ -157,8 +157,11 @@ ACCEPTS = {
                         (_PAIRS, _NAMED), (_SWEEP, _GRID)],
              "flags": [_SEED,
                        ("--range-deg", "finite", lambda v: all(map(math.isfinite, v))),
-                       ("--range-deg", "LO < HI", lambda v: v[0] < v[1]),
-                       ("--resolution-deg", "> 0 and finite", lambda v: 0 < v < math.inf),
+                       # in radians, where a subnormal degree value is 0
+                       ("--range-deg", "LO < HI in radians",
+                        lambda v: math.radians(v[0]) < math.radians(v[1])),
+                       ("--resolution-deg", "> 0 and finite in radians",
+                        lambda v: 0 < math.radians(v) < math.inf),
                        ("--noise-floor", "finite", math.isfinite)]},
     "sweep": {"flags": [_SEED]},
     "theta_b sweep": {"unread": [(_STATE, "it always runs psi_plus and psi_minus"),

@@ -1,9 +1,10 @@
 """Projective polarization measurements and coincidence statistics.
 
 Covers analyzer settings, each an id string that only parse_setting turns
-into kets; Born-rule outcome probabilities, seeded Monte Carlo coincidence
-sampling, correlation estimators, extraction of the local rotation angles
-from joint observables, the wide-range scan, and the CHSH statistic.
+into kets; Born-rule outcome probabilities, exact and seeded Poisson
+coincidence counts, correlation estimators, extraction of the local
+rotation angles from joint observables, the wide-range scan, and the
+CHSH statistic.
 
 Every outcome probability comes from one batched Born kernel,
 outcome_probabilities: a stack of states against the projector tensor
@@ -214,48 +215,18 @@ class Detection:
         return self.pair_flux * self.duration * self.transmission_a * self.transmission_b
 
 
-def _pair_probabilities(rho, settings):
-    # the Born probabilities of true pairs, normalized per setting
+def _mean_counts(rho, settings, detection) -> np.ndarray:
+    # the mean count of every cell: the Born probabilities of true pairs,
+    # normalized per setting, with accidentals replacing their fraction of
+    # the mean, uniform over the outcomes
     if not settings:
         raise ValueError("settings list must not be empty")
     # the named triple's tensor is built once, at import
     projectors = (_NAMED_PROJECTORS if settings is NAMED_PAIRS
                   else projector_tensor(settings))
-    p = _born(rho, projectors)
-    return p / p.sum(axis=-1, keepdims=True)
-
-
-def simulate_counts(rho: np.ndarray, settings, detection: Detection,
-                    seed: int = 0) -> CoincidenceTable:
-    """Draw one state's coincidence table for the given (id_a, id_b) pairs.
-
-    Per setting, the detected-pair total is Poisson with mean
-    detection.mean_pairs(), split multinomially by the Born outcome
-    probabilities; accidental coincidences replace the stated fraction of
-    the mean and are uniform over the four outcomes.
-
-    The whole table draws from one random stream, seeded by the int `seed`
-    (the metadata's rng_seed): the true-pair Poisson totals of every
-    setting in one call, then the accidental totals, then the multinomial
-    splits of each, settings in order. The table is reproducible from its
-    seed, but what one setting draws depends on the number and order of
-    all the settings in the table.
-    """
-    counts = _sample(_pair_probabilities(validate_state(rho), settings), detection, seed)
-    return CoincidenceTable(settings, counts,
-                            dict(asdict(detection), rng_seed=int(seed), exact=0))
-
-
-def _sample(probs, detection, seed) -> np.ndarray:
-    """Counts of true-pair probabilities `probs`, drawn as simulate_counts says."""
-    lam = detection.mean_pairs()
-    rng = np.random.default_rng(seed)
-    n_true = rng.poisson(lam * (1.0 - detection.accidental_fraction), probs.shape[:-1])
-    n_acc = rng.poisson(lam * detection.accidental_fraction, probs.shape[:-1])
-    counts = rng.multinomial(n_true, probs)
-    if detection.accidental_fraction:  # the last draw; else its totals are all 0
-        counts += rng.multinomial(n_acc, [0.25] * 4)
-    return counts
+    p, f = _born(rho, projectors), detection.accidental_fraction
+    return detection.mean_pairs() * ((1.0 - f) * (p / p.sum(axis=-1, keepdims=True))
+                                     + f / 4.0)
 
 
 def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceTable:
@@ -265,10 +236,24 @@ def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceT
                             dict(asdict(detection), exact=1))
 
 
-def _mean_counts(rho, settings, detection) -> np.ndarray:
-    # accidentals replace their fraction of the mean, uniform over the outcomes
-    f, p = detection.accidental_fraction, _pair_probabilities(rho, settings)
-    return detection.mean_pairs() * ((1.0 - f) * p + f / 4.0)
+def simulate_counts(rho: np.ndarray, settings, detection: Detection,
+                    seed: int = 0) -> CoincidenceTable:
+    """Draw one state's coincidence table for the given (id_a, id_b) pairs.
+
+    Every cell is an independent Poisson count whose mean is the exact
+    table's (exact_table): detection.mean_pairs() per setting, split by
+    the Born outcome probabilities, with accidental coincidences replacing
+    the stated fraction of the mean uniformly over the four outcomes.
+
+    The whole table draws from one random stream, default_rng(seed) for
+    the int `seed` (the metadata's rng_seed), cells in row order. The table
+    is reproducible from its seed, but what one setting draws depends on
+    the number and order of all the settings in the table.
+    """
+    counts = np.random.default_rng(seed).poisson(
+        _mean_counts(validate_state(rho), settings, detection))
+    return CoincidenceTable(settings, counts,
+                            dict(asdict(detection), rng_seed=int(seed), exact=0))
 
 
 def estimate_correlation(counts: np.ndarray):

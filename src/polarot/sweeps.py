@@ -2,12 +2,12 @@
 
 Both sweep runners and the scan share one pipeline, which runs a whole
 array of arm-B angles at once: build the source state, fold the analyzer
-offsets (_offsets) into the local rotations, simulate (or emit exact
-expectations for) the named-basis coincidence settings and estimate the
-joint observables, one JointObservables whose fields hold one entry per
-angle. A theta sweep runs both Bell branches through it as one stack.
-The runners then convert those arrays back to rotation angles with the
-offsets removed, a column at a time.
+offsets (_offsets) into the local rotations, take the exact mean counts of
+the named-basis coincidence settings (drawn as Poisson counts unless the
+run is exact) and estimate the joint observables, one JointObservables
+whose fields hold one entry per angle. A theta sweep runs both Bell
+branches through it as one stack. The runners then convert those arrays
+back to rotation angles with the offsets removed, a column at a time.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .channels import _apply_noise, local_rotations, wrap_angle
 from .config import ExperimentConfig, check_reads, config_hash
 from .csvfile import write_csv
 from .measure import (NAMED_PAIRS, JointObservables, _mean_counts, _observables,
-                      _pair_probabilities, _sample, extract_thetas,
-                      rotation_from_observables, scan_theta_a)
+                      extract_thetas, rotation_from_observables, scan_theta_a)
 from .states import bell_state, ket, separable_state
 
 __all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
@@ -129,15 +128,14 @@ def configured_state(cfg: ExperimentConfig, kind: str | tuple | None = None,
 
 def _named_counts(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool,
                   keys: tuple) -> np.ndarray:
-    # named-setting counts, shape (len(kinds),) + shape(theta_b) + (3, 4), from
-    # one Born call; kind k samples its own stream, (cfg.seed, keys[k])
-    rho = configured_state(cfg, kinds, theta_b)
+    # named-setting counts, shape (len(kinds),) + shape(theta_b) + (3, 4): the
+    # exact means from one Born call, or their Poisson draws, kind k from its
+    # own stream (cfg.seed, keys[k])
+    means = _mean_counts(configured_state(cfg, kinds, theta_b), NAMED_PAIRS, cfg.detection)
     if exact:
-        return _mean_counts(rho, NAMED_PAIRS, cfg.detection)
-    probs = _pair_probabilities(rho, NAMED_PAIRS)
-    return np.stack([_sample(p, cfg.detection,
-                             np.random.SeedSequence(cfg.seed, spawn_key=key))
-                     for p, key in zip(probs, keys)])
+        return means
+    return np.stack([np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
+                     .poisson(m) for m, key in zip(means, keys)])
 
 
 def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:

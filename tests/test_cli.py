@@ -1007,24 +1007,45 @@ def test_scan_window_missing_the_angle_exits_2(capsys):
     (["--resolution-deg", "inf"], "--resolution-deg", "inf"),
     (["--noise-floor", "nan"], "--noise-floor", "nan"),
     (["--noise-floor", "inf"], "--noise-floor", "inf"),
-    (["--range-deg", "10", "-10"], "--range-deg", "LO < HI, got 10.0 -10.0"),
-    (["--range-deg", "10", "10"], "--range-deg", "LO < HI, got 10.0 10.0"),
-    (["--resolution-deg", "-5"], "--resolution-deg", "> 0 and finite, got -5.0"),
-    (["--resolution-deg", "0"], "--resolution-deg", "> 0 and finite, got 0.0")],
+    (["--range-deg", "10", "-10"], "--range-deg", "LO < HI in radians, got 10.0 -10.0"),
+    (["--range-deg", "10", "10"], "--range-deg", "LO < HI in radians, got 10.0 10.0"),
+    (["--range-deg", "-5e-324", "5e-324"], "--range-deg",
+     "LO < HI in radians, got -5e-324 5e-324"),
+    (["--resolution-deg", "-5"], "--resolution-deg", "> 0 and finite in radians, got -5.0"),
+    (["--resolution-deg", "0"], "--resolution-deg", "> 0 and finite in radians, got 0.0"),
+    (["--resolution-deg", "5e-324"], "--resolution-deg",
+     "> 0 and finite in radians, got 5e-324")],
     ids=["range-inf", "range-nan", "resolution-nan", "resolution-inf",
          "noise-floor-nan", "noise-floor-inf", "range-reversed", "range-empty",
-         "resolution-negative", "resolution-zero"])
+         "range-subnormal", "resolution-negative", "resolution-zero",
+         "resolution-subnormal"])
 def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
     # an infinite range overflowed the grid size (a traceback), a NaN
     # resolution failed the integer conversion, a NaN noise floor switched
     # the flat-response guard off; a reversed or empty window, a non-finite
     # window, step or floor and a step <= 0 were named in radians, without
-    # their flag (resolution must be positive and finite, got -0.087...)
+    # their flag (resolution must be positive and finite, got -0.087...), and
+    # so were a step and a window whose subnormal degrees are 0 in radians
     assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
                  *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{name} must be" in captured.err and bad in captured.err
+
+
+@pytest.mark.parametrize("argv, exponent, plain", [
+    (["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact", "--range-deg"],
+     ["-1e2", "90"], ["-100", "90"]),
+    (["fisher", "--trials", "10", "--theta-deg"], ["-1e1"], ["-10"])],
+    ids=["scan-range-deg", "fisher-theta-deg"])
+def test_negative_flag_values_in_exponent_notation(capsys, argv, exponent, plain):
+    # argparse read -1e2 as an option and exited 1 (expected 2 arguments,
+    # expected one argument); both spellings now run alike
+    runs = []
+    for values in (exponent, plain):
+        runs.append((main(argv + values), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].out and not runs[0][1].err
 
 
 def test_scan_grid_above_the_point_limit_exits_2(capsys):

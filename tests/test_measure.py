@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blas_core import pin_note
 from polarot import channels, measure, states
 from test_acceptance import rotate_locally, werner
 
@@ -101,7 +102,7 @@ def test_projector_tensor_is_pinned_bit_for_bit():
                                f"{measure.parse_setting(b)[0]}"
                                for a, b in pairs).encode())
     assert digest.hexdigest() == ("261b9a8a86ecb9c4d02f976e3892a6d0"
-                                  "fc0cabf4bfe6b41be82c9b6411ef3ef3")
+                                  "fc0cabf4bfe6b41be82c9b6411ef3ef3"), pin_note()
 
 
 def test_analyzer_bad_ids():
@@ -191,14 +192,14 @@ STACK_DETECTION = measure.Detection(pair_flux=3e4, duration=1.5, transmission_a=
 
 
 def test_sampled_table_is_one_stream_per_seed(tmp_path):
-    # the sampling kernel the sweeps run on a stack of states, and the
-    # table door on one state
+    # the draw the sweeps run on a stack of states, Poisson counts of the
+    # exact means, and the table door on one state
     rhos = random_states(6, seed=10)
     settings = FAMILY_SETTINGS[::5]
-    probs = measure._pair_probabilities(rhos, settings)
+    means = measure._mean_counts(rhos, settings, STACK_DETECTION)
 
     def draw(seed):
-        return measure._sample(probs, STACK_DETECTION, seed)
+        return np.random.default_rng(seed).poisson(means)
 
     # the same int seed, or the same (seed, key) stream, gives the same counts
     assert np.array_equal(draw(101), draw(101))
@@ -207,12 +208,12 @@ def test_sampled_table_is_one_stream_per_seed(tmp_path):
     # different branch keys, and a key against the bare seed, give different counts
     assert (branch[0] != branch[1]).mean() > 0.9
     assert (branch[0] != draw(101)).mean() > 0.9
-    # the door records its int seed and draws what the kernel draws for that
-    # one state
+    # the door records its int seed and draws the Poisson counts of that one
+    # state's means from default_rng(seed)
     table = measure.simulate_counts(rhos[0], settings, STACK_DETECTION, seed=101)
     assert table.metadata == dict(dataclasses.asdict(STACK_DETECTION),
                                   rng_seed=101, exact=0)
-    assert np.array_equal(table.counts, measure._sample(probs[0], STACK_DETECTION, 101))
+    assert np.array_equal(table.counts, np.random.default_rng(101).poisson(means[0]))
     measure.write_table(table, tmp_path / "t.csv")
     loaded = measure.read_table(tmp_path / "t.csv")
     assert loaded.metadata["rng_seed"] == "101"
@@ -224,21 +225,24 @@ def test_sampled_table_is_one_stream_per_seed(tmp_path):
 
 
 def test_stacked_table_mean_counts_match_exact_table():
-    # Every cell of a sampled table is Poisson with the exact table's mean
-    # (a Poisson total split multinomially, plus Poisson accidentals), and
-    # the cells are independent. Over K tables the mean count of a cell has
-    # z = (mean - mu) / sqrt(mu / K) ~ N(0, 1) (mu >= 189 here, thanks to
-    # the accidentals). Bounds: every |z| within the two-sided
-    # Bonferroni quantile at a family-wise rate of 1e-4 over the M cells,
-    # and sum z^2 within 5 sd of its chi-square mean M.
+    # Every cell of a sampled table is an independent Poisson count with the
+    # exact table's mean mu (mu > 300 here, thanks to the accidentals): the
+    # draw simulate_counts and the sweeps run, as the stream tests pin.
+    # Over K tables the mean count of a cell has z = (mean - mu) / sqrt(mu / K)
+    # ~ N(0, 1). Bounds: every |z| within the two-sided Bonferroni quantile at
+    # a family-wise rate of 1e-4 over the M cells, and sum z^2 within 5 sd of
+    # its chi-square mean M. The dispersion: a cell's sample variance s^2
+    # over the K tables has (K - 1) s^2 / mu ~ chi-square with K - 1 dof (the
+    # Poisson excess adds (K - 1)^2 / (K mu) < 0.1 to its variance 2 (K - 1)),
+    # so the sum over the M cells is within 5 sd of M (K - 1); a model with a
+    # fixed total per setting has cell variances mu (1 - p) and fails it.
     from statistics import NormalDist
     rhos = random_states(6, seed=10)
     settings = FAMILY_SETTINGS[::5]
     n_tables = 20
-    probs = measure._pair_probabilities(rhos, settings)
-    mean = np.mean([measure._sample(probs, STACK_DETECTION, seed)
-                    for seed in range(n_tables)], axis=0)
     mu = measure._mean_counts(rhos, settings, STACK_DETECTION)
+    tables = np.array([np.random.default_rng(seed).poisson(mu) for seed in range(n_tables)])
+    mean = tables.mean(axis=0)
     assert mean.shape == mu.shape == (6, len(settings), 4)
     # the exact-table door gives the kernel's means of one state
     assert np.array_equal(measure.exact_table(rhos[5], settings, STACK_DETECTION).counts,
@@ -247,6 +251,9 @@ def test_stacked_table_mean_counts_match_exact_table():
     cells = z.size
     assert np.abs(z).max() < NormalDist().inv_cdf(1.0 - 1e-4 / (2 * cells))
     assert abs((z * z).sum() - cells) < 5.0 * math.sqrt(2.0 * cells)
+    dof = cells * (n_tables - 1)
+    chi2 = ((n_tables - 1) * tables.var(axis=0, ddof=1) / mu).sum()
+    assert abs(chi2 - dof) < 5.0 * math.sqrt(2.0 * dof)
 
 
 # ------------------------------------------------------- joint expectations
@@ -565,9 +572,10 @@ def assert_standard_normal(pulls, name):
 
 def repeated_counts(rho, settings, detection, seed):
     """The counts of PULL_TABLES independent tables of one state, drawn in
-    one call by the sampling kernel the sweeps run."""
-    probs = measure._pair_probabilities(np.repeat(rho[None], PULL_TABLES, axis=0), settings)
-    return measure._sample(probs, detection, seed)
+    one call as the sweeps draw them: Poisson counts of the exact means."""
+    means = measure._mean_counts(np.repeat(rho[None], PULL_TABLES, axis=0), settings,
+                                 detection)
+    return np.random.default_rng(seed).poisson(means)
 
 
 @pytest.mark.parametrize("accidental_fraction", [0.0, 0.1])

@@ -155,8 +155,8 @@ def test_configured_offsets_read_back_as_the_configured_rotation():
     for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
         rho = sweeps.configured_state(cfg, kind, theta_b)
         exact = measure.exact_observables(rho)
-        sampled = measure._observables(measure._sample(
-            measure._pair_probabilities(rho, measure.NAMED_PAIRS), cfg.detection, 5))
+        sampled = measure._observables(np.random.default_rng(5).poisson(
+            measure._mean_counts(rho, measure.NAMED_PAIRS, cfg.detection)))
         for obs, bound in ((exact, 1e-12), (sampled, None)):
             theta, sigma = measure.rotation_from_observables(
                 obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
@@ -327,6 +327,14 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
             # the minus branch has a stream of its own: on the plus branch's
             # key it would draw other counts
             assert (minus.sigma_zz != minus_on_plus_stream.sigma_zz).mean() > 0.9
+            # each branch's counts are the Poisson draws of its exact means,
+            # from default_rng of its keyed stream
+            kinds, keys = ("psi_plus", "psi_minus"), ((0,), (1,))
+            means = sweeps._named_counts(cfg, kinds, theta_b, True, keys)
+            counts = sweeps._named_counts(cfg, kinds, theta_b, False, keys)
+            for branch, key in enumerate(keys):
+                rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
+                assert np.array_equal(counts[branch], rng.poisson(means[branch]))
     cfg = molarity_config()
     result = sweeps.run_sweep(cfg)
     obs = one_branch(cfg, "psi_minus", np.radians(7.01 * result.rows[:, 0]), False, (0,))

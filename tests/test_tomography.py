@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from blas_core import pin_note
 from polarot import states, tomography
 from test_acceptance import likelihood_gradient_lambda_max, rotate_locally, werner
 
@@ -227,9 +228,9 @@ def test_fits_are_pinned_bit_for_bit(monkeypatch):
         digest.update(result.rho.tobytes())
         digest.update(np.array([result.log_likelihood, result.kkt_gap]).tobytes())
         digest.update(f"{result.n_iter} {result.converged}".encode())
-    assert sum(result.n_iter for result in results) == 525
+    assert sum(result.n_iter for result in results) == 525, pin_note()
     assert digest.hexdigest() == ("9b061b29357637db37fdaa01c6bde374"
-                                  "1bd90a445b178f4102ca8ddd360e8836")
+                                  "1bd90a445b178f4102ca8ddd360e8836"), pin_note()
 
 def test_mle_gradient_matches_finite_differences():
     # the gradient against central differences of f (from `_gain`), the
