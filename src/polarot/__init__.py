@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .channels import apply_noise, hwp_matrix, qwp_matrix, rotation_unitary
 from .config import ExperimentConfig, config_hash, load_config, loads_config
 from .measure import (CoincidenceTable, Detection, JointObservables,
-                      chsh_from_counts, chsh_s, estimate_observables,
+                      chsh_from_counts, estimate_observables,
                       exact_observables, exact_table, extract_thetas,
                       outcome_probabilities, parse_setting, read_table,
                       rotation_from_observables, scan_theta_a,

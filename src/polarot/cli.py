@@ -25,7 +25,7 @@ from . import __version__
 from .channels import apply_noise, local_rotations
 from .config import ACCEPTS, check_reads, load_config
 from .csvfile import read_labeled, write_csv
-from .measure import (JointObservables, chsh_from_counts, chsh_s, estimate_observables,
+from .measure import (Detection, JointObservables, chsh_from_counts, estimate_observables,
                       exact_observables, exact_table, extract_thetas, read_table,
                       simulate_counts, write_table)
 from .metrology import qfi, variance_scaling
@@ -237,9 +237,9 @@ def _verify_checks():
         return worst <= 1e-9, f"max angle error {worst:.2e} rad"
 
     def chsh_analytic():
-        angles = [math.radians(v) for v in (0.0, 45.0, 22.5, 67.5)]
-        s_bell = chsh_s(bell_state("psi_plus"), *angles)
-        s_mixed = chsh_s(maximally_mixed(), *angles)
+        pairs = [(f"lin:{a}", f"lin:{b}") for a in (0.0, 45.0) for b in (22.5, 67.5)]
+        s_bell, s_mixed = (chsh_from_counts(exact_table(rho, pairs, Detection(1.0, 1.0)))[0]
+                           for rho in (bell_state("psi_plus"), maximally_mixed()))
         ok = abs(s_bell - 2 * math.sqrt(2)) <= 1e-9 and abs(s_mixed) <= 1e-12
         return ok, f"S = {s_bell:.9f}, mixed {s_mixed:.1e}"
 
@@ -351,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="run the analytic invariant suite")
 
-    # read -1e2 as a value, as argparse reads -100 (Python 3.11's pattern of
-    # a negative number has no exponent)
+    # read -1e2, -inf and -nan (any case) as values, as argparse reads -100
+    # (Python 3.11's pattern of a negative number has no exponent and no word)
     for p in (parser, *sub.choices.values()):
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.I)
     parser.commands = sub.choices  # the subparser of each command, by name
     return parser
 

@@ -3,8 +3,8 @@
 Covers analyzer settings, each an id string that only parse_setting turns
 into kets; Born-rule outcome probabilities, exact and seeded Poisson
 coincidence counts, correlation estimators, extraction of the local
-rotation angles from joint observables, the wide-range scan, and the
-CHSH statistic.
+rotation angles from the two branch rotations, the wide-range scan, and
+the CHSH statistic of a coincidence table.
 
 Every outcome probability comes from one batched Born kernel,
 outcome_probabilities: a stack of states against the projector tensor
@@ -30,7 +30,7 @@ __all__ = [
     "exact_observables", "simulate_counts", "exact_table",
     "estimate_correlation", "estimate_observables",
     "rotation_from_observables", "extract_thetas", "scan_theta_a",
-    "chsh_s", "chsh_from_counts", "write_table", "read_table",
+    "chsh_from_counts", "write_table", "read_table",
 ]
 
 
@@ -40,6 +40,8 @@ _ARITY = {"Z": 0, "X": 0, "Y": 0, "lin": 1, "wp": 2}  # the angles each kind car
 MAX_GRID_POINTS = 100_000
 # the largest Poisson mean numpy draws (int64 max - 10 sqrt(int64 max))
 MAX_POISSON_MEAN = 9.223372006484771e18
+# the smallest branch-factor modulus extract_thetas and the theta sweep accept
+MODULUS_FLOOR = 1e-6
 
 
 def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
@@ -60,7 +62,8 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
     try:
         angles = [math.radians(float(v)) for v in values]
         if kind == "lin":
-            kets = _polarizer(angles[0])
+            kets = np.array([rotation_unitary(angles[0]) @ ket("H"),
+                             rotation_unitary(angles[0] + math.pi / 2.0) @ ket("H")])
         elif kind == "wp":
             w = qwp_matrix(angles[1]) @ hwp_matrix(angles[0])
             kets = np.array([w.conj().T @ ket("H"), w.conj().T @ ket("V")])
@@ -77,22 +80,11 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
     return ":".join([kind] + [f"{math.degrees(a):.6f}" for a in angles]), kets
 
 
-def _polarizer(angle: float) -> np.ndarray:
-    # the port kets of a linear analyzer rotated by `angle` radians
-    return np.array([rotation_unitary(angle) @ ket("H"),
-                     rotation_unitary(angle + math.pi / 2.0) @ ket("H")])
-
-
 def projector_tensor(settings) -> np.ndarray:
     """Joint projectors P_a (x) P_b of (id_a, id_b) setting pairs, shape
     (S, 4, 4, 4): setting, outcome (++, +-, -+, --), then the two-photon
     matrix."""
-    return _joint_projectors([(parse_setting(a)[1], parse_setting(b)[1])
-                              for a, b in settings])
-
-
-def _joint_projectors(kets) -> np.ndarray:
-    # kets holds one (kets_a, kets_b) pair of port kets per setting
+    kets = [(parse_setting(a)[1], parse_setting(b)[1]) for a, b in settings]
     pa, pb = (np.array([[ket_to_dm(k) for k in pair[arm]] for pair in kets])
               for arm in (0, 1))
     # kron(P, Q)[2i + j, 2k + l] = P[i, k] Q[j, l], for each outcome pair
@@ -314,31 +306,31 @@ def rotation_from_observables(m_zz: float, m_xz: float,
 
 
 def extract_thetas(obs_plus: JointObservables, obs_minus: JointObservables,
-                   modulus_floor: float = 1e-6) -> tuple[float, float]:
+                   modulus_floor: float = MODULUS_FLOOR) -> tuple[float, float]:
     """Recover both local rotation angles from the joint observables of the
     addition- and cancellation-branch states.
 
-    Writing z+ = -m_zz^+ - i m_xz^+ and z-(eps) = -m_zz^- - i eps m_xz^-,
-    the closed forms give z+ = exp(i 2(theta_a + theta_b)) and
-    z-(+1) = exp(i 2(theta_a - theta_b)), so the products z+ z-(+1) and
-    z+ z-(-1) equal exp(i 4 theta_a) and exp(i 4 theta_b). Each angle is
-    -i/4 times the principal logarithm of its product, which is
-    single-valued for angles within (-pi/4, pi/4]; outside that window the
+    The branch rotations (rotation_from_observables) are theta_a + theta_b
+    in the addition branch and theta_a - theta_b in the cancellation
+    branch, each modulo pi, so theta_a and theta_b are their half-sum and
+    half-difference modulo pi/2 (_local_angles). The readout is
+    single-valued for angles within the +-pi/4 window; outside it the
     result wraps by pi/2 (use scan_theta_a first when the prior is wider).
-    For noisy inputs the products drift off the unit circle; the real part
-    of the logarithm only shifts the discarded imaginary component of the
-    angle, so the returned values stay real estimates. Elementwise (floats
-    or arrays); a factor below modulus_floor, or zero, raises, naming its
-    index.
+    Elementwise (floats or arrays); a branch factor -m_zz - i m_xz whose
+    modulus is below modulus_floor, or zero, raises, naming its index.
     """
     if not 0.0 <= modulus_floor < math.inf:
         raise ValueError(f"modulus_floor must be finite and nonnegative, "
                          f"got {modulus_floor}")
-    # real and imaginary parts of z+ and z-(+1); z-(-1) is the conjugate
-    re_p, im_p = -np.asarray(obs_plus.m_zz, float), -np.asarray(obs_plus.m_xz, float)
-    re_m, im_m = -np.asarray(obs_minus.m_zz, float), -np.asarray(obs_minus.m_xz, float)
-    for name, re, im in (("plus", re_p, im_p), ("minus", re_m, im_m)):
-        modulus = np.hypot(re, im)
+    branches = ((obs_plus.m_zz, obs_plus.m_xz), (obs_minus.m_zz, obs_minus.m_xz))
+    _check_factors(branches, modulus_floor)
+    return _local_angles(*(rotation_from_observables(*b)[0] for b in branches))
+
+
+def _check_factors(branches, modulus_floor: float) -> None:
+    # branches: the (m_zz, m_xz) of the plus, then the minus branch
+    for name, (m_zz, m_xz) in zip(("plus", "minus"), branches):
+        modulus = np.hypot(m_zz, m_xz)
         bad = (modulus < modulus_floor) | (modulus == 0.0)  # a zero has no phase
         if bad.any():
             idx = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -346,14 +338,16 @@ def extract_thetas(obs_plus: JointObservables, obs_minus: JointObservables,
             limit = f"< {modulus_floor:g}" if modulus_floor > 0.0 else "has no phase"
             raise ValueError(f"extraction ill-conditioned{where}: |{name}-branch "
                              f"factor| = {modulus[idx]:g} {limit}")
-    # z+ z-(eps) for eps = +1, -1, multiplied out as Python's complex product
-    # does it (numpy's may fuse multiply-adds and move the last bit)
-    im_eps = np.stack((im_m, -im_m))
-    product = np.empty(np.broadcast(re_p, im_eps).shape, dtype=complex)
-    product.real = re_p * re_m - im_p * im_eps
-    product.imag = re_p * im_eps + im_p * re_m
-    theta_a, theta_b = (-0.25j * np.log(product)).real
-    return (float(theta_a), float(theta_b)) if theta_a.ndim == 0 else (theta_a, theta_b)
+
+
+def _local_angles(theta_plus, theta_minus, quarter_turn: float = math.pi / 2):
+    """theta_a and theta_b, the half-sum and half-difference of the branch
+    rotations theta_a + theta_b and theta_a - theta_b, each wrapped into
+    [-q/2, q/2] as x - q round(x / q) (math.remainder(x, q), ties to even)
+    for the quarter turn q = quarter_turn: pi/2 for radians, 90 for degrees."""
+    halves = np.array(((theta_plus + theta_minus) / 2.0, (theta_plus - theta_minus) / 2.0))
+    halves -= quarter_turn * np.round(halves / quarter_turn)
+    return tuple(halves.tolist() if halves.ndim == 1 else halves)
 
 
 def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
@@ -405,25 +399,9 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
     return wrap_angle(float(reps[np.argmin(np.abs(reps))]))
 
 
-def chsh_s(rho: np.ndarray, a: float, a_prime: float, b: float,
-           b_prime: float) -> float:
-    """CHSH statistic |E(a,b) - E(a,b')| + |E(a',b)| + |E(a',b')| for
-    linear analyzers at the given angles (radians); each correlation
-    function E uses the four coincidence probabilities, the -1 outcome of
-    either analyzer being its port rotated by +90 degrees."""
-    kets = [(_polarizer(x), _polarizer(y))
-            for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))]
-    e = _correlations(outcome_probabilities(rho, _joint_projectors(kets)))
-    return float(_chsh(e))
-
-
-def _chsh(e):
-    """|e0 - e1| + |e2| + |e3| for e = E(a,b), E(a,b'), E(a',b), E(a',b')."""
-    return abs(e[0] - e[1]) + abs(e[2]) + abs(e[3])
-
-
 def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
-    """Plug-in CHSH estimate and standard error from a coincidence table.
+    """CHSH S = |E(a,b) - E(a,b')| + |E(a',b)| + |E(a',b')| and its
+    plug-in standard error from an exact or sampled coincidence table.
 
     The table must hold exactly two distinct linear-analyzer angles per
     arm, with all four combinations present; the smaller angle of each arm
@@ -445,7 +423,8 @@ def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
     id_b, id_bp = sorted(angles_b, key=key)
     e, sigmas = zip(*(estimate_correlation(_rows_for_pair(table, ka, kb))
                       for ka in (id_a, id_ap) for kb in (id_b, id_bp)))
-    return _chsh(e), math.sqrt(sum(v ** 2 for v in sigmas))
+    s = abs(e[0] - e[1]) + abs(e[2]) + abs(e[3])
+    return s, math.sqrt(sum(v ** 2 for v in sigmas))
 
 
 _TABLE_HEADER = "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm"

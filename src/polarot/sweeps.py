@@ -21,8 +21,9 @@ from . import __version__
 from .channels import _apply_noise, local_rotations, wrap_angle
 from .config import ExperimentConfig, check_reads, config_hash
 from .csvfile import write_csv
-from .measure import (NAMED_PAIRS, JointObservables, _mean_counts, _observables,
-                      extract_thetas, rotation_from_observables, scan_theta_a)
+from .measure import (MODULUS_FLOOR, NAMED_PAIRS, _check_factors, _local_angles,
+                      _mean_counts, _observables, rotation_from_observables,
+                      scan_theta_a)
 from .states import bell_state, ket, separable_state
 
 __all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
@@ -169,25 +170,18 @@ def _molarity_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
 def _theta_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     """Sweep the arm-B rotation angle with both Bell branches at a fixed
     arm-A rotation; reports per point the joint observables of both
-    branches, the offset-corrected effective rotations, and the
-    jointly extracted, offset-corrected local angles."""
+    branches, the offset-corrected effective rotations, and the local
+    angles, their half-sum and half-difference."""
     kinds = ("psi_plus", "psi_minus")
     values = sorted(cfg.sweep_values)
     theta_b = np.radians(values)
     # both branches in one stack; branch k samples its own stream, (cfg.seed, k)
     obs = _observables(_named_counts(cfg, kinds, theta_b, exact, ((0,), (1,))))
+    _check_factors(zip(obs.m_zz, obs.m_xz), MODULUS_FLOOR)
     thetas, (sig_p, sig_m) = rotation_from_observables(
         obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
-    th_p, th_m = (_remove_offsets(cfg, k, theta) for k, theta in zip(kinds, thetas))
-    obs_p, obs_m = (JointObservables(*m) for m in zip(obs.m_zz, obs.m_xz, obs.m_zx))
-    # the extracted angles are the half-sum and half-difference of the two
-    # branch rotations, so they carry pbs_a + hwp/2 (arm A) and pbs_b - hwp/2
-    # (arm B); wrapping after the subtraction keeps the readouts in the
-    # +-45 deg window (x - q round(x / q) is math.remainder(x, q) elementwise)
-    pbs_a, (hwp_p, hwp_m), pbs_b = _offsets(cfg, kinds)
-    hats = np.array(extract_thetas(obs_p, obs_m)) - [[pbs_a + (hwp_p + hwp_m) / 2.0],
-                                                     [pbs_b + (hwp_p - hwp_m) / 2.0]]
-    hats -= math.pi / 2 * np.round(hats / (math.pi / 2))
+    th_p, th_m = np.degrees([_remove_offsets(cfg, k, theta)
+                             for k, theta in zip(kinds, thetas)])
     return SweepResult(
         variable="theta_b",
         columns=("theta_b_deg",
@@ -199,7 +193,8 @@ def _theta_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
         rows=np.column_stack((
             values, obs.m_zz[0], obs.m_xz[0], obs.m_zz[1], obs.m_xz[1],
             obs.sigma_zz[0], obs.sigma_xz[0], obs.sigma_zz[1], obs.sigma_xz[1],
-            *np.degrees((th_p, sig_p, th_m, sig_m, *hats)))),
+            th_p, np.degrees(sig_p), th_m, np.degrees(sig_m),
+            *_local_angles(th_p, th_m, 90.0))),
         provenance=_provenance(cfg, exact),
     )
 

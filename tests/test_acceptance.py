@@ -142,18 +142,22 @@ def test_criterion_3_extraction_round_trip_and_branch_wrap():
 
 def test_criterion_4_chsh():
     degrees = (0.0, 45.0, 22.5, 67.5)
-    angles = tuple(math.radians(v) for v in degrees)
-    s_ideal = measure.chsh_s(states.bell_state("psi_plus"), *angles)
+    settings = [(f"lin:{x}", f"lin:{y}") for x in degrees[:2] for y in degrees[2:]]
+
+    def exact_s(rho):
+        table = measure.exact_table(rho, settings, measure.Detection(1.0, 1.0))
+        return measure.chsh_from_counts(table)[0]
+
+    s_ideal = exact_s(states.bell_state("psi_plus"))
     analytic_ok = abs(s_ideal - 2.0 * math.sqrt(2.0)) <= 1e-9
 
-    settings = [(f"lin:{x}", f"lin:{y}") for x in degrees[:2] for y in degrees[2:]]
     table = measure.simulate_counts(states.bell_state("psi_plus"), settings,
                                     measure.Detection(1e5, 1.0), seed=404)
     s_hat, sigma = measure.chsh_from_counts(table)
     simulated_ok = abs(s_hat - 2.8284) <= 3.0 * sigma
 
     p = 0.97867
-    s_werner = measure.chsh_s(werner(p), *angles)
+    s_werner = exact_s(werner(p))
     werner_ok = abs(s_werner - 2.0 * math.sqrt(2.0) * p) <= 1e-9
     report("criterion 4 (CHSH)",
            analytic_ok and simulated_ok and werner_ok,

@@ -1,6 +1,7 @@
 import configparser
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -642,6 +643,8 @@ def test_fisher_negative_trials_exits_2(capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--trials", "10", "--theta-deg", "nan"], "--theta-deg must be finite, got nan"),
     (["--theta-deg", "inf"], "--theta-deg must be finite, got inf"),
+    (["--trials", "10", "--theta-deg", "-nan"], "--theta-deg must be finite, got nan"),
+    (["--trials", "10", "--theta-deg", "-INF"], "--theta-deg must be finite, got -inf"),
     (["--counts-per-trial", "-1"], "--counts-per-trial must be >= 1, got -1"),
     (["--trials", "10", "--counts-per-trial", "0"],
      "--counts-per-trial must be >= 1, got 0"),
@@ -655,9 +658,9 @@ def test_fisher_negative_trials_exits_2(capsys):
     (["--trials", "1"],
      "--trials must be at least 2 (or 0: bounds only), got 1: one trial has no spread"),
     (["--n-values", "0"], "--n-values entries must be >= 1, got 0")],
-    ids=["theta-nan", "theta-inf", "counts-negative", "counts-zero", "n-values-huge",
-         "counts-huge", "n-values-beyond-float", "n-values-empty-entry", "trials-huge",
-         "trials-one", "n-values-zero"])
+    ids=["theta-nan", "theta-inf", "theta-minus-nan", "theta-minus-inf", "counts-negative",
+         "counts-zero", "n-values-huge", "counts-huge", "n-values-beyond-float",
+         "n-values-empty-entry", "trials-huge", "trials-one", "n-values-zero"])
 def test_fisher_bad_flag_exits_2(capsys, flags, message):
     # a NaN angle reached numpy's binomial, whose message names no flag, and
     # a negative photon count passed unchecked without --trials; counts beyond
@@ -665,7 +668,8 @@ def test_fisher_bad_flag_exits_2(capsys, flags, message):
     # float of the bound), an empty --n-values entry printed int()'s message,
     # which names no flag, and 2e9 trials asked numpy for 14.9 GiB (an
     # _ArrayMemoryError traceback); one trial was rejected by
-    # metrology.variance_scaling, naming no flag, and so was photon number 0
+    # metrology.variance_scaling, naming no flag, and so was photon number 0;
+    # argparse read -nan and -INF as options and exited 1
     assert main(["fisher", "--n-values", "1,2", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1007,6 +1011,10 @@ def test_scan_window_missing_the_angle_exits_2(capsys):
     (["--resolution-deg", "inf"], "--resolution-deg", "inf"),
     (["--noise-floor", "nan"], "--noise-floor", "nan"),
     (["--noise-floor", "inf"], "--noise-floor", "inf"),
+    (["--range-deg", "-inf", "10"], "--range-deg", "-inf 10.0"),
+    (["--range-deg", "-Infinity", "10"], "--range-deg", "-inf 10.0"),
+    (["--range-deg", "-NaN", "10"], "--range-deg", "nan 10.0"),
+    (["--noise-floor", "-inf"], "--noise-floor", "-inf"),
     (["--range-deg", "10", "-10"], "--range-deg", "LO < HI in radians, got 10.0 -10.0"),
     (["--range-deg", "10", "10"], "--range-deg", "LO < HI in radians, got 10.0 10.0"),
     (["--range-deg", "-5e-324", "5e-324"], "--range-deg",
@@ -1016,7 +1024,8 @@ def test_scan_window_missing_the_angle_exits_2(capsys):
     (["--resolution-deg", "5e-324"], "--resolution-deg",
      "> 0 and finite in radians, got 5e-324")],
     ids=["range-inf", "range-nan", "resolution-nan", "resolution-inf",
-         "noise-floor-nan", "noise-floor-inf", "range-reversed", "range-empty",
+         "noise-floor-nan", "noise-floor-inf", "range-minus-inf", "range-minus-infinity",
+         "range-minus-nan", "noise-floor-minus-inf", "range-reversed", "range-empty",
          "range-subnormal", "resolution-negative", "resolution-zero",
          "resolution-subnormal"])
 def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
@@ -1025,7 +1034,8 @@ def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
     # the flat-response guard off; a reversed or empty window, a non-finite
     # window, step or floor and a step <= 0 were named in radians, without
     # their flag (resolution must be positive and finite, got -0.087...), and
-    # so were a step and a window whose subnormal degrees are 0 in radians
+    # so were a step and a window whose subnormal degrees are 0 in radians;
+    # argparse read -inf, -Infinity and -NaN as options and exited 1
     assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
                  *flags]) == 2
     captured = capsys.readouterr()
@@ -1081,9 +1091,32 @@ def test_sweep_above_the_point_limit_exits_2(tmp_path, monkeypatch, capsys, swee
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+def test_theta_sweep_of_a_fully_mixed_source(tmp_path, monkeypatch, capsys, exact):
+    # at visibility 0 every exact branch factor is round-off, and the local
+    # angles have no phase to read; sampled counts still give a rotation
+    monkeypatch.chdir(tmp_path)
+    text = (GOLDEN_INPUTS / "sweep_theta.ini").read_text()
+    (tmp_path / "mixed.ini").write_text(text.replace("visibility = 0.9", "visibility = 0.0"))
+    argv = ["sweep", "--config", "mixed.ini", "--out", "sweep.csv"]
+    assert main(argv + ["--exact"] * exact) == (2 if exact else 0)
+    captured = capsys.readouterr()
+    if exact:
+        # the modulus is round-off (8.0844e-17 under the SkylakeX kernel)
+        assert captured.out == ""
+        modulus = re.fullmatch(r"error: extraction ill-conditioned at stack index \(0,\): "
+                               r"\|plus-branch factor\| = (\S+) < 1e-06\n", captured.err)
+        assert modulus and float(modulus.group(1)) < 1e-15
+        assert not (tmp_path / "sweep.csv").exists()
+    else:
+        assert captured.out == "wrote 5 sweep points to sweep.csv\n"
+        assert (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "-1", "-inf"])
 def test_extract_bad_modulus_floor_exits_2(tmp_path, capsys, floor):
-    # on all-zero observables a NaN or negative floor printed "nan, nan"
+    # on all-zero observables a NaN or negative floor printed "nan, nan";
+    # argparse read -inf as an option and exited 1
     obs = tmp_path / "obs.csv"
     obs.write_text("observable,value,sigma\nm_zz,0,0\nm_xz,0,0\nm_zx,0,0\n")
     assert main(["extract", "--plus", str(obs), "--minus", str(obs),

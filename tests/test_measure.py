@@ -535,8 +535,8 @@ def test_rotation_from_observables_round_trip(theta):
     assert abs(theta_hat - theta) <= 1e-12 and sigma == 0.0
 
 
-# inside the +-45 deg window, clear of its edges, where the products
-# exp(i 4 theta) reach -1 and the principal logarithm may take either sign
+# inside the +-45 deg window, clear of its edges, where the wrap may take
+# either sign
 _WINDOW_ANGLE = st.floats(-math.pi / 4 + 1e-6, math.pi / 4 - 1e-6)
 
 
@@ -666,7 +666,7 @@ def _bits(values):
 def test_readout_stack_equals_scalar_calls():
     # random observables plus the corner cases of the readout: m_zz =
     # m_xz = 0 (infinite sigma) and signed zeros, whose sign picks the
-    # branch of atan2 and of the logarithm
+    # branch of atan2
     rng = np.random.default_rng(7)
     m = rng.uniform(-1.0, 1.0, (4, 40))
     sigmas = rng.uniform(0.0, 0.1, (2, 40))
@@ -699,10 +699,12 @@ def test_readout_stack_equals_scalar_calls():
         one = measure.extract_thetas(measure.JointObservables(*args[:2], 0.0),
                                      measure.JointObservables(*args[2:], 0.0))
         scalar.append(one)
-        # the arithmetic of a Python complex product and numpy's logarithm
-        z_plus = complex(-args[0], -args[1])
-        products = (z_plus * complex(-args[2], -eps * args[3]) for eps in (1.0, -1.0))
-        assert one == tuple(float((-0.25j * np.log(z)).real) for z in products)
+        # the half-sum and half-difference of the branch rotations, wrapped
+        # into the +-45 deg window, in Python floats
+        t_plus = measure.rotation_from_observables(*args[:2])[0]
+        t_minus = measure.rotation_from_observables(*args[2:])[0]
+        halves = ((t_plus + t_minus) / 2.0, (t_plus - t_minus) / 2.0)
+        assert one == tuple(x - math.pi / 2 * round(x / (math.pi / 2)) for x in halves)
     assert _bits(theta_a) == _bits([a for a, _ in scalar])
     assert _bits(theta_b) == _bits([b for _, b in scalar])
     # the m_zz = m_xz = 0 members make the whole stack ill-conditioned,
@@ -888,22 +890,33 @@ def test_scan_rejects_non_finite_numbers(search_range, resolution, noise_floor, 
 # --------------------------------------------------------------------- CHSH
 
 CHSH_DEGREES = (0.0, 45.0, 22.5, 67.5)
-CHSH_ANGLES = tuple(math.radians(v) for v in CHSH_DEGREES)
+
+
+def chsh_settings(degrees=CHSH_DEGREES):
+    a, ap, b, bp = degrees
+    return [(f"lin:{x}", f"lin:{y}") for x in (a, ap) for y in (b, bp)]
+
+
+def exact_chsh(rho, degrees=CHSH_DEGREES):
+    """The Born-rule S of linear analyzers at (a, a', b, b') degrees, read
+    from the exact table."""
+    table = measure.exact_table(rho, chsh_settings(degrees), measure.Detection(1.0, 1.0))
+    return measure.chsh_from_counts(table)[0]
 
 
 def test_chsh_maximal_violation():
     for kind in states.BELL_KINDS:
-        s = measure.chsh_s(states.bell_state(kind), *CHSH_ANGLES)
+        s = exact_chsh(states.bell_state(kind))
         assert abs(s - 2.0 * math.sqrt(2.0)) < 1e-9
 
 
 def test_chsh_mixed_state_zero():
-    assert abs(measure.chsh_s(states.maximally_mixed(), *CHSH_ANGLES)) < 1e-12
+    assert abs(exact_chsh(states.maximally_mixed())) < 1e-12
 
 
 def test_chsh_werner_scaling():
     p = (4.0 * 0.984 - 1.0) / 3.0
-    s = measure.chsh_s(werner(p), *CHSH_ANGLES)
+    s = exact_chsh(werner(p))
     assert abs(s - 2.0 * math.sqrt(2.0) * p) < 1e-9
     assert abs(s - 2.768) < 2e-3
 
@@ -915,12 +928,7 @@ def test_chsh_separable_classical_bound():
         kb = rng.normal(size=2) + 1j * rng.normal(size=2)
         rho = states.separable_state(ka / np.linalg.norm(ka), kb / np.linalg.norm(kb))
         angles = rng.uniform(-math.pi, math.pi, 4)
-        assert measure.chsh_s(rho, *angles) <= 2.0 + 1e-9
-
-
-def chsh_settings():
-    a, ap, b, bp = CHSH_DEGREES
-    return [(f"lin:{x}", f"lin:{y}") for x in (a, ap) for y in (b, bp)]
+        assert exact_chsh(rho, np.degrees(angles)) <= 2.0 + 1e-9
 
 
 def test_chsh_from_counts_ideal():
@@ -935,15 +943,16 @@ def test_chsh_from_counts_ideal():
 def test_chsh_from_counts_sigma_pulls(accidental_fraction):
     # as test_estimate_observables_sigma_pulls, for the plug-in S and its
     # quadrature sigma; every |E| is near 0.64, far from the kinks of |.|.
-    # The stack is read with the correlation estimator and the one CHSH
-    # formula, and chsh_from_counts must read each of its first tables alike
+    # The stack is read with the correlation estimator and the CHSH formula
+    # written out, and chsh_from_counts must read each of its first tables alike
     rho = channels.apply_noise(states.bell_state("psi_plus"), 0.9)
     detection = measure.Detection(1e5, 1.0, accidental_fraction=accidental_fraction)
     s_exact, _ = measure.chsh_from_counts(
         measure.exact_table(rho, chsh_settings(), detection))
     counts = repeated_counts(rho, chsh_settings(), detection, seed=43)
     e, sigmas = measure.estimate_correlation(counts)
-    s, sigma = measure._chsh(e.T), np.sqrt(np.square(sigmas).sum(axis=-1))
+    s = np.abs(e[:, 0] - e[:, 1]) + np.abs(e[:, 2]) + np.abs(e[:, 3])
+    sigma = np.sqrt(np.square(sigmas).sum(axis=-1))
     assert_standard_normal((s - s_exact) / sigma, "S")
     for k in range(20):
         s_k, sigma_k = measure.chsh_from_counts(

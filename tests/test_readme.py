@@ -1,6 +1,9 @@
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import polarot
 from polarot import config, measure
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -67,3 +70,26 @@ def test_readme_flag_tables_are_the_declaration():
         [", ".join(commands), f"`{flag}`", domain]
         for (flag, domain), commands in domains.items()]
     assert readme_table("| command | flag | needs | because |") == needs
+
+
+def test_readme_names_only_attributes_that_exist():
+    # a backticked dotted name that starts with a polarot module, with or
+    # without the package (`states.validate_state`, `polarot.sweeps`,
+    # `sweeps._offsets`), names attributes that module has, so the README
+    # cannot go on naming a deleted function
+    modules = {info.name for info in pkgutil.iter_modules(polarot.__path__)}
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    checked, missing = 0, []
+    for span in re.findall(r"`([^`]+)`", prose):
+        name = re.match(r"(?:polarot\.)?([A-Za-z_]\w*)((?:\.[A-Za-z_]\w*)*)", span)
+        if name is None or name.group(1) not in modules:
+            continue
+        value = importlib.import_module(f"polarot.{name.group(1)}")
+        for attr in name.group(2).split(".")[1:]:
+            if not hasattr(value, attr):
+                missing.append(span)
+                break
+            value = getattr(value, attr)
+        checked += 1
+    assert checked > 50
+    assert not missing, f"README names attributes that do not exist: {missing}"

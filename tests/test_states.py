@@ -156,7 +156,6 @@ DOORS = {
         rho, measure.NAMED_PAIRS, measure.Detection(1e3, 1.0)),
     "exact_table": lambda rho: measure.exact_table(
         rho, measure.NAMED_PAIRS, measure.Detection(1e3, 1.0)),
-    "chsh_s": lambda rho: measure.chsh_s(rho, 0.0, 0.8, 0.4, 1.2),
     "apply_noise": lambda rho: channels.apply_noise(rho, 0.5),
     "predicted_counts": lambda rho: tomography.predicted_counts(rho),
     "bootstrap_sigmas-rho_hat": lambda rho:

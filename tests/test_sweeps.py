@@ -276,6 +276,21 @@ def test_theta_sweep_extracted_angles_exact():
         assert np.abs(result.rows[:, 14] - ((tb + 45.0) % 90.0 - 45.0)).max() < 1e-9
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+def test_theta_sweep_hats_are_the_local_angles_of_its_branch_columns(exact):
+    # one readout of the local angles: the hat columns are the wrapped
+    # half-sum and half-difference of the sweep's own offset-corrected
+    # branch rotations, bit for bit, also past the +-45 deg window
+    cfg = theta_config(offsets=SHIPPED_OFFSETS)
+    cfg = dataclasses.replace(cfg, sweep_values=cfg.sweep_values + (43.7, 44.0, -46.3))
+    result = sweeps.run_sweep(cfg, exact=exact)
+    plus, minus, hat_a, hat_b = (result.rows[:, result.columns.index(name)] for name in (
+        "theta_plus_deg", "theta_minus_deg", "theta_a_hat_deg", "theta_b_hat_deg"))
+    theta_a, theta_b = measure._local_angles(plus, minus, 90.0)
+    assert theta_a.tobytes() == hat_a.tobytes()
+    assert theta_b.tobytes() == hat_b.tobytes()
+
+
 def test_theta_sweep_cancellation_of_addition_branch():
     result = sweeps.run_sweep(theta_config(), exact=False)
     row = result.rows[np.argmin(np.abs(result.rows[:, 0] + 20.0))]
