@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .channels import apply_noise, local_rotations
 from .config import ACCEPTS, check_reads, load_config
-from .csvfile import read_labeled, write_csv
+from .csvfile import read_labeled, unsigned_zeros, write_csv
 from .measure import (Detection, JointObservables, chsh_from_counts, estimate_observables,
                       exact_observables, exact_table, extract_thetas, read_table,
                       simulate_counts, write_table)
@@ -105,7 +105,7 @@ def _cmd_observables(args) -> tuple:
 def _cmd_extract(args) -> tuple:
     thetas = extract_thetas(_read_observables(args.plus), _read_observables(args.minus),
                             modulus_floor=args.modulus_floor)
-    cells = [f"{math.degrees(theta):.6f}" for theta in thetas]
+    cells = [unsigned_zeros(f"{math.degrees(theta):.6f}") for theta in thetas]
     return 0, [", ".join(cells)], {args.out: lambda path: write_csv(
         path, (), "theta_a_deg,theta_b_deg", [cells])}
 
@@ -114,7 +114,7 @@ def _cmd_scan(args) -> tuple:
     theta_a = run_scan(_load_config_with_override(args),
                        tuple(math.radians(v) for v in args.range_deg),
                        math.radians(args.resolution_deg), args.noise_floor, args.exact)
-    return 0, [f"{math.degrees(theta_a):.6f}"], {}
+    return 0, [unsigned_zeros(f"{math.degrees(theta_a):.6f}")], {}
 
 
 def _cmd_tomo(args) -> tuple:
@@ -125,9 +125,10 @@ def _cmd_tomo(args) -> tuple:
                                n_resamples=args.bootstrap, seed=args.seed or 0)
               if args.bootstrap > 0 else {})
     metrics = {} if reference is None else _report(result.rho, reference)
-    report = [f"{key} = {value:.6f}" + (f" +- {sigmas[key]:.6f}" if sigmas else "")
+    report = [unsigned_zeros(f"{key} = {value:.6f}"
+                             + (f" +- {sigmas[key]:.6f}" if sigmas else ""))
               for key, value in metrics.items()]
-    lines = [f"log_likelihood = {result.log_likelihood:.6f}",
+    lines = [unsigned_zeros(f"log_likelihood = {result.log_likelihood:.6f}"),
              f"converged = {result.converged} (iterations {result.n_iter}, "
              f"KKT gap {result.kkt_gap:.3g})", *report]
     return (0 if result.converged else 3, lines,
@@ -139,7 +140,7 @@ def _cmd_tomo(args) -> tuple:
 def _cmd_chsh(args) -> tuple:
     s, sigma = chsh_from_counts(read_table(args.table))
     significance = (s - 2.0) / sigma if sigma > 0 else (math.inf if s > 2.0 else 0.0)
-    return 0, [f"S = {s:.6f} +- {sigma:.6f}",
+    return 0, [unsigned_zeros(f"S = {s:.6f} +- {sigma:.6f}"),
                f"violation significance = {significance:.2f} sigma"], {}
 
 

@@ -7,8 +7,9 @@ and read numeric cells with row_floats."""
 from __future__ import annotations
 
 import math
+import re
 
-__all__ = ["read_csv", "read_labeled", "row_floats", "write_csv"]
+__all__ = ["read_csv", "read_labeled", "row_floats", "unsigned_zeros", "write_csv"]
 
 
 def read_csv(path, header: str) -> tuple[dict[str, str], list[list[str]]]:
@@ -78,6 +79,15 @@ def read_labeled(path, header: str, labels: tuple, noun: str, known: str):
     if missing:
         raise ValueError(f"{path} is missing {noun} rows: {missing}")
     return metadata, values
+
+
+def unsigned_zeros(text: str) -> str:
+    """text with each six-decimal negative zero, -0.000000, written
+    0.000000: the sign of a value that rounds to zero is round-off, and it
+    follows the BLAS kernel."""
+    if "-0.000000" not in text:  # the common case costs one scan
+        return text
+    return re.sub(r"-0\.000000(?!\d)", "0.000000", text)
 
 
 def write_csv(path, metadata_items, header: str, rows) -> None:

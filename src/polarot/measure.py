@@ -6,7 +6,7 @@ coincidence counts, correlation estimators, extraction of the local
 rotation angles from the two branch rotations, the wide-range scan, and
 the CHSH statistic of a coincidence table.
 
-Every outcome probability comes from one batched Born kernel,
+Every probability of a setting pair comes from one batched Born kernel,
 outcome_probabilities: a stack of states against the projector tensor
 P_a (x) P_b of (id_a, id_b) setting pairs, Tr[rho (P_a (x) P_b)] (James,
 Kwiat, Munro & White, PRA 64, 052312, 2001). A table holds one state; the
@@ -99,10 +99,10 @@ _NAMED_PROJECTORS = projector_tensor(NAMED_PAIRS)
 @dataclass(frozen=True)
 class JointObservables:
     """Two-photon correlation values for the (z,z), (x,z) and (z,x)
-    operator pairs, with one statistical sigma per entry (zero for exact
-    Born-rule values). The fields are floats for one state, or arrays with
-    one entry per state for a stack (as the sweeps estimate them); the
-    readout functions take either."""
+    operator pairs, with one statistical sigma per entry (an exact table's
+    are those of its count budget; exact_observables gives zero). Fields
+    are floats for one state, or arrays with one entry per state for a
+    stack (as the sweeps estimate them); the readout functions take either."""
 
     m_zz: float | np.ndarray
     m_xz: float | np.ndarray
@@ -400,30 +400,20 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
 
 
 def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
-    """CHSH S = |E(a,b) - E(a,b')| + |E(a',b)| + |E(a',b')| and its
-    plug-in standard error from an exact or sampled coincidence table.
+    """CHSH S = max_k |E_1 + E_2 + E_3 + E_4 - 2 E_k|, the largest of the
+    four CHSH forms (Clauser, Horne, Shimony & Holt, PRL 23, 880, 1969), and
+    its plug-in standard error from an exact or sampled coincidence table.
 
-    The table must hold exactly two distinct linear-analyzer angles per
-    arm, with all four combinations present; the smaller angle of each arm
-    plays the unprimed role. Correlation sigmas combine in quadrature
-    since every term enters with unit |derivative|.
-    """
-    angles_a, angles_b = set(), set()
-    for a, b in table.settings:
-        for setting_id, bag in ((a, angles_a), (b, angles_b)):
-            if not setting_id.startswith("lin:"):
-                raise ValueError(f"CHSH tables need linear-analyzer settings, "
-                                 f"got {setting_id!r}")
-            bag.add(setting_id)
-    if len(angles_a) != 2 or len(angles_b) != 2:
-        raise ValueError(f"CHSH needs two analyzer angles per arm, got "
-                         f"{sorted(angles_a)} / {sorted(angles_b)}")
-    key = lambda sid: float(sid.split(":")[1])
-    id_a, id_ap = sorted(angles_a, key=key)
-    id_b, id_bp = sorted(angles_b, key=key)
-    e, sigmas = zip(*(estimate_correlation(_rows_for_pair(table, ka, kb))
-                      for ka in (id_a, id_ap) for kb in (id_b, id_bp)))
-    s = abs(e[0] - e[1]) + abs(e[2]) + abs(e[3])
+    E_k are the correlations of the table's two settings per arm (any kind,
+    in table order, none with a role) in all four combinations. Correlation
+    sigmas combine in quadrature since every term has unit |derivative|."""
+    arms = [list(dict.fromkeys(pair[arm] for pair in table.settings)) for arm in (0, 1)]
+    if len(arms[0]) != 2 or len(arms[1]) != 2:
+        raise ValueError(f"CHSH needs two analyzer settings per arm, got "
+                         f"{arms[0]} / {arms[1]}")
+    e, sigmas = zip(*(estimate_correlation(_rows_for_pair(table, a, b))
+                      for a in arms[0] for b in arms[1]))
+    s = max(abs(sum(e) - 2.0 * e_k) for e_k in e)
     return s, math.sqrt(sum(v ** 2 for v in sigmas))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .channels import _apply_noise, local_rotations, wrap_angle
 from .config import ExperimentConfig, check_reads, config_hash
-from .csvfile import write_csv
+from .csvfile import unsigned_zeros, write_csv
 from .measure import (MODULUS_FLOOR, NAMED_PAIRS, _check_factors, _local_angles,
                       _mean_counts, _observables, rotation_from_observables,
                       scan_theta_a)
@@ -224,11 +224,13 @@ def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float],
 
 def write_sweep(result: SweepResult, path) -> None:
     """Write a sweep result as CSV with '#'-prefixed provenance lines.
-    Angle columns (named *_deg) carry six decimal places."""
+    Angle columns (named *_deg) carry six decimal places, with no negative
+    zero."""
     metadata = [(key, result.provenance[key]) for key in sorted(result.provenance)]
     metadata.append(("variable", result.variable))
-    # %.6f and %.10g write the bytes of {:.6f} and {:.10g}, -0, inf and nan included
+    # %.6f and %.10g write the bytes of {:.6f} and {:.10g}, -0, inf and nan
+    # included; unsigned_zeros then drops the sign of a %.6f zero
     row_format = ",".join("%.6f" if name.endswith("_deg") else "%.10g"
                           for name in result.columns)
     write_csv(path, metadata, ",".join(result.columns),
-              ([row_format % tuple(row)] for row in result.rows.tolist()))
+              ([unsigned_zeros(row_format % tuple(row))] for row in result.rows.tolist()))

@@ -578,6 +578,20 @@ def test_chsh_command(tmp_path, capsys):
     assert "violation significance" in stdout
 
 
+def test_chsh_reads_named_basis_settings(tmp_path, capsys):
+    # it exited 2 with "CHSH tables need linear-analyzer settings, got 'Z'";
+    # psi_minus has E = -1 on Z/Z and X/X and 0 on Z/X and X/Z, so S = 2
+    # and the sigma is sqrt(2 / 1e5)
+    text = CHSH_TEMPLATE.replace("kind = psi_plus", "kind = psi_minus")
+    text = text[:text.index("pairs = ")] + "pairs = Z/Z, Z/X, X/Z, X/X\n"
+    table = str(tmp_path / "zx.csv")
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--exact",
+                 "--out", table]) == 0
+    capsys.readouterr()
+    assert main(["chsh", "--table", table]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "S = 2.000000 +- 0.004472"
+
+
 def test_chsh_at_the_classical_bound_is_no_violation(tmp_path, capsys):
     # four all-'++' rows: every correlation is 1 with zero sigma, so S = 2
     pairs = [("lin:0", "lin:22.5"), ("lin:0", "lin:67.5"),
@@ -1141,6 +1155,17 @@ def test_extract_zero_factor_at_floor_zero_exits_2(tmp_path, capsys, recwarn, br
     assert captured.out == ""
     assert f"|{branch}-branch factor| = 0 has no phase" in captured.err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_extract_prints_no_negative_zero(tmp_path, capsys):
+    # both branch rotations are -5e-13 rad, so theta_a read -0.000000
+    obs = tmp_path / "obs.csv"
+    obs.write_text("observable,value,sigma\nm_zz,-1,0\nm_xz,1e-12,0\nm_zx,0,0\n")
+    out = tmp_path / "thetas.csv"
+    assert main(["extract", "--plus", str(obs), "--minus", str(obs),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "0.000000, 0.000000\n"
+    assert out.read_text().splitlines()[-1] == "0.000000,0.000000"
 
 
 def test_repeated_main_calls_share_one_parser_and_leak_nothing(capsys):

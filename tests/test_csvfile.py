@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarot import cli, measure, sweeps, tomography
-from polarot.csvfile import read_csv, write_csv
+from polarot.csvfile import read_csv, unsigned_zeros, write_csv
 
 # text that survives a line-oriented format: no line breaks, no surrounding
 # whitespace, and (for cells) no comma
@@ -77,16 +77,22 @@ _SWEEP_VALUE = st.one_of(st.floats(), st.sampled_from(
        data=st.data())
 def test_sweep_rows_match_per_cell_format(path, names, data):
     # write_sweep formats each row with one %-format string; the bytes are
-    # those of "{:.6f}" (angle columns, named *_deg) and "{:.10g}" per cell
+    # those of "{:.6f}" (angle columns, named *_deg), with -0.000000 written
+    # 0.000000, and "{:.10g}" per cell
     rows = data.draw(st.lists(st.lists(_SWEEP_VALUE, min_size=len(names),
                                        max_size=len(names)), max_size=4))
     result = sweeps.SweepResult("theta_b", tuple(names),
                                 np.array(rows, dtype=float).reshape(-1, len(names)),
                                 {"seed": 7, "exact": 0})
     sweeps.write_sweep(result, path)
-    formats = ["{:.6f}" if name.endswith("_deg") else "{:.10g}" for name in names]
+
+    def cell(name, value):
+        if not name.endswith("_deg"):
+            return f"{value:.10g}"
+        return "0.000000" if f"{value:.6f}" == "-0.000000" else f"{value:.6f}"
+
     lines = ["# exact=0", "# seed=7", "# variable=theta_b", ",".join(names)]
-    lines += [",".join(f.format(v) for f, v in zip(formats, row)) for row in rows]
+    lines += [",".join(cell(name, v) for name, v in zip(names, row)) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -179,3 +185,14 @@ def test_observables_header_is_mandatory(path):
     path.write_text("m_zz,-1,0\nm_xz,0,0\nm_zx,0,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
         cli._read_observables(path)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("-0.000000", "0.000000"),
+    ("-0.000000,1.5,-0.000000", "0.000000,1.5,0.000000"),
+    ("S = -0.000000 +- 0.000000", "S = 0.000000 +- 0.000000"),
+    # other numbers keep their sign
+    ("-0.000001,-10.000000,-0.0000001,-0.000000000", "-0.000001,-10.000000,-0.0000001,"
+                                                     "-0.000000000")])
+def test_unsigned_zeros_drops_only_the_sign_of_a_six_decimal_zero(text, expected):
+    assert unsigned_zeros(text) == expected

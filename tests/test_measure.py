@@ -942,7 +942,8 @@ def test_chsh_from_counts_ideal():
 @pytest.mark.parametrize("accidental_fraction", [0.0, 0.1])
 def test_chsh_from_counts_sigma_pulls(accidental_fraction):
     # as test_estimate_observables_sigma_pulls, for the plug-in S and its
-    # quadrature sigma; every |E| is near 0.64, far from the kinks of |.|.
+    # quadrature sigma; every |E| is near 0.64, and the largest CHSH form
+    # leads the next by about 2.5, far from the kinks of |.| and of max.
     # The stack is read with the correlation estimator and the CHSH formula
     # written out, and chsh_from_counts must read each of its first tables alike
     rho = channels.apply_noise(states.bell_state("psi_plus"), 0.9)
@@ -951,7 +952,7 @@ def test_chsh_from_counts_sigma_pulls(accidental_fraction):
         measure.exact_table(rho, chsh_settings(), detection))
     counts = repeated_counts(rho, chsh_settings(), detection, seed=43)
     e, sigmas = measure.estimate_correlation(counts)
-    s = np.abs(e[:, 0] - e[:, 1]) + np.abs(e[:, 2]) + np.abs(e[:, 3])
+    s = np.abs(e.sum(axis=-1, keepdims=True) - 2.0 * e).max(axis=-1)
     sigma = np.sqrt(np.square(sigmas).sum(axis=-1))
     assert_standard_normal((s - s_exact) / sigma, "S")
     for k in range(20):
@@ -983,12 +984,75 @@ def test_chsh_sigma_scales_inverse_sqrt_n():
 
 def test_chsh_from_counts_validation():
     table = measure.CoincidenceTable([("Z", "Z")], np.array([[1.0, 1.0, 1.0, 1.0]]))
-    with pytest.raises(ValueError, match="linear-analyzer"):
+    with pytest.raises(ValueError, match="two analyzer settings"):
         measure.chsh_from_counts(table)
     table = measure.CoincidenceTable([("lin:0", f"lin:{math.degrees(0.4)}")],
                                      np.array([[1.0, 1.0, 1.0, 1.0]]))
-    with pytest.raises(ValueError, match="two analyzer angles"):
+    with pytest.raises(ValueError, match="two analyzer settings"):
         measure.chsh_from_counts(table)
+
+
+def exact_pairs_chsh(rho, arm_a, arm_b):
+    """The exact-table S of every pair of arm_a's and arm_b's settings."""
+    pairs = [(a, b) for a in arm_a for b in arm_b]
+    return measure.chsh_from_counts(
+        measure.exact_table(rho, pairs, measure.Detection(1.0, 1.0)))[0]
+
+
+@pytest.mark.parametrize("rho, arm_a, arm_b, expected", [
+    # every E is +-1 and they sum to 0: the old hand-signed form read 4
+    (states.separable_state(states.ket("H"), states.ket("H")),
+     ("lin:0", "lin:90"), ("lin:0", "lin:90"), 2.0),
+    # E(Z,Z) = E(X,X) = -1 and E(Z,X) = E(X,Z) = 0
+    (states.bell_state("psi_minus"), ("Z", "X"), ("Z", "X"), 2.0),
+    # Z and X analyze as lin:0 and lin:45, so this is the Tsirelson setting
+    (states.bell_state("psi_minus"), ("Z", "X"), ("lin:22.5", "lin:67.5"),
+     2.0 * math.sqrt(2.0)),
+    (states.bell_state("phi_plus"), ("wp:0:0", "wp:22.5:0"), ("lin:-22.5", "lin:22.5"),
+     2.0 * math.sqrt(2.0))],
+    ids=["HH-lin-0-90", "psi_minus-ZX-ZX", "psi_minus-ZX-lin", "phi_plus-wp-lin"])
+def test_chsh_reads_any_two_settings_per_arm(rho, arm_a, arm_b, expected):
+    assert abs(exact_pairs_chsh(rho, arm_a, arm_b) - expected) <= 1e-12
+
+
+_ANALYZER_ANGLE = st.floats(-180.0, 180.0)
+# named bases, linear analyzers and wave-plate analyzers; two per arm,
+# distinct once canonical
+_ARM_SETTINGS = st.lists(
+    st.one_of(st.sampled_from(["Z", "X", "Y"]),
+              _ANALYZER_ANGLE.map(lambda deg: f"lin:{deg}"),
+              st.tuples(_ANALYZER_ANGLE, _ANALYZER_ANGLE).map(
+                  lambda plates: f"wp:{plates[0]}:{plates[1]}")),
+    min_size=2, max_size=2, unique_by=lambda sid: measure.parse_setting(sid)[0])
+_UNIT_INTERVAL = st.floats(-1.0, 1.0)
+
+
+def complex_vector(reals):
+    """The normalized complex vector of interleaved real and imaginary parts."""
+    v = np.asarray(reals[::2]) + 1j * np.asarray(reals[1::2])
+    return v / np.linalg.norm(v)
+
+
+def nonzero_parts(size):
+    return st.lists(_UNIT_INTERVAL, min_size=size, max_size=size).filter(
+        lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=st.lists(nonzero_parts(8), min_size=1, max_size=4),
+       arm_a=_ARM_SETTINGS, arm_b=_ARM_SETTINGS)
+def test_chsh_of_any_state_is_at_most_tsirelson(columns, arm_a, arm_b):
+    # a state of rank len(columns): sum_k |v_k><v_k| / len(columns)
+    rho = sum(states.ket_to_dm(complex_vector(c)) for c in columns) / len(columns)
+    assert exact_pairs_chsh(rho, arm_a, arm_b) <= 2.0 * math.sqrt(2.0) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(ket_a=nonzero_parts(4), ket_b=nonzero_parts(4),
+       arm_a=_ARM_SETTINGS, arm_b=_ARM_SETTINGS)
+def test_chsh_of_a_product_state_is_at_most_2(ket_a, ket_b, arm_a, arm_b):
+    rho = states.separable_state(complex_vector(ket_a), complex_vector(ket_b))
+    assert exact_pairs_chsh(rho, arm_a, arm_b) <= 2.0 + 1e-12
 
 
 # ------------------------------------------------------------------- files

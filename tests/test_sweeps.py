@@ -498,3 +498,14 @@ def test_write_sweep_deterministic(tmp_path):
     sweeps.write_sweep(sweeps.run_sweep(cfg), path_2)
     assert path_1.read_bytes() == path_2.read_bytes()
 
+
+
+def test_write_sweep_prints_no_negative_zero(tmp_path):
+    # -1.8e-15 is theta_b_hat_deg of the exact theta sweep's first row under
+    # OpenBLAS's Prescott core, where it was written -0.000000
+    result = sweeps.SweepResult("theta_b", ("theta_b_deg", "theta_b_hat_deg"),
+                                np.array([[0.0, -1.7763568394002505e-15],
+                                          [-0.0, -1e-7]]), {})
+    sweeps.write_sweep(result, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[-2:] == [
+        "0.000000,0.000000", "0.000000,0.000000"]
