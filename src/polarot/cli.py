@@ -103,8 +103,7 @@ def _cmd_observables(args) -> tuple:
 
 
 def _cmd_extract(args) -> tuple:
-    thetas = extract_thetas(_read_observables(args.plus), _read_observables(args.minus),
-                            modulus_floor=args.modulus_floor)
+    thetas = extract_thetas(_read_observables(args.plus), _read_observables(args.minus))
     cells = [unsigned_zeros(f"{math.degrees(theta):.6f}") for theta in thetas]
     return 0, [", ".join(cells)], {args.out: lambda path: write_csv(
         path, (), "theta_a_deg,theta_b_deg", [cells])}
@@ -113,7 +112,7 @@ def _cmd_extract(args) -> tuple:
 def _cmd_scan(args) -> tuple:
     theta_a = run_scan(_load_config_with_override(args),
                        tuple(math.radians(v) for v in args.range_deg),
-                       math.radians(args.resolution_deg), args.noise_floor, args.exact)
+                       math.radians(args.resolution_deg), args.exact)
     return 0, [unsigned_zeros(f"{math.degrees(theta_a):.6f}")], {}
 
 
@@ -310,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "plus- and minus-branch observables")
     p.add_argument("--plus", required=True, help="observables file, addition branch")
     p.add_argument("--minus", required=True, help="observables file, cancellation branch")
-    p.add_argument("--modulus-floor", type=float, default=1e-6)
     p.add_argument("--out", help="output file path")
 
     p = sub.add_parser("scan", help="wide-range search for the arm-A rotation")
@@ -318,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range-deg", nargs=2, type=float, default=(-90.0, 90.0),
                    metavar=("LO", "HI"), help="search window in degrees")
     p.add_argument("--resolution-deg", type=float, default=5.0)
-    p.add_argument("--noise-floor", type=float, default=1e-3,
-                   help="smallest accepted modulus of the mean grid phasor "
-                        "(the source visibility, for exact data)")
 
     p = sub.add_parser("tomo", help="maximum-likelihood state reconstruction")
     p.add_argument("--counts", required=True, help="tomography counts file")

@@ -152,7 +152,6 @@ ACCEPTS = {
     "simulate": {"unread": [(_SWEEP, "it simulates the configured arm-B rotation "
                                      "(polarot sweep runs [sweep])")],
                  "flags": [_SEED]},
-    "extract": {"flags": [("--modulus-floor", ">= 0 and finite", lambda v: 0 <= v < math.inf)]},
     "scan": {"unread": [(_STATE, "it always probes psi_minus"), (_ARM_B, _GRID),
                         (_PAIRS, _NAMED), (_SWEEP, _GRID)],
              "flags": [_SEED,
@@ -161,8 +160,7 @@ ACCEPTS = {
                        ("--range-deg", "LO < HI in radians",
                         lambda v: math.radians(v[0]) < math.radians(v[1])),
                        ("--resolution-deg", "> 0 and finite in radians",
-                        lambda v: 0 < math.radians(v) < math.inf),
-                       ("--noise-floor", "finite", math.isfinite)]},
+                        lambda v: 0 < math.radians(v) < math.inf)]},
     "sweep": {"flags": [_SEED]},
     "theta_b sweep": {"unread": [(_STATE, "it always runs psi_plus and psi_minus"),
                                  (_ARM_B, "the [sweep] values set the arm-B angle"),

@@ -42,6 +42,9 @@ MAX_GRID_POINTS = 100_000
 MAX_POISSON_MEAN = 9.223372006484771e18
 # the smallest branch-factor modulus extract_thetas and the theta sweep accept
 MODULUS_FLOOR = 1e-6
+# the smallest mean-phasor modulus scan_theta_a accepts (the source
+# visibility, for exact data)
+NOISE_FLOOR = 1e-3
 
 
 def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
@@ -53,7 +56,8 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
     -1 is that port rotated by a further 90 degrees. 'wp:<hwp deg>:<qwp deg>'
     is a half- then a quarter-wave plate in front of a polarizing beam
     splitter, with +1 at the transmitted (H) port. Canonical ids carry angles
-    at six decimals. Errors name the id.
+    at six decimals, a zero unsigned (lin:-0.0000001 is lin:0.000000). Errors
+    name the id.
     """
     kind, *values = setting_id.split(":")
     if len(values) != _ARITY.get(kind):
@@ -77,7 +81,8 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
                              f"(deviation {deviation:g})")
     except ValueError as err:
         raise ValueError(f"analyzer setting {setting_id!r}: {err}") from None
-    return ":".join([kind] + [f"{math.degrees(a):.6f}" for a in angles]), kets
+    return ":".join([kind] + [f"{round(math.degrees(a), 6) + 0.0:.6f}"
+                              for a in angles]), kets
 
 
 def projector_tensor(settings) -> np.ndarray:
@@ -305,8 +310,8 @@ def rotation_from_observables(m_zz: float, m_xz: float,
     return (float(theta), float(sigma)) if sigma.ndim == 0 else (theta, sigma)
 
 
-def extract_thetas(obs_plus: JointObservables, obs_minus: JointObservables,
-                   modulus_floor: float = MODULUS_FLOOR) -> tuple[float, float]:
+def extract_thetas(obs_plus: JointObservables,
+                   obs_minus: JointObservables) -> tuple[float, float]:
     """Recover both local rotation angles from the joint observables of the
     addition- and cancellation-branch states.
 
@@ -317,27 +322,23 @@ def extract_thetas(obs_plus: JointObservables, obs_minus: JointObservables,
     single-valued for angles within the +-pi/4 window; outside it the
     result wraps by pi/2 (use scan_theta_a first when the prior is wider).
     Elementwise (floats or arrays); a branch factor -m_zz - i m_xz whose
-    modulus is below modulus_floor, or zero, raises, naming its index.
+    modulus is below MODULUS_FLOOR raises, naming its index.
     """
-    if not 0.0 <= modulus_floor < math.inf:
-        raise ValueError(f"modulus_floor must be finite and nonnegative, "
-                         f"got {modulus_floor}")
     branches = ((obs_plus.m_zz, obs_plus.m_xz), (obs_minus.m_zz, obs_minus.m_xz))
-    _check_factors(branches, modulus_floor)
+    _check_factors(branches)
     return _local_angles(*(rotation_from_observables(*b)[0] for b in branches))
 
 
-def _check_factors(branches, modulus_floor: float) -> None:
+def _check_factors(branches) -> None:
     # branches: the (m_zz, m_xz) of the plus, then the minus branch
     for name, (m_zz, m_xz) in zip(("plus", "minus"), branches):
         modulus = np.hypot(m_zz, m_xz)
-        bad = (modulus < modulus_floor) | (modulus == 0.0)  # a zero has no phase
+        bad = modulus < MODULUS_FLOOR
         if bad.any():
             idx = tuple(int(i) for i in np.argwhere(bad)[0])
             where = f" at stack index {idx}" if idx else ""
-            limit = f"< {modulus_floor:g}" if modulus_floor > 0.0 else "has no phase"
             raise ValueError(f"extraction ill-conditioned{where}: |{name}-branch "
-                             f"factor| = {modulus[idx]:g} {limit}")
+                             f"factor| = {modulus[idx]:g} < {MODULUS_FLOOR:g}")
 
 
 def _local_angles(theta_plus, theta_minus, quarter_turn: float = math.pi / 2):
@@ -350,8 +351,7 @@ def _local_angles(theta_plus, theta_minus, quarter_turn: float = math.pi / 2):
     return tuple(halves.tolist() if halves.ndim == 1 else halves)
 
 
-def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
-                 noise_floor: float = 1e-3) -> float:
+def scan_theta_a(probe, search_range: tuple[float, float], resolution: float) -> float:
     """Locate an unknown rotation in one arm by sweeping the other arm.
 
     `probe` maps an array of trial angles theta_b to one cancellation-branch
@@ -364,15 +364,13 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
     rotation is only defined modulo pi, so the window is the caller's prior:
     the result is the representative inside it (ties toward smaller
     |theta_a|), wrapped into (-pi, pi]. A window without one raises, and so
-    does a mean phasor modulus below noise_floor (a flat response).
+    does a mean phasor modulus below NOISE_FLOOR (a flat response).
     """
     lo, hi = search_range
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"search_range must be finite, got ({lo}, {hi})")
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    if not math.isfinite(noise_floor):
-        raise ValueError(f"noise_floor must be finite, got {noise_floor}")
     if hi <= lo:
         raise ValueError(f"empty search range ({lo}, {hi})")
     span = (hi - lo) / resolution  # inf for a tiny resolution, so compared as a float
@@ -387,16 +385,19 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float,
         raise ValueError(f"probe must return one m_zz and m_xz per grid angle, got "
                          f"{np.shape(obs.m_zz)}, {np.shape(obs.m_xz)} for {grid.size}")
     phasor = np.mean((-obs.m_zz - 1j * obs.m_xz) * np.exp(2j * grid))
-    if abs(phasor) < noise_floor or phasor == 0.0:  # a zero has no phase
+    if abs(phasor) < NOISE_FLOOR:
         raise ValueError(f"flat scan response: mean phasor modulus "
-                         f"{abs(phasor):g} is below the noise floor {noise_floor:g}")
+                         f"{abs(phasor):g} is below the noise floor {NOISE_FLOOR:g}")
     theta = 0.5 * float(np.angle(phasor))
-    reps = theta + math.pi * np.arange(math.ceil((lo - theta) / math.pi),
-                                       math.floor((hi - theta) / math.pi) + 1)
-    if reps.size == 0:
+    # the representatives theta + k pi inside the window are k_lo <= k <= k_hi
+    k_lo, k_hi = math.ceil((lo - theta) / math.pi), math.floor((hi - theta) / math.pi)
+    if k_lo > k_hi:
         raise ValueError("no anticorrelation optimum inside the search range; "
                          "widen the range so it covers theta_a mod pi")
-    return wrap_angle(float(reps[np.argmin(np.abs(reps))]))
+    # |theta + k pi| is least at k = 0, or at k = -1 and 0 alike for theta =
+    # pi/2 (the lower k wins), and grows away from there: clamp into the window
+    k = min(max(-1 if theta == math.pi / 2 else 0, k_lo), k_hi)
+    return wrap_angle(theta + math.pi * k)
 
 
 def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:

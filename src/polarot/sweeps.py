@@ -21,9 +21,8 @@ from . import __version__
 from .channels import _apply_noise, local_rotations, wrap_angle
 from .config import ExperimentConfig, check_reads, config_hash
 from .csvfile import unsigned_zeros, write_csv
-from .measure import (MODULUS_FLOOR, NAMED_PAIRS, _check_factors, _local_angles,
-                      _mean_counts, _observables, rotation_from_observables,
-                      scan_theta_a)
+from .measure import (NAMED_PAIRS, _check_factors, _local_angles, _mean_counts,
+                      _observables, rotation_from_observables, scan_theta_a)
 from .states import bell_state, ket, separable_state
 
 __all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
@@ -40,10 +39,8 @@ class SweepResult:
 
 def fit_line(x, y, sigma) -> dict:
     """Weighted least-squares straight line y = slope x + intercept through
-    points with absolute uncertainties sigma. Returns the parameters, their
-    sigmas, their covariance cov = [[var_slope, c], [c, var_intercept]] and
-    R^2 = 1 - SS_res/SS_tot (weighted), defined as 1 when both sums vanish
-    (constant data fitted exactly)."""
+    points with absolute uncertainties sigma. Returns the parameters, the
+    slope's sigma and their covariance cov = [[var_slope, c], [c, var_intercept]]."""
     x, y, sigma = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, sigma)))
     if x.size < 3:
         raise ValueError(f"need at least 3 points to fit a line, got {x.size}")
@@ -61,18 +58,11 @@ def fit_line(x, y, sigma) -> dict:
     slope = (s * sxy - sx * sy) / det
     intercept = (sxx * sy - sx * sxy) / det
     cov = np.array([[s, -sx], [-sx, sxx]]) / det
-    resid = y - (slope * x + intercept)
-    ss_res = float((w * resid ** 2).sum())
-    ybar = sy / s
-    ss_tot = float((w * (y - ybar) ** 2).sum())
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return {
         "slope": float(slope),
         "intercept": float(intercept),
         "slope_sigma": math.sqrt(max(cov[0, 0], 0.0)),
-        "intercept_sigma": math.sqrt(max(cov[1, 1], 0.0)),
         "cov": cov,
-        "r_squared": r_squared,
     }
 
 
@@ -177,7 +167,7 @@ def _theta_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     theta_b = np.radians(values)
     # both branches in one stack; branch k samples its own stream, (cfg.seed, k)
     obs = _observables(_named_counts(cfg, kinds, theta_b, exact, ((0,), (1,))))
-    _check_factors(zip(obs.m_zz, obs.m_xz), MODULUS_FLOOR)
+    _check_factors(zip(obs.m_zz, obs.m_xz))
     thetas, (sig_p, sig_m) = rotation_from_observables(
         obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
     th_p, th_m = np.degrees([_remove_offsets(cfg, k, theta)
@@ -210,7 +200,7 @@ def run_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
 
 
 def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float],
-             resolution: float, noise_floor: float, exact: bool) -> float:
+             resolution: float, exact: bool) -> float:
     """The arm-A rotation (radians, in (-pi, pi]) that scan_theta_a finds by
     probing the cancellation (psi_minus) branch over a grid of arm-B angles,
     counts drawn from the stream (cfg.seed, 1). The optimum matches arm B to
@@ -218,7 +208,7 @@ def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float],
     theta = scan_theta_a(
         lambda grid: _observables(_named_counts(cfg, ("psi_minus",), grid, exact,
                                                 ((1,),))[0]),
-        search_range, resolution, noise_floor=noise_floor)
+        search_range, resolution)
     return wrap_angle(_remove_offsets(cfg, "psi_minus", theta))
 
 

@@ -1023,12 +1023,9 @@ def test_scan_window_missing_the_angle_exits_2(capsys):
     (["--range-deg", "nan", "10"], "--range-deg", "nan"),
     (["--resolution-deg", "nan"], "--resolution-deg", "nan"),
     (["--resolution-deg", "inf"], "--resolution-deg", "inf"),
-    (["--noise-floor", "nan"], "--noise-floor", "nan"),
-    (["--noise-floor", "inf"], "--noise-floor", "inf"),
     (["--range-deg", "-inf", "10"], "--range-deg", "-inf 10.0"),
     (["--range-deg", "-Infinity", "10"], "--range-deg", "-inf 10.0"),
     (["--range-deg", "-NaN", "10"], "--range-deg", "nan 10.0"),
-    (["--noise-floor", "-inf"], "--noise-floor", "-inf"),
     (["--range-deg", "10", "-10"], "--range-deg", "LO < HI in radians, got 10.0 -10.0"),
     (["--range-deg", "10", "10"], "--range-deg", "LO < HI in radians, got 10.0 10.0"),
     (["--range-deg", "-5e-324", "5e-324"], "--range-deg",
@@ -1038,15 +1035,14 @@ def test_scan_window_missing_the_angle_exits_2(capsys):
     (["--resolution-deg", "5e-324"], "--resolution-deg",
      "> 0 and finite in radians, got 5e-324")],
     ids=["range-inf", "range-nan", "resolution-nan", "resolution-inf",
-         "noise-floor-nan", "noise-floor-inf", "range-minus-inf", "range-minus-infinity",
-         "range-minus-nan", "noise-floor-minus-inf", "range-reversed", "range-empty",
+         "range-minus-inf", "range-minus-infinity",
+         "range-minus-nan", "range-reversed", "range-empty",
          "range-subnormal", "resolution-negative", "resolution-zero",
          "resolution-subnormal"])
 def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
     # an infinite range overflowed the grid size (a traceback), a NaN
-    # resolution failed the integer conversion, a NaN noise floor switched
-    # the flat-response guard off; a reversed or empty window, a non-finite
-    # window, step or floor and a step <= 0 were named in radians, without
+    # resolution failed the integer conversion; a reversed or empty window, a
+    # non-finite window or step and a step <= 0 were named in radians, without
     # their flag (resolution must be positive and finite, got -0.087...), and
     # so were a step and a window whose subnormal degrees are 0 in radians;
     # argparse read -inf, -Infinity and -NaN as options and exited 1
@@ -1127,34 +1123,43 @@ def test_theta_sweep_of_a_fully_mixed_source(tmp_path, monkeypatch, capsys, exac
         assert (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("floor", ["nan", "inf", "-1", "-inf"])
-def test_extract_bad_modulus_floor_exits_2(tmp_path, capsys, floor):
-    # on all-zero observables a NaN or negative floor printed "nan, nan";
-    # argparse read -inf as an option and exited 1
-    obs = tmp_path / "obs.csv"
-    obs.write_text("observable,value,sigma\nm_zz,0,0\nm_xz,0,0\nm_zx,0,0\n")
-    assert main(["extract", "--plus", str(obs), "--minus", str(obs),
-                 "--modulus-floor", floor]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--modulus-floor must be >= 0 and finite, got " in captured.err
-    assert floor in captured.err
-
-
 @pytest.mark.parametrize("branch", ["plus", "minus"])
-def test_extract_zero_factor_at_floor_zero_exits_2(tmp_path, capsys, recwarn, branch):
-    # at floor 0 all-zero observables printed "nan, nan" with two
+def test_extract_zero_factor_exits_2(tmp_path, capsys, recwarn, branch):
+    # at --modulus-floor 0 all-zero observables printed "nan, nan" with two
     # RuntimeWarnings and exited 0
     zero, good = tmp_path / "zero.csv", tmp_path / "good.csv"
     zero.write_text("observable,value,sigma\nm_zz,0,0\nm_xz,0,0\nm_zx,0,0\n")
     good.write_text("observable,value,sigma\nm_zz,-1,0\nm_xz,0,0\nm_zx,0,0\n")
     plus, minus = (zero, good) if branch == "plus" else (good, zero)
-    assert main(["extract", "--plus", str(plus), "--minus", str(minus),
-                 "--modulus-floor", "0"]) == 2
+    assert main(["extract", "--plus", str(plus), "--minus", str(minus)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"|{branch}-branch factor| = 0 has no phase" in captured.err
+    assert f"|{branch}-branch factor| = 0 < 1e-06" in captured.err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--plus", "x.csv", "--minus", "x.csv", "--modulus-floor", "0"],
+    ["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact", "--noise-floor", "0"]])
+def test_phase_floors_are_not_options(capsys, argv):
+    # each readout judges its phase by a constant floor (measure.MODULUS_FLOOR,
+    # measure.NOISE_FLOOR); a floor flag is an unknown option
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]} 0" in captured.err
+
+
+def test_scan_window_far_wider_than_its_grid_exits_0(capsys):
+    # the scan enumerated every representative theta + k pi of the window:
+    # +-1e300 deg exited 2 naming no flag, +-1e9 deg peaked at 210 MiB and
+    # +-1e12 deg asked for 82.8 GiB (exit 1); each grid holds 201-20,001 points
+    for lo, hi, step in (("-1e300", "1e300", "1e298"), ("-1e9", "1e9", "1e5"),
+                         ("-1e12", "1e12", "1e8")):
+        assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
+                     "--range-deg", lo, hi, "--resolution-deg", step]) == 0
+        out = capsys.readouterr().out
+        assert -180.0 < float(out) <= 180.0
 
 
 def test_extract_prints_no_negative_zero(tmp_path, capsys):
@@ -1176,7 +1181,7 @@ def test_repeated_main_calls_share_one_parser_and_leak_nothing(capsys):
     fisher = ["fisher", "--n-values", "1,2"]
     argvs = [scan + ["--range-deg", "30", "80", "--resolution-deg", "2"], scan,
              fisher + ["--trials", "20", "--seed", "4", "--theta-deg", "12"], fisher,
-             scan + ["--seed", "3", "--noise-floor", "0.5"], scan,
+             scan + ["--seed", "3", "--resolution-deg", "4"], scan,
              ["extract", "--plus", "x"], scan]
     shared = [(main(argv), capsys.readouterr()) for argv in argvs]
     assert cli.build_parser() is cli.build_parser()

@@ -80,6 +80,26 @@ def test_analyzer_id_round_trip():
         assert abs(abs(np.vdot(clone_kets[0], kets[0])) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("template, canonical", [
+    ("lin:{}", "lin:0.000000"), ("wp:{}:10", "wp:0.000000:10.000000"),
+    ("wp:10:{}", "wp:10.000000:0.000000")])
+def test_analyzer_id_of_a_zero_angle_has_no_sign(template, canonical):
+    # lin:-0.0000001 and lin:-0 read as lin:-0.000000, lin:0 as lin:0.000000,
+    # so one analyzer had two ids
+    ids = {measure.parse_setting(template.format(v))[0]
+           for v in ("-0.0000001", "-0", "0", "0.0000001", "-0.0000004")}
+    assert ids == {canonical}
+
+
+def test_table_reads_a_zero_angle_as_one_arm_setting():
+    # a table with rows at lin:-0.0000001 and lin:0 counted two arm-A settings
+    rows = [(a, b) for a in ("lin:-0.0000001", "lin:0", "lin:45") for b in ("Z", "X")]
+    table = measure.CoincidenceTable(rows, np.ones((6, 4)))
+    assert table.settings[0] == table.settings[2] == ("lin:0.000000", "Z")
+    s, _ = measure.chsh_from_counts(table)  # two settings per arm, not three
+    assert s == 0.0
+
+
 def pinned_family_pairs():
     # linear polarizers and wave plates at angles uniform over +-400 degrees
     # (written at full precision, so parsed ids round to six decimals), the
@@ -101,8 +121,8 @@ def test_projector_tensor_is_pinned_bit_for_bit():
         digest.update(" ".join(f"{measure.parse_setting(a)[0]}/"
                                f"{measure.parse_setting(b)[0]}"
                                for a, b in pairs).encode())
-    assert digest.hexdigest() == ("261b9a8a86ecb9c4d02f976e3892a6d0"
-                                  "fc0cabf4bfe6b41be82c9b6411ef3ef3"), pin_note()
+    assert digest.hexdigest() == ("cb24bb66a077f8bb5cf039bc228c70c7"
+                                  "41dc9395e8e13c61ad1bb9e0a904f6ba"), pin_note()
 
 
 def test_analyzer_bad_ids():
@@ -727,7 +747,7 @@ def test_extract_thetas_names_the_ill_conditioned_member(branch):
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
-def test_extract_thetas_rejects_a_zero_factor_at_floor_zero(branch):
+def test_extract_thetas_rejects_a_zero_factor(branch):
     # a zero factor has no phase: at floor 0 it gave nan angles with warnings
     m_zz = np.full(4, -1.0)
     m_zz[2] = 0.0
@@ -735,20 +755,8 @@ def test_extract_thetas_rejects_a_zero_factor_at_floor_zero(branch):
     bad = measure.JointObservables(m_zz, np.zeros(4), 0.0)
     obs = (bad, good) if branch == "plus" else (good, bad)
     with pytest.raises(ValueError, match=rf"ill-conditioned at stack index \(2,\): "
-                                         rf"\|{branch}-branch factor\| = 0 has no phase"):
-        measure.extract_thetas(*obs, modulus_floor=0.0)
-    # a tiny nonzero factor still has a phase and passes floor 0
-    tiny = measure.JointObservables(np.where(m_zz == 0.0, -1e-300, m_zz), np.zeros(4), 0.0)
-    theta_a, theta_b = measure.extract_thetas(tiny, good, modulus_floor=0.0)
-    assert np.isfinite(theta_a).all() and np.isfinite(theta_b).all()
-
-
-@pytest.mark.parametrize("floor", [math.nan, math.inf, -1e-6])
-def test_extract_thetas_rejects_bad_modulus_floor(floor):
-    obs = measure.JointObservables(-1.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match=f"modulus_floor must be finite and "
-                                         f"nonnegative, got {floor}"):
-        measure.extract_thetas(obs, obs, modulus_floor=floor)
+                                         rf"\|{branch}-branch factor\| = 0 < 1e-06"):
+        measure.extract_thetas(*obs)
 
 
 # --------------------------------------------------------------------- scan
@@ -824,11 +832,11 @@ def test_scan_flat_response_rejected():
         measure.scan_theta_a(mixed_probe, (-1.0, 1.0), 0.1)
 
 
-def test_scan_zero_phasor_rejected_without_noise_floor():
-    # a fully mixed source gives a mean phasor of exactly 0, which has no
-    # phase, so a zero floor does not switch the check off
-    with pytest.raises(ValueError, match="flat scan response"):
-        measure.scan_theta_a(mixed_probe, (-1.0, 1.0), 0.1, noise_floor=0.0)
+def test_scan_zero_phasor_rejected_at_the_noise_floor():
+    # a fully mixed source gives a mean phasor of exactly 0, which has no phase
+    with pytest.raises(ValueError, match=f"mean phasor modulus 0 is below the "
+                                         f"noise floor {measure.NOISE_FLOOR:g}"):
+        measure.scan_theta_a(mixed_probe, (-1.0, 1.0), 0.1)
 
 
 def test_scan_probes_the_grid_once():
@@ -875,16 +883,86 @@ def test_scan_validation():
         measure.scan_theta_a(exact_probe(0.0), (1.0, -1.0), 0.1)
 
 
-@pytest.mark.parametrize("search_range, resolution, noise_floor, name", [
-    ((0.0, math.inf), 0.1, 1e-3, "search_range"),
-    ((math.nan, 1.0), 0.1, 1e-3, "search_range"),
-    ((-1.0, 1.0), math.nan, 1e-3, "resolution"),
-    ((-1.0, 1.0), math.inf, 1e-3, "resolution"),
-    ((-1.0, 1.0), 0.1, math.nan, "noise_floor"),
-    ((-1.0, 1.0), 0.1, -math.inf, "noise_floor")])
-def test_scan_rejects_non_finite_numbers(search_range, resolution, noise_floor, name):
+@pytest.mark.parametrize("search_range, resolution, name", [
+    ((0.0, math.inf), 0.1, "search_range"),
+    ((math.nan, 1.0), 0.1, "search_range"),
+    ((-1.0, 1.0), math.nan, "resolution"),
+    ((-1.0, 1.0), math.inf, "resolution")])
+def test_scan_rejects_non_finite_numbers(search_range, resolution, name):
     with pytest.raises(ValueError, match=f"{name} must be"):
-        measure.scan_theta_a(exact_probe(0.0), search_range, resolution, noise_floor)
+        measure.scan_theta_a(exact_probe(0.0), search_range, resolution)
+
+
+def closed_form_probe(ta):
+    """Exact cancellation-branch observables -cos, -sin 2(ta - tb) as arrays."""
+    def probe(tbs):
+        z = np.exp(2j * (ta - tbs))
+        return measure.JointObservables(-z.real, -z.imag, np.zeros(tbs.size))
+    return probe
+
+
+def tie_probe(tbs):
+    # -m_zz - i m_xz is -1 at the grid angle 0 (where exp(2i tb) is exactly
+    # 1) and 0 elsewhere: the mean phasor is real and negative with a +0
+    # imaginary part, so the scan reads theta = pi/2 exactly
+    m_zz = np.where(tbs == 0.0, 1.0, 0.0)
+    return measure.JointObservables(m_zz, np.zeros(tbs.size), np.zeros(tbs.size))
+
+
+def enumerated_representative(probe, search_range, resolution):
+    # every representative theta + k pi inside the window, then the one of
+    # least |.| (the first, so the lower k, on a tie), as the scan once did
+    lo, hi = search_range
+    grid = lo + resolution * np.arange(math.floor((hi - lo) / resolution) + 1)
+    if grid[-1] < hi - 1e-12:
+        grid = np.append(grid, hi)
+    obs = probe(grid)
+    theta = 0.5 * float(np.angle(np.mean((-obs.m_zz - 1j * obs.m_xz) * np.exp(2j * grid))))
+    reps = theta + math.pi * np.arange(math.ceil((lo - theta) / math.pi),
+                                       math.floor((hi - theta) / math.pi) + 1)
+    return theta, (channels.wrap_angle(float(reps[np.argmin(np.abs(reps))]))
+                   if reps.size else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-12.0, 12.0), st.floats(0.01, 12.0), st.integers(1, 40),
+       st.floats(-math.pi, math.pi))
+def test_scan_representative_matches_the_enumeration(lo, width, steps, ta):
+    # the representative comes from the window's ends in O(1); it must be the
+    # one an enumeration of every representative in the window picks, bit for bit
+    probe, window = closed_form_probe(ta), (lo, lo + width)
+    _, expected = enumerated_representative(probe, window, width / steps)
+    if expected is None:
+        with pytest.raises(ValueError, match="no anticorrelation optimum"):
+            measure.scan_theta_a(probe, window, width / steps)
+    else:
+        assert _bits(measure.scan_theta_a(probe, window, width / steps)) == _bits(expected)
+
+
+@pytest.mark.parametrize("search_range, resolution, expected", [
+    ((-2.0, 2.0), 0.5, -math.pi / 2), ((-8.0, 8.0), 1.0, -math.pi / 2),
+    ((0.0, 2.0), 0.5, math.pi / 2), ((-1.0, 8.0), 0.25, math.pi / 2),
+    ((-2.0, 1.0), 0.5, -math.pi / 2), ((-8.0, 0.0), 1.0, -math.pi / 2)])
+def test_scan_tie_between_two_representatives(search_range, resolution, expected):
+    # at theta = pi/2, -pi/2 and pi/2 lie equally near 0: the lower one wins
+    theta, enumerated = enumerated_representative(tie_probe, search_range, resolution)
+    assert theta == math.pi / 2
+    result = measure.scan_theta_a(tie_probe, search_range, resolution)
+    assert _bits(result) == _bits(enumerated) == _bits(expected)
+
+
+def test_scan_window_search_memory_does_not_grow_with_the_window():
+    # a (-5e6, 5e6) rad window holds 3.2 million representatives, which the
+    # scan built as arrays (a 49 MiB peak) though its grid has 20,001 points
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        theta = measure.scan_theta_a(closed_form_probe(0.3), (-5e6, 5e6), 500.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(theta - 0.3) < 1e-6
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 # --------------------------------------------------------------------- CHSH

@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import polarot
-from polarot import config, measure
+from polarot import cli, config, measure
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -93,3 +93,14 @@ def test_readme_names_only_attributes_that_exist():
         checked += 1
     assert checked > 50
     assert not missing, f"README names attributes that do not exist: {missing}"
+
+
+def test_readme_names_only_flags_that_exist():
+    # every --flag the README names, in a command line, a table or prose, is
+    # an option of some subcommand, so the README cannot go on naming a
+    # deleted flag; pip's --no-build-isolation, in the install line, is not ours
+    defined = {option for parser in cli.build_parser().commands.values()
+               for option in parser._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", README)) - {"--no-build-isolation"}
+    assert len(named) > 15
+    assert not named - defined, f"README names flags no command has: {named - defined}"
