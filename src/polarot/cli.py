@@ -158,18 +158,15 @@ def _cmd_fisher(args) -> tuple:
     if min(n_values) < 1:
         raise ValueError(f"--n-values entries must be >= 1, got {min(n_values)}")
     # numpy's binomial draws take at most an int64 photon count
-    if max(n_values) * args.counts_per_trial > np.iinfo(np.int64).max:
-        raise ValueError(f"--n-values times --counts-per-trial must be at most "
-                         f"{np.iinfo(np.int64).max:,} photons")
+    if max(n_values) > np.iinfo(np.int64).max:
+        raise ValueError(f"--n-values entries must be at most {np.iinfo(np.int64).max:,}")
+    columns = [n_values, [qfi(n) for n in n_values], [1.0 / (4.0 * n * n) for n in n_values]]
+    header = "n,qfi,var_entangled_bound"
     if args.trials > 0:
-        rows = [(n, qfi(n), bound, var_sim) for n, bound, var_sim in variance_scaling(
-            n_values, args.trials, args.counts_per_trial, args.seed or 0,
-            theta=math.radians(args.theta_deg))]
-        header = "n,qfi,var_entangled_bound,var_separable_sim"
-    else:
-        rows = [(n, qfi(n), 1.0 / (4.0 * n * n)) for n in n_values]
-        header = "n,qfi,var_entangled_bound"
-    cells = [[f"{v:.10g}" for v in row] for row in rows]
+        columns.append(variance_scaling(n_values, args.trials, args.seed or 0,
+                                        theta=math.radians(args.theta_deg)))
+        header += ",var_separable_sim"
+    cells = [[f"{v:.10g}" for v in row] for row in zip(*columns)]
     return (0, [header] + [",".join(row) for row in cells],
             {args.out: lambda path: write_csv(path, (), header, cells)})
 
@@ -340,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated photon numbers")
     p.add_argument("--trials", type=int, default=0,
                    help="Monte Carlo trials for the separable baseline (0 = bounds only)")
-    p.add_argument("--counts-per-trial", type=int, default=1)
     p.add_argument("--theta-deg", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="output file path")

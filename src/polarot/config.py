@@ -156,6 +156,9 @@ ACCEPTS = {
                         (_PAIRS, _NAMED), (_SWEEP, _GRID)],
              "flags": [_SEED,
                        ("--range-deg", "finite", lambda v: all(map(math.isfinite, v))),
+                       ("--range-deg", "at most 1e6 in magnitude",
+                        lambda v: max(map(abs, v)) <= 1e6, "the float spacing at 1e6 deg "
+                        "is 3.6e-12 rad, about 2e-4 of the printed 1e-6 deg"),
                        # in radians, where a subnormal degree value is 0
                        ("--range-deg", "LO < HI in radians",
                         lambda v: math.radians(v[0]) < math.radians(v[1])),
@@ -182,10 +185,9 @@ ACCEPTS = {
                           "one trial has no spread"),
                          ("--trials", f"at most {MAX_TRIALS:,}",
                           lambda v: v <= MAX_TRIALS),
-                         ("--counts-per-trial", ">= 1", lambda v: v >= 1),
                          ("--theta-deg", "finite", math.isfinite)],
                "needs": [(flag, "--trials", "it applies to the Monte Carlo trials")
-                         for flag in ("--seed", "--theta-deg", "--counts-per-trial")]},
+                         for flag in ("--seed", "--theta-deg")]},
 }
 _DEFAULT = ExperimentConfig()
 

@@ -512,12 +512,10 @@ def test_sweep_without_a_sweep_section_exits_2(tmp_path, monkeypatch, capsys):
      "--seed needs --trials: it applies to the Monte Carlo trials"),
     (["fisher", "--theta-deg", "10", "--out", "fisher.csv"],
      "--theta-deg needs --trials: it applies to the Monte Carlo trials"),
-    (["fisher", "--counts-per-trial", "7", "--out", "fisher.csv"],
-     "--counts-per-trial needs --trials: it applies to the Monte Carlo trials"),
     (["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"), "--reference", "psi_plus",
       "--seed", "9", "--out-state", "rho.txt"],
      "--seed needs --bootstrap: it seeds the resamples")],
-    ids=["fisher-seed", "fisher-theta-deg", "fisher-counts-per-trial", "tomo-seed"])
+    ids=["fisher-seed", "fisher-theta-deg", "tomo-seed"])
 def test_a_flag_the_run_ignores_exits_2(tmp_path, monkeypatch, capsys, argv, message):
     # each run printed what it prints without the flag and exited 0
     monkeypatch.setenv("POLAROT_OUT", str(tmp_path))
@@ -640,6 +638,28 @@ def test_fisher_command(tmp_path, capsys):
     assert "var_separable_sim" in stdout.splitlines()[0]
 
 
+def test_fisher_bound_column_does_not_depend_on_trials(capsys):
+    # the bound 1/(4 n^2) is computed once, for the bounds-only table and the
+    # --trials table alike
+    tables = []
+    for flags in ([], ["--trials", "10"]):
+        assert main(["fisher", "--n-values", "1,2,4,3,1000", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        column = lines[0].split(",").index("var_entangled_bound")
+        tables.append([line.split(",")[column] for line in lines[1:]])
+    assert tables[0] == tables[1] == ["0.25", "0.0625", "0.015625", "0.02777777778",
+                                      "2.5e-07"]
+
+
+def test_fisher_counts_per_trial_is_not_an_option(capsys):
+    # the separable baseline spends n photons a trial, the budget of one use
+    # of the n-photon probe; another budget is an unknown option
+    assert main(["fisher", "--trials", "10", "--counts-per-trial", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --counts-per-trial 1" in captured.err
+
+
 def test_fisher_single_trial_exits_2(capsys):
     # the variance of one trial is not 0 but undefined
     assert main(["fisher", "--n-values", "1,2", "--trials", "1"]) == 2
@@ -659,22 +679,18 @@ def test_fisher_negative_trials_exits_2(capsys):
     (["--theta-deg", "inf"], "--theta-deg must be finite, got inf"),
     (["--trials", "10", "--theta-deg", "-nan"], "--theta-deg must be finite, got nan"),
     (["--trials", "10", "--theta-deg", "-INF"], "--theta-deg must be finite, got -inf"),
-    (["--counts-per-trial", "-1"], "--counts-per-trial must be >= 1, got -1"),
-    (["--trials", "10", "--counts-per-trial", "0"],
-     "--counts-per-trial must be >= 1, got 0"),
     (["--n-values", "99999999999999999999", "--trials", "10"],
-     "--n-values times --counts-per-trial must be at most"),
-    (["--counts-per-trial", "99999999999999999999", "--trials", "10"],
-     "--n-values times --counts-per-trial must be at most"),
-    (["--n-values", "1" + "0" * 400], "--n-values times --counts-per-trial must be at most"),
+     "--n-values entries must be at most 9,223,372,036,854,775,807"),
+    (["--n-values", "1" + "0" * 400],
+     "--n-values entries must be at most 9,223,372,036,854,775,807"),
     (["--n-values", "1,,2"], "--n-values must be comma-separated integers, got '1,,2'"),
     (["--trials", "2000000000"], "--trials must be at most 1,000,000, got 2,000,000,000"),
     (["--trials", "1"],
      "--trials must be at least 2 (or 0: bounds only), got 1: one trial has no spread"),
     (["--n-values", "0"], "--n-values entries must be >= 1, got 0")],
-    ids=["theta-nan", "theta-inf", "theta-minus-nan", "theta-minus-inf", "counts-negative",
-         "counts-zero", "n-values-huge", "counts-huge", "n-values-beyond-float",
-         "n-values-empty-entry", "trials-huge", "trials-one", "n-values-zero"])
+    ids=["theta-nan", "theta-inf", "theta-minus-nan", "theta-minus-inf", "n-values-huge",
+         "n-values-beyond-float", "n-values-empty-entry", "trials-huge", "trials-one",
+         "n-values-zero"])
 def test_fisher_bad_flag_exits_2(capsys, flags, message):
     # a NaN angle reached numpy's binomial, whose message names no flag, and
     # a negative photon count passed unchecked without --trials; counts beyond
@@ -1151,15 +1167,26 @@ def test_phase_floors_are_not_options(capsys, argv):
 
 
 def test_scan_window_far_wider_than_its_grid_exits_0(capsys):
-    # the scan enumerated every representative theta + k pi of the window:
-    # +-1e300 deg exited 2 naming no flag, +-1e9 deg peaked at 210 MiB and
-    # +-1e12 deg asked for 82.8 GiB (exit 1); each grid holds 201-20,001 points
-    for lo, hi, step in (("-1e300", "1e300", "1e298"), ("-1e9", "1e9", "1e5"),
-                         ("-1e12", "1e12", "1e8")):
-        assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                     "--range-deg", lo, hi, "--resolution-deg", step]) == 0
-        out = capsys.readouterr().out
-        assert -180.0 < float(out) <= 180.0
+    # the scan enumerated every representative theta + k pi of the window;
+    # the widest window the flag accepts holds 11,111 of them on a grid of
+    # 20,001 points, and the readout keeps every printed digit
+    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
+                 "--range-deg", "-1e6", "1e6", "--resolution-deg", "100"]) == 0
+    assert capsys.readouterr().out == "20.000000\n"
+
+
+@pytest.mark.parametrize("lo, hi, step", [
+    ("-1e9", "1e9", "1e5"), ("-1e12", "1e12", "1e8"), ("-1e15", "1e15", "1e11"),
+    ("-1e300", "1e300", "1e298"), ("0", "1000000.0001", "1000")])
+def test_scan_window_beyond_float_precision_exits_2(capsys, lo, hi, step):
+    # far from 0 the grid angles lose float precision, and the readout with
+    # them: on scan.ini (arm A at 20 deg) the first four windows printed
+    # 20.000000, 19.999980, 19.977268 and 24.090000 and exited 0
+    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
+                 "--range-deg", lo, hi, "--resolution-deg", step]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --range-deg must be at most 1e6 in magnitude")
 
 
 def test_extract_prints_no_negative_zero(tmp_path, capsys):
