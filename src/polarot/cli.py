@@ -119,7 +119,7 @@ def _cmd_scan(args) -> tuple:
 def _cmd_tomo(args) -> tuple:
     reference = None if args.reference is None else bell_state(args.reference)
     counts, _ = read_tomo_counts(args.counts)
-    result = mle_reconstruct(counts, max_iter=args.max_iter)
+    result = mle_reconstruct(counts)
     sigmas = (bootstrap_sigmas(result.rho, counts, reference,  # --bootstrap needs --reference
                                n_resamples=args.bootstrap, seed=args.seed or 0)
               if args.bootstrap > 0 else {})
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-state", default=None, help="write the reconstructed matrix here")
     p.add_argument("--bootstrap", type=int, default=0,
                    help="number of parametric-bootstrap resamples (0 = off)")
-    p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="output file path")
 

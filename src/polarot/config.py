@@ -175,8 +175,7 @@ ACCEPTS = {
          "sum (psi_plus) or the difference (psi_minus) of the two rotations")]},
     "tomo": {"flags": [_SEED, ("--bootstrap", ">= 0", lambda v: v >= 0),
                        ("--bootstrap", "0 (off) or at least 2", lambda v: v != 1,
-                        "one resample has no spread"),
-                       ("--max-iter", ">= 0", lambda v: v >= 0)],
+                        "one resample has no spread")],
              "needs": [("--bootstrap", "--reference", "it applies to the report"),
                        ("--out", "--reference", "it applies to the report"),
                        ("--seed", "--bootstrap", "it seeds the resamples")]},

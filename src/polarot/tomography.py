@@ -55,12 +55,14 @@ _QUAD_SUM = _QUAD.sum(axis=0)
 # fit: eigenvalue floor of every starting state, predicted per-count gain
 # below which the ascent stops, KKT gap above which a stopped ascent
 # escapes, and the weight of the escape direction; verdict: largest KKT gap
-# per count at which a fit counts as converged
+# per count at which a fit counts as converged; budget: the most Newton
+# steps of both ascents together
 _PARAM_FLOOR = 1e-6
 _STOP_GAIN = 1e-25
 _ESCAPE_GAP = 1e-10
 _ESCAPE_MIX = 1e-3
 KKT_TOL = 1e-5
+MAX_ITER = 5000
 
 
 def predicted_counts(rho: np.ndarray, flux_norm: float = 1.0) -> np.ndarray:
@@ -190,7 +192,7 @@ class MleResult:
     kkt_gap: float
 
 
-def mle_reconstruct(counts: np.ndarray, max_iter: int = 5000) -> MleResult:
+def mle_reconstruct(counts: np.ndarray) -> MleResult:
     """Maximum-likelihood state reconstruction from 16 projection counts.
 
     Maximizes the Poisson log-likelihood sum_k [n_k ln nbar_k - nbar_k]
@@ -198,7 +200,8 @@ def mle_reconstruct(counts: np.ndarray, max_iter: int = 5000) -> MleResult:
     profiled out analytically (flux = sum n_k / sum q_k at every iterate),
     by a damped Newton ascent with the exact gradient and Hessian of the
     per-count mean log-likelihood, started from the eigenvalue-floored
-    linear inversion. `n_iter` counts Newton steps over both ascents.
+    linear inversion. `n_iter` counts Newton steps over both ascents, at
+    most MAX_ITER.
     `converged` is true iff the likelihood KKT gap of the returned state
     (see `_kkt`) is at most KKT_TOL per count. The returned state
     is physical by construction for any parameter values. The reported
@@ -208,21 +211,19 @@ def mle_reconstruct(counts: np.ndarray, max_iter: int = 5000) -> MleResult:
     counts = np.asarray(counts, dtype=float)
     if (counts < 0).any():
         raise ValueError("counts must be nonnegative")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     start = _t_from_rho(linear_inversion(counts))
     quad, w = _QUAD[counts > 0], counts[counts > 0] / counts.sum()
-    t, n_iter = _ascend(start, quad, w, max_iter)
+    t, n_iter = _ascend(start, quad, w, MAX_ITER)
     rho = _rho_from_t(t)
     p, kkt, kkt_gap = _kkt(counts, rho)
     # a zero row of T is stationary in t but can be a saddle in rho, where
     # the ascent stops at a positive KKT gap; mixing in the top eigenvector
     # v of G raises the likelihood at first order (Burer & Monteiro, Math.
     # Program. 95, 329, 2003), so the fit ascends once more from there
-    if kkt_gap > _ESCAPE_GAP and n_iter < max_iter:
+    if kkt_gap > _ESCAPE_GAP and n_iter < MAX_ITER:
         v = np.linalg.eigh(kkt)[1][:, -1]
         escape = (1.0 - _ESCAPE_MIX) * rho + _ESCAPE_MIX * np.outer(v, v.conj())
-        t, steps = _ascend(_t_from_rho(escape), quad, w, max_iter - n_iter)
+        t, steps = _ascend(_t_from_rho(escape), quad, w, MAX_ITER - n_iter)
         n_iter += steps
         rho = _rho_from_t(t)
         p, kkt, kkt_gap = _kkt(counts, rho)

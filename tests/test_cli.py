@@ -545,10 +545,12 @@ def test_tomo_without_hv_counts_exits_2(tmp_path, capsys, recwarn):
     assert not recwarn.list
 
 
-def test_tomo_nonconvergence_exit_3(tmp_path):
+def test_tomo_nonconvergence_exit_3(tmp_path, monkeypatch):
     # the 16-parameter model reproduces 16 counts exactly whenever linear
     # inversion is physical, making the initializer already optimal; to see
     # iteration-starved non-convergence the inversion must be unphysical
+    # and the step budget one
+    monkeypatch.setattr(tomography, "MAX_ITER", 1)
     nbar = tomography.predicted_counts(states.bell_state("psi_plus"),
                                        flux_norm=1e3)
     counts = None
@@ -561,7 +563,21 @@ def test_tomo_nonconvergence_exit_3(tmp_path):
     assert counts is not None
     counts_file = tmp_path / "tomo.csv"
     tomography.write_tomo_counts(counts_file, counts)
-    assert main(["tomo", "--counts", str(counts_file), "--max-iter", "1"]) == 3
+    state_file = tmp_path / "rho.txt"
+    assert main(["tomo", "--counts", str(counts_file),
+                 "--out-state", str(state_file)]) == 3
+    # a fit that did not converge is still written
+    assert np.loadtxt(state_file).shape == (16, 2)
+
+
+def test_tomo_max_iter_is_not_an_option(capsys):
+    # the fit's step budget is tomography.MAX_ITER; a budget flag is an
+    # unknown option
+    assert main(["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"),
+                 "--max-iter", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-iter 1" in captured.err
 
 
 def test_chsh_command(tmp_path, capsys):
@@ -805,9 +821,10 @@ def test_settings_without_pairs_exits_2(tmp_path, monkeypatch, capsys):
     ("foo/bar", "cannot parse analyzer setting id 'foo'"),
     ("wp:1/Z", "cannot parse analyzer setting id 'wp:1'"),
     ("wp:1:2:3/Z", "cannot parse analyzer setting id 'wp:1:2:3'"),
-    ("lin:nan/Z", "analyzer setting 'lin:nan': rotation angle must be finite"),
-    ("lin:1e308/Z", "analyzer setting 'lin:1e308': projectors do not resolve "
-                    "the identity (deviation 0.885554)")])
+    ("lin:nan/Z", "analyzer setting 'lin:nan': angles must be finite"),
+    ("lin:inf/Z", "analyzer setting 'lin:inf': angles must be finite"),
+    ("wp:nan:0/Z", "analyzer setting 'wp:nan:0': angles must be finite"),
+    ("wp:0:inf/Z", "analyzer setting 'wp:0:inf': angles must be finite")])
 def test_bad_setting_id_exits_2_at_load(tmp_path, monkeypatch, capsys, command, pair,
                                         why):
     # a sweep loaded, ran and exited 0 with these, under a changed config_hash
@@ -817,6 +834,21 @@ def test_bad_setting_id_exits_2_at_load(tmp_path, monkeypatch, capsys, command, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: [settings] pairs: {why}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting_id", ["lin:941171", "lin:1e6", "lin:1e308",
+                                        "wp:1e300:1e300"])
+def test_any_finite_setting_angle_loads(tmp_path, monkeypatch, capsys, setting_id):
+    # the -1 port was a second rotation by a further 90 degrees, which rounds
+    # away at large angles: these exited 2 (lin:1e6 with "projectors do not
+    # resolve the identity (deviation 1.0098e-12)")
+    monkeypatch.setenv("POLAROT_OUT", str(tmp_path))
+    text = EXACT_TEMPLATE.format(kind="psi_minus") + f"[settings]\npairs = {setting_id}/Z\n"
+    assert main(["simulate", "--exact", "--config", write_config(tmp_path, text)]) == 0
+    table = measure.read_table(tmp_path / "counts.csv")
+    assert table.settings == [(measure.parse_setting(setting_id)[0], "Z")]
+    assert abs(table.counts.sum() - 1e5) < 1e-9 * 1e5
 
 
 @pytest.mark.parametrize("command", ["observables", "chsh"])
@@ -1004,24 +1036,6 @@ def test_one_born_call_and_one_stream_per_branch(tmp_path, monkeypatch):
         counts[name] = len(born_calls), list(stream_keys)
     assert counts == {"sweep_theta": (1, [(0,), (1,)]), "sweep_theta_exact": (1, []),
                       "scan_exact": (1, []), "scan": (1, [(1,)])}
-
-
-def test_tomo_max_iter_must_be_nonnegative(tmp_path, capsys):
-    counts = str(GOLDEN_INPUTS / "tomo.csv")
-    state_file = tmp_path / "out" / "rho.txt"
-    # a negative cap printed "iterations -1"
-    assert main(["tomo", "--counts", counts, "--max-iter", "-1",
-                 "--out-state", str(state_file)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--max-iter must be >= 0, got -1" in captured.err
-    assert not state_file.parent.exists()
-    # no step at all reports the starting state, not converged, and still
-    # writes it
-    assert main(["tomo", "--counts", counts, "--max-iter", "0",
-                 "--out-state", str(state_file)]) == 3
-    assert "iterations 0," in capsys.readouterr().out
-    assert np.loadtxt(state_file).shape == (16, 2)
 
 
 def test_scan_window_missing_the_angle_exits_2(capsys):

@@ -71,6 +71,50 @@ def test_analyzer_completeness():
         assert abs(np.vdot(plus, minus)) < 1e-12
 
 
+def check_ports(setting_id, rng):
+    # orthonormal ports that resolve the identity, and an exact table of a
+    # random state whose rows each hold the mean pairs per setting
+    plus, minus = measure.parse_setting(setting_id)[1]
+    assert abs(np.vdot(plus, plus) - 1.0) < 1e-12
+    assert abs(np.vdot(minus, minus) - 1.0) < 1e-12
+    assert abs(np.vdot(plus, minus)) < 1e-12
+    assert np.abs(states.ket_to_dm(plus) + states.ket_to_dm(minus)
+                  - np.eye(2)).max() < 1e-12
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    detection = measure.Detection(pair_flux=1e5, duration=1.0)
+    table = measure.exact_table(rho, [(setting_id, setting_id), (setting_id, "Z")],
+                                detection)
+    assert np.abs(table.counts.sum(axis=1) - detection.mean_pairs()).max() < 1e-7
+
+
+# finite angles in degrees, far beyond the range where an angle plus 90
+# degrees still differs from the angle
+_SETTING_ANGLE = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(setting_id=st.builds("lin:{!r}".format, _SETTING_ANGLE)
+       | st.builds("wp:{!r}:{!r}".format, _SETTING_ANGLE, _SETTING_ANGLE),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_finite_angle_gives_complementary_ports(setting_id, seed):
+    check_ports(setting_id, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("setting_id", ["lin:941171", "lin:1e6"])
+def test_large_linear_angles_parse(setting_id):
+    # the -1 port was the +1 port rotated by a further 90 degrees, which
+    # rounds away from about 9.4e5 degrees on
+    check_ports(setting_id, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("setting_id", ["lin:inf", "wp:nan:0", "wp:0:inf"])
+def test_non_finite_angles_raise_naming_the_id(setting_id):
+    with pytest.raises(ValueError, match=f"analyzer setting '{setting_id}': "
+                                         f"angles must be finite"):
+        measure.parse_setting(setting_id)
+
+
 def test_analyzer_id_round_trip():
     for setting_id in ("X", "lin:22.5", f"wp:{math.degrees(0.3)}:{math.degrees(-0.2)}"):
         canonical, kets = measure.parse_setting(setting_id)
@@ -121,8 +165,8 @@ def test_projector_tensor_is_pinned_bit_for_bit():
         digest.update(" ".join(f"{measure.parse_setting(a)[0]}/"
                                f"{measure.parse_setting(b)[0]}"
                                for a, b in pairs).encode())
-    assert digest.hexdigest() == ("cb24bb66a077f8bb5cf039bc228c70c7"
-                                  "41dc9395e8e13c61ad1bb9e0a904f6ba"), pin_note()
+    assert digest.hexdigest() == ("6e27c609bd25b2d55ecb21e58d078728"
+                                  "967add32365c9b895729d889c19290d6"), pin_note()
 
 
 def test_analyzer_bad_ids():

@@ -311,13 +311,6 @@ def test_mle_validation():
         tomography.mle_reconstruct(np.zeros(16))
 
 
-def test_mle_rejects_negative_max_iter():
-    counts = tomography.predicted_counts(states.bell_state("psi_plus"), 1e4)
-    with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
-        tomography.mle_reconstruct(counts, max_iter=-1)
-    assert tomography.mle_reconstruct(counts, max_iter=0).n_iter == 0
-
-
 def test_mle_werner_noisy_smoke():
     # statistical behaviour at the calibration statistics; the full
     # 100-trial acceptance run lives in test_acceptance
