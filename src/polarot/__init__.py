@@ -5,7 +5,7 @@ state tomography, CHSH tests and Fisher-information sensitivity."""
 
 __version__ = "0.1.0"
 
-from .channels import apply_noise, hwp_matrix, qwp_matrix, rotation_unitary
+from .channels import apply_noise, rotate_arm
 from .config import ExperimentConfig, config_hash, load_config, loads_config
 from .measure import (CoincidenceTable, Detection, JointObservables,
                       chsh_from_counts, estimate_observables,

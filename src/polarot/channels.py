@@ -1,5 +1,5 @@
-"""Local polarization transformations: optical rotations, wave plates,
-angle wrapping and isotropic noise.
+"""Local polarization transformations: optical rotations, angle wrapping
+and isotropic noise.
 
 Sign convention: levorotation is a positive angle and rotates the
 polarization plane from H toward V, i.e. U(theta)|H> = cos(theta)|H> +
@@ -14,45 +14,28 @@ import numpy as np
 
 from .states import maximally_mixed, validate_state
 
-__all__ = [
-    "rotation_unitary", "local_rotations", "hwp_matrix", "qwp_matrix",
-    "wrap_angle", "apply_noise",
-]
+__all__ = ["rotate_arm", "wrap_angle", "apply_noise"]
 
 
-def rotation_unitary(theta: float) -> np.ndarray:
-    """Polarization-plane rotation by theta (radians):
-    [[cos, -sin], [sin, cos]]."""
-    if not math.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta!r}")
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def local_rotations(theta_a, theta_b) -> np.ndarray:
-    """U(theta_a) (x) U(theta_b) for broadcastable arrays of arm angles
-    (radians), built from their cosines and sines; shape
-    broadcast(theta_a, theta_b) + (4, 4), real."""
-    thetas = np.asarray(theta_a, dtype=float), np.asarray(theta_b, dtype=float)
-    if not all(np.isfinite(t).all() for t in thetas):
+def rotate_arm(rho: np.ndarray, theta, arm: int) -> np.ndarray:
+    """One photon's polarization-plane rotation U(theta) = [[cos, -sin],
+    [sin, cos]] applied to a two-photon state or (..., 4, 4) stack: (U (x) I)
+    rho (U (x) I)^T on arm 0 (A), (I (x) U) rho (I (x) U)^T on arm 1 (B).
+    Angles (radians) broadcast against the stack's leading shape."""
+    theta = np.asarray(theta, dtype=float)
+    if arm not in (0, 1):
+        raise ValueError(f"arm must be 0 (A) or 1 (B), got {arm!r}")
+    if not np.isfinite(theta).all():
         raise ValueError("rotation angles must be finite")
-    ua, ub = (np.stack([np.cos(t), -np.sin(t), np.sin(t), np.cos(t)], axis=-1)
-              .reshape(t.shape + (2, 2)) for t in thetas)
-    # kron(U_a, U_b)[2i + j, 2k + l] = U_a[i, k] U_b[j, l]
-    u = np.einsum("...ik,...jl->...ijkl", ua, ub)
-    return u.reshape(u.shape[:-4] + (4, 4))
-
-
-def hwp_matrix(angle: float) -> np.ndarray:
-    """Jones matrix of a half-wave plate with fast axis at `angle` radians."""
-    c, s = math.cos(2.0 * angle), math.sin(2.0 * angle)
-    return np.array([[c, s], [s, -c]], dtype=complex)
-
-
-def qwp_matrix(angle: float) -> np.ndarray:
-    """Jones matrix of a quarter-wave plate with fast axis at `angle` radians."""
-    rot = rotation_unitary(angle)
-    return rot @ np.diag([1.0, -1.0j]) @ rot.conj().T
+    c, s = (f(theta)[..., None, None, None, None] for f in (np.cos, np.sin))
+    # rho[2i + j, 2k + l] as axes (i, j, k, l): the arm's row index, then its
+    # column index, each turned as U[m, 0] x_0 + U[m, 1] x_1
+    out = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    for axis in (arm - 4, arm - 2):
+        x0, x1 = (out[(Ellipsis, slice(k, k + 1)) + (slice(None),) * (-1 - axis)]
+                  for k in (0, 1))
+        out = np.concatenate((c * x0 - s * x1, s * x0 + c * x1), axis=axis)
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def wrap_angle(theta: float) -> float:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import apply_noise, local_rotations
+from .channels import apply_noise, rotate_arm
 from .config import ACCEPTS, check_reads, load_config
 from .csvfile import read_labeled, unsigned_zeros, write_csv
 from .measure import (Detection, JointObservables, chsh_from_counts, estimate_observables,
@@ -183,13 +183,11 @@ def _verify_checks():
         return worst <= 1e-14, f"max deviation {worst:.2e}"
 
     def rotation_group():
-        t1, t2 = np.random.default_rng(1).uniform(-np.pi, np.pi, (100, 2)).T[..., None]
-        arm = np.array([1.0, 0.0])  # U(t) (x) I, then I (x) U(t)
-
-        def u(t):
-            return local_rotations(t * arm, t * arm[::-1])
-
-        worst = np.abs(u(t1) @ u(t2) - u(t1 + t2)).max()
+        # t1 then t2 is t1 + t2 on each arm, on a state with complex entries
+        t1, t2 = np.random.default_rng(1).uniform(-np.pi, np.pi, (2, 100))
+        rho = separable_state(ket("R"), ket("D"))
+        worst = max(np.abs(rotate_arm(rotate_arm(rho, t1, arm), t2, arm)
+                           - rotate_arm(rho, t1 + t2, arm)).max() for arm in (0, 1))
         return worst <= 1e-12, f"max deviation {worst:.2e}"
 
     signs = np.array([[1.0], [-1.0]])  # of theta_b in psi_plus, psi_minus
@@ -197,8 +195,7 @@ def _verify_checks():
     def evolve(ta, tb):
         """psi_plus and psi_minus on a leading axis, rotated by (ta, tb)."""
         bells = np.array([bell_state("psi_plus"), bell_state("psi_minus")])[:, None]
-        u = local_rotations(ta, tb)  # real, so its transpose is its adjoint
-        return u @ bells @ u.swapaxes(-2, -1)
+        return rotate_arm(rotate_arm(bells, ta, 0), tb, 1)
 
     def bell_nonlocal_equivalence():
         ta, tb = np.random.default_rng(2).uniform(-np.pi, np.pi, (100, 2)).T
@@ -218,8 +215,8 @@ def _verify_checks():
         # |H>|V> on a 19 x 73 grid of (theta_a, theta_b); the swing of m_zz
         # over theta_b is |cos 2 theta_a|
         ta = np.linspace(-np.pi / 2, np.pi / 2, 19)[:, None]
-        u = local_rotations(ta, np.linspace(-np.pi, np.pi, 73))
-        rho = u @ separable_state(ket("H"), ket("V")) @ u.swapaxes(-2, -1)
+        rho = rotate_arm(rotate_arm(separable_state(ket("H"), ket("V")), ta, 0),
+                         np.linspace(-np.pi, np.pi, 73), 1)
         swing = np.abs(exact_observables(rho).m_zz).max(axis=-1)
         worst = np.abs(swing - np.abs(np.cos(2 * ta[:, 0]))).max()
         return worst <= 1e-12, f"amplitude deviation {worst:.2e}"

@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .channels import hwp_matrix, qwp_matrix, rotation_unitary, wrap_angle
+from .channels import wrap_angle
 from .csvfile import read_csv, row_floats, write_csv
-from .states import ket, ket_to_dm, validate_state
+from .states import ket, validate_state
 
 __all__ = [
     "parse_setting", "NAMED_PAIRS", "JointObservables", "CoincidenceTable",
@@ -72,12 +72,17 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
     except ValueError as err:
         raise ValueError(f"analyzer setting {setting_id!r}: {err}") from None
     if kind == "lin":
-        plus = rotation_unitary(angles[0]) @ ket("H")
+        plus = [math.cos(angles[0]), math.sin(angles[0])]
     elif kind == "wp":
-        plus = (qwp_matrix(angles[1]) @ hwp_matrix(angles[0])).conj().T @ ket("H")
+        # (QWP(q) HWP(h))^dag |H> = HWP(h) (a, b), where (a, b) = QWP(q)^dag |H>
+        # and HWP(h) = [[cos 2h, sin 2h], [sin 2h, -cos 2h]]
+        c, s = math.cos(angles[1]), math.sin(angles[1])
+        c2, s2 = math.cos(2.0 * angles[0]), math.sin(2.0 * angles[0])
+        a, b = complex(c * c, s * s), complex(s * c, -s * c)
+        plus = [c2 * a + s2 * b, s2 * a - c2 * b]
     else:
         plus = ket({"Z": "H", "X": "D", "Y": "L"}[kind])
-    kets = np.array([plus, [-plus[1].conjugate(), plus[0].conjugate()]])
+    kets = np.array([plus, [-plus[1].conjugate(), plus[0].conjugate()]], dtype=complex)
     return ":".join([kind] + [f"{round(math.degrees(a), 6) + 0.0:.6f}"
                               for a in angles]), kets
 
@@ -86,9 +91,11 @@ def projector_tensor(settings) -> np.ndarray:
     """Joint projectors P_a (x) P_b of (id_a, id_b) setting pairs, shape
     (S, 4, 4, 4): setting, outcome (++, +-, -+, --), then the two-photon
     matrix."""
-    kets = [(parse_setting(a)[1], parse_setting(b)[1]) for a, b in settings]
-    pa, pb = (np.array([[ket_to_dm(k) for k in pair[arm]] for pair in kets])
-              for arm in (0, 1))
+    kets = [(parse_setting(a)[1].tolist(), parse_setting(b)[1].tolist())
+            for a, b in settings]
+    # each port projector |k><k| from Python complex products
+    pa, pb = (np.array([[[[x * y.conjugate() for y in k] for x in k] for k in pair[arm]]
+                        for pair in kets]) for arm in (0, 1))
     # kron(P, Q)[2i + j, 2k + l] = P[i, k] Q[j, l], for each outcome pair
     return np.einsum("sxik,syjl->sxyijkl", pa, pb).reshape(len(kets), 4, 4, 4)
 
@@ -403,12 +410,18 @@ def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
     its plug-in standard error from an exact or sampled coincidence table.
 
     E_k are the correlations of the table's two settings per arm (any kind,
-    in table order, none with a role) in all four combinations. Correlation
-    sigmas combine in quadrature since every term has unit |derivative|."""
+    in table order, none with a role; two different analyzers) in all four
+    combinations. Correlation sigmas combine in quadrature since every term
+    has unit |derivative|."""
     arms = [list(dict.fromkeys(pair[arm] for pair in table.settings)) for arm in (0, 1)]
     if len(arms[0]) != 2 or len(arms[1]) != 2:
         raise ValueError(f"CHSH needs two analyzer settings per arm, got "
                          f"{arms[0]} / {arms[1]}")
+    for ids in arms:  # two ids of one analyzer (lin:0 and lin:180, lin:45 and X)
+        p, q = (np.outer(k, k.conj()) for k in (parse_setting(i)[1][0] for i in ids))
+        if np.abs(p - q).max() <= 1e-12:
+            raise ValueError(f"CHSH needs two different analyzers per arm, but "
+                             f"{ids[0]} and {ids[1]} have the same +1 port")
     e, sigmas = zip(*(estimate_correlation(_rows_for_pair(table, a, b))
                       for a in arms[0] for b in arms[1]))
     s = max(abs(sum(e) - 2.0 * e_k) for e_k in e)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import _apply_noise, local_rotations, wrap_angle
+from .channels import _apply_noise, rotate_arm, wrap_angle
 from .config import ExperimentConfig, check_reads, config_hash
 from .csvfile import unsigned_zeros, write_csv
 from .measure import (NAMED_PAIRS, _check_factors, _local_angles, _mean_counts,
@@ -99,21 +99,17 @@ def configured_state(cfg: ExperimentConfig, kind: str | tuple | None = None,
     arm rotations, with the analyzer-frame offsets (_offsets) on top of the
     physical rotations. kind/theta_b overrides replace the configured source
     state or arm-B angle (radians); an array of arm-B angles gives a stack
-    with one state per angle, and a tuple of kinds one such stack per kind.
-    The real and imaginary parts of the sources are rotated apart, as real
-    products (the complex product, bit for bit)."""
+    with one state per angle, and a tuple of kinds one such stack per kind:
+    arm A turns the sources, then arm B the stack they broadcast to."""
     stacked = not (kind is None or isinstance(kind, str))
     kinds = [cfg.state_kind if k is None else k for k in (kind if stacked else (kind,))]
     rho = _apply_noise(np.array([separable_state(ket(cfg.ket_a), ket(cfg.ket_b))
                                  if k == "separable" else bell_state(k) for k in kinds]),
                        cfg.visibility)
     pbs_a, hwp, pbs_b = _offsets(cfg, kinds)
-    theta_a = cfg.arm_a.theta() + pbs_a
     theta_b = np.asarray(cfg.arm_b.theta() if theta_b is None else theta_b) + pbs_b
-    u = local_rotations((theta_a + hwp).reshape((-1,) + (1,) * theta_b.ndim), theta_b)
-    rho = rho.reshape((len(kinds),) + (1,) * theta_b.ndim + (4, 4))
-    out = np.empty(u.shape, dtype=complex)
-    out.real, out.imag = (u @ part @ u.swapaxes(-2, -1) for part in (rho.real, rho.imag))
+    rho = rotate_arm(rho, cfg.arm_a.theta() + pbs_a + hwp, 0)
+    out = rotate_arm(rho.reshape((len(kinds),) + (1,) * theta_b.ndim + (4, 4)), theta_b, 1)
     return out if stacked else out[0]
 
 

@@ -1,8 +1,11 @@
-"""The OpenBLAS core numpy runs on, for the failure messages of the tests
-that pin bits: the golden files and the digests in test_measure.py and
-test_tomography.py were made under PINNED_CORE, and another core (set by
-the CPU, or by OPENBLAS_CORETYPE) may sum in another order and move the
-last bits. Read with ctypes from the OpenBLAS library bundled with numpy."""
+"""The OpenBLAS core and the SIMD targets numpy runs on, for the failure
+messages of the tests that pin bits: the golden files and the digests in
+test_measure.py and test_tomography.py were made under PINNED_CORE and
+PINNED_TARGETS. Another core (set by the CPU, or by OPENBLAS_CORETYPE) may
+sum in another order, and another SIMD level (set by the CPU, or by
+NPY_DISABLE_CPU_FEATURES) may round a product or a sum otherwise, and move
+the last bits. The core is read with ctypes from the OpenBLAS library
+bundled with numpy."""
 
 import ctypes
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 PINNED_CORE = "SkylakeX"
+PINNED_TARGETS = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
 
 
 def bundled_libraries() -> list:
@@ -30,6 +34,16 @@ def core_name() -> str:
     return "unknown"
 
 
+def simd_targets() -> list:
+    """The SIMD targets numpy dispatches to in this process: those of its
+    dispatch list that the CPU has and NPY_DISABLE_CPU_FEATURES leaves on
+    ([] at numpy's baseline)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+
+
 def pin_note() -> str:
-    """A failure message naming this process's OpenBLAS core."""
-    return f"OpenBLAS core {core_name()}; the pins were made under {PINNED_CORE}"
+    """A failure message naming this process's OpenBLAS core and numpy
+    SIMD targets."""
+    return (f"OpenBLAS core {core_name()}, numpy SIMD targets {simd_targets()}; "
+            f"the pins were made under {PINNED_CORE} and {PINNED_TARGETS}")

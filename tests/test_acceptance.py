@@ -22,6 +22,7 @@ import time
 import numpy as np
 from scipy import stats
 
+import jones
 from polarot import channels, config, measure, metrology, states, sweeps, tomography
 from polarot.cli import main
 
@@ -46,8 +47,8 @@ def werner(p, kind="psi_plus"):
 
 def evolved_bell(kind, theta_a, theta_b):
     return rotate_locally(states.bell_state(kind),
-                          channels.rotation_unitary(theta_a),
-                          channels.rotation_unitary(theta_b))
+                          jones.rotation_unitary(theta_a),
+                          jones.rotation_unitary(theta_b))
 
 
 def named_settings():
@@ -288,16 +289,16 @@ def test_criterion_6_separable_contrast():
         for tb in (0.0, math.pi / 2):
             rho = rotate_locally(
                 states.separable_state(states.ket("H"), states.ket("V")),
-                channels.rotation_unitary(ta), channels.rotation_unitary(tb))
+                jones.rotation_unitary(ta), jones.rotation_unitary(tb))
             table = measure.exact_table(rho, [("Z", "Z")], measure.Detection(1.0, 1.0))
             m_zz, _ = measure.estimate_correlation(table.counts[0])
             amplitudes.append(abs(m_zz))
         worst = max(worst, abs(max(amplitudes) - abs(math.cos(2 * ta))))
         # the swing never exceeds the cosine bound anywhere on a grid, read
-        # from |H>|V> rotated by local_rotations as `polarot verify` reads it
-        u = channels.local_rotations(ta, np.linspace(-math.pi, math.pi, 37))
+        # from |H>|V> rotated by rotate_arm as `polarot verify` reads it
         product = states.separable_state(states.ket("H"), states.ket("V"))
-        rho = u @ product @ u.swapaxes(-2, -1)
+        rho = channels.rotate_arm(channels.rotate_arm(product, ta, 0),
+                                  np.linspace(-math.pi, math.pi, 37), 1)
         for m_zz in measure.exact_observables(rho).m_zz:
             if abs(m_zz) > abs(math.cos(2 * ta)) + 1e-12:
                 worst = max(worst, abs(m_zz) - abs(math.cos(2 * ta)))

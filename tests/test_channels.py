@@ -2,63 +2,102 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import jones
 from polarot import channels, measure, states, sweeps
 from polarot.config import ExperimentConfig
 
 
-def test_rotation_unitary_special_values():
-    assert np.abs(channels.rotation_unitary(0.0) - np.eye(2)).max() == 0.0
-    quarter = channels.rotation_unitary(math.pi / 2)
-    assert np.abs(quarter - np.array([[0, -1], [1, 0]])).max() < 1e-15
-    assert np.allclose(quarter @ states.ket("H"), states.ket("V"))
+def oracle_rotation(rho, theta_a, theta_b):
+    """The oracle u rho u^T, u = U(theta_a) (x) U(theta_b) from the Jones
+    matrices of the test oracle module."""
+    u = jones.local_rotations(theta_a, theta_b)
+    return u @ rho @ u.swapaxes(-2, -1)
 
 
-def test_rotation_unitary_rotates_h_toward_v():
+def apply_local(rho, theta_a, theta_b):
+    """Both arm rotations of channels.rotate_arm applied to rho."""
+    return channels.rotate_arm(channels.rotate_arm(rho, theta_a, 0), theta_b, 1)
+
+
+@pytest.mark.parametrize("arm", [0, 1])
+def test_rotate_arm_special_values(arm):
+    rho = states.separable_state(states.ket("H"), states.ket("H"))
+    assert np.array_equal(channels.rotate_arm(rho, 0.0, arm), rho)
+    labels = ("V", "H")[::1 - 2 * arm]
+    quarter = channels.rotate_arm(rho, math.pi / 2, arm)
+    expect = states.separable_state(*map(states.ket, labels))
+    assert np.abs(quarter - expect).max() < 1e-15
+
+
+def test_rotate_arm_rotates_h_toward_v():
+    # levorotation on arm A takes |H>|H> to (cos |H> + sin |V>) |H>
     theta = math.radians(20.08)
-    out = channels.rotation_unitary(theta) @ states.ket("H")
-    assert abs(out[0] - math.cos(theta)) < 1e-15
-    assert abs(out[1] - math.sin(theta)) < 1e-15
+    rho = states.separable_state(states.ket("H"), states.ket("H"))
+    psi = np.array([math.cos(theta), 0.0, math.sin(theta), 0.0])
+    out = channels.rotate_arm(rho, theta, 0)
+    assert np.abs(out - np.outer(psi, psi)).max() < 1e-15
 
 
-def test_rotation_unitary_is_special_unitary():
-    rng = np.random.default_rng(0)
-    for theta in rng.uniform(-2 * math.pi, 2 * math.pi, 50):
-        u = channels.rotation_unitary(theta)
-        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
-        assert abs(np.linalg.det(u) - 1.0) < 1e-12
+def random_states(draw_seed, shape):
+    rng = np.random.default_rng(draw_seed)
+    g = rng.normal(size=shape + (4, 4)) + 1j * rng.normal(size=shape + (4, 4))
+    rho = g @ g.conj().swapaxes(-2, -1)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def test_rotation_group_property():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        t1, t2 = rng.uniform(-math.pi, math.pi, 2)
-        lhs = channels.rotation_unitary(t1) @ channels.rotation_unitary(t2)
-        rhs = channels.rotation_unitary(t1 + t2)
-        assert np.abs(lhs - rhs).max() < 1e-12
+_ANGLE = st.floats(-1e3, 1e3)
 
 
-def test_rotation_unitary_rejects_nonfinite():
-    with pytest.raises(ValueError, match="finite"):
-        channels.rotation_unitary(math.nan)
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t1=_ANGLE, t2=_ANGLE,
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]), arm=st.sampled_from([0, 1]))
+def test_rotate_arm_matches_the_jones_oracle(seed, t1, t2, bad, arm):
+    # complex states and angles up to 1e3 rad: each arm matches the Kronecker
+    # product of the oracle, t1 then t2 is t1 + t2, the arms commute, and a
+    # non-finite angle raises. The sum t1 + t2 rounds by up to half its ulp,
+    # which moves a rotated state by at most one ulp of it.
+    rho = random_states(seed, (3,))
+    rotate = channels.rotate_arm
+    assert np.abs(apply_local(rho, t1, t2) - oracle_rotation(rho, t1, t2)).max() < 1e-14
+    assert (np.abs(rotate(rotate(rho, t1, arm), t2, arm) - rotate(rho, t1 + t2, arm)).max()
+            < 1e-14 + math.ulp(t1 + t2))
+    assert np.abs(apply_local(rho, t1, t2)
+                  - rotate(rotate(rho, t2, 1), t1, 0)).max() < 1e-14
+    with pytest.raises(ValueError, match="rotation angles must be finite"):
+        rotate(rho, [t1, bad], arm)
+
+
+def test_rotate_arm_broadcasts_angles_against_the_stack():
+    # a (2, 1) stack of states and 5 angles give a (2, 5) stack, each member
+    # the one-state call bit for bit
+    rho = random_states(3, (2, 1))
+    thetas = np.linspace(-1.0, 1.0, 5)
+    out = channels.rotate_arm(rho, thetas, 1)
+    assert out.shape == (2, 5, 4, 4)
+    for k in range(2):
+        for n, theta in enumerate(thetas):
+            assert out[k, n].tobytes() == channels.rotate_arm(rho[k, 0], theta, 1).tobytes()
+
+
+def test_rotate_arm_rejects_an_unknown_arm():
+    with pytest.raises(ValueError, match="arm must be 0"):
+        channels.rotate_arm(states.bell_state("psi_plus"), 0.1, 2)
 
 
 def test_waveplates_unitary():
+    # the oracle module's wave plates are unitary
     rng = np.random.default_rng(2)
     for angle in rng.uniform(-math.pi, math.pi, 20):
-        for mat in (channels.hwp_matrix(angle), channels.qwp_matrix(angle)):
+        for mat in (jones.hwp_matrix(angle), jones.qwp_matrix(angle)):
             assert np.abs(mat.conj().T @ mat - np.eye(2)).max() < 1e-12
 
 
 def test_hwp_maps_d_to_h():
-    out = channels.hwp_matrix(math.pi / 8) @ states.ket("D")
+    out = jones.hwp_matrix(math.pi / 8) @ states.ket("D")
     assert abs(abs(np.vdot(states.ket("H"), out)) - 1.0) < 1e-12
-
-
-def apply_local(rho, theta_a, theta_b):
-    """The local rotations of channels.local_rotations applied to rho."""
-    u = channels.local_rotations(theta_a, theta_b)
-    return u @ rho @ u.conj().swapaxes(-2, -1)
 
 
 def test_apply_local_singlet_invariance():
@@ -77,15 +116,15 @@ def test_apply_local_nonlocal_equivalence(kind, sign):
     for _ in range(100):
         ta, tb = rng.uniform(-math.pi, math.pi, 2)
         lhs = apply_local(rho, ta, tb)
-        ueff = channels.rotation_unitary(ta + sign * tb)
+        ueff = jones.rotation_unitary(ta + sign * tb)
         rhs = np.kron(ueff, eye) @ rho @ np.kron(ueff, eye).conj().T
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
-@pytest.mark.parametrize("theta_a, theta_b", [(math.nan, 0.0), (0.0, [0.1, math.inf])])
-def test_local_rotations_rejects_non_finite_angles(theta_a, theta_b):
+@pytest.mark.parametrize("theta, arm", [(math.nan, 0), ([0.1, math.inf], 1)])
+def test_rotate_arm_rejects_non_finite_angles(theta, arm):
     with pytest.raises(ValueError, match="rotation angles must be finite"):
-        channels.local_rotations(theta_a, theta_b)
+        channels.rotate_arm(states.bell_state("psi_plus"), theta, arm)
 
 
 def test_offset_correct_examples():

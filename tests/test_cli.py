@@ -606,6 +606,25 @@ def test_chsh_reads_named_basis_settings(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "S = 2.000000 +- 0.004472"
 
 
+@pytest.mark.parametrize("arm_a, arm_b, same", [
+    (("lin:0", "lin:180"), ("Z", "X"), ("lin:0.000000", "lin:180.000000")),
+    (("lin:45", "X"), ("Z", "lin:22.5"), ("lin:45.000000", "X"))])
+def test_chsh_rejects_one_analyzer_twice(tmp_path, capsys, arm_a, arm_b, same):
+    # lin:0 and lin:180, or lin:45 and X, are one analyzer under two ids; an
+    # exact psi_plus table over them printed S = 2.000000 or 1.414214 as if
+    # from two settings
+    pairs = ", ".join(f"{a}/{b}" for a in arm_a for b in arm_b)
+    text = CHSH_TEMPLATE[:CHSH_TEMPLATE.index("pairs = ")] + f"pairs = {pairs}\n"
+    table = str(tmp_path / "same.csv")
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--exact",
+                 "--out", table]) == 0
+    capsys.readouterr()
+    assert main(["chsh", "--table", table]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{same[0]} and {same[1]} have the same +1 port" in captured.err
+
+
 def test_chsh_at_the_classical_bound_is_no_violation(tmp_path, capsys):
     # four all-'++' rows: every correlation is 1 with zero sigma, so S = 2
     pairs = [("lin:0", "lin:22.5"), ("lin:0", "lin:67.5"),
@@ -1273,22 +1292,22 @@ def test_verify_command(capsys):
     assert set(report.values()) == {"ok"}
 
 
-LOCAL_ROTATIONS = cli.local_rotations
+ROTATE_ARM = cli.rotate_arm
 
 
-def offset_rotations(theta_a, theta_b):
-    return LOCAL_ROTATIONS(np.add(theta_a, 0.1), np.add(theta_b, 0.1))
+def offset_rotations(rho, theta, arm):
+    return ROTATE_ARM(rho, np.add(theta, 0.1), arm)
 
 
-def arm_b_flipped_rotations(theta_a, theta_b):
-    return LOCAL_ROTATIONS(theta_a, np.negative(theta_b))
+def arm_b_flipped_rotations(rho, theta, arm):
+    return ROTATE_ARM(rho, np.negative(theta) if arm == 1 else theta, arm)
 
 
-def arm_a_offset_rotations(theta_a, theta_b):
-    return LOCAL_ROTATIONS(np.add(theta_a, 0.1), theta_b)
+def arm_a_offset_rotations(rho, theta, arm):
+    return ROTATE_ARM(rho, np.add(theta, 0.1) if arm == 0 else theta, arm)
 
 
-def raising_rotations(theta_a, theta_b):
+def raising_rotations(rho, theta, arm):
     raise ValueError("no rotation")
 
 
@@ -1304,7 +1323,7 @@ def raising_rotations(theta_a, theta_b):
     ("rotation-group", raising_rotations),
 ])
 def test_verify_fails_on_a_broken_rotation_kernel(monkeypatch, capsys, check, broken):
-    monkeypatch.setattr(cli, "local_rotations", broken)
+    monkeypatch.setattr(cli, "rotate_arm", broken)
     assert main(["verify"]) == 2
     report = verify_report(capsys)
     assert list(report) == VERIFY_CHECKS

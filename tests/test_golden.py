@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__
 
 import blas_core
 import polarot
+import test_measure
 from golden.cases import CASES, EXPECTED, run_case
 
 
@@ -33,34 +35,74 @@ def test_openblas_core_is_named():
     assert name != "unknown" or not blas_core.bundled_libraries()
 
 
-# runs one golden case and prints the OpenBLAS core, the exit code and the
-# names of the files that differ from their goldens
+def test_pin_note_names_the_core_and_the_simd_targets():
+    # a pin that fails under another kernel names both of its causes
+    note = blas_core.pin_note()
+    assert f"OpenBLAS core {blas_core.core_name()}" in note
+    assert f"numpy SIMD targets {blas_core.simd_targets()}" in note
+
+
+# the names OpenBLAS gives the SSE3 core that OPENBLAS_CORETYPE=Prescott forces
+PRESCOTT_NAMES = ("Prescott", "Katmai")
+PRESCOTT = {"OPENBLAS_CORETYPE": "Prescott"}
+# every target numpy can dispatch to switched off: numpy at its baseline
+NUMPY_BASELINE = {"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
+
+
+def run_under(env, code, *args) -> list:
+    """Run code in a fresh interpreter under the variables env (OpenBLAS and
+    numpy read theirs when they load), with the tests and the sources on its
+    path, and return the words of the line it prints after its own header.
+    Skips when env does not take effect on this machine."""
+    header = "import blas_core; print(blas_core.core_name(), blas_core.simd_targets() == [])\n"
+    full_env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent), str(Path(polarot.__file__).parents[1])]))
+    run = subprocess.run([sys.executable, "-c", header + code, *args], env=full_env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    (core, baseline), words = (line.split() for line in run.stdout.splitlines())
+    if env is PRESCOTT and core not in PRESCOTT_NAMES:
+        pytest.skip(f"OPENBLAS_CORETYPE=Prescott ran on OpenBLAS core {core}")
+    if env is NUMPY_BASELINE and baseline != "True":
+        pytest.skip("NPY_DISABLE_CPU_FEATURES left numpy SIMD targets on")
+    return words
+
+
+# runs one golden case and prints the exit code and the names of the files
+# that differ from their goldens
 _RUN_CASE = """
 import sys
 from pathlib import Path
-import blas_core
 from golden.cases import EXPECTED, run_case
 name = sys.argv[1]
 code, files = run_case(name, Path(sys.argv[2]))
-print(blas_core.core_name(), code, *sorted(
+print(code, *sorted(
     file for file, data in files.items() if data != (EXPECTED / name / file).read_bytes()))
 """
-# the names OpenBLAS gives the SSE3 core that OPENBLAS_CORETYPE=Prescott forces
-PRESCOTT_NAMES = ("Prescott", "Katmai")
+# the golden cases whose bytes hold on every kernel; tomo's solver output
+# still moves with the BLAS core and numpy's SIMD level
+KERNEL_FREE_CASES = ["simulate_exact", "sweep_theta_exact"]
 
 
-@pytest.mark.parametrize("name", ["sweep_theta_exact"])
+@pytest.mark.parametrize("name", KERNEL_FREE_CASES)
 def test_golden_output_under_the_prescott_core(name, tmp_path):
-    # a cell of this case read -0.000000 on the Prescott core, 0.000000 on
-    # others. OpenBLAS reads OPENBLAS_CORETYPE when it loads, so the case
-    # runs in a fresh interpreter.
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).resolve().parent), str(Path(polarot.__file__).parents[1])]))
-    run = subprocess.run([sys.executable, "-c", _RUN_CASE, name, str(tmp_path / "run")],
-                         env=env, capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    core, code, *differing = run.stdout.split()
-    if core not in PRESCOTT_NAMES:
-        pytest.skip(f"OPENBLAS_CORETYPE=Prescott ran on OpenBLAS core {core}")
+    # a cell of sweep_theta_exact read -0.000000 on the Prescott core, 0.000000
+    # on others, and rows of simulate_exact's exact.csv moved in the last digits
+    code, *differing = run_under(PRESCOTT, _RUN_CASE, name, str(tmp_path / "run"))
     assert code == "0"
-    assert not differing, f"{name}: {differing} differ from their goldens under {core}"
+    assert not differing, f"{name}: {differing} differ from their goldens under Prescott"
+
+
+@pytest.mark.parametrize("name", KERNEL_FREE_CASES)
+def test_golden_output_at_the_numpy_baseline(name, tmp_path):
+    code, *differing = run_under(NUMPY_BASELINE, _RUN_CASE, name, str(tmp_path / "run"))
+    assert code == "0"
+    assert not differing, f"{name}: {differing} differ from their goldens at numpy's baseline"
+
+
+@pytest.mark.parametrize("env", [PRESCOTT, NUMPY_BASELINE], ids=["prescott", "numpy-baseline"])
+def test_projector_pin_under_other_kernels(env):
+    # the projector-tensor digest of test_measure, on another BLAS core and
+    # at numpy's SIMD baseline
+    digest, = run_under(env, "import test_measure; print(test_measure.projector_digest())")
+    assert digest == test_measure.PROJECTOR_DIGEST

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jones
 from blas_core import pin_note
 from polarot import channels, measure, states
 from test_acceptance import rotate_locally, werner
@@ -14,21 +15,21 @@ from test_acceptance import rotate_locally, werner
 
 def evolved_bell(kind, theta_a, theta_b, visibility=1.0):
     rho = channels.apply_noise(states.bell_state(kind), visibility)
-    return rotate_locally(rho, channels.rotation_unitary(theta_a),
-                          channels.rotation_unitary(theta_b))
+    return rotate_locally(rho, jones.rotation_unitary(theta_a),
+                          jones.rotation_unitary(theta_b))
 
 
 def oracle_kets(setting_id):
     # the (+1, -1) port kets of a setting id, from states.ket and the
-    # channels Jones matrices alone
+    # Jones matrices of the oracle module alone
     kind, *values = setting_id.split(":")
     if not values:
         return [states.ket(label) for label in {"Z": "HV", "X": "DA", "Y": "LR"}[kind]]
     angles = [math.radians(float(v)) for v in values]
     if kind == "lin":
-        u = channels.rotation_unitary(angles[0])
+        u = jones.rotation_unitary(angles[0])
         return [u @ states.ket("H"), u @ states.ket("V")]
-    w = channels.qwp_matrix(angles[1]) @ channels.hwp_matrix(angles[0])
+    w = jones.qwp_matrix(angles[1]) @ jones.hwp_matrix(angles[0])
     return [w.conj().T @ states.ket("H"), w.conj().T @ states.ket("V")]
 
 
@@ -69,6 +70,19 @@ def test_analyzer_completeness():
         p_plus, p_minus = states.ket_to_dm(plus), states.ket_to_dm(minus)
         assert np.abs(p_plus + p_minus - np.eye(2)).max() < 1e-12
         assert abs(np.vdot(plus, minus)) < 1e-12
+
+
+def test_closed_form_ports_match_the_jones_oracle():
+    # lin ports are the oracle's rotated H and V bit for bit; the wp +1 port
+    # is its (QWP HWP)^dag |H> to within round-off (the -1 port, the
+    # complement of the +1 port, differs from (QWP HWP)^dag |V> by a phase)
+    rng = np.random.default_rng(11)
+    for v in rng.uniform(-400, 400, 2000).tolist():
+        kets = measure.parse_setting(f"lin:{v!r}")[1]
+        assert kets.tobytes() == np.array(oracle_kets(f"lin:{v!r}")).tobytes()
+    for h, q in rng.uniform(-400, 400, (2000, 2)).tolist():
+        kets = measure.parse_setting(f"wp:{h!r}:{q!r}")[1]
+        assert np.abs(kets[0] - oracle_kets(f"wp:{h!r}:{q!r}")[0]).max() < 1.3e-16
 
 
 def check_ports(setting_id, rng):
@@ -155,18 +169,25 @@ def pinned_family_pairs():
     return list(zip(ids, ids[::-1]))
 
 
-def test_projector_tensor_is_pinned_bit_for_bit():
-    # every byte of the named triple's tensor and of a family's tensor, and
-    # the canonical id of every setting; the digest is of this platform's
-    # numpy and libm
+PROJECTOR_DIGEST = "2e07cdb920d94ad17b73ad3e03a28338223adaad1c86cbc37bcba9d590a275a0"
+
+
+def projector_digest() -> str:
+    """sha256 of every byte of the named triple's tensor and of a family's
+    tensor, and of the canonical id of every setting."""
     digest = hashlib.sha256()
     for pairs in (measure.NAMED_PAIRS, pinned_family_pairs()):
         digest.update(measure.projector_tensor(pairs).tobytes())
         digest.update(" ".join(f"{measure.parse_setting(a)[0]}/"
                                f"{measure.parse_setting(b)[0]}"
                                for a, b in pairs).encode())
-    assert digest.hexdigest() == ("6e27c609bd25b2d55ecb21e58d078728"
-                                  "967add32365c9b895729d889c19290d6"), pin_note()
+    return digest.hexdigest()
+
+
+def test_projector_tensor_is_pinned_bit_for_bit():
+    # the digest is of this platform's libm, and the same on any BLAS core
+    # or numpy SIMD level (test_golden runs it under others)
+    assert projector_digest() == PROJECTOR_DIGEST, pin_note()
 
 
 def test_analyzer_bad_ids():
@@ -381,9 +402,9 @@ def test_entangled_extrema_full_swing():
 # ------------------------------------------------------ separable contrast
 
 def separable_observables(theta_a, theta_b):
-    # |H>|V> rotated by local_rotations, read as `polarot verify` reads it
-    u = channels.local_rotations(theta_a, theta_b)
-    rho = u @ states.separable_state(states.ket("H"), states.ket("V")) @ u.swapaxes(-2, -1)
+    # |H>|V> rotated by rotate_arm, read as `polarot verify` reads it
+    rho = channels.rotate_arm(channels.rotate_arm(
+        states.separable_state(states.ket("H"), states.ket("V")), theta_a, 0), theta_b, 1)
     return measure.exact_observables(rho)
 
 
@@ -396,7 +417,7 @@ def test_separable_expectations_against_born_oracle():
         ta, tb = rng.uniform(-math.pi, math.pi, 2)
         rho = rotate_locally(
             states.separable_state(states.ket("H"), states.ket("V")),
-            channels.rotation_unitary(ta), channels.rotation_unitary(tb))
+            jones.rotation_unitary(ta), jones.rotation_unitary(tb))
         obs = separable_observables(ta, tb)
         ca, sa = math.cos(2.0 * ta), math.sin(2.0 * ta)
         cb, sb = math.cos(2.0 * tb), math.sin(2.0 * tb)
@@ -852,8 +873,8 @@ def test_scan_noisy_repeatability():
             observables = []
             for tb in tbs:
                 calls[0] += 1
-                rho = rotate_locally(rho0, channels.rotation_unitary(ta),
-                                     channels.rotation_unitary(tb))
+                rho = rotate_locally(rho0, jones.rotation_unitary(ta),
+                                     jones.rotation_unitary(tb))
                 seed = int(np.random.SeedSequence(
                     entropy=1000 + rep, spawn_key=(calls[0],)).generate_state(1)[0])
                 table = measure.simulate_counts(rho, make_named_settings(),
@@ -1138,14 +1159,24 @@ def test_chsh_reads_any_two_settings_per_arm(rho, arm_a, arm_b, expected):
 
 
 _ANALYZER_ANGLE = st.floats(-180.0, 180.0)
-# named bases, linear analyzers and wave-plate analyzers; two per arm,
-# distinct once canonical
+
+
+def plus_projector(setting_id):
+    """The +1-port projector of a setting's canonical id, which a table stores."""
+    plus = measure.parse_setting(measure.parse_setting(setting_id)[0])[1][0]
+    return np.outer(plus, plus.conj())
+
+
+# named bases, linear analyzers and wave-plate analyzers; two per arm whose
+# canonical ids have different +1 ports (chsh_from_counts rejects two ids of
+# one analyzer)
 _ARM_SETTINGS = st.lists(
     st.one_of(st.sampled_from(["Z", "X", "Y"]),
               _ANALYZER_ANGLE.map(lambda deg: f"lin:{deg}"),
               st.tuples(_ANALYZER_ANGLE, _ANALYZER_ANGLE).map(
                   lambda plates: f"wp:{plates[0]}:{plates[1]}")),
-    min_size=2, max_size=2, unique_by=lambda sid: measure.parse_setting(sid)[0])
+    min_size=2, max_size=2).filter(
+    lambda ids: np.abs(plus_projector(ids[0]) - plus_projector(ids[1])).max() > 1e-12)
 _UNIT_INTERVAL = st.floats(-1.0, 1.0)
 
 
@@ -1175,6 +1206,19 @@ def test_chsh_of_any_state_is_at_most_tsirelson(columns, arm_a, arm_b):
 def test_chsh_of_a_product_state_is_at_most_2(ket_a, ket_b, arm_a, arm_b):
     rho = states.separable_state(complex_vector(ket_a), complex_vector(ket_b))
     assert exact_pairs_chsh(rho, arm_a, arm_b) <= 2.0 + 1e-12
+
+
+@pytest.mark.parametrize("arm_b", [("lin:0", "lin:180"), ("wp:22.5:0", "X"),
+                                   ("Y", "wp:0:45")])
+def test_chsh_rejects_one_analyzer_under_two_ids(arm_b):
+    # equal +1 projectors, whatever the phase of the kets
+    pairs = [(a, b) for a in ("Z", "X") for b in arm_b]
+    table = measure.exact_table(states.bell_state("psi_plus"), pairs,
+                                measure.Detection(1.0, 1.0))
+    canonical = [measure.parse_setting(b)[0] for b in arm_b]
+    with pytest.raises(ValueError, match=f"{canonical[0]} and {canonical[1]} have "
+                                         f"the same \\+1 port"):
+        measure.chsh_from_counts(table)
 
 
 # ------------------------------------------------------------------- files

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jones
 from polarot import channels, config, measure, states, sweeps
 from test_acceptance import rotate_locally
 
@@ -139,8 +140,8 @@ def test_configured_state_folds_offsets():
     rho = sweeps.configured_state(cfg, theta_b=0.1)
     manual = rotate_locally(
         states.bell_state("psi_minus"),
-        channels.rotation_unitary(math.radians(20.08) + cfg.pbs_a + cfg.hwp),
-        channels.rotation_unitary(0.1 + cfg.pbs_b))
+        jones.rotation_unitary(math.radians(20.08) + cfg.pbs_a + cfg.hwp),
+        jones.rotation_unitary(0.1 + cfg.pbs_b))
     assert np.abs(rho - manual).max() < 1e-12
 
 
@@ -356,9 +357,9 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
 
 
 def test_configured_state_stacks_kinds_as_the_complex_product():
-    # the stack of kinds rotates the real and imaginary parts of each source
-    # apart; each member equals the complex u @ rho @ u^T bit for bit, the
-    # complex R/L product source included
+    # each member of the stack of kinds equals its single-kind call bit for
+    # bit, and the oracle u @ rho @ u^T of the Jones matrices to round-off,
+    # the complex R/L product source included
     cfg = dataclasses.replace(theta_config(offsets=SHIPPED_OFFSETS), ket_a="R",
                               ket_b="L", visibility=0.8)
     theta_b = np.radians(sorted(cfg.sweep_values))
@@ -372,8 +373,8 @@ def test_configured_state_stacks_kinds_as_the_complex_product():
         theta_a = cfg.arm_a.theta() + cfg.pbs_a
         if kind == "psi_minus":
             theta_a += cfg.hwp
-        u = channels.local_rotations(theta_a, theta_b + cfg.pbs_b)
-        assert member.tobytes() == (u @ rho @ u.swapaxes(-2, -1)).tobytes()
+        u = jones.local_rotations(theta_a, theta_b + cfg.pbs_b)
+        assert np.abs(member - u @ rho @ u.swapaxes(-2, -1)).max() < 1e-15
         single = sweeps.configured_state(cfg, kind, theta_b)
         assert single.tobytes() == member.tobytes()
     # one kind and one angle still give one state

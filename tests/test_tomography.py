@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import jones
 from blas_core import pin_note
 from polarot import states, tomography
 from test_acceptance import likelihood_gradient_lambda_max, rotate_locally, werner
@@ -341,10 +342,9 @@ def test_reconstruction_report_werner_vs_bell():
 
 def test_reconstruction_report_rotated_cosine_similarity():
     # oracle: direct trace inner product of the rotated and unrotated states
-    from polarot import channels
     theta = np.radians(20.08)
     rho = states.bell_state("psi_plus")
-    rotated = rotate_locally(rho, channels.rotation_unitary(theta),
+    rotated = rotate_locally(rho, jones.rotation_unitary(theta),
                              np.eye(2, dtype=complex))
     oracle = float(np.trace(rotated.conj().T @ rho).real)
     report = tomography._report(rotated, rho)
