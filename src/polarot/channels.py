@@ -1,5 +1,5 @@
-"""Local polarization transformations: optical rotations, angle wrapping
-and isotropic noise.
+"""Local polarization transformations: optical rotations and isotropic
+noise.
 
 Sign convention: levorotation is a positive angle and rotates the
 polarization plane from H toward V, i.e. U(theta)|H> = cos(theta)|H> +
@@ -8,13 +8,11 @@ sin(theta)|V>.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .states import maximally_mixed, validate_state
 
-__all__ = ["rotate_arm", "wrap_angle", "apply_noise"]
+__all__ = ["rotate_arm", "apply_noise"]
 
 
 def rotate_arm(rho: np.ndarray, theta, arm: int) -> np.ndarray:
@@ -36,14 +34,6 @@ def rotate_arm(rho: np.ndarray, theta, arm: int) -> np.ndarray:
                   for k in (0, 1))
         out = np.concatenate((c * x0 - s * x1, s * x0 + c * x1), axis=axis)
     return out.reshape(out.shape[:-4] + (4, 4))
-
-
-def wrap_angle(theta: float) -> float:
-    """The representative of theta (mod 2 pi) in (-pi, pi]."""
-    theta = math.remainder(theta, 2.0 * math.pi)
-    if theta <= -math.pi:
-        theta += 2.0 * math.pi
-    return theta
 
 
 def apply_noise(rho: np.ndarray, visibility: float) -> np.ndarray:

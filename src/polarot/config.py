@@ -49,6 +49,9 @@ class ArmConfig:
     def __post_init__(self):
         if (self.angle is None) == (self.molarity is None):
             raise ValueError("an arm needs exactly one of a fixed angle or a solution")
+        if self.angle is not None and self.slope_deg_per_molar != DEFAULT_SLOPE_DEG_PER_MOLAR:
+            raise ValueError("an angle arm must not set slope_deg_per_molar "
+                             "(the slope calibrates a solution arm)")
         if self.molarity is not None and self.molarity < 0.0:
             raise ValueError(f"molarity must be nonnegative, got {self.molarity}")
         if self.molarity is not None and not math.isfinite(self.theta()):
@@ -93,39 +96,11 @@ class ExperimentConfig:
             if self.sweep_variable == "molarity_b" and min(self.sweep_values) < 0:
                 raise ValueError(f"[sweep] values: negative molarity {min(self.sweep_values)}")
 
-    def canonical_items(self) -> list[tuple[str, str]]:
-        """Flat, sorted (key, value) view of every configuration field;
-        the provenance hash is built from exactly these items."""
-        items = {
-            "state.kind": self.state_kind,
-            "state.ket_a": self.ket_a,
-            "state.ket_b": self.ket_b,
-            "noise.visibility": repr(self.visibility),
-            "noise.accidental_fraction": repr(self.detection.accidental_fraction),
-            "arm_a.transmission": repr(self.detection.transmission_a),
-            "arm_b.transmission": repr(self.detection.transmission_b),
-            "offsets.pbs_a": repr(self.pbs_a),
-            "offsets.pbs_b": repr(self.pbs_b),
-            "offsets.hwp": repr(self.hwp),
-            "statistics.pair_flux": repr(self.detection.pair_flux),
-            "statistics.duration": repr(self.detection.duration),
-            "statistics.seed": repr(self.seed),
-            "settings.pairs": ";".join(f"{a}/{b}" for a, b in self.setting_pairs),
-            "sweep.variable": str(self.sweep_variable),
-            "sweep.values": ";".join(repr(v) for v in self.sweep_values),
-        }
-        for name, arm in (("arm_a", self.arm_a), ("arm_b", self.arm_b)):
-            if arm.angle is not None:
-                items[f"{name}.angle"] = repr(arm.angle)
-            else:
-                items[f"{name}.molarity"] = repr(arm.molarity)
-                items[f"{name}.slope"] = repr(arm.slope_deg_per_molar)
-        return sorted(items.items())
-
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    payload = "\n".join(f"{k}={v}" for k, v in cfg.canonical_items())
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    """The provenance hash of a config value: the first 16 hex digits of the
+    sha256 of its repr, which holds every field, each value by repr."""
+    return hashlib.sha256(repr(cfg).encode("utf-8")).hexdigest()[:16]
 
 
 # groups of ExperimentConfig fields a run may leave unread, with the key that
@@ -386,13 +361,11 @@ def loads_config(text: str) -> ExperimentConfig:
             token = token.strip()
             if token.count("/") != 1:
                 raise ValueError(f"setting pair {token!r} must be '<id_a>/<id_b>'")
-            pair = tuple(setting_id.strip() for setting_id in token.split("/"))
-            for setting_id in pair:
-                try:
-                    parse_setting(setting_id)
-                except ValueError as err:
-                    raise ValueError(f"[settings] pairs: {err}") from None
-            pairs.append(pair)
+            try:  # the canonical ids, so that one experiment is one config value
+                pairs.append(tuple(parse_setting(setting_id.strip())[0]
+                                   for setting_id in token.split("/")))
+            except ValueError as err:
+                raise ValueError(f"[settings] pairs: {err}") from None
         kwargs["setting_pairs"] = tuple(pairs)
     if "sweep" in ini:
         kwargs["sweep_variable"], kwargs["sweep_values"] = _parse_sweep(ini["sweep"])

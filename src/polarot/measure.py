@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .channels import wrap_angle
 from .csvfile import read_csv, row_floats, write_csv
 from .states import ket, validate_state
 
@@ -57,8 +56,11 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
     'lin:<deg>' is a linear analyzer rotated by <deg>: +1 transmits
     cos|H> + sin|V>. 'wp:<hwp deg>:<qwp deg>' is a half- then a quarter-wave
     plate in front of a polarizing beam splitter, with +1 at the transmitted
-    (H) port. Every finite angle parses. Canonical ids carry angles at six
-    decimals, a zero unsigned (lin:-0.0000001 is lin:0.000000). Errors name
+    (H) port. Every finite angle parses. An analyzer is fixed by its angles
+    modulo 180 deg, so each angle is reduced into [-90, 90) and rounded to
+    six decimals, a zero unsigned (lin:202.5 is lin:22.500000, lin:90 is
+    lin:-90.000000, lin:-0.0000001 is lin:0.000000), before the kets are
+    built: a canonical id parses to itself and the same kets. Errors name
     the id.
     """
     kind, *values = setting_id.split(":")
@@ -66,11 +68,16 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
         raise ValueError(f"cannot parse analyzer setting id {setting_id!r}; expected "
                          f"Z, X, Y, 'lin:<deg>' or 'wp:<hwp deg>:<qwp deg>'")
     try:
-        angles = [math.radians(float(v)) for v in values]
-        if not all(map(math.isfinite, angles)):
+        degrees = [float(v) for v in values]
+        if not all(map(math.isfinite, degrees)):
             raise ValueError("angles must be finite")
     except ValueError as err:
         raise ValueError(f"analyzer setting {setting_id!r}: {err}") from None
+    # the exact remainder first, so that rounding sees the same value for
+    # every turn of one angle; rounding may reach 90, which is -90
+    degrees = [round(math.remainder(d, 180.0), 6) + 0.0 for d in degrees]
+    degrees = [-90.0 if d == 90.0 else d for d in degrees]
+    angles = [math.radians(d) for d in degrees]
     if kind == "lin":
         plus = [math.cos(angles[0]), math.sin(angles[0])]
     elif kind == "wp":
@@ -83,8 +90,7 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
     else:
         plus = ket({"Z": "H", "X": "D", "Y": "L"}[kind])
     kets = np.array([plus, [-plus[1].conjugate(), plus[0].conjugate()]], dtype=complex)
-    return ":".join([kind] + [f"{round(math.degrees(a), 6) + 0.0:.6f}"
-                              for a in angles]), kets
+    return ":".join([kind] + [f"{d:.6f}" for d in degrees]), kets
 
 
 def projector_tensor(settings) -> np.ndarray:
@@ -366,9 +372,9 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float) ->
     (-m_zz - i m_xz) exp(2i theta_b): the known-frequency single-tone phase
     estimator (Rife & Boorstyn, IEEE Trans. Inf. Theory 20, 591, 1974). A
     rotation is only defined modulo pi, so the window is the caller's prior:
-    the result is the representative inside it (ties toward smaller
-    |theta_a|), wrapped into (-pi, pi]. A window without one raises, and so
-    does a mean phasor modulus below NOISE_FLOOR (a flat response).
+    the result is the representative inside it (_in_window). A window
+    without one raises, and so does a mean phasor modulus below NOISE_FLOOR
+    (a flat response).
     """
     lo, hi = search_range
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -392,7 +398,13 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float) ->
     if abs(phasor) < NOISE_FLOOR:
         raise ValueError(f"flat scan response: mean phasor modulus "
                          f"{abs(phasor):g} is below the noise floor {NOISE_FLOOR:g}")
-    theta = 0.5 * float(np.angle(phasor))
+    return _in_window(0.5 * float(np.angle(phasor)), lo, hi)
+
+
+def _in_window(theta: float, lo: float, hi: float) -> float:
+    """The representative theta + k pi inside [lo, hi] nearest 0, the lower
+    one on a tie; a window that holds none raises."""
+    theta = math.remainder(theta, math.pi)
     # the representatives theta + k pi inside the window are k_lo <= k <= k_hi
     k_lo, k_hi = math.ceil((lo - theta) / math.pi), math.floor((hi - theta) / math.pi)
     if k_lo > k_hi:
@@ -401,7 +413,7 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float) ->
     # |theta + k pi| is least at k = 0, or at k = -1 and 0 alike for theta =
     # pi/2 (the lower k wins), and grows away from there: clamp into the window
     k = min(max(-1 if theta == math.pi / 2 else 0, k_lo), k_hi)
-    return wrap_angle(theta + math.pi * k)
+    return theta + math.pi * k
 
 
 def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
@@ -417,7 +429,7 @@ def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:
     if len(arms[0]) != 2 or len(arms[1]) != 2:
         raise ValueError(f"CHSH needs two analyzer settings per arm, got "
                          f"{arms[0]} / {arms[1]}")
-    for ids in arms:  # two ids of one analyzer (lin:0 and lin:180, lin:45 and X)
+    for ids in arms:  # two ids of one analyzer (lin:45 and X, wp:0:0 and Z)
         p, q = (np.outer(k, k.conj()) for k in (parse_setting(i)[1][0] for i in ids))
         if np.abs(p - q).max() <= 1e-12:
             raise ValueError(f"CHSH needs two different analyzers per arm, but "

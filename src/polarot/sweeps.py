@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import _apply_noise, rotate_arm, wrap_angle
+from .channels import _apply_noise, rotate_arm
 from .config import ExperimentConfig, check_reads, config_hash
 from .csvfile import unsigned_zeros, write_csv
-from .measure import (NAMED_PAIRS, _check_factors, _local_angles, _mean_counts,
-                      _observables, rotation_from_observables, scan_theta_a)
+from .measure import (NAMED_PAIRS, _check_factors, _in_window, _local_angles,
+                      _mean_counts, _observables, rotation_from_observables, scan_theta_a)
 from .states import bell_state, ket, separable_state
 
 __all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
@@ -197,15 +197,16 @@ def run_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
 
 def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float],
              resolution: float, exact: bool) -> float:
-    """The arm-A rotation (radians, in (-pi, pi]) that scan_theta_a finds by
-    probing the cancellation (psi_minus) branch over a grid of arm-B angles,
-    counts drawn from the stream (cfg.seed, 1). The optimum matches arm B to
-    arm A's angle in the analyzer frame, so the offsets come off after."""
+    """The arm-A rotation (radians, inside search_range) that scan_theta_a
+    finds by probing the cancellation (psi_minus) branch over a grid of arm-B
+    angles, counts drawn from the stream (cfg.seed, 1). The optimum matches
+    arm B to arm A's angle in the analyzer frame, so the offsets come off
+    after, and the representative is chosen again (measure._in_window)."""
     theta = scan_theta_a(
         lambda grid: _observables(_named_counts(cfg, ("psi_minus",), grid, exact,
                                                 ((1,),))[0]),
         search_range, resolution)
-    return wrap_angle(_remove_offsets(cfg, "psi_minus", theta))
+    return _in_window(_remove_offsets(cfg, "psi_minus", theta), *search_range)
 
 
 def write_sweep(result: SweepResult, path) -> None:

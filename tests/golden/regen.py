@@ -3,7 +3,9 @@
     python tests/golden/regen.py
 
 Run it only when an output or a random stream changes on purpose, and
-commit the regenerated files together with that change.
+commit the regenerated files together with that change. It prints each
+file whose bytes differ from the golden it replaces, as <case>/<file>, and
+nothing for a case that did not change.
 """
 
 from __future__ import annotations
@@ -28,11 +30,15 @@ def main() -> int:
                       file=sys.stderr)
                 return 1
             target = EXPECTED / name
+            old = ({path.name: path.read_bytes() for path in target.iterdir()}
+                   if target.is_dir() else {})
+            for file_name in sorted(old.keys() | files.keys()):
+                if old.get(file_name) != files.get(file_name):
+                    print(f"{name}/{file_name}")
             shutil.rmtree(target, ignore_errors=True)
             target.mkdir(parents=True)
             for file_name, data in files.items():
                 (target / file_name).write_bytes(data)
-            print(f"{name}: {len(files)} files")
     return 0
 
 

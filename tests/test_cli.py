@@ -1,4 +1,5 @@
 import configparser
+import contextlib
 import io
 import os
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarot
 from golden.cases import run_case
@@ -606,13 +609,13 @@ def test_chsh_reads_named_basis_settings(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "S = 2.000000 +- 0.004472"
 
 
-@pytest.mark.parametrize("arm_a, arm_b, same", [
-    (("lin:0", "lin:180"), ("Z", "X"), ("lin:0.000000", "lin:180.000000")),
-    (("lin:45", "X"), ("Z", "lin:22.5"), ("lin:45.000000", "X"))])
-def test_chsh_rejects_one_analyzer_twice(tmp_path, capsys, arm_a, arm_b, same):
+@pytest.mark.parametrize("arm_a, arm_b, message", [
+    (("lin:0", "lin:180"), ("Z", "X"), "CHSH needs two analyzer settings per arm"),
+    (("lin:45", "X"), ("Z", "lin:22.5"), "lin:45.000000 and X have the same +1 port")])
+def test_chsh_rejects_one_analyzer_twice(tmp_path, capsys, arm_a, arm_b, message):
     # lin:0 and lin:180, or lin:45 and X, are one analyzer under two ids; an
     # exact psi_plus table over them printed S = 2.000000 or 1.414214 as if
-    # from two settings
+    # from two settings. lin:180 loads as lin:0.000000, so arm A holds one setting
     pairs = ", ".join(f"{a}/{b}" for a in arm_a for b in arm_b)
     text = CHSH_TEMPLATE[:CHSH_TEMPLATE.index("pairs = ")] + f"pairs = {pairs}\n"
     table = str(tmp_path / "same.csv")
@@ -622,7 +625,7 @@ def test_chsh_rejects_one_analyzer_twice(tmp_path, capsys, arm_a, arm_b, same):
     assert main(["chsh", "--table", table]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{same[0]} and {same[1]} have the same +1 port" in captured.err
+    assert message in captured.err
 
 
 def test_chsh_at_the_classical_bound_is_no_violation(tmp_path, capsys):
@@ -1065,6 +1068,58 @@ def test_scan_window_missing_the_angle_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no anticorrelation optimum" in captured.err
+
+
+@pytest.mark.parametrize("lo, hi, expected", [
+    ("100", "300", "200.000000"), ("150", "250", "200.000000"),
+    ("-300", "-100", "-160.000000")])
+def test_scan_readout_lies_in_the_window(capsys, lo, hi, expected):
+    # scan.ini's arm A is at 20 degrees; the first two windows printed
+    # -160.000000, the representative wrapped out of them into (-180, 180]
+    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
+                 "--range-deg", lo, hi]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_scan_readout_near_the_window_edge_is_the_arm_angle(tmp_path, capsys):
+    # with arm A at -88 degrees the shipped offsets put it at -91.37 in the
+    # analyzer frame: the default window's representative there is 88.63, and
+    # with the offsets taken off the scan printed 92.000000, outside the window
+    cfg = golden_edited(tmp_path, "scan.ini",
+                        lambda text: text.replace("angle_deg = 20.0", "angle_deg = -88.0"))
+    assert main(["scan", "--config", cfg, "--exact"]) == 0
+    assert capsys.readouterr().out == "-88.000000\n"
+
+
+_SCAN_DEGREES = st.floats(-720.0, 720.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta_a=_SCAN_DEGREES, offsets=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+       lo=_SCAN_DEGREES, width=st.floats(0.5, 400.0), steps=st.integers(1, 60))
+def test_scan_readout_is_the_arm_angle_inside_the_window(tmp_path_factory, theta_a,
+                                                         offsets, lo, width, steps):
+    # exact scan: the printed readout is theta_a mod 180 degrees to the printed
+    # 1e-6 deg and lies in --range-deg, or the run names the empty window
+    text = (GOLDEN_INPUTS / "scan.ini").read_text().replace(
+        "angle_deg = 20.0", f"angle_deg = {theta_a!r}")
+    for key, value in zip(("pbs_a_deg", "pbs_b_deg", "hwp_deg"), offsets):
+        text = re.sub(rf"{key} = \S+", f"{key} = {value!r}", text)
+    cfg = tmp_path_factory.mktemp("scan") / "scan.ini"
+    cfg.write_text(text)
+    hi = lo + width
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["scan", "--config", str(cfg), "--exact", "--range-deg", repr(lo),
+                     repr(hi), "--resolution-deg", repr(width / steps)])
+    if code == 2:
+        assert width < 181.0 and "no anticorrelation optimum" in err.getvalue()
+        return
+    assert code == 0, err.getvalue()
+    readout = float(out.getvalue())
+    assert lo - 1e-6 <= readout <= hi + 1e-6
+    turns = (readout - theta_a) / 180.0
+    assert abs(turns - round(turns)) * 180.0 <= 1e-6
 
 
 @pytest.mark.parametrize("flags, name, bad", [

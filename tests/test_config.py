@@ -1,6 +1,7 @@
 """The one-pass INI reader of polarot.config and the identity of the configs."""
 
 import configparser
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -91,13 +92,75 @@ def test_malformed_text_names_its_line(tmp_path, capsys, text, line, why):
 
 
 @pytest.mark.parametrize("name, expected", [
-    ("scan.ini", "911977225f533fc9"),
-    ("sim.ini", "c01c76049a1c0d5c"),
-    ("sweep_molarity.ini", "5d6e179a273c91ef"),
-    ("sweep_theta.ini", "f77cf5aa55c35dad"),
+    ("scan.ini", "45a1bc6513dd3ab0"),
+    ("sim.ini", "0f60e41854414cc3"),
+    ("sweep_molarity.ini", "822e1feaf279f56f"),
+    ("sweep_theta.ini", "499fcbf3eaf349db"),
 ])
 def test_golden_config_hash(name, expected):
     assert config.config_hash(config.load_config(GOLDEN_INPUTS / name)) == expected
+
+
+@pytest.mark.parametrize("pair", ["lin:22.5/wp:10:20", "lin:22.500/wp:10:20",
+                                  "lin:202.5/wp:10:20", "lin:22.5/wp:190:20"])
+def test_one_experiment_has_one_hash_and_one_table(tmp_path, capsys, pair):
+    # each spelling of sim.ini's last analyzer pair hashed differently
+    text = (GOLDEN_INPUTS / "sim.ini").read_text(encoding="utf-8")
+    assert text.count("lin:22.5/wp:10:20") == 1
+    path = tmp_path / "sim.ini"
+    path.write_text(text.replace("lin:22.5/wp:10:20", pair))
+    assert config.config_hash(config.load_config(path)) == "0f60e41854414cc3"
+    assert main(["simulate", "--config", str(path), "--exact",
+                 "--out", str(tmp_path / "exact.csv")]) == 0
+    expected = (GOLDEN_INPUTS.parent / "expected" / "simulate_exact" / "exact.csv")
+    assert (tmp_path / "exact.csv").read_bytes() == expected.read_bytes()
+    capsys.readouterr()
+
+
+# another accepted value of each field of ExperimentConfig, ArmConfig and
+# Detection, by name; a field added later fails the walk below until it is listed
+OTHER_VALUE = {
+    "state_kind": "psi_plus", "ket_a": "D", "ket_b": "A", "visibility": 0.5,
+    "angle": 0.1, "molarity": 2.0, "slope_deg_per_molar": 5.0,
+    "pbs_a": 0.1, "pbs_b": 0.1, "hwp": 0.1, "pair_flux": 2e5, "duration": 2.0,
+    "transmission_a": 0.5, "transmission_b": 0.5, "accidental_fraction": 0.1,
+    "seed": 1, "setting_pairs": (("Y", "Y"),), "sweep_variable": "molarity_b",
+    "sweep_values": (0.0, 2.0),
+}
+# the angle-arm fields and the solution-arm fields are each set on one base
+_SOLUTION = config.ArmConfig(molarity=1.0)
+HASH_BASES = (config.ExperimentConfig(sweep_variable="theta_b", sweep_values=(0.0, 1.0)),
+              config.ExperimentConfig(arm_a=_SOLUTION, arm_b=_SOLUTION))
+
+
+def field_paths(value, prefix=()):
+    """The path of every field of a config value, nested dataclasses (the
+    arms, the detection model) field by field."""
+    for f in dataclasses.fields(value):
+        item = getattr(value, f.name)
+        if dataclasses.is_dataclass(item):
+            yield from field_paths(item, prefix + (f.name,))
+        else:
+            yield prefix + (f.name,)
+
+
+def replaced(value, path, new):
+    head, *rest = path
+    return dataclasses.replace(
+        value, **{head: replaced(getattr(value, head), rest, new) if rest else new})
+
+
+@pytest.mark.parametrize("path", list(field_paths(HASH_BASES[0])), ids=".".join)
+def test_config_hash_follows_every_field(path):
+    changed = 0
+    for base in HASH_BASES:
+        try:
+            other = replaced(base, path, OTHER_VALUE[path[-1]])
+        except ValueError:  # the field is not one this base may set
+            continue
+        assert config.config_hash(other) != config.config_hash(base)
+        changed += 1
+    assert changed, f"no base accepts {'.'.join(path)} = {OTHER_VALUE[path[-1]]!r}"
 
 
 def test_wrapped_sweep_values_load_as_one_line():

@@ -75,14 +75,44 @@ def test_analyzer_completeness():
 def test_closed_form_ports_match_the_jones_oracle():
     # lin ports are the oracle's rotated H and V bit for bit; the wp +1 port
     # is its (QWP HWP)^dag |H> to within round-off (the -1 port, the
-    # complement of the +1 port, differs from (QWP HWP)^dag |V> by a phase)
+    # complement of the +1 port, differs from (QWP HWP)^dag |V> by a phase).
+    # The kets are those of the canonical id, whose angles are reduced
     rng = np.random.default_rng(11)
     for v in rng.uniform(-400, 400, 2000).tolist():
-        kets = measure.parse_setting(f"lin:{v!r}")[1]
-        assert kets.tobytes() == np.array(oracle_kets(f"lin:{v!r}")).tobytes()
+        canonical, kets = measure.parse_setting(f"lin:{v!r}")
+        assert kets.tobytes() == np.array(oracle_kets(canonical)).tobytes()
     for h, q in rng.uniform(-400, 400, (2000, 2)).tolist():
-        kets = measure.parse_setting(f"wp:{h!r}:{q!r}")[1]
-        assert np.abs(kets[0] - oracle_kets(f"wp:{h!r}:{q!r}")[0]).max() < 1.3e-16
+        canonical, kets = measure.parse_setting(f"wp:{h!r}:{q!r}")
+        assert np.abs(kets[0] - oracle_kets(canonical)[0]).max() < 1.3e-16
+
+
+def six_decimals(micro: int) -> str:
+    """The decimal text of micro * 1e-6, exactly."""
+    sign = "-" if micro < 0 else ""
+    return f"{sign}{abs(micro) // 10**6}.{abs(micro) % 10**6:06d}"
+
+
+_MICRO_DEGREES = st.integers(-400 * 10**6, 400 * 10**6)
+_TURNS = st.integers(-1000, 1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=_MICRO_DEGREES, q=_MICRO_DEGREES, j=_TURNS, k=_TURNS)
+def test_one_analyzer_has_one_id_and_one_pair_of_kets(h, q, j, k):
+    # an analyzer is fixed by its angles modulo 180 degrees: every turn of
+    # them parses to one id and bit-identical kets, and every id parses to
+    # itself and the same kets
+    half_turn = 180 * 10**6
+    for first, second in (
+            (f"lin:{six_decimals(h)}", f"lin:{six_decimals(h + half_turn * k)}"),
+            (f"wp:{six_decimals(h)}:{six_decimals(q)}",
+             f"wp:{six_decimals(h + half_turn * j)}:{six_decimals(q + half_turn * k)}")):
+        canonical, kets = measure.parse_setting(first)
+        other, other_kets = measure.parse_setting(second)
+        assert (other, other_kets.tobytes()) == (canonical, kets.tobytes())
+        again, again_kets = measure.parse_setting(canonical)
+        assert (again, again_kets.tobytes()) == (canonical, kets.tobytes())
+        assert all(-90.0 <= float(v) < 90.0 for v in canonical.split(":")[1:])
 
 
 def check_ports(setting_id, rng):
@@ -169,7 +199,7 @@ def pinned_family_pairs():
     return list(zip(ids, ids[::-1]))
 
 
-PROJECTOR_DIGEST = "2e07cdb920d94ad17b73ad3e03a28338223adaad1c86cbc37bcba9d590a275a0"
+PROJECTOR_DIGEST = "912e149ee06e4a7cc42869d36f98c038483a65189895793d68b9928f408550f7"
 
 
 def projector_digest() -> str:
@@ -985,8 +1015,7 @@ def enumerated_representative(probe, search_range, resolution):
     theta = 0.5 * float(np.angle(np.mean((-obs.m_zz - 1j * obs.m_xz) * np.exp(2j * grid))))
     reps = theta + math.pi * np.arange(math.ceil((lo - theta) / math.pi),
                                        math.floor((hi - theta) / math.pi) + 1)
-    return theta, (channels.wrap_angle(float(reps[np.argmin(np.abs(reps))]))
-                   if reps.size else None)
+    return theta, float(reps[np.argmin(np.abs(reps))]) if reps.size else None
 
 
 @settings(max_examples=300, deadline=None)
@@ -1211,13 +1240,15 @@ def test_chsh_of_a_product_state_is_at_most_2(ket_a, ket_b, arm_a, arm_b):
 @pytest.mark.parametrize("arm_b", [("lin:0", "lin:180"), ("wp:22.5:0", "X"),
                                    ("Y", "wp:0:45")])
 def test_chsh_rejects_one_analyzer_under_two_ids(arm_b):
-    # equal +1 projectors, whatever the phase of the kets
+    # equal +1 projectors, whatever the phase of the kets; lin:0 and lin:180
+    # share one canonical id, so the table holds one arm-B setting
     pairs = [(a, b) for a in ("Z", "X") for b in arm_b]
     table = measure.exact_table(states.bell_state("psi_plus"), pairs,
                                 measure.Detection(1.0, 1.0))
     canonical = [measure.parse_setting(b)[0] for b in arm_b]
-    with pytest.raises(ValueError, match=f"{canonical[0]} and {canonical[1]} have "
-                                         f"the same \\+1 port"):
+    message = ("CHSH needs two analyzer settings per arm" if canonical[0] == canonical[1]
+               else f"{canonical[0]} and {canonical[1]} have the same \\+1 port")
+    with pytest.raises(ValueError, match=message):
         measure.chsh_from_counts(table)
 
 

@@ -13,7 +13,7 @@ def test_readme_config_example_loads():
     blocks = re.findall(r"```ini\n(.*?)```", README, flags=re.S)
     assert len(blocks) == 1
     cfg = config.loads_config(blocks[0])
-    assert config.config_hash(cfg) == "9b92c3b5d7dce136"
+    assert config.config_hash(cfg) == "f6e972873b378fce"
     assert cfg.detection == measure.Detection(1e5, 1.0, 1.0, 1.0, 0.0)
 
 
