@@ -83,6 +83,12 @@ class ExperimentConfig:
     sweep_values: tuple = ()
 
     def __post_init__(self):
+        if self.setting_pairs != NAMED_PAIRS:  # canonical, and built by every sweep and scan
+            try:  # the canonical ids, so that one experiment is one config value
+                object.__setattr__(self, "setting_pairs", tuple(
+                    (parse_setting(a)[0], parse_setting(b)[0]) for a, b in self.setting_pairs))
+            except ValueError as err:
+                raise ValueError(f"[settings] pairs: {err}") from None
         if self.state_kind not in BELL_KINDS + ("separable",):
             raise ValueError(f"unknown state kind {self.state_kind!r}")
         if not 0.0 <= self.visibility <= 1.0:
@@ -361,11 +367,7 @@ def loads_config(text: str) -> ExperimentConfig:
             token = token.strip()
             if token.count("/") != 1:
                 raise ValueError(f"setting pair {token!r} must be '<id_a>/<id_b>'")
-            try:  # the canonical ids, so that one experiment is one config value
-                pairs.append(tuple(parse_setting(setting_id.strip())[0]
-                                   for setting_id in token.split("/")))
-            except ValueError as err:
-                raise ValueError(f"[settings] pairs: {err}") from None
+            pairs.append(tuple(setting_id.strip() for setting_id in token.split("/")))
         kwargs["setting_pairs"] = tuple(pairs)
     if "sweep" in ini:
         kwargs["sweep_variable"], kwargs["sweep_values"] = _parse_sweep(ini["sweep"])

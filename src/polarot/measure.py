@@ -39,7 +39,7 @@ _ARITY = {"Z": 0, "X": 0, "Y": 0, "lin": 1, "wp": 2}  # the angles each kind car
 MAX_GRID_POINTS = 100_000
 # the largest Poisson mean numpy draws (int64 max - 10 sqrt(int64 max))
 MAX_POISSON_MEAN = 9.223372006484771e18
-# the smallest branch-factor modulus extract_thetas and the theta sweep accept
+# the smallest branch-factor modulus extract_thetas and both sweeps accept
 MODULUS_FLOOR = 1e-6
 # the smallest mean-phasor modulus scan_theta_a accepts (the source
 # visibility, for exact data)
@@ -57,11 +57,13 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
     cos|H> + sin|V>. 'wp:<hwp deg>:<qwp deg>' is a half- then a quarter-wave
     plate in front of a polarizing beam splitter, with +1 at the transmitted
     (H) port. Every finite angle parses. An analyzer is fixed by its angles
-    modulo 180 deg, so each angle is reduced into [-90, 90) and rounded to
-    six decimals, a zero unsigned (lin:202.5 is lin:22.500000, lin:90 is
-    lin:-90.000000, lin:-0.0000001 is lin:0.000000), before the kets are
-    built: a canonical id parses to itself and the same kets. Errors name
-    the id.
+    modulo 180 deg, and by its half-wave plate angle modulo 90 deg (HWP(h +
+    90) = -HWP(h), a global phase), so each angle is reduced into [-90, 90),
+    a half-wave plate angle into [-45, 45), and rounded to six decimals, a
+    zero unsigned (lin:202.5 is lin:22.500000, lin:90 is lin:-90.000000,
+    lin:-0.0000001 is lin:0.000000, wp:100:20 is wp:10.000000:20.000000),
+    before the kets are built: a canonical id parses to itself and the same
+    kets. Errors name the id.
     """
     kind, *values = setting_id.split(":")
     if len(values) != _ARITY.get(kind):
@@ -74,9 +76,10 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
     except ValueError as err:
         raise ValueError(f"analyzer setting {setting_id!r}: {err}") from None
     # the exact remainder first, so that rounding sees the same value for
-    # every turn of one angle; rounding may reach 90, which is -90
-    degrees = [round(math.remainder(d, 180.0), 6) + 0.0 for d in degrees]
-    degrees = [-90.0 if d == 90.0 else d for d in degrees]
+    # every turn of one angle; rounding may reach half a period, which is -half
+    periods = (90.0, 180.0) if kind == "wp" else (180.0,)
+    degrees = [round(math.remainder(d, p), 6) + 0.0 for d, p in zip(degrees, periods)]
+    degrees = [-p / 2 if d == p / 2 else d for d, p in zip(degrees, periods)]
     angles = [math.radians(d) for d in degrees]
     if kind == "lin":
         plus = [math.cos(angles[0]), math.sin(angles[0])]
@@ -335,19 +338,19 @@ def extract_thetas(obs_plus: JointObservables,
     modulus is below MODULUS_FLOOR raises, naming its index.
     """
     branches = ((obs_plus.m_zz, obs_plus.m_xz), (obs_minus.m_zz, obs_minus.m_xz))
-    _check_factors(branches)
+    _check_factors(("psi_plus", "psi_minus"), branches)
     return _local_angles(*(rotation_from_observables(*b)[0] for b in branches))
 
 
-def _check_factors(branches) -> None:
-    # branches: the (m_zz, m_xz) of the plus, then the minus branch
-    for name, (m_zz, m_xz) in zip(("plus", "minus"), branches):
+def _check_factors(kinds, branches) -> None:
+    # branches: the (m_zz, m_xz) of a source of each kind, psi_plus or psi_minus
+    for kind, (m_zz, m_xz) in zip(kinds, branches):
         modulus = np.hypot(m_zz, m_xz)
         bad = modulus < MODULUS_FLOOR
         if bad.any():
             idx = tuple(int(i) for i in np.argwhere(bad)[0])
             where = f" at stack index {idx}" if idx else ""
-            raise ValueError(f"extraction ill-conditioned{where}: |{name}-branch "
+            raise ValueError(f"extraction ill-conditioned{where}: |{kind[4:]}-branch "
                              f"factor| = {modulus[idx]:g} < {MODULUS_FLOOR:g}")
 
 
@@ -371,10 +374,10 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float) ->
     theta_a mod pi is half the phase of the mean of the grid phasors
     (-m_zz - i m_xz) exp(2i theta_b): the known-frequency single-tone phase
     estimator (Rife & Boorstyn, IEEE Trans. Inf. Theory 20, 591, 1974). A
-    rotation is only defined modulo pi, so the window is the caller's prior:
-    the result is the representative inside it (_in_window). A window
-    without one raises, and so does a mean phasor modulus below NOISE_FLOOR
-    (a flat response).
+    rotation is only defined modulo pi, so the result is that half phase, in
+    [-pi/2, pi/2]: which representative a window holds is the caller's
+    choice, made in the caller's frame. A mean phasor modulus below
+    NOISE_FLOOR (a flat response) raises.
     """
     lo, hi = search_range
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -398,22 +401,7 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float) ->
     if abs(phasor) < NOISE_FLOOR:
         raise ValueError(f"flat scan response: mean phasor modulus "
                          f"{abs(phasor):g} is below the noise floor {NOISE_FLOOR:g}")
-    return _in_window(0.5 * float(np.angle(phasor)), lo, hi)
-
-
-def _in_window(theta: float, lo: float, hi: float) -> float:
-    """The representative theta + k pi inside [lo, hi] nearest 0, the lower
-    one on a tie; a window that holds none raises."""
-    theta = math.remainder(theta, math.pi)
-    # the representatives theta + k pi inside the window are k_lo <= k <= k_hi
-    k_lo, k_hi = math.ceil((lo - theta) / math.pi), math.floor((hi - theta) / math.pi)
-    if k_lo > k_hi:
-        raise ValueError("no anticorrelation optimum inside the search range; "
-                         "widen the range so it covers theta_a mod pi")
-    # |theta + k pi| is least at k = 0, or at k = -1 and 0 alike for theta =
-    # pi/2 (the lower k wins), and grows away from there: clamp into the window
-    k = min(max(-1 if theta == math.pi / 2 else 0, k_lo), k_hi)
-    return theta + math.pi * k
+    return 0.5 * float(np.angle(phasor))
 
 
 def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:

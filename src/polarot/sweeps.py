@@ -21,9 +21,9 @@ from . import __version__
 from .channels import _apply_noise, rotate_arm
 from .config import ExperimentConfig, check_reads, config_hash
 from .csvfile import unsigned_zeros, write_csv
-from .measure import (NAMED_PAIRS, _check_factors, _in_window, _local_angles,
-                      _mean_counts, _observables, rotation_from_observables, scan_theta_a)
-from .states import bell_state, ket, separable_state
+from .measure import (NAMED_PAIRS, _check_factors, _local_angles, _mean_counts,
+                      _observables, rotation_from_observables, scan_theta_a)
+from .states import BELL_KINDS, bell_state, ket, separable_state
 
 __all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
            "run_sweep", "run_scan", "write_sweep"]
@@ -113,16 +113,15 @@ def configured_state(cfg: ExperimentConfig, kind: str | tuple | None = None,
     return out if stacked else out[0]
 
 
-def _named_counts(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool,
-                  keys: tuple) -> np.ndarray:
+def _named_counts(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool) -> np.ndarray:
     # named-setting counts, shape (len(kinds),) + shape(theta_b) + (3, 4): the
-    # exact means from one Born call, or their Poisson draws, kind k from its
-    # own stream (cfg.seed, keys[k])
+    # exact means from one Born call, or their Poisson draws, each Bell kind
+    # from its own stream (cfg.seed, its BELL_KINDS index): 0 psi_plus, 1 psi_minus
     means = _mean_counts(configured_state(cfg, kinds, theta_b), NAMED_PAIRS, cfg.detection)
     if exact:
         return means
-    return np.stack([np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
-                     .poisson(m) for m, key in zip(means, keys)])
+    seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(BELL_KINDS.index(k),)) for k in kinds]
+    return np.stack([np.random.default_rng(s).poisson(m) for m, s in zip(means, seeds)])
 
 
 def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
@@ -140,7 +139,8 @@ def _molarity_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     Bell state per point, on arm B's slope."""
     molarities = sorted(cfg.sweep_values)
     theta_b = np.radians(cfg.arm_b.slope_deg_per_molar * np.array(molarities))
-    obs = _observables(_named_counts(cfg, (cfg.state_kind,), theta_b, exact, ((0,),))[0])
+    obs = _observables(_named_counts(cfg, (cfg.state_kind,), theta_b, exact)[0])
+    _check_factors((cfg.state_kind,), [(obs.m_zz, obs.m_xz)])
     theta, sig = rotation_from_observables(obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
     theta = _remove_offsets(cfg, cfg.state_kind, theta)
     return SweepResult(
@@ -161,9 +161,8 @@ def _theta_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     kinds = ("psi_plus", "psi_minus")
     values = sorted(cfg.sweep_values)
     theta_b = np.radians(values)
-    # both branches in one stack; branch k samples its own stream, (cfg.seed, k)
-    obs = _observables(_named_counts(cfg, kinds, theta_b, exact, ((0,), (1,))))
-    _check_factors(zip(obs.m_zz, obs.m_xz))
+    obs = _observables(_named_counts(cfg, kinds, theta_b, exact))  # both in one stack
+    _check_factors(kinds, zip(obs.m_zz, obs.m_xz))
     thetas, (sig_p, sig_m) = rotation_from_observables(
         obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
     th_p, th_m = np.degrees([_remove_offsets(cfg, k, theta)
@@ -199,14 +198,27 @@ def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float],
              resolution: float, exact: bool) -> float:
     """The arm-A rotation (radians, inside search_range) that scan_theta_a
     finds by probing the cancellation (psi_minus) branch over a grid of arm-B
-    angles, counts drawn from the stream (cfg.seed, 1). The optimum matches
-    arm B to arm A's angle in the analyzer frame, so the offsets come off
-    after, and the representative is chosen again (measure._in_window)."""
-    theta = scan_theta_a(
-        lambda grid: _observables(_named_counts(cfg, ("psi_minus",), grid, exact,
-                                                ((1,),))[0]),
-        search_range, resolution)
+    angles, counts drawn from that branch's stream. The optimum matches arm
+    B to arm A's angle in the analyzer frame, so the offsets come off first,
+    and then the representative inside search_range is chosen, once."""
+    theta = scan_theta_a(lambda grid: _observables(
+        _named_counts(cfg, ("psi_minus",), grid, exact)[0]), search_range, resolution)
     return _in_window(_remove_offsets(cfg, "psi_minus", theta), *search_range)
+
+
+def _in_window(theta: float, lo: float, hi: float) -> float:
+    """The representative theta + k pi inside [lo, hi] nearest 0, the lower
+    one on a tie; a window that holds none raises."""
+    theta = math.remainder(theta, math.pi)
+    # the representatives theta + k pi inside the window are k_lo <= k <= k_hi
+    k_lo, k_hi = math.ceil((lo - theta) / math.pi), math.floor((hi - theta) / math.pi)
+    if k_lo > k_hi:
+        raise ValueError("no anticorrelation optimum inside the search range; "
+                         "widen the range so it covers theta_a mod pi")
+    # |theta + k pi| is least at k = 0, or at k = -1 and 0 alike for theta =
+    # pi/2 (the lower k wins), and grows away from there: clamp into the window
+    k = min(max(-1 if theta == math.pi / 2 else 0, k_lo), k_hi)
+    return theta + math.pi * k
 
 
 def write_sweep(result: SweepResult, path) -> None:

@@ -1,6 +1,7 @@
 import configparser
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polarot
@@ -1060,11 +1061,12 @@ def test_one_born_call_and_one_stream_per_branch(tmp_path, monkeypatch):
                       "scan_exact": (1, []), "scan": (1, [(1,)])}
 
 
-def test_scan_window_missing_the_angle_exits_2(capsys):
+@pytest.mark.parametrize("lo, hi", [("40", "60"), ("14", "19")])
+def test_scan_window_missing_the_angle_exits_2(capsys, lo, hi):
     # scan.ini's arm-A angle is 20 degrees; the window holds no representative
-    # of its effective angle mod 180 degrees
+    # of it mod 180 degrees, though [14, 19] holds its analyzer-frame angle 16.63
     assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                 "--range-deg", "40", "60"]) == 2
+                 "--range-deg", lo, hi]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no anticorrelation optimum" in captured.err
@@ -1072,10 +1074,13 @@ def test_scan_window_missing_the_angle_exits_2(capsys):
 
 @pytest.mark.parametrize("lo, hi, expected", [
     ("100", "300", "200.000000"), ("150", "250", "200.000000"),
-    ("-300", "-100", "-160.000000")])
+    ("-300", "-100", "-160.000000"), ("18", "25", "20.000000"),
+    ("-162", "-158", "-160.000000")])
 def test_scan_readout_lies_in_the_window(capsys, lo, hi, expected):
     # scan.ini's arm A is at 20 degrees; the first two windows printed
-    # -160.000000, the representative wrapped out of them into (-180, 180]
+    # -160.000000, the representative wrapped out of them into (-180, 180],
+    # and the last two exited 2: they hold no representative of the
+    # analyzer-frame angle 16.63, where the window was once chosen first
     assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
                  "--range-deg", lo, hi]) == 0
     assert capsys.readouterr().out == expected + "\n"
@@ -1099,8 +1104,10 @@ _SCAN_DEGREES = st.floats(-720.0, 720.0)
        lo=_SCAN_DEGREES, width=st.floats(0.5, 400.0), steps=st.integers(1, 60))
 def test_scan_readout_is_the_arm_angle_inside_the_window(tmp_path_factory, theta_a,
                                                          offsets, lo, width, steps):
-    # exact scan: the printed readout is theta_a mod 180 degrees to the printed
-    # 1e-6 deg and lies in --range-deg, or the run names the empty window
+    # exact scan: the run exits 2 naming the empty window exactly when no
+    # theta_a + 180k lies in --range-deg, and otherwise prints theta_a mod 180
+    # degrees to the printed 1e-6 deg, inside the window; draws with an edge
+    # within 1e-6 deg of a representative are skipped
     text = (GOLDEN_INPUTS / "scan.ini").read_text().replace(
         "angle_deg = 20.0", f"angle_deg = {theta_a!r}")
     for key, value in zip(("pbs_a_deg", "pbs_b_deg", "hwp_deg"), offsets):
@@ -1108,12 +1115,14 @@ def test_scan_readout_is_the_arm_angle_inside_the_window(tmp_path_factory, theta
     cfg = tmp_path_factory.mktemp("scan") / "scan.ini"
     cfg.write_text(text)
     hi = lo + width
+    assume(all(abs(math.remainder(edge - theta_a, 180.0)) > 1e-6 for edge in (lo, hi)))
+    holds = math.ceil((lo - theta_a) / 180.0) <= math.floor((hi - theta_a) / 180.0)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["scan", "--config", str(cfg), "--exact", "--range-deg", repr(lo),
                      repr(hi), "--resolution-deg", repr(width / steps)])
-    if code == 2:
-        assert width < 181.0 and "no anticorrelation optimum" in err.getvalue()
+    if not holds:
+        assert code == 2 and "no anticorrelation optimum" in err.getvalue()
         return
     assert code == 0, err.getvalue()
     readout = float(out.getvalue())
@@ -1225,6 +1234,21 @@ def test_theta_sweep_of_a_fully_mixed_source(tmp_path, monkeypatch, capsys, exac
     else:
         assert captured.out == "wrote 5 sweep points to sweep.csv\n"
         assert (tmp_path / "sweep.csv").exists()
+
+
+def test_exact_molarity_sweep_of_a_fully_mixed_source_exits_2(tmp_path, monkeypatch,
+                                                              capsys):
+    # at visibility 0 the exact factor of the psi_minus branch is 0, which has
+    # no phase: the sweep printed -86.630000,inf on every row and exited 0,
+    # while the theta sweep on the same source exits 2
+    monkeypatch.chdir(tmp_path)
+    text = (GOLDEN_INPUTS / "sweep_molarity.ini").read_text()
+    (tmp_path / "mixed.ini").write_text(text + "\n[noise]\nvisibility = 0.0\n")
+    err = run_failing(capsys, ["sweep", "--config", "mixed.ini", "--exact",
+                               "--out", "sweep.csv"])
+    assert err == ("error: extraction ill-conditioned at stack index (0,): "
+                   "|minus-branch factor| = 0 < 1e-06\n")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarot import config
+from polarot import config, measure
 from polarot.cli import main
 from polarot.config import _read_ini
 
@@ -102,7 +102,8 @@ def test_golden_config_hash(name, expected):
 
 
 @pytest.mark.parametrize("pair", ["lin:22.5/wp:10:20", "lin:22.500/wp:10:20",
-                                  "lin:202.5/wp:10:20", "lin:22.5/wp:190:20"])
+                                  "lin:202.5/wp:10:20", "lin:22.5/wp:190:20",
+                                  "lin:22.5/wp:100:20"])
 def test_one_experiment_has_one_hash_and_one_table(tmp_path, capsys, pair):
     # each spelling of sim.ini's last analyzer pair hashed differently
     text = (GOLDEN_INPUTS / "sim.ini").read_text(encoding="utf-8")
@@ -115,6 +116,21 @@ def test_one_experiment_has_one_hash_and_one_table(tmp_path, capsys, pair):
     expected = (GOLDEN_INPUTS.parent / "expected" / "simulate_exact" / "exact.csv")
     assert (tmp_path / "exact.csv").read_bytes() == expected.read_bytes()
     capsys.readouterr()
+
+
+def test_a_config_built_in_code_hashes_like_the_same_config_loaded():
+    # ExperimentConfig stored the ids as typed, so a config built in code
+    # hashed 84dfe2b4... and the same config loaded d7906eee...
+    built = config.ExperimentConfig(setting_pairs=(("lin:202.5", "Z"),))
+    loaded = config.loads_config("[statistics]\nseed = 0\n[settings]\npairs = lin:202.5/Z\n")
+    assert built == loaded
+    assert built.setting_pairs == (("lin:22.500000", "Z"),)
+    assert config.config_hash(built) == config.config_hash(loaded) == "d7906eee722acacb"
+    # the named pairs are canonical already, and are kept as they are
+    assert config.ExperimentConfig().setting_pairs is measure.NAMED_PAIRS
+    with pytest.raises(ValueError, match="^\\[settings\\] pairs: cannot parse analyzer "
+                                         "setting id 'W'"):
+        config.ExperimentConfig(setting_pairs=(("W", "Z"),))
 
 
 # another accepted value of each field of ExperimentConfig, ArmConfig and

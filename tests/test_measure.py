@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import jones
 from blas_core import pin_note
-from polarot import channels, measure, states
+from polarot import channels, measure, states, sweeps
 from test_acceptance import rotate_locally, werner
 
 
@@ -99,20 +99,23 @@ _TURNS = st.integers(-1000, 1000)
 @settings(max_examples=300, deadline=None)
 @given(h=_MICRO_DEGREES, q=_MICRO_DEGREES, j=_TURNS, k=_TURNS)
 def test_one_analyzer_has_one_id_and_one_pair_of_kets(h, q, j, k):
-    # an analyzer is fixed by its angles modulo 180 degrees: every turn of
-    # them parses to one id and bit-identical kets, and every id parses to
+    # an analyzer is fixed by its angles modulo 180 degrees, and by its
+    # half-wave plate angle modulo 90 (HWP(h + 90) = -HWP(h)): every such turn
+    # of them parses to one id and bit-identical kets, and every id parses to
     # itself and the same kets
-    half_turn = 180 * 10**6
+    quarter_turn, half_turn = 90 * 10**6, 180 * 10**6
     for first, second in (
             (f"lin:{six_decimals(h)}", f"lin:{six_decimals(h + half_turn * k)}"),
             (f"wp:{six_decimals(h)}:{six_decimals(q)}",
-             f"wp:{six_decimals(h + half_turn * j)}:{six_decimals(q + half_turn * k)}")):
+             f"wp:{six_decimals(h + quarter_turn * j)}:{six_decimals(q + half_turn * k)}")):
         canonical, kets = measure.parse_setting(first)
         other, other_kets = measure.parse_setting(second)
         assert (other, other_kets.tobytes()) == (canonical, kets.tobytes())
         again, again_kets = measure.parse_setting(canonical)
         assert (again, again_kets.tobytes()) == (canonical, kets.tobytes())
-        assert all(-90.0 <= float(v) < 90.0 for v in canonical.split(":")[1:])
+        kind, *angles = canonical.split(":")
+        halves = (45.0, 90.0) if kind == "wp" else (90.0,)
+        assert all(-half <= float(v) < half for v, half in zip(angles, halves))
 
 
 def check_ports(setting_id, rng):
@@ -199,7 +202,7 @@ def pinned_family_pairs():
     return list(zip(ids, ids[::-1]))
 
 
-PROJECTOR_DIGEST = "912e149ee06e4a7cc42869d36f98c038483a65189895793d68b9928f408550f7"
+PROJECTOR_DIGEST = "196254edc635c8058f86984d35a41a547cfd47601b05aa933381d61d246bac36"
 
 
 def projector_digest() -> str:
@@ -876,12 +879,12 @@ def test_scan_exact_zero():
 
 
 def test_scan_exact_wide_angle():
-    # 100 degrees lies outside the closed-form window; the scan with a
-    # half-turn prior window still finds it
-    ta = math.radians(100.0)
-    theta = measure.scan_theta_a(exact_probe(ta), (0.0, math.pi),
-                                 math.radians(5.0))
-    assert abs(theta - ta) < math.radians(0.01)
+    # 100 degrees lies outside the closed-form window; the scan reads it mod
+    # 180 degrees, as -80, and a half-turn prior window picks 100
+    ta, window = math.radians(100.0), (0.0, math.pi)
+    theta = measure.scan_theta_a(exact_probe(ta), window, math.radians(5.0))
+    assert abs(theta - (ta - math.pi)) < math.radians(0.01)
+    assert abs(sweeps._in_window(theta, *window) - ta) < math.radians(0.01)
 
 
 def test_scan_exact_negative_angle():
@@ -958,10 +961,11 @@ def test_scan_narrow_window_returns_truth():
 
 def test_scan_window_without_representative_raises():
     # 20 degrees mod 180 has no representative in [40, 60] degrees
+    window = (math.radians(40.0), math.radians(60.0))
+    theta = measure.scan_theta_a(exact_probe(math.radians(20.0)), window,
+                                 math.radians(5.0))
     with pytest.raises(ValueError, match="no anticorrelation optimum"):
-        measure.scan_theta_a(exact_probe(math.radians(20.0)),
-                             (math.radians(40.0), math.radians(60.0)),
-                             math.radians(5.0))
+        sweeps._in_window(theta, *window)
 
 
 def test_scan_rejects_probe_without_one_value_per_angle():
@@ -1026,11 +1030,12 @@ def test_scan_representative_matches_the_enumeration(lo, width, steps, ta):
     # one an enumeration of every representative in the window picks, bit for bit
     probe, window = closed_form_probe(ta), (lo, lo + width)
     _, expected = enumerated_representative(probe, window, width / steps)
+    theta = measure.scan_theta_a(probe, window, width / steps)
     if expected is None:
         with pytest.raises(ValueError, match="no anticorrelation optimum"):
-            measure.scan_theta_a(probe, window, width / steps)
+            sweeps._in_window(theta, *window)
     else:
-        assert _bits(measure.scan_theta_a(probe, window, width / steps)) == _bits(expected)
+        assert _bits(sweeps._in_window(theta, *window)) == _bits(expected)
 
 
 @pytest.mark.parametrize("search_range, resolution, expected", [
@@ -1041,7 +1046,9 @@ def test_scan_tie_between_two_representatives(search_range, resolution, expected
     # at theta = pi/2, -pi/2 and pi/2 lie equally near 0: the lower one wins
     theta, enumerated = enumerated_representative(tie_probe, search_range, resolution)
     assert theta == math.pi / 2
-    result = measure.scan_theta_a(tie_probe, search_range, resolution)
+    assert measure.scan_theta_a(tie_probe, search_range, resolution) == theta
+    result = sweeps._in_window(measure.scan_theta_a(tie_probe, search_range, resolution),
+                               *search_range)
     assert _bits(result) == _bits(enumerated) == _bits(expected)
 
 
@@ -1051,7 +1058,9 @@ def test_scan_window_search_memory_does_not_grow_with_the_window():
     import tracemalloc
     tracemalloc.start()
     try:
-        theta = measure.scan_theta_a(closed_form_probe(0.3), (-5e6, 5e6), 500.0)
+        window = (-5e6, 5e6)
+        theta = sweeps._in_window(measure.scan_theta_a(closed_form_probe(0.3), window, 500.0),
+                                  *window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1238,10 +1247,11 @@ def test_chsh_of_a_product_state_is_at_most_2(ket_a, ket_b, arm_a, arm_b):
 
 
 @pytest.mark.parametrize("arm_b", [("lin:0", "lin:180"), ("wp:22.5:0", "X"),
-                                   ("Y", "wp:0:45")])
+                                   ("Y", "wp:0:45"), ("wp:10:20", "wp:100:20")])
 def test_chsh_rejects_one_analyzer_under_two_ids(arm_b):
-    # equal +1 projectors, whatever the phase of the kets; lin:0 and lin:180
-    # share one canonical id, so the table holds one arm-B setting
+    # equal +1 projectors, whatever the phase of the kets; lin:0 and lin:180,
+    # or wp:10:20 and wp:100:20, share one canonical id, so the table holds
+    # one arm-B setting
     pairs = [(a, b) for a in ("Z", "X") for b in arm_b]
     table = measure.exact_table(states.bell_state("psi_plus"), pairs,
                                 measure.Detection(1.0, 1.0))

@@ -306,18 +306,24 @@ def test_theta_sweep_sampled_tracks_truth():
         assert (np.abs(resid) <= 5.0 * sigma).all()
 
 
-def one_branch(cfg, kind, theta_b, exact, key):
-    # the sweep kernel run for one kind, whose counts draw from (cfg.seed, key)
-    return measure._observables(
-        sweeps._named_counts(cfg, (kind,), theta_b, exact, (key,))[0])
+def one_branch(cfg, kind, theta_b, exact):
+    # the sweep kernel run for one kind, whose counts draw from its own stream
+    return measure._observables(sweeps._named_counts(cfg, (kind,), theta_b, exact)[0])
+
+
+def branch_stream(cfg, kind):
+    # the stream (cfg.seed, BELL_KINDS index) a branch of kind `kind` draws from
+    key = {"psi_plus": 0, "psi_minus": 1}[kind]
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
 
 
 def test_sampled_sweeps_draw_one_stream_per_branch():
-    # a theta sweep samples branch k from the stream (seed, k), a molarity
-    # sweep from (seed, 0); all points of a branch share its stream. The
-    # theta sweep runs both branches as one stacked pass, and each branch's
-    # columns equal a one-branch run of the kernel bit for bit, sampled or
-    # exact, with or without accidentals and offsets
+    # every sweep samples a psi_plus branch from the stream (seed, 0) and a
+    # psi_minus one from (seed, 1); all points of a branch share its stream.
+    # The theta sweep runs both branches as one stacked pass, and each
+    # branch's columns equal a one-branch run of the kernel bit for bit,
+    # sampled or exact, with or without accidentals and offsets
+    kinds = ("psi_plus", "psi_minus")
     for exact, accidental_fraction, offsets in itertools.product(
             (False, True), (0.0, 0.1), (SHIPPED_OFFSETS, ZERO_OFFSETS)):
         cfg = theta_config(offsets=offsets)
@@ -325,10 +331,7 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
             cfg.detection, accidental_fraction=accidental_fraction))
         result = sweeps.run_sweep(cfg, exact=exact)
         theta_b = np.radians(sorted(cfg.sweep_values))
-        plus, minus, minus_on_plus_stream = (
-            one_branch(cfg, kind, theta_b, exact, key)
-            for kind, key in (("psi_plus", (0,)), ("psi_minus", (1,)),
-                              ("psi_minus", (0,))))
+        plus, minus = (one_branch(cfg, kind, theta_b, exact) for kind in kinds)
         expected = (plus.m_zz, plus.m_xz, minus.m_zz, minus.m_xz, plus.sigma_zz,
                     plus.sigma_xz, minus.sigma_zz, minus.sigma_xz)
         (th_p, sig_p), (th_m, sig_m) = (
@@ -338,22 +341,27 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
                                       th_m - cfg.pbs_a + cfg.pbs_b - cfg.hwp, sig_m)))
         assert result.rows[:, 1:13].tobytes() == np.column_stack(expected).tobytes()
         if not exact:
-            # the minus branch has a stream of its own: on the plus branch's
-            # key it would draw other counts
-            assert (minus.sigma_zz != minus_on_plus_stream.sigma_zz).mean() > 0.9
             # each branch's counts are the Poisson draws of its exact means,
             # from default_rng of its keyed stream
-            kinds, keys = ("psi_plus", "psi_minus"), ((0,), (1,))
-            means = sweeps._named_counts(cfg, kinds, theta_b, True, keys)
-            counts = sweeps._named_counts(cfg, kinds, theta_b, False, keys)
-            for branch, key in enumerate(keys):
-                rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
-                assert np.array_equal(counts[branch], rng.poisson(means[branch]))
-    cfg = molarity_config()
-    result = sweeps.run_sweep(cfg)
-    obs = one_branch(cfg, "psi_minus", np.radians(7.01 * result.rows[:, 0]), False, (0,))
-    assert np.array_equal(result.rows[:, 3:],
-                          np.column_stack((obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)))
+            means = sweeps._named_counts(cfg, kinds, theta_b, True)
+            counts = sweeps._named_counts(cfg, kinds, theta_b, False)
+            for branch, kind in enumerate(kinds):
+                assert np.array_equal(counts[branch],
+                                      branch_stream(cfg, kind).poisson(means[branch]))
+            # the minus branch has a stream of its own: on the plus branch's
+            # stream it would draw other counts
+            on_plus_stream = branch_stream(cfg, "psi_plus").poisson(means[1])
+            assert (counts[1] != on_plus_stream).mean() > 0.9
+    # a molarity sweep draws the stream of its kind: a psi_minus one the
+    # theta sweep's psi_minus stream, a psi_plus one its psi_plus stream
+    for kind in kinds:
+        cfg = molarity_config(kind)
+        result = sweeps.run_sweep(cfg)
+        theta_b = np.radians(7.01 * result.rows[:, 0])
+        means = sweeps._named_counts(cfg, (kind,), theta_b, True)[0]
+        obs = measure._observables(branch_stream(cfg, kind).poisson(means))
+        assert np.array_equal(result.rows[:, 3:],
+                              np.column_stack((obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)))
 
 
 def test_configured_state_stacks_kinds_as_the_complex_product():
