@@ -111,8 +111,7 @@ def _cmd_extract(args) -> tuple:
 
 def _cmd_scan(args) -> tuple:
     theta_a = run_scan(_load_config_with_override(args),
-                       tuple(math.radians(v) for v in args.range_deg),
-                       math.radians(args.resolution_deg), args.exact)
+                       tuple(math.radians(v) for v in args.range_deg), args.exact)
     return 0, [unsigned_zeros(f"{math.degrees(theta_a):.6f}")], {}
 
 
@@ -308,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="wide-range search for the arm-A rotation")
     add_run(p)
     p.add_argument("--range-deg", nargs=2, type=float, default=(-90.0, 90.0),
-                   metavar=("LO", "HI"), help="search window in degrees")
-    p.add_argument("--resolution-deg", type=float, default=5.0)
+                   metavar=("LO", "HI"), help="window of the printed angle, in degrees")
 
     p = sub.add_parser("tomo", help="maximum-likelihood state reconstruction")
     p.add_argument("--counts", required=True, help="tomography counts file")

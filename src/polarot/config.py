@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .measure import MAX_GRID_POINTS, NAMED_PAIRS, Detection, parse_setting
+from .measure import NAMED_PAIRS, Detection, parse_setting
 from .metrology import MAX_TRIALS
 from .states import BELL_KINDS, ket
 
@@ -34,6 +34,9 @@ DEFAULT_HWP_DEG = 5.47
 DEFAULT_TRANSMISSION = 0.75
 
 SWEEP_VARIABLES = ("molarity_b", "theta_b")
+# the most points a sweep may hold: a 100,000-point sweep peaks near 190 MiB
+# (about 1.5 KiB a point)
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,14 @@ class ExperimentConfig:
                 raise ValueError(f"[settings] pairs: {err}") from None
         if self.state_kind not in BELL_KINDS + ("separable",):
             raise ValueError(f"unknown state kind {self.state_kind!r}")
+        for key in ("ket_a", "ket_b"):  # upper-case, so that one source is one value
+            object.__setattr__(self, key, getattr(self, key).upper())
+            try:
+                ket(getattr(self, key))
+            except ValueError as err:
+                raise ValueError(f"[state] {key}: {err}") from None
+        if self.seed < 0:
+            raise ValueError(f"[statistics] seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"[noise] visibility must be in [0, 1], got {self.visibility}")
         if self.sweep_variable is not None:
@@ -99,6 +110,9 @@ class ExperimentConfig:
                                  f"got {self.sweep_variable!r}")
             if not self.sweep_values:
                 raise ValueError("sweep requested but no sweep values given")
+            if len(self.sweep_values) > MAX_GRID_POINTS:
+                raise ValueError(f"[sweep] values must hold at most {MAX_GRID_POINTS:,} "
+                                 f"entries")
             if self.sweep_variable == "molarity_b" and min(self.sweep_values) < 0:
                 raise ValueError(f"[sweep] values: negative molarity {min(self.sweep_values)}")
 
@@ -119,7 +133,7 @@ _ARM_B = {"arm_b.slope_deg_per_molar": "[arm_b] slope_deg_per_molar",
 _PAIRS = {"setting_pairs": "[settings] pairs"}
 _SWEEP = {"sweep_variable": "[sweep] variable", "sweep_values": "[sweep] values"}
 _NAMED = "it measures the named pairs Z/Z, X/Z, Z/X"
-_GRID = "it probes its own grid of arm-B angles (--range-deg, --resolution-deg)"
+_GRID = "it probes its own arm-B grid, one half-turn in 5-deg steps"
 _SEED = ("--seed", ">= 0", lambda v: v >= 0)
 
 # What each command accepts, stated once for check_reads, cli's flag check and
@@ -138,13 +152,12 @@ ACCEPTS = {
              "flags": [_SEED,
                        ("--range-deg", "finite", lambda v: all(map(math.isfinite, v))),
                        ("--range-deg", "at most 1e6 in magnitude",
-                        lambda v: max(map(abs, v)) <= 1e6, "the float spacing at 1e6 deg "
-                        "is 3.6e-12 rad, about 2e-4 of the printed 1e-6 deg"),
+                        lambda v: max(map(abs, v)) <= 1e6, "a representative near 1e6 "
+                        "deg has a float spacing of 3.6e-12 rad, about 2e-4 of the "
+                        "printed 1e-6 deg"),
                        # in radians, where a subnormal degree value is 0
                        ("--range-deg", "LO < HI in radians",
-                        lambda v: math.radians(v[0]) < math.radians(v[1])),
-                       ("--resolution-deg", "> 0 and finite in radians",
-                        lambda v: 0 < math.radians(v) < math.inf)]},
+                        lambda v: math.radians(v[0]) < math.radians(v[1]))]},
     "sweep": {"flags": [_SEED]},
     "theta_b sweep": {"unread": [(_STATE, "it always runs psi_plus and psi_minus"),
                                  (_ARM_B, "the [sweep] values set the arm-B angle"),
@@ -331,11 +344,7 @@ def loads_config(text: str) -> ExperimentConfig:
         if key in state and kwargs["state_kind"] != "separable":
             raise ValueError(f"section [state] must not set {key} with kind = "
                              f"{kwargs['state_kind']} (only a separable source has kets)")
-        kwargs[key] = state.get(key, getattr(_DEFAULT, key)).upper()
-        try:
-            ket(kwargs[key])
-        except ValueError as err:
-            raise ValueError(f"[state] {key}: {err}") from None
+        kwargs[key] = state.get(key, getattr(_DEFAULT, key))
     noise = ini.get("noise", {})
     kwargs["visibility"] = _float(noise, "noise", "visibility", _DEFAULT.visibility)
     accidental_fraction = _float(noise, "noise", "accidental_fraction",
@@ -357,8 +366,6 @@ def loads_config(text: str) -> ExperimentConfig:
         transmission_b=transmissions["arm_b"],
         accidental_fraction=accidental_fraction)
     kwargs["seed"] = _number(int, "statistics", "seed", statistics["seed"])
-    if kwargs["seed"] < 0:
-        raise ValueError(f"[statistics] seed must be >= 0, got {kwargs['seed']}")
     if "settings" in ini:
         if "pairs" not in ini["settings"]:
             raise ValueError("[settings] section needs a 'pairs' key")

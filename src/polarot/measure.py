@@ -34,9 +34,6 @@ __all__ = [
 
 
 _ARITY = {"Z": 0, "X": 0, "Y": 0, "lin": 1, "wp": 2}  # the angles each kind carries
-# the most angles a scan grid or a sweep may hold: a 100,000-point sweep
-# peaks near 190 MiB (about 1.5 KiB a point) and such a scan near 110 MiB
-MAX_GRID_POINTS = 100_000
 # the largest Poisson mean numpy draws (int64 max - 10 sqrt(int64 max))
 MAX_POISSON_MEAN = 9.223372006484771e18
 # the smallest branch-factor modulus extract_thetas and both sweeps accept
@@ -310,9 +307,11 @@ def rotation_from_observables(m_zz: float, m_xz: float,
                               sigma_zz: float = 0.0,
                               sigma_xz: float = 0.0) -> tuple[float, float]:
     """Effective rotation angle of an evolved Bell state from its own
-    joint observables: theta = atan2(-m_xz, -m_zz) / 2, in (-pi/2, pi/2],
+    joint observables: theta = atan2(-m_xz, -m_zz) / 2, in [-pi/2, pi/2],
     with the propagated standard error (infinite where m_zz = m_xz = 0).
-    Elementwise: two floats for float inputs, two arrays for arrays."""
+    The edge m_zz > 0, m_xz = 0 reads -pi/2 for m_xz = +0.0 and pi/2 for
+    -0.0, as math.atan2 takes the sign of a zero. Elementwise: two floats
+    for float inputs, two arrays for arrays."""
     m_zz, m_xz = np.asarray(m_zz, dtype=float), np.asarray(m_xz, dtype=float)
     theta = 0.5 * np.arctan2(-m_xz, -m_zz)
     r2 = m_zz * m_zz + m_xz * m_xz
@@ -364,12 +363,11 @@ def _local_angles(theta_plus, theta_minus, quarter_turn: float = math.pi / 2):
     return tuple(halves.tolist() if halves.ndim == 1 else halves)
 
 
-def scan_theta_a(probe, search_range: tuple[float, float], resolution: float) -> float:
-    """Locate an unknown rotation in one arm by sweeping the other arm.
+def scan_theta_a(grid, obs: JointObservables) -> float:
+    """Locate an unknown rotation in one arm from a scan of the other arm.
 
-    `probe` maps an array of trial angles theta_b to one cancellation-branch
-    JointObservables whose fields are arrays with one entry per angle; it
-    is called once, on a grid over `search_range` with step `resolution`.
+    `obs` holds the cancellation-branch JointObservables at the trial arm-B
+    angles `grid` (radians), its fields arrays with one entry per angle.
     There -m_zz - i m_xz = V exp(2i(theta_a - theta_b)) at visibility V, so
     theta_a mod pi is half the phase of the mean of the grid phasors
     (-m_zz - i m_xz) exp(2i theta_b): the known-frequency single-tone phase
@@ -379,24 +377,12 @@ def scan_theta_a(probe, search_range: tuple[float, float], resolution: float) ->
     choice, made in the caller's frame. A mean phasor modulus below
     NOISE_FLOOR (a flat response) raises.
     """
-    lo, hi = search_range
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"search_range must be finite, got ({lo}, {hi})")
-    if not 0.0 < resolution < math.inf:
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    if hi <= lo:
-        raise ValueError(f"empty search range ({lo}, {hi})")
-    span = (hi - lo) / resolution  # inf for a tiny resolution, so compared as a float
-    if not span < MAX_GRID_POINTS:
-        raise ValueError(f"search_range / resolution gives {np.floor(span) + 1:,.0f} "
-                         f"grid points, more than the limit of {MAX_GRID_POINTS:,}")
-    grid = lo + resolution * np.arange(math.floor(span) + 1)
-    if grid[-1] < hi - 1e-12:
-        grid = np.append(grid, hi)
-    obs = probe(grid)
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0 or not np.isfinite(grid).all():
+        raise ValueError(f"the scan grid must hold finite angles, got {grid}")
     if np.shape(obs.m_zz) != grid.shape or np.shape(obs.m_xz) != grid.shape:
-        raise ValueError(f"probe must return one m_zz and m_xz per grid angle, got "
-                         f"{np.shape(obs.m_zz)}, {np.shape(obs.m_xz)} for {grid.size}")
+        raise ValueError(f"obs must hold one m_zz and m_xz per grid angle, got "
+                         f"{np.shape(obs.m_zz)}, {np.shape(obs.m_xz)} for {grid.shape}")
     phasor = np.mean((-obs.m_zz - 1j * obs.m_xz) * np.exp(2j * grid))
     if abs(phasor) < NOISE_FLOOR:
         raise ValueError(f"flat scan response: mean phasor modulus "

@@ -194,15 +194,19 @@ def run_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
     return runner(cfg, exact)
 
 
-def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float],
-             resolution: float, exact: bool) -> float:
+# the arm-B angles a scan probes: one half-turn, -90 to 85 deg in 5-deg
+# steps, since arm B at theta + 180 deg prepares the state it does at theta
+_SCAN_GRID = math.radians(-90.0) + math.radians(5.0) * np.arange(36)
+
+
+def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float], exact: bool) -> float:
     """The arm-A rotation (radians, inside search_range) that scan_theta_a
-    finds by probing the cancellation (psi_minus) branch over a grid of arm-B
-    angles, counts drawn from that branch's stream. The optimum matches arm
-    B to arm A's angle in the analyzer frame, so the offsets come off first,
-    and then the representative inside search_range is chosen, once."""
-    theta = scan_theta_a(lambda grid: _observables(
-        _named_counts(cfg, ("psi_minus",), grid, exact)[0]), search_range, resolution)
+    finds from the cancellation (psi_minus) branch at the arm-B angles of
+    _SCAN_GRID, counts drawn from that branch's stream. The optimum matches
+    arm B to arm A's angle in the analyzer frame, so the offsets come off
+    first, and then the representative inside search_range is chosen, once."""
+    obs = _observables(_named_counts(cfg, ("psi_minus",), _SCAN_GRID, exact)[0])
+    theta = scan_theta_a(_SCAN_GRID, obs)
     return _in_window(_remove_offsets(cfg, "psi_minus", theta), *search_range)
 
 

@@ -42,6 +42,7 @@ CASES = {
                               "--out", "sweep.csv"], ["sweep.csv"]),
     "scan_exact": (["scan", "--config", "scan.ini", "--exact"], []),
     "scan": (["scan", "--config", "scan.ini", "--range-deg", "-45", "45"], []),
+    "scan_window": (["scan", "--config", "scan.ini", "--range-deg", "100", "300"], []),
     "observables": (["observables", "--table", "table.csv", "--out", "obs.csv"],
                     ["obs.csv"]),
     "extract": (["extract", "--plus", "obs_plus.csv", "--minus", "obs_minus.csv",

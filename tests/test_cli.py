@@ -170,8 +170,7 @@ SCAN_TEMPLATE = EXACT_TEMPLATE.replace("angle_deg = 10.0", "angle_deg = 0.0")
 
 def test_scan_exact(tmp_path, capsys):
     cfg = write_config(tmp_path, SCAN_TEMPLATE.format(kind="psi_minus"))
-    assert main(["scan", "--config", cfg, "--exact", "--range-deg", "-45", "45",
-                 "--resolution-deg", "5"]) == 0
+    assert main(["scan", "--config", cfg, "--exact", "--range-deg", "-45", "45"]) == 0
     stdout = capsys.readouterr().out.strip()
     assert abs(float(stdout) - 20.0) < 0.01
 
@@ -188,8 +187,7 @@ def test_scan_exact_removes_shipped_offsets(tmp_path, capsys, theta_a):
 
 def test_scan_sampled(tmp_path, capsys):
     cfg = write_config(tmp_path, SCAN_TEMPLATE.format(kind="psi_minus"))
-    assert main(["scan", "--config", cfg, "--range-deg", "-45", "45",
-                 "--resolution-deg", "5"]) == 0
+    assert main(["scan", "--config", cfg, "--range-deg", "-45", "45"]) == 0
     stdout = capsys.readouterr().out.strip()
     assert abs(float(stdout) - 20.0) < 0.5
 
@@ -1101,9 +1099,9 @@ _SCAN_DEGREES = st.floats(-720.0, 720.0)
 
 @settings(max_examples=60, deadline=None)
 @given(theta_a=_SCAN_DEGREES, offsets=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
-       lo=_SCAN_DEGREES, width=st.floats(0.5, 400.0), steps=st.integers(1, 60))
+       lo=_SCAN_DEGREES, width=st.floats(0.5, 400.0))
 def test_scan_readout_is_the_arm_angle_inside_the_window(tmp_path_factory, theta_a,
-                                                         offsets, lo, width, steps):
+                                                         offsets, lo, width):
     # exact scan: the run exits 2 naming the empty window exactly when no
     # theta_a + 180k lies in --range-deg, and otherwise prints theta_a mod 180
     # degrees to the printed 1e-6 deg, inside the window; draws with an edge
@@ -1120,7 +1118,7 @@ def test_scan_readout_is_the_arm_angle_inside_the_window(tmp_path_factory, theta
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["scan", "--config", str(cfg), "--exact", "--range-deg", repr(lo),
-                     repr(hi), "--resolution-deg", repr(width / steps)])
+                     repr(hi)])
     if not holds:
         assert code == 2 and "no anticorrelation optimum" in err.getvalue()
         return
@@ -1131,34 +1129,51 @@ def test_scan_readout_is_the_arm_angle_inside_the_window(tmp_path_factory, theta
     assert abs(turns - round(turns)) * 180.0 <= 1e-6
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), theta_a=_SCAN_DEGREES,
+       windows=st.lists(st.tuples(st.integers(-3, 3), st.floats(1e-3, 200.0),
+                                  st.floats(1e-3, 200.0)), min_size=2, max_size=2))
+def test_sampled_scan_readouts_in_two_windows_differ_by_half_turns(
+        tmp_path_factory, seed, theta_a, windows):
+    # one config and seed, two windows that each hold a representative of
+    # the default window's readout r (r + 180k - below to r + 180k + above):
+    # the readouts differ by whole half-turns; the windows once set the grid,
+    # and scan.ini printed 20.001788 in the default window, 20.013360 in 18 25
+    cfg = tmp_path_factory.mktemp("scan") / "scan.ini"
+    cfg.write_text((GOLDEN_INPUTS / "scan.ini").read_text().replace(
+        "angle_deg = 20.0", f"angle_deg = {theta_a!r}"))
+    scan = ["scan", "--config", str(cfg), "--seed", str(seed)]
+
+    def readout(*flags):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(scan + list(flags)) == 0, err.getvalue()
+        return float(out.getvalue())
+
+    r = readout()
+    readouts = [readout("--range-deg", repr(r + 180.0 * k - below),
+                        repr(r + 180.0 * k + above)) for k, below, above in windows]
+    turns = (readouts[1] - readouts[0]) / 180.0
+    assert abs(turns - round(turns)) * 180.0 <= 1e-6
+
+
 @pytest.mark.parametrize("flags, name, bad", [
     (["--range-deg", "0", "inf"], "--range-deg", "inf"),
     (["--range-deg", "nan", "10"], "--range-deg", "nan"),
-    (["--resolution-deg", "nan"], "--resolution-deg", "nan"),
-    (["--resolution-deg", "inf"], "--resolution-deg", "inf"),
     (["--range-deg", "-inf", "10"], "--range-deg", "-inf 10.0"),
     (["--range-deg", "-Infinity", "10"], "--range-deg", "-inf 10.0"),
     (["--range-deg", "-NaN", "10"], "--range-deg", "nan 10.0"),
     (["--range-deg", "10", "-10"], "--range-deg", "LO < HI in radians, got 10.0 -10.0"),
     (["--range-deg", "10", "10"], "--range-deg", "LO < HI in radians, got 10.0 10.0"),
     (["--range-deg", "-5e-324", "5e-324"], "--range-deg",
-     "LO < HI in radians, got -5e-324 5e-324"),
-    (["--resolution-deg", "-5"], "--resolution-deg", "> 0 and finite in radians, got -5.0"),
-    (["--resolution-deg", "0"], "--resolution-deg", "> 0 and finite in radians, got 0.0"),
-    (["--resolution-deg", "5e-324"], "--resolution-deg",
-     "> 0 and finite in radians, got 5e-324")],
-    ids=["range-inf", "range-nan", "resolution-nan", "resolution-inf",
-         "range-minus-inf", "range-minus-infinity",
-         "range-minus-nan", "range-reversed", "range-empty",
-         "range-subnormal", "resolution-negative", "resolution-zero",
-         "resolution-subnormal"])
+     "LO < HI in radians, got -5e-324 5e-324")],
+    ids=["range-inf", "range-nan", "range-minus-inf", "range-minus-infinity",
+         "range-minus-nan", "range-reversed", "range-empty", "range-subnormal"])
 def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
-    # an infinite range overflowed the grid size (a traceback), a NaN
-    # resolution failed the integer conversion; a reversed or empty window, a
-    # non-finite window or step and a step <= 0 were named in radians, without
-    # their flag (resolution must be positive and finite, got -0.087...), and
-    # so were a step and a window whose subnormal degrees are 0 in radians;
-    # argparse read -inf, -Infinity and -NaN as options and exited 1
+    # an infinite range overflowed the grid size (a traceback); a reversed or
+    # empty window and a non-finite window were named in radians, without
+    # their flag, and so was a window whose subnormal degrees are 0 in
+    # radians; argparse read -inf, -Infinity and -NaN as options and exited 1
     assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
                  *flags]) == 2
     captured = capsys.readouterr()
@@ -1179,18 +1194,6 @@ def test_negative_flag_values_in_exponent_notation(capsys, argv, exponent, plain
         runs.append((main(argv + values), capsys.readouterr()))
     assert runs[0] == runs[1]
     assert runs[0][0] == 0 and runs[0][1].out and not runs[0][1].err
-
-
-def test_scan_grid_above_the_point_limit_exits_2(capsys):
-    # 1e-9 deg over 180 deg asked numpy for 1.31 TiB: a MemoryError traceback;
-    # at 1e-320 deg the point count overflowed to inf: an OverflowError traceback
-    for resolution, count in (("1e-9", "180,000,000,000"), ("1e-320", "inf")):
-        assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                     "--resolution-deg", resolution]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"search_range / resolution gives {count} grid points" in captured.err
-        assert "more than the limit of 100,000" in captured.err
 
 
 @pytest.mark.parametrize("sweep, message", [
@@ -1279,23 +1282,24 @@ def test_phase_floors_are_not_options(capsys, argv):
 
 
 def test_scan_window_far_wider_than_its_grid_exits_0(capsys):
-    # the scan enumerated every representative theta + k pi of the window;
-    # the widest window the flag accepts holds 11,111 of them on a grid of
-    # 20,001 points, and the readout keeps every printed digit
+    # the scan enumerated every representative theta + k pi of the window,
+    # and it once probed a grid spanning the window: 400,001 points here,
+    # which exited 2; the widest window the flag accepts holds 11,111
+    # representatives, and the readout keeps every printed digit
     assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                 "--range-deg", "-1e6", "1e6", "--resolution-deg", "100"]) == 0
+                 "--range-deg", "-1e6", "1e6"]) == 0
     assert capsys.readouterr().out == "20.000000\n"
 
 
-@pytest.mark.parametrize("lo, hi, step", [
-    ("-1e9", "1e9", "1e5"), ("-1e12", "1e12", "1e8"), ("-1e15", "1e15", "1e11"),
-    ("-1e300", "1e300", "1e298"), ("0", "1000000.0001", "1000")])
-def test_scan_window_beyond_float_precision_exits_2(capsys, lo, hi, step):
-    # far from 0 the grid angles lose float precision, and the readout with
-    # them: on scan.ini (arm A at 20 deg) the first four windows printed
-    # 20.000000, 19.999980, 19.977268 and 24.090000 and exited 0
+@pytest.mark.parametrize("lo, hi", [
+    ("-1e9", "1e9"), ("-1e12", "1e12"), ("-1e15", "1e15"), ("-1e300", "1e300"),
+    ("0", "1000000.0001"), ("1e15", "1.0000000000001e15")])
+def test_scan_window_beyond_float_precision_exits_2(capsys, lo, hi):
+    # a representative far from 0 loses printed digits: near 1e15 deg the
+    # float spacing in radians is 0.002 rad, 0.11 deg; so each end of the
+    # window is held to 1e6 deg, whichever representative it holds
     assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                 "--range-deg", lo, hi, "--resolution-deg", step]) == 2
+                 "--range-deg", lo, hi]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --range-deg must be at most 1e6 in magnitude")
@@ -1318,9 +1322,9 @@ def test_repeated_main_calls_share_one_parser_and_leak_nothing(capsys):
     from polarot import cli
     scan = ["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact"]
     fisher = ["fisher", "--n-values", "1,2"]
-    argvs = [scan + ["--range-deg", "30", "80", "--resolution-deg", "2"], scan,
+    argvs = [scan + ["--range-deg", "100", "300"], scan,
              fisher + ["--trials", "20", "--seed", "4", "--theta-deg", "12"], fisher,
-             scan + ["--seed", "3", "--resolution-deg", "4"], scan,
+             scan + ["--seed", "3", "--range-deg", "-300", "-100"], scan,
              ["extract", "--plus", "x"], scan]
     shared = [(main(argv), capsys.readouterr()) for argv in argvs]
     assert cli.build_parser() is cli.build_parser()

@@ -133,6 +133,38 @@ def test_a_config_built_in_code_hashes_like_the_same_config_loaded():
         config.ExperimentConfig(setting_pairs=(("W", "Z"),))
 
 
+def test_a_config_built_with_a_lower_case_ket_hashes_like_the_same_config_loaded():
+    # ExperimentConfig stored ket_a = "h" as typed, so a config built in code
+    # hashed 5d476581... and the same config loaded, which stored H, f9371369...
+    built = config.ExperimentConfig(state_kind="separable", ket_a="h")
+    loaded = config.loads_config("[statistics]\nseed = 0\n"
+                                 "[state]\nkind = separable\nket_a = h\n")
+    assert built == loaded
+    assert built.ket_a == "H"
+    assert config.config_hash(built) == config.config_hash(loaded) == "f937136994bc84c6"
+    with pytest.raises(ValueError, match="^\\[state\\] ket_b: unknown polarization "
+                                         "label 'Q'"):
+        config.ExperimentConfig(ket_b="q")
+
+
+def test_a_negative_seed_does_not_build():
+    # it built: its exact sweep wrote "# seed=-1", and its sampled sweep
+    # failed with numpy's "expected non-negative integer", naming no key
+    with pytest.raises(ValueError, match="^\\[statistics\\] seed must be >= 0, got -1$"):
+        config.ExperimentConfig(seed=-1)
+    assert config.ExperimentConfig(seed=0).seed == 0
+
+
+def test_a_sweep_above_the_point_limit_does_not_build():
+    # the limit held for loaded configs only
+    values = (1.5,) * (config.MAX_GRID_POINTS + 1)
+    built = config.ExperimentConfig(sweep_variable="theta_b", sweep_values=values[1:])
+    assert len(built.sweep_values) == config.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="^\\[sweep\\] values must hold at most "
+                                         "100,000 entries$"):
+        config.ExperimentConfig(sweep_variable="theta_b", sweep_values=values)
+
+
 # another accepted value of each field of ExperimentConfig, ArmConfig and
 # Detection, by name; a field added later fails the walk below until it is listed
 OTHER_VALUE = {

@@ -27,6 +27,14 @@ def test_golden_output(name, tmp_path):
                                   f"{blas_core.pin_note()}")
 
 
+def test_scan_window_golden_is_the_scan_golden_a_half_turn_on():
+    # the scan probes one grid whatever the window, which only picks the
+    # representative: the sampled readout moves by a whole half-turn
+    scan, window = (float((EXPECTED / name / "stdout.txt").read_text())
+                    for name in ("scan", "scan_window"))
+    assert abs(window - scan - 180.0) <= 1e-9
+
+
 def test_openblas_core_is_named():
     # the core the failure message above names, read from numpy's bundled
     # OpenBLAS ('unknown' only where numpy bundles none)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import jones
 from blas_core import pin_note
-from polarot import channels, measure, states, sweeps
+from polarot import channels, config, measure, states, sweeps
 from test_acceptance import rotate_locally, werner
 
 
@@ -872,9 +872,13 @@ def exact_probe(ta):
     return probe
 
 
+def scan(probe, grid=sweeps._SCAN_GRID):
+    """scan_theta_a on the observables `probe` gives at the grid angles."""
+    return measure.scan_theta_a(grid, probe(grid))
+
+
 def test_scan_exact_zero():
-    theta = measure.scan_theta_a(exact_probe(0.0), (-math.pi, math.pi),
-                                 math.radians(5.0))
+    theta = scan(exact_probe(0.0))
     assert abs(theta) < math.radians(0.01)
 
 
@@ -882,15 +886,15 @@ def test_scan_exact_wide_angle():
     # 100 degrees lies outside the closed-form window; the scan reads it mod
     # 180 degrees, as -80, and a half-turn prior window picks 100
     ta, window = math.radians(100.0), (0.0, math.pi)
-    theta = measure.scan_theta_a(exact_probe(ta), window, math.radians(5.0))
+    theta = scan(exact_probe(ta))
     assert abs(theta - (ta - math.pi)) < math.radians(0.01)
     assert abs(sweeps._in_window(theta, *window) - ta) < math.radians(0.01)
 
 
 def test_scan_exact_negative_angle():
+    # any grid reads exact data: here 30 angles over less than a half-turn
     ta = math.radians(-70.0)
-    theta = measure.scan_theta_a(exact_probe(ta), (-math.pi / 2 - 0.5, 0.2),
-                                 math.radians(4.0))
+    theta = scan(exact_probe(ta), np.linspace(-math.pi / 2 - 0.5, 0.2, 30))
     assert abs(theta - ta) < math.radians(0.01)
 
 
@@ -915,9 +919,7 @@ def test_scan_noisy_repeatability():
                 observables.append(measure.estimate_observables(table))
             return stacked(observables)
 
-        theta = measure.scan_theta_a(probe, (-math.pi / 4, math.pi / 2),
-                                     math.radians(5.0))
-        assert abs(theta - ta) < math.radians(0.5)
+        assert abs(scan(probe) - ta) < math.radians(0.5)
 
 
 def mixed_probe(tbs):
@@ -927,69 +929,61 @@ def mixed_probe(tbs):
 
 def test_scan_flat_response_rejected():
     with pytest.raises(ValueError, match="flat scan response"):
-        measure.scan_theta_a(mixed_probe, (-1.0, 1.0), 0.1)
+        scan(mixed_probe)
 
 
 def test_scan_zero_phasor_rejected_at_the_noise_floor():
     # a fully mixed source gives a mean phasor of exactly 0, which has no phase
     with pytest.raises(ValueError, match=f"mean phasor modulus 0 is below the "
                                          f"noise floor {measure.NOISE_FLOOR:g}"):
-        measure.scan_theta_a(mixed_probe, (-1.0, 1.0), 0.1)
+        scan(mixed_probe)
 
 
-def test_scan_probes_the_grid_once():
+def test_scan_probes_the_grid_once(monkeypatch):
+    # one half-turn of arm B, -90 to 85 deg in 5-deg steps, whatever the
+    # window: +90 deg would repeat the state of -90 deg
     calls = []
 
-    def probe(tbs):
-        calls.append(np.array(tbs))
-        return exact_probe(math.radians(20.0))(tbs)
+    def scan_theta_a(grid, obs):
+        calls.append(np.array(grid))
+        return measure.scan_theta_a(grid, obs)
 
-    theta = measure.scan_theta_a(probe, (-math.pi / 2, math.pi / 2),
-                                 math.radians(5.0))
-    assert abs(theta - math.radians(20.0)) < 1e-12
-    assert len(calls) == 1
-    assert np.allclose(calls[0], np.radians(np.arange(-90.0, 91.0, 5.0)))
+    monkeypatch.setattr(sweeps, "scan_theta_a", scan_theta_a)
+    cfg = config.ExperimentConfig(arm_a=config.ArmConfig(angle=math.radians(20.0)),
+                                  pbs_a=0.0, pbs_b=0.0, hwp=0.0)
+    for window in ((-math.pi / 2, math.pi / 2), (0.3, 0.4), (-1e3, 1e3)):
+        theta = sweeps.run_scan(cfg, window, exact=True)
+        assert abs(theta - math.radians(20.0)) < 1e-12
+    assert len(calls) == 3
+    for grid in calls:
+        assert np.allclose(grid, np.radians(np.arange(-90.0, 90.0, 5.0)), rtol=0, atol=1e-15)
 
 
-def test_scan_narrow_window_returns_truth():
+def test_scan_narrow_grid_returns_truth():
     ta = math.radians(20.0)
-    theta = measure.scan_theta_a(exact_probe(ta), (math.radians(15.0),
-                                                   math.radians(25.0)),
-                                 math.radians(5.0))
+    theta = scan(exact_probe(ta), np.radians([15.0, 20.0, 25.0]))
     assert abs(theta - ta) < 1e-12
 
 
 def test_scan_window_without_representative_raises():
     # 20 degrees mod 180 has no representative in [40, 60] degrees
-    window = (math.radians(40.0), math.radians(60.0))
-    theta = measure.scan_theta_a(exact_probe(math.radians(20.0)), window,
-                                 math.radians(5.0))
+    theta = scan(exact_probe(math.radians(20.0)))
     with pytest.raises(ValueError, match="no anticorrelation optimum"):
-        sweeps._in_window(theta, *window)
+        sweeps._in_window(theta, math.radians(40.0), math.radians(60.0))
 
 
-def test_scan_rejects_probe_without_one_value_per_angle():
-    def probe(tbs):
-        return measure.exact_observables(evolved_bell("psi_minus", 0.3, 0.0))
+def test_scan_rejects_observables_without_one_value_per_angle():
+    obs = measure.exact_observables(evolved_bell("psi_minus", 0.3, 0.0))
     with pytest.raises(ValueError, match="one m_zz and m_xz per grid angle"):
-        measure.scan_theta_a(probe, (-1.0, 1.0), 0.1)
+        measure.scan_theta_a(np.linspace(-1.0, 1.0, 21), obs)
 
 
-def test_scan_validation():
-    with pytest.raises(ValueError, match="resolution"):
-        measure.scan_theta_a(exact_probe(0.0), (-1.0, 1.0), 0.0)
-    with pytest.raises(ValueError, match="empty search range"):
-        measure.scan_theta_a(exact_probe(0.0), (1.0, -1.0), 0.1)
-
-
-@pytest.mark.parametrize("search_range, resolution, name", [
-    ((0.0, math.inf), 0.1, "search_range"),
-    ((math.nan, 1.0), 0.1, "search_range"),
-    ((-1.0, 1.0), math.nan, "resolution"),
-    ((-1.0, 1.0), math.inf, "resolution")])
-def test_scan_rejects_non_finite_numbers(search_range, resolution, name):
-    with pytest.raises(ValueError, match=f"{name} must be"):
-        measure.scan_theta_a(exact_probe(0.0), search_range, resolution)
+@pytest.mark.parametrize("grid", [[], [0.0, math.inf], [math.nan, 1.0]],
+                         ids=["empty", "inf", "nan"])
+def test_scan_rejects_a_grid_without_finite_angles(grid):
+    with pytest.raises(ValueError, match="the scan grid must hold finite angles"):
+        zeros = np.zeros(len(grid))
+        measure.scan_theta_a(grid, measure.JointObservables(zeros, zeros, zeros))
 
 
 def closed_form_probe(ta):
@@ -1008,29 +1002,27 @@ def tie_probe(tbs):
     return measure.JointObservables(m_zz, np.zeros(tbs.size), np.zeros(tbs.size))
 
 
-def enumerated_representative(probe, search_range, resolution):
-    # every representative theta + k pi inside the window, then the one of
-    # least |.| (the first, so the lower k, on a tie), as the scan once did
-    lo, hi = search_range
-    grid = lo + resolution * np.arange(math.floor((hi - lo) / resolution) + 1)
-    if grid[-1] < hi - 1e-12:
-        grid = np.append(grid, hi)
+def enumerated_representative(probe, search_range):
+    # the half phase of the mean phasor on the scan grid, then every
+    # representative theta + k pi inside the window and the one of least |.|
+    # (the first, so the lower k, on a tie), as the scan once did
+    grid = sweeps._SCAN_GRID
     obs = probe(grid)
     theta = 0.5 * float(np.angle(np.mean((-obs.m_zz - 1j * obs.m_xz) * np.exp(2j * grid))))
+    lo, hi = search_range
     reps = theta + math.pi * np.arange(math.ceil((lo - theta) / math.pi),
                                        math.floor((hi - theta) / math.pi) + 1)
     return theta, float(reps[np.argmin(np.abs(reps))]) if reps.size else None
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(-12.0, 12.0), st.floats(0.01, 12.0), st.integers(1, 40),
-       st.floats(-math.pi, math.pi))
-def test_scan_representative_matches_the_enumeration(lo, width, steps, ta):
+@given(st.floats(-12.0, 12.0), st.floats(0.01, 12.0), st.floats(-math.pi, math.pi))
+def test_scan_representative_matches_the_enumeration(lo, width, ta):
     # the representative comes from the window's ends in O(1); it must be the
     # one an enumeration of every representative in the window picks, bit for bit
     probe, window = closed_form_probe(ta), (lo, lo + width)
-    _, expected = enumerated_representative(probe, window, width / steps)
-    theta = measure.scan_theta_a(probe, window, width / steps)
+    _, expected = enumerated_representative(probe, window)
+    theta = scan(probe)
     if expected is None:
         with pytest.raises(ValueError, match="no anticorrelation optimum"):
             sweeps._in_window(theta, *window)
@@ -1038,29 +1030,27 @@ def test_scan_representative_matches_the_enumeration(lo, width, steps, ta):
         assert _bits(sweeps._in_window(theta, *window)) == _bits(expected)
 
 
-@pytest.mark.parametrize("search_range, resolution, expected", [
-    ((-2.0, 2.0), 0.5, -math.pi / 2), ((-8.0, 8.0), 1.0, -math.pi / 2),
-    ((0.0, 2.0), 0.5, math.pi / 2), ((-1.0, 8.0), 0.25, math.pi / 2),
-    ((-2.0, 1.0), 0.5, -math.pi / 2), ((-8.0, 0.0), 1.0, -math.pi / 2)])
-def test_scan_tie_between_two_representatives(search_range, resolution, expected):
+@pytest.mark.parametrize("search_range, expected", [
+    ((-2.0, 2.0), -math.pi / 2), ((-8.0, 8.0), -math.pi / 2),
+    ((0.0, 2.0), math.pi / 2), ((-1.0, 8.0), math.pi / 2),
+    ((-2.0, 1.0), -math.pi / 2), ((-8.0, 0.0), -math.pi / 2)])
+def test_scan_tie_between_two_representatives(search_range, expected):
     # at theta = pi/2, -pi/2 and pi/2 lie equally near 0: the lower one wins
-    theta, enumerated = enumerated_representative(tie_probe, search_range, resolution)
+    theta, enumerated = enumerated_representative(tie_probe, search_range)
     assert theta == math.pi / 2
-    assert measure.scan_theta_a(tie_probe, search_range, resolution) == theta
-    result = sweeps._in_window(measure.scan_theta_a(tie_probe, search_range, resolution),
-                               *search_range)
+    assert scan(tie_probe) == theta
+    result = sweeps._in_window(scan(tie_probe), *search_range)
     assert _bits(result) == _bits(enumerated) == _bits(expected)
 
 
 def test_scan_window_search_memory_does_not_grow_with_the_window():
     # a (-5e6, 5e6) rad window holds 3.2 million representatives, which the
-    # scan built as arrays (a 49 MiB peak) though its grid has 20,001 points
+    # scan once built as arrays (a 49 MiB peak)
     import tracemalloc
     tracemalloc.start()
     try:
         window = (-5e6, 5e6)
-        theta = sweeps._in_window(measure.scan_theta_a(closed_form_probe(0.3), window, 500.0),
-                                  *window)
+        theta = sweeps._in_window(scan(closed_form_probe(0.3)), *window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,9 +3,11 @@
 The cancellation branch (psi_minus) reads theta_a - theta_b and the
 addition branch (psi_plus) theta_a + theta_b, whatever the source noise,
 the analyzer offsets or the seed. Each property edits
-`tests/golden/inputs/sweep_theta.ini`, runs commands in exact mode (so a
-relation holds to round-off, not to a statistical bound) and compares the
-printed angles within 1e-6 deg, each modulo its period.
+`tests/golden/inputs/sweep_theta.ini` (the cancellation property
+`sweep_molarity.ini`), runs commands in exact mode (so a relation holds
+to round-off, not to a statistical bound) and compares the printed
+angles within 1e-6 deg, each modulo its period, or the molarity sweep's
+zero crossing within 1e-9 M.
 """
 
 import contextlib
@@ -18,8 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarot.cli import main
+from polarot.sweeps import fit_line, zero_crossing
 
-SWEEP_THETA = (Path(__file__).parent / "golden" / "inputs" / "sweep_theta.ini").read_text()
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+SWEEP_THETA = (INPUTS / "sweep_theta.ini").read_text()
+SWEEP_MOLARITY = (INPUTS / "sweep_molarity.ini").read_text()
 # the four angle columns of a theta sweep, each defined modulo its period
 ANGLES = {"theta_plus_deg": 180.0, "theta_minus_deg": 180.0,
           "theta_a_hat_deg": 90.0, "theta_b_hat_deg": 90.0}
@@ -139,3 +144,30 @@ def test_simulate_observables_extract_returns_the_configured_angles(
                    "--out", str(workdir / "thetas.csv")])
     read_a, read_b = map(float, printed.split(", "))
     assert abs(read_a - theta_a) <= TOLERANCE and abs(read_b - theta_b) <= TOLERANCE
+
+
+@settings(max_examples=20, deadline=None)
+@given(molarity=st.integers(1_000, 100_000), slope=st.integers(50, 2_000),
+       step=st.integers(10, 10_000), first=st.integers(-4, 0),
+       offsets=st.tuples(_OFFSET, _OFFSET, _OFFSET))
+def test_cancellation_zero_crossing_is_the_arm_a_molarity(tmp_path_factory, molarity,
+                                                          slope, step, first, offsets):
+    # arm A a solution at molarity M0 on arm B's slope: the cancellation
+    # branch reads slope (M0 - M), whose line crosses 0 at M0. M0 and the
+    # five sweep points M0 + k step carry 4 decimals and the slope 2, so each
+    # printed theta_deg is exact; the points keep M >= 0 and |slope (M - M0)|
+    # <= 80 deg, inside the +-90 deg a branch rotation reads. A step of at
+    # least 1e-3 M keeps the fit's own round-off near 1e-12 M (1e-4 M at
+    # M0 = 10 reached 1.1e-10)
+    step = min(step, molarity // 4)
+    values = ", ".join(repr((molarity + k * step) / 1e4) for k in range(first, first + 5))
+    text = edited(SWEEP_MOLARITY, slope_deg_per_molar=repr(slope / 100), **dict(zip(
+        ("pbs_a_deg", "pbs_b_deg", "hwp_deg"), map(repr, offsets))))
+    arm_a, sweep = "[arm_a]\nangle_deg = 20.08\n", "start = 0\nstop = 4\ncount = 5\n"
+    assert arm_a in text and sweep in text
+    text = text.replace(sweep, f"values = {values}\n").replace(arm_a, (
+        f"[arm_a]\nmolarity = {molarity / 1e4!r}\nslope_deg_per_molar = {slope / 100!r}\n"))
+    _, columns = exact_sweep(tmp_path_factory, text)
+    x0, _ = zero_crossing(fit_line(columns["molarity"], columns["theta_deg"],
+                                   columns["sigma_deg"]))
+    assert abs(x0 - molarity / 1e4) <= 1e-9
