@@ -34,8 +34,7 @@ DEFAULT_HWP_DEG = 5.47
 DEFAULT_TRANSMISSION = 0.75
 
 SWEEP_VARIABLES = ("molarity_b", "theta_b")
-# the most points a sweep may hold: a 100,000-point sweep peaks near 190 MiB
-# (about 1.5 KiB a point)
+# the most points a sweep may hold: 100,000 points peak near 190 MiB (1.5 KiB each)
 MAX_GRID_POINTS = 100_000
 
 

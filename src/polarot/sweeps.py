@@ -200,14 +200,19 @@ _SCAN_GRID = math.radians(-90.0) + math.radians(5.0) * np.arange(36)
 
 
 def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float], exact: bool) -> float:
-    """The arm-A rotation (radians, inside search_range) that scan_theta_a
-    finds from the cancellation (psi_minus) branch at the arm-B angles of
-    _SCAN_GRID, counts drawn from that branch's stream. The optimum matches
-    arm B to arm A's angle in the analyzer frame, so the offsets come off
-    first, and then the representative inside search_range is chosen, once."""
+    """The arm-A rotation (radians) that scan_theta_a finds from the psi_minus
+    branch's counts at the arm-B angles _SCAN_GRID, offsets off (the optimum
+    matches arm B to arm A's angle in the analyzer frame), then moved once to
+    its representative inside search_range. A non-finite or empty
+    search_range raises before any count is drawn."""
+    lo, hi = search_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"search_range must be finite, got ({lo}, {hi})")
+    if hi <= lo:
+        raise ValueError(f"empty search range ({lo}, {hi})")
     obs = _observables(_named_counts(cfg, ("psi_minus",), _SCAN_GRID, exact)[0])
     theta = scan_theta_a(_SCAN_GRID, obs)
-    return _in_window(_remove_offsets(cfg, "psi_minus", theta), *search_range)
+    return _in_window(_remove_offsets(cfg, "psi_minus", theta), lo, hi)
 
 
 def _in_window(theta: float, lo: float, hi: float) -> float:

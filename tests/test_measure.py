@@ -986,6 +986,24 @@ def test_scan_rejects_a_grid_without_finite_angles(grid):
         measure.scan_theta_a(grid, measure.JointObservables(zeros, zeros, zeros))
 
 
+def no_counts(*args):
+    raise AssertionError("counts drawn before the search range was checked")
+
+
+@pytest.mark.parametrize("search_range", [(1.0, -1.0), (1.0, 1.0)])
+def test_scan_validation(search_range, monkeypatch):
+    monkeypatch.setattr(sweeps, "_named_counts", no_counts)
+    with pytest.raises(ValueError, match="empty search range"):
+        sweeps.run_scan(config.ExperimentConfig(), search_range, exact=True)
+
+
+@pytest.mark.parametrize("search_range", [(0.0, math.inf), (math.nan, 1.0)])
+def test_scan_rejects_non_finite_numbers(search_range, monkeypatch):
+    monkeypatch.setattr(sweeps, "_named_counts", no_counts)
+    with pytest.raises(ValueError, match=r"search_range must be finite, got \("):
+        sweeps.run_scan(config.ExperimentConfig(), search_range, exact=False)
+
+
 def closed_form_probe(ta):
     """Exact cancellation-branch observables -cos, -sin 2(ta - tb) as arrays."""
     def probe(tbs):
