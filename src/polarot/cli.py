@@ -75,7 +75,7 @@ def _load_config_with_override(args):
 
 def _cmd_simulate(args) -> tuple:
     cfg = _load_config_with_override(args)
-    rho = configured_state(cfg)
+    rho = configured_state(cfg, (cfg.state_kind,), cfg.arm_b.theta())[0]
     table = (exact_table(rho, cfg.setting_pairs, cfg.detection) if args.exact
              else simulate_counts(rho, cfg.setting_pairs, cfg.detection, cfg.seed))
     return (0, [f"wrote {len(table.settings)} settings to {args.out}"],
@@ -165,7 +165,7 @@ def _cmd_fisher(args) -> tuple:
         columns.append(variance_scaling(n_values, args.trials, args.seed or 0,
                                         theta=math.radians(args.theta_deg)))
         header += ",var_separable_sim"
-    cells = [[f"{v:.10g}" for v in row] for row in zip(*columns)]
+    cells = [[str(n)] + [f"{v:.10g}" for v in rest] for n, *rest in zip(*columns)]
     return (0, [header] + [",".join(row) for row in cells],
             {args.out: lambda path: write_csv(path, (), header, cells)})
 

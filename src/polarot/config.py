@@ -131,7 +131,7 @@ _ARM_B = {"arm_b.slope_deg_per_molar": "[arm_b] slope_deg_per_molar",
           "arm_b.molarity": "[arm_b] molarity", "arm_b.angle": "[arm_b] angle_deg"}
 _PAIRS = {"setting_pairs": "[settings] pairs"}
 _SWEEP = {"sweep_variable": "[sweep] variable", "sweep_values": "[sweep] values"}
-_NAMED = "it measures the named pairs Z/Z, X/Z, Z/X"
+_NAMED = "it measures the pairs Z/Z and X/Z, which the rotation is read from"
 _GRID = "it probes its own arm-B grid, one half-turn in 5-deg steps"
 _SEED = ("--seed", ">= 0", lambda v: v >= 0)
 

@@ -96,7 +96,9 @@ def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
 def projector_tensor(settings) -> np.ndarray:
     """Joint projectors P_a (x) P_b of (id_a, id_b) setting pairs, shape
     (S, 4, 4, 4): setting, outcome (++, +-, -+, --), then the two-photon
-    matrix."""
+    matrix. An empty settings list raises."""
+    if not settings:
+        raise ValueError("settings list must not be empty")
     kets = [(parse_setting(a)[1].tolist(), parse_setting(b)[1].tolist())
             for a, b in settings]
     # each port projector |k><k| from Python complex products
@@ -106,7 +108,8 @@ def projector_tensor(settings) -> np.ndarray:
     return np.einsum("sxik,syjl->sxyijkl", pa, pb).reshape(len(kets), 4, 4, 4)
 
 
-# the (Z,Z), (X,Z), (Z,X) analyzer pairs behind M_zz, M_xz and M_zx
+# the (Z,Z), (X,Z), (Z,X) analyzer pairs behind M_zz, M_xz and M_zx; the
+# sweeps and the scan read the rotation from the first two, _NAMED_PROJECTORS[:2]
 NAMED_PAIRS = (("Z", "Z"), ("X", "Z"), ("Z", "X"))
 _NAMED_PROJECTORS = projector_tensor(NAMED_PAIRS)
 
@@ -117,7 +120,7 @@ class JointObservables:
     operator pairs, with one statistical sigma per entry (an exact table's
     are those of its count budget; exact_observables gives zero). Fields
     are floats for one state, or arrays with one entry per state for a
-    stack (as the sweeps estimate them); the readout functions take either."""
+    stack (exact_observables of a stack); the readout functions take either."""
 
     m_zz: float | np.ndarray
     m_xz: float | np.ndarray
@@ -222,15 +225,10 @@ class Detection:
         return self.pair_flux * self.duration * self.transmission_a * self.transmission_b
 
 
-def _mean_counts(rho, settings, detection) -> np.ndarray:
-    # the mean count of every cell: the Born probabilities of true pairs,
-    # normalized per setting, with accidentals replacing their fraction of
-    # the mean, uniform over the outcomes
-    if not settings:
-        raise ValueError("settings list must not be empty")
-    # the named triple's tensor is built once, at import
-    projectors = (_NAMED_PROJECTORS if settings is NAMED_PAIRS
-                  else projector_tensor(settings))
+def _mean_counts(rho, projectors, detection) -> np.ndarray:
+    # the mean count of every cell of a projector tensor's settings: the Born
+    # probabilities of true pairs, normalized per setting, with accidentals
+    # replacing their fraction of the mean, uniform over the outcomes
     p, f = _born(rho, projectors), detection.accidental_fraction
     return detection.mean_pairs() * ((1.0 - f) * (p / p.sum(axis=-1, keepdims=True))
                                      + f / 4.0)
@@ -239,8 +237,8 @@ def _mean_counts(rho, settings, detection) -> np.ndarray:
 def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceTable:
     """Expected-value coincidence table: the sampling-free limit of
     simulate_counts, with unrounded mean counts per outcome."""
-    return CoincidenceTable(settings, _mean_counts(validate_state(rho), settings, detection),
-                            dict(asdict(detection), exact=1))
+    counts = _mean_counts(validate_state(rho), projector_tensor(settings), detection)
+    return CoincidenceTable(settings, counts, dict(asdict(detection), exact=1))
 
 
 def simulate_counts(rho: np.ndarray, settings, detection: Detection,
@@ -258,7 +256,7 @@ def simulate_counts(rho: np.ndarray, settings, detection: Detection,
     the number and order of all the settings in the table.
     """
     counts = np.random.default_rng(seed).poisson(
-        _mean_counts(validate_state(rho), settings, detection))
+        _mean_counts(validate_state(rho), projector_tensor(settings), detection))
     return CoincidenceTable(settings, counts,
                             dict(asdict(detection), rng_seed=int(seed), exact=0))
 
@@ -293,14 +291,8 @@ def _rows_for_pair(table: CoincidenceTable, id_a: str, id_b: str) -> np.ndarray:
 def estimate_observables(table: CoincidenceTable) -> JointObservables:
     """Estimate the (z,z), (x,z), (z,x) correlations from a coincidence
     table containing the named basis pairs (Z,Z), (X,Z) and (Z,X)."""
-    return _observables(np.stack([_rows_for_pair(table, a, b)
-                                  for a, b in NAMED_PAIRS], axis=-2))
-
-
-def _observables(counts) -> JointObservables:
-    # (..., 3, 4) counts in NAMED_PAIRS order: floats for one table, else arrays
-    values = np.moveaxis(np.concatenate(estimate_correlation(counts), axis=-1), -1, 0)
-    return JointObservables(*(values.tolist() if values.ndim == 1 else values.copy()))
+    m, sigma = estimate_correlation([_rows_for_pair(table, a, b) for a, b in NAMED_PAIRS])
+    return JointObservables(*m.tolist(), *sigma.tolist())
 
 
 def rotation_from_observables(m_zz: float, m_xz: float,
@@ -363,28 +355,28 @@ def _local_angles(theta_plus, theta_minus, quarter_turn: float = math.pi / 2):
     return tuple(halves.tolist() if halves.ndim == 1 else halves)
 
 
-def scan_theta_a(grid, obs: JointObservables) -> float:
+def scan_theta_a(grid, m_zz, m_xz) -> float:
     """Locate an unknown rotation in one arm from a scan of the other arm.
 
-    `obs` holds the cancellation-branch JointObservables at the trial arm-B
-    angles `grid` (radians), its fields arrays with one entry per angle.
-    There -m_zz - i m_xz = V exp(2i(theta_a - theta_b)) at visibility V, so
-    theta_a mod pi is half the phase of the mean of the grid phasors
-    (-m_zz - i m_xz) exp(2i theta_b): the known-frequency single-tone phase
-    estimator (Rife & Boorstyn, IEEE Trans. Inf. Theory 20, 591, 1974). A
+    The arrays m_zz and m_xz hold the cancellation-branch observables at the
+    trial arm-B angles `grid` (radians), one entry per angle. There -m_zz -
+    i m_xz = V exp(2i(theta_a - theta_b)) at visibility V, so theta_a mod pi
+    is half the phase of the mean of the grid phasors (-m_zz - i m_xz)
+    exp(2i theta_b): the known-frequency single-tone phase estimator (Rife
+    & Boorstyn, IEEE Trans. Inf. Theory 20, 591, 1974). A
     rotation is only defined modulo pi, so the result is that half phase, in
     [-pi/2, pi/2]: which representative a window holds is the caller's
     choice, made in the caller's frame. A mean phasor modulus below
-    NOISE_FLOOR (a flat response) raises.
+    NOISE_FLOOR (a flat response), or NaN, raises.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or not np.isfinite(grid).all():
         raise ValueError(f"the scan grid must hold finite angles, got {grid}")
-    if np.shape(obs.m_zz) != grid.shape or np.shape(obs.m_xz) != grid.shape:
-        raise ValueError(f"obs must hold one m_zz and m_xz per grid angle, got "
-                         f"{np.shape(obs.m_zz)}, {np.shape(obs.m_xz)} for {grid.shape}")
-    phasor = np.mean((-obs.m_zz - 1j * obs.m_xz) * np.exp(2j * grid))
-    if abs(phasor) < NOISE_FLOOR:
+    if np.shape(m_zz) != grid.shape or np.shape(m_xz) != grid.shape:
+        raise ValueError(f"need one m_zz and m_xz per grid angle, got "
+                         f"{np.shape(m_zz)}, {np.shape(m_xz)} for {grid.shape}")
+    phasor = np.mean((-m_zz - 1j * m_xz) * np.exp(2j * grid))
+    if not abs(phasor) >= NOISE_FLOOR:
         raise ValueError(f"flat scan response: mean phasor modulus "
                          f"{abs(phasor):g} is below the noise floor {NOISE_FLOOR:g}")
     return 0.5 * float(np.angle(phasor))

@@ -2,12 +2,13 @@
 
 Both sweep runners and the scan share one pipeline, which runs a whole
 array of arm-B angles at once: build the source state, fold the analyzer
-offsets (_offsets) into the local rotations, take the exact mean counts of
-the named-basis coincidence settings (drawn as Poisson counts unless the
-run is exact) and estimate the joint observables, one JointObservables
-whose fields hold one entry per angle. A theta sweep runs both Bell
-branches through it as one stack. The runners then convert those arrays
-back to rotation angles with the offsets removed, a column at a time.
+offsets (_offsets) into the local rotations, and take the exact mean counts
+of the (Z,Z) and (X,Z) analyzer pairs, the two that the rotation is read
+from (drawn as Poisson counts unless the run is exact). A theta sweep runs
+both Bell branches through it as one stack. Both sweeps read those counts
+with one readout (_branch_readout): the correlations M_zz and M_xz and the
+rotation with the offsets removed, one entry per angle; the scan reads the
+correlations alone.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from . import __version__
 from .channels import _apply_noise, rotate_arm
 from .config import ExperimentConfig, check_reads, config_hash
 from .csvfile import unsigned_zeros, write_csv
-from .measure import (NAMED_PAIRS, _check_factors, _local_angles, _mean_counts,
-                      _observables, rotation_from_observables, scan_theta_a)
+from .measure import (_NAMED_PROJECTORS, _check_factors, _local_angles, _mean_counts,
+                      estimate_correlation, rotation_from_observables, scan_theta_a)
 from .states import BELL_KINDS, bell_state, ket, separable_state
 
 __all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
@@ -93,31 +94,28 @@ def _remove_offsets(cfg: ExperimentConfig, kind: str, theta):
     return theta - pbs_a - (pbs_b if kind == "psi_plus" else -pbs_b) - hwp
 
 
-def configured_state(cfg: ExperimentConfig, kind: str | tuple | None = None,
-                     theta_b: float | np.ndarray | None = None):
-    """The two-photon state after the configured source, noise and both
-    arm rotations, with the analyzer-frame offsets (_offsets) on top of the
-    physical rotations. kind/theta_b overrides replace the configured source
-    state or arm-B angle (radians); an array of arm-B angles gives a stack
-    with one state per angle, and a tuple of kinds one such stack per kind:
-    arm A turns the sources, then arm B the stack they broadcast to."""
-    stacked = not (kind is None or isinstance(kind, str))
-    kinds = [cfg.state_kind if k is None else k for k in (kind if stacked else (kind,))]
+def configured_state(cfg: ExperimentConfig, kinds: tuple, theta_b) -> np.ndarray:
+    """The two-photon states after the configured noise and both arm
+    rotations, with the analyzer-frame offsets (_offsets) on top of the
+    physical rotations: one per source kind of `kinds` and arm-B angle of
+    theta_b (radians, a float or an array), shape (len(kinds),) +
+    shape(theta_b) + (4, 4). Arm A turns the sources, then arm B the stack
+    they broadcast to."""
     rho = _apply_noise(np.array([separable_state(ket(cfg.ket_a), ket(cfg.ket_b))
                                  if k == "separable" else bell_state(k) for k in kinds]),
                        cfg.visibility)
     pbs_a, hwp, pbs_b = _offsets(cfg, kinds)
-    theta_b = np.asarray(cfg.arm_b.theta() if theta_b is None else theta_b) + pbs_b
+    theta_b = np.asarray(theta_b) + pbs_b
     rho = rotate_arm(rho, cfg.arm_a.theta() + pbs_a + hwp, 0)
-    out = rotate_arm(rho.reshape((len(kinds),) + (1,) * theta_b.ndim + (4, 4)), theta_b, 1)
-    return out if stacked else out[0]
+    return rotate_arm(rho.reshape((len(kinds),) + (1,) * theta_b.ndim + (4, 4)), theta_b, 1)
 
 
-def _named_counts(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool) -> np.ndarray:
-    # named-setting counts, shape (len(kinds),) + shape(theta_b) + (3, 4): the
-    # exact means from one Born call, or their Poisson draws, each Bell kind
+def _rotation_counts(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool) -> np.ndarray:
+    # the (Z,Z), (X,Z) counts, shape (len(kinds),) + shape(theta_b) + (2, 4):
+    # the exact means from one Born call, or their Poisson draws, each Bell kind
     # from its own stream (cfg.seed, its BELL_KINDS index): 0 psi_plus, 1 psi_minus
-    means = _mean_counts(configured_state(cfg, kinds, theta_b), NAMED_PAIRS, cfg.detection)
+    means = _mean_counts(configured_state(cfg, kinds, theta_b), _NAMED_PROJECTORS[:2],
+                         cfg.detection)
     if exact:
         return means
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(BELL_KINDS.index(k),)) for k in kinds]
@@ -133,22 +131,32 @@ def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
     }
 
 
+def _branch_readout(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool) -> tuple:
+    """The branches of kinds at the arm-B angles theta_b, read out: arrays
+    (m_zz, m_xz, sigma_zz, sigma_xz, theta_deg, sigma_deg) of shape
+    (len(kinds), len(theta_b)), theta_deg the rotation with the offsets off.
+    A branch factor below MODULUS_FLOOR raises, naming its kind and point."""
+    m, sigma = estimate_correlation(_rotation_counts(cfg, kinds, theta_b, exact))
+    (m_zz, m_xz), (sigma_zz, sigma_xz) = np.moveaxis(m, -1, 0), np.moveaxis(sigma, -1, 0)
+    _check_factors(kinds, zip(m_zz, m_xz))
+    theta, sig = rotation_from_observables(m_zz, m_xz, sigma_zz, sigma_xz)
+    theta = [_remove_offsets(cfg, k, t) for k, t in zip(kinds, theta)]
+    return m_zz, m_xz, sigma_zz, sigma_xz, np.degrees(theta), np.degrees(sig)
+
+
 def _molarity_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     """Sweep the arm-B solution molarity at a fixed arm-A rotation and
     extract the offset-corrected effective rotation of the configured
     Bell state per point, on arm B's slope."""
     molarities = sorted(cfg.sweep_values)
     theta_b = np.radians(cfg.arm_b.slope_deg_per_molar * np.array(molarities))
-    obs = _observables(_named_counts(cfg, (cfg.state_kind,), theta_b, exact)[0])
-    _check_factors((cfg.state_kind,), [(obs.m_zz, obs.m_xz)])
-    theta, sig = rotation_from_observables(obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
-    theta = _remove_offsets(cfg, cfg.state_kind, theta)
+    (m_zz,), (m_xz,), (s_zz,), (s_xz,), (theta,), (sig,) = _branch_readout(
+        cfg, (cfg.state_kind,), theta_b, exact)
     return SweepResult(
         variable="molarity_b",
         columns=("molarity", "theta_deg", "sigma_deg",
                  "m_zz", "m_xz", "sigma_zz", "sigma_xz"),
-        rows=np.column_stack((molarities, np.degrees(theta), np.degrees(sig),
-                              obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)),
+        rows=np.column_stack((molarities, theta, sig, m_zz, m_xz, s_zz, s_xz)),
         provenance=_provenance(cfg, exact),
     )
 
@@ -161,12 +169,8 @@ def _theta_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     kinds = ("psi_plus", "psi_minus")
     values = sorted(cfg.sweep_values)
     theta_b = np.radians(values)
-    obs = _observables(_named_counts(cfg, kinds, theta_b, exact))  # both in one stack
-    _check_factors(kinds, zip(obs.m_zz, obs.m_xz))
-    thetas, (sig_p, sig_m) = rotation_from_observables(
-        obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
-    th_p, th_m = np.degrees([_remove_offsets(cfg, k, theta)
-                             for k, theta in zip(kinds, thetas)])
+    m_zz, m_xz, s_zz, s_xz, (th_p, th_m), (sig_p, sig_m) = _branch_readout(
+        cfg, kinds, theta_b, exact)  # both in one stack
     return SweepResult(
         variable="theta_b",
         columns=("theta_b_deg",
@@ -176,9 +180,8 @@ def _theta_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
                  "theta_minus_deg", "sigma_minus_deg",
                  "theta_a_hat_deg", "theta_b_hat_deg"),
         rows=np.column_stack((
-            values, obs.m_zz[0], obs.m_xz[0], obs.m_zz[1], obs.m_xz[1],
-            obs.sigma_zz[0], obs.sigma_xz[0], obs.sigma_zz[1], obs.sigma_xz[1],
-            th_p, np.degrees(sig_p), th_m, np.degrees(sig_m),
+            values, m_zz[0], m_xz[0], m_zz[1], m_xz[1],
+            s_zz[0], s_xz[0], s_zz[1], s_xz[1], th_p, sig_p, th_m, sig_m,
             *_local_angles(th_p, th_m, 90.0))),
         provenance=_provenance(cfg, exact),
     )
@@ -210,8 +213,8 @@ def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float], exact: bo
         raise ValueError(f"search_range must be finite, got ({lo}, {hi})")
     if hi <= lo:
         raise ValueError(f"empty search range ({lo}, {hi})")
-    obs = _observables(_named_counts(cfg, ("psi_minus",), _SCAN_GRID, exact)[0])
-    theta = scan_theta_a(_SCAN_GRID, obs)
+    m, _ = estimate_correlation(_rotation_counts(cfg, ("psi_minus",), _SCAN_GRID, exact)[0])
+    theta = scan_theta_a(_SCAN_GRID, m[:, 0], m[:, 1])
     return _in_window(_remove_offsets(cfg, "psi_minus", theta), lo, hi)
 
 

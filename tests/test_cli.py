@@ -675,6 +675,15 @@ def test_fisher_command(tmp_path, capsys):
     assert "var_separable_sim" in stdout.splitlines()[0]
 
 
+def test_fisher_prints_each_photon_number_exactly(tmp_path, capsys):
+    # n went through {:.10g}, so 12345678901 printed as 1.23456789e+10, which
+    # is 12,345,678,900 and not the n simulated
+    out = tmp_path / "fisher.csv"
+    assert main(["fisher", "--n-values", "12345678901,3", "--out", str(out)]) == 0
+    for text in (capsys.readouterr().out, out.read_text()):
+        assert [line.split(",")[0] for line in text.splitlines()] == ["n", "12345678901", "3"]
+
+
 def test_fisher_bound_column_does_not_depend_on_trials(capsys):
     # the bound 1/(4 n^2) is computed once, for the bounds-only table and the
     # --trials table alike
@@ -1057,6 +1066,20 @@ def test_one_born_call_and_one_stream_per_branch(tmp_path, monkeypatch):
         counts[name] = len(born_calls), list(stream_keys)
     assert counts == {"sweep_theta": (1, [(0,), (1,)]), "sweep_theta_exact": (1, []),
                       "scan_exact": (1, []), "scan": (1, [(1,)])}
+
+
+def test_sweeps_and_scan_build_no_projector_tensor(tmp_path, monkeypatch):
+    # the sweeps and the scan read the (Z,Z), (X,Z) slice of the tensor built
+    # at import; only a table door builds one, here from the config's pairs
+    def no_tensor(settings):
+        raise AssertionError(f"projector_tensor({settings}) called")
+
+    monkeypatch.setattr(measure, "projector_tensor", no_tensor)
+    for name in ("sweep_theta_exact", "sweep_molarity", "scan"):
+        code, _ = run_case(name, tmp_path / name)
+        assert code == 0
+    with pytest.raises(AssertionError, match="projector_tensor"):
+        run_case("simulate_exact", tmp_path / "simulate_exact")
 
 
 @pytest.mark.parametrize("lo, hi", [("40", "60"), ("14", "19")])

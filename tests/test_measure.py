@@ -314,7 +314,7 @@ def test_sampled_table_is_one_stream_per_seed(tmp_path):
     # exact means, and the table door on one state
     rhos = random_states(6, seed=10)
     settings = FAMILY_SETTINGS[::5]
-    means = measure._mean_counts(rhos, settings, STACK_DETECTION)
+    means = measure._mean_counts(rhos, measure.projector_tensor(settings), STACK_DETECTION)
 
     def draw(seed):
         return np.random.default_rng(seed).poisson(means)
@@ -358,7 +358,7 @@ def test_stacked_table_mean_counts_match_exact_table():
     rhos = random_states(6, seed=10)
     settings = FAMILY_SETTINGS[::5]
     n_tables = 20
-    mu = measure._mean_counts(rhos, settings, STACK_DETECTION)
+    mu = measure._mean_counts(rhos, measure.projector_tensor(settings), STACK_DETECTION)
     tables = np.array([np.random.default_rng(seed).poisson(mu) for seed in range(n_tables)])
     mean = tables.mean(axis=0)
     assert mean.shape == mu.shape == (6, len(settings), 4)
@@ -691,8 +691,8 @@ def assert_standard_normal(pulls, name):
 def repeated_counts(rho, settings, detection, seed):
     """The counts of PULL_TABLES independent tables of one state, drawn in
     one call as the sweeps draw them: Poisson counts of the exact means."""
-    means = measure._mean_counts(np.repeat(rho[None], PULL_TABLES, axis=0), settings,
-                                 detection)
+    means = measure._mean_counts(np.repeat(rho[None], PULL_TABLES, axis=0),
+                                 measure.projector_tensor(settings), detection)
     return np.random.default_rng(seed).poisson(means)
 
 
@@ -707,7 +707,8 @@ def test_estimate_observables_sigma_pulls(accidental_fraction):
     exact = measure.estimate_observables(
         measure.exact_table(rho, make_named_settings(), detection))
     counts = repeated_counts(rho, make_named_settings(), detection, seed=41)
-    obs = measure._observables(counts)
+    m, sigma = measure.estimate_correlation(counts)
+    obs = measure.JointObservables(*np.moveaxis(m, -1, 0), *np.moveaxis(sigma, -1, 0))
     # the table door reads the same values from one table
     single = measure.estimate_observables(
         measure.CoincidenceTable(make_named_settings(), counts[7]))
@@ -874,7 +875,8 @@ def exact_probe(ta):
 
 def scan(probe, grid=sweeps._SCAN_GRID):
     """scan_theta_a on the observables `probe` gives at the grid angles."""
-    return measure.scan_theta_a(grid, probe(grid))
+    obs = probe(grid)
+    return measure.scan_theta_a(grid, obs.m_zz, obs.m_xz)
 
 
 def test_scan_exact_zero():
@@ -944,9 +946,9 @@ def test_scan_probes_the_grid_once(monkeypatch):
     # window: +90 deg would repeat the state of -90 deg
     calls = []
 
-    def scan_theta_a(grid, obs):
+    def scan_theta_a(grid, m_zz, m_xz):
         calls.append(np.array(grid))
-        return measure.scan_theta_a(grid, obs)
+        return measure.scan_theta_a(grid, m_zz, m_xz)
 
     monkeypatch.setattr(sweeps, "scan_theta_a", scan_theta_a)
     cfg = config.ExperimentConfig(arm_a=config.ArmConfig(angle=math.radians(20.0)),
@@ -975,7 +977,7 @@ def test_scan_window_without_representative_raises():
 def test_scan_rejects_observables_without_one_value_per_angle():
     obs = measure.exact_observables(evolved_bell("psi_minus", 0.3, 0.0))
     with pytest.raises(ValueError, match="one m_zz and m_xz per grid angle"):
-        measure.scan_theta_a(np.linspace(-1.0, 1.0, 21), obs)
+        measure.scan_theta_a(np.linspace(-1.0, 1.0, 21), obs.m_zz, obs.m_xz)
 
 
 @pytest.mark.parametrize("grid", [[], [0.0, math.inf], [math.nan, 1.0]],
@@ -983,7 +985,15 @@ def test_scan_rejects_observables_without_one_value_per_angle():
 def test_scan_rejects_a_grid_without_finite_angles(grid):
     with pytest.raises(ValueError, match="the scan grid must hold finite angles"):
         zeros = np.zeros(len(grid))
-        measure.scan_theta_a(grid, measure.JointObservables(zeros, zeros, zeros))
+        measure.scan_theta_a(grid, zeros, zeros)
+
+
+def test_scan_rejects_nan_observables():
+    # a NaN mean phasor is not below the noise floor, so it was returned as
+    # a nan angle
+    nan = np.full(sweeps._SCAN_GRID.size, math.nan)
+    with pytest.raises(ValueError, match="flat scan response: mean phasor modulus nan"):
+        measure.scan_theta_a(sweeps._SCAN_GRID, nan, nan)
 
 
 def no_counts(*args):
@@ -992,14 +1002,14 @@ def no_counts(*args):
 
 @pytest.mark.parametrize("search_range", [(1.0, -1.0), (1.0, 1.0)])
 def test_scan_validation(search_range, monkeypatch):
-    monkeypatch.setattr(sweeps, "_named_counts", no_counts)
+    monkeypatch.setattr(sweeps, "_rotation_counts", no_counts)
     with pytest.raises(ValueError, match="empty search range"):
         sweeps.run_scan(config.ExperimentConfig(), search_range, exact=True)
 
 
 @pytest.mark.parametrize("search_range", [(0.0, math.inf), (math.nan, 1.0)])
 def test_scan_rejects_non_finite_numbers(search_range, monkeypatch):
-    monkeypatch.setattr(sweeps, "_named_counts", no_counts)
+    monkeypatch.setattr(sweeps, "_rotation_counts", no_counts)
     with pytest.raises(ValueError, match=r"search_range must be finite, got \("):
         sweeps.run_scan(config.ExperimentConfig(), search_range, exact=False)
 

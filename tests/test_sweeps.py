@@ -135,9 +135,16 @@ def theta_config(seed=78, offsets=ZERO_OFFSETS):
     return cfg
 
 
+def rotation_observables(counts):
+    """(m_zz, m_xz, sigma_zz, sigma_xz) from (..., S, 4) counts whose first
+    two settings are (Z,Z) and (X,Z), as the sweeps read them."""
+    m, sigma = measure.estimate_correlation(counts)
+    return m[..., 0], m[..., 1], sigma[..., 0], sigma[..., 1]
+
+
 def test_configured_state_folds_offsets():
     cfg = molarity_config()
-    rho = sweeps.configured_state(cfg, theta_b=0.1)
+    rho = sweeps.configured_state(cfg, (cfg.state_kind,), 0.1)[0]
     manual = rotate_locally(
         states.bell_state("psi_minus"),
         jones.rotation_unitary(math.radians(20.08) + cfg.pbs_a + cfg.hwp),
@@ -152,13 +159,13 @@ def test_configured_offsets_read_back_as_the_configured_rotation():
     cfg = theta_config(offsets="pbs_a_deg = 3.1\npbs_b_deg = -7.3\nhwp_deg = 11.9")
     theta_a, theta_b = cfg.arm_a.theta(), np.radians(sorted(cfg.sweep_values))
     for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
-        rho = sweeps.configured_state(cfg, kind, theta_b)
-        exact = measure.exact_observables(rho)
-        sampled = measure._observables(np.random.default_rng(5).poisson(
-            measure._mean_counts(rho, measure.NAMED_PAIRS, cfg.detection)))
+        rho = sweeps.configured_state(cfg, (kind,), theta_b)[0]
+        born = measure.exact_observables(rho)
+        exact = born.m_zz, born.m_xz, born.sigma_zz, born.sigma_xz
+        sampled = rotation_observables(np.random.default_rng(5).poisson(
+            measure._mean_counts(rho, measure._NAMED_PROJECTORS[:2], cfg.detection)))
         for obs, bound in ((exact, 1e-12), (sampled, None)):
-            theta, sigma = measure.rotation_from_observables(
-                obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)
+            theta, sigma = measure.rotation_from_observables(*obs)
             resid = sweeps._remove_offsets(cfg, kind, theta) - (theta_a + sign * theta_b)
             assert (np.abs(resid) <= (5.0 * sigma if bound is None else bound)).all()
     # the offsets of each branch's rotation: the wave plate in psi_minus only
@@ -308,7 +315,7 @@ def test_theta_sweep_sampled_tracks_truth():
 
 def one_branch(cfg, kind, theta_b, exact):
     # the sweep kernel run for one kind, whose counts draw from its own stream
-    return measure._observables(sweeps._named_counts(cfg, (kind,), theta_b, exact)[0])
+    return rotation_observables(sweeps._rotation_counts(cfg, (kind,), theta_b, exact)[0])
 
 
 def branch_stream(cfg, kind):
@@ -332,19 +339,18 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
         result = sweeps.run_sweep(cfg, exact=exact)
         theta_b = np.radians(sorted(cfg.sweep_values))
         plus, minus = (one_branch(cfg, kind, theta_b, exact) for kind in kinds)
-        expected = (plus.m_zz, plus.m_xz, minus.m_zz, minus.m_xz, plus.sigma_zz,
-                    plus.sigma_xz, minus.sigma_zz, minus.sigma_xz)
+        expected = plus[:2] + minus[:2] + plus[2:] + minus[2:]
         (th_p, sig_p), (th_m, sig_m) = (
-            measure.rotation_from_observables(o.m_zz, o.m_xz, o.sigma_zz, o.sigma_xz)
-            for o in (plus, minus))
+            measure.rotation_from_observables(*o) for o in (plus, minus))
         expected += tuple(np.degrees((th_p - cfg.pbs_a - cfg.pbs_b, sig_p,
                                       th_m - cfg.pbs_a + cfg.pbs_b - cfg.hwp, sig_m)))
         assert result.rows[:, 1:13].tobytes() == np.column_stack(expected).tobytes()
         if not exact:
-            # each branch's counts are the Poisson draws of its exact means,
-            # from default_rng of its keyed stream
-            means = sweeps._named_counts(cfg, kinds, theta_b, True)
-            counts = sweeps._named_counts(cfg, kinds, theta_b, False)
+            # each branch's counts, of the (Z,Z) and (X,Z) pairs alone, are the
+            # Poisson draws of its exact means, from default_rng of its keyed stream
+            means = sweeps._rotation_counts(cfg, kinds, theta_b, True)
+            counts = sweeps._rotation_counts(cfg, kinds, theta_b, False)
+            assert counts.shape == means.shape == (2, theta_b.size, 2, 4)
             for branch, kind in enumerate(kinds):
                 assert np.array_equal(counts[branch],
                                       branch_stream(cfg, kind).poisson(means[branch]))
@@ -358,10 +364,9 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
         cfg = molarity_config(kind)
         result = sweeps.run_sweep(cfg)
         theta_b = np.radians(7.01 * result.rows[:, 0])
-        means = sweeps._named_counts(cfg, (kind,), theta_b, True)[0]
-        obs = measure._observables(branch_stream(cfg, kind).poisson(means))
-        assert np.array_equal(result.rows[:, 3:],
-                              np.column_stack((obs.m_zz, obs.m_xz, obs.sigma_zz, obs.sigma_xz)))
+        means = sweeps._rotation_counts(cfg, (kind,), theta_b, True)[0]
+        obs = rotation_observables(branch_stream(cfg, kind).poisson(means))
+        assert np.array_equal(result.rows[:, 3:], np.column_stack(obs))
 
 
 def test_configured_state_stacks_kinds_as_the_complex_product():
@@ -383,10 +388,10 @@ def test_configured_state_stacks_kinds_as_the_complex_product():
             theta_a += cfg.hwp
         u = jones.local_rotations(theta_a, theta_b + cfg.pbs_b)
         assert np.abs(member - u @ rho @ u.swapaxes(-2, -1)).max() < 1e-15
-        single = sweeps.configured_state(cfg, kind, theta_b)
+        single = sweeps.configured_state(cfg, (kind,), theta_b)[0]
         assert single.tobytes() == member.tobytes()
-    # one kind and one angle still give one state
-    assert sweeps.configured_state(cfg, "separable", 0.1).shape == (4, 4)
+    # one kind and one angle give a stack of one state
+    assert sweeps.configured_state(cfg, ("separable",), 0.1).shape == (1, 4, 4)
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
