@@ -110,9 +110,10 @@ def _cmd_extract(args) -> tuple:
 
 
 def _cmd_scan(args) -> tuple:
-    theta_a = run_scan(_load_config_with_override(args),
-                       tuple(math.radians(v) for v in args.range_deg), args.exact)
-    return 0, [unsigned_zeros(f"{math.degrees(theta_a):.6f}")], {}
+    # in [-90, 90) as printed, like the analyzer ids: a zero unsigned, and a
+    # readout that rounds to 90 at six decimals is -90
+    degrees = round(math.degrees(run_scan(_load_config_with_override(args), args.exact)), 6)
+    return 0, [f"{-90.0 if degrees == 90.0 else degrees + 0.0:.6f}"], {}
 
 
 def _cmd_tomo(args) -> tuple:
@@ -182,9 +183,10 @@ def _verify_checks():
         return worst <= 1e-14, f"max deviation {worst:.2e}"
 
     def rotation_group():
-        # t1 then t2 is t1 + t2 on each arm, on a state with complex entries
+        # t1 then t2 is t1 + t2 on each arm, on a matrix with complex entries
+        # that a rotation of either arm moves (R alone only takes a phase)
         t1, t2 = np.random.default_rng(1).uniform(-np.pi, np.pi, (2, 100))
-        rho = separable_state(ket("R"), ket("D"))
+        rho = separable_state(ket("R"), ket("D")) + separable_state(ket("D"), ket("R"))
         worst = max(np.abs(rotate_arm(rotate_arm(rho, t1, arm), t2, arm)
                            - rotate_arm(rho, t1 + t2, arm)).max() for arm in (0, 1))
         return worst <= 1e-12, f"max deviation {worst:.2e}"
@@ -306,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="wide-range search for the arm-A rotation")
     add_run(p)
-    p.add_argument("--range-deg", nargs=2, type=float, default=(-90.0, 90.0),
-                   metavar=("LO", "HI"), help="window of the printed angle, in degrees")
 
     p = sub.add_parser("tomo", help="maximum-likelihood state reconstruction")
     p.add_argument("--counts", required=True, help="tomography counts file")
@@ -358,9 +358,7 @@ def _check_flags(args) -> None:
     for flag, domain, test, *why in accepts.get("flags", ()):
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and not test(value):
-            shown = (" ".join(f"{v:,}" for v in value) if isinstance(value, (list, tuple))
-                     else f"{value:,}")  # a pair (--range-deg) reads as typed
-            raise ValueError(": ".join([f"{flag} must be {domain}, got {shown}", *why]))
+            raise ValueError(": ".join([f"{flag} must be {domain}, got {value:,}", *why]))
     for flag, other, why in accepts.get("needs", ()):
         if given(flag) and not given(other):
             raise ValueError(f"{flag} needs {other}: {why}")

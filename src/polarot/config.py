@@ -148,15 +148,7 @@ ACCEPTS = {
                  "flags": [_SEED]},
     "scan": {"unread": [(_STATE, "it always probes psi_minus"), (_ARM_B, _GRID),
                         (_PAIRS, _NAMED), (_SWEEP, _GRID)],
-             "flags": [_SEED,
-                       ("--range-deg", "finite", lambda v: all(map(math.isfinite, v))),
-                       ("--range-deg", "at most 1e6 in magnitude",
-                        lambda v: max(map(abs, v)) <= 1e6, "a representative near 1e6 "
-                        "deg has a float spacing of 3.6e-12 rad, about 2e-4 of the "
-                        "printed 1e-6 deg"),
-                       # in radians, where a subnormal degree value is 0
-                       ("--range-deg", "LO < HI in radians",
-                        lambda v: math.radians(v[0]) < math.radians(v[1]))]},
+             "flags": [_SEED]},
     "sweep": {"flags": [_SEED]},
     "theta_b sweep": {"unread": [(_STATE, "it always runs psi_plus and psi_minus"),
                                  (_ARM_B, "the [sweep] values set the arm-B angle"),
@@ -229,7 +221,6 @@ def _read_ini(text: str) -> dict[str, dict[str, str]]:
 
     sections: dict[str, dict[str, str]] = {}
     section = key = None
-    key_indent = 0
     for number, line in enumerate(text.split("\n"), start=1):
         comment = (";" in line or "#" in line) and _COMMENT.search(line)
         value = line[:comment.start() if comment else None].strip()

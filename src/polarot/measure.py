@@ -365,9 +365,8 @@ def scan_theta_a(grid, m_zz, m_xz) -> float:
     exp(2i theta_b): the known-frequency single-tone phase estimator (Rife
     & Boorstyn, IEEE Trans. Inf. Theory 20, 591, 1974). A
     rotation is only defined modulo pi, so the result is that half phase, in
-    [-pi/2, pi/2]: which representative a window holds is the caller's
-    choice, made in the caller's frame. A mean phasor modulus below
-    NOISE_FLOOR (a flat response), or NaN, raises.
+    [-pi/2, pi/2]. Observables that are not all finite raise, and so does a
+    mean phasor modulus below NOISE_FLOOR (a flat response).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or not np.isfinite(grid).all():
@@ -375,6 +374,8 @@ def scan_theta_a(grid, m_zz, m_xz) -> float:
     if np.shape(m_zz) != grid.shape or np.shape(m_xz) != grid.shape:
         raise ValueError(f"need one m_zz and m_xz per grid angle, got "
                          f"{np.shape(m_zz)}, {np.shape(m_xz)} for {grid.shape}")
+    if not (np.isfinite(m_zz).all() and np.isfinite(m_xz).all()):
+        raise ValueError("the scan observables m_zz and m_xz must be finite")
     phasor = np.mean((-m_zz - 1j * m_xz) * np.exp(2j * grid))
     if not abs(phasor) >= NOISE_FLOOR:
         raise ValueError(f"flat scan response: mean phasor modulus "

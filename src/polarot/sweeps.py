@@ -202,35 +202,16 @@ def run_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
 _SCAN_GRID = math.radians(-90.0) + math.radians(5.0) * np.arange(36)
 
 
-def run_scan(cfg: ExperimentConfig, search_range: tuple[float, float], exact: bool) -> float:
+def run_scan(cfg: ExperimentConfig, exact: bool = False) -> float:
     """The arm-A rotation (radians) that scan_theta_a finds from the psi_minus
     branch's counts at the arm-B angles _SCAN_GRID, offsets off (the optimum
-    matches arm B to arm A's angle in the analyzer frame), then moved once to
-    its representative inside search_range. A non-finite or empty
-    search_range raises before any count is drawn."""
-    lo, hi = search_range
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"search_range must be finite, got ({lo}, {hi})")
-    if hi <= lo:
-        raise ValueError(f"empty search range ({lo}, {hi})")
+    matches arm B to arm A's angle in the analyzer frame), as the one
+    representative theta + k pi in [-pi/2, pi/2), like the analyzer ids, a
+    zero unsigned."""
     m, _ = estimate_correlation(_rotation_counts(cfg, ("psi_minus",), _SCAN_GRID, exact)[0])
-    theta = scan_theta_a(_SCAN_GRID, m[:, 0], m[:, 1])
-    return _in_window(_remove_offsets(cfg, "psi_minus", theta), lo, hi)
-
-
-def _in_window(theta: float, lo: float, hi: float) -> float:
-    """The representative theta + k pi inside [lo, hi] nearest 0, the lower
-    one on a tie; a window that holds none raises."""
+    theta = _remove_offsets(cfg, "psi_minus", scan_theta_a(_SCAN_GRID, m[:, 0], m[:, 1]))
     theta = math.remainder(theta, math.pi)
-    # the representatives theta + k pi inside the window are k_lo <= k <= k_hi
-    k_lo, k_hi = math.ceil((lo - theta) / math.pi), math.floor((hi - theta) / math.pi)
-    if k_lo > k_hi:
-        raise ValueError("no anticorrelation optimum inside the search range; "
-                         "widen the range so it covers theta_a mod pi")
-    # |theta + k pi| is least at k = 0, or at k = -1 and 0 alike for theta =
-    # pi/2 (the lower k wins), and grows away from there: clamp into the window
-    k = min(max(-1 if theta == math.pi / 2 else 0, k_lo), k_hi)
-    return theta + math.pi * k
+    return -theta if theta == math.pi / 2 else theta + 0.0
 
 
 def write_sweep(result: SweepResult, path) -> None:

@@ -41,8 +41,7 @@ CASES = {
     "sweep_molarity_exact": (["sweep", "--config", "sweep_molarity.ini", "--exact",
                               "--out", "sweep.csv"], ["sweep.csv"]),
     "scan_exact": (["scan", "--config", "scan.ini", "--exact"], []),
-    "scan": (["scan", "--config", "scan.ini", "--range-deg", "-45", "45"], []),
-    "scan_window": (["scan", "--config", "scan.ini", "--range-deg", "100", "300"], []),
+    "scan": (["scan", "--config", "scan.ini"], []),
     "observables": (["observables", "--table", "table.csv", "--out", "obs.csv"],
                     ["obs.csv"]),
     "extract": (["extract", "--plus", "obs_plus.csv", "--minus", "obs_minus.csv",

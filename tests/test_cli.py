@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarot
@@ -170,7 +170,7 @@ SCAN_TEMPLATE = EXACT_TEMPLATE.replace("angle_deg = 10.0", "angle_deg = 0.0")
 
 def test_scan_exact(tmp_path, capsys):
     cfg = write_config(tmp_path, SCAN_TEMPLATE.format(kind="psi_minus"))
-    assert main(["scan", "--config", cfg, "--exact", "--range-deg", "-45", "45"]) == 0
+    assert main(["scan", "--config", cfg, "--exact"]) == 0
     stdout = capsys.readouterr().out.strip()
     assert abs(float(stdout) - 20.0) < 0.01
 
@@ -187,7 +187,7 @@ def test_scan_exact_removes_shipped_offsets(tmp_path, capsys, theta_a):
 
 def test_scan_sampled(tmp_path, capsys):
     cfg = write_config(tmp_path, SCAN_TEMPLATE.format(kind="psi_minus"))
-    assert main(["scan", "--config", cfg, "--range-deg", "-45", "45"]) == 0
+    assert main(["scan", "--config", cfg]) == 0
     stdout = capsys.readouterr().out.strip()
     assert abs(float(stdout) - 20.0) < 0.5
 
@@ -509,6 +509,70 @@ def test_sweep_without_a_sweep_section_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def replaced(old, new):
+    """An edit that replaces the one occurrence of old by new."""
+    def edit(text):
+        assert text.count(old) == 1, old
+        return text.replace(old, new)
+    return edit
+
+
+def metadata_only(text):
+    return "".join(line for line in text.splitlines(True) if line.startswith("#"))
+
+
+SWEEP_OUT, SIMULATE_OUT = ["sweep", "--out", "out.csv"], ["simulate", "--out", "out.csv"]
+
+
+@pytest.mark.parametrize("command, name, edit, message", [
+    (SWEEP_OUT, "sweep_theta.ini", replaced("variable = theta_b", "variable = foo"),
+     "sweep variable must be one of ('molarity_b', 'theta_b'), got 'foo'"),
+    (SWEEP_OUT, "sweep_theta.ini", replaced("variable = theta_b\n", ""),
+     "[sweep] section needs a 'variable' key"),
+    (SWEEP_OUT, "sweep_molarity.ini", replaced("start = 0", "values = 0, 1\nstart = 0"),
+     "[sweep] needs either 'values' or 'start/stop/count'"),
+    (SWEEP_OUT, "sweep_molarity.ini", replaced("count = 5", "count = 1"),
+     "[sweep] count must be at least 2"),
+    (SIMULATE_OUT, "sim.ini", replaced("pairs = Z/Z, X/Z, Z/X, Y/Y, lin:22.5/wp:10:20",
+                                       "pairs = Z/Z, XZ"),
+     "setting pair 'XZ' must be '<id_a>/<id_b>'"),
+    (SIMULATE_OUT, "sim.ini", replaced("molarity = 1.5", "molarity = 1.5\nangle_deg = 3"),
+     "section [arm_b] must not set both angle_deg and molarity"),
+    (SIMULATE_OUT, "sim.ini", replaced("kind = psi_minus", "kind = bogus"),
+     "unknown state kind 'bogus'"),
+    (SIMULATE_OUT, "sim.ini", replaced("pair_flux = 100000", "pair_flux = 0"),
+     "pair_flux and duration must be positive and finite, got 0.0, 1.0"),
+    (["observables", "--out", "out.csv", "--table"], "table.csv", metadata_only,
+     "table.csv: no header row 'setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm'")],
+    ids=["sweep-variable-foo", "sweep-without-variable", "sweep-values-and-start",
+         "sweep-count-1", "pair-without-slash", "arm-angle-and-molarity",
+         "state-kind-bogus", "pair-flux-zero", "table-without-header"])
+def test_malformed_input_exits_2_before_any_output(tmp_path, monkeypatch, capsys, command,
+                                                   name, edit, message):
+    # no test ran these checks; an unknown state kind was also caught later,
+    # by bell_state, in other words, and a pair flux of 0 wrote an all-zero
+    # table and exited 0 once its check allowed it
+    monkeypatch.chdir(tmp_path)
+    golden_edited(tmp_path, name, edit)
+    flag = [] if command[0] == "observables" else ["--config"]
+    err = run_failing(capsys, [*command, *flag, name])
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_blank_lines_in_a_table_are_skipped(tmp_path, capsys):
+    # blank lines around the metadata, the header and the rows read as none
+    table = (GOLDEN_INPUTS / "table.csv").read_text()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n  \n" + "\n\n".join(table.splitlines()) + "\n\n \t\n")
+    runs = []
+    for path, out in ((GOLDEN_INPUTS / "table.csv", "plain.csv"), (spaced, "spaced.csv.obs")):
+        assert main(["observables", "--table", str(path), "--out", str(tmp_path / out)]) == 0
+        runs.append((capsys.readouterr(), (tmp_path / out).read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].out and not runs[0][0].err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fisher", "--trials", "0", "--seed", "3", "--out", "fisher.csv"],
      "--seed needs --trials: it applies to the Monte Carlo trials"),
@@ -704,6 +768,32 @@ def test_fisher_counts_per_trial_is_not_an_option(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --counts-per-trial 1" in captured.err
+
+
+def test_fisher_trials_without_seed_run_seed_0(tmp_path, capsys):
+    # the separable baseline's default seed is 0: no flag prints the bytes of
+    # --seed 0, on stdout and in --out, and another seed prints others
+    runs = []
+    for seed in ([], ["--seed", "0"], ["--seed", "1"]):
+        out = tmp_path / f"fisher{len(runs)}.csv"
+        assert main(["fisher", "--n-values", "1,2,4", "--trials", "20", *seed,
+                     "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[2][0] != runs[0][0]
+
+
+@pytest.mark.parametrize("n, code", [("9223372036854775807", 0), ("9223372036854775808", 2)],
+                         ids=["int64-max", "int64-max-plus-1"])
+def test_fisher_photon_number_bound_is_the_int64_maximum(capsys, n, code):
+    # numpy's binomial takes at most an int64 count, which is itself allowed
+    assert main(["fisher", "--n-values", n]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.splitlines()[1].startswith(f"{n},")
+    else:
+        assert captured.out == ""
+        assert "--n-values entries must be at most 9,223,372,036,854,775,807" in captured.err
 
 
 def test_fisher_single_trial_exits_2(capsys):
@@ -1082,35 +1172,10 @@ def test_sweeps_and_scan_build_no_projector_tensor(tmp_path, monkeypatch):
         run_case("simulate_exact", tmp_path / "simulate_exact")
 
 
-@pytest.mark.parametrize("lo, hi", [("40", "60"), ("14", "19")])
-def test_scan_window_missing_the_angle_exits_2(capsys, lo, hi):
-    # scan.ini's arm-A angle is 20 degrees; the window holds no representative
-    # of it mod 180 degrees, though [14, 19] holds its analyzer-frame angle 16.63
-    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                 "--range-deg", lo, hi]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "no anticorrelation optimum" in captured.err
-
-
-@pytest.mark.parametrize("lo, hi, expected", [
-    ("100", "300", "200.000000"), ("150", "250", "200.000000"),
-    ("-300", "-100", "-160.000000"), ("18", "25", "20.000000"),
-    ("-162", "-158", "-160.000000")])
-def test_scan_readout_lies_in_the_window(capsys, lo, hi, expected):
-    # scan.ini's arm A is at 20 degrees; the first two windows printed
-    # -160.000000, the representative wrapped out of them into (-180, 180],
-    # and the last two exited 2: they hold no representative of the
-    # analyzer-frame angle 16.63, where the window was once chosen first
-    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                 "--range-deg", lo, hi]) == 0
-    assert capsys.readouterr().out == expected + "\n"
-
-
 def test_scan_readout_near_the_window_edge_is_the_arm_angle(tmp_path, capsys):
     # with arm A at -88 degrees the shipped offsets put it at -91.37 in the
-    # analyzer frame: the default window's representative there is 88.63, and
-    # with the offsets taken off the scan printed 92.000000, outside the window
+    # analyzer frame: the representative in [-90, 90) there is 88.63, and
+    # with the offsets taken off the scan printed 92.000000, outside [-90, 90)
     cfg = golden_edited(tmp_path, "scan.ini",
                         lambda text: text.replace("angle_deg = 20.0", "angle_deg = -88.0"))
     assert main(["scan", "--config", cfg, "--exact"]) == 0
@@ -1120,98 +1185,77 @@ def test_scan_readout_near_the_window_edge_is_the_arm_angle(tmp_path, capsys):
 _SCAN_DEGREES = st.floats(-720.0, 720.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(theta_a=_SCAN_DEGREES, offsets=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
-       lo=_SCAN_DEGREES, width=st.floats(0.5, 400.0))
-def test_scan_readout_is_the_arm_angle_inside_the_window(tmp_path_factory, theta_a,
-                                                         offsets, lo, width):
-    # exact scan: the run exits 2 naming the empty window exactly when no
-    # theta_a + 180k lies in --range-deg, and otherwise prints theta_a mod 180
-    # degrees to the printed 1e-6 deg, inside the window; draws with an edge
-    # within 1e-6 deg of a representative are skipped
+def scan_config(tmp_path_factory, theta_a, offsets=None) -> str:
+    """scan.ini with arm A at theta_a degrees, and with the offsets
+    (pbs_a_deg, pbs_b_deg, hwp_deg) if given."""
     text = (GOLDEN_INPUTS / "scan.ini").read_text().replace(
         "angle_deg = 20.0", f"angle_deg = {theta_a!r}")
-    for key, value in zip(("pbs_a_deg", "pbs_b_deg", "hwp_deg"), offsets):
+    for key, value in zip(("pbs_a_deg", "pbs_b_deg", "hwp_deg"), offsets or ()):
         text = re.sub(rf"{key} = \S+", f"{key} = {value!r}", text)
     cfg = tmp_path_factory.mktemp("scan") / "scan.ini"
     cfg.write_text(text)
-    hi = lo + width
-    assume(all(abs(math.remainder(edge - theta_a, 180.0)) > 1e-6 for edge in (lo, hi)))
-    holds = math.ceil((lo - theta_a) / 180.0) <= math.floor((hi - theta_a) / 180.0)
+    return str(cfg)
+
+
+def exact_scan_readout(cfg) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["scan", "--config", str(cfg), "--exact", "--range-deg", repr(lo),
-                     repr(hi)])
-    if not holds:
-        assert code == 2 and "no anticorrelation optimum" in err.getvalue()
-        return
-    assert code == 0, err.getvalue()
-    readout = float(out.getvalue())
-    assert lo - 1e-6 <= readout <= hi + 1e-6
+        assert main(["scan", "--config", cfg, "--exact"]) == 0, err.getvalue()
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta_a=_SCAN_DEGREES, offsets=st.tuples(*[st.floats(-20.0, 20.0)] * 3))
+def test_scan_readout_is_the_arm_angle_in_the_half_turn_window(tmp_path_factory,
+                                                               theta_a, offsets):
+    # exact scan: the printed readout lies in [-90, 90), like the analyzer
+    # ids, and is theta_a mod 180 degrees to the printed 1e-6 deg
+    readout = float(exact_scan_readout(scan_config(tmp_path_factory, theta_a, offsets)))
+    assert -90.0 <= readout < 90.0
     turns = (readout - theta_a) / 180.0
     assert abs(turns - round(turns)) * 180.0 <= 1e-6
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32), theta_a=_SCAN_DEGREES,
-       windows=st.lists(st.tuples(st.integers(-3, 3), st.floats(1e-3, 200.0),
-                                  st.floats(1e-3, 200.0)), min_size=2, max_size=2))
-def test_sampled_scan_readouts_in_two_windows_differ_by_half_turns(
-        tmp_path_factory, seed, theta_a, windows):
-    # one config and seed, two windows that each hold a representative of
-    # the default window's readout r (r + 180k - below to r + 180k + above):
-    # the readouts differ by whole half-turns; the windows once set the grid,
-    # and scan.ini printed 20.001788 in the default window, 20.013360 in 18 25
-    cfg = tmp_path_factory.mktemp("scan") / "scan.ini"
-    cfg.write_text((GOLDEN_INPUTS / "scan.ini").read_text().replace(
-        "angle_deg = 20.0", f"angle_deg = {theta_a!r}"))
-    scan = ["scan", "--config", str(cfg), "--seed", str(seed)]
-
-    def readout(*flags):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert main(scan + list(flags)) == 0, err.getvalue()
-        return float(out.getvalue())
-
-    r = readout()
-    readouts = [readout("--range-deg", repr(r + 180.0 * k - below),
-                        repr(r + 180.0 * k + above)) for k, below, above in windows]
-    turns = (readouts[1] - readouts[0]) / 180.0
-    assert abs(turns - round(turns)) * 180.0 <= 1e-6
+@pytest.mark.parametrize("theta_a", [
+    90.0, math.nextafter(90.0, 0.0), math.nextafter(90.0, 180.0), -90.0,
+    math.nextafter(-90.0, 0.0), math.nextafter(-90.0, -180.0), 270.0, -270.0])
+def test_scan_readout_at_the_window_edges_is_minus_90(tmp_path_factory, theta_a):
+    # 90 and -90 degrees are one arm-A angle mod 180, which reads at the
+    # window's closed end; so do their float neighbours, whose readouts
+    # round to +-90 at the printed six decimals (89.99999999999999,
+    # -90.00000000000001 and 270 printed 90.000000)
+    assert exact_scan_readout(scan_config(tmp_path_factory, theta_a)) == "-90.000000\n"
 
 
-@pytest.mark.parametrize("flags, name, bad", [
-    (["--range-deg", "0", "inf"], "--range-deg", "inf"),
-    (["--range-deg", "nan", "10"], "--range-deg", "nan"),
-    (["--range-deg", "-inf", "10"], "--range-deg", "-inf 10.0"),
-    (["--range-deg", "-Infinity", "10"], "--range-deg", "-inf 10.0"),
-    (["--range-deg", "-NaN", "10"], "--range-deg", "nan 10.0"),
-    (["--range-deg", "10", "-10"], "--range-deg", "LO < HI in radians, got 10.0 -10.0"),
-    (["--range-deg", "10", "10"], "--range-deg", "LO < HI in radians, got 10.0 10.0"),
-    (["--range-deg", "-5e-324", "5e-324"], "--range-deg",
-     "LO < HI in radians, got -5e-324 5e-324")],
-    ids=["range-inf", "range-nan", "range-minus-inf", "range-minus-infinity",
-         "range-minus-nan", "range-reversed", "range-empty", "range-subnormal"])
-def test_scan_non_finite_number_exits_2(capsys, flags, name, bad):
-    # an infinite range overflowed the grid size (a traceback); a reversed or
-    # empty window and a non-finite window were named in radians, without
-    # their flag, and so was a window whose subnormal degrees are 0 in
-    # radians; argparse read -inf, -Infinity and -NaN as options and exited 1
-    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                 *flags]) == 2
+@pytest.mark.parametrize("theta_a, printed", [
+    (20.0, "20.000000"), (200.0, "20.000000"), (-160.0, "20.000000"),
+    (560.0, "20.000000"), (-700.0, "20.000000"), (110.0, "-70.000000"),
+    (-110.0, "70.000000"), (180.0, "0.000000"), (-180.0, "0.000000")])
+def test_scan_readout_lies_in_the_half_turn_window(tmp_path_factory, theta_a, printed):
+    # every arm-A angle reads as its one representative mod 180 degrees in
+    # [-90, 90), whichever half-turn it was set in; a zero prints unsigned
+    assert exact_scan_readout(scan_config(tmp_path_factory, theta_a)) == printed + "\n"
+
+
+@pytest.mark.parametrize("theta_a", [200.0, -160.0, 380.0, -340.0])
+def test_sampled_scan_half_turns_on_print_the_scan_golden(tmp_path_factory, capsys,
+                                                          theta_a):
+    # arm A turned by whole half-turns prepares the same state, so the same
+    # seeded counts give the scan golden's readout byte for byte
+    cfg = scan_config(tmp_path_factory, theta_a)
+    assert main(["scan", "--config", cfg]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"{name} must be" in captured.err and bad in captured.err
+    golden = GOLDEN_INPUTS.parent / "expected" / "scan" / "stdout.txt"
+    assert captured.out == golden.read_text()
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv, exponent, plain", [
-    (["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact", "--range-deg"],
-     ["-1e2", "90"], ["-100", "90"]),
     (["fisher", "--trials", "10", "--theta-deg"], ["-1e1"], ["-10"])],
-    ids=["scan-range-deg", "fisher-theta-deg"])
+    ids=["fisher-theta-deg"])
 def test_negative_flag_values_in_exponent_notation(capsys, argv, exponent, plain):
-    # argparse read -1e2 as an option and exited 1 (expected 2 arguments,
-    # expected one argument); both spellings now run alike
+    # argparse read -1e1 as an option and exited 1 (expected one argument);
+    # both spellings now run alike
     runs = []
     for values in (exponent, plain):
         runs.append((main(argv + values), capsys.readouterr()))
@@ -1304,28 +1348,14 @@ def test_phase_floors_are_not_options(capsys, argv):
     assert f"unrecognized arguments: {argv[-2]} 0" in captured.err
 
 
-def test_scan_window_far_wider_than_its_grid_exits_0(capsys):
-    # the scan enumerated every representative theta + k pi of the window,
-    # and it once probed a grid spanning the window: 400,001 points here,
-    # which exited 2; the widest window the flag accepts holds 11,111
-    # representatives, and the readout keeps every printed digit
+def test_scan_range_deg_is_not_an_option(capsys):
+    # the scan readout lies in [-90, 90); the window flag that picked another
+    # representative of the angle mod 180 is an unknown option
     assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                 "--range-deg", "-1e6", "1e6"]) == 0
-    assert capsys.readouterr().out == "20.000000\n"
-
-
-@pytest.mark.parametrize("lo, hi", [
-    ("-1e9", "1e9"), ("-1e12", "1e12"), ("-1e15", "1e15"), ("-1e300", "1e300"),
-    ("0", "1000000.0001"), ("1e15", "1.0000000000001e15")])
-def test_scan_window_beyond_float_precision_exits_2(capsys, lo, hi):
-    # a representative far from 0 loses printed digits: near 1e15 deg the
-    # float spacing in radians is 0.002 rad, 0.11 deg; so each end of the
-    # window is held to 1e6 deg, whichever representative it holds
-    assert main(["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact",
-                 "--range-deg", lo, hi]) == 2
+                 "--range-deg", "100", "300"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --range-deg must be at most 1e6 in magnitude")
+    assert "unrecognized arguments: --range-deg 100 300" in captured.err
 
 
 def test_extract_prints_no_negative_zero(tmp_path, capsys):
@@ -1343,11 +1373,11 @@ def test_repeated_main_calls_share_one_parser_and_leak_nothing(capsys):
     # main() builds its parser once per process; each call must still see
     # only its own flags and the defaults, whatever ran before it
     from polarot import cli
-    scan = ["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact"]
+    scan = ["scan", "--config", str(GOLDEN_INPUTS / "scan.ini")]
     fisher = ["fisher", "--n-values", "1,2"]
-    argvs = [scan + ["--range-deg", "100", "300"], scan,
+    argvs = [scan + ["--seed", "4"], scan,
              fisher + ["--trials", "20", "--seed", "4", "--theta-deg", "12"], fisher,
-             scan + ["--seed", "3", "--range-deg", "-300", "-100"], scan,
+             scan + ["--seed", "3", "--exact"], scan,
              ["extract", "--plus", "x"], scan]
     shared = [(main(argv), capsys.readouterr()) for argv in argvs]
     assert cli.build_parser() is cli.build_parser()
@@ -1356,7 +1386,7 @@ def test_repeated_main_calls_share_one_parser_and_leak_nothing(capsys):
         cli.build_parser.cache_clear()
         fresh.append((main(argv), capsys.readouterr()))
     assert shared == fresh
-    # the narrowed range and the trials really changed the printed results
+    # the seed and the trials really changed the printed results
     assert shared[0][1].out != shared[1][1].out
     assert shared[2][1].out.splitlines()[0] != shared[3][1].out.splitlines()[0]
     assert shared[6][0] == 1
@@ -1364,7 +1394,7 @@ def test_repeated_main_calls_share_one_parser_and_leak_nothing(capsys):
     for argv in argvs[:-2]:
         fresh_args = cli.build_parser.__wrapped__().parse_args(argv)
         assert vars(parser.parse_args(argv)) == vars(fresh_args)
-    assert parser.parse_args(scan).range_deg == (-90.0, 90.0)
+    assert (parser.parse_args(scan).seed, parser.parse_args(scan).exact) == (None, False)
 
 
 @pytest.mark.parametrize("missing", ["start", "stop", "count"])
@@ -1419,13 +1449,15 @@ def raising_rotations(rho, theta, arm):
 
 # a constant offset breaks the group law and the closed forms, but not the
 # nonlocal equivalence, which a sign flip on one arm breaks; an arm-A offset
-# moves the separable contrast |cos 2 theta_a| off its grid; a kernel that
+# moves the separable contrast |cos 2 theta_a| off its grid, and breaks the
+# group law on arm A alone, so the law must be checked on both arms; a kernel that
 # raises fails the checks that call it, and the report still lists them all
 @pytest.mark.parametrize("check, broken", [
     ("rotation-group", offset_rotations),
     ("bell-nonlocal-equivalence", arm_b_flipped_rotations),
     ("joint-observable-closed-forms", offset_rotations),
     ("separable-contrast-amplitude", arm_a_offset_rotations),
+    ("rotation-group", arm_a_offset_rotations),
     ("rotation-group", raising_rotations),
 ])
 def test_verify_fails_on_a_broken_rotation_kernel(monkeypatch, capsys, check, broken):

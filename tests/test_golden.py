@@ -27,14 +27,6 @@ def test_golden_output(name, tmp_path):
                                   f"{blas_core.pin_note()}")
 
 
-def test_scan_window_golden_is_the_scan_golden_a_half_turn_on():
-    # the scan probes one grid whatever the window, which only picks the
-    # representative: the sampled readout moves by a whole half-turn
-    scan, window = (float((EXPECTED / name / "stdout.txt").read_text())
-                    for name in ("scan", "scan_window"))
-    assert abs(window - scan - 180.0) <= 1e-9
-
-
 def test_openblas_core_is_named():
     # the core the failure message above names, read from numpy's bundled
     # OpenBLAS ('unknown' only where numpy bundles none)
@@ -90,7 +82,7 @@ print(code, *sorted(
 # the golden cases whose bytes hold on every kernel; tomo's solver output
 # still moves with the BLAS core and numpy's SIMD level
 KERNEL_FREE_CASES = ["simulate_exact", "sweep_theta_exact", "sweep_theta", "sweep_molarity",
-                     "sweep_molarity_exact", "scan", "scan_exact", "scan_window"]
+                     "sweep_molarity_exact", "scan", "scan_exact"]
 
 
 @pytest.mark.parametrize("name", KERNEL_FREE_CASES)

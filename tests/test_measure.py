@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -884,13 +885,20 @@ def test_scan_exact_zero():
     assert abs(theta) < math.radians(0.01)
 
 
+def zero_offset_config(theta_a: float = 0.0) -> config.ExperimentConfig:
+    """A config with arm A at theta_a (radians) and no analyzer offsets."""
+    return config.ExperimentConfig(arm_a=config.ArmConfig(angle=theta_a),
+                                   pbs_a=0.0, pbs_b=0.0, hwp=0.0)
+
+
 def test_scan_exact_wide_angle():
     # 100 degrees lies outside the closed-form window; the scan reads it mod
-    # 180 degrees, as -80, and a half-turn prior window picks 100
-    ta, window = math.radians(100.0), (0.0, math.pi)
+    # 180 degrees, as -80, and so does run_scan, whose readout lies in [-90, 90)
+    ta = math.radians(100.0)
     theta = scan(exact_probe(ta))
     assert abs(theta - (ta - math.pi)) < math.radians(0.01)
-    assert abs(sweeps._in_window(theta, *window) - ta) < math.radians(0.01)
+    assert abs(sweeps.run_scan(zero_offset_config(ta), exact=True) - (ta - math.pi)) \
+        < math.radians(0.01)
 
 
 def test_scan_exact_negative_angle():
@@ -942,8 +950,8 @@ def test_scan_zero_phasor_rejected_at_the_noise_floor():
 
 
 def test_scan_probes_the_grid_once(monkeypatch):
-    # one half-turn of arm B, -90 to 85 deg in 5-deg steps, whatever the
-    # window: +90 deg would repeat the state of -90 deg
+    # one half-turn of arm B, -90 to 85 deg in 5-deg steps, once per run:
+    # +90 deg would repeat the state of -90 deg
     calls = []
 
     def scan_theta_a(grid, m_zz, m_xz):
@@ -951,10 +959,9 @@ def test_scan_probes_the_grid_once(monkeypatch):
         return measure.scan_theta_a(grid, m_zz, m_xz)
 
     monkeypatch.setattr(sweeps, "scan_theta_a", scan_theta_a)
-    cfg = config.ExperimentConfig(arm_a=config.ArmConfig(angle=math.radians(20.0)),
-                                  pbs_a=0.0, pbs_b=0.0, hwp=0.0)
-    for window in ((-math.pi / 2, math.pi / 2), (0.3, 0.4), (-1e3, 1e3)):
-        theta = sweeps.run_scan(cfg, window, exact=True)
+    cfg = zero_offset_config(math.radians(20.0))
+    for _ in range(3):
+        theta = sweeps.run_scan(cfg, exact=True)
         assert abs(theta - math.radians(20.0)) < 1e-12
     assert len(calls) == 3
     for grid in calls:
@@ -965,13 +972,6 @@ def test_scan_narrow_grid_returns_truth():
     ta = math.radians(20.0)
     theta = scan(exact_probe(ta), np.radians([15.0, 20.0, 25.0]))
     assert abs(theta - ta) < 1e-12
-
-
-def test_scan_window_without_representative_raises():
-    # 20 degrees mod 180 has no representative in [40, 60] degrees
-    theta = scan(exact_probe(math.radians(20.0)))
-    with pytest.raises(ValueError, match="no anticorrelation optimum"):
-        sweeps._in_window(theta, math.radians(40.0), math.radians(60.0))
 
 
 def test_scan_rejects_observables_without_one_value_per_angle():
@@ -988,38 +988,34 @@ def test_scan_rejects_a_grid_without_finite_angles(grid):
         measure.scan_theta_a(grid, zeros, zeros)
 
 
+def non_finite_observables(bad, where):
+    """(m_zz, m_xz) on the scan grid: all of m_zz, or the one m_xz entry at
+    the grid angle 0, is `bad`; every other entry is 0."""
+    grid = sweeps._SCAN_GRID
+    finite = np.zeros(grid.size)
+    if where == "m_zz":
+        return np.full(grid.size, bad), finite
+    return finite, np.where(grid == 0.0, bad, 0.0)
+
+
 def test_scan_rejects_nan_observables():
     # a NaN mean phasor is not below the noise floor, so it was returned as
-    # a nan angle
-    nan = np.full(sweeps._SCAN_GRID.size, math.nan)
-    with pytest.raises(ValueError, match="flat scan response: mean phasor modulus nan"):
-        measure.scan_theta_a(sweeps._SCAN_GRID, nan, nan)
+    # a nan angle, and then rejected as a flat response; one NaN entry in
+    # either array is named as what it is
+    for where in ("m_zz", "m_xz"):
+        with pytest.raises(ValueError, match="^the scan observables m_zz and m_xz "
+                                             "must be finite$"):
+            measure.scan_theta_a(sweeps._SCAN_GRID, *non_finite_observables(math.nan, where))
 
 
-def no_counts(*args):
-    raise AssertionError("counts drawn before the search range was checked")
-
-
-@pytest.mark.parametrize("search_range", [(1.0, -1.0), (1.0, 1.0)])
-def test_scan_validation(search_range, monkeypatch):
-    monkeypatch.setattr(sweeps, "_rotation_counts", no_counts)
-    with pytest.raises(ValueError, match="empty search range"):
-        sweeps.run_scan(config.ExperimentConfig(), search_range, exact=True)
-
-
-@pytest.mark.parametrize("search_range", [(0.0, math.inf), (math.nan, 1.0)])
-def test_scan_rejects_non_finite_numbers(search_range, monkeypatch):
-    monkeypatch.setattr(sweeps, "_rotation_counts", no_counts)
-    with pytest.raises(ValueError, match=r"search_range must be finite, got \("):
-        sweeps.run_scan(config.ExperimentConfig(), search_range, exact=False)
-
-
-def closed_form_probe(ta):
-    """Exact cancellation-branch observables -cos, -sin 2(ta - tb) as arrays."""
-    def probe(tbs):
-        z = np.exp(2j * (ta - tbs))
-        return measure.JointObservables(-z.real, -z.imag, np.zeros(tbs.size))
-    return probe
+@pytest.mark.parametrize("where", ["m_zz", "m_xz"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf], ids=["inf", "minus-inf"])
+def test_scan_rejects_infinite_observables(bad, where):
+    # an infinite entry makes the mean phasor infinite or NaN, which has no
+    # phase to read
+    with pytest.raises(ValueError, match="^the scan observables m_zz and m_xz "
+                                         "must be finite$"):
+        measure.scan_theta_a(sweeps._SCAN_GRID, *non_finite_observables(bad, where))
 
 
 def tie_probe(tbs):
@@ -1030,60 +1026,53 @@ def tie_probe(tbs):
     return measure.JointObservables(m_zz, np.zeros(tbs.size), np.zeros(tbs.size))
 
 
-def enumerated_representative(probe, search_range):
-    # the half phase of the mean phasor on the scan grid, then every
-    # representative theta + k pi inside the window and the one of least |.|
-    # (the first, so the lower k, on a tie), as the scan once did
-    grid = sweeps._SCAN_GRID
-    obs = probe(grid)
-    theta = 0.5 * float(np.angle(np.mean((-obs.m_zz - 1j * obs.m_xz) * np.exp(2j * grid))))
-    lo, hi = search_range
-    reps = theta + math.pi * np.arange(math.ceil((lo - theta) / math.pi),
-                                       math.floor((hi - theta) / math.pi) + 1)
-    return theta, float(reps[np.argmin(np.abs(reps))]) if reps.size else None
+def enumerated_representative(theta: float) -> float:
+    # every theta + k pi in exact rational arithmetic (|theta| < 60 here),
+    # the one in [-pi/2, pi/2), rounded once to a float
+    pi = Fraction(math.pi)
+    inside = [r for r in (Fraction(theta) + k * pi for k in range(-20, 21))
+              if -pi / 2 <= r < pi / 2]
+    assert len(inside) == 1
+    return float(inside[0])
+
+
+def scan_reading(theta: float, cfg: config.ExperimentConfig) -> float:
+    """run_scan's readout when scan_theta_a finds theta (radians)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweeps, "scan_theta_a", lambda grid, m_zz, m_xz: theta)
+        return sweeps.run_scan(cfg, exact=True)
+
+
+_HALF_TURN_EDGES = [edge for half in (math.pi / 2, -math.pi / 2)
+                    for edge in (half, math.nextafter(half, 0.0),
+                                 math.nextafter(half, 2.0 * half))]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(-12.0, 12.0), st.floats(0.01, 12.0), st.floats(-math.pi, math.pi))
-def test_scan_representative_matches_the_enumeration(lo, width, ta):
-    # the representative comes from the window's ends in O(1); it must be the
-    # one an enumeration of every representative in the window picks, bit for bit
-    probe, window = closed_form_probe(ta), (lo, lo + width)
-    _, expected = enumerated_representative(probe, window)
-    theta = scan(probe)
-    if expected is None:
-        with pytest.raises(ValueError, match="no anticorrelation optimum"):
-            sweeps._in_window(theta, *window)
-    else:
-        assert _bits(sweeps._in_window(theta, *window)) == _bits(expected)
+@given(st.one_of(st.floats(-math.pi / 2, math.pi / 2), st.sampled_from(_HALF_TURN_EDGES)),
+       st.tuples(*[st.one_of(st.floats(-12.0, 12.0), st.sampled_from(
+           [0.0, math.pi / 2, -math.pi, 3.0 * math.pi]))] * 3))
+def test_scan_representative_matches_the_enumeration(theta, offsets):
+    # the readout is the one theta_a + k pi in [-pi/2, pi/2), where theta_a
+    # is the scan's half phase with the offsets off; it must be the one an
+    # exact enumeration of the representatives picks, bit for bit
+    pbs_a, pbs_b, hwp = offsets
+    cfg = config.ExperimentConfig(pbs_a=pbs_a, pbs_b=pbs_b, hwp=hwp)
+    expected = enumerated_representative(sweeps._remove_offsets(cfg, "psi_minus", theta))
+    readout = scan_reading(theta, cfg)
+    assert -math.pi / 2 <= readout < math.pi / 2
+    assert _bits(readout) == _bits(expected)
 
 
-@pytest.mark.parametrize("search_range, expected", [
-    ((-2.0, 2.0), -math.pi / 2), ((-8.0, 8.0), -math.pi / 2),
-    ((0.0, 2.0), math.pi / 2), ((-1.0, 8.0), math.pi / 2),
-    ((-2.0, 1.0), -math.pi / 2), ((-8.0, 0.0), -math.pi / 2)])
-def test_scan_tie_between_two_representatives(search_range, expected):
-    # at theta = pi/2, -pi/2 and pi/2 lie equally near 0: the lower one wins
-    theta, enumerated = enumerated_representative(tie_probe, search_range)
-    assert theta == math.pi / 2
-    assert scan(tie_probe) == theta
-    result = sweeps._in_window(scan(tie_probe), *search_range)
-    assert _bits(result) == _bits(enumerated) == _bits(expected)
-
-
-def test_scan_window_search_memory_does_not_grow_with_the_window():
-    # a (-5e6, 5e6) rad window holds 3.2 million representatives, which the
-    # scan once built as arrays (a 49 MiB peak)
-    import tracemalloc
-    tracemalloc.start()
-    try:
-        window = (-5e6, 5e6)
-        theta = sweeps._in_window(scan(closed_form_probe(0.3)), *window)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert abs(theta - 0.3) < 1e-6
-    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+@pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2], ids=["plus", "minus"])
+def test_scan_tie_between_two_representatives(theta):
+    # at theta = pi/2, -pi/2 and pi/2 lie equally near 0: both read -pi/2,
+    # the closed end of the window, as an analyzer angle of 90 deg reads -90
+    assert scan(tie_probe) == math.pi / 2
+    cfg = zero_offset_config()
+    assert sweeps._remove_offsets(cfg, "psi_minus", theta) == theta
+    result = scan_reading(theta, cfg)
+    assert _bits(result) == _bits(enumerated_representative(theta)) == _bits(-math.pi / 2)
 
 
 # --------------------------------------------------------------------- CHSH
