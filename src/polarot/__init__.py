@@ -7,11 +7,10 @@ __version__ = "0.1.0"
 
 from .channels import apply_noise, rotate_arm
 from .config import ExperimentConfig, config_hash, load_config, loads_config
-from .measure import (CoincidenceTable, Detection, JointObservables,
-                      chsh_from_counts, estimate_observables,
-                      exact_observables, exact_table, extract_thetas,
-                      outcome_probabilities, parse_setting, read_table,
-                      rotation_from_observables, scan_theta_a,
+from .measure import (CoincidenceTable, Detection, chsh_from_counts,
+                      estimate_observables, exact_observables, exact_table,
+                      extract_thetas, outcome_probabilities, parse_setting,
+                      read_table, rotation_from_observables, scan_theta_a,
                       simulate_counts, write_table)
 from .metrology import probe_state, qfi, variance_scaling
 from .states import (BELL_KINDS, bell_state, cosine_similarity, fidelity, ket,

@@ -25,9 +25,9 @@ from . import __version__
 from .channels import apply_noise, rotate_arm
 from .config import ACCEPTS, check_reads, load_config
 from .csvfile import read_labeled, unsigned_zeros, write_csv
-from .measure import (Detection, JointObservables, chsh_from_counts, estimate_observables,
-                      exact_observables, exact_table, extract_thetas, read_table,
-                      simulate_counts, write_table)
+from .measure import (Detection, chsh_from_counts, estimate_observables, exact_observables,
+                      exact_table, extract_thetas, read_table, simulate_counts,
+                      write_table)
 from .metrology import qfi, variance_scaling
 from .states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, bell_state, fidelity, ket,
                      maximally_mixed, save_state, separable_state, validate_state)
@@ -82,24 +82,19 @@ def _cmd_simulate(args) -> tuple:
             {args.out: lambda path: write_table(table, path)})
 
 
-def _write_observables(path: Path, obs: JointObservables) -> None:
-    write_csv(path, (), _OBSERVABLES_HEADER,
-              ([name, f"{getattr(obs, name):.17g}",
-                f"{getattr(obs, 'sigma_' + name[2:]):.17g}"]
-               for name in _OBSERVABLES))
-
-
-def _read_observables(path) -> JointObservables:
+def _read_observables(path) -> np.ndarray:
+    # the M_zz, M_xz, M_zx values; read_labeled checks the sigma column too
     _, values = read_labeled(path, _OBSERVABLES_HEADER, _OBSERVABLES, "observable",
                              f"observable of {_OBSERVABLES}")
-    return JointObservables(*(row[0] for row in values), *(row[1] for row in values))
+    return np.array([row[0] for row in values])
 
 
 def _cmd_observables(args) -> tuple:
-    obs = estimate_observables(read_table(args.table))
-    lines = [f"{name} = {getattr(obs, name):+.9f} +- "
-             f"{getattr(obs, 'sigma_' + name[2:]):.9f}" for name in _OBSERVABLES]
-    return 0, lines, {args.out: lambda path: _write_observables(path, obs)}
+    rows = list(zip(_OBSERVABLES, *estimate_observables(read_table(args.table))))
+    lines = [f"{name} = {m:+.9f} +- {sigma:.9f}" for name, m, sigma in rows]
+    return 0, lines, {args.out: lambda path: write_csv(
+        path, (), _OBSERVABLES_HEADER,
+        ([name, f"{m:.17g}", f"{sigma:.17g}"] for name, m, sigma in rows))}
 
 
 def _cmd_extract(args) -> tuple:
@@ -205,11 +200,11 @@ def _verify_checks():
 
     def joint_observable_closed_forms():
         ta, tb = np.random.default_rng(3).uniform(-np.pi, np.pi, (200, 2)).T
-        obs = exact_observables(evolve(ta, tb))
+        m_zz, m_xz, m_zx = np.moveaxis(exact_observables(evolve(ta, tb)), -1, 0)
         tpm = ta + signs * tb
-        worst = max(np.abs(obs.m_zz + np.cos(2 * tpm)).max(),
-                    np.abs(obs.m_xz + np.sin(2 * tpm)).max(),
-                    np.abs(obs.m_xz - signs * obs.m_zx).max())
+        worst = max(np.abs(m_zz + np.cos(2 * tpm)).max(),
+                    np.abs(m_xz + np.sin(2 * tpm)).max(),
+                    np.abs(m_xz - signs * m_zx).max())
         return worst <= 1e-12, f"max deviation {worst:.2e}"
 
     def separable_contrast_amplitude():
@@ -218,16 +213,15 @@ def _verify_checks():
         ta = np.linspace(-np.pi / 2, np.pi / 2, 19)[:, None]
         rho = rotate_arm(rotate_arm(separable_state(ket("H"), ket("V")), ta, 0),
                          np.linspace(-np.pi, np.pi, 73), 1)
-        swing = np.abs(exact_observables(rho).m_zz).max(axis=-1)
+        swing = np.abs(exact_observables(rho)[..., 0]).max(axis=-1)
         worst = np.abs(swing - np.abs(np.cos(2 * ta[:, 0]))).max()
         return worst <= 1e-12, f"amplitude deviation {worst:.2e}"
 
     def extraction_round_trip():
         angles = np.radians(np.linspace(-44, 44, 12))
         ta, tb = np.meshgrid(angles, angles)
-        obs_p = JointObservables(-np.cos(2 * (ta + tb)), -np.sin(2 * (ta + tb)), 0.0)
-        obs_m = JointObservables(-np.cos(2 * (ta - tb)), -np.sin(2 * (ta - tb)), 0.0)
-        ta_hat, tb_hat = extract_thetas(obs_p, obs_m)
+        ta_hat, tb_hat = extract_thetas(*(np.stack((-np.cos(2 * t), -np.sin(2 * t)), -1)
+                                          for t in (ta + tb, ta - tb)))
         worst = max(np.abs(ta_hat - ta).max(), np.abs(tb_hat - tb).max())
         return worst <= 1e-9, f"max angle error {worst:.2e} rad"
 

@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"[statistics] seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"[noise] visibility must be in [0, 1], got {self.visibility}")
+        if self.sweep_values and self.sweep_variable is None:
+            raise ValueError("[sweep] section needs a 'variable' key")
         if self.sweep_variable is not None:
             if self.sweep_variable not in SWEEP_VARIABLES:
                 raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, "
@@ -287,10 +289,8 @@ def _parse_arm(sec: dict, name: str) -> tuple[ArmConfig, float]:
     return arm, transmission
 
 
-def _parse_sweep(sec: dict) -> tuple[str, tuple]:
-    variable = sec.get("variable")
-    if variable is None:
-        raise ValueError("[sweep] section needs a 'variable' key")
+def _parse_sweep(sec: dict) -> tuple[str | None, tuple]:
+    variable = sec.get("variable")  # ExperimentConfig rejects values without one
     has_values = "values" in sec
     has_range = "start" in sec or "stop" in sec or "count" in sec
     if has_values == has_range:

@@ -24,7 +24,7 @@ from .csvfile import read_csv, row_floats, write_csv
 from .states import ket, validate_state
 
 __all__ = [
-    "parse_setting", "NAMED_PAIRS", "JointObservables", "CoincidenceTable",
+    "parse_setting", "NAMED_PAIRS", "CoincidenceTable",
     "Detection", "projector_tensor", "outcome_probabilities",
     "exact_observables", "simulate_counts", "exact_table",
     "estimate_correlation", "estimate_observables",
@@ -114,22 +114,6 @@ NAMED_PAIRS = (("Z", "Z"), ("X", "Z"), ("Z", "X"))
 _NAMED_PROJECTORS = projector_tensor(NAMED_PAIRS)
 
 
-@dataclass(frozen=True)
-class JointObservables:
-    """Two-photon correlation values for the (z,z), (x,z) and (z,x)
-    operator pairs, with one statistical sigma per entry (an exact table's
-    are those of its count budget; exact_observables gives zero). Fields
-    are floats for one state, or arrays with one entry per state for a
-    stack (exact_observables of a stack); the readout functions take either."""
-
-    m_zz: float | np.ndarray
-    m_xz: float | np.ndarray
-    m_zx: float | np.ndarray
-    sigma_zz: float | np.ndarray = 0.0
-    sigma_xz: float | np.ndarray = 0.0
-    sigma_zx: float | np.ndarray = 0.0
-
-
 @dataclass
 class CoincidenceTable:
     """Coincidence counts per joint analyzer setting.
@@ -183,12 +167,11 @@ def _correlations(probs: np.ndarray) -> np.ndarray:
     return probs[..., 0] - probs[..., 1] - probs[..., 2] + probs[..., 3]
 
 
-def exact_observables(rho: np.ndarray) -> JointObservables:
-    """Born-rule joint observables of a state, with zero sigmas: the
-    correlations of the named (Z,Z), (X,Z), (Z,X) analyzer pairs. Floats
-    for one state, arrays with one entry per state for a (..., 4, 4) stack."""
-    m = _correlations(outcome_probabilities(rho, _NAMED_PROJECTORS))
-    return JointObservables(*(map(float, m) if m.ndim == 1 else np.moveaxis(m, -1, 0)))
+def exact_observables(rho: np.ndarray) -> np.ndarray:
+    """Born-rule joint observables of a state: the correlations M_zz, M_xz
+    and M_zx of the named (Z,Z), (X,Z), (Z,X) analyzer pairs on the last
+    axis, shape (3,) for one state and (..., 3) for a (..., 4, 4) stack."""
+    return _correlations(outcome_probabilities(rho, _NAMED_PROJECTORS))
 
 
 @dataclass(frozen=True)
@@ -288,11 +271,11 @@ def _rows_for_pair(table: CoincidenceTable, id_a: str, id_b: str) -> np.ndarray:
     return counts
 
 
-def estimate_observables(table: CoincidenceTable) -> JointObservables:
+def estimate_observables(table: CoincidenceTable):
     """Estimate the (z,z), (x,z), (z,x) correlations from a coincidence
-    table containing the named basis pairs (Z,Z), (X,Z) and (Z,X)."""
-    m, sigma = estimate_correlation([_rows_for_pair(table, a, b) for a, b in NAMED_PAIRS])
-    return JointObservables(*m.tolist(), *sigma.tolist())
+    table containing the named basis pairs (Z,Z), (X,Z) and (Z,X): the
+    estimates and their standard errors, two (3,) arrays in NAMED_PAIRS order."""
+    return estimate_correlation([_rows_for_pair(table, a, b) for a, b in NAMED_PAIRS])
 
 
 def rotation_from_observables(m_zz: float, m_xz: float,
@@ -314,10 +297,10 @@ def rotation_from_observables(m_zz: float, m_xz: float,
     return (float(theta), float(sigma)) if sigma.ndim == 0 else (theta, sigma)
 
 
-def extract_thetas(obs_plus: JointObservables,
-                   obs_minus: JointObservables) -> tuple[float, float]:
+def extract_thetas(m_plus, m_minus) -> tuple[float, float]:
     """Recover both local rotation angles from the joint observables of the
-    addition- and cancellation-branch states.
+    addition- and cancellation-branch states: arrays whose last axis holds
+    M_zz, M_xz and optionally M_zx (NAMED_PAIRS order; M_zx is not read).
 
     The branch rotations (rotation_from_observables) are theta_a + theta_b
     in the addition branch and theta_a - theta_b in the cancellation
@@ -325,10 +308,11 @@ def extract_thetas(obs_plus: JointObservables,
     half-difference modulo pi/2 (_local_angles). The readout is
     single-valued for angles within the +-pi/4 window; outside it the
     result wraps by pi/2 (use scan_theta_a first when the prior is wider).
-    Elementwise (floats or arrays); a branch factor -m_zz - i m_xz whose
-    modulus is below MODULUS_FLOOR raises, naming its index.
+    Two floats for one pair of (3,) arrays, two arrays for stacks; a branch
+    factor -m_zz - i m_xz whose modulus is below MODULUS_FLOOR raises,
+    naming its index.
     """
-    branches = ((obs_plus.m_zz, obs_plus.m_xz), (obs_minus.m_zz, obs_minus.m_xz))
+    branches = [(m[..., 0], m[..., 1]) for m in map(np.asarray, (m_plus, m_minus))]
     _check_factors(("psi_plus", "psi_minus"), branches)
     return _local_angles(*(rotation_from_observables(*b)[0] for b in branches))
 

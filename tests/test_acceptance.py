@@ -65,10 +65,10 @@ def test_criterion_1_closed_forms_exact_mode():
                 rho = evolved_bell(kind, ta, tb)
                 table = measure.exact_table(rho, named_settings(),
                                             measure.Detection(1e5, 1.0))
-                obs = measure.estimate_observables(table)
+                (m_zz, m_xz, _), _ = measure.estimate_observables(table)
                 tpm = ta + sign * tb
-                worst = max(worst, abs(obs.m_zz + math.cos(2 * tpm)),
-                            abs(obs.m_xz + math.sin(2 * tpm)))
+                worst = max(worst, abs(m_zz + math.cos(2 * tpm)),
+                            abs(m_xz + math.sin(2 * tpm)))
     elapsed = time.monotonic() - start
     report("criterion 1 (closed forms, exact mode)",
            worst <= 1e-12 and elapsed < 1.0,
@@ -282,7 +282,7 @@ def test_criterion_6_separable_contrast():
     for ta_deg in (0.0, 10.0, 20.0, 30.0, 40.0, 70.0):
         ta = math.radians(ta_deg)
         # full-swing reference: the entangled curve peaks at |m_zz| = 1
-        peak = measure.exact_observables(evolved_bell("psi_minus", ta, ta)).m_zz
+        peak = measure.exact_observables(evolved_bell("psi_minus", ta, ta))[0]
         worst = max(worst, abs(peak + 1.0))
         # separable amplitude: the theta_b swing peaks at cos(2 theta_b) = +-1
         amplitudes = []
@@ -299,7 +299,7 @@ def test_criterion_6_separable_contrast():
         product = states.separable_state(states.ket("H"), states.ket("V"))
         rho = channels.rotate_arm(channels.rotate_arm(product, ta, 0),
                                   np.linspace(-math.pi, math.pi, 37), 1)
-        for m_zz in measure.exact_observables(rho).m_zz:
+        for m_zz in measure.exact_observables(rho)[:, 0]:
             if abs(m_zz) > abs(math.cos(2 * ta)) + 1e-12:
                 worst = max(worst, abs(m_zz) - abs(math.cos(2 * ta)))
     report("criterion 6 (separable contrast reduced by cos 2 theta_a)",

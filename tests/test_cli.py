@@ -1468,6 +1468,38 @@ def test_verify_fails_on_a_broken_rotation_kernel(monkeypatch, capsys, check, br
     assert report[check] == "FAIL"
 
 
+EXACT_OBSERVABLES = cli.exact_observables
+
+
+def zx_flipped_observables(rho):
+    return EXACT_OBSERVABLES(rho) * np.array([1.0, 1.0, -1.0])
+
+
+def narrow_window_extraction(m_plus, m_minus):
+    # wraps both angles into +-43.5 deg, a quarter turn of 87 deg, instead of
+    # +-45 deg; the round-trip grid ends at +-44 deg
+    thetas = (measure.rotation_from_observables(m[..., 0], m[..., 1])[0]
+              for m in (m_plus, m_minus))
+    return measure._local_angles(*thetas, quarter_turn=math.radians(87.0))
+
+
+# each check that reads the correlation arrays fails alone when its reading
+# is broken: the M_zx column, and the window of the extraction
+@pytest.mark.parametrize("name, broken, check, detail", [
+    ("exact_observables", zx_flipped_observables, "joint-observable-closed-forms",
+     "max deviation 2.00e+00"),
+    ("extract_thetas", narrow_window_extraction, "extraction-round-trip",
+     "max angle error 1.52e+00 rad"),
+], ids=["m-zx-flipped", "window-narrowed"])
+def test_verify_fails_on_a_broken_readout(monkeypatch, capsys, name, broken, check, detail):
+    monkeypatch.setattr(cli, name, broken)
+    assert main(["verify"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in lines] == [
+        f"{'FAIL' if c == check else 'ok'}: {c}" for c in VERIFY_CHECKS]
+    assert f"FAIL: {check} ({detail})" in lines
+
+
 def test_cli_import_loads_no_scipy():
     # the runtime needs numpy only; scipy is a test dependency
     code = ("import sys, polarot.cli; print(sorted(m for m in sys.modules "

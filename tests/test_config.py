@@ -165,6 +165,25 @@ def test_a_sweep_above_the_point_limit_does_not_build():
         config.ExperimentConfig(sweep_variable="theta_b", sweep_values=values)
 
 
+def test_sweep_values_without_a_variable_do_not_build():
+    # no run reads sweep values without a variable and no config file can
+    # produce them, so they must not make a config that hashes apart
+    with pytest.raises(ValueError, match="^\\[sweep\\] section needs a 'variable' key$"):
+        config.ExperimentConfig(sweep_values=(1.0, 2.0))
+    assert config.ExperimentConfig(sweep_values=()) == config.ExperimentConfig()
+
+
+def test_a_sweep_section_without_variable_or_values_names_the_values():
+    # the values or range are parsed first, then the config checks the variable
+    text = (GOLDEN_INPUTS / "sweep_theta.ini").read_text(encoding="utf-8")
+    head = text[:text.index("[sweep]")] + "[sweep]\n"
+    with pytest.raises(ValueError, match="^\\[sweep\\] needs either 'values' or "
+                                         "'start/stop/count'$"):
+        config.loads_config(head)
+    with pytest.raises(ValueError, match="^\\[sweep\\] section needs a 'variable' key$"):
+        config.loads_config(head + "values = 1, 2\n")
+
+
 # another accepted value of each field of ExperimentConfig, ArmConfig and
 # Detection, by name; a field added later fails the walk below until it is listed
 OTHER_VALUE = {

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarot import cli, measure, sweeps, tomography
-from polarot.csvfile import read_csv, unsigned_zeros, write_csv
+from polarot.csvfile import read_csv, read_labeled, unsigned_zeros, write_csv
 
 # text that survives a line-oriented format: no line breaks, no surrounding
 # whitespace, and (for cells) no comma
@@ -134,9 +134,15 @@ def test_tomo_counts_round_trip_any_row_order(path, counts, metadata, order):
 @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                        min_size=6, max_size=6))
 def test_observables_round_trip(path, values):
-    obs = measure.JointObservables(*values)
-    cli._write_observables(path, obs)
-    assert cli._read_observables(path) == obs
+    # the file `polarot observables --out` writes reads back both columns
+    m, sigma = np.array(values[:3]), np.array(values[3:])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "read_table", lambda table_path: None)
+        patch.setattr(cli, "estimate_observables", lambda table: (m, sigma))
+        assert cli.main(["observables", "--table", "unread", "--out", str(path)]) == 0
+    _, rows = read_labeled(path, cli._OBSERVABLES_HEADER, cli._OBSERVABLES, "observable", "")
+    assert rows == np.stack((m, sigma), -1).tolist()
+    assert np.array_equal(cli._read_observables(path), m)
 
 
 TABLE_HEADER = "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm\n"

@@ -381,14 +381,14 @@ def test_joint_expectation_examples():
     # equal rotations leave the cancellation branch fully anticorrelated
     for theta in (0.0, 0.4, -1.1):
         rho = evolved_bell("psi_minus", theta, theta)
-        assert abs(measure.exact_observables(rho).m_zz + 1.0) < 1e-12
+        assert abs(measure.exact_observables(rho)[0] + 1.0) < 1e-12
     # oracle: full matrix evaluation of Tr[rho sz x sz]
     rho = evolved_bell("psi_plus", math.radians(20), math.radians(10))
     oracle = float(np.trace(rho @ np.kron(states.PAULI_Z, states.PAULI_Z)).real)
     assert abs(oracle - (-0.5)) < 1e-12
-    assert abs(measure.exact_observables(rho).m_zz - oracle) < 1e-12
+    assert abs(measure.exact_observables(rho)[0] - oracle) < 1e-12
     rho = evolved_bell("psi_minus", math.radians(20), math.radians(10))
-    m_xz = measure.exact_observables(rho).m_xz
+    m_xz = measure.exact_observables(rho)[1]
     assert abs(m_xz - (-math.sin(math.radians(20)))) < 1e-12
 
 
@@ -397,11 +397,11 @@ def test_closed_forms_random_angles():
     for _ in range(200):
         ta, tb = rng.uniform(-math.pi, math.pi, 2)
         kind, sign = ("psi_plus", 1.0) if rng.random() < 0.5 else ("psi_minus", -1.0)
-        obs = measure.exact_observables(evolved_bell(kind, ta, tb))
+        m_zz, m_xz, m_zx = measure.exact_observables(evolved_bell(kind, ta, tb))
         tpm = ta + sign * tb
-        assert abs(obs.m_zz + math.cos(2 * tpm)) < 1e-12
-        assert abs(obs.m_xz + math.sin(2 * tpm)) < 1e-12
-        assert abs(obs.m_xz - sign * obs.m_zx) < 1e-12
+        assert abs(m_zz + math.cos(2 * tpm)) < 1e-12
+        assert abs(m_xz + math.sin(2 * tpm)) < 1e-12
+        assert abs(m_xz - sign * m_zx) < 1e-12
 
 
 def test_exact_observables_stack_equals_its_members():
@@ -409,16 +409,14 @@ def test_exact_observables_stack_equals_its_members():
     angles = ((0.3, -0.7), (1.1, 0.2), (-2.5, 2.9))
     stack = np.array([[evolved_bell(kind, ta, tb, visibility=0.8) for ta, tb in angles]
                       for kind in ("psi_plus", "psi_minus")])
+    # the last axis holds M_zz, M_xz, M_zx, and no sigmas
     obs = measure.exact_observables(stack)
-    for name in ("m_zz", "m_xz", "m_zx"):
-        assert getattr(obs, name).shape == (2, 3)
+    assert obs.shape == (2, 3, 3) and obs.dtype == float
     for idx in np.ndindex(2, 3):
         single = measure.exact_observables(stack[idx])
-        for name in ("m_zz", "m_xz", "m_zx"):
-            value = getattr(single, name)
-            assert type(value) is float
-            assert getattr(obs, name)[idx] == value, (idx, name)
-        assert (single.sigma_zz, single.sigma_xz, single.sigma_zx) == (0.0, 0.0, 0.0)
+        assert single.shape == (3,) and single.dtype == float
+        for k in range(3):
+            assert obs[idx][k] == single[k], (idx, k)
 
 
 def test_entangled_extrema_full_swing():
@@ -426,9 +424,9 @@ def test_entangled_extrema_full_swing():
     # (at theta_b = -+theta_a) and never exceeds them
     for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
         for ta in (0.3, -0.9, 1.2):
-            peak = measure.exact_observables(evolved_bell(kind, ta, -sign * ta)).m_zz
+            peak = measure.exact_observables(evolved_bell(kind, ta, -sign * ta))[0]
             assert abs(peak + 1.0) < 1e-12
-            values = [measure.exact_observables(evolved_bell(kind, ta, tb)).m_zz
+            values = [measure.exact_observables(evolved_bell(kind, ta, tb))[0]
                       for tb in np.linspace(-math.pi / 2, math.pi / 2, 61)]
             assert max(np.abs(values)) <= 1.0 + 1e-12
 
@@ -452,34 +450,33 @@ def test_separable_expectations_against_born_oracle():
         rho = rotate_locally(
             states.separable_state(states.ket("H"), states.ket("V")),
             jones.rotation_unitary(ta), jones.rotation_unitary(tb))
-        obs = separable_observables(ta, tb)
+        m_zz, m_xz, m_zx = separable_observables(ta, tb)
         ca, sa = math.cos(2.0 * ta), math.sin(2.0 * ta)
         cb, sb = math.cos(2.0 * tb), math.sin(2.0 * tb)
-        for (a, b), value, closed in ((("Z", "Z"), obs.m_zz, -ca * cb),
-                                      (("X", "Z"), obs.m_xz, -sa * cb),
-                                      (("Z", "X"), obs.m_zx, -ca * sb)):
+        for (a, b), value, closed in ((("Z", "Z"), m_zz, -ca * cb),
+                                      (("X", "Z"), m_xz, -sa * cb),
+                                      (("Z", "X"), m_zx, -ca * sb)):
             p = born_probabilities(rho, a, b)
             assert abs((p[0] - p[1] - p[2] + p[3]) - value) < 1e-12
             assert abs(closed - value) < 1e-12
 
 
 def test_separable_expectation_values():
-    obs = separable_observables(0.0, 0.0)
-    assert abs(abs(obs.m_zz) - 1.0) < 1e-15
-    assert abs(obs.m_xz) < 1e-15
-    obs = separable_observables(math.radians(22.5), 0.0)
-    assert abs(abs(obs.m_zz) - math.sqrt(2) / 2) < 1e-12
-    assert abs(obs.m_xz + math.sqrt(2) / 2) < 1e-12
+    m_zz, m_xz, _ = separable_observables(0.0, 0.0)
+    assert abs(abs(m_zz) - 1.0) < 1e-15
+    assert abs(m_xz) < 1e-15
+    m_zz, m_xz, _ = separable_observables(math.radians(22.5), 0.0)
+    assert abs(abs(m_zz) - math.sqrt(2) / 2) < 1e-12
+    assert abs(m_xz + math.sqrt(2) / 2) < 1e-12
     for ta in np.linspace(-1.5, 1.5, 7):
-        assert abs(separable_observables(ta, math.radians(45)).m_zz) < 1e-12
+        assert abs(separable_observables(ta, math.radians(45))[0]) < 1e-12
 
 
 def test_separable_amplitude_bounded_by_cosine():
     rng = np.random.default_rng(4)
     for _ in range(100):
         ta, tb = rng.uniform(-math.pi, math.pi, 2)
-        obs = separable_observables(ta, tb)
-        assert abs(obs.m_zz) <= abs(math.cos(2 * tb)) + 1e-12
+        assert abs(separable_observables(ta, tb)[0]) <= abs(math.cos(2 * tb)) + 1e-12
 
 
 # ------------------------------------------------------------- Monte Carlo
@@ -663,7 +660,7 @@ _WINDOW_ANGLE = st.floats(-math.pi / 4 + 1e-6, math.pi / 4 - 1e-6)
 @given(theta_a=_WINDOW_ANGLE, theta_b=_WINDOW_ANGLE)
 def test_extract_thetas_round_trip_in_window(theta_a, theta_b):
     def branch(angle):
-        return measure.JointObservables(-math.cos(2 * angle), -math.sin(2 * angle), 0.0)
+        return np.array([-math.cos(2 * angle), -math.sin(2 * angle)])
     ta_hat, tb_hat = measure.extract_thetas(branch(theta_a + theta_b),
                                             branch(theta_a - theta_b))
     assert abs(ta_hat - theta_a) <= 1e-9 and abs(tb_hat - theta_b) <= 1e-9
@@ -673,9 +670,9 @@ def test_estimate_observables_statistical():
     rho = evolved_bell("psi_plus", math.radians(20), math.radians(10))
     table = measure.simulate_counts(rho, make_named_settings(),
                                     measure.Detection(1e5, 1.0), seed=19)
-    obs = measure.estimate_observables(table)
-    assert abs(obs.m_zz - (-0.5)) <= 3.0 * obs.sigma_zz
-    assert abs(obs.m_xz - (-math.sin(math.radians(60)))) <= 3.0 * obs.sigma_xz
+    m, sigma = measure.estimate_observables(table)
+    assert abs(m[0] - (-0.5)) <= 3.0 * sigma[0]
+    assert abs(m[1] - (-math.sin(math.radians(60)))) <= 3.0 * sigma[1]
 
 
 PULL_TABLES = 2000
@@ -705,19 +702,16 @@ def test_estimate_observables_sigma_pulls(accidental_fraction):
     # sweeps run on the stack of tables
     rho = evolved_bell("psi_minus", math.radians(20), math.radians(-5), 0.9)
     detection = measure.Detection(1e5, 1.0, accidental_fraction=accidental_fraction)
-    exact = measure.estimate_observables(
+    exact, _ = measure.estimate_observables(
         measure.exact_table(rho, make_named_settings(), detection))
     counts = repeated_counts(rho, make_named_settings(), detection, seed=41)
     m, sigma = measure.estimate_correlation(counts)
-    obs = measure.JointObservables(*np.moveaxis(m, -1, 0), *np.moveaxis(sigma, -1, 0))
     # the table door reads the same values from one table
     single = measure.estimate_observables(
         measure.CoincidenceTable(make_named_settings(), counts[7]))
-    assert dataclasses.astuple(single) == tuple(v[7] for v in dataclasses.astuple(obs))
-    for name in ("zz", "xz", "zx"):
-        pulls = ((getattr(obs, "m_" + name) - getattr(exact, "m_" + name))
-                 / getattr(obs, "sigma_" + name))
-        assert_standard_normal(pulls, name)
+    assert np.array_equal(single, (m[7], sigma[7]))
+    for k, name in enumerate(("zz", "xz", "zx")):
+        assert_standard_normal((m[:, k] - exact[k]) / sigma[:, k], name)
 
 
 def test_estimate_observables_missing_pair():
@@ -730,9 +724,9 @@ def test_exact_mode_estimation_reproduces_closed_forms():
     ta, tb = math.radians(20), math.radians(10)
     rho = evolved_bell("psi_plus", ta, tb)
     table = measure.exact_table(rho, make_named_settings(), measure.Detection(1e5, 1.0))
-    obs = measure.estimate_observables(table)
-    assert abs(obs.m_zz + math.cos(2 * (ta + tb))) < 1e-12
-    assert abs(obs.m_xz + math.sin(2 * (ta + tb))) < 1e-12
+    m, _ = measure.estimate_observables(table)
+    assert abs(m[0] + math.cos(2 * (ta + tb))) < 1e-12
+    assert abs(m[1] + math.sin(2 * (ta + tb))) < 1e-12
 
 
 def test_rotation_from_observables():
@@ -746,7 +740,7 @@ def test_rotation_from_observables():
 # --------------------------------------------------------------- extraction
 
 def test_extract_thetas_trivial():
-    obs = measure.JointObservables(-1.0, 0.0, 0.0)
+    obs = np.array([-1.0, 0.0, 0.0])
     ta, tb = measure.extract_thetas(obs, obs)
     assert abs(ta) < 1e-15 and abs(tb) < 1e-15
 
@@ -774,7 +768,7 @@ def test_extract_thetas_branch_wrap_outside_window():
 
 
 def test_extract_thetas_ill_conditioned():
-    obs = measure.JointObservables(0.0, 0.0, 0.0)
+    obs = np.zeros(3)
     with pytest.raises(ValueError, match="ill-conditioned"):
         measure.extract_thetas(obs, obs)
 
@@ -811,13 +805,12 @@ def test_readout_stack_equals_scalar_calls():
                             + (0.5 * m_zz / r2) ** 2 * s_xz ** 2)
             assert abs(s - ref) <= 1e-15 * ref
 
-    plus = measure.JointObservables(m[0, 4:], m[1, 4:], 0.0)
-    minus = measure.JointObservables(m[2, 4:], m[3, 4:], 0.0)
+    # each branch as (member, (m_zz, m_xz)) rows
+    plus, minus = m[:2, 4:].T, m[2:, 4:].T
     theta_a, theta_b = measure.extract_thetas(plus, minus)
     scalar = []
     for args in zip(*m[:, 4:].tolist()):
-        one = measure.extract_thetas(measure.JointObservables(*args[:2], 0.0),
-                                     measure.JointObservables(*args[2:], 0.0))
+        one = measure.extract_thetas(np.array(args[:2]), np.array(args[2:]))
         scalar.append(one)
         # the half-sum and half-difference of the branch rotations, wrapped
         # into the +-45 deg window, in Python floats
@@ -830,16 +823,15 @@ def test_readout_stack_equals_scalar_calls():
     # the m_zz = m_xz = 0 members make the whole stack ill-conditioned,
     # and the error names the first of them
     with pytest.raises(ValueError, match=r"ill-conditioned at stack index \(0,\)"):
-        measure.extract_thetas(measure.JointObservables(m[0], m[1], 0.0),
-                               measure.JointObservables(m[2], m[3], 0.0))
+        measure.extract_thetas(m[:2].T, m[2:].T)
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 def test_extract_thetas_names_the_ill_conditioned_member(branch):
     m_zz = np.full((2, 3), -1.0)
     m_zz[1, 2] = 0.0
-    good = measure.JointObservables(np.full((2, 3), -1.0), np.zeros((2, 3)), 0.0)
-    bad = measure.JointObservables(m_zz, np.zeros((2, 3)), 0.0)
+    good = np.stack((np.full((2, 3), -1.0), np.zeros((2, 3))), -1)
+    bad = np.stack((m_zz, np.zeros((2, 3))), -1)
     obs = (bad, good) if branch == "plus" else (good, bad)
     with pytest.raises(ValueError, match=rf"ill-conditioned at stack index \(1, 2\): "
                                          rf"\|{branch}-branch factor\| = 0 < 1e-06"):
@@ -851,8 +843,8 @@ def test_extract_thetas_rejects_a_zero_factor(branch):
     # a zero factor has no phase: at floor 0 it gave nan angles with warnings
     m_zz = np.full(4, -1.0)
     m_zz[2] = 0.0
-    good = measure.JointObservables(np.full(4, -1.0), np.zeros(4), 0.0)
-    bad = measure.JointObservables(m_zz, np.zeros(4), 0.0)
+    good = np.stack((np.full(4, -1.0), np.zeros(4)), -1)
+    bad = np.stack((m_zz, np.zeros(4)), -1)
     obs = (bad, good) if branch == "plus" else (good, bad)
     with pytest.raises(ValueError, match=rf"ill-conditioned at stack index \(2,\): "
                                          rf"\|{branch}-branch factor\| = 0 < 1e-06"):
@@ -861,23 +853,18 @@ def test_extract_thetas_rejects_a_zero_factor(branch):
 
 # --------------------------------------------------------------------- scan
 
-def stacked(observables):
-    """One JointObservables of arrays from a list of single-state ones."""
-    columns = zip(*(dataclasses.astuple(obs) for obs in observables))
-    return measure.JointObservables(*(np.array(column) for column in columns))
-
-
 def exact_probe(ta):
     def probe(tbs):
-        return stacked([measure.exact_observables(evolved_bell("psi_minus", ta, tb))
-                        for tb in tbs])
+        return np.array([measure.exact_observables(evolved_bell("psi_minus", ta, tb))
+                         for tb in tbs])
     return probe
 
 
 def scan(probe, grid=sweeps._SCAN_GRID):
-    """scan_theta_a on the observables `probe` gives at the grid angles."""
-    obs = probe(grid)
-    return measure.scan_theta_a(grid, obs.m_zz, obs.m_xz)
+    """scan_theta_a on the observables `probe` gives at the grid angles, a
+    (grid angle, (m_zz, m_xz, m_zx)) array."""
+    m_zz, m_xz, _ = np.moveaxis(probe(grid), -1, 0)
+    return measure.scan_theta_a(grid, m_zz, m_xz)
 
 
 def test_scan_exact_zero():
@@ -926,15 +913,15 @@ def test_scan_noisy_repeatability():
                     entropy=1000 + rep, spawn_key=(calls[0],)).generate_state(1)[0])
                 table = measure.simulate_counts(rho, make_named_settings(),
                                                 measure.Detection(1e5, 1.0), seed=seed)
-                observables.append(measure.estimate_observables(table))
-            return stacked(observables)
+                observables.append(measure.estimate_observables(table)[0])
+            return np.array(observables)
 
         assert abs(scan(probe) - ta) < math.radians(0.5)
 
 
 def mixed_probe(tbs):
-    return stacked([measure.exact_observables(states.maximally_mixed())
-                    for _ in tbs])
+    return np.array([measure.exact_observables(states.maximally_mixed())
+                     for _ in tbs])
 
 
 def test_scan_flat_response_rejected():
@@ -975,9 +962,9 @@ def test_scan_narrow_grid_returns_truth():
 
 
 def test_scan_rejects_observables_without_one_value_per_angle():
-    obs = measure.exact_observables(evolved_bell("psi_minus", 0.3, 0.0))
+    m_zz, m_xz, _ = measure.exact_observables(evolved_bell("psi_minus", 0.3, 0.0))
     with pytest.raises(ValueError, match="one m_zz and m_xz per grid angle"):
-        measure.scan_theta_a(np.linspace(-1.0, 1.0, 21), obs.m_zz, obs.m_xz)
+        measure.scan_theta_a(np.linspace(-1.0, 1.0, 21), m_zz, m_xz)
 
 
 @pytest.mark.parametrize("grid", [[], [0.0, math.inf], [math.nan, 1.0]],
@@ -1023,7 +1010,7 @@ def tie_probe(tbs):
     # 1) and 0 elsewhere: the mean phasor is real and negative with a +0
     # imaginary part, so the scan reads theta = pi/2 exactly
     m_zz = np.where(tbs == 0.0, 1.0, 0.0)
-    return measure.JointObservables(m_zz, np.zeros(tbs.size), np.zeros(tbs.size))
+    return np.stack((m_zz, np.zeros(tbs.size), np.zeros(tbs.size)), -1)
 
 
 def enumerated_representative(theta: float) -> float:

@@ -39,6 +39,12 @@ def test_qfi_rejects_bad_n():
         metrology.probe_state(-1, 0.0)
 
 
+def test_probe_state_derivative_rejects_bad_n():
+    # qfi calls probe_state first, so no command reaches this guard
+    with pytest.raises(ValueError, match="^photon number must be >= 1, got 0$"):
+        metrology.probe_state_derivative(0, 0.0)
+
+
 def test_variance_scaling_deterministic():
     r1 = metrology.variance_scaling([1, 4], trials=50, seed=9)
     r2 = metrology.variance_scaling([1, 4], trials=50, seed=9)

@@ -28,7 +28,7 @@ def test_readme_states_the_shipped_calibration_defaults():
 
 def test_readme_python_examples_run():
     blocks = re.findall(r"```python\n(.*?)```", README, flags=re.S)
-    assert len(blocks) == 1
+    assert len(blocks) == 2
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
 

@@ -160,8 +160,7 @@ def test_configured_offsets_read_back_as_the_configured_rotation():
     theta_a, theta_b = cfg.arm_a.theta(), np.radians(sorted(cfg.sweep_values))
     for kind, sign in (("psi_plus", 1.0), ("psi_minus", -1.0)):
         rho = sweeps.configured_state(cfg, (kind,), theta_b)[0]
-        born = measure.exact_observables(rho)
-        exact = born.m_zz, born.m_xz, born.sigma_zz, born.sigma_xz
+        exact = np.moveaxis(measure.exact_observables(rho)[..., :2], -1, 0)
         sampled = rotation_observables(np.random.default_rng(5).poisson(
             measure._mean_counts(rho, measure._NAMED_PROJECTORS[:2], cfg.detection)))
         for obs, bound in ((exact, 1e-12), (sampled, None)):

@@ -416,6 +416,13 @@ def test_tomo_counts_file_round_trip(tmp_path):
     assert metadata["rng_seed"] == "31"
 
 
+def test_write_tomo_counts_rejects_a_wrong_count(tmp_path):
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ValueError, match=r"^expected 16 counts, got shape \(15,\)$"):
+        tomography.write_tomo_counts(path, np.ones(15))
+    assert not path.exists()
+
+
 def test_tomo_counts_file_missing_row(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("basis_label_a,basis_label_b,count\nH,H,10\n")
