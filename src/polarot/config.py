@@ -99,6 +99,10 @@ class ExperimentConfig:
                 ket(getattr(self, key))
             except ValueError as err:
                 raise ValueError(f"[state] {key}: {err}") from None
+        for key, default in (("ket_a", "H"), ("ket_b", "V")):  # unread kets move no hash
+            if getattr(self, key) != default and self.state_kind != "separable":
+                raise ValueError(f"section [state] must not set {key} with kind = "
+                                 f"{self.state_kind} (only a separable source has kets)")
         if self.seed < 0:
             raise ValueError(f"[statistics] seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.visibility <= 1.0:

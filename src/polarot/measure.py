@@ -3,8 +3,8 @@
 Covers analyzer settings, each an id string that only parse_setting turns
 into kets; Born-rule outcome probabilities, exact and seeded Poisson
 coincidence counts, correlation estimators, extraction of the local
-rotation angles from the two branch rotations, the wide-range scan, and
-the CHSH statistic of a coincidence table.
+rotation angles from the two branch rotations, and the CHSH statistic of
+a coincidence table.
 
 Every probability of a setting pair comes from one batched Born kernel,
 outcome_probabilities: a stack of states against the projector tensor
@@ -28,7 +28,7 @@ __all__ = [
     "Detection", "projector_tensor", "outcome_probabilities",
     "exact_observables", "simulate_counts", "exact_table",
     "estimate_correlation", "estimate_observables",
-    "rotation_from_observables", "extract_thetas", "scan_theta_a",
+    "rotation_from_observables", "extract_thetas",
     "chsh_from_counts", "write_table", "read_table",
 ]
 
@@ -38,9 +38,6 @@ _ARITY = {"Z": 0, "X": 0, "Y": 0, "lin": 1, "wp": 2}  # the angles each kind car
 MAX_POISSON_MEAN = 9.223372006484771e18
 # the smallest branch-factor modulus extract_thetas and both sweeps accept
 MODULUS_FLOOR = 1e-6
-# the smallest mean-phasor modulus scan_theta_a accepts (the source
-# visibility, for exact data)
-NOISE_FLOOR = 1e-3
 
 
 def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
@@ -247,16 +244,23 @@ def simulate_counts(rho: np.ndarray, settings, detection: Detection,
 def estimate_correlation(counts: np.ndarray):
     """Correlation estimate (n_pp - n_pm - n_mp + n_mm) / n_total and its
     binomial standard error sqrt((1 - m^2) / n_total): two floats for one
-    (4,) row of counts, two arrays for a (..., 4) stack of rows. An empty
-    row raises, naming its stack index."""
+    (4,) row of counts, two arrays for a (..., 4) stack of rows. A row with
+    a negative or non-finite count or total, or an empty row, raises,
+    naming its stack index. Any other row has |m| <= 1 in floating point."""
     counts = np.asarray(counts, dtype=float)
     total = counts.sum(axis=-1)
-    if (total <= 0).any():
-        idx = tuple(int(i) for i in np.argwhere(total <= 0)[0])
-        where = f" at stack index {idx}" if idx else ""
-        raise ValueError(f"cannot estimate a correlation from zero total counts{where}")
+    # min and max test the whole array without a row mask; an empty stack passes
+    if not (counts.min(initial=0.0) >= 0.0 and total.min(initial=1.0) > 0.0
+            and total.max(initial=0.0) < math.inf):
+        for bad, what in ((~(counts >= 0).all(axis=-1) | ~(total < math.inf),
+                           "negative or non-finite counts or total"),
+                          (total <= 0, "zero total counts")):
+            if bad.any():
+                idx = tuple(int(i) for i in np.argwhere(bad)[0])
+                where = f" at stack index {idx}" if idx else ""
+                raise ValueError(f"cannot estimate a correlation from {what}{where}")
     m = _correlations(counts) / total
-    sigma = np.sqrt(np.maximum(1.0 - m * m, 0.0) / total)
+    sigma = np.sqrt((1.0 - m * m) / total)
     return (float(m), float(sigma)) if counts.ndim == 1 else (m, sigma)
 
 
@@ -307,12 +311,16 @@ def extract_thetas(m_plus, m_minus) -> tuple[float, float]:
     branch, each modulo pi, so theta_a and theta_b are their half-sum and
     half-difference modulo pi/2 (_local_angles). The readout is
     single-valued for angles within the +-pi/4 window; outside it the
-    result wraps by pi/2 (use scan_theta_a first when the prior is wider).
+    result wraps by pi/2 (scan with sweeps.run_scan when the prior is wider).
     Two floats for one pair of (3,) arrays, two arrays for stacks; a branch
-    factor -m_zz - i m_xz whose modulus is below MODULUS_FLOOR raises,
-    naming its index.
+    without M_zz and M_xz on its last axis raises, as does a branch factor
+    -m_zz - i m_xz of modulus below MODULUS_FLOOR, naming its index.
     """
-    branches = [(m[..., 0], m[..., 1]) for m in map(np.asarray, (m_plus, m_minus))]
+    ms = [np.asarray(m) for m in (m_plus, m_minus)]
+    if any(m.ndim == 0 or m.shape[-1] < 2 for m in ms):
+        raise ValueError(f"extract_thetas needs M_zz and M_xz on the last axis of each "
+                         f"branch, got shapes {ms[0].shape} and {ms[1].shape}")
+    branches = [(m[..., 0], m[..., 1]) for m in ms]
     _check_factors(("psi_plus", "psi_minus"), branches)
     return _local_angles(*(rotation_from_observables(*b)[0] for b in branches))
 
@@ -337,34 +345,6 @@ def _local_angles(theta_plus, theta_minus, quarter_turn: float = math.pi / 2):
     halves = np.array(((theta_plus + theta_minus) / 2.0, (theta_plus - theta_minus) / 2.0))
     halves -= quarter_turn * np.round(halves / quarter_turn)
     return tuple(halves.tolist() if halves.ndim == 1 else halves)
-
-
-def scan_theta_a(grid, m_zz, m_xz) -> float:
-    """Locate an unknown rotation in one arm from a scan of the other arm.
-
-    The arrays m_zz and m_xz hold the cancellation-branch observables at the
-    trial arm-B angles `grid` (radians), one entry per angle. There -m_zz -
-    i m_xz = V exp(2i(theta_a - theta_b)) at visibility V, so theta_a mod pi
-    is half the phase of the mean of the grid phasors (-m_zz - i m_xz)
-    exp(2i theta_b): the known-frequency single-tone phase estimator (Rife
-    & Boorstyn, IEEE Trans. Inf. Theory 20, 591, 1974). A
-    rotation is only defined modulo pi, so the result is that half phase, in
-    [-pi/2, pi/2]. Observables that are not all finite raise, and so does a
-    mean phasor modulus below NOISE_FLOOR (a flat response).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or not np.isfinite(grid).all():
-        raise ValueError(f"the scan grid must hold finite angles, got {grid}")
-    if np.shape(m_zz) != grid.shape or np.shape(m_xz) != grid.shape:
-        raise ValueError(f"need one m_zz and m_xz per grid angle, got "
-                         f"{np.shape(m_zz)}, {np.shape(m_xz)} for {grid.shape}")
-    if not (np.isfinite(m_zz).all() and np.isfinite(m_xz).all()):
-        raise ValueError("the scan observables m_zz and m_xz must be finite")
-    phasor = np.mean((-m_zz - 1j * m_xz) * np.exp(2j * grid))
-    if not abs(phasor) >= NOISE_FLOOR:
-        raise ValueError(f"flat scan response: mean phasor modulus "
-                         f"{abs(phasor):g} is below the noise floor {NOISE_FLOOR:g}")
-    return 0.5 * float(np.angle(phasor))
 
 
 def chsh_from_counts(table: CoincidenceTable) -> tuple[float, float]:

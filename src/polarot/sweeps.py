@@ -8,7 +8,7 @@ from (drawn as Poisson counts unless the run is exact). A theta sweep runs
 both Bell branches through it as one stack. Both sweeps read those counts
 with one readout (_branch_readout): the correlations M_zz and M_xz and the
 rotation with the offsets removed, one entry per angle; the scan reads the
-correlations alone.
+correlations alone, as one mean phasor over its grid (_scan_phase).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .channels import _apply_noise, rotate_arm
 from .config import ExperimentConfig, check_reads, config_hash
 from .csvfile import unsigned_zeros, write_csv
 from .measure import (_NAMED_PROJECTORS, _check_factors, _local_angles, _mean_counts,
-                      estimate_correlation, rotation_from_observables, scan_theta_a)
+                      estimate_correlation, rotation_from_observables)
 from .states import BELL_KINDS, bell_state, ket, separable_state
 
 __all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
@@ -200,16 +200,32 @@ def run_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
 # the arm-B angles a scan probes: one half-turn, -90 to 85 deg in 5-deg
 # steps, since arm B at theta + 180 deg prepares the state it does at theta
 _SCAN_GRID = math.radians(-90.0) + math.radians(5.0) * np.arange(36)
+# the smallest mean-phasor modulus a scan accepts (V, for exact data)
+NOISE_FLOOR = 1e-3
+
+
+def _scan_phase(m: np.ndarray) -> float:
+    """Half the phase of the mean grid phasor, in [-pi/2, pi/2]: arm A's
+    rotation mod pi in the analyzer frame, from the psi_minus correlations
+    m (M_zz and M_xz at each _SCAN_GRID angle, shape (36, 2)). Each phasor
+    (-m_zz - i m_xz) exp(2i theta_b) is V exp(2i theta_a) at visibility V:
+    the known-frequency single-tone phase estimator (Rife & Boorstyn, IEEE
+    Trans. Inf. Theory 20, 591, 1974). A modulus below NOISE_FLOOR raises."""
+    phasor = np.mean((-m[:, 0] - 1j * m[:, 1]) * np.exp(2j * _SCAN_GRID))
+    if not abs(phasor) >= NOISE_FLOOR:
+        raise ValueError(f"flat scan response: mean phasor modulus "
+                         f"{abs(phasor):g} is below the noise floor {NOISE_FLOOR:g}")
+    return 0.5 * float(np.angle(phasor))
 
 
 def run_scan(cfg: ExperimentConfig, exact: bool = False) -> float:
-    """The arm-A rotation (radians) that scan_theta_a finds from the psi_minus
+    """The arm-A rotation (radians) that _scan_phase finds from the psi_minus
     branch's counts at the arm-B angles _SCAN_GRID, offsets off (the optimum
     matches arm B to arm A's angle in the analyzer frame), as the one
     representative theta + k pi in [-pi/2, pi/2), like the analyzer ids, a
     zero unsigned."""
     m, _ = estimate_correlation(_rotation_counts(cfg, ("psi_minus",), _SCAN_GRID, exact)[0])
-    theta = _remove_offsets(cfg, "psi_minus", scan_theta_a(_SCAN_GRID, m[:, 0], m[:, 1]))
+    theta = _remove_offsets(cfg, "psi_minus", _scan_phase(m))
     theta = math.remainder(theta, math.pi)
     return -theta if theta == math.pi / 2 else theta + 0.0
 

@@ -1341,11 +1341,26 @@ def test_extract_zero_factor_exits_2(tmp_path, capsys, recwarn, branch):
     ["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact", "--noise-floor", "0"]])
 def test_phase_floors_are_not_options(capsys, argv):
     # each readout judges its phase by a constant floor (measure.MODULUS_FLOOR,
-    # measure.NOISE_FLOOR); a floor flag is an unknown option
+    # sweeps.NOISE_FLOOR); a floor flag is an unknown option
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {argv[-2]} 0" in captured.err
+
+
+@pytest.mark.parametrize("exact, modulus", [(True, "0"), (False, "0.000265695")],
+                         ids=["exact", "sampled"])
+def test_scan_of_an_unpolarized_source_exits_2_as_a_flat_response(tmp_path, capsys,
+                                                                  exact, modulus):
+    # at visibility 0 the grid phasors carry no phase: the scan's one check
+    # against sweeps.NOISE_FLOOR names the mean phasor modulus
+    text = (GOLDEN_INPUTS / "scan.ini").read_text(encoding="utf-8")
+    cfg = write_config(tmp_path, text + "\n[noise]\nvisibility = 0\n")
+    assert main(["scan", "--config", cfg, *(["--exact"] if exact else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"flat scan response: mean phasor modulus {modulus} is below the noise "
+            f"floor 0.001") in captured.err
 
 
 def test_scan_range_deg_is_not_an_option(capsys):

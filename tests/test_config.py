@@ -147,6 +147,28 @@ def test_a_config_built_with_a_lower_case_ket_hashes_like_the_same_config_loaded
         config.ExperimentConfig(ket_b="q")
 
 
+@pytest.mark.parametrize("kind", ["psi_plus", "psi_minus", "phi_plus", "phi_minus"])
+@pytest.mark.parametrize("key, value", [("ket_a", "D"), ("ket_b", "A")])
+def test_kets_on_a_bell_source_do_not_build(kind, key, value):
+    # they built: ExperimentConfig(ket_a="D") hashed 28074579... against the
+    # default's 05a6595d..., though no run reads the kets of a Bell source;
+    # the loader rejected the same config with the same message
+    message = (f"^section \\[state\\] must not set {key} with kind = {kind} "
+               f"\\(only a separable source has kets\\)$")
+    with pytest.raises(ValueError, match=message):
+        config.ExperimentConfig(state_kind=kind, **{key: value})
+    with pytest.raises(ValueError, match=message):
+        config.loads_config(f"[statistics]\nseed = 0\n[state]\nkind = {kind}\n"
+                            f"{key} = {value}\n")
+    # the default kets, in either case, build and hash as the default; a bad
+    # label is named before the kind
+    assert config.config_hash(config.ExperimentConfig(ket_a="h", ket_b="v")) \
+        == config.config_hash(config.ExperimentConfig()) == "05a6595d5da7a89f"
+    with pytest.raises(ValueError, match="^\\[state\\] ket_b: unknown polarization "
+                                         "label 'Q'"):
+        config.ExperimentConfig(state_kind=kind, ket_a="D", ket_b="q")
+
+
 def test_a_negative_seed_does_not_build():
     # it built: its exact sweep wrote "# seed=-1", and its sampled sweep
     # failed with numpy's "expected non-negative integer", naming no key
@@ -197,7 +219,8 @@ OTHER_VALUE = {
 # the angle-arm fields and the solution-arm fields are each set on one base
 _SOLUTION = config.ArmConfig(molarity=1.0)
 HASH_BASES = (config.ExperimentConfig(sweep_variable="theta_b", sweep_values=(0.0, 1.0)),
-              config.ExperimentConfig(arm_a=_SOLUTION, arm_b=_SOLUTION))
+              config.ExperimentConfig(state_kind="separable", arm_a=_SOLUTION,
+                                      arm_b=_SOLUTION))
 
 
 def field_paths(value, prefix=()):

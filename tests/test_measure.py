@@ -622,6 +622,40 @@ def test_estimate_correlation_examples():
     rows[1, 2] = rows[1, 1, 0] = 0.0
     with pytest.raises(ValueError, match=r"zero total counts at stack index \(1, 2\)$"):
         measure.estimate_correlation(rows)
+    # a stack of no rows gives no estimates
+    assert [a.shape for a in measure.estimate_correlation(np.zeros((0, 4)))] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("row", [[5, -1, 0, 0], [math.nan, 1, 1, 1], [math.inf, 1, 1, 1],
+                                 [-math.inf, 1, 1, 1]], ids=["negative", "nan", "inf", "minus-inf"])
+def test_estimate_correlation_rejects_bad_counts(recwarn, row):
+    # [5, -1, 0, 0] read (1.5, 0.0), NaN read (nan, nan) and inf warned;
+    # in a stack the first bad row is named by its index
+    with pytest.raises(ValueError, match="^cannot estimate a correlation from negative or "
+                                         "non-finite counts or total$"):
+        measure.estimate_correlation(row)
+    rows = np.ones((2, 3, 4))
+    rows[0, 1] = rows[1, 0] = row
+    with pytest.raises(ValueError, match=r"non-finite counts or total at stack index "
+                                         r"\(0, 1\)$"):
+        measure.estimate_correlation(rows)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+_COUNT = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(*[_COUNT] * 4).filter(any), min_size=1, max_size=6),
+       fortran=st.booleans())
+def test_estimate_correlation_of_finite_nonnegative_rows_is_in_the_unit_interval(rows,
+                                                                                  fortran):
+    # |((a - b) - c) + d| <= the row sum in floating point, so 1 - m^2 never
+    # falls below 0 and the sigma needs no floor, in either memory layout
+    counts = np.array(rows)
+    m, sigma = measure.estimate_correlation(np.asfortranarray(counts) if fortran else counts)
+    assert (1.0 - m * m >= 0.0).all()
+    assert np.isfinite(sigma).all() and (sigma >= 0.0).all()
 
 
 _COUNT_ROWS = st.lists(st.lists(st.integers(0, 10**12), min_size=4, max_size=4)
@@ -851,6 +885,16 @@ def test_extract_thetas_rejects_a_zero_factor(branch):
         measure.extract_thetas(*obs)
 
 
+@pytest.mark.parametrize("m", [np.array([-1.0]), -1.0], ids=["one-value", "scalar"])
+def test_extract_thetas_names_the_expected_layout(m):
+    # a branch with no M_xz on its last axis raised IndexError
+    with pytest.raises(ValueError, match=r"^extract_thetas needs M_zz and M_xz on the last "
+                                         r"axis of each branch, got shapes \S+ and \S+$"):
+        measure.extract_thetas(m, m)
+    with pytest.raises(ValueError, match=r"got shapes \(3,\) and \(1,\)$"):
+        measure.extract_thetas(np.array([-1.0, 0.0, 0.0]), np.array([-1.0]))
+
+
 # --------------------------------------------------------------------- scan
 
 def exact_probe(ta):
@@ -860,11 +904,10 @@ def exact_probe(ta):
     return probe
 
 
-def scan(probe, grid=sweeps._SCAN_GRID):
-    """scan_theta_a on the observables `probe` gives at the grid angles, a
-    (grid angle, (m_zz, m_xz, m_zx)) array."""
-    m_zz, m_xz, _ = np.moveaxis(probe(grid), -1, 0)
-    return measure.scan_theta_a(grid, m_zz, m_xz)
+def scan(probe):
+    """The scan's phase estimator on the observables `probe` gives at the
+    scan grid, a (grid angle, (m_zz, m_xz, m_zx)) array."""
+    return sweeps._scan_phase(probe(sweeps._SCAN_GRID)[:, :2])
 
 
 def test_scan_exact_zero():
@@ -889,10 +932,9 @@ def test_scan_exact_wide_angle():
 
 
 def test_scan_exact_negative_angle():
-    # any grid reads exact data: here 30 angles over less than a half-turn
     ta = math.radians(-70.0)
-    theta = scan(exact_probe(ta), np.linspace(-math.pi / 2 - 0.5, 0.2, 30))
-    assert abs(theta - ta) < math.radians(0.01)
+    assert abs(scan(exact_probe(ta)) - ta) < math.radians(0.01)
+    assert abs(sweeps.run_scan(zero_offset_config(ta), exact=True) - ta) < math.radians(0.01)
 
 
 def test_scan_noisy_repeatability():
@@ -932,7 +974,7 @@ def test_scan_flat_response_rejected():
 def test_scan_zero_phasor_rejected_at_the_noise_floor():
     # a fully mixed source gives a mean phasor of exactly 0, which has no phase
     with pytest.raises(ValueError, match=f"mean phasor modulus 0 is below the "
-                                         f"noise floor {measure.NOISE_FLOOR:g}"):
+                                         f"noise floor {sweeps.NOISE_FLOOR:g}"):
         scan(mixed_probe)
 
 
@@ -940,12 +982,13 @@ def test_scan_probes_the_grid_once(monkeypatch):
     # one half-turn of arm B, -90 to 85 deg in 5-deg steps, once per run:
     # +90 deg would repeat the state of -90 deg
     calls = []
+    rotation_counts = sweeps._rotation_counts
 
-    def scan_theta_a(grid, m_zz, m_xz):
-        calls.append(np.array(grid))
-        return measure.scan_theta_a(grid, m_zz, m_xz)
+    def recorded(cfg, kinds, theta_b, exact):
+        calls.append(np.array(theta_b))
+        return rotation_counts(cfg, kinds, theta_b, exact)
 
-    monkeypatch.setattr(sweeps, "scan_theta_a", scan_theta_a)
+    monkeypatch.setattr(sweeps, "_rotation_counts", recorded)
     cfg = zero_offset_config(math.radians(20.0))
     for _ in range(3):
         theta = sweeps.run_scan(cfg, exact=True)
@@ -953,56 +996,6 @@ def test_scan_probes_the_grid_once(monkeypatch):
     assert len(calls) == 3
     for grid in calls:
         assert np.allclose(grid, np.radians(np.arange(-90.0, 90.0, 5.0)), rtol=0, atol=1e-15)
-
-
-def test_scan_narrow_grid_returns_truth():
-    ta = math.radians(20.0)
-    theta = scan(exact_probe(ta), np.radians([15.0, 20.0, 25.0]))
-    assert abs(theta - ta) < 1e-12
-
-
-def test_scan_rejects_observables_without_one_value_per_angle():
-    m_zz, m_xz, _ = measure.exact_observables(evolved_bell("psi_minus", 0.3, 0.0))
-    with pytest.raises(ValueError, match="one m_zz and m_xz per grid angle"):
-        measure.scan_theta_a(np.linspace(-1.0, 1.0, 21), m_zz, m_xz)
-
-
-@pytest.mark.parametrize("grid", [[], [0.0, math.inf], [math.nan, 1.0]],
-                         ids=["empty", "inf", "nan"])
-def test_scan_rejects_a_grid_without_finite_angles(grid):
-    with pytest.raises(ValueError, match="the scan grid must hold finite angles"):
-        zeros = np.zeros(len(grid))
-        measure.scan_theta_a(grid, zeros, zeros)
-
-
-def non_finite_observables(bad, where):
-    """(m_zz, m_xz) on the scan grid: all of m_zz, or the one m_xz entry at
-    the grid angle 0, is `bad`; every other entry is 0."""
-    grid = sweeps._SCAN_GRID
-    finite = np.zeros(grid.size)
-    if where == "m_zz":
-        return np.full(grid.size, bad), finite
-    return finite, np.where(grid == 0.0, bad, 0.0)
-
-
-def test_scan_rejects_nan_observables():
-    # a NaN mean phasor is not below the noise floor, so it was returned as
-    # a nan angle, and then rejected as a flat response; one NaN entry in
-    # either array is named as what it is
-    for where in ("m_zz", "m_xz"):
-        with pytest.raises(ValueError, match="^the scan observables m_zz and m_xz "
-                                             "must be finite$"):
-            measure.scan_theta_a(sweeps._SCAN_GRID, *non_finite_observables(math.nan, where))
-
-
-@pytest.mark.parametrize("where", ["m_zz", "m_xz"])
-@pytest.mark.parametrize("bad", [math.inf, -math.inf], ids=["inf", "minus-inf"])
-def test_scan_rejects_infinite_observables(bad, where):
-    # an infinite entry makes the mean phasor infinite or NaN, which has no
-    # phase to read
-    with pytest.raises(ValueError, match="^the scan observables m_zz and m_xz "
-                                         "must be finite$"):
-        measure.scan_theta_a(sweeps._SCAN_GRID, *non_finite_observables(bad, where))
 
 
 def tie_probe(tbs):
@@ -1024,9 +1017,9 @@ def enumerated_representative(theta: float) -> float:
 
 
 def scan_reading(theta: float, cfg: config.ExperimentConfig) -> float:
-    """run_scan's readout when scan_theta_a finds theta (radians)."""
+    """run_scan's readout when its phase estimator finds theta (radians)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweeps, "scan_theta_a", lambda grid, m_zz, m_xz: theta)
+        patch.setattr(sweeps, "_scan_phase", lambda m: theta)
         return sweeps.run_scan(cfg, exact=True)
 
 

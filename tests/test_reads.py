@@ -197,7 +197,7 @@ UNMOVED = {
                 "fields scale alike" for key in DETECTION},
         ("noise", "visibility"): "the visibility scales the exact grid phasor but "
                                  "not its phase; only the flat-response check "
-                                 "against measure.NOISE_FLOOR reads its size"},
+                                 "against sweeps.NOISE_FLOOR reads its size"},
 }
 READ = [(run, section, key, exact) for run in RUNS for exact in (False, True)
         for section, key in ALL_KEYS

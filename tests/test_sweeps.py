@@ -372,8 +372,8 @@ def test_configured_state_stacks_kinds_as_the_complex_product():
     # each member of the stack of kinds equals its single-kind call bit for
     # bit, and the oracle u @ rho @ u^T of the Jones matrices to round-off,
     # the complex R/L product source included
-    cfg = dataclasses.replace(theta_config(offsets=SHIPPED_OFFSETS), ket_a="R",
-                              ket_b="L", visibility=0.8)
+    cfg = dataclasses.replace(theta_config(offsets=SHIPPED_OFFSETS), state_kind="separable",
+                              ket_a="R", ket_b="L", visibility=0.8)
     theta_b = np.radians(sorted(cfg.sweep_values))
     kinds = ("separable", "psi_plus", "psi_minus")
     stack = sweeps.configured_state(cfg, kinds, theta_b)
