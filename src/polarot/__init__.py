@@ -10,8 +10,7 @@ from .config import ExperimentConfig, config_hash, load_config, loads_config
 from .measure import (CoincidenceTable, Detection, chsh_from_counts,
                       estimate_observables, exact_observables, exact_table,
                       extract_thetas, outcome_probabilities, parse_setting,
-                      read_table, rotation_from_observables,
-                      simulate_counts, write_table)
+                      read_table, simulate_counts, write_table)
 from .metrology import probe_state, qfi, variance_scaling
 from .states import (BELL_KINDS, bell_state, cosine_similarity, fidelity, ket,
                      maximally_mixed, save_state, separable_state, validate_state)

@@ -68,13 +68,12 @@ def _load_config_with_override(args):
     if args.seed is not None:
         from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
-    # run_sweep checks a sweep config, against the run its [sweep] variable names
-    check_reads(cfg, args.command)
     return cfg
 
 
 def _cmd_simulate(args) -> tuple:
     cfg = _load_config_with_override(args)
+    check_reads(cfg, "simulate")
     rho = configured_state(cfg, (cfg.state_kind,), cfg.arm_b.theta())[0]
     table = (exact_table(rho, cfg.setting_pairs, cfg.detection) if args.exact
              else simulate_counts(rho, cfg.setting_pairs, cfg.detection, cfg.seed))

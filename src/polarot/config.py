@@ -56,8 +56,8 @@ class ArmConfig:
                              "(the slope calibrates a solution arm)")
         if self.molarity is not None and self.molarity < 0.0:
             raise ValueError(f"molarity must be nonnegative, got {self.molarity}")
-        if self.molarity is not None and not math.isfinite(self.theta()):
-            raise ValueError(f"solution rotation is not finite: {self.theta()!r}")
+        if not math.isfinite(self.theta()):
+            raise ValueError(f"arm rotation is not finite: {self.theta()!r}")
 
     def theta(self) -> float:
         """The physical rotation (radians); analyzer offsets are not part of it."""
@@ -107,6 +107,9 @@ class ExperimentConfig:
             raise ValueError(f"[statistics] seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"[noise] visibility must be in [0, 1], got {self.visibility}")
+        for key in ("pbs_a", "pbs_b", "hwp"):  # as the loader words it
+            if not math.isfinite(value := getattr(self, key)):
+                raise ValueError(f"[offsets] {key}_deg must be finite, got {value!r}")
         if self.sweep_values and self.sweep_variable is None:
             raise ValueError("[sweep] section needs a 'variable' key")
         if self.sweep_variable is not None:
@@ -118,8 +121,15 @@ class ExperimentConfig:
             if len(self.sweep_values) > MAX_GRID_POINTS:
                 raise ValueError(f"[sweep] values must hold at most {MAX_GRID_POINTS:,} "
                                  f"entries")
+            for value in self.sweep_values:
+                if not math.isfinite(value):
+                    raise ValueError(f"[sweep] values must be finite, got {value!r}")
             if self.sweep_variable == "molarity_b" and min(self.sweep_values) < 0:
                 raise ValueError(f"[sweep] values: negative molarity {min(self.sweep_values)}")
+            slope, top = self.arm_b.slope_deg_per_molar, max(self.sweep_values)
+            if self.sweep_variable == "molarity_b" and not math.isfinite(slope * top):
+                raise ValueError(f"[sweep] values: molarity {top:g} times [arm_b] "
+                                 f"slope_deg_per_molar {slope:g} is not a finite rotation")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -27,8 +27,7 @@ __all__ = [
     "parse_setting", "NAMED_PAIRS", "CoincidenceTable",
     "Detection", "projector_tensor", "outcome_probabilities",
     "exact_observables", "simulate_counts", "exact_table",
-    "estimate_correlation", "estimate_observables",
-    "rotation_from_observables", "extract_thetas",
+    "estimate_correlation", "estimate_observables", "extract_thetas",
     "chsh_from_counts", "write_table", "read_table",
 ]
 
@@ -282,59 +281,51 @@ def estimate_observables(table: CoincidenceTable):
     return estimate_correlation([_rows_for_pair(table, a, b) for a, b in NAMED_PAIRS])
 
 
-def rotation_from_observables(m_zz: float, m_xz: float,
-                              sigma_zz: float = 0.0,
-                              sigma_xz: float = 0.0) -> tuple[float, float]:
-    """Effective rotation angle of an evolved Bell state from its own
-    joint observables: theta = atan2(-m_xz, -m_zz) / 2, in [-pi/2, pi/2],
-    with the propagated standard error (infinite where m_zz = m_xz = 0).
-    The edge m_zz > 0, m_xz = 0 reads -pi/2 for m_xz = +0.0 and pi/2 for
-    -0.0, as math.atan2 takes the sign of a zero. Elementwise: two floats
-    for float inputs, two arrays for arrays."""
-    m_zz, m_xz = np.asarray(m_zz, dtype=float), np.asarray(m_xz, dtype=float)
-    theta = 0.5 * np.arctan2(-m_xz, -m_zz)
-    r2 = m_zz * m_zz + m_xz * m_xz
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = (np.square(0.5 * m_xz / r2) * np.square(sigma_zz)
-               + np.square(0.5 * m_zz / r2) * np.square(sigma_xz))
-    sigma = np.where(r2 == 0.0, np.inf, np.sqrt(var))
-    return (float(theta), float(sigma)) if sigma.ndim == 0 else (theta, sigma)
-
-
 def extract_thetas(m_plus, m_minus) -> tuple[float, float]:
     """Recover both local rotation angles from the joint observables of the
     addition- and cancellation-branch states: arrays whose last axis holds
     M_zz, M_xz and optionally M_zx (NAMED_PAIRS order; M_zx is not read).
 
-    The branch rotations (rotation_from_observables) are theta_a + theta_b
-    in the addition branch and theta_a - theta_b in the cancellation
-    branch, each modulo pi, so theta_a and theta_b are their half-sum and
+    The branch rotations (_branch_rotations) are theta_a + theta_b in the
+    addition branch and theta_a - theta_b in the cancellation branch, each
+    modulo pi, so theta_a and theta_b are their half-sum and
     half-difference modulo pi/2 (_local_angles). The readout is
     single-valued for angles within the +-pi/4 window; outside it the
     result wraps by pi/2 (scan with sweeps.run_scan when the prior is wider).
     Two floats for one pair of (3,) arrays, two arrays for stacks; a branch
-    without M_zz and M_xz on its last axis raises, as does a branch factor
-    -m_zz - i m_xz of modulus below MODULUS_FLOOR, naming its index.
+    without finite M_zz and M_xz on its last axis raises, as does a branch
+    factor -m_zz - i m_xz of modulus below MODULUS_FLOOR, naming its index.
     """
     ms = [np.asarray(m) for m in (m_plus, m_minus)]
     if any(m.ndim == 0 or m.shape[-1] < 2 for m in ms):
         raise ValueError(f"extract_thetas needs M_zz and M_xz on the last axis of each "
                          f"branch, got shapes {ms[0].shape} and {ms[1].shape}")
-    branches = [(m[..., 0], m[..., 1]) for m in ms]
-    _check_factors(("psi_plus", "psi_minus"), branches)
-    return _local_angles(*(rotation_from_observables(*b)[0] for b in branches))
+    stack = np.stack(np.broadcast_arrays(*(m[..., :2] for m in ms)))
+    if not np.isfinite(stack).all():
+        raise ValueError("extract_thetas needs finite M_zz and M_xz in each branch")
+    theta, _ = _branch_rotations(("psi_plus", "psi_minus"), stack[..., 0], stack[..., 1])
+    return _local_angles(*theta)
 
 
-def _check_factors(kinds, branches) -> None:
-    # branches: the (m_zz, m_xz) of a source of each kind, psi_plus or psi_minus
-    for kind, (m_zz, m_xz) in zip(kinds, branches):
-        modulus = np.hypot(m_zz, m_xz)
+def _branch_rotations(kinds, m_zz, m_xz, sigma_zz=0.0, sigma_xz=0.0) -> tuple:
+    """The rotation of each branch of `kinds` (psi_plus or psi_minus) and
+    its propagated standard error, from correlations with one entry per
+    kind on the leading axis: theta = atan2(-m_xz, -m_zz) / 2, in [-pi/2,
+    pi/2]. The edge m_zz > 0, m_xz = 0 reads -pi/2 for m_xz = +0.0 and
+    pi/2 for -0.0, as atan2 takes the sign of a zero. A branch factor
+    -m_zz - i m_xz of modulus below MODULUS_FLOOR raises, naming its branch
+    and its stack index; above it, r2 >= 1e-12 and sigma is finite."""
+    for kind, modulus in zip(kinds, np.hypot(m_zz, m_xz)):
         bad = modulus < MODULUS_FLOOR
         if bad.any():
             idx = tuple(int(i) for i in np.argwhere(bad)[0])
             where = f" at stack index {idx}" if idx else ""
             raise ValueError(f"extraction ill-conditioned{where}: |{kind[4:]}-branch "
                              f"factor| = {modulus[idx]:g} < {MODULUS_FLOOR:g}")
+    r2 = m_zz * m_zz + m_xz * m_xz
+    sigma = np.sqrt(np.square(0.5 * m_xz / r2) * np.square(sigma_zz)
+                    + np.square(0.5 * m_zz / r2) * np.square(sigma_xz))
+    return 0.5 * np.arctan2(-m_xz, -m_zz), sigma
 
 
 def _local_angles(theta_plus, theta_minus, quarter_turn: float = math.pi / 2):

@@ -22,8 +22,8 @@ from . import __version__
 from .channels import _apply_noise, rotate_arm
 from .config import ExperimentConfig, check_reads, config_hash
 from .csvfile import unsigned_zeros, write_csv
-from .measure import (_NAMED_PROJECTORS, _check_factors, _local_angles, _mean_counts,
-                      estimate_correlation, rotation_from_observables)
+from .measure import (_NAMED_PROJECTORS, _branch_rotations, _local_angles, _mean_counts,
+                      estimate_correlation)
 from .states import BELL_KINDS, bell_state, ket, separable_state
 
 __all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
@@ -138,8 +138,7 @@ def _branch_readout(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool) -
     A branch factor below MODULUS_FLOOR raises, naming its kind and point."""
     m, sigma = estimate_correlation(_rotation_counts(cfg, kinds, theta_b, exact))
     (m_zz, m_xz), (sigma_zz, sigma_xz) = np.moveaxis(m, -1, 0), np.moveaxis(sigma, -1, 0)
-    _check_factors(kinds, zip(m_zz, m_xz))
-    theta, sig = rotation_from_observables(m_zz, m_xz, sigma_zz, sigma_xz)
+    theta, sig = _branch_rotations(kinds, m_zz, m_xz, sigma_zz, sigma_xz)
     theta = [_remove_offsets(cfg, k, t) for k, t in zip(kinds, theta)]
     return m_zz, m_xz, sigma_zz, sigma_xz, np.degrees(theta), np.degrees(sig)
 
@@ -223,7 +222,8 @@ def run_scan(cfg: ExperimentConfig, exact: bool = False) -> float:
     branch's counts at the arm-B angles _SCAN_GRID, offsets off (the optimum
     matches arm B to arm A's angle in the analyzer frame), as the one
     representative theta + k pi in [-pi/2, pi/2), like the analyzer ids, a
-    zero unsigned."""
+    zero unsigned. The config is held to check_reads first."""
+    check_reads(cfg, "scan")
     m, _ = estimate_correlation(_rotation_counts(cfg, ("psi_minus",), _SCAN_GRID, exact)[0])
     theta = _remove_offsets(cfg, "psi_minus", _scan_phase(m))
     theta = math.remainder(theta, math.pi)

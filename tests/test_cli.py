@@ -501,6 +501,21 @@ def test_negative_molarity_sweep_value_exits_2_at_load(tmp_path, monkeypatch, ca
         config.load_config(cfg)
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_molarity_sweep_whose_rotation_overflows_exits_2_at_load(tmp_path, monkeypatch,
+                                                                 capsys, exact):
+    # slope * molarity overflowed in the runner: a RuntimeWarning, then
+    # "rotation angles must be finite", naming no key
+    monkeypatch.chdir(tmp_path)
+    cfg = golden_edited(tmp_path, "sweep_molarity.ini", lambda text: text.replace(
+        "7.01", "1e308").replace("start = 0\nstop = 4\ncount = 5", "values = 0, 2, 4"))
+    err = run_failing(capsys, ["sweep", "--config", cfg, "--out", "sweep.csv"]
+                      + ["--exact"] * exact)
+    assert err == ("error: [sweep] values: molarity 4 times [arm_b] slope_deg_per_molar "
+                   "1e+308 is not a finite rotation\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_without_a_sweep_section_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     err = run_failing(capsys, ["sweep", "--config", str(GOLDEN_INPUTS / "sim.ini"),
@@ -1493,8 +1508,8 @@ def zx_flipped_observables(rho):
 def narrow_window_extraction(m_plus, m_minus):
     # wraps both angles into +-43.5 deg, a quarter turn of 87 deg, instead of
     # +-45 deg; the round-trip grid ends at +-44 deg
-    thetas = (measure.rotation_from_observables(m[..., 0], m[..., 1])[0]
-              for m in (m_plus, m_minus))
+    m = np.stack((m_plus, m_minus))
+    thetas, _ = measure._branch_rotations(("psi_plus", "psi_minus"), m[..., 0], m[..., 1])
     return measure._local_angles(*thetas, quarter_turn=math.radians(87.0))
 
 

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,25 @@ def test_a_sweep_above_the_point_limit_does_not_build():
     with pytest.raises(ValueError, match="^\\[sweep\\] values must hold at most "
                                          "100,000 entries$"):
         config.ExperimentConfig(sweep_variable="theta_b", sweep_values=values)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (lambda: {"pbs_a": math.nan}, r"\[offsets\] pbs_a_deg must be finite, got nan"),
+    (lambda: {"hwp": math.inf}, r"\[offsets\] hwp_deg must be finite, got inf"),
+    (lambda: {"arm_a": config.ArmConfig(angle=math.inf)}, r"arm rotation is not finite: inf"),
+    (lambda: {"sweep_variable": "theta_b", "sweep_values": (math.nan, 1.0)},
+     r"\[sweep\] values must be finite, got nan"),
+    (lambda: {"sweep_variable": "theta_b", "sweep_values": (math.inf,)},
+     r"\[sweep\] values must be finite, got inf"),
+    (lambda: {"sweep_variable": "molarity_b", "sweep_values": (math.nan,)},
+     r"\[sweep\] values must be finite, got nan"),
+], ids=["pbs_a-nan", "hwp-inf", "arm_a-angle-inf", "theta_b-nan", "theta_b-inf",
+        "molarity_b-nan"])
+def test_non_finite_angles_offsets_and_sweep_values_do_not_build(fields, message):
+    # no config file loads them, but each built and hashed, then failed mid-run
+    # with "rotation angles must be finite", naming no field
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        config.ExperimentConfig(**fields())
 
 
 def test_sweep_values_without_a_variable_do_not_build():

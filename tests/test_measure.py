@@ -678,9 +678,9 @@ def test_estimate_correlation_properties(rows):
 
 @settings(max_examples=200, deadline=None)
 @given(theta=st.floats(-math.pi / 2, math.pi / 2, exclude_min=True))
-def test_rotation_from_observables_round_trip(theta):
-    theta_hat, sigma = measure.rotation_from_observables(-math.cos(2 * theta),
-                                                         -math.sin(2 * theta))
+def test_branch_rotation_round_trip(theta):
+    (theta_hat,), (sigma,) = measure._branch_rotations(
+        ("psi_plus",), np.array([-math.cos(2 * theta)]), np.array([-math.sin(2 * theta)]))
     assert -math.pi / 2 < theta_hat <= math.pi / 2
     assert abs(theta_hat - theta) <= 1e-12 and sigma == 0.0
 
@@ -763,10 +763,10 @@ def test_exact_mode_estimation_reproduces_closed_forms():
     assert abs(m[1] + math.sin(2 * (ta + tb))) < 1e-12
 
 
-def test_rotation_from_observables():
+def test_branch_rotation():
     ta = math.radians(33.0)
-    theta, sigma = measure.rotation_from_observables(-math.cos(2 * ta),
-                                                     -math.sin(2 * ta))
+    (theta,), (sigma,) = measure._branch_rotations(
+        ("psi_minus",), np.array([-math.cos(2 * ta)]), np.array([-math.sin(2 * ta)]))
     assert abs(theta - ta) < 1e-12
     assert sigma == 0.0
 
@@ -813,31 +813,43 @@ def _bits(values):
 
 def test_readout_stack_equals_scalar_calls():
     # random observables plus the corner cases of the readout: m_zz =
-    # m_xz = 0 (infinite sigma) and signed zeros, whose sign picks the
-    # branch of atan2
+    # m_xz = 0 (no phase, ill-conditioned) and signed zeros, whose sign
+    # picks the branch of atan2
     rng = np.random.default_rng(7)
     m = rng.uniform(-1.0, 1.0, (4, 40))
     sigmas = rng.uniform(0.0, 0.1, (2, 40))
     m[:2, :4] = [[0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]]
     m[1, 4:8] = m[3, 4:8] = [0.0, -0.0, 0.0, -0.0]
     m[0, 4:8] = m[2, 4:8] = [-0.5, -0.5, 0.5, 0.5]
-    theta, sigma = measure.rotation_from_observables(m[0], m[1], *sigmas)
-    assert np.isinf(sigma[:4]).all() and np.isfinite(sigma[4:]).all()
-    scalar = [measure.rotation_from_observables(*args)
-              for args in zip(*m[:2].tolist(), *sigmas.tolist())]
-    assert all(type(v) is float for pair in scalar for v in pair)
-    assert _bits(theta) == _bits([t for t, _ in scalar])
-    assert _bits(sigma) == _bits([s for _, s in scalar])
+    kinds = ("psi_plus",)
+    # each m_zz = m_xz = 0 member raises, alone and at its index in a stack
+    for k in range(4):
+        with pytest.raises(ValueError, match=r"ill-conditioned: \|plus-branch factor\| "
+                                             r"= 0 < 1e-06"):
+            measure._branch_rotations(kinds, *m[:2, None, k])
+        stack = np.insert(m[:2, 4:], k, m[:2, k], axis=1)
+        with pytest.raises(ValueError, match=rf"ill-conditioned at stack index \({k},\): "
+                                             rf"\|plus-branch factor\| = 0 < 1e-06"):
+            measure._branch_rotations(kinds, *stack[:, None])
+    (theta,), (sigma,) = measure._branch_rotations(kinds, *m[:2, None, 4:],
+                                                   *sigmas[:, None, 4:])
+    assert np.isfinite(sigma).all()
+    # the signed zeros: +0.0 and -0.0 in m_xz read -0.0 and 0.0 at m_zz < 0,
+    # and -pi/2 and pi/2 at m_zz > 0
+    assert _bits(theta[:4]) == _bits([-0.0, 0.0, -math.pi / 2, math.pi / 2])
+    members = list(zip(*m[:2, 4:].tolist(), *sigmas[:, 4:].tolist()))
+    scalar = [measure._branch_rotations(kinds, *np.array(args)[:2, None], *args[2:])
+              for args in members]
+    assert _bits(theta) == _bits([t for (t,), _ in scalar])
+    assert _bits(sigma) == _bits([s for _, (s,) in scalar])
     # the scalar formulas in Python floats, to a few float64 epsilons:
     # math.atan2 and pow(x, 2) may differ from numpy's in the last bit
-    for (m_zz, m_xz, s_zz, s_xz), (t, s) in zip(zip(*m[:2].tolist(), *sigmas.tolist()),
-                                                scalar):
+    for (m_zz, m_xz, s_zz, s_xz), ((t,), (s,)) in zip(members, scalar):
         assert abs(t - 0.5 * math.atan2(-m_xz, -m_zz)) <= 1e-15 * abs(t)
         r2 = m_zz ** 2 + m_xz ** 2
-        if r2 > 0.0:
-            ref = math.sqrt((0.5 * m_xz / r2) ** 2 * s_zz ** 2
-                            + (0.5 * m_zz / r2) ** 2 * s_xz ** 2)
-            assert abs(s - ref) <= 1e-15 * ref
+        ref = math.sqrt((0.5 * m_xz / r2) ** 2 * s_zz ** 2
+                        + (0.5 * m_zz / r2) ** 2 * s_xz ** 2)
+        assert abs(s - ref) <= 1e-15 * ref
 
     # each branch as (member, (m_zz, m_xz)) rows
     plus, minus = m[:2, 4:].T, m[2:, 4:].T
@@ -848,8 +860,8 @@ def test_readout_stack_equals_scalar_calls():
         scalar.append(one)
         # the half-sum and half-difference of the branch rotations, wrapped
         # into the +-45 deg window, in Python floats
-        t_plus = measure.rotation_from_observables(*args[:2])[0]
-        t_minus = measure.rotation_from_observables(*args[2:])[0]
+        t_plus, t_minus = measure._branch_rotations(
+            ("psi_plus", "psi_minus"), np.array(args[::2]), np.array(args[1::2]))[0].tolist()
         halves = ((t_plus + t_minus) / 2.0, (t_plus - t_minus) / 2.0)
         assert one == tuple(x - math.pi / 2 * round(x / (math.pi / 2)) for x in halves)
     assert _bits(theta_a) == _bits([a for a, _ in scalar])
@@ -893,6 +905,23 @@ def test_extract_thetas_names_the_expected_layout(m):
         measure.extract_thetas(m, m)
     with pytest.raises(ValueError, match=r"got shapes \(3,\) and \(1,\)$"):
         measure.extract_thetas(np.array([-1.0, 0.0, 0.0]), np.array([-1.0]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("branch, column", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                         ids=["plus-zz", "plus-xz", "minus-zz", "minus-xz"])
+def test_extract_thetas_rejects_non_finite_observables(branch, column, value):
+    # without the check, ([nan, .5, 0], [-1, 0, 0]) read (nan, nan),
+    # ([inf, 0, 0], [-1, 0, 0]) read (-pi/4, -pi/4) and ([-inf, .5, 0],
+    # [-1, 0, 0]) read (0, 0), all silently
+    obs = [np.array([-1.0, 0.5, 0.0]), np.array([-1.0, 0.0, 0.0])]
+    obs[branch][column] = value
+    with pytest.raises(ValueError, match=r"^extract_thetas needs finite M_zz and M_xz in "
+                                         r"each branch$"):
+        measure.extract_thetas(*obs)
+    # M_zx is not read, so it is not checked
+    obs[branch][column], obs[branch][2] = -1.0, value
+    measure.extract_thetas(*obs)
 
 
 # --------------------------------------------------------------------- scan

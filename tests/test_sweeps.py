@@ -142,6 +142,14 @@ def rotation_observables(counts):
     return m[..., 0], m[..., 1], sigma[..., 0], sigma[..., 1]
 
 
+def branch_rotation(kind, m_zz, m_xz, sigma_zz=0.0, sigma_xz=0.0):
+    """The rotation and its sigma at each point of one branch of kind `kind`,
+    from the readout the sweeps run on their stack of branches."""
+    (theta,), (sigma,) = measure._branch_rotations((kind,), m_zz[None], m_xz[None],
+                                                   sigma_zz, sigma_xz)
+    return theta, sigma
+
+
 def test_configured_state_folds_offsets():
     cfg = molarity_config()
     rho = sweeps.configured_state(cfg, (cfg.state_kind,), 0.1)[0]
@@ -164,12 +172,19 @@ def test_configured_offsets_read_back_as_the_configured_rotation():
         sampled = rotation_observables(np.random.default_rng(5).poisson(
             measure._mean_counts(rho, measure._NAMED_PROJECTORS[:2], cfg.detection)))
         for obs, bound in ((exact, 1e-12), (sampled, None)):
-            theta, sigma = measure.rotation_from_observables(*obs)
+            theta, sigma = branch_rotation(kind, *obs)
             resid = sweeps._remove_offsets(cfg, kind, theta) - (theta_a + sign * theta_b)
             assert (np.abs(resid) <= (5.0 * sigma if bound is None else bound)).all()
     # the offsets of each branch's rotation: the wave plate in psi_minus only
     for kind, offset_deg in (("psi_plus", 3.1 - 7.3), ("psi_minus", 3.1 + 7.3 + 11.9)):
         assert abs(sweeps._remove_offsets(cfg, kind, 0.0) + math.radians(offset_deg)) < 1e-15
+
+
+def test_a_library_scan_is_held_to_check_reads():
+    # it returned -1.39e-17 silently, though the kind it does not read moves the hash
+    with pytest.raises(ValueError, match=r"^scan does not read \[state\] kind: it always "
+                                         r"probes psi_minus$"):
+        sweeps.run_scan(config.ExperimentConfig(state_kind="psi_plus"), exact=True)
 
 
 def test_molarity_sweep_exact_line():
@@ -340,7 +355,7 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
         plus, minus = (one_branch(cfg, kind, theta_b, exact) for kind in kinds)
         expected = plus[:2] + minus[:2] + plus[2:] + minus[2:]
         (th_p, sig_p), (th_m, sig_m) = (
-            measure.rotation_from_observables(*o) for o in (plus, minus))
+            branch_rotation(kind, *o) for kind, o in zip(kinds, (plus, minus)))
         expected += tuple(np.degrees((th_p - cfg.pbs_a - cfg.pbs_b, sig_p,
                                       th_m - cfg.pbs_a + cfg.pbs_b - cfg.hwp, sig_m)))
         assert result.rows[:, 1:13].tobytes() == np.column_stack(expected).tobytes()
