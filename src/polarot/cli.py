@@ -82,10 +82,15 @@ def _cmd_simulate(args) -> tuple:
 
 
 def _read_observables(path) -> np.ndarray:
-    # the M_zz, M_xz, M_zx values; read_labeled checks the sigma column too
+    # the M_zz, M_xz, M_zx values, then their sigmas, shape (2, 3): each a
+    # correlation in [-1, 1] whose standard error lies in [0, 1]
     _, values = read_labeled(path, _OBSERVABLES_HEADER, _OBSERVABLES, "observable",
                              f"observable of {_OBSERVABLES}")
-    return np.array([row[0] for row in values])
+    for name, (m, sigma) in zip(_OBSERVABLES, values):
+        if not (-1.0 <= m <= 1.0 and 0.0 <= sigma <= 1.0):
+            raise ValueError(f"{path}: row {name},{m:g},{sigma:g} is no correlation: its "
+                             f"value must lie in [-1, 1] and its sigma in [0, 1]")
+    return np.array(values).T
 
 
 def _cmd_observables(args) -> tuple:
@@ -97,7 +102,9 @@ def _cmd_observables(args) -> tuple:
 
 
 def _cmd_extract(args) -> tuple:
-    thetas = extract_thetas(_read_observables(args.plus), _read_observables(args.minus))
+    (m_plus, sigma_plus), (m_minus, sigma_minus) = map(_read_observables,
+                                                       (args.plus, args.minus))
+    thetas = extract_thetas(m_plus, m_minus, sigma_plus, sigma_minus)
     cells = [unsigned_zeros(f"{math.degrees(theta):.6f}") for theta in thetas]
     return 0, [", ".join(cells)], {args.out: lambda path: write_csv(
         path, (), "theta_a_deg,theta_b_deg", [cells])}
@@ -220,7 +227,7 @@ def _verify_checks():
         angles = np.radians(np.linspace(-44, 44, 12))
         ta, tb = np.meshgrid(angles, angles)
         ta_hat, tb_hat = extract_thetas(*(np.stack((-np.cos(2 * t), -np.sin(2 * t)), -1)
-                                          for t in (ta + tb, ta - tb)))
+                                          for t in (ta + tb, ta - tb)), 0.0, 0.0)
         worst = max(np.abs(ta_hat - ta).max(), np.abs(tb_hat - tb).max())
         return worst <= 1e-9, f"max angle error {worst:.2e} rad"
 

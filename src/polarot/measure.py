@@ -35,8 +35,11 @@ __all__ = [
 _ARITY = {"Z": 0, "X": 0, "Y": 0, "lin": 1, "wp": 2}  # the angles each kind carries
 # the largest Poisson mean numpy draws (int64 max - 10 sqrt(int64 max))
 MAX_POISSON_MEAN = 9.223372006484771e18
-# the smallest branch-factor modulus extract_thetas and both sweeps accept
+# a branch factor F is read where |F| >= max(MODULUS_FLOOR, SIGNIFICANCE
+# sigma_F) (_branch_rotations): a round-off floor, and z = 4 sigmas, from
+# where the rotation sigma covers the readout as it should
 MODULUS_FLOOR = 1e-6
+SIGNIFICANCE = 4.0
 
 
 def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
@@ -281,10 +284,12 @@ def estimate_observables(table: CoincidenceTable):
     return estimate_correlation([_rows_for_pair(table, a, b) for a, b in NAMED_PAIRS])
 
 
-def extract_thetas(m_plus, m_minus) -> tuple[float, float]:
+def extract_thetas(m_plus, m_minus, sigma_plus, sigma_minus) -> tuple[float, float]:
     """Recover both local rotation angles from the joint observables of the
-    addition- and cancellation-branch states: arrays whose last axis holds
-    M_zz, M_xz and optionally M_zx (NAMED_PAIRS order; M_zx is not read).
+    addition- and cancellation-branch states and their standard errors:
+    arrays whose last axis holds M_zz, M_xz and optionally M_zx
+    (NAMED_PAIRS order; M_zx is not read), each sigma broadcastable to its
+    branch (0.0 for exact observables).
 
     The branch rotations (_branch_rotations) are theta_a + theta_b in the
     addition branch and theta_a - theta_b in the cancellation branch, each
@@ -293,38 +298,57 @@ def extract_thetas(m_plus, m_minus) -> tuple[float, float]:
     single-valued for angles within the +-pi/4 window; outside it the
     result wraps by pi/2 (scan with sweeps.run_scan when the prior is wider).
     Two floats for one pair of (3,) arrays, two arrays for stacks; a branch
-    without finite M_zz and M_xz on its last axis raises, as does a branch
-    factor -m_zz - i m_xz of modulus below MODULUS_FLOOR, naming its index.
+    whose M_zz or M_xz is not in [-1, 1] or whose sigmas are not in [0, 1]
+    raises, as does a branch factor -m_zz - i m_xz below the significance
+    rule of _branch_rotations, naming its index.
     """
     ms = [np.asarray(m) for m in (m_plus, m_minus)]
     if any(m.ndim == 0 or m.shape[-1] < 2 for m in ms):
         raise ValueError(f"extract_thetas needs M_zz and M_xz on the last axis of each "
                          f"branch, got shapes {ms[0].shape} and {ms[1].shape}")
     stack = np.stack(np.broadcast_arrays(*(m[..., :2] for m in ms)))
-    if not np.isfinite(stack).all():
-        raise ValueError("extract_thetas needs finite M_zz and M_xz in each branch")
-    theta, _ = _branch_rotations(("psi_plus", "psi_minus"), stack[..., 0], stack[..., 1])
+    sigma = np.stack(np.broadcast_arrays(*(np.broadcast_to(s, m.shape)[..., :2]
+                                           for s, m in zip((sigma_plus, sigma_minus), ms))))
+    # a correlation lies in [-1, 1], so its standard error is at most 1
+    if not ((np.abs(stack) <= 1.0).all() and ((sigma >= 0.0) & (sigma <= 1.0)).all()):
+        raise ValueError("extract_thetas needs M_zz and M_xz in [-1, 1] and their "
+                         "sigmas in [0, 1] in each branch")
+    theta, _ = _branch_rotations(("psi_plus", "psi_minus"), stack[..., 0], stack[..., 1],
+                                 sigma[..., 0], sigma[..., 1])
     return _local_angles(*theta)
 
 
-def _branch_rotations(kinds, m_zz, m_xz, sigma_zz=0.0, sigma_xz=0.0) -> tuple:
+def _branch_rotations(kinds, m_zz, m_xz, sigma_zz=0.0, sigma_xz=0.0, cov=0.0) -> tuple:
     """The rotation of each branch of `kinds` (psi_plus or psi_minus) and
     its propagated standard error, from correlations with one entry per
-    kind on the leading axis: theta = atan2(-m_xz, -m_zz) / 2, in [-pi/2,
-    pi/2]. The edge m_zz > 0, m_xz = 0 reads -pi/2 for m_xz = +0.0 and
-    pi/2 for -0.0, as atan2 takes the sign of a zero. A branch factor
-    -m_zz - i m_xz of modulus below MODULUS_FLOOR raises, naming its branch
-    and its stack index; above it, r2 >= 1e-12 and sigma is finite."""
-    for kind, modulus in zip(kinds, np.hypot(m_zz, m_xz)):
-        bad = modulus < MODULUS_FLOOR
-        if bad.any():
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            where = f" at stack index {idx}" if idx else ""
-            raise ValueError(f"extraction ill-conditioned{where}: |{kind[4:]}-branch "
-                             f"factor| = {modulus[idx]:g} < {MODULUS_FLOOR:g}")
+    kind on the leading axis, their sigmas and the covariance cov of m_zz
+    and m_xz: theta = atan2(-m_xz, -m_zz) / 2, in [-pi/2, pi/2]. The edge
+    m_zz > 0, m_xz = 0 reads -pi/2 for m_xz = +0.0 and pi/2 for -0.0, as
+    atan2 takes the sign of a zero.
+
+    One significance rule decides where a phase is read: the branch factor
+    F = -m_zz - i m_xz needs |F| >= max(MODULUS_FLOOR, SIGNIFICANCE sigma_F),
+    with sigma_F the standard error of F across its own direction, the part
+    that turns its phase: |F| sigma_F = sqrt(m_xz^2 s_zz^2 + m_zz^2 s_xz^2 -
+    2 m_zz m_xz cov), and sigma = sigma_F / (2 |F|). Sigmas 0 (exact data)
+    leave the floor alone. A factor below the rule raises, naming its
+    branch, its stack index and |F|, and |F| / sigma_F above the floor."""
     r2 = m_zz * m_zz + m_xz * m_xz
+    spread = np.sqrt(np.square(m_xz * sigma_zz) + np.square(m_zz * sigma_xz)
+                     - 2.0 * m_zz * m_xz * cov)  # |F| sigma_F
+    modulus = np.hypot(m_zz, m_xz)
+    bad = (modulus < MODULUS_FLOOR) | (r2 < SIGNIFICANCE * spread)
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])  # (kind, stack index)
+        where = f" at stack index {first[1:]}" if first[1:] else ""
+        factor = f"extraction ill-conditioned{where}: |{kinds[first[0]][4:]}-branch factor| = "
+        if modulus[first] < MODULUS_FLOOR:
+            raise ValueError(f"{factor}{modulus[first]:g} < {MODULUS_FLOOR:g}")
+        raise ValueError(f"{factor}{modulus[first]:g} = {r2[first] / spread[first]:.3g} "
+                         f"sigma_F < {SIGNIFICANCE:g} sigma_F")
     sigma = np.sqrt(np.square(0.5 * m_xz / r2) * np.square(sigma_zz)
-                    + np.square(0.5 * m_zz / r2) * np.square(sigma_xz))
+                    + np.square(0.5 * m_zz / r2) * np.square(sigma_xz)
+                    + 0.5 * m_zz * m_xz / (r2 * r2) * -cov)
     return 0.5 * np.arctan2(-m_xz, -m_zz), sigma
 
 

@@ -62,6 +62,10 @@ def variance_scaling(n_values, trials: int, seed: int,
     Entry n draws from the independent stream (seed, n): first the z-basis
     counts of all trials, then their x-basis counts, so an entry does not
     depend on which other photon numbers are requested.
+
+    The readout is its own atan2, not measure._branch_rotations, whose
+    significance rule would raise on a trial at even n that reads <z> =
+    <x> = 0: here every trial counts toward the spread.
     """
     if trials < 2:
         raise ValueError("trials must be at least 2")

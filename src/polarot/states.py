@@ -161,9 +161,8 @@ def _purity(rho: np.ndarray) -> float:
 def save_state(path, rho: np.ndarray) -> None:
     """Write a 4x4 complex matrix as 16 'real imag' rows, row-major in (HH, HV,
     VH, VV); `np.loadtxt(path).view(complex).reshape(4, 4)` reads it back."""
-    rho = np.asarray(rho, dtype=complex)
+    lines = ["# two-photon density matrix, row-major (HH, HV, VH, VV)", "# columns: real imag"]
+    lines.extend(f"{z.real:.17g} {z.imag:.17g}"
+                 for z in np.asarray(rho, dtype=complex).ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# two-photon density matrix, row-major (HH, HV, VH, VV)\n")
-        fh.write("# columns: real imag\n")
-        for z in rho.ravel():
-            fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
+        fh.write("\n".join(lines) + "\n")

@@ -8,7 +8,17 @@ from (drawn as Poisson counts unless the run is exact). A theta sweep runs
 both Bell branches through it as one stack. Both sweeps read those counts
 with one readout (_branch_readout): the correlations M_zz and M_xz and the
 rotation with the offsets removed, one entry per angle; the scan reads the
-correlations alone, as one mean phasor over its grid (_scan_phase).
+correlations as one mean phasor over its grid (_scan_phase).
+
+Every rotation is half the phase of a factor F, -m_zz - i m_xz or the
+scan's mean phasor, read by measure._branch_rotations under one rule: |F|
+>= max(MODULUS_FLOOR, z sigma_F), with sigma_F the standard error of F
+across its own direction, propagated from the correlation sigmas, and z =
+measure.SIGNIFICANCE = 4. Below it the rotation sigma covers the readout
+too rarely (measured: 0.64 of readouts within one sigma at |F|/sigma_F
+3-3.5, 0.66 at 4-4.5, 0.683 nominal), and a source with no rotation passes
+it with probability exp(-z^2/2) = 3.4e-4. An exact run is held to the
+sigmas of its mean counts.
 """
 
 from __future__ import annotations
@@ -135,7 +145,8 @@ def _branch_readout(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool) -
     """The branches of kinds at the arm-B angles theta_b, read out: arrays
     (m_zz, m_xz, sigma_zz, sigma_xz, theta_deg, sigma_deg) of shape
     (len(kinds), len(theta_b)), theta_deg the rotation with the offsets off.
-    A branch factor below MODULUS_FLOOR raises, naming its kind and point."""
+    A branch factor below the significance rule of _branch_rotations
+    raises, naming its kind and point."""
     m, sigma = estimate_correlation(_rotation_counts(cfg, kinds, theta_b, exact))
     (m_zz, m_xz), (sigma_zz, sigma_xz) = np.moveaxis(m, -1, 0), np.moveaxis(sigma, -1, 0)
     theta, sig = _branch_rotations(kinds, m_zz, m_xz, sigma_zz, sigma_xz)
@@ -199,22 +210,31 @@ def run_sweep(cfg: ExperimentConfig, exact: bool = False) -> SweepResult:
 # the arm-B angles a scan probes: one half-turn, -90 to 85 deg in 5-deg
 # steps, since arm B at theta + 180 deg prepares the state it does at theta
 _SCAN_GRID = math.radians(-90.0) + math.radians(5.0) * np.arange(36)
-# the smallest mean-phasor modulus a scan accepts (V, for exact data)
-NOISE_FLOOR = 1e-3
+# the mean grid phasor P has Re P = mean(-m_zz c + m_xz s) and Im P =
+# mean(-m_zz s - m_xz c) with c, s = cos, sin 2 theta_b, so the variances of
+# the 72 independent correlations, in (angle, (zz, xz)) order, times these
+# rows give Var Re P, Var Im P and Cov(Re P, Im P)
+_C, _S = np.cos(2.0 * _SCAN_GRID), np.sin(2.0 * _SCAN_GRID)
+_SCAN_VARIANCES = np.stack((_C * _C, _S * _S, _C * _S, _S * _S, _C * _C, -_C * _S),
+                           -1).reshape(72, 3) / 36 ** 2
 
 
-def _scan_phase(m: np.ndarray) -> float:
-    """Half the phase of the mean grid phasor, in [-pi/2, pi/2]: arm A's
+def _scan_phase(m: np.ndarray, sigma: np.ndarray) -> float:
+    """Half the phase of the mean grid phasor P, in [-pi/2, pi/2]: arm A's
     rotation mod pi in the analyzer frame, from the psi_minus correlations
-    m (M_zz and M_xz at each _SCAN_GRID angle, shape (36, 2)). Each phasor
-    (-m_zz - i m_xz) exp(2i theta_b) is V exp(2i theta_a) at visibility V:
-    the known-frequency single-tone phase estimator (Rife & Boorstyn, IEEE
-    Trans. Inf. Theory 20, 591, 1974). A modulus below NOISE_FLOOR raises."""
+    m (M_zz and M_xz at each _SCAN_GRID angle, shape (36, 2)) and their
+    sigmas. Each phasor (-m_zz - i m_xz) exp(2i theta_b) is V exp(2i
+    theta_a) at visibility V: the known-frequency single-tone phase
+    estimator (Rife & Boorstyn, IEEE Trans. Inf. Theory 20, 591, 1974).
+    P is read as the branch factor of (m_zz, m_xz) = (-Re P, -Im P), with
+    the variances and covariance of Re P and Im P (_SCAN_VARIANCES), so
+    _branch_rotations holds it to the one significance rule."""
     phasor = np.mean((-m[:, 0] - 1j * m[:, 1]) * np.exp(2j * _SCAN_GRID))
-    if not abs(phasor) >= NOISE_FLOOR:
-        raise ValueError(f"flat scan response: mean phasor modulus "
-                         f"{abs(phasor):g} is below the noise floor {NOISE_FLOOR:g}")
-    return 0.5 * float(np.angle(phasor))
+    var_re, var_im, cov = np.square(sigma).reshape(72) @ _SCAN_VARIANCES
+    (theta,), _ = _branch_rotations(("psi_minus",), np.array([-phasor.real]),
+                                    np.array([-phasor.imag]), math.sqrt(var_re),
+                                    math.sqrt(var_im), cov)
+    return float(theta)
 
 
 def run_scan(cfg: ExperimentConfig, exact: bool = False) -> float:
@@ -224,8 +244,9 @@ def run_scan(cfg: ExperimentConfig, exact: bool = False) -> float:
     representative theta + k pi in [-pi/2, pi/2), like the analyzer ids, a
     zero unsigned. The config is held to check_reads first."""
     check_reads(cfg, "scan")
-    m, _ = estimate_correlation(_rotation_counts(cfg, ("psi_minus",), _SCAN_GRID, exact)[0])
-    theta = _remove_offsets(cfg, "psi_minus", _scan_phase(m))
+    m, sigma = estimate_correlation(
+        _rotation_counts(cfg, ("psi_minus",), _SCAN_GRID, exact)[0])
+    theta = _remove_offsets(cfg, "psi_minus", _scan_phase(m, sigma))
     theta = math.remainder(theta, math.pi)
     return -theta if theta == math.pi / 2 else theta + 0.0
 

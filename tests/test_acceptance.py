@@ -128,12 +128,12 @@ def test_criterion_3_extraction_round_trip_and_branch_wrap():
         for tb in grid:
             obs_p = measure.exact_observables(evolved_bell("psi_plus", ta, tb))
             obs_m = measure.exact_observables(evolved_bell("psi_minus", ta, tb))
-            ta_hat, tb_hat = measure.extract_thetas(obs_p, obs_m)
+            ta_hat, tb_hat = measure.extract_thetas(obs_p, obs_m, 0.0, 0.0)
             worst = max(worst, abs(ta_hat - ta), abs(tb_hat - tb))
     ta = math.radians(46.0)
     obs_p = measure.exact_observables(evolved_bell("psi_plus", ta, 0.0))
     obs_m = measure.exact_observables(evolved_bell("psi_minus", ta, 0.0))
-    ta_hat, _ = measure.extract_thetas(obs_p, obs_m)
+    ta_hat, _ = measure.extract_thetas(obs_p, obs_m, 0.0, 0.0)
     wrapped = abs(ta_hat - (ta - math.pi / 2)) < 1e-9
     report("criterion 3 (angle-extraction round trip)",
            worst <= 1e-9 and wrapped,

@@ -1301,24 +1301,27 @@ def test_sweep_above_the_point_limit_exits_2(tmp_path, monkeypatch, capsys, swee
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
 def test_theta_sweep_of_a_fully_mixed_source(tmp_path, monkeypatch, capsys, exact):
-    # at visibility 0 every exact branch factor is round-off, and the local
-    # angles have no phase to read; sampled counts still give a rotation
+    # at visibility 0 the local angles have no phase to read: every exact
+    # branch factor is round-off, below MODULUS_FLOOR, and every sampled one
+    # is noise, below the significance rule (sampled counts read a rotation
+    # with sigma_minus_deg 17.7-41.7 deg and exited 0 under a constant floor)
     monkeypatch.chdir(tmp_path)
     text = (GOLDEN_INPUTS / "sweep_theta.ini").read_text()
     (tmp_path / "mixed.ini").write_text(text.replace("visibility = 0.9", "visibility = 0.0"))
     argv = ["sweep", "--config", "mixed.ini", "--out", "sweep.csv"]
-    assert main(argv + ["--exact"] * exact) == (2 if exact else 0)
+    assert main(argv + ["--exact"] * exact) == 2
     captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not (tmp_path / "sweep.csv").exists()
     if exact:
         # the modulus is round-off (8.0844e-17 under the SkylakeX kernel)
-        assert captured.out == ""
         modulus = re.fullmatch(r"error: extraction ill-conditioned at stack index \(0,\): "
                                r"\|plus-branch factor\| = (\S+) < 1e-06\n", captured.err)
         assert modulus and float(modulus.group(1)) < 1e-15
-        assert not (tmp_path / "sweep.csv").exists()
     else:
-        assert captured.out == "wrote 5 sweep points to sweep.csv\n"
-        assert (tmp_path / "sweep.csv").exists()
+        assert captured.err == ("error: extraction ill-conditioned at stack index (0,): "
+                                "|plus-branch factor| = 0.0126752 = 1.36 sigma_F < 4 "
+                                "sigma_F\n")
 
 
 def test_exact_molarity_sweep_of_a_fully_mixed_source_exits_2(tmp_path, monkeypatch,
@@ -1351,31 +1354,101 @@ def test_extract_zero_factor_exits_2(tmp_path, capsys, recwarn, branch):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("row", ["m_zz,1e200,0.1", "m_xz,-1.5,0", "m_zx,2,0",
+                                 "m_zz,-1,-0.1", "m_xz,0,1.5"])
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_extract_rejects_a_row_that_is_no_correlation(tmp_path, capsys, recwarn, branch, row):
+    # m_zz = 1e200 overflowed in |F|^2 with a RuntimeWarning and printed
+    # -39.989902, 39.989902 with exit 0; each value must lie in [-1, 1] and
+    # each sigma in [0, 1], and the error names the file and the row
+    rows = {"m_zz": "m_zz,-1,0", "m_xz": "m_xz,0,0", "m_zx": "m_zx,0,0"}
+    rows[row.split(",")[0]] = row
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_text("observable,value,sigma\n" + "\n".join(rows.values()) + "\n")
+    good.write_text("observable,value,sigma\nm_zz,-1,0\nm_xz,0,0\nm_zx,0,0\n")
+    plus, minus = (bad, good) if branch == "plus" else (good, bad)
+    out = tmp_path / "thetas.csv"
+    assert main(["extract", "--plus", str(plus), "--minus", str(minus),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name, value, sigma = row.split(",")
+    assert captured.err == (f"error: {bad}: row {name},{float(value):g},{float(sigma):g} is "
+                            f"no correlation: its value must lie in [-1, 1] and its sigma "
+                            f"in [0, 1]\n")
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_extract_holds_the_file_sigmas_to_the_significance_rule(tmp_path, capsys):
+    # the golden observables read at their own sigmas (|F| / sigma_F near
+    # 200) and exit 2 once the sigmas of one branch are 60 times larger
+    plus, minus = (str(GOLDEN_INPUTS / f"obs_{b}.csv") for b in ("plus", "minus"))
+    rows = [line.split(",") for line in Path(minus).read_text().split()]
+    wide = tmp_path / "wide.csv"
+    wide.write_text("\n".join([",".join(rows[0])] + [f"{name},{value},{60 * float(sigma)!r}"
+                                                      for name, value, sigma in rows[1:]]))
+    assert main(["extract", "--plus", plus, "--minus", minus]) == 0
+    assert capsys.readouterr().out == "20.026790, 10.006594\n"
+    assert main(["extract", "--plus", plus, "--minus", str(wide)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: extraction ill-conditioned: \|minus-branch factor\| = "
+                        r"0\.930\d+ = \S+ sigma_F < 4 sigma_F\n", captured.err)
+
+
 @pytest.mark.parametrize("argv", [
     ["extract", "--plus", "x.csv", "--minus", "x.csv", "--modulus-floor", "0"],
     ["scan", "--config", str(GOLDEN_INPUTS / "scan.ini"), "--exact", "--noise-floor", "0"]])
 def test_phase_floors_are_not_options(capsys, argv):
-    # each readout judges its phase by a constant floor (measure.MODULUS_FLOOR,
-    # sweeps.NOISE_FLOOR); a floor flag is an unknown option
+    # every readout judges its phase by one rule, |F| >= max(MODULUS_FLOOR,
+    # SIGNIFICANCE sigma_F) in measure._branch_rotations, whose constants
+    # are not options: a floor flag is an unknown option
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {argv[-2]} 0" in captured.err
 
 
-@pytest.mark.parametrize("exact, modulus", [(True, "0"), (False, "0.000265695")],
+@pytest.mark.parametrize("exact, factor", [(True, "0 < 1e-06"),
+                                           (False, "0.000265695 = 1.2 sigma_F < 4 sigma_F")],
                          ids=["exact", "sampled"])
 def test_scan_of_an_unpolarized_source_exits_2_as_a_flat_response(tmp_path, capsys,
-                                                                  exact, modulus):
-    # at visibility 0 the grid phasors carry no phase: the scan's one check
-    # against sweeps.NOISE_FLOOR names the mean phasor modulus
+                                                                  exact, factor):
+    # at visibility 0 the grid phasors carry no phase: the scan reads its
+    # mean phasor as a minus-branch factor under the one rule of
+    # measure._branch_rotations, which names |F| and, for sampled counts,
+    # |F| / sigma_F (exact data have sigmas, but a zero phasor is below
+    # MODULUS_FLOOR)
     text = (GOLDEN_INPUTS / "scan.ini").read_text(encoding="utf-8")
     cfg = write_config(tmp_path, text + "\n[noise]\nvisibility = 0\n")
     assert main(["scan", "--config", cfg, *(["--exact"] if exact else [])]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (f"flat scan response: mean phasor modulus {modulus} is below the noise "
-            f"floor 0.001") in captured.err
+    assert captured.err == f"error: extraction ill-conditioned: |minus-branch factor| = {factor}\n"
+
+
+@pytest.mark.parametrize("pair_flux", ["1e2", "1e3", "1e4", "1e5", "1e6"])
+@pytest.mark.parametrize("run", ["scan", "sweep"])
+def test_an_unpolarized_source_reads_no_rotation_at_any_count(tmp_path, capsys, run,
+                                                              pair_flux):
+    # a sampled readout of a visibility-0 source is noise at every count, and
+    # a constant floor let some through: scan.ini printed -2.312211,
+    # -34.126489 and -62.753228 at pair_flux 100, seeds 1-3, and -2.733340
+    # at 1e5, seed 3, each with exit 0
+    text = (GOLDEN_INPUTS / f"{'scan' if run == 'scan' else 'sweep_theta'}.ini").read_text()
+    text = re.sub(r"pair_flux = \d+", f"pair_flux = {pair_flux}", text)
+    text = (text.replace("visibility = 0.9", "visibility = 0") if run == "sweep"
+            else text + "\n[noise]\nvisibility = 0\n")
+    for seed in ("1", "2", "3"):
+        cfg = write_config(tmp_path, re.sub(r"seed = \d+", f"seed = {seed}", text))
+        argv = [run, "--config", cfg, *(["--out", str(tmp_path / "s.csv")] * (run == "sweep"))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: extraction ill-conditioned(?: at stack index \(\d+,\))?: "
+                            r"\|(plus|minus)-branch factor\| = \S+ = \S+ sigma_F < 4 sigma_F\n",
+                            captured.err), captured.err
 
 
 def test_scan_range_deg_is_not_an_option(capsys):
@@ -1505,7 +1578,7 @@ def zx_flipped_observables(rho):
     return EXACT_OBSERVABLES(rho) * np.array([1.0, 1.0, -1.0])
 
 
-def narrow_window_extraction(m_plus, m_minus):
+def narrow_window_extraction(m_plus, m_minus, sigma_plus, sigma_minus):
     # wraps both angles into +-43.5 deg, a quarter turn of 87 deg, instead of
     # +-45 deg; the round-trip grid ends at +-44 deg
     m = np.stack((m_plus, m_minus))

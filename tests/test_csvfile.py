@@ -131,10 +131,10 @@ def test_tomo_counts_round_trip_any_row_order(path, counts, metadata, order):
 
 
 @settings(max_examples=60, deadline=None)
-@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                       min_size=6, max_size=6))
+@given(values=st.tuples(*[st.floats(-1.0, 1.0)] * 3 + [st.floats(0.0, 1.0)] * 3))
 def test_observables_round_trip(path, values):
-    # the file `polarot observables --out` writes reads back both columns
+    # the file `polarot observables --out` writes reads back both columns:
+    # correlations in [-1, 1] and sigmas in [0, 1], which extract accepts
     m, sigma = np.array(values[:3]), np.array(values[3:])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "read_table", lambda table_path: None)
@@ -142,7 +142,7 @@ def test_observables_round_trip(path, values):
         assert cli.main(["observables", "--table", "unread", "--out", str(path)]) == 0
     _, rows = read_labeled(path, cli._OBSERVABLES_HEADER, cli._OBSERVABLES, "observable", "")
     assert rows == np.stack((m, sigma), -1).tolist()
-    assert np.array_equal(cli._read_observables(path), m)
+    assert np.array_equal(cli._read_observables(path), np.stack((m, sigma)))
 
 
 TABLE_HEADER = "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm\n"

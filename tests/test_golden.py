@@ -82,7 +82,7 @@ print(code, *sorted(
 # the golden cases whose bytes hold on every kernel; tomo's solver output
 # still moves with the BLAS core and numpy's SIMD level
 KERNEL_FREE_CASES = ["simulate_exact", "sweep_theta_exact", "sweep_theta", "sweep_molarity",
-                     "sweep_molarity_exact", "scan", "scan_exact"]
+                     "sweep_molarity_exact", "scan", "scan_exact", "extract"]
 
 
 @pytest.mark.parametrize("name", KERNEL_FREE_CASES)

@@ -696,7 +696,7 @@ def test_extract_thetas_round_trip_in_window(theta_a, theta_b):
     def branch(angle):
         return np.array([-math.cos(2 * angle), -math.sin(2 * angle)])
     ta_hat, tb_hat = measure.extract_thetas(branch(theta_a + theta_b),
-                                            branch(theta_a - theta_b))
+                                            branch(theta_a - theta_b), 0.0, 0.0)
     assert abs(ta_hat - theta_a) <= 1e-9 and abs(tb_hat - theta_b) <= 1e-9
 
 
@@ -775,7 +775,7 @@ def test_branch_rotation():
 
 def test_extract_thetas_trivial():
     obs = np.array([-1.0, 0.0, 0.0])
-    ta, tb = measure.extract_thetas(obs, obs)
+    ta, tb = measure.extract_thetas(obs, obs, 0.0, 0.0)
     assert abs(ta) < 1e-15 and abs(tb) < 1e-15
 
 
@@ -785,7 +785,7 @@ def test_extract_thetas_round_trip(ta_deg, tb_deg):
     ta, tb = math.radians(ta_deg), math.radians(tb_deg)
     obs_p = measure.exact_observables(evolved_bell("psi_plus", ta, tb))
     obs_m = measure.exact_observables(evolved_bell("psi_minus", ta, tb))
-    ta_hat, tb_hat = measure.extract_thetas(obs_p, obs_m)
+    ta_hat, tb_hat = measure.extract_thetas(obs_p, obs_m, 0.0, 0.0)
     assert abs(ta_hat - ta) < 1e-9
     assert abs(tb_hat - tb) < 1e-9
 
@@ -796,7 +796,7 @@ def test_extract_thetas_branch_wrap_outside_window():
     ta = math.radians(46.0)
     obs_p = measure.exact_observables(evolved_bell("psi_plus", ta, 0.0))
     obs_m = measure.exact_observables(evolved_bell("psi_minus", ta, 0.0))
-    ta_hat, tb_hat = measure.extract_thetas(obs_p, obs_m)
+    ta_hat, tb_hat = measure.extract_thetas(obs_p, obs_m, 0.0, 0.0)
     assert abs(ta_hat - (ta - math.pi / 2)) < 1e-9
     assert abs(tb_hat) < 1e-9
 
@@ -804,7 +804,7 @@ def test_extract_thetas_branch_wrap_outside_window():
 def test_extract_thetas_ill_conditioned():
     obs = np.zeros(3)
     with pytest.raises(ValueError, match="ill-conditioned"):
-        measure.extract_thetas(obs, obs)
+        measure.extract_thetas(obs, obs, 0.0, 0.0)
 
 
 def _bits(values):
@@ -853,10 +853,10 @@ def test_readout_stack_equals_scalar_calls():
 
     # each branch as (member, (m_zz, m_xz)) rows
     plus, minus = m[:2, 4:].T, m[2:, 4:].T
-    theta_a, theta_b = measure.extract_thetas(plus, minus)
+    theta_a, theta_b = measure.extract_thetas(plus, minus, 0.0, 0.0)
     scalar = []
     for args in zip(*m[:, 4:].tolist()):
-        one = measure.extract_thetas(np.array(args[:2]), np.array(args[2:]))
+        one = measure.extract_thetas(np.array(args[:2]), np.array(args[2:]), 0.0, 0.0)
         scalar.append(one)
         # the half-sum and half-difference of the branch rotations, wrapped
         # into the +-45 deg window, in Python floats
@@ -869,7 +869,7 @@ def test_readout_stack_equals_scalar_calls():
     # the m_zz = m_xz = 0 members make the whole stack ill-conditioned,
     # and the error names the first of them
     with pytest.raises(ValueError, match=r"ill-conditioned at stack index \(0,\)"):
-        measure.extract_thetas(m[:2].T, m[2:].T)
+        measure.extract_thetas(m[:2].T, m[2:].T, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
@@ -881,7 +881,7 @@ def test_extract_thetas_names_the_ill_conditioned_member(branch):
     obs = (bad, good) if branch == "plus" else (good, bad)
     with pytest.raises(ValueError, match=rf"ill-conditioned at stack index \(1, 2\): "
                                          rf"\|{branch}-branch factor\| = 0 < 1e-06"):
-        measure.extract_thetas(*obs)
+        measure.extract_thetas(*obs, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
@@ -894,7 +894,7 @@ def test_extract_thetas_rejects_a_zero_factor(branch):
     obs = (bad, good) if branch == "plus" else (good, bad)
     with pytest.raises(ValueError, match=rf"ill-conditioned at stack index \(2,\): "
                                          rf"\|{branch}-branch factor\| = 0 < 1e-06"):
-        measure.extract_thetas(*obs)
+        measure.extract_thetas(*obs, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("m", [np.array([-1.0]), -1.0], ids=["one-value", "scalar"])
@@ -902,26 +902,58 @@ def test_extract_thetas_names_the_expected_layout(m):
     # a branch with no M_xz on its last axis raised IndexError
     with pytest.raises(ValueError, match=r"^extract_thetas needs M_zz and M_xz on the last "
                                          r"axis of each branch, got shapes \S+ and \S+$"):
-        measure.extract_thetas(m, m)
+        measure.extract_thetas(m, m, 0.0, 0.0)
     with pytest.raises(ValueError, match=r"got shapes \(3,\) and \(1,\)$"):
-        measure.extract_thetas(np.array([-1.0, 0.0, 0.0]), np.array([-1.0]))
+        measure.extract_thetas(np.array([-1.0, 0.0, 0.0]), np.array([-1.0]), 0.0, 0.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+_NOT_CORRELATIONS = (r"^extract_thetas needs M_zz and M_xz in \[-1, 1\] and their sigmas in "
+                     r"\[0, 1\] in each branch$")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200, -1.0000000000000002,
+                                   1.5], ids=["nan", "inf", "-inf", "1e200", "below-minus-1",
+                                              "1.5"])
 @pytest.mark.parametrize("branch, column", [(0, 0), (0, 1), (1, 0), (1, 1)],
                          ids=["plus-zz", "plus-xz", "minus-zz", "minus-xz"])
-def test_extract_thetas_rejects_non_finite_observables(branch, column, value):
+def test_extract_thetas_rejects_observables_that_are_no_correlations(branch, column, value):
     # without the check, ([nan, .5, 0], [-1, 0, 0]) read (nan, nan),
     # ([inf, 0, 0], [-1, 0, 0]) read (-pi/4, -pi/4) and ([-inf, .5, 0],
-    # [-1, 0, 0]) read (0, 0), all silently
+    # [-1, 0, 0]) read (0, 0), all silently, and M_zz = 1e200 overflowed
     obs = [np.array([-1.0, 0.5, 0.0]), np.array([-1.0, 0.0, 0.0])]
     obs[branch][column] = value
-    with pytest.raises(ValueError, match=r"^extract_thetas needs finite M_zz and M_xz in "
-                                         r"each branch$"):
-        measure.extract_thetas(*obs)
+    with pytest.raises(ValueError, match=_NOT_CORRELATIONS):
+        measure.extract_thetas(*obs, 0.0, 0.0)
     # M_zx is not read, so it is not checked
     obs[branch][column], obs[branch][2] = -1.0, value
-    measure.extract_thetas(*obs)
+    measure.extract_thetas(*obs, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [-1e-9, 1.5, math.nan, math.inf],
+                         ids=["negative", "above-1", "nan", "inf"])
+def test_extract_thetas_rejects_sigmas_outside_the_unit_interval(sigma):
+    obs = np.array([-1.0, 0.0, 0.0])
+    for sigmas in ((sigma, 0.0), (0.0, np.array([0.0, sigma, 0.0]))):
+        with pytest.raises(ValueError, match=_NOT_CORRELATIONS):
+            measure.extract_thetas(obs, obs, *sigmas)
+    # the sigma of M_zx is not read either
+    measure.extract_thetas(obs, obs, 0.0, np.array([0.0, 0.0, sigma]))
+
+
+def test_extract_thetas_holds_each_branch_to_the_significance_rule():
+    # the same observables read at small sigmas and raise at large ones,
+    # where |F| / sigma_F falls below SIGNIFICANCE; |F| is 0.5 in each branch
+    plus, minus = np.array([-0.5, 0.0, 0.0]), np.array([0.0, -0.5, 0.0])
+    assert measure.extract_thetas(plus, minus, 0.01, 0.01) == pytest.approx(
+        measure.extract_thetas(plus, minus, 0.0, 0.0))
+    # at m_xz = 0 sigma_F is sigma_xz alone: 0.5 / 0.125 = 4 reads, 0.13 does not
+    measure.extract_thetas(plus, minus, np.array([0.9, 0.125, 0.0]), 0.0)
+    with pytest.raises(ValueError, match=r"^extraction ill-conditioned: \|plus-branch "
+                                         r"factor\| = 0.5 = 3.85 sigma_F < 4 sigma_F$"):
+        measure.extract_thetas(plus, minus, np.array([0.9, 0.13, 0.0]), 0.0)
+    with pytest.raises(ValueError, match=r"^extraction ill-conditioned: \|minus-branch "
+                                         r"factor\| = 0.5 = 2 sigma_F < 4 sigma_F$"):
+        measure.extract_thetas(plus, minus, 0.0, 0.25)
 
 
 # --------------------------------------------------------------------- scan
@@ -934,9 +966,9 @@ def exact_probe(ta):
 
 
 def scan(probe):
-    """The scan's phase estimator on the observables `probe` gives at the
-    scan grid, a (grid angle, (m_zz, m_xz, m_zx)) array."""
-    return sweeps._scan_phase(probe(sweeps._SCAN_GRID)[:, :2])
+    """The scan's phase estimator on the exact observables `probe` gives at
+    the scan grid, a (grid angle, (m_zz, m_xz, m_zx)) array, with sigmas 0."""
+    return sweeps._scan_phase(probe(sweeps._SCAN_GRID)[:, :2], np.zeros((36, 2)))
 
 
 def test_scan_exact_zero():
@@ -972,22 +1004,16 @@ def test_scan_noisy_repeatability():
     rho0 = states.bell_state("psi_minus")
 
     for rep in range(5):
-        calls = [0]
-
-        def probe(tbs):
-            observables = []
-            for tb in tbs:
-                calls[0] += 1
-                rho = rotate_locally(rho0, jones.rotation_unitary(ta),
-                                     jones.rotation_unitary(tb))
-                seed = int(np.random.SeedSequence(
-                    entropy=1000 + rep, spawn_key=(calls[0],)).generate_state(1)[0])
-                table = measure.simulate_counts(rho, make_named_settings(),
-                                                measure.Detection(1e5, 1.0), seed=seed)
-                observables.append(measure.estimate_observables(table)[0])
-            return np.array(observables)
-
-        assert abs(scan(probe) - ta) < math.radians(0.5)
+        m, sigma = [], []
+        for k, tb in enumerate(sweeps._SCAN_GRID, 1):
+            rho = rotate_locally(rho0, jones.rotation_unitary(ta), jones.rotation_unitary(tb))
+            seed = int(np.random.SeedSequence(
+                entropy=1000 + rep, spawn_key=(k,)).generate_state(1)[0])
+            table = measure.simulate_counts(rho, make_named_settings(),
+                                            measure.Detection(1e5, 1.0), seed=seed)
+            for values, estimates in zip((m, sigma), measure.estimate_observables(table)):
+                values.append(estimates[:2])
+        assert abs(sweeps._scan_phase(np.array(m), np.array(sigma)) - ta) < math.radians(0.5)
 
 
 def mixed_probe(tbs):
@@ -996,15 +1022,52 @@ def mixed_probe(tbs):
 
 
 def test_scan_flat_response_rejected():
-    with pytest.raises(ValueError, match="flat scan response"):
-        scan(mixed_probe)
+    # a grid of pure sampling noise with unequal sigmas: the mean phasor P is
+    # a few sigma_F at most, below the significance rule, and the error
+    # gives |P| / sigma_F with sigma_F from the full covariance of (Re P,
+    # Im P), here built from the Jacobian of P in the 72 correlations
+    rng = np.random.default_rng(3)
+    sigma = rng.uniform(0.005, 0.02, (36, 2))
+    m = rng.normal(0.0, sigma)
+    grid = sweeps._SCAN_GRID
+    phasor = np.mean((-m[:, 0] - 1j * m[:, 1]) * np.exp(2j * grid))
+    c, s = np.cos(2 * grid) / 36, np.sin(2 * grid) / 36
+    jacobian = np.array([np.concatenate((-c, s)), np.concatenate((-s, -c))])
+    cov = jacobian @ np.diag(np.concatenate((sigma[:, 0], sigma[:, 1])) ** 2) @ jacobian.T
+    across = np.array([-phasor.imag, phasor.real]) / abs(phasor)
+    ratio = abs(phasor) / math.sqrt(across @ cov @ across)
+    assert ratio < measure.SIGNIFICANCE
+    with pytest.raises(ValueError, match=rf"^extraction ill-conditioned: \|minus-branch "
+                                         rf"factor\| = {abs(phasor):g} = {ratio:.3g} "
+                                         rf"sigma_F < 4 sigma_F$"):
+        sweeps._scan_phase(m, sigma)
 
 
 def test_scan_zero_phasor_rejected_at_the_noise_floor():
-    # a fully mixed source gives a mean phasor of exactly 0, which has no phase
-    with pytest.raises(ValueError, match=f"mean phasor modulus 0 is below the "
-                                         f"noise floor {sweeps.NOISE_FLOOR:g}"):
+    # a fully mixed source gives a mean phasor of exactly 0, which has no
+    # phase: with sigmas 0 the rule is the round-off floor MODULUS_FLOOR
+    with pytest.raises(ValueError, match=r"^extraction ill-conditioned: \|minus-branch "
+                                         r"factor\| = 0 < 1e-06$"):
         scan(mixed_probe)
+
+
+def test_scan_readout_is_the_old_phasor_angle_bit_for_bit():
+    # the scan reads its mean phasor P through _branch_rotations as the
+    # branch factor of (m_zz, m_xz) = (-Re P, -Im P); its angle must be the
+    # bits of the old estimator 0.5 np.angle(P), the oracle here, on seeded
+    # random grids whose P has modulus near 1, 1e-3 and 1.2e-6 (above the
+    # floor), with sigmas 0 and small enough to pass the significance rule
+    rng = np.random.default_rng(46)
+    turn = np.exp(2j * sweeps._SCAN_GRID)
+    for k in range(3000):
+        f = rng.uniform(-0.5, 0.5, 36) + 1j * rng.uniform(-0.5, 0.5, 36)
+        f -= np.mean(f * turn) / turn  # a grid whose mean phasor is round-off
+        modulus = (1.0, 1e-3, 1.2e-6)[k % 3] * rng.uniform(0.9, 1.1)
+        f += modulus * np.exp(1j * rng.uniform(-math.pi, math.pi)) / turn
+        m = np.stack((-f.real, -f.imag), -1)
+        sigma = rng.uniform(0.0, 1e-9, (36, 2)) if k % 2 else np.zeros((36, 2))
+        oracle = 0.5 * float(np.angle(np.mean((-m[:, 0] - 1j * m[:, 1]) * turn)))
+        assert _bits(sweeps._scan_phase(m, sigma)) == _bits(oracle), k
 
 
 def test_scan_probes_the_grid_once(monkeypatch):
@@ -1048,7 +1111,7 @@ def enumerated_representative(theta: float) -> float:
 def scan_reading(theta: float, cfg: config.ExperimentConfig) -> float:
     """run_scan's readout when its phase estimator finds theta (radians)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweeps, "_scan_phase", lambda m: theta)
+        patch.setattr(sweeps, "_scan_phase", lambda m, sigma: theta)
         return sweeps.run_scan(cfg, exact=True)
 
 

@@ -196,8 +196,8 @@ UNMOVED = {
         **{key: "exact observables are ratios of mean counts, which the detection "
                 "fields scale alike" for key in DETECTION},
         ("noise", "visibility"): "the visibility scales the exact grid phasor but "
-                                 "not its phase; only the flat-response check "
-                                 "against sweeps.NOISE_FLOOR reads its size"},
+                                 "not its phase; only the significance rule of "
+                                 "measure._branch_rotations reads its size"},
 }
 READ = [(run, section, key, exact) for run in RUNS for exact in (False, True)
         for section, key in ALL_KEYS
