@@ -14,7 +14,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .measure import NAMED_PAIRS, Detection, parse_setting
 from .metrology import MAX_TRIALS
@@ -49,6 +49,9 @@ class ArmConfig:
     slope_deg_per_molar: float = DEFAULT_SLOPE_DEG_PER_MOLAR
 
     def __post_init__(self):
+        for name in ("angle", "molarity", "slope_deg_per_molar"):  # as floats, see config_hash
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, float(value))
         if (self.angle is None) == (self.molarity is None):
             raise ValueError("an arm needs exactly one of a fixed angle or a solution")
         if self.angle is not None and self.slope_deg_per_molar != DEFAULT_SLOPE_DEG_PER_MOLAR:
@@ -85,6 +88,12 @@ class ExperimentConfig:
     sweep_values: tuple = ()
 
     def __post_init__(self):
+        # one type per field, so that equal values repr and hash alike: 1 and
+        # np.float64(1.0) are 1.0, np.int64(3) is 3, a list of values a tuple
+        for key in ("visibility", "pbs_a", "pbs_b", "hwp"):
+            object.__setattr__(self, key, float(getattr(self, key)))
+        object.__setattr__(self, "seed", index(self.seed))
+        object.__setattr__(self, "sweep_values", tuple(map(float, self.sweep_values)))
         if self.setting_pairs != NAMED_PAIRS:  # canonical, and built by every sweep and scan
             try:  # the canonical ids, so that one experiment is one config value
                 object.__setattr__(self, "setting_pairs", tuple(
@@ -134,7 +143,10 @@ class ExperimentConfig:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """The provenance hash of a config value: the first 16 hex digits of the
-    sha256 of its repr, which holds every field, each value by repr."""
+    sha256 of its repr, which holds every field, each value by repr. The
+    config values store every number as a float or an int and the sweep
+    values as a tuple, so equal values hash alike whatever type they were
+    built from."""
     return hashlib.sha256(repr(cfg).encode("utf-8")).hexdigest()[:16]
 
 
@@ -214,7 +226,7 @@ _KEY_LINE = re.compile(r"([^=:]+)[=:](.*)")
 # the keys each section accepts; any other section or key is an error
 _KEYS = {
     "state": ("kind", "ket_a", "ket_b"),
-    "noise": ("visibility", "accidental_fraction"),
+    "noise": ("visibility",),
     "arm_a": ("angle_deg", "molarity", "slope_deg_per_molar", "transmission"),
     "arm_b": ("angle_deg", "molarity", "slope_deg_per_molar", "transmission"),
     "offsets": ("pbs_a_deg", "pbs_b_deg", "hwp_deg"),
@@ -333,6 +345,13 @@ def _parse_sweep(sec: dict) -> tuple[str | None, tuple]:
 def loads_config(text: str) -> ExperimentConfig:
     """Parse a configuration from INI text."""
     ini = _read_ini(text)
+    noise = ini.get("noise", {})
+    if "accidental_fraction" in noise:  # a key of earlier versions; the message folds it
+        folded = (_float(noise, "noise", "visibility", _DEFAULT.visibility)
+                  * (1.0 - _float(noise, "noise", "accidental_fraction")))
+        raise ValueError(f"[noise] accidental_fraction is no longer read: accidentals "
+                         f"uniform over the four outcomes are Werner noise, so set "
+                         f"[noise] visibility = V * (1 - f) = {folded:.15g} instead")
     for name, values in ini.items():
         if name not in _KEYS:
             raise ValueError(f"unknown config section [{name}]; the sections are "
@@ -349,10 +368,7 @@ def loads_config(text: str) -> ExperimentConfig:
             raise ValueError(f"section [state] must not set {key} with kind = "
                              f"{kwargs['state_kind']} (only a separable source has kets)")
         kwargs[key] = state.get(key, getattr(_DEFAULT, key))
-    noise = ini.get("noise", {})
     kwargs["visibility"] = _float(noise, "noise", "visibility", _DEFAULT.visibility)
-    accidental_fraction = _float(noise, "noise", "accidental_fraction",
-                                 _DEFAULT.detection.accidental_fraction)
     transmissions = {}
     for name in ("arm_a", "arm_b"):
         kwargs[name], transmissions[name] = _parse_arm(ini.get(name, {}), name)
@@ -367,8 +383,7 @@ def loads_config(text: str) -> ExperimentConfig:
         pair_flux=_float(statistics, "statistics", "pair_flux", _DEFAULT.detection.pair_flux),
         duration=_float(statistics, "statistics", "duration", _DEFAULT.detection.duration),
         transmission_a=transmissions["arm_a"],
-        transmission_b=transmissions["arm_b"],
-        accidental_fraction=accidental_fraction)
+        transmission_b=transmissions["arm_b"])
     kwargs["seed"] = _number(int, "statistics", "seed", statistics["seed"])
     if "settings" in ini:
         if "pairs" not in ini["settings"]:

@@ -177,48 +177,47 @@ def exact_observables(rho: np.ndarray) -> np.ndarray:
 class Detection:
     """The counting model of a coincidence table, checked once here:
     pair_flux * duration * both arm transmissions detected pairs per
-    setting on average, of which accidental_fraction are accidentals
-    uniform over the four outcomes, at most MAX_POISSON_MEAN of them.
-    asdict(detection) is table metadata."""
+    setting on average, at most MAX_POISSON_MEAN of them. Each field is
+    stored as a float, so equal values repr alike. Uniform accidentals have
+    no field: a fraction f of them is Werner noise, which the source's
+    visibility V carries as V (1 - f). asdict(detection) is table metadata."""
 
     pair_flux: float
     duration: float
     transmission_a: float = 1.0
     transmission_b: float = 1.0
-    accidental_fraction: float = 0.0
 
     def __post_init__(self):
+        for name in ("pair_flux", "duration", "transmission_a", "transmission_b"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (0.0 < self.pair_flux < math.inf and 0.0 < self.duration < math.inf):
             raise ValueError(f"pair_flux and duration must be positive and finite, "
                              f"got {self.pair_flux}, {self.duration}")
         for name in ("transmission_a", "transmission_b"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if not 0.0 <= self.accidental_fraction < 1.0:
-            raise ValueError(f"accidental_fraction must be in [0, 1), "
-                             f"got {self.accidental_fraction}")
         if not self.mean_pairs() <= MAX_POISSON_MEAN:
             raise ValueError(f"pair_flux * duration * transmission_a * transmission_b "
                              f"= {self.mean_pairs():g} pairs per setting is above "
                              f"{MAX_POISSON_MEAN:g}, the largest Poisson mean numpy draws")
 
     def mean_pairs(self) -> float:
-        """Mean detected pairs per setting, accidentals included."""
+        """Mean detected pairs per setting."""
         return self.pair_flux * self.duration * self.transmission_a * self.transmission_b
 
 
 def _mean_counts(rho, projectors, detection) -> np.ndarray:
-    # the mean count of every cell of a projector tensor's settings: the Born
-    # probabilities of true pairs, normalized per setting, with accidentals
-    # replacing their fraction of the mean, uniform over the outcomes
-    p, f = _born(rho, projectors), detection.accidental_fraction
-    return detection.mean_pairs() * ((1.0 - f) * (p / p.sum(axis=-1, keepdims=True))
-                                     + f / 4.0)
+    # the mean count of every cell of a projector tensor's settings: the
+    # detected pairs per setting split by the Born probabilities, normalized
+    # per setting
+    p = _born(rho, projectors)
+    return detection.mean_pairs() * (p / p.sum(axis=-1, keepdims=True))
 
 
 def exact_table(rho: np.ndarray, settings, detection: Detection) -> CoincidenceTable:
     """Expected-value coincidence table: the sampling-free limit of
-    simulate_counts, with unrounded mean counts per outcome."""
+    simulate_counts, with unrounded mean counts per outcome,
+    detection.mean_pairs() per setting split by the Born probabilities."""
     counts = _mean_counts(validate_state(rho), projector_tensor(settings), detection)
     return CoincidenceTable(settings, counts, dict(asdict(detection), exact=1))
 
@@ -229,8 +228,9 @@ def simulate_counts(rho: np.ndarray, settings, detection: Detection,
 
     Every cell is an independent Poisson count whose mean is the exact
     table's (exact_table): detection.mean_pairs() per setting, split by
-    the Born outcome probabilities, with accidental coincidences replacing
-    the stated fraction of the mean uniformly over the four outcomes.
+    the Born outcome probabilities. Accidental coincidences uniform over
+    the four outcomes are part of the state's Werner noise
+    (channels.apply_noise), not of the detection.
 
     The whole table draws from one random stream, default_rng(seed) for
     the int `seed` (the metadata's rng_seed), cells in row order. The table

@@ -51,7 +51,14 @@ class SweepResult:
 def fit_line(x, y, sigma) -> dict:
     """Weighted least-squares straight line y = slope x + intercept through
     points with absolute uncertainties sigma. Returns the parameters, the
-    slope's sigma and their covariance cov = [[var_slope, c], [c, var_intercept]]."""
+    slope's sigma and their covariance cov = [[var_slope, c], [c, var_intercept]].
+
+    The sigmas are divided by 2**e, e the binary exponent of the largest,
+    before they are squared, so that no weight overflows or underflows
+    however small or large they are. The division is exact and slope and
+    intercept do not depend on it; slope_sigma and cov are scaled back. A
+    covariance past the float range (sigmas of about 1e155 and up, on x a
+    few units apart) raises."""
     x, y, sigma = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, sigma)))
     if x.size < 3:
         raise ValueError(f"need at least 3 points to fit a line, got {x.size}")
@@ -59,7 +66,8 @@ def fit_line(x, y, sigma) -> dict:
         raise ValueError("point sigmas must be positive")
     if np.allclose(x, x[0]):
         raise ValueError("degenerate abscissa: all x values are equal")
-    w = 1.0 / sigma ** 2
+    _, exponent = math.frexp(sigma.max())
+    w = 1.0 / np.ldexp(sigma, -exponent) ** 2
     s = w.sum()
     sx, sy = (w * x).sum(), (w * y).sum()
     sxx, sxy = (w * x * x).sum(), (w * x * y).sum()
@@ -68,12 +76,18 @@ def fit_line(x, y, sigma) -> dict:
         raise ValueError("degenerate abscissa: line fit is underdetermined")
     slope = (s * sxy - sx * sy) / det
     intercept = (sxx * sy - sx * sxy) / det
-    cov = np.array([[s, -sx], [-sx, sxx]]) / det
+    cov = np.array([[s, -sx], [-sx, sxx]]) / det  # in units of 2**(2 e)
+    with np.errstate(over="raise"):
+        try:
+            scaled = np.ldexp(cov, 2 * exponent)
+        except FloatingPointError:
+            raise ValueError(f"the line fit's covariance is past the float range: "
+                             f"sigmas up to {sigma.max():g} square beyond it") from None
     return {
         "slope": float(slope),
         "intercept": float(intercept),
-        "slope_sigma": math.sqrt(max(cov[0, 0], 0.0)),
-        "cov": cov,
+        "slope_sigma": math.ldexp(math.sqrt(max(cov[0, 0], 0.0)), exponent),
+        "cov": scaled,
     }
 
 

@@ -181,5 +181,6 @@ def test_apply_noise_preserves_physicality():
 def test_noise_spec_validation():
     with pytest.raises(ValueError, match="visibility"):
         channels.apply_noise(states.bell_state("psi_plus"), 1.2)
-    with pytest.raises(ValueError, match="accidental_fraction"):
-        measure.Detection(1.0, 1.0, accidental_fraction=1.0)
+    # the accidental fraction is the visibility's to carry, not the detection's
+    with pytest.raises(TypeError, match="accidental_fraction"):
+        measure.Detection(1.0, 1.0, accidental_fraction=0.0)

@@ -1680,12 +1680,10 @@ def with_key(text, section, key, value):
 @pytest.mark.parametrize("section, key, value, name", [
     ("arm_a", "transmission", "1.5", "transmission_a"),
     ("arm_b", "transmission", "1.5", "transmission_b"),
-    ("noise", "accidental_fraction", "1.0", "accidental_fraction"),
     ("noise", "visibility", "1.2", "visibility"),
     ("statistics", "pair_flux", "-1", "pair_flux"),
     ("statistics", "duration", "-1", "duration")],
-    ids=["transmission_a", "transmission_b", "accidental_fraction", "visibility",
-         "pair_flux", "duration"])
+    ids=["transmission_a", "transmission_b", "visibility", "pair_flux", "duration"])
 def test_out_of_range_detection_value_exits_2(tmp_path, monkeypatch, capsys, command,
                                               section, key, value, name):
     # simulate reads no [sweep]
@@ -1695,3 +1693,31 @@ def test_out_of_range_detection_value_exits_2(tmp_path, monkeypatch, capsys, com
     assert main([command, "--config", write_config(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert name in err and value in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["sampled", "exact"])
+def test_an_accidental_fraction_exits_2_naming_the_visibility_it_equals(tmp_path, capsys,
+                                                                        flags):
+    # sim.ini set visibility 0.95 and accidental_fraction 0.02 until the key
+    # went: uniform accidentals are Werner noise, so the config now sets
+    # their product V (1 - f) = 0.931, and its goldens kept every count
+    golden = (GOLDEN_INPUTS / "sim.ini").read_text()
+    text = golden.replace("visibility = 0.931\n",
+                          "visibility = 0.95\naccidental_fraction = 0.02\n")
+    assert text != golden
+    out = tmp_path / "counts.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, text), *flags,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: [noise] accidental_fraction is no longer read: "
+                            "accidentals uniform over the four outcomes are Werner "
+                            "noise, so set [noise] visibility = V * (1 - f) = 0.931 "
+                            "instead\n")
+    assert not out.exists()
+    # without a visibility key the folded value is the default's, 1 - f
+    text = golden.replace("visibility = 0.931\n", "accidental_fraction = 0.25\n")
+    assert main(["simulate", "--config", write_config(tmp_path, text), *flags,
+                 "--out", str(out)]) == 2
+    assert "visibility = V * (1 - f) = 0.75 instead" in capsys.readouterr().err
+    assert not out.exists()

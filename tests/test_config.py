@@ -5,6 +5,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,10 +94,10 @@ def test_malformed_text_names_its_line(tmp_path, capsys, text, line, why):
 
 
 @pytest.mark.parametrize("name, expected", [
-    ("scan.ini", "45a1bc6513dd3ab0"),
-    ("sim.ini", "0f60e41854414cc3"),
-    ("sweep_molarity.ini", "822e1feaf279f56f"),
-    ("sweep_theta.ini", "499fcbf3eaf349db"),
+    ("scan.ini", "c6b031f613b2b862"),
+    ("sim.ini", "4591f6b173e847b5"),
+    ("sweep_molarity.ini", "89fc3edd37b1bc5e"),
+    ("sweep_theta.ini", "560962e0a49beefd"),
 ])
 def test_golden_config_hash(name, expected):
     assert config.config_hash(config.load_config(GOLDEN_INPUTS / name)) == expected
@@ -111,7 +112,7 @@ def test_one_experiment_has_one_hash_and_one_table(tmp_path, capsys, pair):
     assert text.count("lin:22.5/wp:10:20") == 1
     path = tmp_path / "sim.ini"
     path.write_text(text.replace("lin:22.5/wp:10:20", pair))
-    assert config.config_hash(config.load_config(path)) == "0f60e41854414cc3"
+    assert config.config_hash(config.load_config(path)) == "4591f6b173e847b5"
     assert main(["simulate", "--config", str(path), "--exact",
                  "--out", str(tmp_path / "exact.csv")]) == 0
     expected = (GOLDEN_INPUTS.parent / "expected" / "simulate_exact" / "exact.csv")
@@ -126,7 +127,7 @@ def test_a_config_built_in_code_hashes_like_the_same_config_loaded():
     loaded = config.loads_config("[statistics]\nseed = 0\n[settings]\npairs = lin:202.5/Z\n")
     assert built == loaded
     assert built.setting_pairs == (("lin:22.500000", "Z"),)
-    assert config.config_hash(built) == config.config_hash(loaded) == "d7906eee722acacb"
+    assert config.config_hash(built) == config.config_hash(loaded) == "8c39adef30023c52"
     # the named pairs are canonical already, and are kept as they are
     assert config.ExperimentConfig().setting_pairs is measure.NAMED_PAIRS
     with pytest.raises(ValueError, match="^\\[settings\\] pairs: cannot parse analyzer "
@@ -142,10 +143,31 @@ def test_a_config_built_with_a_lower_case_ket_hashes_like_the_same_config_loaded
                                  "[state]\nkind = separable\nket_a = h\n")
     assert built == loaded
     assert built.ket_a == "H"
-    assert config.config_hash(built) == config.config_hash(loaded) == "f937136994bc84c6"
+    assert config.config_hash(built) == config.config_hash(loaded) == "10e099590dbf91e4"
     with pytest.raises(ValueError, match="^\\[state\\] ket_b: unknown polarization "
                                          "label 'Q'"):
         config.ExperimentConfig(ket_b="q")
+
+
+@pytest.mark.parametrize("field, value, same", [
+    ("visibility", 1, 1.0),
+    ("visibility", np.float64(0.9), 0.9),
+    ("seed", np.int64(3), 3),
+    ("sweep_values", [0.0, 1.5], (0.0, 1.5)),
+    ("arm_a", config.ArmConfig(molarity=np.float32(2.0), slope_deg_per_molar=5),
+     config.ArmConfig(molarity=2.0, slope_deg_per_molar=5.0)),
+    ("detection", measure.Detection(100_000, 1, np.float64(0.5)),
+     measure.Detection(1e5, 1.0, 0.5)),
+], ids=["int-visibility", "numpy-visibility", "numpy-seed", "list-sweep-values",
+        "arm-numbers", "detection-numbers"])
+def test_one_value_has_one_hash_whatever_type_it_was_built_from(field, value, same):
+    # the first four pairs hashed apart, since repr(cfg) showed each number in
+    # the type it was built from (1 against 1.0, np.float64(0.9) against 0.9)
+    extra = {"sweep_variable": "theta_b"} if field == "sweep_values" else {}
+    built, typed = (config.ExperimentConfig(**{field: v}, **extra) for v in (value, same))
+    assert built == typed and repr(built) == repr(typed)
+    assert config.config_hash(built) == config.config_hash(typed)
+    assert type(getattr(built, field)) is type(same)
 
 
 @pytest.mark.parametrize("kind", ["psi_plus", "psi_minus", "phi_plus", "phi_minus"])
@@ -164,7 +186,7 @@ def test_kets_on_a_bell_source_do_not_build(kind, key, value):
     # the default kets, in either case, build and hash as the default; a bad
     # label is named before the kind
     assert config.config_hash(config.ExperimentConfig(ket_a="h", ket_b="v")) \
-        == config.config_hash(config.ExperimentConfig()) == "05a6595d5da7a89f"
+        == config.config_hash(config.ExperimentConfig()) == "9f1df3145daee054"
     with pytest.raises(ValueError, match="^\\[state\\] ket_b: unknown polarization "
                                          "label 'Q'"):
         config.ExperimentConfig(state_kind=kind, ket_a="D", ket_b="q")
@@ -176,6 +198,10 @@ def test_a_negative_seed_does_not_build():
     with pytest.raises(ValueError, match="^\\[statistics\\] seed must be >= 0, got -1$"):
         config.ExperimentConfig(seed=-1)
     assert config.ExperimentConfig(seed=0).seed == 0
+    # a seed is an integer, not a number that rounds to one: seed=3.0 built
+    # and hashed apart from seed=3
+    with pytest.raises(TypeError):
+        config.ExperimentConfig(seed=3.0)
 
 
 def test_a_sweep_above_the_point_limit_does_not_build():
@@ -232,7 +258,7 @@ OTHER_VALUE = {
     "state_kind": "psi_plus", "ket_a": "D", "ket_b": "A", "visibility": 0.5,
     "angle": 0.1, "molarity": 2.0, "slope_deg_per_molar": 5.0,
     "pbs_a": 0.1, "pbs_b": 0.1, "hwp": 0.1, "pair_flux": 2e5, "duration": 2.0,
-    "transmission_a": 0.5, "transmission_b": 0.5, "accidental_fraction": 0.1,
+    "transmission_a": 0.5, "transmission_b": 0.5,
     "seed": 1, "setting_pairs": (("Y", "Y"),), "sweep_variable": "molarity_b",
     "sweep_values": (0.0, 2.0),
 }

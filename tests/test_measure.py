@@ -307,13 +307,19 @@ def test_born_kernel_validates_the_stack():
 
 
 STACK_DETECTION = measure.Detection(pair_flux=3e4, duration=1.5, transmission_a=0.8,
-                                    transmission_b=0.7, accidental_fraction=0.03)
+                                    transmission_b=0.7)
+
+
+def stack_states():
+    # six random states at visibility 0.97: the stack the accidental
+    # fraction 0.03 of an earlier detection model gave
+    return channels.apply_noise(random_states(6, seed=10), 0.97)
 
 
 def test_sampled_table_is_one_stream_per_seed(tmp_path):
     # the draw the sweeps run on a stack of states, Poisson counts of the
     # exact means, and the table door on one state
-    rhos = random_states(6, seed=10)
+    rhos = stack_states()
     settings = FAMILY_SETTINGS[::5]
     means = measure._mean_counts(rhos, measure.projector_tensor(settings), STACK_DETECTION)
 
@@ -345,7 +351,7 @@ def test_sampled_table_is_one_stream_per_seed(tmp_path):
 
 def test_stacked_table_mean_counts_match_exact_table():
     # Every cell of a sampled table is an independent Poisson count with the
-    # exact table's mean mu (mu > 300 here, thanks to the accidentals): the
+    # exact table's mean mu (mu > 300 here, thanks to the Werner noise): the
     # draw simulate_counts and the sweeps run, as the stream tests pin.
     # Over K tables the mean count of a cell has z = (mean - mu) / sqrt(mu / K)
     # ~ N(0, 1). Bounds: every |z| within the two-sided Bonferroni quantile at
@@ -356,7 +362,7 @@ def test_stacked_table_mean_counts_match_exact_table():
     # so the sum over the M cells is within 5 sd of M (K - 1); a model with a
     # fixed total per setting has cell variances mu (1 - p) and fails it.
     from statistics import NormalDist
-    rhos = random_states(6, seed=10)
+    rhos = stack_states()
     settings = FAMILY_SETTINGS[::5]
     n_tables = 20
     mu = measure._mean_counts(rhos, measure.projector_tensor(settings), STACK_DETECTION)
@@ -524,12 +530,12 @@ def test_simulate_counts_transmission_scaling():
         assert abs(total - expected) <= 4.0 * math.sqrt(expected)
 
 
-def test_simulate_counts_accidentals_uniform():
-    # a pure accidental table is uniform over outcomes
-    rho = states.separable_state(states.ket("H"), states.ket("V"))
+def test_simulate_counts_of_a_nearly_mixed_source_are_uniform():
+    # visibility 0.001, once the accidental fraction 0.999, is uniform over outcomes
+    rho = channels.apply_noise(states.separable_state(states.ket("H"), states.ket("V")),
+                               0.001)
     table = measure.simulate_counts(rho, [("Z", "Z")],
-                                    measure.Detection(pair_flux=4e5, duration=1.0,
-                                                      accidental_fraction=0.999),
+                                    measure.Detection(pair_flux=4e5, duration=1.0),
                                     seed=3)
     freq = table.counts[0] / table.counts[0].sum()
     assert np.abs(freq - 0.25).max() < 0.01
@@ -552,8 +558,7 @@ def test_simulate_counts_validation():
 @pytest.mark.parametrize("name, value", [
     ("pair_flux", -1.0), ("pair_flux", math.inf), ("duration", 0.0),
     ("duration", -1.0), ("transmission_a", 1.5), ("transmission_a", -0.1),
-    ("transmission_b", 1.5), ("accidental_fraction", 1.0),
-    ("accidental_fraction", -0.1)])
+    ("transmission_b", 1.5)])
 def test_detection_validation(name, value):
     # every out-of-range value is rejected by a message that names its field
     with pytest.raises(ValueError, match=name):
@@ -570,9 +575,9 @@ def test_detection_mean_is_one_numpy_can_draw():
         rng.poisson(np.nextafter(bound, math.inf))
     # a detection at the bound samples a table; above it, the message names
     # the fields whose product is the mean
-    detection = measure.Detection(bound, 1.0, accidental_fraction=0.3)
-    table = measure.simulate_counts(states.bell_state("psi_plus"), make_named_settings(),
-                                    detection, seed=1)
+    detection = measure.Detection(bound, 1.0)
+    table = measure.simulate_counts(channels.apply_noise(states.bell_state("psi_plus"), 0.7),
+                                    make_named_settings(), detection, seed=1)
     assert np.all(np.abs(table.counts.sum(axis=1) / bound - 1.0) < 1e-8)
     with pytest.raises(ValueError, match=r"^pair_flux \* duration \* transmission_a \* "
                                          r"transmission_b = 1e\+19 pairs per setting is "
@@ -583,12 +588,12 @@ def test_detection_mean_is_one_numpy_can_draw():
 
 
 def test_detection_mean_and_metadata():
-    detection = measure.Detection(2e4, 1.5, 0.8, 0.5, 0.1)
+    detection = measure.Detection(2e4, 1.5, 0.8, 0.5)
     assert detection.mean_pairs() == 2e4 * 1.5 * 0.8 * 0.5
     rho = states.bell_state("psi_plus")
     exact = measure.exact_table(rho, make_named_settings(), detection)
     assert exact.metadata == dict(pair_flux=2e4, duration=1.5, transmission_a=0.8,
-                                  transmission_b=0.5, accidental_fraction=0.1, exact=1)
+                                  transmission_b=0.5, exact=1)
     sampled = measure.simulate_counts(rho, make_named_settings(), detection, seed=5)
     assert sampled.metadata == dict(exact.metadata, rng_seed=5, exact=0)
 
@@ -728,14 +733,15 @@ def repeated_counts(rho, settings, detection, seed):
     return np.random.default_rng(seed).poisson(means)
 
 
-@pytest.mark.parametrize("accidental_fraction", [0.0, 0.1])
-def test_estimate_observables_sigma_pulls(accidental_fraction):
+@pytest.mark.parametrize("visibility", [0.9, 0.81])
+def test_estimate_observables_sigma_pulls(visibility):
     # Pulls (estimate - exact) / sigma of each observable over independent
-    # tables are N(0, 1); the exact values, accidentals included, come from
-    # the exact table, and the estimates from the estimator kernel the
-    # sweeps run on the stack of tables
-    rho = evolved_bell("psi_minus", math.radians(20), math.radians(-5), 0.9)
-    detection = measure.Detection(1e5, 1.0, accidental_fraction=accidental_fraction)
+    # tables are N(0, 1); the exact values come from the exact table, and the
+    # estimates from the estimator kernel the sweeps run on the stack of
+    # tables. Visibility 0.81 is 0.9 with the accidental fraction 0.1 of an
+    # earlier detection model
+    rho = evolved_bell("psi_minus", math.radians(20), math.radians(-5), visibility)
+    detection = measure.Detection(1e5, 1.0)
     exact, _ = measure.estimate_observables(
         measure.exact_table(rho, make_named_settings(), detection))
     counts = repeated_counts(rho, make_named_settings(), detection, seed=41)
@@ -1199,15 +1205,15 @@ def test_chsh_from_counts_ideal():
     assert abs(s - 2.8284) <= 3.0 * sigma
 
 
-@pytest.mark.parametrize("accidental_fraction", [0.0, 0.1])
-def test_chsh_from_counts_sigma_pulls(accidental_fraction):
+@pytest.mark.parametrize("visibility", [0.9, 0.81])
+def test_chsh_from_counts_sigma_pulls(visibility):
     # as test_estimate_observables_sigma_pulls, for the plug-in S and its
     # quadrature sigma; every |E| is near 0.64, and the largest CHSH form
     # leads the next by about 2.5, far from the kinks of |.| and of max.
     # The stack is read with the correlation estimator and the CHSH formula
     # written out, and chsh_from_counts must read each of its first tables alike
-    rho = channels.apply_noise(states.bell_state("psi_plus"), 0.9)
-    detection = measure.Detection(1e5, 1.0, accidental_fraction=accidental_fraction)
+    rho = channels.apply_noise(states.bell_state("psi_plus"), visibility)
+    detection = measure.Detection(1e5, 1.0)
     s_exact, _ = measure.chsh_from_counts(
         measure.exact_table(rho, chsh_settings(), detection))
     counts = repeated_counts(rho, chsh_settings(), detection, seed=43)

@@ -8,6 +8,12 @@ the analyzer offsets or the seed. Each property edits
 to round-off, not to a statistical bound) and compares the printed
 angles within 1e-6 deg, each modulo its period, or the molarity sweep's
 zero crossing within 1e-9 M.
+
+The model symmetries the README states edit `sim.ini` and compare the
+exact tables of `simulate --exact`, whose cells print every digit of a
+double, within TABLE_TOLERANCE of the pairs per setting: the detection
+fields act only through their product, a Bell source sees the offsets
+only through one sum, and uniform accidentals are Werner noise.
 """
 
 import contextlib
@@ -25,12 +31,19 @@ from polarot.sweeps import fit_line, zero_crossing
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 SWEEP_THETA = (INPUTS / "sweep_theta.ini").read_text()
 SWEEP_MOLARITY = (INPUTS / "sweep_molarity.ini").read_text()
+SIM = (INPUTS / "sim.ini").read_text()
+# sim.ini's pairs per setting, pair_flux * duration * both transmissions
+SIM_PAIRS = 100000.0 * 1.0 * 0.8 * 0.7
 # the four angle columns of a theta sweep, each defined modulo its period
 ANGLES = {"theta_plus_deg": 180.0, "theta_minus_deg": 180.0,
           "theta_a_hat_deg": 90.0, "theta_b_hat_deg": 90.0}
 # two printed values agree to one step of the sixth decimal, plus the
 # round-off of the subtraction that compares them
 TOLERANCE = 1e-6 + 1e-9
+# two exact tables agree to round-off of their largest cell, measured
+# against the pairs per setting: the three relations below read at most
+# 2.6e-16 over 300 examples of each
+TABLE_TOLERANCE = 1e-14
 _OFFSET = st.floats(-20.0, 20.0)
 
 
@@ -65,6 +78,23 @@ def exact_sweep(tmp_path_factory, text) -> tuple[str, dict]:
     header, *rows = [line for line in data.splitlines() if not line.startswith("#")]
     columns = np.array([[float(v) for v in row.split(",")] for row in rows]).T
     return data, dict(zip(header.split(","), columns))
+
+
+def exact_table(tmp_path_factory, text) -> np.ndarray:
+    """The cells of `simulate --exact` on the config `text`, one row of
+    (n_pp, n_pm, n_mp, n_mm) per setting pair."""
+    workdir = tmp_path_factory.mktemp("table")
+    (workdir / "sim.ini").write_text(text)
+    run(["simulate", "--config", str(workdir / "sim.ini"), "--exact",
+         "--out", str(workdir / "exact.csv")])
+    rows = [line for line in (workdir / "exact.csv").read_text().splitlines()
+            if not line.startswith("#")][1:]
+    return np.array([[float(v) for v in row.split(",")[2:]] for row in rows])
+
+
+def assert_tables_agree(table, other, pairs=SIM_PAIRS):
+    assert table.shape == other.shape == (5, 4)
+    assert np.abs(table - other).max() <= TABLE_TOLERANCE * pairs, (table, other)
 
 
 def assert_angles_moved(before, after, shifts=None):
@@ -171,3 +201,70 @@ def test_cancellation_zero_crossing_is_the_arm_a_molarity(tmp_path_factory, mola
     x0, _ = zero_crossing(fit_line(columns["molarity"], columns["theta_deg"],
                                    columns["sigma_deg"]))
     assert abs(x0 - molarity / 1e4) <= 1e-9
+
+
+_TRANSMISSION = st.floats(0.05, 1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(duration=st.floats(0.01, 100.0), transmission_a=_TRANSMISSION,
+       transmission_b=_TRANSMISSION)
+def test_the_detection_fields_act_only_through_their_product(
+        tmp_path_factory, duration, transmission_a, transmission_b):
+    # the product rule: a pair flux that keeps pair_flux * duration *
+    # transmission_a * transmission_b at sim.ini's value keeps its table
+    flux = SIM_PAIRS / (duration * transmission_a * transmission_b)
+    arms = "transmission = 0.8\n", "transmission = 0.7\n"
+    assert all(SIM.count(arm) == 1 for arm in arms)
+    text = SIM.replace(arms[0], f"transmission = {transmission_a!r}\n").replace(
+        arms[1], f"transmission = {transmission_b!r}\n")
+    text = edited(text, duration=repr(duration), pair_flux=repr(flux))
+    assert_tables_agree(exact_table(tmp_path_factory, SIM),
+                        exact_table(tmp_path_factory, text))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["psi_plus", "psi_minus"]), shift=_OFFSET, free=_OFFSET)
+def test_a_bell_source_sees_the_offsets_through_one_sum(tmp_path_factory, kind, shift,
+                                                        free):
+    # the offset rule: psi_plus reads pbs_a + pbs_b (and no hwp), psi_minus
+    # pbs_a + hwp - pbs_b, so a shift that keeps the sum keeps the table,
+    # whose analyzer-frame cells carry the offsets as they are
+    base = edited(SIM, kind=kind)
+    pbs_a, pbs_b, hwp = -4.75, 4.09, 5.47
+    if kind == "psi_plus":
+        moved = (pbs_a + shift, pbs_b - shift, hwp + free)
+    else:
+        moved = (pbs_a + shift, pbs_b + free, hwp + free - shift)
+    text = edited(base, **dict(zip(("pbs_a_deg", "pbs_b_deg", "hwp_deg"),
+                                   map(repr, moved))))
+    assert_tables_agree(exact_table(tmp_path_factory, base),
+                        exact_table(tmp_path_factory, text))
+
+
+def test_the_readme_offset_shift_leaves_the_exact_sweep_rows_byte_identical(
+        tmp_path_factory):
+    # (+7, -7, -14) deg keeps pbs_a + pbs_b and pbs_a + hwp - pbs_b, so both
+    # branches, their analyzer-frame correlations included, keep every bit
+    base, _ = exact_sweep(tmp_path_factory, SWEEP_THETA)
+    other, _ = exact_sweep(tmp_path_factory, edited(
+        SWEEP_THETA, pbs_a_deg="2.25", pbs_b_deg="-2.91", hwp_deg="-8.53"))
+    rows = [[line for line in data.splitlines() if not line.startswith("#")]
+            for data in (base, other)]
+    assert rows[0] == rows[1] and len(rows[0]) == 6
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["psi_plus", "psi_minus", "phi_plus", "phi_minus",
+                             "separable"]),
+       visibility=st.floats(0.0, 1.0), fraction=st.floats(0.0, 0.99))
+def test_uniform_accidentals_are_werner_noise(tmp_path_factory, kind, visibility,
+                                              fraction):
+    # the former accidental rule: the table at visibility V (1 - f) is the
+    # table at V with a fraction f of the pairs per setting N moved into
+    # uniform accidentals, (1 - f) table(V) + f N / 4, for every source kind
+    base = edited(SIM, kind=kind)
+    table = exact_table(tmp_path_factory, edited(base, visibility=repr(visibility)))
+    folded = exact_table(tmp_path_factory, edited(
+        base, visibility=repr(visibility * (1.0 - fraction))))
+    assert_tables_agree(folded, (1.0 - fraction) * table + fraction * SIM_PAIRS / 4.0)

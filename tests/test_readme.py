@@ -13,8 +13,8 @@ def test_readme_config_example_loads():
     blocks = re.findall(r"```ini\n(.*?)```", README, flags=re.S)
     assert len(blocks) == 1
     cfg = config.loads_config(blocks[0])
-    assert config.config_hash(cfg) == "f6e972873b378fce"
-    assert cfg.detection == measure.Detection(1e5, 1.0, 1.0, 1.0, 0.0)
+    assert config.config_hash(cfg) == "90f4b62e39a6e6d0"
+    assert cfg.detection == measure.Detection(1e5, 1.0, 1.0, 1.0)
 
 
 def test_readme_states_the_shipped_calibration_defaults():

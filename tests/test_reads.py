@@ -164,7 +164,6 @@ VALUES = {
     "ket_a": ("H", ["V", "D", "R"]),
     "ket_b": ("V", ["H", "A", "L"]),
     "visibility": ("0.9", ["0.0", "0.5", "1.0"]),
-    "accidental_fraction": ("0.0", ["0.05", "0.3"]),
     "angle_deg": ("20", ["-60", "-5", "35", "70"]),
     "molarity": ("0", ["0.5", "2", "3.7"]),
     "slope_deg_per_molar": ("7.01", ["3", "5.5", "9"]),
@@ -181,9 +180,8 @@ VALUES = {
     "stop": ("4", ["3", "6"]),
     "count": ("5", ["3", "9"]),
 }
-DETECTION = [("noise", "accidental_fraction"), ("arm_a", "transmission"),
-             ("arm_b", "transmission"), ("statistics", "pair_flux"),
-             ("statistics", "duration")]
+DETECTION = [("arm_a", "transmission"), ("arm_b", "transmission"),
+             ("statistics", "pair_flux"), ("statistics", "duration")]
 OFFSETS = [("offsets", key) for key in ("pbs_a_deg", "pbs_b_deg", "hwp_deg")]
 EXACT_SEED = {("statistics", "seed"): "exact runs draw no counts"}
 # read keys that physics leaves without effect, by (run, exact), with why

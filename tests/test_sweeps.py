@@ -91,6 +91,43 @@ def test_fit_line_validation():
         sweeps.fit_line([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.0, 0.1, 0.1])
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-150, 1e150])
+def test_fit_line_scales_with_tiny_and_huge_sigmas(scale):
+    # the weights 1 / sigma^2 overflowed: sigma = 1e-150 returned nan after
+    # overflow warnings (an error here), and 1e-160 and 1e-300 did too
+    xs = np.arange(5.0)
+    unit = sweeps.fit_line(xs, 2.0 * xs + 1.0, 1.0)
+    fit = sweeps.fit_line(xs, 2.0 * xs + 1.0, scale)
+    # round-off of the weighted sums, as at sigma = 1e-10 (intercept 1 + 2.2e-15)
+    assert abs(fit["slope"] - 2.0) <= 1e-14 and abs(fit["intercept"] - 1.0) <= 1e-14
+    # measured: 2.3e-16 relative at most, one rounding of scale * sigma
+    assert abs(fit["slope_sigma"] / (scale * unit["slope_sigma"]) - 1.0) <= 4.5e-16
+
+
+@pytest.mark.parametrize("power", [-1000, -500, 500])
+def test_fit_line_under_a_power_of_two_keeps_every_bit(power):
+    # sigmas times 2**power: the same slope and intercept, and slope_sigma
+    # and cov times 2**power and 2**(2 power), bit for bit where they are
+    # normal floats
+    xs = np.linspace(0.0, 4.236, 9)
+    ys = 7.01 * xs + 4.09 + np.random.default_rng(7).normal(0.0, 0.04, xs.size)
+    sigma = np.random.default_rng(8).uniform(0.02, 0.06, xs.size)
+    fit, scaled = (sweeps.fit_line(xs, ys, np.ldexp(sigma, p)) for p in (0, power))
+    assert (scaled["slope"], scaled["intercept"]) == (fit["slope"], fit["intercept"])
+    assert scaled["slope_sigma"] == math.ldexp(fit["slope_sigma"], power)
+    if power > -500:
+        assert np.array_equal(scaled["cov"], np.ldexp(fit["cov"], 2 * power))
+
+
+def test_fit_line_rejects_a_covariance_past_the_float_range():
+    # it raised "degenerate abscissa" on distinct x, as the weights underflowed
+    xs = np.arange(5.0)
+    with pytest.raises(ValueError, match=r"^the line fit's covariance is past the float "
+                                         r"range: sigmas up to 1e\+155 square beyond it$"):
+        sweeps.fit_line(xs, 2.0 * xs + 1.0, 1e155)
+    assert sweeps.fit_line(xs, 2.0 * xs + 1.0, 1e154)["cov"][1, 1] < math.inf
+
+
 def test_fit_line_noisy_calibration_recovery():
     # synthetic calibration with the 0.04 deg point scatter
     xs = np.linspace(0.0, 4.236, 9)
@@ -343,13 +380,11 @@ def test_sampled_sweeps_draw_one_stream_per_branch():
     # psi_minus one from (seed, 1); all points of a branch share its stream.
     # The theta sweep runs both branches as one stacked pass, and each
     # branch's columns equal a one-branch run of the kernel bit for bit,
-    # sampled or exact, with or without accidentals and offsets
+    # sampled or exact, with or without Werner noise and offsets
     kinds = ("psi_plus", "psi_minus")
-    for exact, accidental_fraction, offsets in itertools.product(
-            (False, True), (0.0, 0.1), (SHIPPED_OFFSETS, ZERO_OFFSETS)):
-        cfg = theta_config(offsets=offsets)
-        cfg = dataclasses.replace(cfg, detection=dataclasses.replace(
-            cfg.detection, accidental_fraction=accidental_fraction))
+    for exact, visibility, offsets in itertools.product(
+            (False, True), (1.0, 0.9), (SHIPPED_OFFSETS, ZERO_OFFSETS)):
+        cfg = dataclasses.replace(theta_config(offsets=offsets), visibility=visibility)
         result = sweeps.run_sweep(cfg, exact=exact)
         theta_b = np.radians(sorted(cfg.sweep_values))
         plus, minus = (one_branch(cfg, kind, theta_b, exact) for kind in kinds)
@@ -411,16 +446,17 @@ def test_configured_state_stacks_kinds_as_the_complex_product():
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
-@pytest.mark.parametrize("accidental_fraction", [0.0, 0.1])
-def test_theta_sweep_sigma_pulls(accidental_fraction):
+@pytest.mark.parametrize("visibility", [0.9, 0.81])
+def test_theta_sweep_sigma_pulls(visibility):
     # Pulls (estimate - truth) / sigma of theta_plus_deg and theta_minus_deg
     # over many seeds of the sampled sweep_theta golden input. With correct
     # sigmas they are N(0, 1), independent across points, branches and
     # seeds; over n pulls the mean has sd 1/sqrt(n) and the sample variance
-    # sd sqrt(2/(n - 1)). Both bounds are 4 of those sds.
-    cfg = config.load_config(GOLDEN_INPUTS / "sweep_theta.ini")
-    cfg = dataclasses.replace(cfg, detection=dataclasses.replace(
-        cfg.detection, accidental_fraction=accidental_fraction))
+    # sd sqrt(2/(n - 1)). Both bounds are 4 of those sds. Visibility 0.9 is
+    # the golden's, and 0.81 is 0.9 with the accidental fraction 0.1 of an
+    # earlier detection model
+    cfg = dataclasses.replace(config.load_config(GOLDEN_INPUTS / "sweep_theta.ini"),
+                              visibility=visibility)
     theta_a = math.degrees(cfg.arm_a.theta())
     theta_b = np.array(sorted(cfg.sweep_values))
     pulls = {"theta_plus_deg": [], "theta_minus_deg": []}
