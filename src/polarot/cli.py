@@ -6,7 +6,9 @@ validation error, 3 non-convergence. Commands only compute: each returns
 its exit code, stdout lines and {output path: writer}. `main` alone emits.
 It resolves each output flag against $POLAROT_OUT and checks that the path
 can take a file before the command runs, and writes the files, then stdout,
-after it returns; so an exit 2 prints and writes nothing.
+after it returns; so an exit 2 prints and writes nothing. Each file is
+written to a temporary file beside it and moved into place only after every
+writer has returned, so a failed write leaves no file new or changed.
 """
 
 from __future__ import annotations
@@ -364,6 +366,24 @@ def _check_flags(args) -> None:
             raise ValueError(f"{flag} needs {other}: {why}")
 
 
+def _write_all(writes) -> None:
+    """Run each writer of {path: writer} on a temporary file beside its path
+    (a None path: the flag of that output was not given), then os.replace
+    them all into place. A writer that raises leaves no temporary file."""
+    temps = {}
+    try:
+        for path, write in writes.items():
+            if path is not None:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                write(temps[path])
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -374,10 +394,7 @@ def main(argv=None) -> int:
         _resolve_outputs(args)
         # the command `name` is the function _cmd_<name>
         code, lines, writes = globals()[f"_cmd_{args.command}"](args)
-        for path, write in writes.items():
-            if path is not None:  # None: the flag of this output was not given
-                path.parent.mkdir(parents=True, exist_ok=True)
-                write(path)
+        _write_all(writes)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,10 @@ MAX_POISSON_MEAN = 9.223372006484771e18
 # where the rotation sigma covers the readout as it should
 MODULUS_FLOOR = 1e-6
 SIGNIFICANCE = 4.0
+# the least total a correlation is read from: below one count its sigma
+# sqrt((1 - m^2) / n) can pass 1; one pair less round-off, since an exact
+# row of one mean pair may sum to a few ulp below 1
+_MIN_TOTAL = 1.0 - 1e-12
 
 
 def parse_setting(setting_id: str) -> tuple[str, np.ndarray]:
@@ -247,16 +251,18 @@ def estimate_correlation(counts: np.ndarray):
     """Correlation estimate (n_pp - n_pm - n_mp + n_mm) / n_total and its
     binomial standard error sqrt((1 - m^2) / n_total): two floats for one
     (4,) row of counts, two arrays for a (..., 4) stack of rows. A row with
-    a negative or non-finite count or total, or an empty row, raises,
-    naming its stack index. Any other row has |m| <= 1 in floating point."""
+    a negative or non-finite count or total, an empty row, or a row of
+    fewer than one count in total (whose sigma could pass 1) raises, naming
+    its stack index. Any other row has |m| <= 1 in floating point."""
     counts = np.asarray(counts, dtype=float)
     total = counts.sum(axis=-1)
     # min and max test the whole array without a row mask; an empty stack passes
-    if not (counts.min(initial=0.0) >= 0.0 and total.min(initial=1.0) > 0.0
+    if not (counts.min(initial=0.0) >= 0.0 and total.min(initial=1.0) >= _MIN_TOTAL
             and total.max(initial=0.0) < math.inf):
         for bad, what in ((~(counts >= 0).all(axis=-1) | ~(total < math.inf),
                            "negative or non-finite counts or total"),
-                          (total <= 0, "zero total counts")):
+                          (total <= 0, "zero total counts"),
+                          (total < _MIN_TOTAL, "fewer than one count in total")):
             if bad.any():
                 idx = tuple(int(i) for i in np.argwhere(bad)[0])
                 where = f" at stack index {idx}" if idx else ""
@@ -272,8 +278,10 @@ def _rows_for_pair(table: CoincidenceTable, id_a: str, id_b: str) -> np.ndarray:
         raise ValueError(f"coincidence table is missing the ({id_a}, {id_b}) "
                          f"basis pair")
     counts = table.counts[rows].sum(axis=0)
-    if counts.sum() <= 0:
-        raise ValueError(f"the ({id_a}, {id_b}) basis pair has zero total counts")
+    total = counts.sum()
+    if total < _MIN_TOTAL:
+        what = "zero total counts" if total <= 0 else f"{total:g} counts, fewer than one in total"
+        raise ValueError(f"the ({id_a}, {id_b}) basis pair has {what}")
     return counts
 
 
@@ -346,10 +354,7 @@ def _branch_rotations(kinds, m_zz, m_xz, sigma_zz=0.0, sigma_xz=0.0, cov=0.0) ->
             raise ValueError(f"{factor}{modulus[first]:g} < {MODULUS_FLOOR:g}")
         raise ValueError(f"{factor}{modulus[first]:g} = {r2[first] / spread[first]:.3g} "
                          f"sigma_F < {SIGNIFICANCE:g} sigma_F")
-    sigma = np.sqrt(np.square(0.5 * m_xz / r2) * np.square(sigma_zz)
-                    + np.square(0.5 * m_zz / r2) * np.square(sigma_xz)
-                    + 0.5 * m_zz * m_xz / (r2 * r2) * -cov)
-    return 0.5 * np.arctan2(-m_xz, -m_zz), sigma
+    return 0.5 * np.arctan2(-m_xz, -m_zz), 0.5 * spread / r2
 
 
 def _local_angles(theta_plus, theta_minus, quarter_turn: float = math.pi / 2):

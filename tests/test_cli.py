@@ -330,6 +330,28 @@ def test_empty_count_rows_name_their_stack_index(tmp_path, capsys, command, inde
             f"index {index}\n") == captured.err
 
 
+def test_observables_of_an_exact_table_below_one_pair_exits_2(tmp_path, capsys):
+    # at pair_flux 0.5 each setting holds 0.28 expected pairs, and observables
+    # printed m_xz = -0.197219820 +- 1.852704917, a sigma above 1, and exited 0
+    table = str(tmp_path / "counts.csv")
+    assert main(["simulate", "--config", golden_with_flux(tmp_path, "sim.ini", "0.5"),
+                 "--exact", "--out", table]) == 0
+    capsys.readouterr()
+    err = run_failing(capsys, ["observables", "--table", table])
+    assert err == "error: the (Z, Z) basis pair has 0.28 counts, fewer than one in total\n"
+
+
+@pytest.mark.parametrize("command, index", [("sweep", "(0, 0, 0)"), ("scan", "(0, 0)")])
+def test_exact_rows_below_one_pair_name_their_stack_index(tmp_path, capsys, command, index):
+    cfg = golden_with_flux(tmp_path, GOLDEN_RUNS[command], "0.5")
+    argv = [command, "--config", cfg, "--exact"]
+    err = run_failing(capsys, argv + ["--out", str(tmp_path / "out.csv")]
+                      if command == "sweep" else argv)
+    assert err == (f"error: cannot estimate a correlation from fewer than one count in "
+                   f"total at stack index {index}\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 TOMO_RUN = ["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"), "--reference", "psi_plus",
             "--bootstrap", "3", "--seed", "5"]
 
@@ -390,6 +412,30 @@ def test_a_failed_computation_prints_and_writes_nothing(tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     assert run_failing(capsys, argv) == f"error: {call} failed\n"
     assert not any(tmp_path.iterdir())
+
+
+def test_a_failed_write_leaves_no_output_new_or_changed(tmp_path, monkeypatch, capsys):
+    # main ran the writers in turn, so --out-state was written before the
+    # --out writer failed; now both go to temporary files first
+    real = cli._cmd_tomo
+
+    def second_writer_fails(args):
+        code, lines, writes = real(args)
+        first, second = writes
+
+        def fail(path):
+            path.write_text("partial\n")
+            raise OSError(28, "No space left on device")
+
+        return code, lines, {first: writes[first], second: fail}
+
+    monkeypatch.setattr(cli, "_cmd_tomo", second_writer_fails)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "report.txt").write_bytes(b"kept\n")
+    err = run_failing(capsys, [*TOMO_RUN, "--out-state", "rho.txt", "--out", "report.txt"])
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+    assert (tmp_path / "report.txt").read_bytes() == b"kept\n"
 
 
 def golden_edited(tmp_path, name, edit):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jones
@@ -627,6 +627,11 @@ def test_estimate_correlation_examples():
     rows[1, 2] = rows[1, 1, 0] = 0.0
     with pytest.raises(ValueError, match=r"zero total counts at stack index \(1, 2\)$"):
         measure.estimate_correlation(rows)
+    # one count less round-off reads (an exact row of one mean pair may sum
+    # a few ulp below 1); half a count raises
+    assert measure.estimate_correlation([math.nextafter(1.0, 0.0), 0, 0, 0]) == (1.0, 0.0)
+    with pytest.raises(ValueError, match="fewer than one count in total$"):
+        measure.estimate_correlation([0.25, 0, 0, 0.25])
     # a stack of no rows gives no estimates
     assert [a.shape for a in measure.estimate_correlation(np.zeros((0, 4)))] == [(0,), (0,)]
 
@@ -656,11 +661,19 @@ _COUNT = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
 def test_estimate_correlation_of_finite_nonnegative_rows_is_in_the_unit_interval(rows,
                                                                                   fortran):
     # |((a - b) - c) + d| <= the row sum in floating point, so 1 - m^2 never
-    # falls below 0 and the sigma needs no floor, in either memory layout
+    # falls below 0 and the sigma needs no floor, in either memory layout;
+    # a row of fewer than one count in total, whose sigma could pass 1, raises
     counts = np.array(rows)
-    m, sigma = measure.estimate_correlation(np.asfortranarray(counts) if fortran else counts)
+    low = counts.sum(axis=-1) < measure._MIN_TOTAL
+    layout = np.asfortranarray if fortran else np.asarray
+    if low.any():
+        with pytest.raises(ValueError, match=rf"^cannot estimate a correlation from fewer "
+                                             rf"than one count in total at stack index "
+                                             rf"\({np.flatnonzero(low)[0]},\)$"):
+            measure.estimate_correlation(layout(counts))
+    m, sigma = measure.estimate_correlation(layout(counts[~low]))
     assert (1.0 - m * m >= 0.0).all()
-    assert np.isfinite(sigma).all() and (sigma >= 0.0).all()
+    assert np.isfinite(sigma).all() and (sigma >= 0.0).all() and (sigma <= 1.0).all()
 
 
 _COUNT_ROWS = st.lists(st.lists(st.integers(0, 10**12), min_size=4, max_size=4)
@@ -688,6 +701,46 @@ def test_branch_rotation_round_trip(theta):
         ("psi_plus",), np.array([-math.cos(2 * theta)]), np.array([-math.sin(2 * theta)]))
     assert -math.pi / 2 < theta_hat <= math.pi / 2
     assert abs(theta_hat - theta) <= 1e-12 and sigma == 0.0
+
+
+def delta_method_sigma(m_zz, m_xz, sigma_zz, sigma_xz, cov):
+    """The rotation sigma of theta = atan2(-m_xz, -m_zz) / 2 summed term by
+    term from its gradient (-m_xz, m_zz) / (2 |F|^2) and the covariance of
+    (m_zz, m_xz): the reference for _branch_rotations' sigma_F / (2 |F|)."""
+    r2 = m_zz * m_zz + m_xz * m_xz
+    return np.sqrt(np.square(0.5 * m_xz / r2) * np.square(sigma_zz)
+                   + np.square(0.5 * m_zz / r2) * np.square(sigma_xz)
+                   + 0.5 * m_zz * m_xz / (r2 * r2) * -cov)
+
+
+# 0 or at least 1e-20 in size, as a correlation and its sigma from at most
+# MAX_POISSON_MEAN (about 9e18) counts are: their products then square to
+# normal floats, where both forms keep their digits
+_CORRELATION = st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-20)
+_SIGMA = st.floats(0.0, 1.0).filter(lambda v: v == 0.0 or v >= 1e-20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.tuples(_CORRELATION, _CORRELATION), sigmas=st.tuples(_SIGMA, _SIGMA),
+       # off the bound |cov| = sigma_zz sigma_xz, where the radicand cancels
+       # to round-off and no relative tolerance holds
+       rho=st.floats(-0.9, 0.9))
+def test_branch_rotation_sigma_is_the_delta_method_sigma(m, sigmas, rho):
+    m_zz, m_xz = (np.array([v]) for v in m)
+    sigma_zz, sigma_xz = sigmas
+    cov = rho * sigma_zz * sigma_xz
+    spread = math.sqrt((m[1] * sigma_zz) ** 2 + (m[0] * sigma_xz) ** 2
+                       - 2.0 * m[0] * m[1] * cov)
+    # clear of the significance rule's edge, where rounding may take either side
+    assume(math.hypot(*m) >= measure.MODULUS_FLOOR
+           and m[0] ** 2 + m[1] ** 2 >= (1.0 + 1e-9) * measure.SIGNIFICANCE * spread)
+    _, (sigma,) = measure._branch_rotations(("psi_plus",), m_zz, m_xz,
+                                            sigma_zz, sigma_xz, cov)
+    (reference,) = delta_method_sigma(m_zz, m_xz, sigma_zz, sigma_xz, cov)
+    assert sigma == pytest.approx(reference, rel=1e-14, abs=0.0)
+    # exact data reads a sigma of exactly 0
+    _, (sigma,) = measure._branch_rotations(("psi_plus",), m_zz, m_xz)
+    assert sigma == 0.0
 
 
 # inside the +-45 deg window, clear of its edges, where the wrap may take
