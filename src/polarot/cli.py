@@ -14,7 +14,9 @@ writer has returned, so a failed write leaves no file new or changed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import math
 import os
 import re
@@ -369,19 +371,27 @@ def _check_flags(args) -> None:
 def _write_all(writes) -> None:
     """Run each writer of {path: writer} on a temporary file beside its path
     (a None path: the flag of that output was not given), then os.replace
-    them all into place. A writer that raises leaves no temporary file."""
-    temps = {}
+    them all into place. A writer that raises leaves no temporary file and
+    no directory made for its path."""
+    temps, made = {}, []
     try:
         for path, write in writes.items():
             if path is not None:
+                # the parents mkdir makes, outermost first
+                made += reversed(list(itertools.takewhile(lambda d: not d.exists(),
+                                                          path.parents)))
                 path.parent.mkdir(parents=True, exist_ok=True)
                 temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
                 write(temps[path])
         for path, temp in temps.items():
             os.replace(temp, path)
-    finally:
+    except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
+        for directory in reversed(made):  # deepest first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def main(argv=None) -> int:

@@ -342,8 +342,10 @@ def _branch_rotations(kinds, m_zz, m_xz, sigma_zz=0.0, sigma_xz=0.0, cov=0.0) ->
     leave the floor alone. A factor below the rule raises, naming its
     branch, its stack index and |F|, and |F| / sigma_F above the floor."""
     r2 = m_zz * m_zz + m_xz * m_xz
-    spread = np.sqrt(np.square(m_xz * sigma_zz) + np.square(m_zz * sigma_xz)
-                     - 2.0 * m_zz * m_xz * cov)  # |F| sigma_F
+    # |F| sigma_F; at |cov| = sigma_zz sigma_xz the radicand cancels to
+    # round-off, which may fall below 0
+    spread = np.sqrt(np.maximum(np.square(m_xz * sigma_zz) + np.square(m_zz * sigma_xz)
+                                - 2.0 * m_zz * m_xz * cov, 0.0))
     modulus = np.hypot(m_zz, m_xz)
     bad = (modulus < MODULUS_FLOOR) | (r2 < SIGNIFICANCE * spread)
     if bad.any():

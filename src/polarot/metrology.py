@@ -14,8 +14,9 @@ import numpy as np
 
 __all__ = ["probe_state", "probe_state_derivative", "qfi", "variance_scaling"]
 
-# the most trials variance_scaling may run: it holds about 50 bytes a trial,
-# so a 1,000,000-trial fisher command peaks near 80 MiB
+# the most trials variance_scaling may run: drawing trials it holds about 50
+# bytes a trial, and an outcome table holds fewer bytes a cell and has at most
+# one cell a trial, so a 1,000,000-trial fisher command peaks near 80 MiB
 MAX_TRIALS = 1_000_000
 
 
@@ -59,9 +60,16 @@ def variance_scaling(n_values, trials: int, seed: int,
     between z- and x-basis measurements, combined as theta_hat =
     atan2(-<x>, -<z>)/2. One trial spends the photon budget of one use of
     the n-photon probe, whose single-use Cramer-Rao bound is 1/(4 n^2).
-    Entry n draws from the independent stream (seed, n): first the z-basis
-    counts of all trials, then their x-basis counts, so an entry does not
-    depend on which other photon numbers are requested.
+    Entry n draws from the independent stream (seed, n), so an entry does
+    not depend on which other photon numbers are requested. The estimate
+    takes one value per outcome cell (k_z, k_x), so the variance of the
+    trials depends only on how many trials land in each cell. When there
+    are no more cells, (n_z + 1)(n_x + 1), than trials, the entry draws
+    that outcome table, one Multinomial(trials, pmf_z x pmf_x), and takes
+    the count-weighted variance of the cell estimates. Otherwise (a huge
+    n, or few trials) it draws the trials themselves: the z-basis counts of
+    all trials first, then their x-basis counts. Both have the same
+    distribution.
 
     The readout is its own atan2, not measure._branch_rotations, whose
     significance rule would raise on a trial at even n that reads <z> =
@@ -79,10 +87,32 @@ def variance_scaling(n_values, trials: int, seed: int,
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
         n_z = (n + 1) // 2
         n_x = n - n_z
+        if (n_z + 1) * (n_x + 1) <= trials:
+            variances.append(_table_variance(rng, trials, n_z, n_x, p_z, p_x))
+            continue
+        # n = 1 has 2 cells, never more than trials: here n_x >= 1
         m_z = 2.0 * rng.binomial(n_z, p_z, size=trials) / n_z - 1.0
-        # no x-basis photon: <x> is +0.0 and atan2 gets -0.0, as in the exact enumeration
-        m_x = (2.0 * rng.binomial(n_x, p_x, size=trials) / n_x - 1.0 if n_x > 0
-               else np.zeros(trials))
+        m_x = 2.0 * rng.binomial(n_x, p_x, size=trials) / n_x - 1.0
         estimates = 0.5 * np.arctan2(-m_x, -m_z)
         variances.append(float(estimates.var()))
     return variances
+
+
+def _binomial_pmf(n: int, p: float) -> list[float]:
+    """P(k) of Binomial(n, p) for k = 0..n."""
+    return [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+
+
+def _table_variance(rng, trials: int, n_z: int, n_x: int, p_z: float, p_x: float) -> float:
+    """One entry of variance_scaling from its outcome table: the trials per
+    cell (k_z, k_x), one multinomial draw, and the count-weighted
+    population variance of the cell estimates."""
+    counts = rng.multinomial(trials, np.outer(_binomial_pmf(n_z, p_z),
+                                              _binomial_pmf(n_x, p_x)).ravel())
+    m_z = 2.0 * np.arange(n_z + 1) / n_z - 1.0
+    # no x-basis photon: <x> is +0.0 and atan2 gets -0.0, as in the exact enumeration
+    m_x = 2.0 * np.arange(n_x + 1) / n_x - 1.0 if n_x > 0 else np.zeros(1)
+    estimates = 0.5 * np.arctan2(-m_x, -m_z[:, None]).ravel()
+    # numpy's pairwise sums, as in .var(), not a BLAS dot: no kernel picks the bits
+    mean = (counts * estimates).sum() / trials
+    return float((counts * np.square(estimates - mean)).sum() / trials)

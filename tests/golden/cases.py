@@ -50,7 +50,7 @@ CASES = {
     "tomo": (["tomo", "--counts", "tomo.csv", "--reference", "psi_plus",
               "--bootstrap", "3", "--seed", "5", "--out-state", "rho.txt",
               "--out", "report.txt"], ["rho.txt", "report.txt"]),
-    "fisher": (["fisher", "--n-values", "1,2,4", "--trials", "300", "--seed", "2",
+    "fisher": (["fisher", "--n-values", "1,2,4,8,16", "--trials", "300", "--seed", "2",
                 "--out", "fisher.csv"], ["fisher.csv"]),
 }
 

@@ -436,6 +436,11 @@ def test_a_failed_write_leaves_no_output_new_or_changed(tmp_path, monkeypatch, c
     assert err == "error: [Errno 28] No space left on device\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
     assert (tmp_path / "report.txt").read_bytes() == b"kept\n"
+    # the directories made for the outputs went too: they were left, empty
+    err = run_failing(capsys, [*TOMO_RUN, "--out-state", "new/a/rho.txt",
+                               "--out", "new/b/report.txt"])
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
 def golden_edited(tmp_path, name, edit):

@@ -743,6 +743,16 @@ def test_branch_rotation_sigma_is_the_delta_method_sigma(m, sigmas, rho):
     assert sigma == 0.0
 
 
+def test_branch_rotation_sigma_on_the_covariance_bound():
+    # at cov = sigma_zz sigma_xz the fluctuation of F runs along F, and the
+    # radicand rounded to -4.3e-19: sqrt warned and returned a nan sigma,
+    # which passed the significance rule (r2 < 4 nan is False)
+    (theta,), (sigma,) = measure._branch_rotations(
+        ("psi_plus",), np.array([0.7459]), np.array([0.7459]), 0.05, 0.05, 0.05 ** 2)
+    assert theta == 0.5 * math.atan2(-0.7459, -0.7459)
+    assert sigma == 0.0
+
+
 # inside the +-45 deg window, clear of its edges, where the wrap may take
 # either sign
 _WINDOW_ANGLE = st.floats(-math.pi / 4 + 1e-6, math.pi / 4 - 1e-6)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,67 @@ def test_variance_scaling_matches_exact_variance(n, theta_deg):
 
 
 def test_variance_scaling_rows_do_not_depend_on_other_rows():
+    # n = 4 has 9 outcome cells and n = 1000 has 251,001: at 200 trials the
+    # first draws its table and the second its trials
     alone = metrology.variance_scaling([4], trials=200, seed=5)
-    among = metrology.variance_scaling([1, 4, 8], trials=200, seed=5)
+    among = metrology.variance_scaling([1, 4, 8, 1000], trials=200, seed=5)
     assert alone[0] == among[1]
+    assert metrology.variance_scaling([1000], trials=200, seed=5)[0] == among[3]
+
+
+def cells(n):
+    """The outcome cells (k_z, k_x) of the separable estimator at n photons."""
+    n_z = (n + 1) // 2
+    return (n_z + 1) * (n - n_z + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_variance_scaling_mean_on_both_sides_of_the_table_rule(n):
+    # the table, one multinomial a row, replaced 2 x trials binomials when
+    # there are no more cells than trials; both sides keep the enumerated
+    # expectation (n = 1, 2 cells, has no trial count below its table)
+    theta, n_seeds = math.pi / 6, 2000
+    for trials in sorted({max(2, cells(n) - 1), cells(n), 1000}):
+        variances = np.array([metrology.variance_scaling([n], trials, seed)[0]
+                              for seed in range(n_seeds)])
+        expected = exact_separable_variance(n, theta) * (trials - 1) / trials
+        z = (variances.mean() - expected) / (variances.std(ddof=1) / math.sqrt(n_seeds))
+        assert abs(z) < 4.0, (trials, z)
+
+
+@pytest.mark.parametrize("n", [3, 16])
+def test_variance_scaling_draws_the_table_up_to_one_cell_a_trial(monkeypatch, n):
+    tables = []
+    real = metrology._table_variance
+
+    def table_variance(rng, trials, *rest):
+        tables.append(trials)
+        return real(rng, trials, *rest)
+
+    monkeypatch.setattr(metrology, "_table_variance", table_variance)
+    for trials in (cells(n) - 1, cells(n), cells(n) + 1):
+        metrology.variance_scaling([n], trials, seed=1)
+    assert tables == [cells(n), cells(n) + 1]
+
+
+def test_variance_scaling_per_trial_rows_keep_their_values():
+    # rows with more outcome cells than trials, recorded before the table
+    # path was added: they still draw every trial, bit for bit
+    assert metrology.variance_scaling([12345678901, 1000, 16], 10, 0) == [
+        1.4627382093329722e-11, 0.00015778147435618493, 0.01925291878180945]
+    assert metrology.variance_scaling([16], 80, 5) == [0.021855377946887303]
+    assert metrology.variance_scaling([3], 5, 5) == [0.024674011002723394]
+
+
+def test_variance_scaling_largest_table():
+    # n = 1998 has 1000 x 1000 cells, the most MAX_TRIALS admits: its pmfs
+    # reach comb(999, 499) = 1.4e299 and underflow in the tails, with no
+    # overflow or warning; the result is the delta-method variance
+    # (cos^4 2theta / n_x + sin^4 2theta / n_z) / 4 up to O(1/n^2) terms
+    n, theta = 1998, math.pi / 6
+    assert cells(n) == metrology.MAX_TRIALS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (variance,) = metrology.variance_scaling([n], metrology.MAX_TRIALS, 3, theta)
+    asymptote = (math.cos(2 * theta) ** 4 + math.sin(2 * theta) ** 4) / (4 * 999)
+    assert variance == pytest.approx(asymptote, rel=0.01)
