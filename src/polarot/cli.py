@@ -3,12 +3,13 @@
 Subcommands: simulate, observables, extract, scan, tomo, chsh, sweep,
 fisher, verify. Exit codes: 0 success, 1 usage error, 2 data or
 validation error, 3 non-convergence. Commands only compute: each returns
-its exit code, stdout lines and {output path: writer}. `main` alone emits.
-It resolves each output flag against $POLAROT_OUT and checks that the path
-can take a file before the command runs, and writes the files, then stdout,
-after it returns; so an exit 2 prints and writes nothing. Each file is
-written to a temporary file beside it and moved into place only after every
-writer has returned, so a failed write leaves no file new or changed.
+its exit code, stdout lines and {output path: writer}, at most one file
+per command: a report goes to stdout only. `main` alone emits. It resolves
+the output flag against $POLAROT_OUT and checks that the path can take a
+file before the command runs, and writes the file, then stdout, after it
+returns; so an exit 2 prints and writes nothing. The file is written to a
+temporary file beside it and moved into place by one os.replace, so a failed
+write or rename leaves no file new or changed. No flag takes an abbreviation.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ _OBSERVABLES_HEADER = "observable,value,sigma"
 
 
 def _resolve_outputs(args) -> None:
-    """Set each output flag given to its path, resolved against $POLAROT_OUT;
-    reject a path that cannot take a file, and two flags that name one file."""
+    """Set each output flag given to its path, resolved against $POLAROT_OUT,
+    and reject a path that cannot take a file."""
     base = os.environ.get(OUT_ENV)
-    paths = {}
     for flag in OUTPUTS:
         dest = flag[2:].replace("-", "_")
         if getattr(args, dest, None) is None:
@@ -60,11 +60,7 @@ def _resolve_outputs(args) -> None:
             raise ValueError(f"{flag} {path} is a directory")
         if existing is not path and not existing.is_dir():
             raise ValueError(f"{flag} {path}: {existing} is not a directory")
-        paths[flag] = path
         setattr(args, dest, path)
-    # resolve() costs more than the checks above, so it runs only for two paths
-    if len(paths) > 1 and len({p.resolve() for p in paths.values()}) < len(paths):
-        raise ValueError(f"{' and '.join(paths)} name one file, {path}")
 
 
 def _load_config_with_override(args):
@@ -136,9 +132,7 @@ def _cmd_tomo(args) -> tuple:
              f"converged = {result.converged} (iterations {result.n_iter}, "
              f"KKT gap {result.kkt_gap:.3g})", *report]
     return (0 if result.converged else 3, lines,
-            {args.out_state: lambda path: save_state(path, result.rho),
-             args.out: lambda path: path.write_text("\n".join(report) + "\n",
-                                                    encoding="utf-8")})
+            {args.out_state: lambda path: save_state(path, result.rho)})
 
 
 def _cmd_chsh(args) -> tuple:
@@ -171,9 +165,8 @@ def _cmd_fisher(args) -> tuple:
         columns.append(variance_scaling(n_values, args.trials, args.seed or 0,
                                         theta=math.radians(args.theta_deg)))
         header += ",var_separable_sim"
-    cells = [[str(n)] + [f"{v:.10g}" for v in rest] for n, *rest in zip(*columns)]
-    return (0, [header] + [",".join(row) for row in cells],
-            {args.out: lambda path: write_csv(path, (), header, cells)})
+    rows = [",".join([str(n)] + [f"{v:.10g}" for v in rest]) for n, *rest in zip(*columns)]
+    return 0, [header, *rows], {}
 
 
 def _verify_checks():
@@ -321,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, default=0,
                    help="number of parametric-bootstrap resamples (0 = off)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="output file path")
 
     p = sub.add_parser("chsh", help="CHSH statistic from a coincidence table")
     p.add_argument("--table", required=True)
@@ -337,13 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo trials for the separable baseline (0 = bounds only)")
     p.add_argument("--theta-deg", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="output file path")
 
     sub.add_parser("verify", help="run the analytic invariant suite")
 
     # read -1e2, -inf and -nan (any case) as values, as argparse reads -100
-    # (Python 3.11's pattern of a negative number has no exponent and no word)
+    # (Python 3.11's pattern of a negative number has no exponent and no word);
+    # and take each flag only in full, so that a prefix (--tri for --trials)
+    # is an unknown flag, not another one
     for p in (parser, *sub.choices.values()):
+        p.allow_abbrev = False
         p._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.I)
     parser.commands = sub.choices  # the subparser of each command, by name
     return parser
@@ -368,27 +362,24 @@ def _check_flags(args) -> None:
             raise ValueError(f"{flag} needs {other}: {why}")
 
 
-def _write_all(writes) -> None:
-    """Run each writer of {path: writer} on a temporary file beside its path
-    (a None path: the flag of that output was not given), then os.replace
-    them all into place. A writer that raises leaves no temporary file and
-    no directory made for its path."""
-    temps, made = {}, []
+def _write_output(writes) -> None:
+    """Run the writer of {path: writer}, the command's one output ({}: none; a
+    None path: its flag was not given), on a temporary file beside the path,
+    then os.replace it into place. A failed write or rename leaves the path
+    as it was, and no temporary file or directory made for it."""
+    [(path, write)] = writes.items() or [(None, None)]
+    if path is None:
+        return
+    # the parents mkdir makes, deepest first
+    made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        for path, write in writes.items():
-            if path is not None:
-                # the parents mkdir makes, outermost first
-                made += reversed(list(itertools.takewhile(lambda d: not d.exists(),
-                                                          path.parents)))
-                path.parent.mkdir(parents=True, exist_ok=True)
-                temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-                write(temps[path])
-        for path, temp in temps.items():
-            os.replace(temp, path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(temp)
+        os.replace(temp, path)
     except BaseException:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
-        for directory in reversed(made):  # deepest first
+        temp.unlink(missing_ok=True)
+        for directory in made:
             with contextlib.suppress(OSError):
                 directory.rmdir()
         raise
@@ -404,8 +395,8 @@ def main(argv=None) -> int:
         _resolve_outputs(args)
         # the command `name` is the function _cmd_<name>
         code, lines, writes = globals()[f"_cmd_{args.command}"](args)
-        _write_all(writes)
-    except (ValueError, OSError, KeyError) as exc:
+        _write_output(writes)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("\n".join(lines))

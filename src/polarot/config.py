@@ -190,7 +190,6 @@ ACCEPTS = {
                        ("--bootstrap", "0 (off) or at least 2", lambda v: v != 1,
                         "one resample has no spread")],
              "needs": [("--bootstrap", "--reference", "it applies to the report"),
-                       ("--out", "--reference", "it applies to the report"),
                        ("--seed", "--bootstrap", "it seeds the resamples")]},
     "fisher": {"flags": [_SEED, ("--trials", ">= 0", lambda v: v >= 0),
                          ("--trials", "at least 2 (or 0: bounds only)", lambda v: v != 1,

@@ -1,16 +1,18 @@
 """The golden CLI cases: small fixed-seed runs of every analysis command.
 
-Each case is an argv for `polarot.cli.main` and the output files it
-writes. A case runs in a scratch directory holding a copy of `inputs/`,
-with relative paths and `POLAROT_OUT` unset, so stdout names outputs by
-their relative path. The files under `inputs/` are fixed data: configs
-written by hand; tables and observables written once by `polarot
-simulate` and `polarot observables` at fixed seeds; and `tomo.csv`,
-written once by `tomography.write_tomo_counts` from a Poisson draw of
-Werner(0.97867) counts (its `# rng_seed` and `# source` lines), since no
-command writes tomography counts. Nothing regenerates them. The files
-under `expected/<case>/` are the goldens (`stdout.txt` plus each output
-file), rewritten only by `python tests/golden/regen.py`.
+Each case is an argv for `polarot.cli.main` and the output file it
+writes, if any: a command writes at most one, and a report (`tomo`'s
+metrics, `fisher`'s table) is on stdout only. A case runs in a scratch
+directory holding a copy of `inputs/`, with relative paths and
+`POLAROT_OUT` unset, so stdout names outputs by their relative path. The
+files under `inputs/` are fixed data: configs written by hand; tables and
+observables written once by `polarot simulate` and `polarot observables`
+at fixed seeds; and `tomo.csv`, written once by
+`tomography.write_tomo_counts` from a Poisson draw of Werner(0.97867)
+counts (its `# rng_seed` and `# source` lines), since no command writes
+tomography counts. Nothing regenerates them. The files under
+`expected/<case>/` are the goldens (`stdout.txt` plus the output file),
+rewritten only by `python tests/golden/regen.py`.
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ CASES = {
                  "--out", "thetas.csv"], ["thetas.csv"]),
     "chsh": (["chsh", "--table", "chsh.csv"], []),
     "tomo": (["tomo", "--counts", "tomo.csv", "--reference", "psi_plus",
-              "--bootstrap", "3", "--seed", "5", "--out-state", "rho.txt",
-              "--out", "report.txt"], ["rho.txt", "report.txt"]),
-    "fisher": (["fisher", "--n-values", "1,2,4,8,16", "--trials", "300", "--seed", "2",
-                "--out", "fisher.csv"], ["fisher.csv"]),
+              "--bootstrap", "3", "--seed", "5", "--out-state", "rho.txt"], ["rho.txt"]),
+    "fisher": (["fisher", "--n-values", "1,2,4,8,16", "--trials", "300", "--seed", "2"], []),
 }
 
 

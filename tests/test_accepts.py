@@ -63,3 +63,12 @@ def test_main_resolves_every_output_option():
               if flag.startswith("--out")
               or any(word in (action.help or "") for word in ("output", "write"))}
     assert writes == set(cli.OUTPUTS)
+
+
+def test_no_command_has_two_output_flags():
+    # main commits a command's output with one os.replace, so that exit 2
+    # leaves no file new or changed; a second output file would need a second
+    # rename, and a failed second rename would leave the first file in place
+    outputs = {name: set(cli.OUTPUTS) & set(parser._option_string_actions)
+               for name, parser in COMMANDS.items()}
+    assert all(len(flags) <= 1 for flags in outputs.values()), outputs

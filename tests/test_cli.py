@@ -198,16 +198,16 @@ def test_tomo_command(tmp_path, capsys):
     counts_file = tmp_path / "tomo.csv"
     tomography.write_tomo_counts(counts_file, counts)
     state_file = tmp_path / "rho.txt"
-    report_file = tmp_path / "report.txt"
     assert main(["tomo", "--counts", str(counts_file), "--reference", "psi_plus",
-                 "--out-state", str(state_file), "--out", str(report_file),
-                 "--bootstrap", "0"]) == 0
+                 "--out-state", str(state_file), "--bootstrap", "0"]) == 0
     stdout = capsys.readouterr().out
     assert "converged = True" in stdout
     assert "fidelity = 1.000000" in stdout
     rho = np.loadtxt(state_file).view(complex).reshape(4, 4)
     assert states.fidelity(rho, states.bell_state("psi_plus")) >= 0.9999
-    assert "fidelity" in report_file.read_text()
+    # the report, after the fit's two lines
+    assert "fidelity" in "\n".join(stdout.splitlines()[2:])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rho.txt", "tomo.csv"]
 
 
 def test_tomo_with_bootstrap(tmp_path, capsys):
@@ -251,19 +251,13 @@ def test_tomo_single_bootstrap_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--bootstrap", "5"], "--bootstrap needs --reference"),
-    (["--out", "report.txt"], "--out needs --reference"),
-    (["--reference", "psi", "--out", "report.txt"], "unknown Bell-state kind 'psi'"),
-    (["--reference", "psi_plus", "--out", "rho.txt"],
-     "--out and --out-state name one file, rho.txt"),
-    (["--reference", "psi_plus", "--out", "./rho.txt"],
-     "--out and --out-state name one file, rho.txt")],
-    ids=["bootstrap", "out", "unknown-reference", "same-file", "same-file-dotted"])
+    (["--reference", "psi"], "unknown Bell-state kind 'psi'")],
+    ids=["bootstrap", "unknown-reference"])
 def test_tomo_report_flags_are_checked_before_any_output(tmp_path, monkeypatch,
                                                           capsys, flags, message):
-    # without --reference there is no report: the bootstrap was skipped and
-    # no report file written, with exit 0; an unknown reference exited 2
-    # only after printing the fit and writing the state file; the report
-    # silently replaced the state file that --out-state named too
+    # without --reference there is no report: the bootstrap was skipped, with
+    # exit 0; an unknown reference exited 2 only after printing the fit and
+    # writing the state file
     monkeypatch.chdir(tmp_path)
     assert main(["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"),
                  "--out-state", "rho.txt", *flags]) == 2
@@ -356,18 +350,15 @@ TOMO_RUN = ["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"), "--reference", 
             "--bootstrap", "3", "--seed", "5"]
 
 
-def output_runs(tmp_path):
-    """{case: argv ending in the output flag under test}; any other output
-    goes to tmp_path."""
+def output_runs():
+    """{case: argv ending in the output flag under test}."""
     return {
         "simulate": ["simulate", "--config", str(GOLDEN_INPUTS / "sim.ini"), "--out"],
         "observables": ["observables", "--table", str(GOLDEN_INPUTS / "table.csv"), "--out"],
         "extract": ["extract", "--plus", str(GOLDEN_INPUTS / "obs_plus.csv"),
                     "--minus", str(GOLDEN_INPUTS / "obs_minus.csv"), "--out"],
         "sweep": ["sweep", "--config", str(GOLDEN_INPUTS / "sweep_theta.ini"), "--out"],
-        "fisher": ["fisher", "--trials", "10", "--out"],
-        "tomo-out-state": [*TOMO_RUN, "--out", str(tmp_path / "report.txt"), "--out-state"],
-        "tomo-out": [*TOMO_RUN, "--out-state", str(tmp_path / "rho.txt"), "--out"]}
+        "tomo-out-state": [*TOMO_RUN, "--out-state"]}
 
 
 @pytest.mark.parametrize("path, out_env, message", [
@@ -376,7 +367,7 @@ def output_runs(tmp_path):
     ("adir", None, "adir is a directory"),
     ("", None, ". is a directory")],
     ids=["under-a-file", "out-env-a-file", "a-directory", "empty"])
-@pytest.mark.parametrize("case", list(output_runs(Path())))
+@pytest.mark.parametrize("case", list(output_runs()))
 def test_an_unusable_output_path_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
                                                            case, path, out_env, message):
     # tomo, fisher, observables and extract printed their results (tomo also
@@ -387,7 +378,7 @@ def test_an_unusable_output_path_exits_2_before_any_output(tmp_path, monkeypatch
         monkeypatch.setenv("POLAROT_OUT", out_env)
     (tmp_path / "afile").write_text("kept\n")
     (tmp_path / "adir").mkdir()
-    argv = output_runs(tmp_path)[case]
+    argv = output_runs()[case]
     assert run_failing(capsys, [*argv, path]) == f"error: {argv[-1]} {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
     assert (tmp_path / "afile").read_text() == "kept\n"
@@ -399,8 +390,8 @@ def test_an_unusable_output_path_exits_2_before_any_output(tmp_path, monkeypatch
      "simulate_counts"),
     (["sweep", "--config", str(GOLDEN_INPUTS / "sweep_theta.ini"), "--out", "sweep.csv"],
      "run_sweep"),
-    ([*TOMO_RUN, "--out-state", "rho.txt", "--out", "report.txt"], "bootstrap_sigmas"),
-    (["fisher", "--trials", "10", "--out", "fisher.csv"], "variance_scaling")],
+    ([*TOMO_RUN, "--out-state", "rho.txt"], "bootstrap_sigmas"),
+    (["fisher", "--trials", "10"], "variance_scaling")],
     ids=["simulate", "sweep", "tomo", "fisher"])
 def test_a_failed_computation_prints_and_writes_nothing(tmp_path, monkeypatch, capsys,
                                                         argv, call):
@@ -414,33 +405,51 @@ def test_a_failed_computation_prints_and_writes_nothing(tmp_path, monkeypatch, c
     assert not any(tmp_path.iterdir())
 
 
-def test_a_failed_write_leaves_no_output_new_or_changed(tmp_path, monkeypatch, capsys):
-    # main ran the writers in turn, so --out-state was written before the
-    # --out writer failed; now both go to temporary files first
-    real = cli._cmd_tomo
+def write_fails(path, rho):
+    path.write_text("partial\n")
+    raise OSError(28, "No space left on device")
 
-    def second_writer_fails(args):
-        code, lines, writes = real(args)
-        first, second = writes
 
-        def fail(path):
-            path.write_text("partial\n")
-            raise OSError(28, "No space left on device")
+def rename_fails(source, target):
+    raise OSError(18, "Invalid cross-device link")
 
-        return code, lines, {first: writes[first], second: fail}
 
-    monkeypatch.setattr(cli, "_cmd_tomo", second_writer_fails)
+@pytest.mark.parametrize("path", ["rho.txt", "new/a/rho.txt"],
+                         ids=["existing-target", "missing-parents"])
+@pytest.mark.parametrize("patch, message", [
+    ((cli, "save_state", write_fails), "[Errno 28] No space left on device"),
+    ((os, "replace", rename_fails), "[Errno 18] Invalid cross-device link")],
+    ids=["write-fails", "rename-fails"])
+def test_a_failed_write_leaves_no_output_new_or_changed(tmp_path, monkeypatch, capsys,
+                                                        patch, message, path):
+    # a failed writer left its file, or the directories made for it, behind;
+    # and with two outputs, a failed second rename left the first in place.
+    # Now the one output goes to a temporary file that one os.replace moves
+    monkeypatch.setattr(*patch)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "report.txt").write_bytes(b"kept\n")
-    err = run_failing(capsys, [*TOMO_RUN, "--out-state", "rho.txt", "--out", "report.txt"])
-    assert err == "error: [Errno 28] No space left on device\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
-    assert (tmp_path / "report.txt").read_bytes() == b"kept\n"
-    # the directories made for the outputs went too: they were left, empty
-    err = run_failing(capsys, [*TOMO_RUN, "--out-state", "new/a/rho.txt",
-                               "--out", "new/b/report.txt"])
-    assert err == "error: [Errno 28] No space left on device\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+    (tmp_path / "rho.txt").write_bytes(b"kept\n")
+    err = run_failing(capsys, [*TOMO_RUN, "--out-state", path])
+    assert err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rho.txt"]
+    assert (tmp_path / "rho.txt").read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    ([*TOMO_RUN, "--out", "x"], "--out x"),
+    (["fisher", "--trials", "10", "--out", "x"], "--out x"),
+    (["fisher", "--tri", "5"], "--tri 5")],
+    ids=["tomo-out", "fisher-out", "fisher-trials-prefix"])
+def test_a_removed_or_abbreviated_flag_exits_1_writing_nothing(tmp_path, monkeypatch,
+                                                               capsys, argv, unknown):
+    # tomo --out and fisher --out only copied stdout; and argparse took a
+    # prefix for the flag it starts, so tomo --out x wrote the state to x
+    # as --out-state, and fisher --tri 5 ran 5 trials
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {unknown}" in captured.err
+    assert not any(tmp_path.iterdir())
 
 
 def golden_edited(tmp_path, name, edit):
@@ -640,9 +649,9 @@ def test_blank_lines_in_a_table_are_skipped(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["fisher", "--trials", "0", "--seed", "3", "--out", "fisher.csv"],
+    (["fisher", "--trials", "0", "--seed", "3"],
      "--seed needs --trials: it applies to the Monte Carlo trials"),
-    (["fisher", "--theta-deg", "10", "--out", "fisher.csv"],
+    (["fisher", "--theta-deg", "10"],
      "--theta-deg needs --trials: it applies to the Monte Carlo trials"),
     (["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"), "--reference", "psi_plus",
       "--seed", "9", "--out-state", "rho.txt"],
@@ -793,9 +802,8 @@ def test_sweep_exact_flag(tmp_path):
     assert abs(theta - 20.08) < 1e-6
 
 
-def test_fisher_command(tmp_path, capsys):
-    out = str(tmp_path / "fisher.csv")
-    assert main(["fisher", "--n-values", "1,2,4", "--out", out]) == 0
+def test_fisher_command(capsys):
+    assert main(["fisher", "--n-values", "1,2,4"]) == 0
     stdout = capsys.readouterr().out
     assert stdout.splitlines()[0] == "n,qfi,var_entangled_bound"
     assert "4,64,0.015625" in stdout
@@ -805,13 +813,12 @@ def test_fisher_command(tmp_path, capsys):
     assert "var_separable_sim" in stdout.splitlines()[0]
 
 
-def test_fisher_prints_each_photon_number_exactly(tmp_path, capsys):
+def test_fisher_prints_each_photon_number_exactly(capsys):
     # n went through {:.10g}, so 12345678901 printed as 1.23456789e+10, which
     # is 12,345,678,900 and not the n simulated
-    out = tmp_path / "fisher.csv"
-    assert main(["fisher", "--n-values", "12345678901,3", "--out", str(out)]) == 0
-    for text in (capsys.readouterr().out, out.read_text()):
-        assert [line.split(",")[0] for line in text.splitlines()] == ["n", "12345678901", "3"]
+    assert main(["fisher", "--n-values", "12345678901,3"]) == 0
+    text = capsys.readouterr().out
+    assert [line.split(",")[0] for line in text.splitlines()] == ["n", "12345678901", "3"]
 
 
 def test_fisher_bound_column_does_not_depend_on_trials(capsys):
@@ -836,17 +843,15 @@ def test_fisher_counts_per_trial_is_not_an_option(capsys):
     assert "unrecognized arguments: --counts-per-trial 1" in captured.err
 
 
-def test_fisher_trials_without_seed_run_seed_0(tmp_path, capsys):
+def test_fisher_trials_without_seed_run_seed_0(capsys):
     # the separable baseline's default seed is 0: no flag prints the bytes of
-    # --seed 0, on stdout and in --out, and another seed prints others
+    # --seed 0, and another seed prints others
     runs = []
     for seed in ([], ["--seed", "0"], ["--seed", "1"]):
-        out = tmp_path / f"fisher{len(runs)}.csv"
-        assert main(["fisher", "--n-values", "1,2,4", "--trials", "20", *seed,
-                     "--out", str(out)]) == 0
-        runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert main(["fisher", "--n-values", "1,2,4", "--trials", "20", *seed]) == 0
+        runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
-    assert runs[2][0] != runs[0][0]
+    assert runs[2] != runs[0]
 
 
 @pytest.mark.parametrize("n, code", [("9223372036854775807", 0), ("9223372036854775808", 2)],
