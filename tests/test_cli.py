@@ -452,6 +452,20 @@ def test_a_removed_or_abbreviated_flag_exits_1_writing_nothing(tmp_path, monkeyp
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("case", list(output_runs()))
+def test_a_prefix_of_an_output_flag_exits_1_writing_nothing(tmp_path, monkeypatch, capsys,
+                                                            case):
+    # argparse took --ou for --out and --out-stat for --out-state, so each
+    # command wrote its output to x
+    *argv, flag = output_runs()[case]
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, flag[:-1], "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag[:-1]} x" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 def golden_edited(tmp_path, name, edit):
     """A copy of the golden input `name` in tmp_path, its text passed
     through `edit`; returns its path as a string."""
