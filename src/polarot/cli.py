@@ -3,8 +3,9 @@
 Subcommands: simulate, observables, extract, scan, tomo, chsh, sweep,
 fisher, verify. Exit codes: 0 success, 1 usage error, 2 data or
 validation error, 3 non-convergence. Commands only compute: each returns
-its exit code, stdout lines and {output path: writer}, at most one file
-per command: a report goes to stdout only. `main` alone emits. It resolves
+its exit code, stdout lines, and its output path and the writer of that
+path (None, None for none): at most one file per command, since a report
+goes to stdout only. `main` alone emits. It resolves
 the output flag against $POLAROT_OUT and checks that the path can take a
 file before the command runs, and writes the file, then stdout, after it
 returns; so an exit 2 prints and writes nothing. The file is written to a
@@ -78,7 +79,7 @@ def _cmd_simulate(args) -> tuple:
     table = (exact_table(rho, cfg.setting_pairs, cfg.detection) if args.exact
              else simulate_counts(rho, cfg.setting_pairs, cfg.detection, cfg.seed))
     return (0, [f"wrote {len(table.settings)} settings to {args.out}"],
-            {args.out: lambda path: write_table(table, path)})
+            args.out, lambda path: write_table(table, path))
 
 
 def _read_observables(path) -> np.ndarray:
@@ -96,9 +97,9 @@ def _read_observables(path) -> np.ndarray:
 def _cmd_observables(args) -> tuple:
     rows = list(zip(_OBSERVABLES, *estimate_observables(read_table(args.table))))
     lines = [f"{name} = {m:+.9f} +- {sigma:.9f}" for name, m, sigma in rows]
-    return 0, lines, {args.out: lambda path: write_csv(
+    return 0, lines, args.out, lambda path: write_csv(
         path, (), _OBSERVABLES_HEADER,
-        ([name, f"{m:.17g}", f"{sigma:.17g}"] for name, m, sigma in rows))}
+        ([name, f"{m:.17g}", f"{sigma:.17g}"] for name, m, sigma in rows))
 
 
 def _cmd_extract(args) -> tuple:
@@ -106,15 +107,15 @@ def _cmd_extract(args) -> tuple:
                                                        (args.plus, args.minus))
     thetas = extract_thetas(m_plus, m_minus, sigma_plus, sigma_minus)
     cells = [unsigned_zeros(f"{math.degrees(theta):.6f}") for theta in thetas]
-    return 0, [", ".join(cells)], {args.out: lambda path: write_csv(
-        path, (), "theta_a_deg,theta_b_deg", [cells])}
+    return 0, [", ".join(cells)], args.out, lambda path: write_csv(
+        path, (), "theta_a_deg,theta_b_deg", [cells])
 
 
 def _cmd_scan(args) -> tuple:
     # in [-90, 90) as printed, like the analyzer ids: a zero unsigned, and a
     # readout that rounds to 90 at six decimals is -90
     degrees = round(math.degrees(run_scan(_load_config_with_override(args), args.exact)), 6)
-    return 0, [f"{-90.0 if degrees == 90.0 else degrees + 0.0:.6f}"], {}
+    return 0, [f"{-90.0 if degrees == 90.0 else degrees + 0.0:.6f}"], None, None
 
 
 def _cmd_tomo(args) -> tuple:
@@ -132,20 +133,20 @@ def _cmd_tomo(args) -> tuple:
              f"converged = {result.converged} (iterations {result.n_iter}, "
              f"KKT gap {result.kkt_gap:.3g})", *report]
     return (0 if result.converged else 3, lines,
-            {args.out_state: lambda path: save_state(path, result.rho)})
+            args.out_state, lambda path: save_state(path, result.rho))
 
 
 def _cmd_chsh(args) -> tuple:
     s, sigma = chsh_from_counts(read_table(args.table))
     significance = (s - 2.0) / sigma if sigma > 0 else (math.inf if s > 2.0 else 0.0)
     return 0, [unsigned_zeros(f"S = {s:.6f} +- {sigma:.6f}"),
-               f"violation significance = {significance:.2f} sigma"], {}
+               f"violation significance = {significance:.2f} sigma"], None, None
 
 
 def _cmd_sweep(args) -> tuple:
     result = run_sweep(_load_config_with_override(args), exact=args.exact)
     return (0, [f"wrote {len(result.rows)} sweep points to {args.out}"],
-            {args.out: lambda path: write_sweep(result, path)})
+            args.out, lambda path: write_sweep(result, path))
 
 
 def _cmd_fisher(args) -> tuple:
@@ -166,7 +167,7 @@ def _cmd_fisher(args) -> tuple:
                                         theta=math.radians(args.theta_deg)))
         header += ",var_separable_sim"
     rows = [",".join([str(n)] + [f"{v:.10g}" for v in rest]) for n, *rest in zip(*columns)]
-    return 0, [header, *rows], {}
+    return 0, [header, *rows], None, None
 
 
 def _verify_checks():
@@ -269,7 +270,7 @@ def _cmd_verify(args) -> tuple:
             ok, detail = False, f"raised {exc!r}"
         lines.append(f"{'ok' if ok else 'FAIL'}: {check.__name__.replace('_', '-')} "
                      f"({detail})")
-    return 2 if any(line.startswith("FAIL") for line in lines) else 0, lines, {}
+    return 2 if any(line.startswith("FAIL") for line in lines) else 0, lines, None, None
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -362,12 +363,11 @@ def _check_flags(args) -> None:
             raise ValueError(f"{flag} needs {other}: {why}")
 
 
-def _write_output(writes) -> None:
-    """Run the writer of {path: writer}, the command's one output ({}: none; a
-    None path: its flag was not given), on a temporary file beside the path,
+def _write_output(path, write) -> None:
+    """Run write, the writer of the command's one output path (None: no
+    output, or its flag was not given), on a temporary file beside the path,
     then os.replace it into place. A failed write or rename leaves the path
     as it was, and no temporary file or directory made for it."""
-    [(path, write)] = writes.items() or [(None, None)]
     if path is None:
         return
     # the parents mkdir makes, deepest first
@@ -394,8 +394,8 @@ def main(argv=None) -> int:
         _check_flags(args)
         _resolve_outputs(args)
         # the command `name` is the function _cmd_<name>
-        code, lines, writes = globals()[f"_cmd_{args.command}"](args)
-        _write_output(writes)
+        code, lines, path, write = globals()[f"_cmd_{args.command}"](args)
+        _write_output(path, write)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

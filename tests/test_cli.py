@@ -350,15 +350,14 @@ TOMO_RUN = ["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"), "--reference", 
             "--bootstrap", "3", "--seed", "5"]
 
 
-def output_runs():
-    """{case: argv ending in the output flag under test}."""
-    return {
-        "simulate": ["simulate", "--config", str(GOLDEN_INPUTS / "sim.ini"), "--out"],
-        "observables": ["observables", "--table", str(GOLDEN_INPUTS / "table.csv"), "--out"],
-        "extract": ["extract", "--plus", str(GOLDEN_INPUTS / "obs_plus.csv"),
-                    "--minus", str(GOLDEN_INPUTS / "obs_minus.csv"), "--out"],
-        "sweep": ["sweep", "--config", str(GOLDEN_INPUTS / "sweep_theta.ini"), "--out"],
-        "tomo-out-state": [*TOMO_RUN, "--out-state"]}
+# {case: argv ending in the output flag under test}
+OUTPUT_RUNS = {
+    "simulate": ["simulate", "--config", str(GOLDEN_INPUTS / "sim.ini"), "--out"],
+    "observables": ["observables", "--table", str(GOLDEN_INPUTS / "table.csv"), "--out"],
+    "extract": ["extract", "--plus", str(GOLDEN_INPUTS / "obs_plus.csv"),
+                "--minus", str(GOLDEN_INPUTS / "obs_minus.csv"), "--out"],
+    "sweep": ["sweep", "--config", str(GOLDEN_INPUTS / "sweep_theta.ini"), "--out"],
+    "tomo-out-state": [*TOMO_RUN, "--out-state"]}
 
 
 @pytest.mark.parametrize("path, out_env, message", [
@@ -367,7 +366,7 @@ def output_runs():
     ("adir", None, "adir is a directory"),
     ("", None, ". is a directory")],
     ids=["under-a-file", "out-env-a-file", "a-directory", "empty"])
-@pytest.mark.parametrize("case", list(output_runs()))
+@pytest.mark.parametrize("case", list(OUTPUT_RUNS))
 def test_an_unusable_output_path_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
                                                            case, path, out_env, message):
     # tomo, fisher, observables and extract printed their results (tomo also
@@ -378,7 +377,7 @@ def test_an_unusable_output_path_exits_2_before_any_output(tmp_path, monkeypatch
         monkeypatch.setenv("POLAROT_OUT", out_env)
     (tmp_path / "afile").write_text("kept\n")
     (tmp_path / "adir").mkdir()
-    argv = output_runs()[case]
+    argv = OUTPUT_RUNS[case]
     assert run_failing(capsys, [*argv, path]) == f"error: {argv[-1]} {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
     assert (tmp_path / "afile").read_text() == "kept\n"
@@ -437,32 +436,21 @@ def test_a_failed_write_leaves_no_output_new_or_changed(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("argv, unknown", [
     ([*TOMO_RUN, "--out", "x"], "--out x"),
     (["fisher", "--trials", "10", "--out", "x"], "--out x"),
-    (["fisher", "--tri", "5"], "--tri 5")],
-    ids=["tomo-out", "fisher-out", "fisher-trials-prefix"])
+    (["fisher", "--tri", "5"], "--tri 5"),
+    # each output flag cut by one letter: --ou, --out-stat
+    *(([*argv, flag[:-1], "x"], f"{flag[:-1]} x") for *argv, flag in OUTPUT_RUNS.values())],
+    ids=["tomo-out", "fisher-out", "fisher-trials-prefix",
+         *(f"{case}-prefix" for case in OUTPUT_RUNS)])
 def test_a_removed_or_abbreviated_flag_exits_1_writing_nothing(tmp_path, monkeypatch,
                                                                capsys, argv, unknown):
     # tomo --out and fisher --out only copied stdout; and argparse took a
     # prefix for the flag it starts, so tomo --out x wrote the state to x
-    # as --out-state, and fisher --tri 5 ran 5 trials
+    # as --out-state, fisher --tri 5 ran 5 trials, and --ou x wrote to x
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {unknown}" in captured.err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("case", list(output_runs()))
-def test_a_prefix_of_an_output_flag_exits_1_writing_nothing(tmp_path, monkeypatch, capsys,
-                                                            case):
-    # argparse took --ou for --out and --out-stat for --out-state, so each
-    # command wrote its output to x
-    *argv, flag = output_runs()[case]
-    monkeypatch.chdir(tmp_path)
-    assert main([*argv, flag[:-1], "x"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"unrecognized arguments: {flag[:-1]} x" in captured.err
     assert not any(tmp_path.iterdir())
 
 

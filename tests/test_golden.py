@@ -1,9 +1,7 @@
 """Byte-for-byte golden outputs of the CLI (cases in golden/cases.py;
 regenerate with `python tests/golden/regen.py`)."""
 
-import importlib
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,34 +25,6 @@ def test_golden_output(name, tmp_path):
         expected = (expected_dir / file_name).read_bytes()
         assert data == expected, (f"{name}/{file_name} differs from its golden; "
                                   f"{blas_core.pin_note()}")
-
-
-def test_regen_check_lists_each_change_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    # regen.py --check prints what regen.py would rewrite or delete, and
-    # exits 1 if anything, on copies of two cases' goldens
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent / "golden"))
-    regen = importlib.import_module("regen")
-    copies = tmp_path / "expected"
-    for name in ("chsh", "fisher"):
-        shutil.copytree(EXPECTED / name, copies / name)
-    (copies / "chsh" / "stdout.txt").write_text("edited\n")
-    (copies / "fisher" / "fisher.csv").write_text("stale\n")
-    monkeypatch.setattr(regen, "EXPECTED", copies)
-    monkeypatch.setattr(regen, "CASES", {name: CASES[name] for name in ("chsh", "fisher")})
-
-    def contents():
-        return {path: path.read_bytes() for path in copies.rglob("*") if path.is_file()}
-
-    before = contents()
-    assert regen.main(["--check"]) == 1
-    assert capsys.readouterr().out == "chsh/stdout.txt\nfisher/fisher.csv\n"
-    assert contents() == before
-    assert regen.main([]) == 0
-    assert capsys.readouterr().out == "chsh/stdout.txt\nfisher/fisher.csv\n"
-    assert contents() == {copies / name / "stdout.txt": (EXPECTED / name / "stdout.txt")
-                          .read_bytes() for name in ("chsh", "fisher")}
-    assert regen.main(["--check"]) == 0
-    assert capsys.readouterr().out == ""
 
 
 def test_openblas_core_is_named():
