@@ -51,14 +51,16 @@ _FACTOR_BASIS[4:].reshape(6, 2, 4, 4)[range(6), :, _ROWS, _COLS] = 1.0, 1j
 _QUAD = np.einsum("iab,jac,kcb->kij", _FACTOR_BASIS.conj(), _FACTOR_BASIS,
                   _PROJECTORS).real
 _QUAD_SUM = _QUAD.sum(axis=0)
+_PROJECTOR_SUM = _PROJECTORS.sum(axis=0)
+_EYE = np.eye(16)
 
 # fit: eigenvalue floor of every starting state, predicted per-count gain
-# below which the ascent stops, KKT gap above which a stopped ascent
-# escapes, and the weight of the escape direction; verdict: largest KKT gap
-# per count at which a fit counts as converged; budget: the most Newton
-# steps of both ascents together
+# below which the ascent stops (under f's round-off, eps |f| ~ 5e-16),
+# KKT gap above which a stopped ascent escapes, and the escape direction's
+# weight; verdict: largest KKT gap per count at which a fit counts as
+# converged; budget: the most Newton steps of both ascents together
 _PARAM_FLOOR = 1e-6
-_STOP_GAIN = 1e-25
+_STOP_GAIN = 1e-16
 _ESCAPE_GAP = 1e-10
 _ESCAPE_MIX = 1e-3
 KKT_TOL = 1e-5
@@ -111,8 +113,7 @@ def _t_from_rho(rho: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(rho)
     rho = (v * np.maximum(w, _PARAM_FLOOR)) @ v.conj().T
     m = np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1].conj().T
-    # keep the strided .real view: a contiguous copy makes the ascent round
-    # differently, and 9 of the 40 fits test_fits_are_pinned_bit_for_bit pins move
+    # keep the strided .real view: a contiguous copy rounds the ascent otherwise
     return np.einsum("jab,ab->j", _FACTOR_BASIS.conj(), m).real
 
 
@@ -143,18 +144,18 @@ def _gain(t, step, quad, w, q, qs):
 
 
 def _ascend(t, quad, w, max_iter):
-    """Damped Newton ascent of f from t, at most max_iter steps.
-    The damping mu follows the Levenberg-Marquardt gain-ratio rule (H. B.
-    Nielsen, IMM-REP-1999-05), first raised above lambda_max(H) whenever
-    mu I - H is not positive definite. f does not depend on the scale of t, so t is renormalized
-    after each step. Returns t and the number of steps taken."""
+    """Damped Newton ascent of f from t, at most max_iter steps: each solves
+    (mu I - H) step = grad, with mu first raised above lambda_max(H), then
+    moved by the Levenberg-Marquardt gain-ratio rule (H. B. Nielsen,
+    IMM-REP-1999-05). f ignores the scale of t, so t is renormalized after
+    each step. Returns t and the number of steps taken."""
     grad, hess, q, qs = _grad_hess(t, quad, w)
-    lam, vec = np.linalg.eigh(hess)
+    lam = np.linalg.eigvalsh(hess)
     mu, nu = 1e-3 * np.abs(lam).max(), 2.0
     for n_iter in range(max_iter):
         if mu <= lam[-1]:
             mu, nu = nu * lam[-1], 2.0 * nu
-        step = vec @ (vec.T @ grad / (mu - lam))
+        step = np.linalg.solve(mu * _EYE - hess, grad)
         predicted = grad @ step + 0.5 * step @ hess @ step
         if predicted <= _STOP_GAIN:
             return t, n_iter
@@ -162,7 +163,7 @@ def _ascend(t, quad, w, max_iter):
         if ratio > 0:
             t = (t + step) / np.linalg.norm(t + step)
             grad, hess, q, qs = _grad_hess(t, quad, w)
-            lam, vec = np.linalg.eigh(hess)
+            lam = np.linalg.eigvalsh(hess)
             mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0
         else:
             mu, nu = mu * nu, 2.0 * nu
@@ -179,7 +180,7 @@ def _kkt(counts: np.ndarray, rho: np.ndarray):
     p = _probabilities(rho)
     w = np.divide(counts, p, out=np.zeros_like(p), where=counts > 0)
     g = (np.einsum("k,kij->ij", w, _PROJECTORS) / counts.sum()
-         - _PROJECTORS.sum(axis=0) / p.sum())
+         - _PROJECTOR_SUM / p.sum())
     return p, g, float(np.linalg.eigvalsh(g)[-1])
 
 
@@ -201,12 +202,11 @@ def mle_reconstruct(counts: np.ndarray) -> MleResult:
     by a damped Newton ascent with the exact gradient and Hessian of the
     per-count mean log-likelihood, started from the eigenvalue-floored
     linear inversion. `n_iter` counts Newton steps over both ascents, at
-    most MAX_ITER.
-    `converged` is true iff the likelihood KKT gap of the returned state
-    (see `_kkt`) is at most KKT_TOL per count. The returned state
-    is physical by construction for any parameter values. The reported
-    log-likelihood is the unnormalized Poisson form above (factorial terms
-    dropped).
+    most MAX_ITER. `converged` is true iff the likelihood KKT gap of the
+    returned state (see `_kkt`) is at most KKT_TOL per count. The returned
+    state is physical by construction for any parameter values. The
+    reported log-likelihood is the unnormalized Poisson form above
+    (factorial terms dropped).
     """
     counts = np.asarray(counts, dtype=float)
     if (counts < 0).any():

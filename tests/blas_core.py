@@ -1,17 +1,20 @@
-"""The OpenBLAS core and the SIMD targets numpy runs on, for the failure
-messages of the tests that pin bits: the golden files and the digests in
-test_measure.py and test_tomography.py were made under PINNED_CORE and
-PINNED_TARGETS. Another core (set by the CPU, or by OPENBLAS_CORETYPE) may
-sum in another order, and another SIMD level (set by the CPU, or by
-NPY_DISABLE_CPU_FEATURES) may round a product or a sum otherwise, and move
-the last bits. The core is read with ctypes from the OpenBLAS library
-bundled with numpy."""
+"""The numpy version, and the OpenBLAS core and the SIMD targets numpy
+runs on, for the failure messages of the tests that pin bits: the golden
+files and the digests in test_measure.py and test_tomography.py were made
+under PINNED_NUMPY, PINNED_CORE and PINNED_TARGETS. Another numpy version
+may draw its Poisson, binomial and multinomial variates by another
+algorithm and move every sampled golden. Another core (set by the CPU, or
+by OPENBLAS_CORETYPE) may sum in another order, and another SIMD level
+(set by the CPU, or by NPY_DISABLE_CPU_FEATURES) may round a product or a
+sum otherwise, and move the last bits. The core is read with ctypes from
+the OpenBLAS library bundled with numpy."""
 
 import ctypes
 from pathlib import Path
 
 import numpy as np
 
+PINNED_NUMPY = "2.4.6"
 PINNED_CORE = "SkylakeX"
 PINNED_TARGETS = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
 
@@ -43,7 +46,8 @@ def simd_targets() -> list:
 
 
 def pin_note() -> str:
-    """A failure message naming this process's OpenBLAS core and numpy
-    SIMD targets."""
-    return (f"OpenBLAS core {core_name()}, numpy SIMD targets {simd_targets()}; "
-            f"the pins were made under {PINNED_CORE} and {PINNED_TARGETS}")
+    """A failure message naming this process's numpy version, OpenBLAS
+    core and numpy SIMD targets."""
+    return (f"numpy {np.__version__}, OpenBLAS core {core_name()}, numpy SIMD "
+            f"targets {simd_targets()}; the pins were made under numpy "
+            f"{PINNED_NUMPY}, {PINNED_CORE} and {PINNED_TARGETS}")

@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__
 
 import blas_core
 import polarot
 import test_measure
+import test_tomography
 from golden.cases import CASES, EXPECTED, run_case
 
 
@@ -40,6 +42,8 @@ def test_pin_note_names_the_core_and_the_simd_targets():
     note = blas_core.pin_note()
     assert f"OpenBLAS core {blas_core.core_name()}" in note
     assert f"numpy SIMD targets {blas_core.simd_targets()}" in note
+    assert f"numpy {np.__version__}" in note
+    assert f"numpy {blas_core.PINNED_NUMPY}" in note
 
 
 # the names OpenBLAS gives the SSE3 core that OPENBLAS_CORETYPE=Prescott forces
@@ -79,7 +83,8 @@ code, files = run_case(name, Path(sys.argv[2]))
 print(code, *sorted(
     file for file, data in files.items() if data != (EXPECTED / name / file).read_bytes()))
 """
-# every golden case but tomo, whose solver bits follow the BLAS/LAPACK kernel
+# every golden case but tomo, whose rho.txt follows the BLAS/LAPACK kernel in
+# its last bits
 KERNEL_FREE_CASES = sorted(set(CASES) - {"tomo"})
 
 
@@ -105,3 +110,21 @@ def test_projector_pin_under_other_kernels(env):
     # at numpy's SIMD baseline
     digest, = run_under(env, "import test_measure; print(test_measure.projector_digest())")
     assert digest == test_measure.PROJECTOR_DIGEST
+
+
+@pytest.mark.parametrize("env", [PRESCOTT, NUMPY_BASELINE], ids=["prescott", "numpy-baseline"])
+def test_fit_steps_pin_under_other_kernels(env):
+    # the step counts, verdicts and log-likelihoods of test_tomography's
+    # pinned fits, on another BLAS core and at numpy's SIMD baseline
+    steps, digest = run_under(env, "import test_tomography; "
+                                   "print(*test_tomography.fit_steps_digest())")
+    assert (int(steps), digest) == (test_tomography.FIT_STEPS,
+                                    test_tomography.FIT_STEPS_DIGEST)
+
+
+@pytest.mark.parametrize("env", [PRESCOTT, NUMPY_BASELINE], ids=["prescott", "numpy-baseline"])
+def test_tomo_stdout_under_other_kernels(env, tmp_path):
+    # the fit's report and convergence line; only rho.txt's last bits move
+    code, *differing = run_under(env, _RUN_CASE, "tomo", str(tmp_path / "run"))
+    assert code == "0"
+    assert "stdout.txt" not in differing

@@ -167,7 +167,7 @@ def saddle_start(counts):
     return start
 
 
-def fit_from_saddle(monkeypatch, counts, start):
+def fit_from_saddle(counts, start):
     """mle_reconstruct with its first start replaced by `start`; returns
     the result and every state the fit started from."""
     starts, t_from_rho = [], tomography._t_from_rho
@@ -176,12 +176,12 @@ def fit_from_saddle(monkeypatch, counts, start):
         starts.append(rho)
         return start.copy() if len(starts) == 1 else t_from_rho(rho)
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tomography, "_t_from_rho", start_first_on_the_saddle)
         return tomography.mle_reconstruct(counts), starts
 
 
-def test_escape_leaves_a_saddle(monkeypatch):
+def test_escape_leaves_a_saddle():
     counts = PURE_SHORT_OF_OPTIMUM
     quad, w = tomography._QUAD[counts > 0], counts[counts > 0] / counts.sum()
     start = saddle_start(counts)
@@ -202,7 +202,7 @@ def test_escape_leaves_a_saddle(monkeypatch):
 
     # started there, the fit escapes and reaches the ordinary fit's optimum
     optimum = tomography.mle_reconstruct(counts)
-    escaped, starts = fit_from_saddle(monkeypatch, counts, start)
+    escaped, starts = fit_from_saddle(counts, start)
     assert len(starts) == 2
     assert escaped.kkt_gap <= 1e-10
     assert escaped.log_likelihood - loglik(rho) > 0.6
@@ -210,28 +210,54 @@ def test_escape_leaves_a_saddle(monkeypatch):
     assert 0.5 * np.abs(np.linalg.eigvalsh(escaped.rho - optimum.rho)).sum() < 1e-7
 
 
-
-def test_fits_are_pinned_bit_for_bit(monkeypatch):
-    # every bit of every result, on fits without escape (5b trials 0..39, a
-    # counts vector with zeros, the pure-state saddle case) and one with it
-    # (from the saddle start above); the digest is of this platform's
-    # numpy/LAPACK, so a speed change to the solver must leave it as it is
+def pinned_fits() -> list:
+    """The fits the two pins below hold: without escape, criterion 5b
+    trials 0..39, a counts vector with zeros and the pure-state saddle
+    case; with it, the saddle case from the saddle start above."""
     with_zeros = np.random.default_rng(8).poisson(tomography.predicted_counts(
         states.separable_state(states.ket("H"), states.ket("H")), 1e3)).astype(float)
     results = [tomography.mle_reconstruct(counts) for counts in
                [criterion_5b_counts(trial) for trial in range(40)]
                + [PURE_SHORT_OF_OPTIMUM, with_zeros]]
-    escaped, starts = fit_from_saddle(monkeypatch, PURE_SHORT_OF_OPTIMUM,
+    escaped, starts = fit_from_saddle(PURE_SHORT_OF_OPTIMUM,
                                       saddle_start(PURE_SHORT_OF_OPTIMUM))
     assert len(starts) == 2 and (with_zeros == 0).sum() == 7
+    return results + [escaped]
+
+
+# the step total and the sha256 of `fit_steps_digest`'s text
+FIT_STEPS = 467
+FIT_STEPS_DIGEST = "4fa513f9e704c9f98754c36338234f205805eb0e2f782261d653c78497b2f74f"
+
+
+def fit_steps_digest() -> tuple:
+    """The step total of the pinned fits and a sha256 of each one's step
+    count, verdict and log-likelihood at six decimals. The ascent stops at
+    the round-off of f, so these are the same on every BLAS core and numpy
+    SIMD level (test_golden runs them under others)."""
+    results = pinned_fits()
+    text = " ".join(f"{result.n_iter} {result.converged} {result.log_likelihood:.6f}"
+                    for result in results)
+    return (sum(result.n_iter for result in results),
+            hashlib.sha256(text.encode()).hexdigest())
+
+
+def test_fit_steps_are_pinned():
+    assert fit_steps_digest() == (FIT_STEPS, FIT_STEPS_DIGEST), pin_note()
+
+
+def test_fits_are_pinned_bit_for_bit():
+    # every bit of every state, log-likelihood and KKT gap; the digest is of
+    # this platform's numpy/LAPACK, and the last bits follow the BLAS core
+    # and numpy's SIMD level, so a speed change to the solver must leave it
+    # as it is or declare the change
     digest = hashlib.sha256()
-    for result in results + [escaped]:
+    for result in pinned_fits():
         digest.update(result.rho.tobytes())
         digest.update(np.array([result.log_likelihood, result.kkt_gap]).tobytes())
-        digest.update(f"{result.n_iter} {result.converged}".encode())
-    assert sum(result.n_iter for result in results) == 525, pin_note()
-    assert digest.hexdigest() == ("9b061b29357637db37fdaa01c6bde374"
-                                  "1bd90a445b178f4102ca8ddd360e8836"), pin_note()
+    assert digest.hexdigest() == ("1719287e6c06eb9a4cdf789d21e54ef8"
+                                  "14d74f7e52c98190d17a1d201925689d"), pin_note()
+
 
 def test_mle_gradient_matches_finite_differences():
     # the gradient against central differences of f (from `_gain`), the
