@@ -2,10 +2,12 @@
 
 Subcommands: simulate, observables, extract, scan, tomo, chsh, sweep,
 fisher, verify. Exit codes: 0 success, 1 usage error, 2 data or
-validation error, 3 non-convergence. Commands only compute: each returns
-its exit code, stdout lines, and its output path and the writer of that
-path (None, None for none): at most one file per command, since a report
-goes to stdout only. `main` alone emits. It resolves
+validation error, 3 non-convergence. `extract` reads the coincidence
+tables of both branches, as `observables` and `chsh` read one. Commands
+only compute: each returns its exit code, stdout lines, and its output
+path and the writer of that path (None, None for none). Only simulate,
+sweep and tomo --out-state write a file, one each; a report goes to
+stdout only. `main` alone emits. It resolves
 the output flag against $POLAROT_OUT and checks that the path can take a
 file before the command runs, and writes the file, then stdout, after it
 returns; so an exit 2 prints and writes nothing. The file is written to a
@@ -30,7 +32,7 @@ import numpy as np
 from . import __version__
 from .channels import apply_noise, rotate_arm
 from .config import ACCEPTS, check_reads, load_config
-from .csvfile import read_labeled, unsigned_zeros, write_csv
+from .csvfile import unsigned_zeros
 from .measure import (Detection, chsh_from_counts, estimate_observables, exact_observables,
                       exact_table, extract_thetas, read_table, simulate_counts,
                       write_table)
@@ -44,7 +46,6 @@ from .tomography import (DESIGN, _report, bootstrap_sigmas, mle_reconstruct,
 OUT_ENV = "POLAROT_OUT"
 OUTPUTS = ("--out", "--out-state")  # the flags that name an output file
 _OBSERVABLES = ("m_zz", "m_xz", "m_zx")
-_OBSERVABLES_HEADER = "observable,value,sigma"
 
 
 def _resolve_outputs(args) -> None:
@@ -82,33 +83,18 @@ def _cmd_simulate(args) -> tuple:
             args.out, lambda path: write_table(table, path))
 
 
-def _read_observables(path) -> np.ndarray:
-    # the M_zz, M_xz, M_zx values, then their sigmas, shape (2, 3): each a
-    # correlation in [-1, 1] whose standard error lies in [0, 1]
-    _, values = read_labeled(path, _OBSERVABLES_HEADER, _OBSERVABLES, "observable",
-                             f"observable of {_OBSERVABLES}")
-    for name, (m, sigma) in zip(_OBSERVABLES, values):
-        if not (-1.0 <= m <= 1.0 and 0.0 <= sigma <= 1.0):
-            raise ValueError(f"{path}: row {name},{m:g},{sigma:g} is no correlation: its "
-                             f"value must lie in [-1, 1] and its sigma in [0, 1]")
-    return np.array(values).T
-
-
 def _cmd_observables(args) -> tuple:
-    rows = list(zip(_OBSERVABLES, *estimate_observables(read_table(args.table))))
-    lines = [f"{name} = {m:+.9f} +- {sigma:.9f}" for name, m, sigma in rows]
-    return 0, lines, args.out, lambda path: write_csv(
-        path, (), _OBSERVABLES_HEADER,
-        ([name, f"{m:.17g}", f"{sigma:.17g}"] for name, m, sigma in rows))
+    rows = zip(_OBSERVABLES, *estimate_observables(read_table(args.table)))
+    return 0, [f"{name} = {m:+.9f} +- {sigma:.9f}" for name, m, sigma in rows], None, None
 
 
 def _cmd_extract(args) -> tuple:
-    (m_plus, sigma_plus), (m_minus, sigma_minus) = map(_read_observables,
-                                                       (args.plus, args.minus))
+    # angles in the analyzer frame: a table carries no analyzer offsets
+    (m_plus, sigma_plus), (m_minus, sigma_minus) = (
+        estimate_observables(read_table(path)) for path in (args.plus, args.minus))
     thetas = extract_thetas(m_plus, m_minus, sigma_plus, sigma_minus)
-    cells = [unsigned_zeros(f"{math.degrees(theta):.6f}") for theta in thetas]
-    return 0, [", ".join(cells)], args.out, lambda path: write_csv(
-        path, (), "theta_a_deg,theta_b_deg", [cells])
+    line = ", ".join(f"{math.degrees(theta):.6f}" for theta in thetas)
+    return 0, [unsigned_zeros(line)], None, None
 
 
 def _cmd_scan(args) -> tuple:
@@ -296,13 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("observables", help="estimate joint observables from a table")
     p.add_argument("--table", required=True, help="coincidence table file")
-    p.add_argument("--out", help="output file path")
 
     p = sub.add_parser("extract", help="extract both rotation angles from "
-                                       "plus- and minus-branch observables")
-    p.add_argument("--plus", required=True, help="observables file, addition branch")
-    p.add_argument("--minus", required=True, help="observables file, cancellation branch")
-    p.add_argument("--out", help="output file path")
+                                       "plus- and minus-branch coincidence tables")
+    p.add_argument("--plus", required=True, help="coincidence table, addition branch")
+    p.add_argument("--minus", required=True, help="coincidence table, cancellation branch")
 
     p = sub.add_parser("scan", help="wide-range search for the arm-A rotation")
     add_run(p)

@@ -10,11 +10,12 @@ Cholesky-style factorization that is physical by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvfile import read_labeled, write_csv
+from .csvfile import read_csv, row_floats, write_csv
 from .measure import MAX_POISSON_MEAN
 from .states import (_concurrence, _fidelity, _purity, cosine_similarity, ket,
                      validate_state)
@@ -269,6 +270,8 @@ def bootstrap_sigmas(rho_hat: np.ndarray, counts: np.ndarray,
 
 
 _COUNTS_HEADER = "basis_label_a,basis_label_b,count"
+_COUNT_LABELS = [f"{a},{b}" for a, b in BASIS_LABELS]
+_COUNT_INDEX = {label.upper(): k for k, label in enumerate(_COUNT_LABELS)}
 
 
 def write_tomo_counts(path, counts: np.ndarray, metadata: dict | None = None) -> None:
@@ -284,9 +287,22 @@ def write_tomo_counts(path, counts: np.ndarray, metadata: dict | None = None) ->
 
 
 def read_tomo_counts(path) -> tuple[np.ndarray, dict]:
-    """Read a tomography counts file; rows may appear in any order but
-    every canonical basis pair must occur exactly once."""
-    metadata, values = read_labeled(path, _COUNTS_HEADER,
-                                    tuple(f"{a},{b}" for a, b in BASIS_LABELS),
-                                    "basis", "basis pair of the design")
-    return np.array([cells[0] for cells in values]), metadata
+    """The 16 counts of a tomography counts file, in the frozen basis order,
+    and its metadata. Rows may come in any order and letter case, but each
+    basis pair of the design occurs exactly once, with a finite count; every
+    error names the file."""
+    metadata, rows = read_csv(path, _COUNTS_HEADER)
+    counts = [None] * len(_COUNT_LABELS)
+    for row in rows:
+        k = _COUNT_INDEX.get(f"{row[0]},{row[1]}".upper())
+        if k is None:
+            raise ValueError(f"{path}: row {','.join(row)!r} names no basis pair of the design")
+        if counts[k] is not None:
+            raise ValueError(f"{path}: row {','.join(row)!r} repeats basis {_COUNT_LABELS[k]}")
+        [counts[k]] = row_floats(path, row, 2)
+        if not math.isfinite(counts[k]):
+            raise ValueError(f"{path}: row {','.join(row)!r} holds a non-finite value")
+    missing = [label for label, n in zip(_COUNT_LABELS, counts) if n is None]
+    if missing:
+        raise ValueError(f"{path} is missing basis rows: {missing}")
+    return np.array(counts), metadata

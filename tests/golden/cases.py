@@ -5,12 +5,18 @@ writes, if any: a command writes at most one, and a report (`tomo`'s
 metrics, `fisher`'s table) is on stdout only. A case runs in a scratch
 directory holding a copy of `inputs/`, with relative paths and
 `POLAROT_OUT` unset, so stdout names outputs by their relative path. The
-files under `inputs/` are fixed data: configs written by hand; tables and
-observables written once by `polarot simulate` and `polarot observables`
-at fixed seeds; and `tomo.csv`, written once by
+files under `inputs/` are fixed data, each named by some case: configs
+written by hand; tables written once by `polarot simulate` at fixed seeds;
+and `tomo.csv`, written once by
 `tomography.write_tomo_counts` from a Poisson draw of Werner(0.97867)
 counts (its `# rng_seed` and `# source` lines), since no command writes
-tomography counts. Nothing regenerates them. The files under
+tomography counts. `plus.csv` and `minus.csv`, the tables `extract`
+reads, are `simulate` runs of one config in its psi_plus (seed 1) and
+psi_minus (seed 2) kinds: arm A at angle_deg 20 and arm B at 10, both at
+transmission 1, no noise, all three analyzer offsets 0 (so the printed
+angles are the configured ones, up to the counts' noise), pair_flux 50000,
+duration 1, and the default setting pairs Z/Z, X/Z, Z/X. Nothing
+regenerates them. The files under
 `expected/<case>/` are the goldens (`stdout.txt` plus the output file),
 rewritten only by `python tests/golden/regen.py`.
 """
@@ -44,10 +50,8 @@ CASES = {
                               "--out", "sweep.csv"], ["sweep.csv"]),
     "scan_exact": (["scan", "--config", "scan.ini", "--exact"], []),
     "scan": (["scan", "--config", "scan.ini"], []),
-    "observables": (["observables", "--table", "table.csv", "--out", "obs.csv"],
-                    ["obs.csv"]),
-    "extract": (["extract", "--plus", "obs_plus.csv", "--minus", "obs_minus.csv",
-                 "--out", "thetas.csv"], ["thetas.csv"]),
+    "observables": (["observables", "--table", "table.csv"], []),
+    "extract": (["extract", "--plus", "plus.csv", "--minus", "minus.csv"], []),
     "chsh": (["chsh", "--table", "chsh.csv"], []),
     "tomo": (["tomo", "--counts", "tomo.csv", "--reference", "psi_plus",
               "--bootstrap", "3", "--seed", "5", "--out-state", "rho.txt"], ["rho.txt"]),

@@ -130,11 +130,12 @@ def test_simulate_and_observables_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path, EXACT_TEMPLATE.format(kind="psi_plus"))
     out = str(tmp_path / "counts.csv")
     assert main(["simulate", "--config", cfg, "--exact", "--out", out]) == 0
-    obs_out = str(tmp_path / "obs.csv")
-    assert main(["observables", "--table", out, "--out", obs_out]) == 0
-    stdout = capsys.readouterr().out
-    # theta_plus = 30 deg: m_zz = -cos(60 deg) = -0.5
-    assert "m_zz = -0.500000000" in stdout
+    capsys.readouterr()
+    assert main(["observables", "--table", out]) == 0
+    # theta_plus = 30 deg: m_zz = -cos(60 deg) = -0.5, m_xz = -sin(60 deg)
+    assert capsys.readouterr().out == ("m_zz = -0.500000000 +- 0.002738613\n"
+                                       "m_xz = -0.866025404 +- 0.001581139\n"
+                                       "m_zx = -0.866025404 +- 0.001581139\n")
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -151,15 +152,12 @@ def test_simulate_deterministic_bytes(tmp_path):
 def test_extract_pipeline(tmp_path, capsys):
     plus_cfg = write_config(tmp_path, EXACT_TEMPLATE.format(kind="psi_plus"), "p.ini")
     minus_cfg = write_config(tmp_path, EXACT_TEMPLATE.format(kind="psi_minus"), "m.ini")
-    for cfg, counts, obs in ((plus_cfg, "cp.csv", "op.csv"),
-                             (minus_cfg, "cm.csv", "om.csv")):
+    for cfg, counts in ((plus_cfg, "cp.csv"), (minus_cfg, "cm.csv")):
         assert main(["simulate", "--config", cfg, "--exact",
                      "--out", str(tmp_path / counts)]) == 0
-        assert main(["observables", "--table", str(tmp_path / counts),
-                     "--out", str(tmp_path / obs)]) == 0
     capsys.readouterr()
-    assert main(["extract", "--plus", str(tmp_path / "op.csv"),
-                 "--minus", str(tmp_path / "om.csv")]) == 0
+    assert main(["extract", "--plus", str(tmp_path / "cp.csv"),
+                 "--minus", str(tmp_path / "cm.csv")]) == 0
     stdout = capsys.readouterr().out.strip()
     assert stdout == "20.000000, 10.000000"
 
@@ -353,9 +351,6 @@ TOMO_RUN = ["tomo", "--counts", str(GOLDEN_INPUTS / "tomo.csv"), "--reference", 
 # {case: argv ending in the output flag under test}
 OUTPUT_RUNS = {
     "simulate": ["simulate", "--config", str(GOLDEN_INPUTS / "sim.ini"), "--out"],
-    "observables": ["observables", "--table", str(GOLDEN_INPUTS / "table.csv"), "--out"],
-    "extract": ["extract", "--plus", str(GOLDEN_INPUTS / "obs_plus.csv"),
-                "--minus", str(GOLDEN_INPUTS / "obs_minus.csv"), "--out"],
     "sweep": ["sweep", "--config", str(GOLDEN_INPUTS / "sweep_theta.ini"), "--out"],
     "tomo-out-state": [*TOMO_RUN, "--out-state"]}
 
@@ -433,17 +428,25 @@ def test_a_failed_write_leaves_no_output_new_or_changed(tmp_path, monkeypatch, c
     assert (tmp_path / "rho.txt").read_bytes() == b"kept\n"
 
 
+# extract of the two golden tables
+EXTRACT_RUN = ["extract", "--plus", str(GOLDEN_INPUTS / "plus.csv"),
+               "--minus", str(GOLDEN_INPUTS / "minus.csv")]
+
+
 @pytest.mark.parametrize("argv, unknown", [
     ([*TOMO_RUN, "--out", "x"], "--out x"),
     (["fisher", "--trials", "10", "--out", "x"], "--out x"),
+    (["observables", "--table", str(GOLDEN_INPUTS / "table.csv"), "--out", "x"], "--out x"),
+    ([*EXTRACT_RUN, "--out", "x"], "--out x"),
     (["fisher", "--tri", "5"], "--tri 5"),
     # each output flag cut by one letter: --ou, --out-stat
     *(([*argv, flag[:-1], "x"], f"{flag[:-1]} x") for *argv, flag in OUTPUT_RUNS.values())],
-    ids=["tomo-out", "fisher-out", "fisher-trials-prefix",
+    ids=["tomo-out", "fisher-out", "observables-out", "extract-out", "fisher-trials-prefix",
          *(f"{case}-prefix" for case in OUTPUT_RUNS)])
 def test_a_removed_or_abbreviated_flag_exits_1_writing_nothing(tmp_path, monkeypatch,
                                                                capsys, argv, unknown):
-    # tomo --out and fisher --out only copied stdout; and argparse took a
+    # tomo --out and fisher --out only copied stdout, observables --out wrote
+    # the file only extract read, and extract --out copied stdout; and argparse took a
     # prefix for the flag it starts, so tomo --out x wrote the state to x
     # as --out-state, fisher --tri 5 ran 5 trials, and --ou x wrote to x
     monkeypatch.chdir(tmp_path)
@@ -470,19 +473,6 @@ def run_failing(capsys, argv):
     return captured.err
 
 
-@pytest.mark.parametrize("row, message", [
-    ("m_zz,0.5,0.01", "row 'm_zz,0.5,0.01' repeats observable m_zz"),
-    ("m_yy,0.5,0.01", "row 'm_yy,0.5,0.01' names no observable of "
-                      "('m_zz', 'm_xz', 'm_zx')")], ids=["repeated", "unknown"])
-def test_extract_rejects_a_row_it_would_ignore(tmp_path, capsys, row, message):
-    # a repeated m_zz row replaced the first and an unknown one was
-    # ignored, both with exit 0
-    plus = golden_edited(tmp_path, "obs_plus.csv", lambda text: text + row + "\n")
-    minus = str(GOLDEN_INPUTS / "obs_minus.csv")
-    err = run_failing(capsys, ["extract", "--plus", plus, "--minus", minus])
-    assert err == f"error: {plus}: {message}\n"
-
-
 def test_tomo_rejects_a_row_outside_the_design(tmp_path, capsys):
     # the row was ignored and the fit ran to exit 0
     counts = golden_edited(tmp_path, "tomo.csv", lambda text: text + "X,Y,5\n")
@@ -499,21 +489,16 @@ def _replaced(old, new):
     return lambda text: text.replace(old, new)
 
 
-@pytest.mark.parametrize("command, name, edit, message", [
-    ("tomo", "tomo.csv", _without("H,H,"), " is missing basis rows: ['H,H']"),
-    ("extract", "obs_plus.csv", _without("m_zx,"), " is missing observable rows: ['m_zx']"),
-    ("tomo", "tomo.csv", _replaced("H,H,194", "H,H,inf"),
-     ": row 'H,H,inf' holds a non-finite value"),
-    ("extract", "obs_plus.csv", _replaced(",0.0039620238371403096", ",nan"),
-     ": row 'm_zz,-0.46343608812122666,nan' holds a non-finite value")],
-    ids=["tomo-missing", "extract-missing", "tomo-non-finite", "extract-non-finite"])
-def test_labeled_row_errors_name_the_file(tmp_path, capsys, command, name, edit, message):
-    # the tomography reader named no file for missing rows, and neither
-    # reader named the row of a non-finite value
-    path = golden_edited(tmp_path, name, edit)
-    argv = (["tomo", "--counts", path] if command == "tomo" else
-            ["extract", "--plus", path, "--minus", str(GOLDEN_INPUTS / "obs_minus.csv")])
-    assert run_failing(capsys, argv) == f"error: {path}{message}\n"
+@pytest.mark.parametrize("edit, message", [
+    (_without("H,H,"), " is missing basis rows: ['H,H']"),
+    (_replaced("H,H,194", "H,H,inf"), ": row 'H,H,inf' holds a non-finite value"),
+    (lambda text: text + "h,h,5\n", ": row 'h,h,5' repeats basis H,H")],
+    ids=["tomo-missing", "tomo-non-finite", "tomo-repeated"])
+def test_labeled_row_errors_name_the_file(tmp_path, capsys, edit, message):
+    # the tomography reader named no file for missing rows, nor the row of a
+    # non-finite value; labels match in any letter case, so h,h repeats H,H
+    path = golden_edited(tmp_path, "tomo.csv", edit)
+    assert run_failing(capsys, ["tomo", "--counts", path]) == f"error: {path}{message}\n"
 
 
 @pytest.mark.parametrize("command, name, old, new", [
@@ -521,7 +506,7 @@ def test_labeled_row_errors_name_the_file(tmp_path, capsys, command, name, edit,
     ("chsh", "chsh.csv", "lin:45.000000,lin:67.500000,20892,",
      "lin:45.000000,lin:67.500000,abc,"),
     ("tomo", "tomo.csv", "H,V,19952", "H,V,abc"),
-    ("extract", "obs_plus.csv", "m_xz,-0.80485948360475135,", "m_xz,abc,")],
+    ("extract", "plus.csv", "X,Z,1706,", "X,Z,abc,")],
     ids=["observables", "chsh", "tomo", "extract"])
 def test_non_numeric_cell_names_the_file_and_row(tmp_path, capsys, command, name,
                                                  old, new):
@@ -531,7 +516,7 @@ def test_non_numeric_cell_names_the_file_and_row(tmp_path, capsys, command, name
             "extract": "--plus"}[command]
     argv = [command, flag, path]
     if command == "extract":
-        argv += ["--minus", str(GOLDEN_INPUTS / "obs_minus.csv")]
+        argv += ["--minus", str(GOLDEN_INPUTS / "minus.csv")]
     err = run_failing(capsys, argv)
     assert err.startswith(f"error: {path}: row '{new}")
     assert err.endswith(": could not convert string to float: 'abc'\n")
@@ -619,7 +604,7 @@ SWEEP_OUT, SIMULATE_OUT = ["sweep", "--out", "out.csv"], ["simulate", "--out", "
      "unknown state kind 'bogus'"),
     (SIMULATE_OUT, "sim.ini", replaced("pair_flux = 100000", "pair_flux = 0"),
      "pair_flux and duration must be positive and finite, got 0.0, 1.0"),
-    (["observables", "--out", "out.csv", "--table"], "table.csv", metadata_only,
+    (["observables", "--table"], "table.csv", metadata_only,
      "table.csv: no header row 'setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm'")],
     ids=["sweep-variable-foo", "sweep-without-variable", "sweep-values-and-start",
          "sweep-count-1", "pair-without-slash", "arm-angle-and-molarity",
@@ -643,11 +628,11 @@ def test_blank_lines_in_a_table_are_skipped(tmp_path, capsys):
     spaced = tmp_path / "spaced.csv"
     spaced.write_text("\n  \n" + "\n\n".join(table.splitlines()) + "\n\n \t\n")
     runs = []
-    for path, out in ((GOLDEN_INPUTS / "table.csv", "plain.csv"), (spaced, "spaced.csv.obs")):
-        assert main(["observables", "--table", str(path), "--out", str(tmp_path / out)]) == 0
-        runs.append((capsys.readouterr(), (tmp_path / out).read_bytes()))
+    for path in (GOLDEN_INPUTS / "table.csv", spaced):
+        assert main(["observables", "--table", str(path)]) == 0
+        runs.append(capsys.readouterr())
     assert runs[0] == runs[1]
-    assert runs[0][0].out and not runs[0][0].err
+    assert runs[0].out and not runs[0].err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1397,62 +1382,66 @@ def test_exact_molarity_sweep_of_a_fully_mixed_source_exits_2(tmp_path, monkeypa
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def table_file(path, rows):
+    """A coincidence table at path of the given (setting pair, n_pp, n_pm, n_mp,
+    n_mm) rows, each a comma-separated string; returns path as a string."""
+    path.write_text(measure._TABLE_HEADER + "\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+# (Z,Z) reads m_zz = -1 and (X,Z), (Z,X) read 0: a branch rotation of 0
+UNROTATED = ["Z,Z,0,5000,5000,0", "X,Z,2500,2500,2500,2500", "Z,X,2500,2500,2500,2500"]
+
+
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 def test_extract_zero_factor_exits_2(tmp_path, capsys, recwarn, branch):
     # at --modulus-floor 0 all-zero observables printed "nan, nan" with two
-    # RuntimeWarnings and exited 0
-    zero, good = tmp_path / "zero.csv", tmp_path / "good.csv"
-    zero.write_text("observable,value,sigma\nm_zz,0,0\nm_xz,0,0\nm_zx,0,0\n")
-    good.write_text("observable,value,sigma\nm_zz,-1,0\nm_xz,0,0\nm_zx,0,0\n")
+    # RuntimeWarnings and exited 0; balanced (Z,Z) and (X,Z) rows read
+    # m_zz = m_xz = 0, a factor with no phase
+    zero = table_file(tmp_path / "zero.csv", ["Z,Z,2500,2500,2500,2500", *UNROTATED[1:]])
+    good = table_file(tmp_path / "good.csv", UNROTATED)
     plus, minus = (zero, good) if branch == "plus" else (good, zero)
-    assert main(["extract", "--plus", str(plus), "--minus", str(minus)]) == 2
+    assert main(["extract", "--plus", plus, "--minus", minus]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"|{branch}-branch factor| = 0 < 1e-06" in captured.err
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-
-@pytest.mark.parametrize("row", ["m_zz,1e200,0.1", "m_xz,-1.5,0", "m_zx,2,0",
-                                 "m_zz,-1,-0.1", "m_xz,0,1.5"])
-@pytest.mark.parametrize("branch", ["plus", "minus"])
-def test_extract_rejects_a_row_that_is_no_correlation(tmp_path, capsys, recwarn, branch, row):
-    # m_zz = 1e200 overflowed in |F|^2 with a RuntimeWarning and printed
-    # -39.989902, 39.989902 with exit 0; each value must lie in [-1, 1] and
-    # each sigma in [0, 1], and the error names the file and the row
-    rows = {"m_zz": "m_zz,-1,0", "m_xz": "m_xz,0,0", "m_zx": "m_zx,0,0"}
-    rows[row.split(",")[0]] = row
-    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
-    bad.write_text("observable,value,sigma\n" + "\n".join(rows.values()) + "\n")
-    good.write_text("observable,value,sigma\nm_zz,-1,0\nm_xz,0,0\nm_zx,0,0\n")
-    plus, minus = (bad, good) if branch == "plus" else (good, bad)
-    out = tmp_path / "thetas.csv"
-    assert main(["extract", "--plus", str(plus), "--minus", str(minus),
-                 "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    name, value, sigma = row.split(",")
-    assert captured.err == (f"error: {bad}: row {name},{float(value):g},{float(sigma):g} is "
-                            f"no correlation: its value must lie in [-1, 1] and its sigma "
-                            f"in [0, 1]\n")
-    assert not out.exists()
+    assert captured.err == (f"error: extraction ill-conditioned: |{branch}-branch factor| "
+                            f"= 0 < 1e-06\n")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_extract_holds_the_file_sigmas_to_the_significance_rule(tmp_path, capsys):
-    # the golden observables read at their own sigmas (|F| / sigma_F near
-    # 200) and exit 2 once the sigmas of one branch are 60 times larger
-    plus, minus = (str(GOLDEN_INPUTS / f"obs_{b}.csv") for b in ("plus", "minus"))
-    rows = [line.split(",") for line in Path(minus).read_text().split()]
-    wide = tmp_path / "wide.csv"
-    wide.write_text("\n".join([",".join(rows[0])] + [f"{name},{value},{60 * float(sigma)!r}"
-                                                      for name, value, sigma in rows[1:]]))
-    assert main(["extract", "--plus", plus, "--minus", minus]) == 0
-    assert capsys.readouterr().out == "20.026790, 10.006594\n"
-    assert main(["extract", "--plus", plus, "--minus", str(wide)]) == 2
+    # the golden tables read at the sigmas their counts give (|F| / sigma_F
+    # 283 and 252) and exit 2 once the counts of one branch are 10^4 times
+    # fewer, which makes its sigmas 100 times larger
+    minus = measure.read_table(GOLDEN_INPUTS / "minus.csv")
+    fewer = tmp_path / "fewer.csv"
+    measure.write_table(measure.CoincidenceTable(minus.settings, minus.counts / 1e4), fewer)
+    assert main(EXTRACT_RUN) == 0
+    assert capsys.readouterr().out == "20.017420, 9.980230\n"
+    assert main([*EXTRACT_RUN[:-1], str(fewer)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: extraction ill-conditioned: \|minus-branch factor\| = "
-                        r"0\.930\d+ = \S+ sigma_F < 4 sigma_F\n", captured.err)
+                        r"1\.00\d+ = \S+ sigma_F < 4 sigma_F\n", captured.err)
+
+
+def test_extract_of_an_observables_file_exits_2_naming_the_table_header(tmp_path, capsys):
+    # extract read the observables files of `observables --out`, a format
+    # and a flag that are gone: it reads coincidence tables
+    obs = tmp_path / "obs.csv"
+    obs.write_text("observable,value,sigma\nm_zz,-1,0\nm_xz,0,0\nm_zx,0,0\n")
+    err = run_failing(capsys, ["extract", "--plus", str(obs),
+                               "--minus", str(GOLDEN_INPUTS / "minus.csv")])
+    assert err == (f"error: {obs}: bad header 'observable,value,sigma', "
+                   f"expected '{measure._TABLE_HEADER}'\n")
+
+
+def test_extract_of_a_table_without_the_zx_pair_exits_2_naming_it(tmp_path, capsys):
+    # extract does not read M_zx, but a branch measures all three named pairs
+    plus = golden_edited(tmp_path, "plus.csv", _without("Z,X,"))
+    err = run_failing(capsys, ["extract", "--plus", plus,
+                               "--minus", str(GOLDEN_INPUTS / "minus.csv")])
+    assert err == "error: coincidence table is missing the (Z, X) basis pair\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1520,14 +1509,13 @@ def test_scan_range_deg_is_not_an_option(capsys):
 
 
 def test_extract_prints_no_negative_zero(tmp_path, capsys):
-    # both branch rotations are -5e-13 rad, so theta_a read -0.000000
-    obs = tmp_path / "obs.csv"
-    obs.write_text("observable,value,sigma\nm_zz,-1,0\nm_xz,1e-12,0\nm_zx,0,0\n")
-    out = tmp_path / "thetas.csv"
-    assert main(["extract", "--plus", str(obs), "--minus", str(obs),
-                 "--out", str(out)]) == 0
+    # m_zz = -1 and m_xz = 1e-12: both branch rotations are -5e-13 rad, so
+    # theta_a read -0.000000
+    table = table_file(tmp_path / "t.csv", ["Z,Z,0,1e12,1e12,0",
+                                             "X,Z,1000000000002,1000000000000,0,0",
+                                             "Z,X,1,1,1,1"])
+    assert main(["extract", "--plus", table, "--minus", table]) == 0
     assert capsys.readouterr().out == "0.000000, 0.000000\n"
-    assert out.read_text().splitlines()[-1] == "0.000000,0.000000"
 
 
 def test_repeated_main_calls_share_one_parser_and_leak_nothing(capsys):
@@ -1690,13 +1678,9 @@ def test_non_finite_input_exits_2(tmp_path, capsys, bad):
                     "lin:0,lin:67.5,1,1,1,1\nlin:45,lin:22.5,1,1,1,1\n"
                     "lin:45,lin:67.5,1,1,1,1\n")
     assert main(["chsh", "--table", str(chsh)]) == 2
-    good = tmp_path / "good.csv"
-    good.write_text("observable,value,sigma\nm_zz,-1,0\nm_xz,0,0\nm_zx,0,0\n")
-    for row in (f"m_zz,{bad},0", f"m_zz,-1,{bad}"):
-        obs = tmp_path / "obs.csv"
-        obs.write_text(f"observable,value,sigma\n{row}\nm_xz,0,0\nm_zx,0,0\n")
-        assert main(["extract", "--plus", str(obs), "--minus", str(good)]) == 2
-        assert main(["extract", "--plus", str(good), "--minus", str(obs)]) == 2
+    good = str(GOLDEN_INPUTS / "minus.csv")
+    assert main(["extract", "--plus", str(table), "--minus", good]) == 2
+    assert main(["extract", "--plus", good, "--minus", str(table)]) == 2
     assert "nan" not in capsys.readouterr().out
 
 

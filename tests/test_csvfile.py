@@ -1,14 +1,15 @@
 """Property tests of the shared '# key=value' CSV format and its readers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarot import cli, measure, sweeps, tomography
-from polarot.csvfile import read_csv, read_labeled, unsigned_zeros, write_csv
+from polarot import measure, sweeps, tomography
+from polarot.csvfile import read_csv, unsigned_zeros, write_csv
 
 # text that survives a line-oriented format: no line breaks, no surrounding
 # whitespace, and (for cells) no comma
@@ -130,24 +131,16 @@ def test_tomo_counts_round_trip_any_row_order(path, counts, metadata, order):
     assert loaded_metadata == {key: str(value) for key, value in metadata.items()}
 
 
-@settings(max_examples=60, deadline=None)
-@given(values=st.tuples(*[st.floats(-1.0, 1.0)] * 3 + [st.floats(0.0, 1.0)] * 3))
-def test_observables_round_trip(path, values):
-    # the file `polarot observables --out` writes reads back both columns:
-    # correlations in [-1, 1] and sigmas in [0, 1], which extract accepts
-    m, sigma = np.array(values[:3]), np.array(values[3:])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "read_table", lambda table_path: None)
-        patch.setattr(cli, "estimate_observables", lambda table: (m, sigma))
-        assert cli.main(["observables", "--table", "unread", "--out", str(path)]) == 0
-    _, rows = read_labeled(path, cli._OBSERVABLES_HEADER, cli._OBSERVABLES, "observable", "")
-    assert rows == np.stack((m, sigma), -1).tolist()
-    assert np.array_equal(cli._read_observables(path), np.stack((m, sigma)))
+def test_tomo_counts_labels_read_in_any_letter_case(path):
+    counts = np.arange(1.0, 17.0)
+    tomography.write_tomo_counts(path, counts)
+    head, _, rows = path.read_text(encoding="utf-8").partition("\n")
+    path.write_text(f"{head}\n{rows.lower()}", encoding="utf-8")
+    assert np.array_equal(tomography.read_tomo_counts(path)[0], counts)
 
 
 TABLE_HEADER = "setting_a_id,setting_b_id,n_pp,n_pm,n_mp,n_mm\n"
 TOMO_HEADER = "basis_label_a,basis_label_b,count\n"
-OBS_HEADER = "observable,value,sigma\n"
 
 
 def _tomo_rows(count):
@@ -160,8 +153,6 @@ def _readers(bad):
     return [
         (measure.read_table, TABLE_HEADER + f"Z,Z,1,{bad},1,1\n"),
         (tomography.read_tomo_counts, TOMO_HEADER + _tomo_rows(bad)),
-        (cli._read_observables, OBS_HEADER + f"m_zz,{bad},0\nm_xz,0,0\nm_zx,0,0\n"),
-        (cli._read_observables, OBS_HEADER + f"m_zz,0,0\nm_xz,0,{bad}\nm_zx,0,0\n"),
     ]
 
 
@@ -187,10 +178,11 @@ def test_readers_reject_wrong_header_and_ragged_rows(path):
                 reader(path)
 
 
-def test_observables_header_is_mandatory(path):
-    path.write_text("m_zz,-1,0\nm_xz,0,0\nm_zx,0,0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="header"):
-        cli._read_observables(path)
+def test_table_header_is_mandatory(path):
+    path.write_text("Z,Z,1,2,3,4\nX,Z,1,2,3,4\nZ,X,1,2,3,4\n", encoding="utf-8")
+    message = rf"^{re.escape(str(path))}: bad header 'Z,Z,1,2,3,4', expected 'setting_a_id,"
+    with pytest.raises(ValueError, match=message):
+        measure.read_table(path)
 
 
 @pytest.mark.parametrize("text, expected", [

@@ -14,7 +14,7 @@ import blas_core
 import polarot
 import test_measure
 import test_tomography
-from golden.cases import CASES, EXPECTED, run_case
+from golden.cases import CASES, EXPECTED, INPUTS, run_case
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -27,6 +27,13 @@ def test_golden_output(name, tmp_path):
         expected = (expected_dir / file_name).read_bytes()
         assert data == expected, (f"{name}/{file_name} differs from its golden; "
                                   f"{blas_core.pin_note()}")
+
+
+def test_every_golden_input_is_named_by_a_case():
+    # an input no case reads cannot linger, as the observables files did
+    # once extract read tables
+    named = {arg for argv, _ in CASES.values() for arg in argv}
+    assert [path.name for path in sorted(INPUTS.iterdir()) if path.name not in named] == []
 
 
 def test_openblas_core_is_named():

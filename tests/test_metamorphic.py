@@ -154,7 +154,7 @@ _INSIDE = st.floats(-44.9, 44.9)
 
 @settings(max_examples=20, deadline=None)
 @given(theta_a=_INSIDE, theta_b=_INSIDE, visibility=st.floats(0.05, 1.0))
-def test_simulate_observables_extract_returns_the_configured_angles(
+def test_simulate_extract_returns_the_configured_angles(
         tmp_path_factory, theta_a, theta_b, visibility):
     # with no analyzer offsets, the two branches' exact tables give back both
     # arm angles inside +-45 degrees
@@ -167,11 +167,8 @@ def test_simulate_observables_extract_returns_the_configured_angles(
         config.write_text(edited(text, kind=kind))
         run(["simulate", "--config", str(config), "--exact",
              "--out", str(workdir / f"{kind}.csv")])
-        run(["observables", "--table", str(workdir / f"{kind}.csv"),
-             "--out", str(workdir / f"obs_{kind}.csv")])
-    printed = run(["extract", "--plus", str(workdir / "obs_psi_plus.csv"),
-                   "--minus", str(workdir / "obs_psi_minus.csv"),
-                   "--out", str(workdir / "thetas.csv")])
+    printed = run(["extract", "--plus", str(workdir / "psi_plus.csv"),
+                   "--minus", str(workdir / "psi_minus.csv")])
     read_a, read_b = map(float, printed.split(", "))
     assert abs(read_a - theta_a) <= TOLERANCE and abs(read_b - theta_b) <= TOLERANCE
 
