@@ -83,15 +83,24 @@ def _cmd_simulate(args) -> tuple:
             args.out, lambda path: write_table(table, path))
 
 
+def _from_table(estimate, path):
+    """estimate(read_table(path)), its errors naming the file."""
+    table = read_table(path)
+    try:
+        return estimate(table)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_observables(args) -> tuple:
-    rows = zip(_OBSERVABLES, *estimate_observables(read_table(args.table)))
+    rows = zip(_OBSERVABLES, *_from_table(estimate_observables, args.table))
     return 0, [f"{name} = {m:+.9f} +- {sigma:.9f}" for name, m, sigma in rows], None, None
 
 
 def _cmd_extract(args) -> tuple:
     # angles in the analyzer frame: a table carries no analyzer offsets
     (m_plus, sigma_plus), (m_minus, sigma_minus) = (
-        estimate_observables(read_table(path)) for path in (args.plus, args.minus))
+        _from_table(estimate_observables, path) for path in (args.plus, args.minus))
     thetas = extract_thetas(m_plus, m_minus, sigma_plus, sigma_minus)
     line = ", ".join(f"{math.degrees(theta):.6f}" for theta in thetas)
     return 0, [unsigned_zeros(line)], None, None
@@ -123,7 +132,7 @@ def _cmd_tomo(args) -> tuple:
 
 
 def _cmd_chsh(args) -> tuple:
-    s, sigma = chsh_from_counts(read_table(args.table))
+    s, sigma = _from_table(chsh_from_counts, args.table)
     significance = (s - 2.0) / sigma if sigma > 0 else (math.inf if s > 2.0 else 0.0)
     return 0, [unsigned_zeros(f"S = {s:.6f} +- {sigma:.6f}"),
                f"violation significance = {significance:.2f} sigma"], None, None

@@ -407,9 +407,10 @@ def write_table(table: CoincidenceTable, path) -> None:
 
 def read_table(path) -> CoincidenceTable:
     """Read a coincidence table written by write_table; metadata values
-    come back as the strings in the file."""
+    come back as the strings in the file, and every error names it."""
     metadata, rows = read_csv(path, _TABLE_HEADER)
-    return CoincidenceTable(
-        [row[:2] for row in rows],
-        np.array([row_floats(path, row, 2) for row in rows]),
-        metadata)
+    counts = np.array([row_floats(path, row, 2) for row in rows])
+    try:
+        return CoincidenceTable([row[:2] for row in rows], counts, metadata)
+    except ValueError as exc:  # an analyzer setting id that does not parse
+        raise ValueError(f"{path}: {exc}") from None

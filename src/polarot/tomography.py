@@ -10,7 +10,6 @@ Cholesky-style factorization that is physical by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,8 +299,6 @@ def read_tomo_counts(path) -> tuple[np.ndarray, dict]:
         if counts[k] is not None:
             raise ValueError(f"{path}: row {','.join(row)!r} repeats basis {_COUNT_LABELS[k]}")
         [counts[k]] = row_floats(path, row, 2)
-        if not math.isfinite(counts[k]):
-            raise ValueError(f"{path}: row {','.join(row)!r} holds a non-finite value")
     missing = [label for label, n in zip(_COUNT_LABELS, counts) if n is None]
     if missing:
         raise ValueError(f"{path} is missing basis rows: {missing}")

@@ -330,7 +330,8 @@ def test_observables_of_an_exact_table_below_one_pair_exits_2(tmp_path, capsys):
                  "--exact", "--out", table]) == 0
     capsys.readouterr()
     err = run_failing(capsys, ["observables", "--table", table])
-    assert err == "error: the (Z, Z) basis pair has 0.28 counts, fewer than one in total\n"
+    assert err == (f"error: {table}: the (Z, Z) basis pair has 0.28 counts, "
+                   f"fewer than one in total\n")
 
 
 @pytest.mark.parametrize("command, index", [("sweep", "(0, 0, 0)"), ("scan", "(0, 0)")])
@@ -438,10 +439,14 @@ EXTRACT_RUN = ["extract", "--plus", str(GOLDEN_INPUTS / "plus.csv"),
     (["fisher", "--trials", "10", "--out", "x"], "--out x"),
     (["observables", "--table", str(GOLDEN_INPUTS / "table.csv"), "--out", "x"], "--out x"),
     ([*EXTRACT_RUN, "--out", "x"], "--out x"),
+    # and a prefix of the flags they had
+    (["observables", "--table", str(GOLDEN_INPUTS / "table.csv"), "--ou", "x"], "--ou x"),
+    ([*EXTRACT_RUN, "--ou", "x"], "--ou x"),
     (["fisher", "--tri", "5"], "--tri 5"),
     # each output flag cut by one letter: --ou, --out-stat
     *(([*argv, flag[:-1], "x"], f"{flag[:-1]} x") for *argv, flag in OUTPUT_RUNS.values())],
-    ids=["tomo-out", "fisher-out", "observables-out", "extract-out", "fisher-trials-prefix",
+    ids=["tomo-out", "fisher-out", "observables-out", "extract-out", "observables-prefix",
+         "extract-prefix", "fisher-trials-prefix",
          *(f"{case}-prefix" for case in OUTPUT_RUNS)])
 def test_a_removed_or_abbreviated_flag_exits_1_writing_nothing(tmp_path, monkeypatch,
                                                                capsys, argv, unknown):
@@ -489,16 +494,71 @@ def _replaced(old, new):
     return lambda text: text.replace(old, new)
 
 
-@pytest.mark.parametrize("edit, message", [
-    (_without("H,H,"), " is missing basis rows: ['H,H']"),
-    (_replaced("H,H,194", "H,H,inf"), ": row 'H,H,inf' holds a non-finite value"),
-    (lambda text: text + "h,h,5\n", ": row 'h,h,5' repeats basis H,H")],
-    ids=["tomo-missing", "tomo-non-finite", "tomo-repeated"])
-def test_labeled_row_errors_name_the_file(tmp_path, capsys, edit, message):
+def table_run(command, path):
+    """argv of command reading the file at path: extract reads it as the plus
+    branch and extract-minus as the minus branch, the other the golden table."""
+    plus, minus = str(GOLDEN_INPUTS / "plus.csv"), str(GOLDEN_INPUTS / "minus.csv")
+    if command.startswith("extract"):
+        return ["extract", "--plus", *((plus, "--minus", path) if command == "extract-minus"
+                                       else (path, "--minus", minus))]
+    return [command, "--counts" if command == "tomo" else "--table", path]
+
+
+SETTING_ID = "; expected Z, X, Y, 'lin:<deg>' or 'wp:<hwp deg>:<qwp deg>'"
+
+
+@pytest.mark.parametrize("command, name, edit, message", [
+    ("tomo", "tomo.csv", _without("H,H,"), " is missing basis rows: ['H,H']"),
+    ("extract", "plus.csv", _without("Z,X,"),
+     ": coincidence table is missing the (Z, X) basis pair"),
+    ("tomo", "tomo.csv", _replaced("H,H,194", "H,H,inf"),
+     ": row 'H,H,inf' holds a non-finite value"),
+    ("extract", "plus.csv", _replaced("X,Z,1706,", "X,Z,nan,"),
+     ": row 'X,Z,nan,23249,23237,1623' holds a non-finite value"),
+    ("tomo", "tomo.csv", lambda text: text + "h,h,5\n", ": row 'h,h,5' repeats basis H,H"),
+    ("extract-minus", "minus.csv", _without("Z,X,"),
+     ": coincidence table is missing the (Z, X) basis pair"),
+    ("extract-minus", "minus.csv", _replaced("Z,Z,734,", "Z,Z,inf,"),
+     ": row 'Z,Z,inf,24403,24290,726' holds a non-finite value"),
+    ("observables", "table.csv", _without("X,Z,"),
+     ": coincidence table is missing the (X, Z) basis pair"),
+    ("observables", "table.csv", _replaced("Z,Z,6702,", "Z,Z,nan,"),
+     ": row 'Z,Z,nan,18574,18356,6578' holds a non-finite value"),
+    ("chsh", "chsh.csv", _without("lin:45.000000,lin:67.500000,"),
+     ": coincidence table is missing the (lin:45.000000, lin:67.500000) basis pair"),
+    ("chsh", "chsh.csv", _replaced(",20892,", ",-inf,"),
+     ": row 'lin:45.000000,lin:67.500000,-inf,4285,4393,20455' holds a non-finite value"),
+    ("tomo", "tomo.csv", _replaced("H,H,194", "H,H,-194"),
+     ": row 'H,H,-194' holds a negative count"),
+    ("observables", "table.csv", _replaced(",2398", ",-2398"),
+     ": row 'X,Z,2448,22494,22648,-2398' holds a negative count"),
+    ("chsh", "chsh.csv", _replaced(",4278,", ",-1,"),
+     ": row 'lin:0.000000,lin:22.500000,-1,20713,20766,4389' holds a negative count"),
+    ("extract", "plus.csv", _replaced(",1636,", ",-0.5,"),
+     ": row 'Z,X,-0.5,23441,23319,1679' holds a negative count"),
+    ("extract-minus", "minus.csv", _replaced(",8205", ",-8205"),
+     ": row 'X,Z,8164,16798,16751,-8205' holds a negative count"),
+    ("observables", "table.csv", _replaced("Z,Z,6702,", "Q,Z,6702,"),
+     f": cannot parse analyzer setting id 'Q'{SETTING_ID}"),
+    ("chsh", "chsh.csv", _replaced("lin:45.000000,lin:67.500000,", "lin:45.000000,lin:x,"),
+     ": analyzer setting 'lin:x': could not convert string to float: 'x'"),
+    ("extract", "plus.csv", _replaced("X,Z,1706,", "X,wp:1,1706,"),
+     f": cannot parse analyzer setting id 'wp:1'{SETTING_ID}")],
+    ids=["tomo-missing", "extract-missing", "tomo-non-finite", "extract-non-finite",
+         "tomo-repeated", "extract-minus-missing", "extract-minus-non-finite",
+         "observables-missing", "observables-non-finite", "chsh-missing",
+         "chsh-non-finite", "tomo-negative", "observables-negative", "chsh-negative",
+         "extract-negative", "extract-minus-negative", "observables-setting",
+         "chsh-setting", "extract-setting"])
+def test_labeled_row_errors_name_the_file(tmp_path, capsys, command, name, edit, message):
     # the tomography reader named no file for missing rows, nor the row of a
-    # non-finite value; labels match in any letter case, so h,h repeats H,H
-    path = golden_edited(tmp_path, "tomo.csv", edit)
-    assert run_failing(capsys, ["tomo", "--counts", path]) == f"error: {path}{message}\n"
+    # non-finite value, and the table readers named neither for a missing or
+    # empty pair, a non-finite or negative count or a bad setting id, so
+    # extract did not say which of its two tables was at fault; extract
+    # does not read M_zx, but a branch measures all three named pairs; labels
+    # match in any letter case, so h,h repeats H,H
+    path = golden_edited(tmp_path, name, edit)
+    assert run_failing(capsys, table_run(command, path)) == f"error: {path}{message}\n"
 
 
 @pytest.mark.parametrize("command, name, old, new", [
@@ -512,12 +572,7 @@ def test_non_numeric_cell_names_the_file_and_row(tmp_path, capsys, command, name
                                                  old, new):
     # each printed "could not convert string to float: 'abc'" alone
     path = golden_edited(tmp_path, name, lambda text: text.replace(old, new))
-    flag = {"observables": "--table", "chsh": "--table", "tomo": "--counts",
-            "extract": "--plus"}[command]
-    argv = [command, flag, path]
-    if command == "extract":
-        argv += ["--minus", str(GOLDEN_INPUTS / "minus.csv")]
-    err = run_failing(capsys, argv)
+    err = run_failing(capsys, table_run(command, path))
     assert err.startswith(f"error: {path}: row '{new}")
     assert err.endswith(": could not convert string to float: 'abc'\n")
 
@@ -525,15 +580,20 @@ def test_non_numeric_cell_names_the_file_and_row(tmp_path, capsys, command, name
 @pytest.mark.parametrize("command, name, row, pair", [
     ("observables", "table.csv", "X,Z,", "(X, Z)"),
     ("chsh", "chsh.csv", "lin:0.000000,lin:22.500000,",
-     "(lin:0.000000, lin:22.500000)")], ids=["observables", "chsh"])
+     "(lin:0.000000, lin:22.500000)"),
+    ("extract", "plus.csv", "Z,Z,", "(Z, Z)"),
+    ("extract-minus", "minus.csv", "X,Z,", "(X, Z)")],
+    ids=["observables", "chsh", "extract", "extract-minus"])
 def test_zero_count_setting_pair_names_the_pair(tmp_path, capsys, command, name,
                                                 row, pair):
-    # observables named a stack index into its own pair order, chsh nothing
+    # observables named a stack index into its own pair order, chsh nothing,
+    # and none of them the file
     def zeroed(text):
         line = next(line for line in text.splitlines() if line.startswith(row))
         return text.replace(line, row + "0,0,0,0")
-    err = run_failing(capsys, [command, "--table", golden_edited(tmp_path, name, zeroed)])
-    assert err == f"error: the {pair} basis pair has zero total counts\n"
+    path = golden_edited(tmp_path, name, zeroed)
+    err = run_failing(capsys, table_run(command, path))
+    assert err == f"error: {path}: the {pair} basis pair has zero total counts\n"
 
 
 def test_negative_molarity_sweep_value_exits_2_at_load(tmp_path, monkeypatch, capsys):
@@ -1434,14 +1494,6 @@ def test_extract_of_an_observables_file_exits_2_naming_the_table_header(tmp_path
                                "--minus", str(GOLDEN_INPUTS / "minus.csv")])
     assert err == (f"error: {obs}: bad header 'observable,value,sigma', "
                    f"expected '{measure._TABLE_HEADER}'\n")
-
-
-def test_extract_of_a_table_without_the_zx_pair_exits_2_naming_it(tmp_path, capsys):
-    # extract does not read M_zx, but a branch measures all three named pairs
-    plus = golden_edited(tmp_path, "plus.csv", _without("Z,X,"))
-    err = run_failing(capsys, ["extract", "--plus", plus,
-                               "--minus", str(GOLDEN_INPUTS / "minus.csv")])
-    assert err == "error: coincidence table is missing the (Z, X) basis pair\n"
 
 
 @pytest.mark.parametrize("argv", [
