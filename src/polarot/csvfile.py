@@ -2,7 +2,7 @@
 metadata lines, a mandatory header row, then data rows of the header's
 width. Blank lines are skipped; '#' lines may appear anywhere and those
 without '=' are plain comments. Cells are strings; callers format them
-and read count cells with row_floats."""
+and read numeric cells with row_floats."""
 
 from __future__ import annotations
 
@@ -47,16 +47,13 @@ def read_csv(path, header: str) -> tuple[dict[str, str], list[list[str]]]:
 
 
 def row_floats(path, row: list[str], start: int) -> list[float]:
-    """The count cells row[start:] of a data row of `path` as finite,
-    nonnegative floats; errors name file and row."""
+    """row[start:] of a data row of `path` as finite floats; errors name file and row."""
     try:
         values = [float(cell) for cell in row[start:]]
     except ValueError as exc:
         raise ValueError(f"{path}: row {','.join(row)!r}: {exc}") from None
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{path}: row {','.join(row)!r} holds a non-finite value")
-    if min(values, default=0.0) < 0.0:
-        raise ValueError(f"{path}: row {','.join(row)!r} holds a negative count")
     return values
 
 

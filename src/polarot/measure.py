@@ -412,5 +412,5 @@ def read_table(path) -> CoincidenceTable:
     counts = np.array([row_floats(path, row, 2) for row in rows])
     try:
         return CoincidenceTable([row[:2] for row in rows], counts, metadata)
-    except ValueError as exc:  # an analyzer setting id that does not parse
+    except ValueError as exc:  # a bad setting id, or a negative count
         raise ValueError(f"{path}: {exc}") from None

@@ -713,32 +713,36 @@ def delta_method_sigma(m_zz, m_xz, sigma_zz, sigma_xz, cov):
                    + 0.5 * m_zz * m_xz / (r2 * r2) * -cov)
 
 
-# 0 or at least 1e-20 in size, as a correlation from at most MAX_POISSON_MEAN
-# (about 9e18) counts is; with the sigmas below, 0 or at least 1e-26, their
-# products then square to normal floats, where both forms keep their digits
+# 0 or at least 1e-20 in size, as a correlation and its sigma from at most
+# MAX_POISSON_MEAN (about 9e18) counts are: their products then square to
+# normal floats, where both forms keep their digits (a sigma scaled by at
+# least r2 / SIGNIFICANCE >= 2.5e-13 below still does)
 _CORRELATION = st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-20)
-_FRACTION = st.floats(0.0, 1.0).filter(lambda v: v == 0.0 or v >= 1e-20)
+_SIGMA = st.floats(0.0, 1.0).filter(lambda v: v == 0.0 or v >= 1e-20)
 
 
 @settings(max_examples=300, deadline=None)
-@given(m=st.tuples(_CORRELATION, _CORRELATION),
-       # each sigma a fraction of |F| / SIGNIFICANCE, the most the rule takes
-       # when both are equal and cov = 0: sigmas drawn from [0, 1] failed the
-       # rule in most draws, and in about one run of four so often that
-       # Hypothesis gave up on the test as filtering too much
-       fractions=st.tuples(_FRACTION, _FRACTION),
+@given(m=st.tuples(_CORRELATION, _CORRELATION), sigmas=st.tuples(_SIGMA, _SIGMA),
        # off the bound |cov| = sigma_zz sigma_xz, where the radicand cancels
        # to round-off and no relative tolerance holds
        rho=st.floats(-0.9, 0.9))
-def test_branch_rotation_sigma_is_the_delta_method_sigma(m, fractions, rho):
+def test_branch_rotation_sigma_is_the_delta_method_sigma(m, sigmas, rho):
+    assume(math.hypot(*m) >= measure.MODULUS_FLOOR)
+    # spread >= |m_xz| sigma_zz sqrt(1 - rho^2), so the rule takes no sigma_zz
+    # above r2 / (SIGNIFICANCE |m_xz| sqrt(1 - rho^2)), and likewise for
+    # sigma_xz: each sigma is its draw times the least of 1 and that bound,
+    # so every input in [0, 1] the rule takes can still be drawn, and most
+    # draws pass the rule, as Hypothesis's filter health check needs
+    r2 = m[0] ** 2 + m[1] ** 2
+    sigma_zz, sigma_xz = (
+        s * r2 / max(r2, measure.SIGNIFICANCE * abs(other) * math.sqrt(1.0 - rho * rho))
+        for s, other in zip(sigmas, m[::-1]))
     m_zz, m_xz = (np.array([v]) for v in m)
-    sigma_zz, sigma_xz = (u * math.hypot(*m) / measure.SIGNIFICANCE for u in fractions)
     cov = rho * sigma_zz * sigma_xz
     spread = math.sqrt((m[1] * sigma_zz) ** 2 + (m[0] * sigma_xz) ** 2
                        - 2.0 * m[0] * m[1] * cov)
     # clear of the significance rule's edge, where rounding may take either side
-    assume(math.hypot(*m) >= measure.MODULUS_FLOOR
-           and m[0] ** 2 + m[1] ** 2 >= (1.0 + 1e-9) * measure.SIGNIFICANCE * spread)
+    assume(r2 >= (1.0 + 1e-9) * measure.SIGNIFICANCE * spread)
     _, (sigma,) = measure._branch_rotations(("psi_plus",), m_zz, m_xz,
                                             sigma_zz, sigma_xz, cov)
     (reference,) = delta_method_sigma(m_zz, m_xz, sigma_zz, sigma_xz, cov)
