@@ -83,11 +83,12 @@ def _cmd_simulate(args) -> tuple:
             args.out, lambda path: write_table(table, path))
 
 
-def _from_table(estimate, path):
-    """estimate(read_table(path)), its errors naming the file."""
-    table = read_table(path)
+def _from_table(estimate, path, data=None):
+    """estimate(data), its errors naming the file it was read from: by
+    default the coincidence table read_table(path)."""
+    data = read_table(path) if data is None else data
     try:
-        return estimate(table)
+        return estimate(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -116,7 +117,7 @@ def _cmd_scan(args) -> tuple:
 def _cmd_tomo(args) -> tuple:
     reference = None if args.reference is None else bell_state(args.reference)
     counts, _ = read_tomo_counts(args.counts)
-    result = mle_reconstruct(counts)
+    result = _from_table(mle_reconstruct, args.counts, counts)
     sigmas = (bootstrap_sigmas(result.rho, counts, reference,  # --bootstrap needs --reference
                                n_resamples=args.bootstrap, seed=args.seed or 0)
               if args.bootstrap > 0 else {})

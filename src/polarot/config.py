@@ -2,10 +2,11 @@
 
 Config files are INI text, read in one pass by `_read_ini`, with named
 sections mirroring the run description: [state], [noise], [arm_a], [arm_b],
-[offsets], [statistics], [settings], [sweep]; any other section or key is
-rejected. Angles appear in degrees in files (keys carry a _deg suffix) and
-are converted to radians on load. Calibration constants default to the
-shipped values below and are never hard-coded in analysis logic.
+[offsets], [statistics], [settings], [sweep]. `_KEYS` states the field and
+type each key sets; any other section or key is rejected. Angles appear in
+degrees in files (keys carry a _deg suffix) and are converted to radians on
+load. Calibration constants default to the shipped values below and are
+never hard-coded in analysis logic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter, index
 
 from .measure import NAMED_PAIRS, Detection, parse_setting
@@ -222,16 +223,26 @@ def check_reads(cfg: ExperimentConfig, run: str) -> None:
 _COMMENT = re.compile(r"(?:^|\s)[;#]")
 _KEY_LINE = re.compile(r"([^=:]+)[=:](.*)")
 
-# the keys each section accepts; any other section or key is an error
+# what each key sets, (field, type), by section; any other section or key is an
+# error. A field is an ExperimentConfig field or a dotted path into one (grid.*:
+# the [sweep] range); a _deg key is stored in radians.
 _KEYS = {
-    "state": ("kind", "ket_a", "ket_b"),
-    "noise": ("visibility",),
-    "arm_a": ("angle_deg", "molarity", "slope_deg_per_molar", "transmission"),
-    "arm_b": ("angle_deg", "molarity", "slope_deg_per_molar", "transmission"),
-    "offsets": ("pbs_a_deg", "pbs_b_deg", "hwp_deg"),
-    "statistics": ("pair_flux", "duration", "seed"),
-    "settings": ("pairs",),
-    "sweep": ("variable", "values", "start", "stop", "count"),
+    "state": {"kind": ("state_kind", str), "ket_a": ("ket_a", str), "ket_b": ("ket_b", str)},
+    "noise": {"visibility": ("visibility", float)},
+    "arm_a": {"angle_deg": ("arm_a.angle", float), "molarity": ("arm_a.molarity", float),
+              "slope_deg_per_molar": ("arm_a.slope_deg_per_molar", float),
+              "transmission": ("detection.transmission_a", float)},
+    "arm_b": {"angle_deg": ("arm_b.angle", float), "molarity": ("arm_b.molarity", float),
+              "slope_deg_per_molar": ("arm_b.slope_deg_per_molar", float),
+              "transmission": ("detection.transmission_b", float)},
+    "offsets": {"pbs_a_deg": ("pbs_a", float), "pbs_b_deg": ("pbs_b", float),
+                "hwp_deg": ("hwp", float)},
+    "statistics": {"pair_flux": ("detection.pair_flux", float),
+                   "duration": ("detection.duration", float), "seed": ("seed", int)},
+    "settings": {"pairs": ("setting_pairs", str)},
+    "sweep": {"variable": ("sweep_variable", str), "values": ("sweep_values", str),
+              "start": ("grid.start", float), "stop": ("grid.stop", float),
+              "count": ("grid.count", int)},
 }
 
 
@@ -287,67 +298,18 @@ def _number(kind, name: str, key: str, raw: str):
     return value
 
 
-def _float(sec: dict, name: str, key: str,
-           fallback: float | None = None) -> float | None:
-    """The finite float value of `key` in section `name`, or `fallback` when
-    it is absent."""
-    raw = sec.get(key)
-    return fallback if raw is None else _number(float, name, key, raw)
-
-
-def _parse_arm(sec: dict, name: str) -> tuple[ArmConfig, float]:
-    """The arm of a section and its transmission; a section without
-    angle_deg or molarity, or an absent one ({}), is the angle-0 arm."""
-    transmission = _float(sec, name, "transmission", DEFAULT_TRANSMISSION)
-    if "angle_deg" in sec and "molarity" in sec:
-        raise ValueError(f"section [{name}] must not set both angle_deg and molarity")
-    if "slope_deg_per_molar" in sec and "molarity" not in sec:
-        other = "with angle_deg" if "angle_deg" in sec else "without molarity"
-        raise ValueError(f"section [{name}] must not set slope_deg_per_molar {other} "
-                         f"(the slope calibrates a solution arm)")
-    if "molarity" not in sec:
-        angle = _float(sec, name, "angle_deg", 0.0)
-        return ArmConfig(angle=math.radians(angle)), transmission
-    arm = ArmConfig(molarity=_float(sec, name, "molarity"),
-                    slope_deg_per_molar=_float(sec, name, "slope_deg_per_molar",
-                                               DEFAULT_SLOPE_DEG_PER_MOLAR))
-    return arm, transmission
-
-
-def _parse_sweep(sec: dict) -> tuple[str | None, tuple]:
-    variable = sec.get("variable")  # ExperimentConfig rejects values without one
-    has_values = "values" in sec
-    has_range = "start" in sec or "stop" in sec or "count" in sec
-    if has_values == has_range:
-        raise ValueError("[sweep] needs either 'values' or 'start/stop/count'")
-    if has_values:
-        if sec["values"].count(",") >= MAX_GRID_POINTS:
-            raise ValueError(f"[sweep] values must hold at most {MAX_GRID_POINTS:,} "
-                             f"entries")
-        return variable, tuple(_number(float, "sweep", "values", v.strip())
-                               for v in sec["values"].split(","))
-    for key in ("start", "stop", "count"):
-        if key not in sec:
-            raise ValueError(f"[sweep] range is missing '{key}'")
-    start = _float(sec, "sweep", "start")
-    stop = _float(sec, "sweep", "stop")
-    count = _number(int, "sweep", "count", sec["count"])
-    if count < 2:
-        raise ValueError("[sweep] count must be at least 2")
-    if count > MAX_GRID_POINTS:
-        raise ValueError(f"[sweep] count must be at most {MAX_GRID_POINTS:,}, "
-                         f"got {count:,}")
-    step = (stop - start) / (count - 1)
-    return variable, tuple(start + step * i for i in range(count))
-
-
 def loads_config(text: str) -> ExperimentConfig:
-    """Parse a configuration from INI text."""
+    """Parse a configuration from INI text. The key checks come first: they
+    need only to know which keys are set, so a config's key faults are named
+    before its value faults. Then each value is read, as `_KEYS` states,
+    into its field."""
     ini = _read_ini(text)
     noise = ini.get("noise", {})
     if "accidental_fraction" in noise:  # a key of earlier versions; the message folds it
-        folded = (_float(noise, "noise", "visibility", _DEFAULT.visibility)
-                  * (1.0 - _float(noise, "noise", "accidental_fraction")))
+        visibility = noise.get("visibility", str(_DEFAULT.visibility))
+        folded = (_number(float, "noise", "visibility", visibility)
+                  * (1.0 - _number(float, "noise", "accidental_fraction",
+                                   noise["accidental_fraction"])))
         raise ValueError(f"[noise] accidental_fraction is no longer read: accidentals "
                          f"uniform over the four outcomes are Werner noise, so set "
                          f"[noise] visibility = V * (1 - f) = {folded:.15g} instead")
@@ -359,43 +321,66 @@ def loads_config(text: str) -> ExperimentConfig:
             if key not in _KEYS[name]:
                 raise ValueError(f"[{name}] unknown key {key!r}; the keys are "
                                  + ", ".join(_KEYS[name]))
-
     state = ini.get("state", {})
-    kwargs = {"state_kind": state.get("kind", _DEFAULT.state_kind)}
-    for key in ("ket_a", "ket_b"):
-        if key in state and kwargs["state_kind"] != "separable":
+    state_kind = state.get("kind", _DEFAULT.state_kind)
+    for key in ("ket_a", "ket_b"):  # ExperimentConfig takes a Bell kind with default kets
+        if key in state and state_kind != "separable":
             raise ValueError(f"section [state] must not set {key} with kind = "
-                             f"{kwargs['state_kind']} (only a separable source has kets)")
-        kwargs[key] = state.get(key, getattr(_DEFAULT, key))
-    kwargs["visibility"] = _float(noise, "noise", "visibility", _DEFAULT.visibility)
-    transmissions = {}
+                             f"{state_kind} (only a separable source has kets)")
     for name in ("arm_a", "arm_b"):
-        kwargs[name], transmissions[name] = _parse_arm(ini.get(name, {}), name)
-    offsets = ini.get("offsets", {})
-    for key, default in (("pbs_a", DEFAULT_PBS_A_DEG), ("pbs_b", DEFAULT_PBS_B_DEG),
-                         ("hwp", DEFAULT_HWP_DEG)):
-        kwargs[key] = math.radians(_float(offsets, "offsets", f"{key}_deg", default))
-    statistics = ini.get("statistics", {})
-    if "seed" not in statistics:
+        arm = ini.get(name, {})
+        if "angle_deg" in arm and "molarity" in arm:
+            raise ValueError(f"section [{name}] must not set both angle_deg and molarity")
+        if "slope_deg_per_molar" in arm and "molarity" not in arm:
+            other = "with angle_deg" if "angle_deg" in arm else "without molarity"
+            raise ValueError(f"section [{name}] must not set slope_deg_per_molar {other} "
+                             f"(the slope calibrates a solution arm)")
+    if "seed" not in ini.get("statistics", {}):
         raise ValueError("[statistics] section with an explicit seed is mandatory")
-    kwargs["detection"] = Detection(
-        pair_flux=_float(statistics, "statistics", "pair_flux", _DEFAULT.detection.pair_flux),
-        duration=_float(statistics, "statistics", "duration", _DEFAULT.detection.duration),
-        transmission_a=transmissions["arm_a"],
-        transmission_b=transmissions["arm_b"])
-    kwargs["seed"] = _number(int, "statistics", "seed", statistics["seed"])
-    if "settings" in ini:
-        if "pairs" not in ini["settings"]:
-            raise ValueError("[settings] section needs a 'pairs' key")
+    if "settings" in ini and "pairs" not in ini["settings"]:
+        raise ValueError("[settings] section needs a 'pairs' key")
+    if "sweep" in ini:
+        missing = [key for key in ("start", "stop", "count") if key not in ini["sweep"]]
+        if ("values" in ini["sweep"]) == (len(missing) < 3):
+            raise ValueError("[sweep] needs either 'values' or 'start/stop/count'")
+        if "values" not in ini["sweep"] and missing:
+            raise ValueError(f"[sweep] range is missing '{missing[0]}'")
+
+    kwargs = {}
+    fields = {"": kwargs, "arm_a": {}, "arm_b": {}, "detection": {}, "grid": {}}
+    for name, values in ini.items():
+        for key, raw in values.items():
+            path, kind = _KEYS[name][key]
+            value = raw if kind is str else _number(kind, name, key, raw)
+            head, _, leaf = path.rpartition(".")
+            fields[head][leaf] = math.radians(value) if key.endswith("_deg") else value
+    for name in ("arm_a", "arm_b"):  # an arm without angle_deg or molarity is at angle 0
+        if fields[name]:
+            kwargs[name] = ArmConfig(**fields[name])
+    kwargs["detection"] = replace(_DEFAULT.detection, **fields["detection"])
+    if "setting_pairs" in kwargs:
         pairs = []
-        for token in ini["settings"]["pairs"].split(","):
+        for token in kwargs["setting_pairs"].split(","):
             token = token.strip()
             if token.count("/") != 1:
                 raise ValueError(f"setting pair {token!r} must be '<id_a>/<id_b>'")
             pairs.append(tuple(setting_id.strip() for setting_id in token.split("/")))
         kwargs["setting_pairs"] = tuple(pairs)
-    if "sweep" in ini:
-        kwargs["sweep_variable"], kwargs["sweep_values"] = _parse_sweep(ini["sweep"])
+    if "sweep_values" in kwargs:
+        if kwargs["sweep_values"].count(",") >= MAX_GRID_POINTS:
+            raise ValueError(f"[sweep] values must hold at most {MAX_GRID_POINTS:,} "
+                             f"entries")
+        kwargs["sweep_values"] = tuple(_number(float, "sweep", "values", v.strip())
+                                       for v in kwargs["sweep_values"].split(","))
+    elif grid := fields["grid"]:
+        start, stop, count = (grid[key] for key in ("start", "stop", "count"))
+        if count < 2:
+            raise ValueError("[sweep] count must be at least 2")
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"[sweep] count must be at most {MAX_GRID_POINTS:,}, "
+                             f"got {count:,}")
+        step = (stop - start) / (count - 1)
+        kwargs["sweep_values"] = tuple(start + step * i for i in range(count))
     return ExperimentConfig(**kwargs)
 
 

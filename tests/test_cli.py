@@ -532,6 +532,13 @@ SETTING_ID = "; expected Z, X, Y, 'lin:<deg>' or 'wp:<hwp deg>:<qwp deg>'"
     ("chsh", "chsh.csv", _replaced(",4278,", ",-1,"), ": counts must be nonnegative"),
     ("extract", "plus.csv", _replaced(",1636,", ",-0.5,"), ": counts must be nonnegative"),
     ("extract-minus", "minus.csv", _replaced(",8205", ",-8205"), ": counts must be nonnegative"),
+    ("tomo", "tomo.csv", _replaced("H,H,194", "H,H,-194"), ": counts must be nonnegative"),
+    ("tomo", "tomo.csv", lambda text: re.sub(r",\d+$", ",0", text, flags=re.M),
+     ": counts must be finite with a positive total"),
+    ("tomo", "tomo.csv",
+     lambda text: re.sub(r"^([HV],[HV]),\d+$", r"\1,0", text, flags=re.M),
+     ": the HH, HV, VH and VV counts must have a positive sum (the trace of the state), "
+     "got 0"),
     ("observables", "table.csv", _replaced("Z,Z,6702,", "Q,Z,6702,"),
      f": cannot parse analyzer setting id 'Q'{SETTING_ID}"),
     ("chsh", "chsh.csv", _replaced("lin:45.000000,lin:67.500000,", "lin:45.000000,lin:x,"),
@@ -542,23 +549,19 @@ SETTING_ID = "; expected Z, X, Y, 'lin:<deg>' or 'wp:<hwp deg>:<qwp deg>'"
          "tomo-repeated", "extract-minus-missing", "extract-minus-non-finite",
          "observables-missing", "observables-non-finite", "chsh-missing",
          "chsh-non-finite", "observables-negative", "chsh-negative",
-         "extract-negative", "extract-minus-negative", "observables-setting",
+         "extract-negative", "extract-minus-negative", "tomo-negative",
+         "tomo-zero-total", "tomo-hv-sum", "observables-setting",
          "chsh-setting", "extract-setting"])
 def test_labeled_row_errors_name_the_file(tmp_path, capsys, command, name, edit, message):
     # the tomography reader named no file for missing rows, nor the row of a
     # non-finite value, and the table readers named neither for a missing or
     # empty pair, a non-finite or negative count or a bad setting id, so
-    # extract did not say which of its two tables was at fault; extract
+    # extract did not say which of its two tables was at fault, and the
+    # tomography fit named no file for counts it rejects; extract
     # does not read M_zx, but a branch measures all three named pairs; labels
     # match in any letter case, so h,h repeats H,H
     path = golden_edited(tmp_path, name, edit)
     assert run_failing(capsys, table_run(command, path)) == f"error: {path}{message}\n"
-
-
-def test_tomo_negative_count_exits_2_as_the_fit_says(tmp_path, capsys):
-    # the counts reader takes any finite count; the fit rejects a negative one
-    path = golden_edited(tmp_path, "tomo.csv", _replaced("H,H,194", "H,H,-194"))
-    assert run_failing(capsys, table_run("tomo", path)) == "error: counts must be nonnegative\n"
 
 
 @pytest.mark.parametrize("command, name, old, new", [
@@ -1027,12 +1030,17 @@ def test_percent_in_a_config_value_exits_2(tmp_path, monkeypatch, capsys, key, v
     assert named in captured.err
 
 
+SECTIONS = ("; the sections are [state], [noise], [arm_a], [arm_b], [offsets], "
+            "[statistics], [settings], [sweep]")
+
+
 @pytest.mark.parametrize("extra, named", [
-    ("[noise]\nvisibilty = 0.5\n", "[noise] unknown key 'visibilty'"),
-    ("[sweep_values]\nvalues = 1\n", "unknown config section [sweep_values]"),
-    ("[outputs]\ndir = runs\n", "unknown config section [outputs]"),
-    ("[DEFAULT]\nseed = 1\n", "unknown config section [DEFAULT]")],
-    ids=["misspelled-key", "unknown-section", "outputs", "DEFAULT"])
+    ("[noise]\nvisibilty = 0.5\n", "[noise] unknown key 'visibilty'; the keys are visibility"),
+    ("[settings]\npair = Z/Z\n", "[settings] unknown key 'pair'; the keys are pairs"),
+    ("[sweep_values]\nvalues = 1\n", "unknown config section [sweep_values]" + SECTIONS),
+    ("[outputs]\ndir = runs\n", "unknown config section [outputs]" + SECTIONS),
+    ("[DEFAULT]\nseed = 1\n", "unknown config section [DEFAULT]" + SECTIONS)],
+    ids=["misspelled-key", "settings-key", "unknown-section", "outputs", "DEFAULT"])
 def test_unknown_config_section_or_key_exits_2(tmp_path, monkeypatch, capsys, extra,
                                                named):
     # a misspelled key used to load silently, with its default
@@ -1041,7 +1049,7 @@ def test_unknown_config_section_or_key_exits_2(tmp_path, monkeypatch, capsys, ex
     assert main(["sweep", "--exact", "--config", write_config(tmp_path, text)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert named in captured.err
+    assert captured.err == f"error: {named}\n"
 
 
 def test_settings_without_pairs_exits_2(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import config_corpus
 from polarot import config, measure
 from polarot.cli import main
 from polarot.config import _read_ini
@@ -337,3 +339,47 @@ def test_out_of_range_visibility_is_rejected_at_load():
     with pytest.raises(ValueError, match=r"^\[noise\] visibility must be in \[0, 1\], "
                                          r"got 1\.2$"):
         config.loads_config("[noise]\nvisibility = 1.2\n[statistics]\nseed = 0\n")
+
+
+def test_every_key_sets_a_field_and_every_field_has_a_key():
+    # _KEYS is the loader's one statement of what each key sets: a key that
+    # names a renamed field, or a field no key sets, fails here
+    paths = set()
+    for section, keys in config._KEYS.items():
+        for key, (path, kind) in keys.items():
+            assert kind in (str, float, int), (section, key)
+            paths.add(path)
+    grid = {path for path in paths if path.startswith("grid.")}
+    assert grid == {"grid.start", "grid.stop", "grid.count"}
+    assert paths - grid == {".".join(path) for path in field_paths(config.ExperimentConfig())}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "[statistics] section with an explicit seed is mandatory"),
+    ("[noise]\nvisibility = abc\n", "[statistics] section with an explicit seed is mandatory"),
+    ("[statistics]\nseed = x\n[sweep]\nvariable = theta_b\nstart = 0\ncount = 3\n",
+     "[sweep] range is missing 'stop'")],
+    ids=["empty", "no-seed-and-a-bad-value", "bad-seed-and-a-range-without-stop"])
+def test_key_faults_are_named_before_value_faults(text, message):
+    # the loader named the fault of the first section it read a value from
+    with pytest.raises(ValueError) as info:
+        config.loads_config(text)
+    assert str(info.value) == message
+
+
+# the sha256 of `python tests/config_corpus.py`, taken when the loader last
+# changed on purpose
+CORPUS_SHA256 = "57e33017750dad3c1677a132a255a031c4a96b8ccfc9616c23077962a00f0084"
+
+
+def test_the_config_corpus_loads_as_pinned():
+    lines = config_corpus.listing()
+    assert len(lines) >= 5000
+    escaped = [line for line in lines
+               if not line.split("\t")[1].startswith(("ok ", "ValueError: "))]
+    assert escaped == []
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == CORPUS_SHA256, (
+        "the loader answers some edited config differently: diff the output of "
+        "`python tests/config_corpus.py` in this checkout and in the last one that "
+        "passed, and pin the new digest only if every changed line is meant")
