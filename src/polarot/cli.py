@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .channels import apply_noise, rotate_arm
-from .config import ACCEPTS, check_reads, load_config
+from .config import ACCEPTS, check_reads, config_hash, load_config
 from .csvfile import unsigned_zeros
 from .measure import (Detection, chsh_from_counts, estimate_observables, exact_observables,
                       exact_table, extract_thetas, read_table, simulate_counts,
@@ -118,8 +118,9 @@ def _cmd_tomo(args) -> tuple:
     reference = None if args.reference is None else bell_state(args.reference)
     counts, _ = read_tomo_counts(args.counts)
     result = _from_table(mle_reconstruct, args.counts, counts)
-    sigmas = (bootstrap_sigmas(result.rho, counts, reference,  # --bootstrap needs --reference
-                               n_resamples=args.bootstrap, seed=args.seed or 0)
+    bootstrap = functools.partial(bootstrap_sigmas, result.rho, reference=reference,
+                                  n_resamples=args.bootstrap, seed=args.seed or 0)
+    sigmas = (_from_table(bootstrap, args.counts, counts)  # --bootstrap needs --reference
               if args.bootstrap > 0 else {})
     metrics = {} if reference is None else _report(result.rho, reference)
     report = [unsigned_zeros(f"{key} = {value:.6f}"
@@ -139,10 +140,18 @@ def _cmd_chsh(args) -> tuple:
                f"violation significance = {significance:.2f} sigma"], None, None
 
 
+def _provenance(cfg, exact: bool) -> dict:
+    """What produced a sweep CSV, its '#' lines in file order: the config
+    as the command ran it (after --seed), the run mode and the program."""
+    return {"config_hash": config_hash(cfg), "exact": int(exact), "seed": cfg.seed,
+            "version": __version__, "variable": cfg.sweep_variable}
+
+
 def _cmd_sweep(args) -> tuple:
-    result = run_sweep(_load_config_with_override(args), exact=args.exact)
+    cfg = _load_config_with_override(args)
+    result = run_sweep(cfg, exact=args.exact)
     return (0, [f"wrote {len(result.rows)} sweep points to {args.out}"],
-            args.out, lambda path: write_sweep(result, path))
+            args.out, lambda path: write_sweep(result, path, _provenance(cfg, args.exact)))
 
 
 def _cmd_fisher(args) -> tuple:

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .channels import _apply_noise, rotate_arm
-from .config import ExperimentConfig, check_reads, config_hash
+from .config import ExperimentConfig, check_reads
 from .csvfile import unsigned_zeros, write_csv
 from .measure import (_NAMED_PROJECTORS, _branch_rotations, _local_angles, _mean_counts,
                       estimate_correlation)
@@ -42,10 +41,8 @@ __all__ = ["SweepResult", "configured_state", "fit_line", "zero_crossing",
 
 @dataclass
 class SweepResult:
-    variable: str
     columns: tuple
     rows: np.ndarray
-    provenance: dict
 
 
 def fit_line(x, y, sigma) -> dict:
@@ -146,15 +143,6 @@ def _rotation_counts(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool) 
     return np.stack([np.random.default_rng(s).poisson(m) for m, s in zip(means, seeds)])
 
 
-def _provenance(cfg: ExperimentConfig, exact: bool) -> dict:
-    return {
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "version": __version__,
-        "exact": int(exact),
-    }
-
-
 def _branch_readout(cfg: ExperimentConfig, kinds: tuple, theta_b, exact: bool) -> tuple:
     """The branches of kinds at the arm-B angles theta_b, read out: arrays
     (m_zz, m_xz, sigma_zz, sigma_xz, theta_deg, sigma_deg) of shape
@@ -177,11 +165,9 @@ def _molarity_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     (m_zz,), (m_xz,), (s_zz,), (s_xz,), (theta,), (sig,) = _branch_readout(
         cfg, (cfg.state_kind,), theta_b, exact)
     return SweepResult(
-        variable="molarity_b",
         columns=("molarity", "theta_deg", "sigma_deg",
                  "m_zz", "m_xz", "sigma_zz", "sigma_xz"),
         rows=np.column_stack((molarities, theta, sig, m_zz, m_xz, s_zz, s_xz)),
-        provenance=_provenance(cfg, exact),
     )
 
 
@@ -196,7 +182,6 @@ def _theta_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
     m_zz, m_xz, s_zz, s_xz, (th_p, th_m), (sig_p, sig_m) = _branch_readout(
         cfg, kinds, theta_b, exact)  # both in one stack
     return SweepResult(
-        variable="theta_b",
         columns=("theta_b_deg",
                  "m_zz_plus", "m_xz_plus", "m_zz_minus", "m_xz_minus",
                  "sigma_zz_plus", "sigma_xz_plus", "sigma_zz_minus", "sigma_xz_minus",
@@ -207,7 +192,6 @@ def _theta_sweep(cfg: ExperimentConfig, exact: bool) -> SweepResult:
             values, m_zz[0], m_xz[0], m_zz[1], m_xz[1],
             s_zz[0], s_xz[0], s_zz[1], s_xz[1], th_p, sig_p, th_m, sig_m,
             *_local_angles(th_p, th_m, 90.0))),
-        provenance=_provenance(cfg, exact),
     )
 
 
@@ -265,15 +249,13 @@ def run_scan(cfg: ExperimentConfig, exact: bool = False) -> float:
     return -theta if theta == math.pi / 2 else theta + 0.0
 
 
-def write_sweep(result: SweepResult, path) -> None:
-    """Write a sweep result as CSV with '#'-prefixed provenance lines.
-    Angle columns (named *_deg) carry six decimal places, with no negative
-    zero."""
-    metadata = [(key, result.provenance[key]) for key in sorted(result.provenance)]
-    metadata.append(("variable", result.variable))
+def write_sweep(result: SweepResult, path, provenance: dict) -> None:
+    """Write a sweep result as CSV, the items of provenance first as
+    '#'-prefixed key=value lines in the dict's order. Angle columns (named
+    *_deg) carry six decimal places, with no negative zero."""
     # %.6f and %.10g write the bytes of {:.6f} and {:.10g}, -0, inf and nan
     # included; unsigned_zeros then drops the sign of a %.6f zero
     row_format = ",".join("%.6f" if name.endswith("_deg") else "%.10g"
                           for name in result.columns)
-    write_csv(path, metadata, ",".join(result.columns),
+    write_csv(path, provenance.items(), ",".join(result.columns),
               ([unsigned_zeros(row_format % tuple(row))] for row in result.rows.tolist()))

@@ -250,8 +250,8 @@ def bootstrap_sigmas(rho_hat: np.ndarray, counts: np.ndarray,
     Resamples Poisson counts from the fitted model (flux matched to the
     observed total), reconstructs each resample, and returns the spread of
     every metric. Resample r uses the independent stream (seed, r), so the
-    result does not depend on evaluation order. A spread needs
-    n_resamples >= 2.
+    result does not depend on evaluation order; a resample's fit error is
+    raised naming r. A spread needs n_resamples >= 2.
     """
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be at least 2, got {n_resamples}")
@@ -262,7 +262,10 @@ def bootstrap_sigmas(rho_hat: np.ndarray, counts: np.ndarray,
     reports = []
     for r in range(n_resamples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        rho_r = mle_reconstruct(rng.poisson(nbar).astype(float)).rho
+        try:
+            rho_r = mle_reconstruct(rng.poisson(nbar).astype(float)).rho
+        except ValueError as exc:
+            raise ValueError(f"bootstrap resample {r}: {exc}") from None
         reports.append(_report(rho_r, reference))
     return {key: float(np.std([report[key] for report in reports], ddof=1))
             for key in reports[0]}

@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -265,6 +266,24 @@ def test_tomo_report_flags_are_checked_before_any_output(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed, message", [
+    (0, "bootstrap resample 1: counts must be finite with a positive total"),
+    (2, "bootstrap resample 3: the HH, HV, VH and VV counts must have a positive sum "
+        "(the trace of the state), got 0")])
+def test_tomo_bootstrap_error_names_the_file_and_the_resample(tmp_path, capsys, seed,
+                                                              message):
+    # a single H,H count fits |HH>, whose resamples may draw no counts at all or
+    # none in the HH, HV, VH and VV bases; the error named neither the file
+    # nor the resample
+    counts = np.zeros(16)
+    counts[0] = 1.0
+    counts_file = tmp_path / "tomo.csv"
+    tomography.write_tomo_counts(counts_file, counts)
+    err = run_failing(capsys, ["tomo", "--counts", str(counts_file), "--reference",
+                               "psi_minus", "--bootstrap", "5", "--seed", str(seed)])
+    assert err == f"error: {counts_file}: {message}\n"
+
+
 @pytest.mark.parametrize("count", ["1e308", "1e200"])
 def test_tomo_counts_beyond_the_poisson_range_exit_2(tmp_path, capsys, recwarn,
                                                      count):
@@ -380,23 +399,24 @@ def test_an_unusable_output_path_exits_2_before_any_output(tmp_path, monkeypatch
     assert not any((tmp_path / "adir").iterdir())
 
 
-@pytest.mark.parametrize("argv, call", [
+@pytest.mark.parametrize("argv, call, prefix", [
     (["simulate", "--config", str(GOLDEN_INPUTS / "sim.ini"), "--out", "counts.csv"],
-     "simulate_counts"),
+     "simulate_counts", ""),
     (["sweep", "--config", str(GOLDEN_INPUTS / "sweep_theta.ini"), "--out", "sweep.csv"],
-     "run_sweep"),
-    ([*TOMO_RUN, "--out-state", "rho.txt"], "bootstrap_sigmas"),
-    (["fisher", "--trials", "10"], "variance_scaling")],
+     "run_sweep", ""),
+    # the bootstrap's errors name the counts file, as the fit's do
+    ([*TOMO_RUN, "--out-state", "rho.txt"], "bootstrap_sigmas", f"{TOMO_RUN[2]}: "),
+    (["fisher", "--trials", "10"], "variance_scaling", "")],
     ids=["simulate", "sweep", "tomo", "fisher"])
 def test_a_failed_computation_prints_and_writes_nothing(tmp_path, monkeypatch, capsys,
-                                                        argv, call):
+                                                        argv, call, prefix):
     # tomo printed its fit and wrote its state file before the bootstrap ran
     def fail(*args, **kwargs):
         raise ValueError(f"{call} failed")
 
     monkeypatch.setattr(cli, call, fail)
     monkeypatch.chdir(tmp_path)
-    assert run_failing(capsys, argv) == f"error: {call} failed\n"
+    assert run_failing(capsys, argv) == f"error: {prefix}{call} failed\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -839,6 +859,24 @@ def test_sweep_command_deterministic(tmp_path):
     assert "# config_hash=" in text
     assert "theta_deg" in text
     assert len(text.strip().splitlines()) >= 5 + 2
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+@pytest.mark.parametrize("name", ["sweep_molarity.ini", "sweep_theta.ini"])
+def test_sweep_provenance_names_the_config_as_run(tmp_path, name, exact):
+    # the '#' lines describe the config after --seed, which no golden sweep
+    # passes, in the order config_hash, exact, seed, version, variable
+    path, out = GOLDEN_INPUTS / name, tmp_path / "sweep.csv"
+    cfg = config.load_config(path)
+    seed = cfg.seed + 1
+    assert main(["sweep", "--config", str(path), "--seed", str(seed), "--out", str(out),
+                 *(["--exact"] if exact else [])]) == 0
+    run = dataclasses.replace(cfg, seed=seed)
+    assert out.read_text().splitlines()[:5] == [
+        f"# config_hash={config.config_hash(run)}", f"# exact={int(exact)}",
+        f"# seed={seed}", f"# version={polarot.__version__}",
+        f"# variable={cfg.sweep_variable}"]
+    assert config.config_hash(run) != config.config_hash(cfg)
 
 
 def test_sweep_exact_flag(tmp_path):

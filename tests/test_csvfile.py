@@ -79,20 +79,20 @@ _SWEEP_VALUE = st.one_of(st.floats(), st.sampled_from(
 def test_sweep_rows_match_per_cell_format(path, names, data):
     # write_sweep formats each row with one %-format string; the bytes are
     # those of "{:.6f}" (angle columns, named *_deg), with -0.000000 written
-    # 0.000000, and "{:.10g}" per cell
+    # 0.000000, and "{:.10g}" per cell, after the provenance lines in the
+    # order of its dict, not sorted
     rows = data.draw(st.lists(st.lists(_SWEEP_VALUE, min_size=len(names),
                                        max_size=len(names)), max_size=4))
-    result = sweeps.SweepResult("theta_b", tuple(names),
-                                np.array(rows, dtype=float).reshape(-1, len(names)),
-                                {"seed": 7, "exact": 0})
-    sweeps.write_sweep(result, path)
+    result = sweeps.SweepResult(tuple(names),
+                                np.array(rows, dtype=float).reshape(-1, len(names)))
+    sweeps.write_sweep(result, path, {"variable": "theta_b", "seed": 7, "exact": 0})
 
     def cell(name, value):
         if not name.endswith("_deg"):
             return f"{value:.10g}"
         return "0.000000" if f"{value:.6f}" == "-0.000000" else f"{value:.6f}"
 
-    lines = ["# exact=0", "# seed=7", "# variable=theta_b", ",".join(names)]
+    lines = ["# variable=theta_b", "# seed=7", "# exact=0", ",".join(names)]
     lines += [",".join(cell(name, v) for name, v in zip(names, row)) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
